@@ -16,7 +16,6 @@ from .errors import (
     DegenerateIndex,
     FramingError,
     GrindExhausted,
-    Incomplete,
     InsufficientSample,
     NonceReuse,
     PermutationMismatch,
@@ -48,7 +47,6 @@ __all__ = [
     "FramingError",
     "GrindExhausted",
     "GrindResult",
-    "Incomplete",
     "InsufficientSample",
     "KeyMaterial",
     "Ledger",

@@ -1,6 +1,6 @@
 """Backend selection: compiled kernel when importable, pure Python otherwise.
 
-Both backends implement the same three calls used on hot paths. The
+Both backends implement the same two calls used on hot paths. The
 observable contract is identical: grind_scan returns the smallest matching
 counter, so results never depend on which backend ran.
 """
@@ -38,13 +38,9 @@ class PureBackend:
             jac.append(ec._jac_add_affine(ec.mult_g_jacobian(h), gy))
         return ec.jac_batch_to_affine(jac)
 
-    def derive_compressed(self, k: bytes, tag: int, counter: int, gy):
-        pt = self._points(k, tag, counter, 1, gy)[0]
-        return None if pt is None else ec.compress(pt)
-
     def derive_digest(self, k: bytes, tag: int, counter: int, gy):
-        pub = self.derive_compressed(k, tag, counter, gy)
-        return None if pub is None else hash160(pub)
+        pt = self._points(k, tag, counter, 1, gy)[0]
+        return None if pt is None else hash160(ec.compress(pt))
 
     def grind_scan(self, k, tag, gy, start, max_attempts, positions, target):
         """First counter in [start, start+max_attempts) whose address digest
@@ -72,9 +68,6 @@ try:
 
     class ExtBackend:
         name = "ext"
-
-        def derive_compressed(self, k, tag, counter, gy):
-            return _kernel.derive_compressed(k, tag, counter, gy[0], gy[1])
 
         def derive_digest(self, k, tag, counter, gy):
             return _kernel.derive_digest(k, tag, counter, gy[0], gy[1])

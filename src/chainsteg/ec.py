@@ -1,4 +1,5 @@
-"""Pure-Python secp256k1: point arithmetic, fixed-base multiplication, ECDSA.
+"""Pure-Python secp256k1: point arithmetic, fixed-base multiplication and
+point serialization.
 
 This is the fallback path; the compiled kernel mirrors the same math. Fixed
 multiples of the generator go through a lazily built 8-bit window table so
@@ -6,9 +7,6 @@ scanning loops stay tolerable without the extension.
 """
 
 from __future__ import annotations
-
-import hashlib
-import hmac
 
 P = 2**256 - 2**32 - 977
 Q = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
@@ -162,21 +160,8 @@ def _table() -> list[list[Point]]:
     return _g_table
 
 
-def mult_g(scalar: int) -> Point:
-    """scalar * G via the window table."""
-    scalar %= Q
-    if scalar == 0:
-        return None
-    table = _table()
-    acc = _JINF
-    for w in range(_N_WINDOWS):
-        window = (scalar >> (8 * w)) & 0xFF
-        if window:
-            acc = _jac_add_affine(acc, table[w][window - 1])
-    return _jac_to_affine(acc)
-
-
 def mult_g_jacobian(scalar: int) -> JPoint:
+    """scalar * G via the window table."""
     scalar %= Q
     table = _table()
     acc = _JINF
@@ -187,17 +172,8 @@ def mult_g_jacobian(scalar: int) -> JPoint:
     return acc
 
 
-def mult(scalar: int, pt: Point) -> Point:
-    """Generic double-and-add; not used on hot paths."""
-    scalar %= Q
-    if scalar == 0 or pt is None:
-        return None
-    acc = _JINF
-    for bit in range(scalar.bit_length() - 1, -1, -1):
-        acc = _jac_double(acc)
-        if (scalar >> bit) & 1:
-            acc = _jac_add_affine(acc, pt)
-    return _jac_to_affine(acc)
+def mult_g(scalar: int) -> Point:
+    return _jac_to_affine(mult_g_jacobian(scalar))
 
 
 # ---------------------------------------------------------------------------
@@ -223,49 +199,3 @@ def decompress(data: bytes) -> Point:
     if (y & 1) != (data[0] & 1):
         y = P - y
     return (x, y)
-
-
-# ---------------------------------------------------------------------------
-# ECDSA (deterministic nonce via HMAC; used only by the simulation, no
-# interoperability claims)
-
-def _nonce(priv: int, digest: bytes) -> int:
-    key = priv.to_bytes(32, "big")
-    counter = 0
-    while True:
-        k = int.from_bytes(
-            hmac.new(key, digest + counter.to_bytes(4, "big"), hashlib.sha256).digest(),
-            "big",
-        ) % Q
-        if k:
-            return k
-        counter += 1
-
-
-def sign(priv: int, digest: bytes) -> tuple[int, int]:
-    if not 0 < priv < Q:
-        raise ValueError("private key out of range")
-    z = int.from_bytes(digest, "big") % Q
-    attempt = 0
-    while True:
-        k = _nonce(priv, digest + attempt.to_bytes(2, "big") if attempt else digest)
-        pt = mult_g(k)
-        r = pt[0] % Q
-        s = pow(k, -1, Q) * (z + r * priv) % Q
-        if r and s:
-            return (r, s)
-        attempt += 1
-
-
-def verify(pub: Point, digest: bytes, signature: tuple[int, int]) -> bool:
-    r, s = signature
-    if not (0 < r < Q and 0 < s < Q) or pub is None:
-        return False
-    z = int.from_bytes(digest, "big") % Q
-    w = pow(s, -1, Q)
-    u1 = z * w % Q
-    u2 = r * w % Q
-    pt = point_add(mult_g(u1), mult(u2, pub))
-    if pt is None:
-        return False
-    return pt[0] % Q == r

@@ -44,10 +44,6 @@ class AuthError(ChainstegError):
     """Authenticated decryption failed; wrong key or corrupted field."""
 
 
-class Incomplete(ChainstegError):
-    """Fragments are missing; reassembly can resume later."""
-
-
 class NonceReuse(ChainstegError):
     """A signal counter was about to key a second encryption."""
 

@@ -19,7 +19,7 @@ from enum import Enum
 
 from . import ec
 from .errors import DegenerateIndex, ValidationError
-from .hashes import base58check_decode, base58check_encode, hash160
+from .hashes import base58check_decode, base58check_encode
 
 DOMAIN_SIG_HIGH = 0x01
 DOMAIN_SIG_MED = 0x02
@@ -125,18 +125,6 @@ def derive_private(km: KeyMaterial, idx: DerivationIndex) -> int:
     if x == 0:
         raise DegenerateIndex(f"index {idx} derives the zero key")
     return x
-
-
-def derive_public(km: KeyMaterial, idx: DerivationIndex) -> tuple[int, int]:
-    h = hdw_scalar(km.k, idx)
-    pt = ec.point_add(ec.mult_g(h), km.gy)
-    if pt is None:
-        raise DegenerateIndex(f"index {idx} derives the point at infinity")
-    return pt
-
-
-def to_address(pub: tuple[int, int], version: int = 0x00) -> Address:
-    return Address(digest=hash160(ec.compress(pub)), version=version)
 
 
 def derive_address(km: KeyMaterial, idx: DerivationIndex, version: int = 0x00) -> Address:

@@ -29,16 +29,14 @@ output is change. Field outputs are burned (no preimage exists).
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from . import backend
-from .errors import AuthError, FramingError, Incomplete, NonceReuse, ValidationError
-from .hdw import DOMAIN_GRIND, Address, Channel, DerivationIndex, KeyMaterial, signal_address
-from .ledger import DEFAULT_FEE, DUST, KIND_P2PKH, StegoTransaction, TxInput, TxOutput
+from .errors import AuthError, FramingError, NonceReuse
+from .hdw import DOMAIN_GRIND, Channel, DerivationIndex, KeyMaterial, signal_address
+from .ledger import DUST, KIND_P2PKH, StegoTemplate, StegoTransaction, TxOutput
 
 VERSION_DATA = 1
 VERSION_ROTATE = 2
@@ -128,32 +126,6 @@ def frame_message(
     return fields
 
 
-@dataclass
-class HighEncode:
-    """A framed, masked, single-transaction message awaiting funding."""
-
-    counter: int
-    signal_address: Address
-    field_outputs: tuple[TxOutput, ...]
-    change_output: TxOutput
-    change_index: DerivationIndex
-    fee: int
-    msg_id: int
-
-    @property
-    def required_funding(self) -> int:
-        total = sum(o.amount for o in self.field_outputs)
-        return total + self.change_output.amount + self.fee
-
-    def transaction(self, funding_outpoint: tuple[bytes, int] | None = None) -> StegoTransaction:
-        outpoint = funding_outpoint or (bytes(32), 0)
-        return StegoTransaction(
-            inputs=(TxInput(outpoint[0], outpoint[1], self.signal_address.digest),),
-            outputs=(*self.field_outputs, self.change_output),
-            fee=self.fee,
-        )
-
-
 @dataclass(frozen=True)
 class BurnRecord:
     txid: bytes
@@ -170,61 +142,35 @@ def burn_records(tx: StegoTransaction) -> list[BurnRecord]:
     ]
 
 
-def build_tx_outputs(
-    km: KeyMaterial,
-    fields: list[bytes],
-    tx_counter: int,
-    session,
-    kind: int = KIND_P2PKH,
-    address_version: int = 0x00,
-) -> tuple[tuple[TxOutput, ...], TxOutput, DerivationIndex]:
-    """Mask fields for one transaction and attach a change output."""
-    rng = session.rng
+def tx_template(gen, fields: list[bytes], cfg, rng) -> StegoTemplate:
+    """One transaction carrying `fields` at the generation's next HIGH
+    counter: masked fields, then change to a fresh wallet address."""
+    counter = gen.next_signal["HIGH"]
+    signal = signal_address(gen.km, gen, Channel.HIGH, cfg.address_version)
     outputs = tuple(
-        TxOutput(mask_field(km.k, f, tx_counter, j), rng.randint(DUST, 10_000), kind)
+        TxOutput(mask_field(gen.km.k, f, counter, j), rng.randint(DUST, 10_000), cfg.high_kind)
         for j, f in enumerate(fields)
     )
-    change_counter = session.next_grind
-    session.next_grind += 1
-    change_digest = backend.get().derive_digest(km.k, DOMAIN_GRIND, change_counter, km.gy)
-    change = TxOutput(change_digest, rng.randint(DUST, 1_000_000), KIND_P2PKH)
-    return outputs, change, DerivationIndex(DOMAIN_GRIND, change_counter)
+    change_digest, change_counter = gen.fresh_wallet_address()
+    return StegoTemplate(
+        counter=counter,
+        signal_address=signal,
+        stego_outputs=outputs,
+        grind_records=(),
+        change_output=TxOutput(change_digest, rng.randint(DUST, 1_000_000), KIND_P2PKH),
+        change_index=DerivationIndex(DOMAIN_GRIND, change_counter),
+    )
 
 
-def guard_nonce(session, counter: int, message: bytes, msg_id: int, version: int) -> None:
+def guard_nonce(gen, counter: int, message: bytes, msg_id: int, version: int) -> None:
     """Refuse to key two different encryptions from one signal counter."""
     fingerprint = hashlib.sha256(
         bytes([version]) + msg_id.to_bytes(2, "big") + message
     ).digest()
-    previous = session.high_nonce_guard.get(counter)
+    previous = gen.high_nonce_guard.get(counter)
     if previous is not None and previous != fingerprint:
         raise NonceReuse(f"signal counter {counter} already keyed a different message")
-    session.high_nonce_guard[counter] = fingerprint
-
-
-def encode_high(
-    km: KeyMaterial,
-    message: bytes,
-    session,
-    version: int = VERSION_DATA,
-    kind: int = KIND_P2PKH,
-) -> HighEncode:
-    """Frame a whole message into one transaction at the next HIGH counter."""
-    counter = session.next_signal["HIGH"]
-    msg_id = session.next_msg_id & 0xFFF
-    guard_nonce(session, counter, message, msg_id, version)
-    fields = frame_message(km, message, msg_id, counter, session.rng, version)
-    signal = signal_address(km, session, Channel.HIGH)
-    outputs, change, change_idx = build_tx_outputs(km, fields, counter, session, kind)
-    return HighEncode(
-        counter=counter,
-        signal_address=signal,
-        field_outputs=outputs,
-        change_output=change,
-        change_index=change_idx,
-        fee=DEFAULT_FEE,
-        msg_id=msg_id,
-    )
+    gen.high_nonce_guard[counter] = fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -297,30 +243,3 @@ class Reassembler:
 
     def pending(self) -> list[int]:
         return sorted(self.buffers)
-
-
-def decode_high(
-    txs: list[tuple[int, StegoTransaction]],
-    km: KeyMaterial,
-) -> bytes:
-    """Decode exactly one message from (counter, transaction) pairs."""
-    asm = Reassembler(km.k)
-    messages = []
-    for counter, tx in sorted(txs, key=lambda item: item[0]):
-        messages.extend(asm.feed_transaction(tx, counter))
-    for msg_id in asm.pending():
-        bucket = asm.buffers[msg_id]
-        if len({(f.version, f.total_len) for f in bucket.values()}) != 1:
-            raise AuthError("inconsistent fragment headers")
-    if asm.pending():
-        raise Incomplete(f"missing fragments for message ids {asm.pending()}")
-    if len(messages) != 1:
-        raise ValidationError(f"expected one message, decoded {len(messages)}")
-    return messages[0][2]
-
-
-def randomness_check(fields: list[bytes]):
-    """Statistical report over 160-bit field values; see stats module."""
-    from .stats import randomness_check as _check
-
-    return _check(fields)

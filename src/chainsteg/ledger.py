@@ -1,4 +1,5 @@
-"""Deterministic simulated blockchain: mempool, block assembly, scan access.
+"""Deterministic simulated blockchain: mempool, block assembly, the
+input-address index that receivers scan.
 
 No proof of work and no networking; confirmation is an explicit mine_block
 call. Output order inside a transaction is preserved bit-exactly (the
@@ -7,6 +8,7 @@ time from a seeded RNG so whole chains are reproducible byte for byte.
 
 Chain file format (normative): a sequence of records, each
     4-byte big-endian length || block bytes
+The `<chain>.mempool` sidecar uses the same framing with transaction bytes.
 Block bytes: height u64 || prev_hash 32B || timestamp u64 || tx_count u32
 || transactions || block_hash 32B, where block_hash = sha256d of everything
 before it. Transaction bytes: input_count u32 || inputs (prev_txid 32B,
@@ -17,12 +19,14 @@ amount u64) || fee u64. txid = sha256d(transaction bytes).
 from __future__ import annotations
 
 import math
+import os
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import CorruptChain, Rejected, ValidationError
+from .errors import CorruptChain, Rejected
 from .hashes import sha256d
+from .hdw import Address, DerivationIndex
 
 DUST = 546
 DEFAULT_FEE = 1000
@@ -97,6 +101,50 @@ class StegoTransaction:
             offset += 29
         (fee,) = struct.unpack_from(">Q", data, offset)
         return cls(tuple(inputs), tuple(outputs), fee), offset + 8
+
+
+@dataclass
+class StegoTemplate:
+    """One stego transaction awaiting funding: it spends an outpoint on the
+    signal address into the payload outputs followed by change."""
+
+    counter: int  # signal counter of the carrying channel
+    signal_address: Address
+    stego_outputs: tuple[TxOutput, ...]
+    grind_records: tuple  # MED: a GrindResult per stego output; HIGH: empty
+    change_output: TxOutput
+    change_index: DerivationIndex
+
+    @property
+    def required_funding(self) -> int:
+        total = sum(o.amount for o in self.stego_outputs)
+        return total + self.change_output.amount + DEFAULT_FEE
+
+    def transaction(self, funding_outpoint: tuple[bytes, int] | None = None) -> StegoTransaction:
+        outpoint = funding_outpoint or (bytes(32), 0)
+        return StegoTransaction(
+            inputs=(TxInput(outpoint[0], outpoint[1], self.signal_address.digest),),
+            outputs=(*self.stego_outputs, self.change_output),
+            fee=DEFAULT_FEE,
+        )
+
+
+def _record(raw: bytes) -> bytes:
+    return struct.pack(">I", len(raw)) + raw
+
+
+def _records(data: bytes):
+    """Split a file of length-prefixed records."""
+    offset = 0
+    while offset < len(data):
+        if offset + 4 > len(data):
+            raise CorruptChain("truncated record length")
+        (length,) = struct.unpack_from(">I", data, offset)
+        offset += 4
+        if offset + length > len(data):
+            raise CorruptChain("record extends past end of file")
+        yield data[offset : offset + length]
+        offset += length
 
 
 @dataclass(frozen=True)
@@ -266,7 +314,9 @@ class Ledger:
 
     # -- mining ------------------------------------------------------------
 
-    def _make_decoy(self, rng: random.Random, profile: NoiseProfile) -> StegoTransaction | None:
+    def _make_decoy(self, rng: random.Random, profile: NoiseProfile):
+        """A decoy spending a random pool outpoint, with the outpoint of its
+        change; None when the pool is empty."""
         if not self._pool:
             return None
         outpoint = self._pool.pop(rng.randrange(len(self._pool)))
@@ -289,20 +339,18 @@ class Ledger:
             outputs=tuple(outputs),
             fee=fee,
         )
-        self._pool_pending = getattr(self, "_pool_pending", [])
-        self._pool_pending.append((tx.txid, change_pos))
-        return tx
+        return tx, (tx.txid, change_pos)
 
     def mine_block(self, decoys: NoiseProfile | None = None, seed: int = 0) -> Block:
         height = len(self.blocks)
         rng = random.Random((seed << 20) ^ height)
-        self._pool_pending = []
         profile = decoys or NoiseProfile(rate=0.0)
-        decoy_txs = []
+        decoy_txs, decoy_change = [], []
         for _ in range(profile.sample_count(rng)):
-            tx = self._make_decoy(rng, profile)
-            if tx is not None:
-                decoy_txs.append(tx)
+            decoy = self._make_decoy(rng, profile)
+            if decoy is not None:
+                decoy_txs.append(decoy[0])
+                decoy_change.append(decoy[1])
         real = list(self.mempool)
         txs = self._shuffle_topological(real + decoy_txs, rng)
         fees = sum(tx.fee for tx in txs)
@@ -319,8 +367,7 @@ class Ledger:
         )
         self._connect(block)
         self._pool.append((coinbase.txid, 0))
-        self._pool.extend(self._pool_pending)
-        self._pool_pending = []
+        self._pool.extend(decoy_change)
         self.mempool.clear()
         self._mempool_ids.clear()
         self._mempool_outputs.clear()
@@ -373,21 +420,19 @@ class Ledger:
     def tip_height(self) -> int:
         return len(self.blocks) - 1
 
-    def scan(self, from_height: int, address_predicate):
-        """Confirmed transactions whose input address satisfies the
-        predicate, in chain order. Re-verifies block hashes on read."""
-        if isinstance(address_predicate, (set, frozenset)):
-            members = address_predicate
-            address_predicate = lambda d: d in members  # noqa: E731
-        results = []
+    def input_index(self, from_height: int) -> dict[bytes, list[StegoTransaction]]:
+        """Confirmed non-coinbase transactions from `from_height` on, keyed
+        by input address, each list in chain order. Re-verifies block
+        hashes on read."""
+        index: dict[bytes, list[StegoTransaction]] = {}
         for block in self.blocks[max(from_height, 0) :]:
             block.verify()
             for tx in block.transactions:
                 if tx.is_coinbase:
                     continue
-                if any(address_predicate(i.address) for i in tx.inputs):
-                    results.append((block.height, tx))
-        return results
+                for inp in tx.inputs:
+                    index.setdefault(inp.address, []).append(tx)
+        return index
 
     def total_supply(self) -> int:
         return self._issued
@@ -407,19 +452,15 @@ class Ledger:
         mode = "ab" if self._persisted_blocks else "wb"
         with open(path, mode) as fh:
             for block in self.blocks[self._persisted_blocks :]:
-                raw = block.serialize()
-                fh.write(struct.pack(">I", len(raw)) + raw)
+                fh.write(_record(block.serialize()))
         self._persisted_blocks = len(self.blocks)
         sidecar = f"{path}.mempool"
         if self.mempool:
             with open(sidecar, "wb") as fh:
                 for tx in self.mempool:
-                    raw = tx.serialize()
-                    fh.write(struct.pack(">I", len(raw)) + raw)
+                    fh.write(_record(tx.serialize()))
         else:
             try:
-                import os
-
                 os.remove(sidecar)
             except FileNotFoundError:
                 pass
@@ -429,17 +470,9 @@ class Ledger:
         ledger = cls(dust=dust)
         with open(path, "rb") as fh:
             data = fh.read()
-        offset = 0
         prev_hash = _NULL32
-        while offset < len(data):
-            if offset + 4 > len(data):
-                raise CorruptChain("truncated record length")
-            (length,) = struct.unpack_from(">I", data, offset)
-            offset += 4
-            if offset + length > len(data):
-                raise CorruptChain("record extends past end of file")
-            block = Block.deserialize(data[offset : offset + length])
-            offset += length
+        for record in _records(data):
+            block = Block.deserialize(record)
             if block.height != len(ledger.blocks):
                 raise CorruptChain(f"unexpected height {block.height}")
             if block.prev_hash != prev_hash:
@@ -459,14 +492,13 @@ class Ledger:
                 raw = fh.read()
         except FileNotFoundError:
             return ledger
-        offset = 0
-        while offset < len(raw):
-            (length,) = struct.unpack_from(">I", raw, offset)
-            offset += 4
-            tx, consumed = StegoTransaction.deserialize(raw[offset : offset + length])
-            if consumed != length:
+        for record in _records(raw):
+            try:
+                tx, consumed = StegoTransaction.deserialize(record)
+            except struct.error as exc:
+                raise CorruptChain(f"truncated mempool record: {exc}") from exc
+            if consumed != len(record):
                 raise CorruptChain("trailing bytes in mempool record")
-            offset += length
             ledger.submit(tx)
         return ledger
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import backend
@@ -36,7 +36,7 @@ from .hdw import (
     KeyMaterial,
     signal_address,
 )
-from .ledger import DEFAULT_FEE, DUST, KIND_P2PKH, StegoTransaction, TxInput, TxOutput
+from .ledger import DUST, KIND_P2PKH, StegoTemplate, StegoTransaction, TxOutput
 from .permcode import CanonicalSet, PermRank, perm_capacity_bits, rank, unrank
 
 
@@ -213,32 +213,6 @@ def next_usable_counter(k: bytes, counter: int, cfg: "ChannelConfig") -> int:
 # ---------------------------------------------------------------------------
 # Embedding
 
-@dataclass
-class MediumEmbed:
-    """A ground, ordered output set awaiting funding."""
-
-    counter: int
-    signal_address: Address
-    stego_outputs: tuple[TxOutput, ...]
-    grind_records: tuple[GrindResult, ...]  # aligned with stego_outputs
-    change_output: TxOutput
-    change_index: DerivationIndex
-    fee: int
-
-    @property
-    def required_funding(self) -> int:
-        total = sum(o.amount for o in self.stego_outputs)
-        return total + self.change_output.amount + self.fee
-
-    def transaction(self, funding_outpoint: tuple[bytes, int] | None = None) -> StegoTransaction:
-        outpoint = funding_outpoint or (bytes(32), 0)
-        return StegoTransaction(
-            inputs=(TxInput(outpoint[0], outpoint[1], self.signal_address.digest),),
-            outputs=(*self.stego_outputs, self.change_output),
-            fee=self.fee,
-        )
-
-
 def _grind_distinct(km, chunks, cfg, session, seen: set[bytes]):
     """Grind every chunk, never emitting two equal digests."""
     results = []
@@ -260,7 +234,7 @@ def embed(
     payload: list[int],
     cfg: ChannelConfig,
     session,
-) -> MediumEmbed:
+) -> StegoTemplate:
     """Build one transaction's stego outputs for `payload` bits.
 
     Consumes grind counters from the session and reads (without advancing)
@@ -309,18 +283,14 @@ def embed(
         TxOutput(rec.address.digest, rng.randint(DUST, 1_000_000), KIND_P2PKH)
         for rec in ordered_records
     )
-    change_counter = session.next_grind
-    session.next_grind += 1
-    change_digest = backend.get().derive_digest(km.k, DOMAIN_GRIND, change_counter, km.gy)
-    change_output = TxOutput(change_digest, rng.randint(DUST, 1_000_000), KIND_P2PKH)
-    return MediumEmbed(
+    change_digest, change_counter = session.current.fresh_wallet_address()
+    return StegoTemplate(
         counter=counter,
         signal_address=signal,
         stego_outputs=stego_outputs,
         grind_records=tuple(ordered_records),
-        change_output=change_output,
+        change_output=TxOutput(change_digest, rng.randint(DUST, 1_000_000), KIND_P2PKH),
         change_index=DerivationIndex(DOMAIN_GRIND, change_counter),
-        fee=DEFAULT_FEE,
     )
 
 

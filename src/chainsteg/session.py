@@ -22,22 +22,8 @@ from dataclasses import dataclass, field
 
 from . import backend, ec, high, medium
 from .bitio import bits_to_bytes, bits_to_int, bytes_to_bits, int_to_bits
-from .errors import (
-    AuthError,
-    ChainstegError,
-    Incomplete,
-    PermutationMismatch,
-    TagCorruption,
-    ValidationError,
-)
-from .hdw import (
-    DOMAIN_GRIND,
-    Address,
-    Channel,
-    DerivationIndex,
-    KeyMaterial,
-    derive_address,
-)
+from .errors import AuthError, PermutationMismatch, TagCorruption, ValidationError
+from .hdw import DOMAIN_GRIND, Channel, KeyMaterial
 from .ledger import DEFAULT_FEE, DUST, Ledger, StegoTransaction, TxInput, TxOutput
 
 _MAGIC = b"CSSN"
@@ -74,6 +60,13 @@ class Generation:
 
     def __post_init__(self):
         self.reassembler = high.Reassembler(self.km.k)
+
+    def fresh_wallet_address(self) -> tuple[bytes, int]:
+        """Digest at the next grind counter, and that counter (consumed)."""
+        counter = self.next_grind
+        self.next_grind += 1
+        digest = backend.get().derive_digest(self.km.k, DOMAIN_GRIND, counter, self.km.gy)
+        return digest, counter
 
     def cfg_at(self, counter: int) -> medium.ChannelConfig:
         chosen = self.med_cfg_schedule[0][1]
@@ -129,19 +122,7 @@ class SessionState:
     def next_grind(self, value: int) -> None:
         self.current.next_grind = value
 
-    @property
-    def high_nonce_guard(self) -> dict[int, bytes]:
-        return self.current.high_nonce_guard
-
     # -- wallet -------------------------------------------------------------
-
-    def fresh_wallet_address(self) -> tuple[bytes, int]:
-        counter = self.current.next_grind
-        self.current.next_grind += 1
-        digest = backend.get().derive_digest(
-            self.km.k, DOMAIN_GRIND, counter, self.km.gy
-        )
-        return digest, counter
 
     def wallet_balance(self) -> int:
         return sum(u.amount for u in self.wallet)
@@ -180,7 +161,7 @@ class SessionState:
         change_entry = None
         fee = DEFAULT_FEE
         if change >= DUST:
-            digest, counter = self.fresh_wallet_address()
+            digest, counter = self.current.fresh_wallet_address()
             outputs.append(TxOutput(digest, change))
             change_entry = (digest, counter, change)
         else:
@@ -208,7 +189,7 @@ class SessionState:
 
     def genesis_ledger(self, amount: int = 10**12, pool_fund: int = 10**15) -> Ledger:
         """Create a fresh chain whose genesis funds this session's wallet."""
-        digest, counter = self.fresh_wallet_address()
+        digest, counter = self.current.fresh_wallet_address()
         ledger = Ledger.create(genesis_allocations=[(digest, amount)], pool_fund=pool_fund)
         coinbase = ledger.blocks[0].transactions[0]
         self.wallet_add(WalletUtxo(coinbase.txid, 1, amount, self.key_gen, counter))
@@ -228,12 +209,10 @@ class SessionState:
                        self.key_gen, template.change_index.counter)
         )
         audit_entries = [(n_outs - 1, template.change_index.counter)]
-        if channel == "MED":
-            audit_entries += [
-                (vout, rec.index.counter)
-                for vout, rec in enumerate(template.grind_records)
-            ]
-        else:
+        audit_entries += [
+            (vout, rec.index.counter) for vout, rec in enumerate(template.grind_records)
+        ]
+        if channel == "HIGH":
             self.burn_log.extend(high.burn_records(tx))
         self.embed_log.append(
             {
@@ -270,31 +249,15 @@ class SessionState:
 
     def _send_high(self, ledger: Ledger, message: bytes,
                    version: int = high.VERSION_DATA, confirm=None) -> list[bytes]:
+        gen = self.current
         msg_id = self.next_msg_id & 0xFFF
-        counter0 = self.current.next_signal["HIGH"]
-        high.guard_nonce(self.current, counter0, message, msg_id, version)
-        fields = high.frame_message(self.km, message, msg_id, counter0, self.rng, version)
+        counter0 = gen.next_signal["HIGH"]
+        high.guard_nonce(gen, counter0, message, msg_id, version)
+        fields = high.frame_message(gen.km, message, msg_id, counter0, self.rng, version)
         per_tx = self.cfg.max_fields_per_tx or len(fields)
-        groups = [fields[i : i + per_tx] for i in range(0, len(fields), per_tx)]
         txids = []
-        for group in groups:
-            counter = self.current.next_signal["HIGH"]
-            signal = derive_address(
-                self.km, DerivationIndex(Channel.HIGH.value, counter),
-                self.cfg.address_version,
-            )
-            outputs, change, change_idx = high.build_tx_outputs(
-                self.km, group, counter, self, kind=self.cfg.high_kind
-            )
-            template = high.HighEncode(
-                counter=counter,
-                signal_address=signal,
-                field_outputs=outputs,
-                change_output=change,
-                change_index=change_idx,
-                fee=DEFAULT_FEE,
-                msg_id=msg_id,
-            )
+        for i in range(0, len(fields), per_tx):
+            template = high.tx_template(gen, fields[i : i + per_tx], self.cfg, self.rng)
             txids.append(self._submit_stego(ledger, template, "HIGH"))
             if confirm is not None:
                 confirm()
@@ -426,27 +389,17 @@ class SessionState:
         """
         self._new_messages: list[tuple[str, bytes]] = []
         tip = ledger.tip_height
-        # Index the unscanned range once (hashes re-verified on read); the
-        # window fixpoint below then probes the index instead of re-walking
-        # the chain every pass.
-        chain_index: dict[bytes, list[tuple[int, int, object]]] = {}
-        for block in ledger.blocks[max(self.cursor, 0) :]:
-            block.verify()
-            for pos, tx in enumerate(block.transactions):
-                if tx.is_coinbase:
-                    continue
-                for inp in tx.inputs:
-                    chain_index.setdefault(inp.address, []).append(
-                        (block.height, pos, tx)
-                    )
+        # Index the unscanned range once; the window fixpoint below then
+        # probes the index instead of re-walking the chain every pass.
+        chain_index = ledger.input_index(self.cursor)
         while True:
             candidates = self._window_candidates()
             matches = []
             for digest, hit in candidates.items():
-                for height, pos, tx in chain_index.get(digest, ()):
-                    matches.append((hit, height, tx))
+                for tx in chain_index.get(digest, ()):
+                    matches.append((hit, tx))
             progress = False
-            for (gen_idx, channel, counter), height, tx in sorted(
+            for (gen_idx, channel, counter), tx in sorted(
                 matches, key=lambda item: (item[0][0], item[0][2])
             ):
                 gen = self.generations[gen_idx]
@@ -493,10 +446,14 @@ class SessionState:
             blob = fh.read()
         if blob[:4] != _MAGIC:
             raise ValidationError("not a session file")
-        (version,) = struct.unpack_from(">H", blob, 4)
-        if version != _FORMAT_VERSION:
-            raise ValidationError(f"unsupported session format {version}")
-        return cls._from_dict(json.loads(blob[6:].decode()))
+        try:
+            (version,) = struct.unpack_from(">H", blob, 4)
+            if version != _FORMAT_VERSION:
+                raise ValidationError(f"unsupported session format {version}")
+            return cls._from_dict(json.loads(blob[6:].decode()))
+        except (struct.error, ValueError, KeyError, IndexError, TypeError,
+                AttributeError) as exc:
+            raise ValidationError(f"malformed session file: {exc!r}") from exc
 
     def _to_dict(self) -> dict:
         def km_dict(km: KeyMaterial) -> dict:

@@ -26,9 +26,6 @@ def test_derivation_parity():
         assert pure.derive_digest(k, tag, counter, gy) == ext.derive_digest(
             k, tag, counter, gy
         )
-        assert pure.derive_compressed(k, tag, counter, gy) == ext.derive_compressed(
-            k, tag, counter, gy
-        )
 
 
 def test_grind_parity():

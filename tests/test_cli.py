@@ -15,6 +15,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def small_config(tmp_path):
+    """A channel config with cheap grinding (2^6 attempts per address)."""
+    path = tmp_path / "small.cfg"
+    path.write_text("n = 3\nm = 6\n")
+    return str(path)
+
+
 def test_full_pipeline(tmp_path, capsys):
     key = tmp_path / "key.txt"
     chain = tmp_path / "chain.bin"
@@ -23,11 +30,13 @@ def test_full_pipeline(tmp_path, capsys):
     msg = tmp_path / "msg.bin"
     got = tmp_path / "got.bin"
     msg.write_bytes(b"cli end to end payload")
+    cfg = small_config(tmp_path)
 
     code, _, _ = run(capsys, "--seed", "5", "keygen", "--out", str(key))
     assert code == 0
     code, out, _ = run(
         capsys, "--chain", str(chain), "--session", str(sender), "--seed", "5",
+        "--config", cfg,
         "send", "--channel", "med", "--in", str(msg), "--key", str(key),
     )
     assert code == 0 and out.strip()
@@ -36,7 +45,7 @@ def test_full_pipeline(tmp_path, capsys):
     assert code == 0 and "mined block 1" in out
     code, out, _ = run(
         capsys, "--chain", str(chain), "--session", str(receiver), "--seed", "1",
-        "scan", "--key", str(key),
+        "--config", cfg, "scan", "--key", str(key),
     )
     assert code == 0 and "MED message: 22 bytes" in out
     code, out, _ = run(
@@ -80,7 +89,8 @@ def test_confirm_each_mines_between(tmp_path, capsys):
     run(capsys, "--seed", "4", "keygen", "--out", str(key))
     code, out, _ = run(
         capsys, "--chain", str(chain), "--session", str(tmp_path / "s.bin"),
-        "--seed", "4", "send", "--channel", "med", "--in", str(msg),
+        "--seed", "4", "--config", small_config(tmp_path),
+        "send", "--channel", "med", "--in", str(msg),
         "--key", str(key), "--confirm-each",
     )
     assert code == 0
@@ -93,6 +103,22 @@ def test_confirm_each_mines_between(tmp_path, capsys):
 def test_missing_chain_is_validation_error(tmp_path, capsys):
     code, _, err = run(capsys, "--chain", str(tmp_path / "none.bin"), "export")
     assert code == 2 and "error" in err
+
+
+def test_truncated_sidecar_exits_2(tmp_path, capsys):
+    key = tmp_path / "key.txt"
+    chain = tmp_path / "chain.bin"
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"pending")
+    run(capsys, "--seed", "6", "keygen", "--out", str(key))
+    run(capsys, "--chain", str(chain), "--session", str(tmp_path / "s.bin"),
+        "--seed", "6", "send", "--channel", "high", "--in", str(msg), "--key", str(key))
+    sidecar = tmp_path / "chain.bin.mempool"
+    raw = sidecar.read_bytes()
+    for cut in (3, len(raw) // 2):
+        sidecar.write_bytes(raw[:cut])
+        code, _, err = run(capsys, "--chain", str(chain), "export")
+        assert code == 2 and "error" in err
 
 
 def test_missing_session_for_stats(tmp_path, capsys):

@@ -46,13 +46,6 @@ def test_point_add_inverse_is_infinity():
     assert ec.point_add(pt, ec.point_neg(pt)) is None
 
 
-def test_generic_mult_agrees_with_fixed_base():
-    rng = random.Random(8)
-    for _ in range(5):
-        d = rng.randrange(1, ec.Q)
-        assert ec.mult(d, ec.G) == ec.mult_g(d)
-
-
 def test_compress_roundtrip():
     rng = random.Random(11)
     for _ in range(20):
@@ -85,22 +78,3 @@ def test_batch_normalization_matches_single():
     batch = ec.jac_batch_to_affine(jacs)
     single = [ec._jac_to_affine(j) for j in jacs]
     assert batch == single
-
-
-def test_ecdsa_sign_verify():
-    rng = random.Random(17)
-    for _ in range(10):
-        priv = rng.randrange(1, ec.Q)
-        pub = ec.mult_g(priv)
-        digest = rng.randbytes(32)
-        sig = ec.sign(priv, digest)
-        assert ec.verify(pub, digest, sig)
-        assert not ec.verify(pub, rng.randbytes(32), sig)
-        other = ec.mult_g(rng.randrange(1, ec.Q))
-        assert not ec.verify(other, digest, sig)
-
-
-def test_ecdsa_signature_is_deterministic():
-    sig1 = ec.sign(99, b"\x01" * 32)
-    sig2 = ec.sign(99, b"\x01" * 32)
-    assert sig1 == sig2

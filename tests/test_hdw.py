@@ -13,13 +13,12 @@ from chainsteg.hdw import (
     KeyMaterial,
     derive_address,
     derive_private,
-    derive_public,
     hdw_scalar,
     read_key_file,
     signal_address,
-    to_address,
     write_key_file,
 )
+from chainsteg.hashes import hash160
 from chainsteg.stats import chi_square_bytes_p
 
 # Frozen from the independent affine oracle (tests/oracles.py), computed
@@ -38,17 +37,19 @@ def test_private_derivation_frozen_vector():
 
 def test_public_derivation_frozen_vector():
     km = KeyMaterial.from_private(bytes([1]) * 32, 2)
+    pub = oracles.hdw_public_from_gy(km.k, km.gy, 0x03, 7)
+    assert oracles.compress(pub).hex() == VECTOR_B_PUB
+    assert hash160(bytes.fromhex(VECTOR_B_PUB)).hex() == VECTOR_B_DIGEST
     idx = DerivationIndex(DOMAIN_GRIND, 7)
-    pub = derive_public(km, idx)
-    assert ec.compress(pub).hex() == VECTOR_B_PUB
-    assert to_address(pub).digest.hex() == VECTOR_B_DIGEST
+    for side in (km, km.public_only()):
+        assert derive_address(side, idx).digest.hex() == VECTOR_B_DIGEST
 
 
 def test_derivation_is_deterministic():
     km = KeyMaterial.generate(random.Random(1))
     idx = DerivationIndex(DOMAIN_GRIND, 1234)
     assert derive_private(km, idx) == derive_private(km, idx)
-    assert derive_public(km, idx) == derive_public(km, idx)
+    assert derive_address(km, idx) == derive_address(km, idx)
 
 
 def test_private_difference_identity():
@@ -65,11 +66,14 @@ def test_private_difference_identity():
 
 
 def test_public_equals_generator_times_private():
+    # the sender's derived private key controls the address that the
+    # public-only side derives for the same index
     km = KeyMaterial.generate(random.Random(4))
     rng = random.Random(5)
     for _ in range(25):
         idx = DerivationIndex(DOMAIN_GRIND, rng.randrange(1, 2**50))
-        assert derive_public(km, idx) == ec.mult_g(derive_private(km, idx))
+        pub = ec.mult_g(derive_private(km, idx))
+        assert derive_address(km.public_only(), idx).digest == hash160(ec.compress(pub))
 
 
 def test_public_side_derives_same_address():
@@ -78,7 +82,6 @@ def test_public_side_derives_same_address():
     assert pub_side.y is None
     for counter in (1, 2, 77):
         idx = DerivationIndex(DOMAIN_GRIND, counter)
-        assert derive_public(km, idx) == derive_public(pub_side, idx)
         assert derive_address(km, idx) == derive_address(pub_side, idx)
 
 
@@ -91,7 +94,6 @@ def test_oracle_agreement_random_triples():
         km = KeyMaterial.from_private(k, y)
         idx = DerivationIndex(DOMAIN_GRIND, counter)
         assert derive_private(km, idx) == oracles.hdw_private(k, y, 0x03, counter)
-        assert derive_public(km, idx) == oracles.hdw_public(k, y, 0x03, counter)
         assert derive_address(km, idx).digest == oracles.address_digest(
             k, y, 0x03, counter
         )
@@ -105,8 +107,6 @@ def test_degenerate_index_rejected_on_both_paths():
     km = KeyMaterial.from_private(k, (ec.Q - h) % ec.Q)
     with pytest.raises(DegenerateIndex):
         derive_private(km, idx)
-    with pytest.raises(DegenerateIndex):
-        derive_public(km, idx)
     with pytest.raises(DegenerateIndex):
         derive_address(km, idx)
     # neighbouring index is fine
@@ -130,17 +130,6 @@ def test_signal_addresses():
         session.next_signal["MED"] = counter
         seen.add(signal_address(km, session, Channel.MED).digest)
     assert len(seen) == 3
-
-
-def test_signing_soundness():
-    km = KeyMaterial.generate(random.Random(9))
-    rng = random.Random(10)
-    for counter in range(1, 21):
-        idx = DerivationIndex(DOMAIN_GRIND, counter)
-        priv = derive_private(km, idx)
-        pub = derive_public(km, idx)
-        digest = rng.randbytes(32)
-        assert ec.verify(pub, digest, ec.sign(priv, digest))
 
 
 def test_digest_uniformity_chi_square():

@@ -2,33 +2,55 @@ import random
 
 import pytest
 
-from chainsteg.errors import (
-    AuthError,
-    FramingError,
-    Incomplete,
-    NonceReuse,
-)
+from chainsteg import Channel
+from chainsteg.errors import AuthError, FramingError, NonceReuse
 from chainsteg.hdw import KeyMaterial
 from chainsteg.high import (
-    BODY_BYTES,
+    VERSION_DATA,
     Reassembler,
     burn_records,
-    decode_high,
-    encode_high,
     fragment_count,
-    frame_message,
+    guard_nonce,
     mask_field,
     pack_header,
-    randomness_check,
     unpack_header,
 )
 from chainsteg.ledger import StegoTransaction, TxOutput
 from chainsteg.medium import ChannelConfig
 from chainsteg.session import SessionState
+from chainsteg.stats import randomness_check
 
 
 def make_state(km, seed=9, **cfg_kwargs):
-    return SessionState(km, ChannelConfig(**cfg_kwargs), seed=seed)
+    state = SessionState(km, ChannelConfig(**cfg_kwargs), seed=seed)
+    return state, state.genesis_ledger()
+
+
+def send(state, ledger, message):
+    """Send over the HIGH channel; returns a (signal counter, transaction)
+    pair per transaction, in send order."""
+    counter = state.next_signal["HIGH"]
+    txids = state.send_message(ledger, message, Channel.HIGH)
+    by_id = {tx.txid: tx for tx in ledger.mempool}
+    return [(counter + i, by_id[txid]) for i, txid in enumerate(txids)]
+
+
+def receive(k, pairs):
+    """Feed (counter, transaction) pairs to one Reassembler; returns the
+    completed plaintexts and the message ids still pending."""
+    asm = Reassembler(k)
+    done = []
+    for counter, tx in pairs:
+        done += [plaintext for _, _, plaintext in asm.feed_transaction(tx, counter)]
+    return done, asm.pending()
+
+
+def flip(tx, vout, byte, bit):
+    outputs = list(tx.outputs)
+    mutated = bytearray(outputs[vout].field)
+    mutated[byte] ^= 1 << bit
+    outputs[vout] = TxOutput(bytes(mutated), outputs[vout].amount, outputs[vout].kind)
+    return StegoTransaction(tx.inputs, tuple(outputs), tx.fee)
 
 
 def test_header_pack_roundtrip():
@@ -53,120 +75,95 @@ def test_fragment_count_packing():
 
 
 def test_one_byte_message_needs_two_fields(km):
-    state = make_state(km)
-    enc = encode_high(km, b"x", state)
-    assert len(enc.field_outputs) == 2
-    tx = enc.transaction()
-    assert len(tx.outputs) == 3  # fields + change
+    state, ledger = make_state(km)
+    [(_, tx)] = send(state, ledger, b"x")
+    assert len(tx.outputs) == 3  # two fields + change
 
 
 def test_encode_decode_roundtrip(km):
-    state = make_state(km)
+    state, ledger = make_state(km)
     rng = random.Random(2)
     for trial in range(30):
         msg = rng.randbytes(rng.randint(1, 2048))
-        enc = encode_high(km, msg, state)
-        tx = enc.transaction()
-        assert decode_high([(enc.counter, tx)], km) == msg
-        state.current.next_signal["HIGH"] += 1
-        state.next_msg_id += 1
+        pairs = send(state, ledger, msg)
+        assert len(pairs) == 1
+        assert receive(km.k, pairs) == ([msg], [])
 
 
 def test_empty_message_roundtrip(km):
-    state = make_state(km)
-    enc = encode_high(km, b"", state)
-    assert decode_high([(enc.counter, enc.transaction())], km) == b""
+    state, ledger = make_state(km)
+    assert receive(km.k, send(state, ledger, b"")) == ([b""], [])
 
 
 def test_message_too_long(km):
-    state = make_state(km)
+    state, ledger = make_state(km)
     with pytest.raises(FramingError):
-        encode_high(km, b"x" * 8193, state)
+        state.send_message(ledger, b"x" * 8193, Channel.HIGH)
 
 
 def test_multi_tx_out_of_order_reassembly(km):
     # fragments split across transactions, fed in shuffled order
-    state = make_state(km, max_fields_per_tx=3)
-    from chainsteg.ledger import Ledger
-
-    ledger = state.genesis_ledger()
+    state, ledger = make_state(km, max_fields_per_tx=3)
     rng = random.Random(3)
     msg = rng.randbytes(200)  # 216 ct bytes -> 16 fields -> 6 txs
-    txids = state.send_message(ledger, msg, __import__("chainsteg").Channel.HIGH)
-    assert len(txids) > 2
-    block = ledger.mine_block()
-    pairs = []
-    counter = 1
-    for txid in txids:
-        tx = next(t for t in block.transactions if t.txid == txid)
-        pairs.append((counter, tx))
-        counter += 1
+    pairs = send(state, ledger, msg)
+    assert len(pairs) > 2
     for _ in range(5):
         rng.shuffle(pairs)
-        assert decode_high(pairs, km) == msg
+        assert receive(km.k, pairs) == ([msg], [])
 
 
 def test_incomplete_fragments(km):
-    state = make_state(km, max_fields_per_tx=2)
-    ledger = state.genesis_ledger()
+    state, ledger = make_state(km, max_fields_per_tx=2)
     rng = random.Random(4)
     msg = rng.randbytes(100)
-    txids = state.send_message(ledger, msg, __import__("chainsteg").Channel.HIGH)
-    block = ledger.mine_block()
-    txs = [next(t for t in block.transactions if t.txid == txid) for txid in txids]
-    with pytest.raises(Incomplete):
-        decode_high([(1, txs[0])], km)
+    pairs = send(state, ledger, msg)
+    assert receive(km.k, pairs[:1]) == ([], [0])
+    assert receive(km.k, pairs[1:]) == ([], [0])
 
 
 def test_any_single_bit_flip_detected(km):
-    state = make_state(km)
+    state, ledger = make_state(km)
     msg = b"attack at dawn"
-    enc = encode_high(km, msg, state)
-    tx = enc.transaction()
-    n_fields = len(enc.field_outputs)
-    for vout in range(n_fields):
+    [(counter, tx)] = send(state, ledger, msg)
+    for vout in range(len(tx.outputs) - 1):
         for byte in range(20):
             for bit in (0, 3, 7):
-                outputs = list(tx.outputs)
-                mutated = bytearray(outputs[vout].field)
-                mutated[byte] ^= 1 << bit
-                outputs[vout] = TxOutput(bytes(mutated), outputs[vout].amount,
-                                         outputs[vout].kind)
-                bad_tx = StegoTransaction(tx.inputs, tuple(outputs), tx.fee)
-                with pytest.raises((AuthError, Incomplete)):
-                    decode_high([(enc.counter, bad_tx)], km)
+                try:
+                    done, pending = receive(km.k, [(counter, flip(tx, vout, byte, bit))])
+                except AuthError:
+                    continue
+                assert done == [] and pending
 
 
 def test_body_flip_is_auth_error(km):
-    state = make_state(km)
-    enc = encode_high(km, b"payload bytes", state)
-    tx = enc.transaction()
-    outputs = list(tx.outputs)
-    mutated = bytearray(outputs[0].field)
-    mutated[10] ^= 0x10  # body region (offset >= 6)
-    outputs[0] = TxOutput(bytes(mutated), outputs[0].amount, outputs[0].kind)
+    state, ledger = make_state(km)
+    [(counter, tx)] = send(state, ledger, b"payload bytes")
     with pytest.raises(AuthError):
-        decode_high([(enc.counter, StegoTransaction(tx.inputs, tuple(outputs), tx.fee))], km)
+        receive(km.k, [(counter, flip(tx, 0, 10, 4))])  # body region (offset >= 6)
 
 
 def test_wrong_key_fails(km):
-    state = make_state(km)
-    enc = encode_high(km, b"secret", state)
+    state, ledger = make_state(km)
+    pairs = send(state, ledger, b"secret")
     other = KeyMaterial.generate(random.Random(99))
-    with pytest.raises((AuthError, Incomplete)):
-        decode_high([(enc.counter, enc.transaction())], other)
+    try:
+        done, _ = receive(other.k, pairs)
+    except AuthError:
+        return
+    assert done == []
 
 
 def test_counter_rotation_changes_everything(km):
     # same message at different counters -> unrelated field bytes
-    state_a = make_state(km, seed=10)
-    state_b = make_state(km, seed=10)
+    state_a, ledger_a = make_state(km, seed=10)
+    state_b, ledger_b = make_state(km, seed=10)
     state_b.current.next_signal["HIGH"] = 50
     msg = b"m" * 40
-    enc_a = encode_high(km, msg, state_a)
-    enc_b = encode_high(km, msg, state_b)
+    [(_, tx_a)] = send(state_a, ledger_a, msg)
+    [(_, tx_b)] = send(state_b, ledger_b, msg)
     distances = []
-    for out_a, out_b in zip(enc_a.field_outputs, enc_b.field_outputs):
+    for out_a, out_b in zip(tx_a.outputs[:-1], tx_b.outputs[:-1]):
         diff = int.from_bytes(out_a.field, "big") ^ int.from_bytes(out_b.field, "big")
         distances.append(bin(diff).count("1"))
     mean = sum(distances) / len(distances)
@@ -176,26 +173,25 @@ def test_counter_rotation_changes_everything(km):
 
 
 def test_nonce_reuse_refused(km):
-    state = make_state(km)
-    encode_high(km, b"first", state)
+    state, ledger = make_state(km)
+    send(state, ledger, b"first")
+    state.current.next_signal["HIGH"] = 1  # counter not advanced
+    state.next_msg_id = 0
     with pytest.raises(NonceReuse):
-        encode_high(km, b"second", state)  # counter not advanced
-    # same message is a safe retry and yields identical fields
-    state2 = make_state(km)
-    enc1 = encode_high(km, b"first", state2)
-    # identical encode requires identical rng padding; compare against state
-    assert [o.field for o in enc1.field_outputs]
+        state.send_message(ledger, b"second", Channel.HIGH)
+    # the same message is a safe retry
+    guard_nonce(state.current, 1, b"first", 0, VERSION_DATA)
 
 
 def test_burn_records(km):
-    state = make_state(km)
-    enc = encode_high(km, b"burned bytes", state)
-    tx = enc.transaction()
+    state, ledger = make_state(km)
+    [(_, tx)] = send(state, ledger, b"burned bytes")
     records = burn_records(tx)
-    assert len(records) == len(enc.field_outputs)
-    assert sum(r.amount for r in records) == sum(o.amount for o in enc.field_outputs)
+    assert len(records) == len(tx.outputs) - 1
+    assert sum(r.amount for r in records) == sum(o.amount for o in tx.outputs[:-1])
     assert all(r.txid == tx.txid for r in records)
     assert {r.vout for r in records} == set(range(len(tx.outputs) - 1))
+    assert state.burn_log == records
 
 
 def test_field_mask_is_involution(km):
@@ -208,25 +204,22 @@ def test_field_mask_is_involution(km):
 
 
 def test_randomness_of_fields(km):
-    state = make_state(km)
+    state, ledger = make_state(km)
     rng = random.Random(6)
     fields = []
     while len(fields) < 60:
         msg = rng.randbytes(rng.randint(20, 200))
-        enc = encode_high(km, msg, state)
-        fields.extend(o.field for o in enc.field_outputs)
-        state.current.next_signal["HIGH"] += 1
-        state.next_msg_id += 1
+        [(_, tx)] = send(state, ledger, msg)
+        fields.extend(o.field for o in tx.outputs[:-1])
     report = randomness_check(fields)
     assert report.passed(0.001)
 
 
 def test_reassembler_rejects_conflicting_duplicate(km):
-    state = make_state(km)
-    enc = encode_high(km, b"hello world, this is long enough", state)
-    tx = enc.transaction()
+    state, ledger = make_state(km)
+    [(counter, tx)] = send(state, ledger, b"hello world, this is long enough")
     asm = Reassembler(km.k)
-    asm.feed_transaction(tx, enc.counter)
+    asm.feed_transaction(tx, counter)
     # feed again at a different counter: headers unmask differently -> error
     with pytest.raises(AuthError):
-        asm.feed_transaction(tx, enc.counter + 1)
+        asm.feed_transaction(tx, counter + 1)

@@ -158,11 +158,12 @@ def test_scan():
     tx = spend_genesis(ledger, [TxOutput(b"\x01" * 20, 10**9 - 1000)], 1000)
     ledger.submit(tx)
     ledger.mine_block(NoiseProfile(rate=2.0), seed=1)
-    assert ledger.scan(0, {b"\xff" * 20}) == []
-    hits = ledger.scan(0, {b"\xaa" * 20})
-    assert len(hits) == 1 and hits[0][1].txid == tx.txid
-    assert ledger.scan(0, {b"\xaa" * 20}) == hits  # pure read
-    assert ledger.scan(2, {b"\xaa" * 20}) == []
+    index = ledger.input_index(0)
+    assert b"\xff" * 20 not in index
+    assert index[b"\xaa" * 20] == [tx]
+    assert ledger.input_index(0) == index  # pure read
+    assert all(not t.is_coinbase for txs in index.values() for t in txs)
+    assert ledger.input_index(2) == {}
 
 
 def test_scan_detects_tampering():
@@ -177,9 +178,9 @@ def test_scan_detects_tampering():
         block_hash=good.block_hash,
     )
     with pytest.raises(CorruptChain):
-        ledger.scan(0, set())
+        ledger.input_index(0)
     ledger.blocks[1] = good
-    ledger.scan(0, set())
+    ledger.input_index(0)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -213,6 +214,31 @@ def test_mempool_sidecar(tmp_path):
     assert tx in block.transactions
     loaded.save(path)
     assert not (tmp_path / "chain.bin.mempool").exists()
+
+
+def test_truncated_sidecar_is_corrupt_chain(tmp_path):
+    path = tmp_path / "chain.bin"
+    ledger = fresh_ledger()
+    tx1 = spend_genesis(ledger, [TxOutput(b"\x01" * 20, 10**9 - 1000)], 1000)
+    tx2 = StegoTransaction(
+        inputs=(TxInput(ledger.submit(tx1), 0, b"\x01" * 20),),
+        outputs=(TxOutput(b"\x02" * 20, 10**9 - 2000),),
+        fee=1000,
+    )
+    ledger.submit(tx2)
+    ledger.save(path)
+    sidecar = tmp_path / "chain.bin.mempool"
+    raw = sidecar.read_bytes()
+    loaded = 0
+    for cut in range(len(raw)):
+        sidecar.write_bytes(raw[:cut])
+        try:
+            pending = Ledger.load(path).mempool
+        except CorruptChain:
+            continue
+        assert pending == [tx1, tx2][: len(pending)]
+        loaded += 1
+    assert loaded == 2  # cut at 0 and at the record boundary
 
 
 def test_single_byte_corruption_detected(tmp_path):

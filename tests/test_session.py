@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile
+from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, high
+from chainsteg.cli import main
 from chainsteg.errors import ValidationError
-from chainsteg.hdw import DerivationIndex, KeyMaterial, signal_address
+from chainsteg.hdw import KeyMaterial, signal_address
 from chainsteg.ledger import StegoTransaction, TxInput, TxOutput
 from chainsteg.medium import payload_bits_per_tx
 from chainsteg.session import SessionState
@@ -143,28 +144,14 @@ def test_rotation_replay_is_noop(km, ordered_cfg):
     assert len(receiver.generations) == 2
     # replay: same rotation frame re-sent under the old key with same msg_id
     old_gen = sender.generations[0]
-    import chainsteg.high as high
-
     payload = new_km.k + new_km.y.to_bytes(32, "big")
     counter = old_gen.next_signal["HIGH"]
-    high.guard_nonce(old_gen, counter, payload, 0, high.VERSION_ROTATE)
-    fields = high.frame_message(sender.generations[0].km, payload, 0, counter,
-                                sender.rng, high.VERSION_ROTATE)
-    outputs, change, _ = high.build_tx_outputs(
-        old_gen.km, fields, counter, sender
-    )
-    signal = None
-    from chainsteg import backend
-    digest = backend.get().derive_digest(old_gen.km.k, Channel.HIGH.value,
-                                         counter, old_gen.km.gy)
-    outpoint = sender._fund(ledger, digest, sum(o.amount for o in outputs)
-                            + change.amount + 1000)
-    tx = StegoTransaction(
-        inputs=(TxInput(outpoint[0], outpoint[1], digest),),
-        outputs=(*outputs, change),
-        fee=1000,
-    )
-    ledger.submit(tx)
+    fields = high.frame_message(old_gen.km, payload, 0, counter, sender.rng,
+                                high.VERSION_ROTATE)
+    template = high.tx_template(old_gen, fields, sender.cfg, sender.rng)
+    outpoint = sender._fund(ledger, template.signal_address.digest,
+                            template.required_funding)
+    ledger.submit(template.transaction(outpoint))
     old_gen.next_signal["HIGH"] = counter + 1
     ledger.mine_block()
     got = receiver.detect_and_receive(ledger)
@@ -230,6 +217,58 @@ def test_session_persistence_resume(km, ordered_cfg, tmp_path):
     sender2.send_message(ledger, b"part two", Channel.HIGH)
     ledger.mine_block(seed=2)
     assert receiver2.detect_and_receive(ledger) == [("HIGH", b"part two")]
+
+
+def test_truncated_or_garbled_session_is_validation_error(km, ordered_cfg, tmp_path):
+    sender, receiver, ledger = pair(km, ordered_cfg)
+    sender.send_message(ledger, b"queued", Channel.HIGH)
+    path = tmp_path / "s.bin"
+    sender.save(path)
+    raw = path.read_bytes()
+    cuts = [5, 6, 7, len(raw) // 2, len(raw) - 1] + list(range(8, len(raw), 997))
+    garbled = [raw[:6] + body for body in (
+        b"[]", b"{}", b"null", b"\xff", b'{"generations": [{"km": 5}]}',
+    )]
+    for blob in [raw[:cut] for cut in cuts] + garbled:
+        path.write_bytes(blob)
+        with pytest.raises(ValidationError):
+            SessionState.load(path)
+    ledger.save(tmp_path / "c.bin")
+    assert main(["--chain", str(tmp_path / "c.bin"), "--session", str(path), "scan"]) == 2
+
+
+def test_seeded_scenario_is_pinned(km):
+    # One seeded run through HIGH split by max_fields_per_tx, PERMUTED MED at
+    # small m, rotate_keys, switch_config and decoy traffic. The tip hash is
+    # the wire contract: change it only with a recorded format change.
+    km = KeyMaterial.generate(random.Random(2101))
+    cfg = ChannelConfig(n=3, m=4, mode=Mode.PERMUTED, max_fields_per_tx=2)
+    sender = SessionState(km, cfg, seed=31)
+    ledger = sender.genesis_ledger()
+    noise = NoiseProfile(rate=3.0)
+    sender.send_message(ledger, b"split over HIGH txs", Channel.HIGH)
+    ledger.mine_block(noise, seed=1)
+    sender.send_message(ledger, b"med", Channel.MED)
+    ledger.mine_block(noise, seed=2)
+    sender.rotate_keys(ledger)
+    ledger.mine_block(noise, seed=3)
+    sender.switch_config(
+        ledger, ChannelConfig(n=4, m=5, mode=Mode.PERMUTED, max_fields_per_tx=3)
+    )
+    sender.send_message(ledger, b"new key, new cfg", Channel.MED)
+    sender.send_message(ledger, b"high again", Channel.HIGH)
+    ledger.mine_block(noise, seed=4)
+    receiver = SessionState(km.public_only(), cfg, seed=32)
+    assert receiver.detect_and_receive(ledger) == [
+        ("HIGH", b"split over HIGH txs"),
+        ("MED", b"med"),
+        ("HIGH", b"high again"),
+        ("MED", b"new key, new cfg"),
+    ]
+    assert [len(b.transactions) for b in ledger.blocks] == [1, 6, 13, 9, 40]
+    assert ledger.blocks[-1].block_hash.hex() == (
+        "4392f2344d94c37a61600a4c8283cefff9152a91ce963fc2427f1264348f9ce1"
+    )
 
 
 def test_switch_config(km):
