@@ -1,35 +1,22 @@
-"""Build script: compiles the optional Cython kernel.
+"""Build script: compiles the C kernel, chainsteg._kernel.
 
-The package works without the extension (a pure-Python backend is selected
-at import time); grinding is simply much slower. Build in place with:
+Build it in place before running the tests, so the backend-parity tests run
+against it (tests/conftest.py also does this when a C compiler is present):
 
     python setup.py build_ext --inplace
-"""
 
-import os
+Without the built module, chainsteg runs on its pure-Python backend, which is
+much slower at grinding.
+"""
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("CHAINSTEG_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "chainsteg._kernel",
-                    sources=["src/chainsteg/_kernel.pyx"],
-                    extra_compile_args=[
-                        "-O3",
-                        "-march=native",
-                        "-fno-stack-protector",
-                    ],
-                )
-            ],
-            language_level=3,
+setup(
+    ext_modules=[
+        Extension(
+            "chainsteg._kernel",
+            sources=["src/chainsteg/_kernel.c"],
+            extra_compile_args=["-O3"],
         )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -1,22866 +1,785 @@
-/* Generated by Cython 3.2.8 */
+/* Compiled grinding kernel: secp256k1 fixed-base derivation and digest
+ * scanning with 4x64-bit field limbs, batch inversion, and single-block
+ * SHA-256 / RIPEMD-160, so the whole attempt loop runs in C without the GIL.
+ *
+ * Results are bit-identical to backend.PureBackend, the reference; the
+ * parity tests enforce it. Python-visible: derive_digest, grind_scan and
+ * _microbench.
+ */
 
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O3",
-            "-march=native",
-            "-fno-stack-protector"
-        ],
-        "name": "chainsteg._kernel",
-        "sources": [
-            "src/chainsteg/_kernel.pyx"
-        ]
-    },
-    "module_name": "chainsteg._kernel"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
 #define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
+#include <Python.h>
 
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
 #include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__chainsteg___kernel
-#define __PYX_HAVE_API__chainsteg___kernel
-/* Early includes */
 #include <string.h>
-#include <stdlib.h>
+#include <time.h>
 
-    typedef unsigned long long u64;
-    typedef unsigned int u32;
-    typedef unsigned char u8;
-    typedef unsigned __int128 u128;
+typedef uint64_t u64;
+typedef uint32_t u32;
+typedef uint8_t u8;
+typedef unsigned __int128 u128;
 
-    /* secp256k1 field: p = 2^256 - 2^32 - 977. Unrolled comba multiply with
-       fold-by-(2^256 mod p) reduction; the only way a reduced value can be
-       >= p is with limbs 1..3 all-ones, which the normalize step exploits. */
+/* ------------------------------------------------------------------------
+ * Field arithmetic mod p = 2^256 - 2^32 - 977, four little-endian limbs.
+ * Every operation returns a fully reduced value (< p). */
 
-    #define FE_C 0x1000003D1ULL
-    #define FE_P0 0xFFFFFFFEFFFFFC2FULL
+#define FE_C 0x1000003D1ULL /* 2^256 mod p */
+#define FE_P0 0xFFFFFFFEFFFFFC2FULL
 
-    #define FE_MULADD(A, B) do {         u128 _t = (u128)(A) * (B);         u64 _lo = (u64)_t, _hi = (u64)(_t >> 64);         c0 += _lo; _hi += (c0 < _lo); c1 += _hi; c2 += (c1 < _hi);     } while (0)
+static const u64 Q_LIMB[4] = {
+    0xBFD25E8CD0364141ULL, 0xBAAEDCE6AF48A03BULL,
+    0xFFFFFFFFFFFFFFFEULL, 0xFFFFFFFFFFFFFFFFULL,
+};
 
-    #define FE_STEP(X) do { (X) = c0; c0 = c1; c1 = c2; c2 = 0; } while (0)
+static inline void fe_set(u64 *r, const u64 *a)
+{
+    r[0] = a[0]; r[1] = a[1]; r[2] = a[2]; r[3] = a[3];
+}
 
-    static inline void fe_reduce8(u64 *r, u64 t0, u64 t1, u64 t2, u64 t3,
-                                  u64 t4, u64 t5, u64 t6, u64 t7) {
-        u128 acc;
-        u64 r0, r1, r2, r3, ex;
-        acc = (u128)t4 * FE_C + t0; r0 = (u64)acc; acc >>= 64;
-        acc += (u128)t5 * FE_C + t1; r1 = (u64)acc; acc >>= 64;
-        acc += (u128)t6 * FE_C + t2; r2 = (u64)acc; acc >>= 64;
-        acc += (u128)t7 * FE_C + t3; r3 = (u64)acc; acc >>= 64;
-        ex = (u64)acc;
-        acc = (u128)ex * FE_C + r0; r0 = (u64)acc; acc >>= 64;
+static inline int fe_is_zero(const u64 *a)
+{
+    return (a[0] | a[1] | a[2] | a[3]) == 0;
+}
+
+/* r >= p only when limbs 1..3 are all ones and limb 0 >= FE_P0; then
+ * r - p = r + FE_C mod 2^256, which clears limbs 1..3. */
+static inline void fe_final(u64 *r, u64 r0, u64 r1, u64 r2, u64 r3)
+{
+    if (r3 == ~0ULL && r2 == ~0ULL && r1 == ~0ULL && r0 >= FE_P0) {
+        r0 += FE_C;
+        r1 = r2 = r3 = 0;
+    }
+    r[0] = r0; r[1] = r1; r[2] = r2; r[3] = r3;
+}
+
+/* Reduce the 512-bit t by folding the high half with 2^256 = FE_C (mod p). */
+static inline void fe_reduce8(u64 *r, const u64 *t)
+{
+    u128 acc;
+    u64 r0, r1, r2, r3;
+    acc = (u128)t[4] * FE_C + t[0]; r0 = (u64)acc; acc >>= 64;
+    acc += (u128)t[5] * FE_C + t[1]; r1 = (u64)acc; acc >>= 64;
+    acc += (u128)t[6] * FE_C + t[2]; r2 = (u64)acc; acc >>= 64;
+    acc += (u128)t[7] * FE_C + t[3]; r3 = (u64)acc; acc >>= 64;
+    acc = (u128)(u64)acc * FE_C + r0; r0 = (u64)acc; acc >>= 64;
+    acc += r1; r1 = (u64)acc; acc >>= 64;
+    acc += r2; r2 = (u64)acc; acc >>= 64;
+    acc += r3; r3 = (u64)acc; acc >>= 64;
+    if ((u64)acc) { /* overflowed 2^256 once more: the value is now small */
+        acc = (u128)r0 + FE_C; r0 = (u64)acc; acc >>= 64;
         acc += r1; r1 = (u64)acc; acc >>= 64;
         acc += r2; r2 = (u64)acc; acc >>= 64;
-        acc += r3; r3 = (u64)acc; acc >>= 64;
-        if ((u64)acc) {  /* overflowed 2^256 once more: add FE_C */
-            acc = (u128)r0 + FE_C; r0 = (u64)acc; acc >>= 64;
-            acc += r1; r1 = (u64)acc; acc >>= 64;
-            acc += r2; r2 = (u64)acc; acc >>= 64;
-            r3 += (u64)acc;
-        }
-        if (r3 == ~0ULL && r2 == ~0ULL && r1 == ~0ULL && r0 >= FE_P0) {
-            r0 = r0 + FE_C;  /* wraps below 2^64 */
-            r1 = 0; r2 = 0; r3 = 0;
-        }
-        r[0] = r0; r[1] = r1; r[2] = r2; r[3] = r3;
+        r3 += (u64)acc;
     }
-
-    static inline void fe_mul_c(u64 *r, const u64 *a, const u64 *b) {
-        u64 c0 = 0, c1 = 0, c2 = 0;
-        u64 t0, t1, t2, t3, t4, t5, t6, t7;
-        FE_MULADD(a[0], b[0]); FE_STEP(t0);
-        FE_MULADD(a[0], b[1]); FE_MULADD(a[1], b[0]); FE_STEP(t1);
-        FE_MULADD(a[0], b[2]); FE_MULADD(a[1], b[1]); FE_MULADD(a[2], b[0]); FE_STEP(t2);
-        FE_MULADD(a[0], b[3]); FE_MULADD(a[1], b[2]); FE_MULADD(a[2], b[1]);
-        FE_MULADD(a[3], b[0]); FE_STEP(t3);
-        FE_MULADD(a[1], b[3]); FE_MULADD(a[2], b[2]); FE_MULADD(a[3], b[1]); FE_STEP(t4);
-        FE_MULADD(a[2], b[3]); FE_MULADD(a[3], b[2]); FE_STEP(t5);
-        FE_MULADD(a[3], b[3]); FE_STEP(t6);
-        t7 = c0;
-        fe_reduce8(r, t0, t1, t2, t3, t4, t5, t6, t7);
-    }
-
-    static inline void fe_sqr_c(u64 *r, const u64 *a) {
-        u64 c0 = 0, c1 = 0, c2 = 0;
-        u64 t0, t1, t2, t3, t4, t5, t6, t7;
-        FE_MULADD(a[0], a[0]); FE_STEP(t0);
-        FE_MULADD(a[0], a[1]); FE_MULADD(a[0], a[1]); FE_STEP(t1);
-        FE_MULADD(a[0], a[2]); FE_MULADD(a[0], a[2]); FE_MULADD(a[1], a[1]); FE_STEP(t2);
-        FE_MULADD(a[0], a[3]); FE_MULADD(a[0], a[3]); FE_MULADD(a[1], a[2]);
-        FE_MULADD(a[1], a[2]); FE_STEP(t3);
-        FE_MULADD(a[1], a[3]); FE_MULADD(a[1], a[3]); FE_MULADD(a[2], a[2]); FE_STEP(t4);
-        FE_MULADD(a[2], a[3]); FE_MULADD(a[2], a[3]); FE_STEP(t5);
-        FE_MULADD(a[3], a[3]); FE_STEP(t6);
-        t7 = c0;
-        fe_reduce8(r, t0, t1, t2, t3, t4, t5, t6, t7);
-    }
-
-    static inline void fe_add_c(u64 *r, const u64 *a, const u64 *b) {
-        u128 acc;
-        u64 r0, r1, r2, r3;
-        acc = (u128)a[0] + b[0]; r0 = (u64)acc; acc >>= 64;
-        acc += (u128)a[1] + b[1]; r1 = (u64)acc; acc >>= 64;
-        acc += (u128)a[2] + b[2]; r2 = (u64)acc; acc >>= 64;
-        acc += (u128)a[3] + b[3]; r3 = (u64)acc; acc >>= 64;
-        if ((u64)acc) {
-            acc = (u128)r0 + FE_C; r0 = (u64)acc; acc >>= 64;
-            acc += r1; r1 = (u64)acc; acc >>= 64;
-            acc += r2; r2 = (u64)acc; acc >>= 64;
-            r3 += (u64)acc;
-        }
-        if (r3 == ~0ULL && r2 == ~0ULL && r1 == ~0ULL && r0 >= FE_P0) {
-            r0 = r0 + FE_C;
-            r1 = 0; r2 = 0; r3 = 0;
-        }
-        r[0] = r0; r[1] = r1; r[2] = r2; r[3] = r3;
-    }
-
-    static inline void fe_sub_c(u64 *r, const u64 *a, const u64 *b) {
-        u128 acc;
-        u64 r0, r1, r2, r3, borrow;
-        acc = (u128)a[0] - b[0]; r0 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
-        acc = (u128)a[1] - b[1] - borrow; r1 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
-        acc = (u128)a[2] - b[2] - borrow; r2 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
-        acc = (u128)a[3] - b[3] - borrow; r3 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
-        if (borrow) {  /* wrapped: subtract FE_C to add p */
-            acc = (u128)r0 - FE_C; r0 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
-            acc = (u128)r1 - borrow; r1 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
-            acc = (u128)r2 - borrow; r2 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
-            r3 -= borrow;
-        }
-        r[0] = r0; r[1] = r1; r[2] = r2; r[3] = r3;
-    }
-    
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
+    fe_final(r, r0, r1, r2, r3);
 }
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
 
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/chainsteg/_kernel.pyx",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* ForceInitThreads.proto */
-#ifndef __PYX_FORCE_INIT_THREADS
-  #define __PYX_FORCE_INIT_THREADS 0
-#endif
-
-/* NoFastGil.proto */
-#define __Pyx_PyGILState_Ensure PyGILState_Ensure
-#define __Pyx_PyGILState_Release PyGILState_Release
-#define __Pyx_FastGIL_Remember()
-#define __Pyx_FastGIL_Forget()
-#define __Pyx_FastGilFuncInit()
-
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes;
-struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr;
-struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap;
-struct __pyx_t_9chainsteg_7_kernel_JPt;
-
-/* "chainsteg/_kernel.pyx":215
- * # Jacobian point arithmetic (a = 0 curve)
- * 
- * cdef struct JPt:             # <<<<<<<<<<<<<<
- *     u64 X[4]
- *     u64 Y[4]
-*/
-struct __pyx_t_9chainsteg_7_kernel_JPt {
-  u64 X[4];
-  u64 Y[4];
-  u64 Z[4];
-};
-
-/* "chainsteg/_kernel.pyx":712
- * 
- * 
- * def _primes(count):             # <<<<<<<<<<<<<<
- *     out, cand = [], 2
- *     while len(out) < count:
-*/
-struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes {
-  PyObject_HEAD
-  PyObject *__pyx_v_cand;
-};
-
-
-/* "chainsteg/_kernel.pyx":715
- *     out, cand = [], 2
- *     while len(out) < count:
- *         if all(cand % p for p in out):             # <<<<<<<<<<<<<<
- *             out.append(cand)
- *         cand += 1
-*/
-struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr {
-  PyObject_HEAD
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes *__pyx_outer_scope;
-  PyObject *__pyx_genexpr_arg_0;
-  PyObject *__pyx_v_p;
-};
-
-
-/* "chainsteg/_kernel.pyx":814
- * 
- * 
- * def _bootstrap():             # <<<<<<<<<<<<<<
- *     _init_hash_constants()
- *     gx = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
-*/
-struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap {
-  PyObject_HEAD
-  PyObject *__pyx_v_p;
-};
-
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
+/* Comba column accumulation into the 192-bit (c2:c1:c0). */
+#define MULADD(A, B) do { \
+        u128 _t = (u128)(A) * (B); \
+        u64 _lo = (u64)_t, _hi = (u64)(_t >> 64); \
+        c0 += _lo; _hi += (c0 < _lo); c1 += _hi; c2 += (c1 < _hi); \
     } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
+#define COLUMN(X) do { (X) = c0; c0 = c1; c1 = c2; c2 = 0; } while (0)
+
+static inline void fe_mul(u64 *r, const u64 *a, const u64 *b)
+{
+    u64 c0 = 0, c1 = 0, c2 = 0, t[8];
+    MULADD(a[0], b[0]); COLUMN(t[0]);
+    MULADD(a[0], b[1]); MULADD(a[1], b[0]); COLUMN(t[1]);
+    MULADD(a[0], b[2]); MULADD(a[1], b[1]); MULADD(a[2], b[0]); COLUMN(t[2]);
+    MULADD(a[0], b[3]); MULADD(a[1], b[2]); MULADD(a[2], b[1]); MULADD(a[3], b[0]);
+    COLUMN(t[3]);
+    MULADD(a[1], b[3]); MULADD(a[2], b[2]); MULADD(a[3], b[1]); COLUMN(t[4]);
+    MULADD(a[2], b[3]); MULADD(a[3], b[2]); COLUMN(t[5]);
+    MULADD(a[3], b[3]); COLUMN(t[6]);
+    t[7] = c0;
+    fe_reduce8(r, t);
+}
+
+/* Adds 2 A B: each cross product of a square is computed once. */
+#define MULADD2(A, B) do { \
+        u128 _t = (u128)(A) * (B); \
+        u64 _lo = (u64)_t, _hi = (u64)(_t >> 64), _h; \
+        c0 += _lo; _h = _hi + (c0 < _lo); c1 += _h; c2 += (c1 < _h); \
+        c0 += _lo; _h = _hi + (c0 < _lo); c1 += _h; c2 += (c1 < _h); \
     } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
 
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* PyObjectGetAttrStr.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* ErrOccurredWithGIL.proto */
-static CYTHON_INLINE int __Pyx_ErrOccurredWithGIL(void);
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* ArgTypeTestFunc.export */
-static int __Pyx__ArgTypeTest(PyObject *obj, PyTypeObject *type, const char *name, int exact);
-
-/* ArgTypeTest.proto */
-#define __Pyx_ArgTypeTest(obj, type, none_allowed, name, exact)\
-    ((likely(__Pyx_IS_TYPE(obj, type) | (none_allowed && (obj == Py_None)))) ? 1 :\
-        __Pyx__ArgTypeTest(obj, type, name, exact))
-
-/* PyValueError_Check.proto */
-#define __Pyx_PyExc_ValueError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ValueError)
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* PyLongBinop.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static CYTHON_INLINE PyObject* __Pyx_PyLong_SubtractObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check);
-#else
-#define __Pyx_PyLong_SubtractObjC(op1, op2, intval, inplace, zerodivision_check)\
-    (inplace ? PyNumber_InPlaceSubtract(op1, op2) : PyNumber_Subtract(op1, op2))
-#endif
-
-/* PyLongBinop.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check);
-#else
-#define __Pyx_PyLong_AddObjC(op1, op2, intval, inplace, zerodivision_check)\
-    (inplace ? PyNumber_InPlaceAdd(op1, op2) : PyNumber_Add(op1, op2))
-#endif
-
-/* PyObjectFastCallMethod.proto */
-#if CYTHON_VECTORCALL && PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyObject_FastCallMethod(name, args, nargsf) PyObject_VectorcallMethod(name, args, nargsf, NULL)
-#else
-static PyObject *__Pyx_PyObject_FastCallMethod(PyObject *name, PyObject *const *args, size_t nargsf);
-#endif
-
-/* PyLongBinop.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static CYTHON_INLINE PyObject* __Pyx_PyLong_FloorDivideObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check);
-#else
-#define __Pyx_PyLong_FloorDivideObjC(op1, op2, intval, inplace, zerodivision_check)\
-    (inplace ? PyNumber_InPlaceFloorDivide(op1, op2) : PyNumber_FloorDivide(op1, op2))
-#endif
-
-/* RaiseUnboundLocalError.proto */
-static void __Pyx_RaiseUnboundLocalError(const char *varname);
-
-/* RaiseClosureNameError.proto */
-static void __Pyx_RaiseClosureNameError(const char *varname);
-
-/* GetException.proto (used by pep479) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_GetException(type, value, tb)  __Pyx__GetException(__pyx_tstate, type, value, tb)
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* pep479.proto */
-static void __Pyx_Generator_Replace_StopIteration(int in_async_gen);
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* SliceObject.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetSlice(
-        PyObject* obj, Py_ssize_t cstart, Py_ssize_t cstop,
-        PyObject** py_start, PyObject** py_stop, PyObject** py_slice,
-        int has_cstart, int has_cstop, int wraparound);
-
-/* ObjectGetItem.proto */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject *__Pyx_PyObject_GetItem(PyObject *obj, PyObject *key);
-#else
-#define __Pyx_PyObject_GetItem(obj, key)  PyObject_GetItem(obj, key)
-#endif
-
-/* RaiseTooManyValuesToUnpack.proto */
-static CYTHON_INLINE void __Pyx_RaiseTooManyValuesError(Py_ssize_t expected);
-
-/* RaiseNeedMoreValuesToUnpack.proto */
-static CYTHON_INLINE void __Pyx_RaiseNeedMoreValuesError(Py_ssize_t index);
-
-/* IterFinish.proto */
-static CYTHON_INLINE int __Pyx_IterFinish(void);
-
-/* UnpackItemEndCheck.proto */
-static int __Pyx_IternextUnpackEndCheck(PyObject *retval, Py_ssize_t expected);
-
-/* PyLongCompare.proto */
-static CYTHON_INLINE int __Pyx_PyLong_BoolEqObjC(PyObject *op1, PyObject *op2, long intval, long inplace);
-
-/* PyLongBinop.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static CYTHON_INLINE PyObject* __Pyx_PyLong_MultiplyCObj(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check);
-#else
-#define __Pyx_PyLong_MultiplyCObj(op1, op2, intval, inplace, zerodivision_check)\
-    (inplace ? PyNumber_InPlaceMultiply(op1, op2) : PyNumber_Multiply(op1, op2))
-#endif
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto (used by FetchCommonType) */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* HasAttr.proto (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_HasAttr(o, n)  PyObject_HasAttrWithError(o, n)
-#else
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *, PyObject *);
-#endif
-
-/* ImportImpl.export */
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level);
-
-/* Import.proto */
-static CYTHON_INLINE PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level);
-
-/* CheckTypeForFreelists.proto */
-#if CYTHON_USE_FREELISTS
-#if CYTHON_USE_TYPE_SPECS
-#define __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, expected_tp, expected_size) ((int) ((t) == (expected_tp)))
-#define __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS  Py_TPFLAGS_IS_ABSTRACT
-#else
-#define __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, expected_tp, expected_size) ((int) ((t)->tp_basicsize == (expected_size)))
-#define __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS  (Py_TPFLAGS_IS_ABSTRACT | Py_TPFLAGS_HEAPTYPE)
-#endif
-#define __PYX_CHECK_TYPE_FOR_FREELISTS(t, expected_tp, expected_size)\
-    (__PYX_CHECK_FINAL_TYPE_FOR_FREELISTS((t), (expected_tp), (expected_size)) &\
-     (int) (!__Pyx_PyType_HasFeature((t), __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS)))
-#endif
-
-/* AllocateExtensionType.proto */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final);
-
-/* PyObjectCallNoArg.proto (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func);
-
-/* PyObjectGetMethod.proto (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method);
-#endif
-
-/* PyObjectCallMethod0.proto (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name);
-
-/* ValidateBasesTuple.proto (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases);
-#endif
-
-/* PyType_Ready.proto */
-CYTHON_UNUSED static int __Pyx_PyType_Ready(PyTypeObject *t);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE u32 __Pyx_PyLong_As_u32(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE u64 __Pyx_PyLong_As_u64(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_u8(u8 value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_u64(u64 value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* GetTopmostException.proto (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem * __Pyx_PyErr_GetTopmostException(PyThreadState *tstate);
-#endif
-
-/* SaveResetException.proto (used by CoroutineBase) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSave(type, value, tb)  __Pyx__ExceptionSave(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#define __Pyx_ExceptionReset(type, value, tb)  __Pyx__ExceptionReset(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-#else
-#define __Pyx_ExceptionSave(type, value, tb)   PyErr_GetExcInfo(type, value, tb)
-#define __Pyx_ExceptionReset(type, value, tb)  PyErr_SetExcInfo(type, value, tb)
-#endif
-
-/* SwapException.proto (used by CoroutineBase) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSwap(type, value, tb)  __Pyx__ExceptionSwap(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* IterNextPlain.proto (used by CoroutineBase) */
-static CYTHON_INLINE PyObject *__Pyx_PyIter_Next_Plain(PyObject *iterator);
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *__Pyx_GetBuiltinNext_LimitedAPI(void);
-#endif
-
-/* PyObjectCall2Args.proto (used by PyObjectCallMethod1) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2);
-
-/* PyObjectCallMethod1.proto (used by CoroutineBase) */
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg);
-
-/* ReturnWithStopIteration.proto (used by CoroutineBase) */
-static CYTHON_INLINE void __Pyx_ReturnWithStopIteration(PyObject* value, int async, int iternext);
-
-/* CoroutineBase.proto (used by Generator) */
-struct __pyx_CoroutineObject;
-typedef PyObject *(*__pyx_coroutine_body_t)(struct __pyx_CoroutineObject *, PyThreadState *, PyObject *);
-#if CYTHON_USE_EXC_INFO_STACK
-#define __Pyx_ExcInfoStruct  _PyErr_StackItem
-#else
-typedef struct {
-    PyObject *exc_type;
-    PyObject *exc_value;
-    PyObject *exc_traceback;
-} __Pyx_ExcInfoStruct;
-#endif
-typedef struct __pyx_CoroutineObject {
-    PyObject_HEAD
-    __pyx_coroutine_body_t body;
-    PyObject *closure;
-    __Pyx_ExcInfoStruct gi_exc_state;
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *gi_weakreflist;
-#endif
-    PyObject *classobj;
-    PyObject *yieldfrom;
-    __Pyx_pyiter_sendfunc yieldfrom_am_send;
-    PyObject *gi_name;
-    PyObject *gi_qualname;
-    PyObject *gi_modulename;
-    PyObject *gi_code;
-    PyObject *gi_frame;
-#if CYTHON_USE_SYS_MONITORING && (CYTHON_PROFILE || CYTHON_TRACE)
-    PyMonitoringState __pyx_pymonitoring_state[__Pyx_MonitoringEventTypes_CyGen_count];
-    uint64_t __pyx_pymonitoring_version;
-#endif
-    int resume_label;
-    char is_running;
-} __pyx_CoroutineObject;
-static __pyx_CoroutineObject *__Pyx__Coroutine_New(
-    PyTypeObject *type, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-    PyObject *name, PyObject *qualname, PyObject *module_name);
-static __pyx_CoroutineObject *__Pyx__Coroutine_NewInit(
-            __pyx_CoroutineObject *gen, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name);
-static CYTHON_INLINE void __Pyx_Coroutine_ExceptionClear(__Pyx_ExcInfoStruct *self);
-static int __Pyx_Coroutine_clear(PyObject *self);
-static __Pyx_PySendResult __Pyx_Coroutine_AmSend(PyObject *self, PyObject *value, PyObject **retval);
-static PyObject *__Pyx_Coroutine_Send(PyObject *self, PyObject *value);
-static __Pyx_PySendResult __Pyx_Coroutine_Close(PyObject *self, PyObject **retval);
-static PyObject *__Pyx_Coroutine_Throw(PyObject *gen, PyObject *args);
-#if CYTHON_USE_EXC_INFO_STACK
-#define __Pyx_Coroutine_SwapException(self)
-#define __Pyx_Coroutine_ResetAndClearException(self)  __Pyx_Coroutine_ExceptionClear(&(self)->gi_exc_state)
-#else
-#define __Pyx_Coroutine_SwapException(self) {\
-    __Pyx_ExceptionSwap(&(self)->gi_exc_state.exc_type, &(self)->gi_exc_state.exc_value, &(self)->gi_exc_state.exc_traceback);\
-    __Pyx_Coroutine_ResetFrameBackpointer(&(self)->gi_exc_state);\
-    }
-#define __Pyx_Coroutine_ResetAndClearException(self) {\
-    __Pyx_ExceptionReset((self)->gi_exc_state.exc_type, (self)->gi_exc_state.exc_value, (self)->gi_exc_state.exc_traceback);\
-    (self)->gi_exc_state.exc_type = (self)->gi_exc_state.exc_value = (self)->gi_exc_state.exc_traceback = NULL;\
-    }
-#endif
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyGen_FetchStopIterationValue(pvalue)\
-    __Pyx_PyGen__FetchStopIterationValue(__pyx_tstate, pvalue)
-#else
-#define __Pyx_PyGen_FetchStopIterationValue(pvalue)\
-    __Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, pvalue)
-#endif
-static int __Pyx_PyGen__FetchStopIterationValue(PyThreadState *tstate, PyObject **pvalue);
-static CYTHON_INLINE void __Pyx_Coroutine_ResetFrameBackpointer(__Pyx_ExcInfoStruct *exc_state);
-static char __Pyx_Coroutine_test_and_set_is_running(__pyx_CoroutineObject *gen);
-static void __Pyx_Coroutine_unset_is_running(__pyx_CoroutineObject *gen);
-static char __Pyx_Coroutine_get_is_running(__pyx_CoroutineObject *gen);
-static PyObject *__Pyx_Coroutine_get_is_running_getter(PyObject *gen, void *closure);
-#if __PYX_HAS_PY_AM_SEND == 2
-static void __Pyx_SetBackportTypeAmSend(PyTypeObject *type, __Pyx_PyAsyncMethodsStruct *static_amsend_methods, __Pyx_pyiter_sendfunc am_send);
-#endif
-static PyObject *__Pyx_Coroutine_fail_reduce_ex(PyObject *self, PyObject *arg);
-
-/* Generator.proto */
-#define __Pyx_Generator_USED
-#define __Pyx_Generator_CheckExact(obj) __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_GeneratorType)
-#define __Pyx_Generator_New(body, code, closure, name, qualname, module_name)\
-    __Pyx__Coroutine_New(__pyx_mstate_global->__pyx_GeneratorType, body, code, closure, name, qualname, module_name)
-static PyObject *__Pyx_Generator_Next(PyObject *self);
-static int __pyx_Generator_init(PyObject *module);
-static CYTHON_INLINE PyObject *__Pyx_Generator_GetInlinedResult(PyObject *self);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdlib" */
-
-/* Module declarations from "chainsteg._kernel" */
-static u64 __pyx_v_9chainsteg_7_kernel_REDC;
-static u64 __pyx_v_9chainsteg_7_kernel_P_LIMB[4];
-static u64 __pyx_v_9chainsteg_7_kernel_PM2_LIMB[4];
-static u64 __pyx_v_9chainsteg_7_kernel_Q_LIMB[4];
-static u64 *__pyx_v_9chainsteg_7_kernel_TBL_X;
-static u64 *__pyx_v_9chainsteg_7_kernel_TBL_Y;
-static u32 __pyx_v_9chainsteg_7_kernel_SHA_K[64];
-static u32 __pyx_v_9chainsteg_7_kernel_SHA_H0[8];
-static int __pyx_v_9chainsteg_7_kernel_RMD_RL[80];
-static int __pyx_v_9chainsteg_7_kernel_RMD_RR[80];
-static int __pyx_v_9chainsteg_7_kernel_RMD_SL[80];
-static int __pyx_v_9chainsteg_7_kernel_RMD_SR[80];
-static u32 __pyx_v_9chainsteg_7_kernel_RMD_KL[5];
-static u32 __pyx_v_9chainsteg_7_kernel_RMD_KR[5];
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_fe_set(u64 *, u64 const *); /*proto*/
-static CYTHON_INLINE int __pyx_f_9chainsteg_7_kernel_fe_is_zero(u64 const *); /*proto*/
-static CYTHON_INLINE int __pyx_f_9chainsteg_7_kernel_fe_cmp(u64 const *, u64 const *); /*proto*/
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_fe_add(u64 *, u64 const *, u64 const *); /*proto*/
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_fe_sub(u64 *, u64 const *, u64 const *); /*proto*/
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_fe_mul(u64 *, u64 const *, u64 const *); /*proto*/
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_fe_sqr(u64 *, u64 const *); /*proto*/
-static void __pyx_f_9chainsteg_7_kernel_fe_inv(u64 *, u64 const *); /*proto*/
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_jpt_set_infinity(struct __pyx_t_9chainsteg_7_kernel_JPt *); /*proto*/
-static CYTHON_INLINE int __pyx_f_9chainsteg_7_kernel_jpt_is_infinity(struct __pyx_t_9chainsteg_7_kernel_JPt const *); /*proto*/
-static void __pyx_f_9chainsteg_7_kernel_jpt_double(struct __pyx_t_9chainsteg_7_kernel_JPt *, struct __pyx_t_9chainsteg_7_kernel_JPt const *); /*proto*/
-static void __pyx_f_9chainsteg_7_kernel_jpt_add_affine(struct __pyx_t_9chainsteg_7_kernel_JPt *, struct __pyx_t_9chainsteg_7_kernel_JPt const *, u64 const *, u64 const *); /*proto*/
-static void __pyx_f_9chainsteg_7_kernel__mult_gen(struct __pyx_t_9chainsteg_7_kernel_JPt *, u64 const *); /*proto*/
-static CYTHON_INLINE u32 __pyx_f_9chainsteg_7_kernel__rotr(u32, int); /*proto*/
-static void __pyx_f_9chainsteg_7_kernel_sha256_block(u8 const *, int, u8 *); /*proto*/
-static CYTHON_INLINE u32 __pyx_f_9chainsteg_7_kernel__rotl(u32, int); /*proto*/
-static CYTHON_INLINE u32 __pyx_f_9chainsteg_7_kernel__rmd_f(int, u32, u32, u32); /*proto*/
-static void __pyx_f_9chainsteg_7_kernel_ripemd160_32(u8 const *, u8 *); /*proto*/
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_be32_to_limbs(u8 const *, u64 *); /*proto*/
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_limbs_to_be32(u64 const *, u8 *); /*proto*/
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_scalar_mod_q(u64 *); /*proto*/
-static void __pyx_f_9chainsteg_7_kernel__derive_one(u8 const *, u8, u64, u64 const *, u64 const *, struct __pyx_t_9chainsteg_7_kernel_JPt *); /*proto*/
-static int __pyx_f_9chainsteg_7_kernel__derive_batch(u8 const *, u8, u64, int, u64 const *, u64 const *, u8 *, u8 *); /*proto*/
-static CYTHON_INLINE u64 __pyx_f_9chainsteg_7_kernel__select_bits(u8 const *, int const *, int); /*proto*/
-static void __pyx_f_9chainsteg_7_kernel__int_to_be32(PyObject *, u8 *); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "chainsteg._kernel"
-extern int __pyx_module_is_main_chainsteg___kernel;
-int __pyx_module_is_main_chainsteg___kernel = 0;
-
-/* Implementation of "chainsteg._kernel" */
-/* #### Code section: global_var ### */
-static PyObject *__pyx_builtin_enumerate;
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_grinding_kernel_secp256[] = "Compiled grinding kernel: secp256k1 fixed-base derivation and digest\nscanning with 4x64-bit field limbs, batch inversion, and single-block\nSHA-256 / RIPEMD-160 implementations so the whole attempt loop runs in C.\n\nResults are bit-identical to the pure backend; parity is enforced by tests.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_derive_digest(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_k, int __pyx_v_tag, PyObject *__pyx_v_counter, PyObject *__pyx_v_gy_x, PyObject *__pyx_v_gy_y); /* proto */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_2derive_compressed(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_k, int __pyx_v_tag, PyObject *__pyx_v_counter, PyObject *__pyx_v_gy_x, PyObject *__pyx_v_gy_y); /* proto */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_4grind_scan(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_k, int __pyx_v_tag, PyObject *__pyx_v_gy_x, PyObject *__pyx_v_gy_y, PyObject *__pyx_v_start, PyObject *__pyx_v_max_attempts, PyObject *__pyx_v_positions, PyObject *__pyx_v_target); /* proto */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_6hash160(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_data); /* proto */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_8sha256(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_data); /* proto */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_10_exact_frac_root(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_n, PyObject *__pyx_v_power, PyObject *__pyx_v_bits); /* proto */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_12_int_nth_root(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_n, PyObject *__pyx_v_power); /* proto */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_7_primes_genexpr(PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0); /* proto */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_14_primes(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_count); /* proto */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_16_init_hash_constants(CYTHON_UNUSED PyObject *__pyx_self); /* proto */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_18_init_table(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_window_bases); /* proto */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_10_bootstrap_add(PyObject *__pyx_self, PyObject *__pyx_v_p1, PyObject *__pyx_v_p2); /* proto */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_20_bootstrap(CYTHON_UNUSED PyObject *__pyx_self); /* proto */
-static PyObject *__pyx_pf_9chainsteg_7_kernel_22_microbench(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_iters); /* proto */
-static PyObject *__pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct___primes(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  PyObject *__pyx_type_9chainsteg_7_kernel___pyx_scope_struct___primes;
-  PyObject *__pyx_type_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr;
-  PyObject *__pyx_type_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap;
-  PyTypeObject *__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes;
-  PyTypeObject *__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr;
-  PyTypeObject *__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_slice[1];
-  PyObject *__pyx_tuple[1];
-  PyObject *__pyx_codeobj_tab[14];
-  PyObject *__pyx_string_tab[164];
-  PyObject *__pyx_number_tab[31];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes *__pyx_freelist_9chainsteg_7_kernel___pyx_scope_struct___primes[8];
-int __pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct___primes;
-#endif
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr *__pyx_freelist_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr[8];
-int __pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr;
-#endif
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *__pyx_freelist_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap[8];
-int __pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap;
-#endif
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* IterNextPlain.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-PyObject *__Pyx_GetBuiltinNext_LimitedAPI_cache;
-#endif
-
-/* Generator.module_state_decls */
-PyTypeObject *__pyx_GeneratorType;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_Note_that_Cython_is_deliberately __pyx_string_tab[1]
-#define __pyx_kp_u_add_note __pyx_string_tab[2]
-#define __pyx_kp_u_at_most_24_selected_bits __pyx_string_tab[3]
-#define __pyx_kp_u_disable __pyx_string_tab[4]
-#define __pyx_kp_u_enable __pyx_string_tab[5]
-#define __pyx_kp_u_gc __pyx_string_tab[6]
-#define __pyx_kp_u_isenabled __pyx_string_tab[7]
-#define __pyx_kp_u_k_must_be_32_bytes __pyx_string_tab[8]
-#define __pyx_kp_u_single_block_helper_input_too_lo __pyx_string_tab[9]
-#define __pyx_kp_u_src_chainsteg__kernel_pyx __pyx_string_tab[10]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[11]
-#define __pyx_n_u__2 __pyx_string_tab[12]
-#define __pyx_n_u_a __pyx_string_tab[13]
-#define __pyx_n_u_acc __pyx_string_tab[14]
-#define __pyx_n_u_add __pyx_string_tab[15]
-#define __pyx_n_u_annotate __pyx_string_tab[16]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[17]
-#define __pyx_n_u_b __pyx_string_tab[18]
-#define __pyx_n_u_base __pyx_string_tab[19]
-#define __pyx_n_u_bases __pyx_string_tab[20]
-#define __pyx_n_u_batch __pyx_string_tab[21]
-#define __pyx_n_u_big __pyx_string_tab[22]
-#define __pyx_n_u_bit_length __pyx_string_tab[23]
-#define __pyx_n_u_bits __pyx_string_tab[24]
-#define __pyx_n_u_bootstrap __pyx_string_tab[25]
-#define __pyx_n_u_bootstrap_locals_add __pyx_string_tab[26]
-#define __pyx_n_u_budget __pyx_string_tab[27]
-#define __pyx_n_u_buf __pyx_string_tab[28]
-#define __pyx_n_u_bx __pyx_string_tab[29]
-#define __pyx_n_u_by __pyx_string_tab[30]
-#define __pyx_n_u_cand __pyx_string_tab[31]
-#define __pyx_n_u_chainsteg__kernel __pyx_string_tab[32]
-#define __pyx_n_u_class_getitem __pyx_string_tab[33]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[34]
-#define __pyx_n_u_close __pyx_string_tab[35]
-#define __pyx_n_u_count __pyx_string_tab[36]
-#define __pyx_n_u_counter __pyx_string_tab[37]
-#define __pyx_n_u_ctr __pyx_string_tab[38]
-#define __pyx_n_u_data __pyx_string_tab[39]
-#define __pyx_n_u_derive_compressed __pyx_string_tab[40]
-#define __pyx_n_u_derive_digest __pyx_string_tab[41]
-#define __pyx_n_u_digest __pyx_string_tab[42]
-#define __pyx_n_u_digests __pyx_string_tab[43]
-#define __pyx_n_u_done __pyx_string_tab[44]
-#define __pyx_n_u_enumerate __pyx_string_tab[45]
-#define __pyx_n_u_exact_frac_root __pyx_string_tab[46]
-#define __pyx_n_u_fe_inv_ns __pyx_string_tab[47]
-#define __pyx_n_u_fe_mul_ns __pyx_string_tab[48]
-#define __pyx_n_u_first __pyx_string_tab[49]
-#define __pyx_n_u_func __pyx_string_tab[50]
-#define __pyx_n_u_genexpr __pyx_string_tab[51]
-#define __pyx_n_u_grind_scan __pyx_string_tab[52]
-#define __pyx_n_u_gx __pyx_string_tab[53]
-#define __pyx_n_u_gy __pyx_string_tab[54]
-#define __pyx_n_u_gy_x __pyx_string_tab[55]
-#define __pyx_n_u_gy_y __pyx_string_tab[56]
-#define __pyx_n_u_gyx __pyx_string_tab[57]
-#define __pyx_n_u_gyy __pyx_string_tab[58]
-#define __pyx_n_u_h __pyx_string_tab[59]
-#define __pyx_n_u_hash160 __pyx_string_tab[60]
-#define __pyx_n_u_hbuf __pyx_string_tab[61]
-#define __pyx_n_u_hi __pyx_string_tab[62]
-#define __pyx_n_u_hit __pyx_string_tab[63]
-#define __pyx_n_u_i __pyx_string_tab[64]
-#define __pyx_n_u_init_hash_constants __pyx_string_tab[65]
-#define __pyx_n_u_init_table __pyx_string_tab[66]
-#define __pyx_n_u_int_nth_root __pyx_string_tab[67]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[68]
-#define __pyx_n_u_items __pyx_string_tab[69]
-#define __pyx_n_u_iters __pyx_string_tab[70]
-#define __pyx_n_u_j __pyx_string_tab[71]
-#define __pyx_n_u_jpt_add_ns __pyx_string_tab[72]
-#define __pyx_n_u_k __pyx_string_tab[73]
-#define __pyx_n_u_kl __pyx_string_tab[74]
-#define __pyx_n_u_kp __pyx_string_tab[75]
-#define __pyx_n_u_kr __pyx_string_tab[76]
-#define __pyx_n_u_lo __pyx_string_tab[77]
-#define __pyx_n_u_m __pyx_string_tab[78]
-#define __pyx_n_u_main __pyx_string_tab[79]
-#define __pyx_n_u_max_attempts __pyx_string_tab[80]
-#define __pyx_n_u_microbench __pyx_string_tab[81]
-#define __pyx_n_u_mid __pyx_string_tab[82]
-#define __pyx_n_u_module __pyx_string_tab[83]
-#define __pyx_n_u_msg __pyx_string_tab[84]
-#define __pyx_n_u_n __pyx_string_tab[85]
-#define __pyx_n_u_name __pyx_string_tab[86]
-#define __pyx_n_u_next __pyx_string_tab[87]
-#define __pyx_n_u_off __pyx_string_tab[88]
-#define __pyx_n_u_ok __pyx_string_tab[89]
-#define __pyx_n_u_out __pyx_string_tab[90]
-#define __pyx_n_u_p __pyx_string_tab[91]
-#define __pyx_n_u_p1 __pyx_string_tab[92]
-#define __pyx_n_u_p2 __pyx_string_tab[93]
-#define __pyx_n_u_perf_counter __pyx_string_tab[94]
-#define __pyx_n_u_pop __pyx_string_tab[95]
-#define __pyx_n_u_pos_arr __pyx_string_tab[96]
-#define __pyx_n_u_positions __pyx_string_tab[97]
-#define __pyx_n_u_power __pyx_string_tab[98]
-#define __pyx_n_u_prefix __pyx_string_tab[99]
-#define __pyx_n_u_primes __pyx_string_tab[100]
-#define __pyx_n_u_primes_2 __pyx_string_tab[101]
-#define __pyx_n_u_primes_locals_genexpr __pyx_string_tab[102]
-#define __pyx_n_u_pt __pyx_string_tab[103]
-#define __pyx_n_u_pub __pyx_string_tab[104]
-#define __pyx_n_u_qualname __pyx_string_tab[105]
-#define __pyx_n_u_r __pyx_string_tab[106]
-#define __pyx_n_u_ripemd_ns __pyx_string_tab[107]
-#define __pyx_n_u_rl __pyx_string_tab[108]
-#define __pyx_n_u_root __pyx_string_tab[109]
-#define __pyx_n_u_rr __pyx_string_tab[110]
-#define __pyx_n_u_scalar __pyx_string_tab[111]
-#define __pyx_n_u_scratch __pyx_string_tab[112]
-#define __pyx_n_u_send __pyx_string_tab[113]
-#define __pyx_n_u_set_name __pyx_string_tab[114]
-#define __pyx_n_u_setdefault __pyx_string_tab[115]
-#define __pyx_n_u_sha256 __pyx_string_tab[116]
-#define __pyx_n_u_sha256_ns __pyx_string_tab[117]
-#define __pyx_n_u_sha_out __pyx_string_tab[118]
-#define __pyx_n_u_shifted __pyx_string_tab[119]
-#define __pyx_n_u_sl __pyx_string_tab[120]
-#define __pyx_n_u_sr __pyx_string_tab[121]
-#define __pyx_n_u_start __pyx_string_tab[122]
-#define __pyx_n_u_t __pyx_string_tab[123]
-#define __pyx_n_u_t0 __pyx_string_tab[124]
-#define __pyx_n_u_tag __pyx_string_tab[125]
-#define __pyx_n_u_tag_c __pyx_string_tab[126]
-#define __pyx_n_u_target __pyx_string_tab[127]
-#define __pyx_n_u_test __pyx_string_tab[128]
-#define __pyx_n_u_tgt __pyx_string_tab[129]
-#define __pyx_n_u_throw __pyx_string_tab[130]
-#define __pyx_n_u_time __pyx_string_tab[131]
-#define __pyx_n_u_to_bytes __pyx_string_tab[132]
-#define __pyx_n_u_tx __pyx_string_tab[133]
-#define __pyx_n_u_ty __pyx_string_tab[134]
-#define __pyx_n_u_value __pyx_string_tab[135]
-#define __pyx_n_u_values __pyx_string_tab[136]
-#define __pyx_n_u_w __pyx_string_tab[137]
-#define __pyx_n_u_window_bases __pyx_string_tab[138]
-#define __pyx_n_u_x1 __pyx_string_tab[139]
-#define __pyx_n_u_x2 __pyx_string_tab[140]
-#define __pyx_n_u_x3 __pyx_string_tab[141]
-#define __pyx_n_u_x_int __pyx_string_tab[142]
-#define __pyx_n_u_xb __pyx_string_tab[143]
-#define __pyx_n_u_y1 __pyx_string_tab[144]
-#define __pyx_n_u_y2 __pyx_string_tab[145]
-#define __pyx_n_u_y_int __pyx_string_tab[146]
-#define __pyx_n_u_yb __pyx_string_tab[147]
-#define __pyx_n_u_zi2 __pyx_string_tab[148]
-#define __pyx_n_u_zinv __pyx_string_tab[149]
-#define __pyx_kp_b_iso88591_1_s_3c_j_q_q_a_a_5_3a_q_d_U_1_1 __pyx_string_tab[150]
-#define __pyx_kp_b_iso88591_1_s_3c_j_q_q_a_a_S_E_c_e81_t2Qa __pyx_string_tab[151]
-#define __pyx_kp_b_iso88591_5_Cr_r_CvRq_Rs_A_s_D_1_4s_1_1 __pyx_string_tab[152]
-#define __pyx_kp_b_iso88591_6_4D_6_4D_fAXRq_vV9D_s_U_S_5_83 __pyx_string_tab[153]
-#define __pyx_kp_b_iso88591_A __pyx_string_tab[154]
-#define __pyx_kp_b_iso88591_AQ_1_Q_a_A_s_3c_j_r_1_j_U_1_q_Y __pyx_string_tab[155]
-#define __pyx_kp_b_iso88591_A_3c_1_3c_1_E_E_3c_E_Bd_Bc_1_3c __pyx_string_tab[156]
-#define __pyx_kp_b_iso88591_A_Qe2Q_A_waq_1 __pyx_string_tab[157]
-#define __pyx_kp_b_iso88591_Qe_q_a_Qe_q_a_3d_1F_5_a_E_aq_3c __pyx_string_tab[158]
-#define __pyx_kp_b_iso88591_WAQ_5_Qe_1Cs_5_au_AS_1_3c_Cs_S __pyx_string_tab[159]
-#define __pyx_kp_b_iso88591_b_F_A_5_Bc_r __pyx_string_tab[160]
-#define __pyx_kp_b_iso88591_q_A_D_U_1_WAQ_E_aq_3avQ_q __pyx_string_tab[161]
-#define __pyx_kp_b_iso88591_s_6_1_j_F_QgQ_5_Ba __pyx_string_tab[162]
-#define __pyx_kp_b_iso88591_s_6_1_j_F_QgQ_5_Ba_2 __pyx_string_tab[163]
-#define __pyx_float_1e9 __pyx_number_tab[0]
-#define __pyx_int_0 __pyx_number_tab[1]
-#define __pyx_int_neg_1 __pyx_number_tab[2]
-#define __pyx_int_1 __pyx_number_tab[3]
-#define __pyx_int_2 __pyx_number_tab[4]
-#define __pyx_int_3 __pyx_number_tab[5]
-#define __pyx_int_4 __pyx_number_tab[6]
-#define __pyx_int_5 __pyx_number_tab[7]
-#define __pyx_int_6 __pyx_number_tab[8]
-#define __pyx_int_7 __pyx_number_tab[9]
-#define __pyx_int_8 __pyx_number_tab[10]
-#define __pyx_int_9 __pyx_number_tab[11]
-#define __pyx_int_10 __pyx_number_tab[12]
-#define __pyx_int_11 __pyx_number_tab[13]
-#define __pyx_int_12 __pyx_number_tab[14]
-#define __pyx_int_13 __pyx_number_tab[15]
-#define __pyx_int_14 __pyx_number_tab[16]
-#define __pyx_int_15 __pyx_number_tab[17]
-#define __pyx_int_32 __pyx_number_tab[18]
-#define __pyx_int_64 __pyx_number_tab[19]
-#define __pyx_int_1352829926 __pyx_number_tab[20]
-#define __pyx_int_1518500249 __pyx_number_tab[21]
-#define __pyx_int_1548603684 __pyx_number_tab[22]
-#define __pyx_int_1836072691 __pyx_number_tab[23]
-#define __pyx_int_1859775393 __pyx_number_tab[24]
-#define __pyx_int_2053994217 __pyx_number_tab[25]
-#define __pyx_int_2400959708 __pyx_number_tab[26]
-#define __pyx_int_2840853838 __pyx_number_tab[27]
-#define __pyx_int_large_0x483ada7726a3c465_xxx_199c47d08ffb10d4b8 __pyx_number_tab[28]
-#define __pyx_int_large_0x79be667ef9dcbbac_xxx_d959f2815b16f81798 __pyx_number_tab[29]
-#define __pyx_int_large_0xffffffffffffffff_xxx_fffffffffefffffc2f __pyx_number_tab[30]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  Py_CLEAR(clear_module_state->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes);
-  Py_CLEAR(clear_module_state->__pyx_type_9chainsteg_7_kernel___pyx_scope_struct___primes);
-  Py_CLEAR(clear_module_state->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_type_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap);
-  Py_CLEAR(clear_module_state->__pyx_type_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap);
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_slice[i]); }
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<14; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<164; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<31; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* Generator.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_GeneratorType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  Py_VISIT(traverse_module_state->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes);
-  Py_VISIT(traverse_module_state->__pyx_type_9chainsteg_7_kernel___pyx_scope_struct___primes);
-  Py_VISIT(traverse_module_state->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_type_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap);
-  Py_VISIT(traverse_module_state->__pyx_type_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_slice[i]); }
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<14; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<164; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<31; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* Generator.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_GeneratorType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "chainsteg/_kernel.pyx":159
- * 
- * 
- * cdef inline void fe_set(u64* r, const u64* a) nogil:             # <<<<<<<<<<<<<<
- *     r[0] = a[0]; r[1] = a[1]; r[2] = a[2]; r[3] = a[3]
- * 
-*/
-
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_fe_set(u64 *__pyx_v_r, u64 const *__pyx_v_a) {
-
-  /* "chainsteg/_kernel.pyx":160
- * 
- * cdef inline void fe_set(u64* r, const u64* a) nogil:
- *     r[0] = a[0]; r[1] = a[1]; r[2] = a[2]; r[3] = a[3]             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  (__pyx_v_r[0]) = (__pyx_v_a[0]);
-  (__pyx_v_r[1]) = (__pyx_v_a[1]);
-  (__pyx_v_r[2]) = (__pyx_v_a[2]);
-  (__pyx_v_r[3]) = (__pyx_v_a[3]);
-
-  /* "chainsteg/_kernel.pyx":159
- * 
- * 
- * cdef inline void fe_set(u64* r, const u64* a) nogil:             # <<<<<<<<<<<<<<
- *     r[0] = a[0]; r[1] = a[1]; r[2] = a[2]; r[3] = a[3]
- * 
-*/
-
-  /* function exit code */
-}
-
-/* "chainsteg/_kernel.pyx":163
- * 
- * 
- * cdef inline bint fe_is_zero(const u64* a) nogil:             # <<<<<<<<<<<<<<
- *     return (a[0] | a[1] | a[2] | a[3]) == 0
- * 
-*/
-
-static CYTHON_INLINE int __pyx_f_9chainsteg_7_kernel_fe_is_zero(u64 const *__pyx_v_a) {
-  int __pyx_r;
-
-  /* "chainsteg/_kernel.pyx":164
- * 
- * cdef inline bint fe_is_zero(const u64* a) nogil:
- *     return (a[0] | a[1] | a[2] | a[3]) == 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (((((__pyx_v_a[0]) | (__pyx_v_a[1])) | (__pyx_v_a[2])) | (__pyx_v_a[3])) == 0);
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":163
- * 
- * 
- * cdef inline bint fe_is_zero(const u64* a) nogil:             # <<<<<<<<<<<<<<
- *     return (a[0] | a[1] | a[2] | a[3]) == 0
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":167
- * 
- * 
- * cdef inline int fe_cmp(const u64* a, const u64* b) nogil:             # <<<<<<<<<<<<<<
- *     cdef int i
- *     for i in range(3, -1, -1):
-*/
-
-static CYTHON_INLINE int __pyx_f_9chainsteg_7_kernel_fe_cmp(u64 const *__pyx_v_a, u64 const *__pyx_v_b) {
-  int __pyx_v_i;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "chainsteg/_kernel.pyx":169
- * cdef inline int fe_cmp(const u64* a, const u64* b) nogil:
- *     cdef int i
- *     for i in range(3, -1, -1):             # <<<<<<<<<<<<<<
- *         if a[i] < b[i]:
- *             return -1
-*/
-  for (__pyx_t_1 = 3; __pyx_t_1 > -1; __pyx_t_1-=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":170
- *     cdef int i
- *     for i in range(3, -1, -1):
- *         if a[i] < b[i]:             # <<<<<<<<<<<<<<
- *             return -1
- *         if a[i] > b[i]:
-*/
-    __pyx_t_2 = ((__pyx_v_a[__pyx_v_i]) < (__pyx_v_b[__pyx_v_i]));
-    if (__pyx_t_2) {
-
-      /* "chainsteg/_kernel.pyx":171
- *     for i in range(3, -1, -1):
- *         if a[i] < b[i]:
- *             return -1             # <<<<<<<<<<<<<<
- *         if a[i] > b[i]:
- *             return 1
-*/
-      __pyx_r = -1;
-      goto __pyx_L0;
-
-      /* "chainsteg/_kernel.pyx":170
- *     cdef int i
- *     for i in range(3, -1, -1):
- *         if a[i] < b[i]:             # <<<<<<<<<<<<<<
- *             return -1
- *         if a[i] > b[i]:
-*/
-    }
-
-    /* "chainsteg/_kernel.pyx":172
- *         if a[i] < b[i]:
- *             return -1
- *         if a[i] > b[i]:             # <<<<<<<<<<<<<<
- *             return 1
- *     return 0
-*/
-    __pyx_t_2 = ((__pyx_v_a[__pyx_v_i]) > (__pyx_v_b[__pyx_v_i]));
-    if (__pyx_t_2) {
-
-      /* "chainsteg/_kernel.pyx":173
- *             return -1
- *         if a[i] > b[i]:
- *             return 1             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-      __pyx_r = 1;
-      goto __pyx_L0;
-
-      /* "chainsteg/_kernel.pyx":172
- *         if a[i] < b[i]:
- *             return -1
- *         if a[i] > b[i]:             # <<<<<<<<<<<<<<
- *             return 1
- *     return 0
-*/
-    }
-  }
-
-  /* "chainsteg/_kernel.pyx":174
- *         if a[i] > b[i]:
- *             return 1
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":167
- * 
- * 
- * cdef inline int fe_cmp(const u64* a, const u64* b) nogil:             # <<<<<<<<<<<<<<
- *     cdef int i
- *     for i in range(3, -1, -1):
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":177
- * 
- * 
- * cdef inline void fe_add(u64* r, const u64* a, const u64* b) nogil:             # <<<<<<<<<<<<<<
- *     fe_add_c(r, a, b)
- * 
-*/
-
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_fe_add(u64 *__pyx_v_r, u64 const *__pyx_v_a, u64 const *__pyx_v_b) {
-
-  /* "chainsteg/_kernel.pyx":178
- * 
- * cdef inline void fe_add(u64* r, const u64* a, const u64* b) nogil:
- *     fe_add_c(r, a, b)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  fe_add_c(__pyx_v_r, __pyx_v_a, __pyx_v_b);
-
-  /* "chainsteg/_kernel.pyx":177
- * 
- * 
- * cdef inline void fe_add(u64* r, const u64* a, const u64* b) nogil:             # <<<<<<<<<<<<<<
- *     fe_add_c(r, a, b)
- * 
-*/
-
-  /* function exit code */
-}
-
-/* "chainsteg/_kernel.pyx":181
- * 
- * 
- * cdef inline void fe_sub(u64* r, const u64* a, const u64* b) nogil:             # <<<<<<<<<<<<<<
- *     fe_sub_c(r, a, b)
- * 
-*/
-
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_fe_sub(u64 *__pyx_v_r, u64 const *__pyx_v_a, u64 const *__pyx_v_b) {
-
-  /* "chainsteg/_kernel.pyx":182
- * 
- * cdef inline void fe_sub(u64* r, const u64* a, const u64* b) nogil:
- *     fe_sub_c(r, a, b)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  fe_sub_c(__pyx_v_r, __pyx_v_a, __pyx_v_b);
-
-  /* "chainsteg/_kernel.pyx":181
- * 
- * 
- * cdef inline void fe_sub(u64* r, const u64* a, const u64* b) nogil:             # <<<<<<<<<<<<<<
- *     fe_sub_c(r, a, b)
- * 
-*/
-
-  /* function exit code */
-}
-
-/* "chainsteg/_kernel.pyx":185
- * 
- * 
- * cdef inline void fe_mul(u64* r, const u64* a, const u64* b) nogil:             # <<<<<<<<<<<<<<
- *     fe_mul_c(r, a, b)
- * 
-*/
-
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_fe_mul(u64 *__pyx_v_r, u64 const *__pyx_v_a, u64 const *__pyx_v_b) {
-
-  /* "chainsteg/_kernel.pyx":186
- * 
- * cdef inline void fe_mul(u64* r, const u64* a, const u64* b) nogil:
- *     fe_mul_c(r, a, b)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  fe_mul_c(__pyx_v_r, __pyx_v_a, __pyx_v_b);
-
-  /* "chainsteg/_kernel.pyx":185
- * 
- * 
- * cdef inline void fe_mul(u64* r, const u64* a, const u64* b) nogil:             # <<<<<<<<<<<<<<
- *     fe_mul_c(r, a, b)
- * 
-*/
-
-  /* function exit code */
-}
-
-/* "chainsteg/_kernel.pyx":189
- * 
- * 
- * cdef inline void fe_sqr(u64* r, const u64* a) nogil:             # <<<<<<<<<<<<<<
- *     fe_sqr_c(r, a)
- * 
-*/
-
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_fe_sqr(u64 *__pyx_v_r, u64 const *__pyx_v_a) {
-
-  /* "chainsteg/_kernel.pyx":190
- * 
- * cdef inline void fe_sqr(u64* r, const u64* a) nogil:
- *     fe_sqr_c(r, a)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  fe_sqr_c(__pyx_v_r, __pyx_v_a);
-
-  /* "chainsteg/_kernel.pyx":189
- * 
- * 
- * cdef inline void fe_sqr(u64* r, const u64* a) nogil:             # <<<<<<<<<<<<<<
- *     fe_sqr_c(r, a)
- * 
-*/
-
-  /* function exit code */
-}
-
-/* "chainsteg/_kernel.pyx":193
- * 
- * 
- * cdef void fe_inv(u64* r, const u64* a) nogil:             # <<<<<<<<<<<<<<
- *     # Fermat: a^(p-2); plain MSB-first square-and-multiply
- *     cdef u64[4] acc
-*/
-
-static void __pyx_f_9chainsteg_7_kernel_fe_inv(u64 *__pyx_v_r, u64 const *__pyx_v_a) {
-  u64 __pyx_v_acc[4];
-  int __pyx_v_limb;
-  int __pyx_v_bit;
-  int __pyx_v_started;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "chainsteg/_kernel.pyx":197
- *     cdef u64[4] acc
- *     cdef int limb, bit
- *     cdef bint started = 0             # <<<<<<<<<<<<<<
- *     acc[0] = 1; acc[1] = 0; acc[2] = 0; acc[3] = 0
- *     for limb in range(3, -1, -1):
-*/
-  __pyx_v_started = 0;
-
-  /* "chainsteg/_kernel.pyx":198
- *     cdef int limb, bit
- *     cdef bint started = 0
- *     acc[0] = 1; acc[1] = 0; acc[2] = 0; acc[3] = 0             # <<<<<<<<<<<<<<
- *     for limb in range(3, -1, -1):
- *         for bit in range(63, -1, -1):
-*/
-  (__pyx_v_acc[0]) = 1;
-  (__pyx_v_acc[1]) = 0;
-  (__pyx_v_acc[2]) = 0;
-  (__pyx_v_acc[3]) = 0;
-
-  /* "chainsteg/_kernel.pyx":199
- *     cdef bint started = 0
- *     acc[0] = 1; acc[1] = 0; acc[2] = 0; acc[3] = 0
- *     for limb in range(3, -1, -1):             # <<<<<<<<<<<<<<
- *         for bit in range(63, -1, -1):
- *             if started:
-*/
-  for (__pyx_t_1 = 3; __pyx_t_1 > -1; __pyx_t_1-=1) {
-    __pyx_v_limb = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":200
- *     acc[0] = 1; acc[1] = 0; acc[2] = 0; acc[3] = 0
- *     for limb in range(3, -1, -1):
- *         for bit in range(63, -1, -1):             # <<<<<<<<<<<<<<
- *             if started:
- *                 fe_sqr(acc, acc)
-*/
-    for (__pyx_t_2 = 63; __pyx_t_2 > -1; __pyx_t_2-=1) {
-      __pyx_v_bit = __pyx_t_2;
-
-      /* "chainsteg/_kernel.pyx":201
- *     for limb in range(3, -1, -1):
- *         for bit in range(63, -1, -1):
- *             if started:             # <<<<<<<<<<<<<<
- *                 fe_sqr(acc, acc)
- *             if (PM2_LIMB[limb] >> bit) & 1:
-*/
-      if (__pyx_v_started) {
-
-        /* "chainsteg/_kernel.pyx":202
- *         for bit in range(63, -1, -1):
- *             if started:
- *                 fe_sqr(acc, acc)             # <<<<<<<<<<<<<<
- *             if (PM2_LIMB[limb] >> bit) & 1:
- *                 if started:
-*/
-        __pyx_f_9chainsteg_7_kernel_fe_sqr(__pyx_v_acc, __pyx_v_acc); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 202, __pyx_L1_error)
-
-        /* "chainsteg/_kernel.pyx":201
- *     for limb in range(3, -1, -1):
- *         for bit in range(63, -1, -1):
- *             if started:             # <<<<<<<<<<<<<<
- *                 fe_sqr(acc, acc)
- *             if (PM2_LIMB[limb] >> bit) & 1:
-*/
-      }
-
-      /* "chainsteg/_kernel.pyx":203
- *             if started:
- *                 fe_sqr(acc, acc)
- *             if (PM2_LIMB[limb] >> bit) & 1:             # <<<<<<<<<<<<<<
- *                 if started:
- *                     fe_mul(acc, acc, a)
-*/
-      __pyx_t_3 = ((((__pyx_v_9chainsteg_7_kernel_PM2_LIMB[__pyx_v_limb]) >> __pyx_v_bit) & 1) != 0);
-      if (__pyx_t_3) {
-
-        /* "chainsteg/_kernel.pyx":204
- *                 fe_sqr(acc, acc)
- *             if (PM2_LIMB[limb] >> bit) & 1:
- *                 if started:             # <<<<<<<<<<<<<<
- *                     fe_mul(acc, acc, a)
- *                 else:
-*/
-        if (__pyx_v_started) {
-
-          /* "chainsteg/_kernel.pyx":205
- *             if (PM2_LIMB[limb] >> bit) & 1:
- *                 if started:
- *                     fe_mul(acc, acc, a)             # <<<<<<<<<<<<<<
- *                 else:
- *                     fe_set(acc, a)
-*/
-          __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_acc, __pyx_v_acc, __pyx_v_a); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 205, __pyx_L1_error)
-
-          /* "chainsteg/_kernel.pyx":204
- *                 fe_sqr(acc, acc)
- *             if (PM2_LIMB[limb] >> bit) & 1:
- *                 if started:             # <<<<<<<<<<<<<<
- *                     fe_mul(acc, acc, a)
- *                 else:
-*/
-          goto __pyx_L9;
-        }
-
-        /* "chainsteg/_kernel.pyx":207
- *                     fe_mul(acc, acc, a)
- *                 else:
- *                     fe_set(acc, a)             # <<<<<<<<<<<<<<
- *                     started = 1
- *     fe_set(r, acc)
-*/
-        /*else*/ {
-          __pyx_f_9chainsteg_7_kernel_fe_set(__pyx_v_acc, __pyx_v_a); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 207, __pyx_L1_error)
-
-          /* "chainsteg/_kernel.pyx":208
- *                 else:
- *                     fe_set(acc, a)
- *                     started = 1             # <<<<<<<<<<<<<<
- *     fe_set(r, acc)
- * 
-*/
-          __pyx_v_started = 1;
-        }
-        __pyx_L9:;
-
-        /* "chainsteg/_kernel.pyx":203
- *             if started:
- *                 fe_sqr(acc, acc)
- *             if (PM2_LIMB[limb] >> bit) & 1:             # <<<<<<<<<<<<<<
- *                 if started:
- *                     fe_mul(acc, acc, a)
-*/
-      }
-    }
-  }
-
-  /* "chainsteg/_kernel.pyx":209
- *                     fe_set(acc, a)
- *                     started = 1
- *     fe_set(r, acc)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_set(__pyx_v_r, __pyx_v_acc); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 209, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":193
- * 
- * 
- * cdef void fe_inv(u64* r, const u64* a) nogil:             # <<<<<<<<<<<<<<
- *     # Fermat: a^(p-2); plain MSB-first square-and-multiply
- *     cdef u64[4] acc
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("chainsteg._kernel.fe_inv", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-}
-
-/* "chainsteg/_kernel.pyx":221
- * 
- * 
- * cdef inline void jpt_set_infinity(JPt* p) nogil:             # <<<<<<<<<<<<<<
- *     memset(p, 0, sizeof(JPt))
- *     p.X[0] = 1
-*/
-
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_jpt_set_infinity(struct __pyx_t_9chainsteg_7_kernel_JPt *__pyx_v_p) {
-
-  /* "chainsteg/_kernel.pyx":222
- * 
- * cdef inline void jpt_set_infinity(JPt* p) nogil:
- *     memset(p, 0, sizeof(JPt))             # <<<<<<<<<<<<<<
- *     p.X[0] = 1
- *     p.Y[0] = 1
-*/
-  (void)(memset(__pyx_v_p, 0, (sizeof(struct __pyx_t_9chainsteg_7_kernel_JPt))));
-
-  /* "chainsteg/_kernel.pyx":223
- * cdef inline void jpt_set_infinity(JPt* p) nogil:
- *     memset(p, 0, sizeof(JPt))
- *     p.X[0] = 1             # <<<<<<<<<<<<<<
- *     p.Y[0] = 1
- * 
-*/
-  (__pyx_v_p->X[0]) = 1;
-
-  /* "chainsteg/_kernel.pyx":224
- *     memset(p, 0, sizeof(JPt))
- *     p.X[0] = 1
- *     p.Y[0] = 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  (__pyx_v_p->Y[0]) = 1;
-
-  /* "chainsteg/_kernel.pyx":221
- * 
- * 
- * cdef inline void jpt_set_infinity(JPt* p) nogil:             # <<<<<<<<<<<<<<
- *     memset(p, 0, sizeof(JPt))
- *     p.X[0] = 1
-*/
-
-  /* function exit code */
-}
-
-/* "chainsteg/_kernel.pyx":227
- * 
- * 
- * cdef inline bint jpt_is_infinity(const JPt* p) nogil:             # <<<<<<<<<<<<<<
- *     return fe_is_zero(p.Z)
- * 
-*/
-
-static CYTHON_INLINE int __pyx_f_9chainsteg_7_kernel_jpt_is_infinity(struct __pyx_t_9chainsteg_7_kernel_JPt const *__pyx_v_p) {
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "chainsteg/_kernel.pyx":228
- * 
- * cdef inline bint jpt_is_infinity(const JPt* p) nogil:
- *     return fe_is_zero(p.Z)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = __pyx_f_9chainsteg_7_kernel_fe_is_zero(__pyx_v_p->Z); if (unlikely(__pyx_t_1 == ((int)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 228, __pyx_L1_error)
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":227
- * 
- * 
- * cdef inline bint jpt_is_infinity(const JPt* p) nogil:             # <<<<<<<<<<<<<<
- *     return fe_is_zero(p.Z)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("chainsteg._kernel.jpt_is_infinity", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":231
- * 
- * 
- * cdef void jpt_double(JPt* r, const JPt* p) nogil:             # <<<<<<<<<<<<<<
- *     # safe when r aliases p: p.Y/p.Z are consumed before r.Y/r.Z are written
- *     cdef u64[4] a, b, c, d, e, f, t, z3
-*/
-
-static void __pyx_f_9chainsteg_7_kernel_jpt_double(struct __pyx_t_9chainsteg_7_kernel_JPt *__pyx_v_r, struct __pyx_t_9chainsteg_7_kernel_JPt const *__pyx_v_p) {
-  u64 __pyx_v_a[4];
-  u64 __pyx_v_b[4];
-  u64 __pyx_v_c[4];
-  u64 __pyx_v_d[4];
-  u64 __pyx_v_e[4];
-  u64 __pyx_v_f[4];
-  u64 __pyx_v_t[4];
-  u64 __pyx_v_z3[4];
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "chainsteg/_kernel.pyx":234
- *     # safe when r aliases p: p.Y/p.Z are consumed before r.Y/r.Z are written
- *     cdef u64[4] a, b, c, d, e, f, t, z3
- *     if jpt_is_infinity(p) or fe_is_zero(p.Y):             # <<<<<<<<<<<<<<
- *         jpt_set_infinity(r)
- *         return
-*/
-  __pyx_t_2 = __pyx_f_9chainsteg_7_kernel_jpt_is_infinity(__pyx_v_p); if (unlikely(__pyx_t_2 == ((int)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 234, __pyx_L1_error)
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = __pyx_f_9chainsteg_7_kernel_fe_is_zero(__pyx_v_p->Y); if (unlikely(__pyx_t_2 == ((int)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 234, __pyx_L1_error)
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "chainsteg/_kernel.pyx":235
- *     cdef u64[4] a, b, c, d, e, f, t, z3
- *     if jpt_is_infinity(p) or fe_is_zero(p.Y):
- *         jpt_set_infinity(r)             # <<<<<<<<<<<<<<
- *         return
- *     fe_mul(z3, p.Y, p.Z)
-*/
-    __pyx_f_9chainsteg_7_kernel_jpt_set_infinity(__pyx_v_r); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 235, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":236
- *     if jpt_is_infinity(p) or fe_is_zero(p.Y):
- *         jpt_set_infinity(r)
- *         return             # <<<<<<<<<<<<<<
- *     fe_mul(z3, p.Y, p.Z)
- *     fe_add(z3, z3, z3)
-*/
-    goto __pyx_L0;
-
-    /* "chainsteg/_kernel.pyx":234
- *     # safe when r aliases p: p.Y/p.Z are consumed before r.Y/r.Z are written
- *     cdef u64[4] a, b, c, d, e, f, t, z3
- *     if jpt_is_infinity(p) or fe_is_zero(p.Y):             # <<<<<<<<<<<<<<
- *         jpt_set_infinity(r)
- *         return
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":237
- *         jpt_set_infinity(r)
- *         return
- *     fe_mul(z3, p.Y, p.Z)             # <<<<<<<<<<<<<<
- *     fe_add(z3, z3, z3)
- *     fe_sqr(a, p.X)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_z3, __pyx_v_p->Y, __pyx_v_p->Z); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 237, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":238
- *         return
- *     fe_mul(z3, p.Y, p.Z)
- *     fe_add(z3, z3, z3)             # <<<<<<<<<<<<<<
- *     fe_sqr(a, p.X)
- *     fe_sqr(b, p.Y)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_add(__pyx_v_z3, __pyx_v_z3, __pyx_v_z3); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 238, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":239
- *     fe_mul(z3, p.Y, p.Z)
- *     fe_add(z3, z3, z3)
- *     fe_sqr(a, p.X)             # <<<<<<<<<<<<<<
- *     fe_sqr(b, p.Y)
- *     fe_sqr(c, b)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sqr(__pyx_v_a, __pyx_v_p->X); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 239, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":240
- *     fe_add(z3, z3, z3)
- *     fe_sqr(a, p.X)
- *     fe_sqr(b, p.Y)             # <<<<<<<<<<<<<<
- *     fe_sqr(c, b)
- *     fe_add(t, p.X, b)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sqr(__pyx_v_b, __pyx_v_p->Y); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 240, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":241
- *     fe_sqr(a, p.X)
- *     fe_sqr(b, p.Y)
- *     fe_sqr(c, b)             # <<<<<<<<<<<<<<
- *     fe_add(t, p.X, b)
- *     fe_sqr(t, t)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sqr(__pyx_v_c, __pyx_v_b); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 241, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":242
- *     fe_sqr(b, p.Y)
- *     fe_sqr(c, b)
- *     fe_add(t, p.X, b)             # <<<<<<<<<<<<<<
- *     fe_sqr(t, t)
- *     fe_sub(t, t, a)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_add(__pyx_v_t, __pyx_v_p->X, __pyx_v_b); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 242, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":243
- *     fe_sqr(c, b)
- *     fe_add(t, p.X, b)
- *     fe_sqr(t, t)             # <<<<<<<<<<<<<<
- *     fe_sub(t, t, a)
- *     fe_sub(t, t, c)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sqr(__pyx_v_t, __pyx_v_t); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 243, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":244
- *     fe_add(t, p.X, b)
- *     fe_sqr(t, t)
- *     fe_sub(t, t, a)             # <<<<<<<<<<<<<<
- *     fe_sub(t, t, c)
- *     fe_add(d, t, t)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sub(__pyx_v_t, __pyx_v_t, __pyx_v_a); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 244, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":245
- *     fe_sqr(t, t)
- *     fe_sub(t, t, a)
- *     fe_sub(t, t, c)             # <<<<<<<<<<<<<<
- *     fe_add(d, t, t)
- *     fe_add(e, a, a)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sub(__pyx_v_t, __pyx_v_t, __pyx_v_c); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 245, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":246
- *     fe_sub(t, t, a)
- *     fe_sub(t, t, c)
- *     fe_add(d, t, t)             # <<<<<<<<<<<<<<
- *     fe_add(e, a, a)
- *     fe_add(e, e, a)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_add(__pyx_v_d, __pyx_v_t, __pyx_v_t); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 246, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":247
- *     fe_sub(t, t, c)
- *     fe_add(d, t, t)
- *     fe_add(e, a, a)             # <<<<<<<<<<<<<<
- *     fe_add(e, e, a)
- *     fe_sqr(f, e)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_add(__pyx_v_e, __pyx_v_a, __pyx_v_a); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 247, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":248
- *     fe_add(d, t, t)
- *     fe_add(e, a, a)
- *     fe_add(e, e, a)             # <<<<<<<<<<<<<<
- *     fe_sqr(f, e)
- *     # X3 = F - 2D
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_add(__pyx_v_e, __pyx_v_e, __pyx_v_a); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 248, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":249
- *     fe_add(e, a, a)
- *     fe_add(e, e, a)
- *     fe_sqr(f, e)             # <<<<<<<<<<<<<<
- *     # X3 = F - 2D
- *     fe_sub(t, f, d)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sqr(__pyx_v_f, __pyx_v_e); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 249, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":251
- *     fe_sqr(f, e)
- *     # X3 = F - 2D
- *     fe_sub(t, f, d)             # <<<<<<<<<<<<<<
- *     fe_sub(r.X, t, d)
- *     # Y3 = E(D - X3) - 8C
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sub(__pyx_v_t, __pyx_v_f, __pyx_v_d); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 251, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":252
- *     # X3 = F - 2D
- *     fe_sub(t, f, d)
- *     fe_sub(r.X, t, d)             # <<<<<<<<<<<<<<
- *     # Y3 = E(D - X3) - 8C
- *     fe_sub(t, d, r.X)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sub(__pyx_v_r->X, __pyx_v_t, __pyx_v_d); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 252, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":254
- *     fe_sub(r.X, t, d)
- *     # Y3 = E(D - X3) - 8C
- *     fe_sub(t, d, r.X)             # <<<<<<<<<<<<<<
- *     fe_mul(t, e, t)
- *     fe_add(c, c, c)  # 2C
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sub(__pyx_v_t, __pyx_v_d, __pyx_v_r->X); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 254, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":255
- *     # Y3 = E(D - X3) - 8C
- *     fe_sub(t, d, r.X)
- *     fe_mul(t, e, t)             # <<<<<<<<<<<<<<
- *     fe_add(c, c, c)  # 2C
- *     fe_add(c, c, c)  # 4C
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_t, __pyx_v_e, __pyx_v_t); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 255, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":256
- *     fe_sub(t, d, r.X)
- *     fe_mul(t, e, t)
- *     fe_add(c, c, c)  # 2C             # <<<<<<<<<<<<<<
- *     fe_add(c, c, c)  # 4C
- *     fe_add(c, c, c)  # 8C
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_add(__pyx_v_c, __pyx_v_c, __pyx_v_c); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 256, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":257
- *     fe_mul(t, e, t)
- *     fe_add(c, c, c)  # 2C
- *     fe_add(c, c, c)  # 4C             # <<<<<<<<<<<<<<
- *     fe_add(c, c, c)  # 8C
- *     fe_sub(r.Y, t, c)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_add(__pyx_v_c, __pyx_v_c, __pyx_v_c); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 257, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":258
- *     fe_add(c, c, c)  # 2C
- *     fe_add(c, c, c)  # 4C
- *     fe_add(c, c, c)  # 8C             # <<<<<<<<<<<<<<
- *     fe_sub(r.Y, t, c)
- *     fe_set(r.Z, z3)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_add(__pyx_v_c, __pyx_v_c, __pyx_v_c); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 258, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":259
- *     fe_add(c, c, c)  # 4C
- *     fe_add(c, c, c)  # 8C
- *     fe_sub(r.Y, t, c)             # <<<<<<<<<<<<<<
- *     fe_set(r.Z, z3)
- * 
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sub(__pyx_v_r->Y, __pyx_v_t, __pyx_v_c); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 259, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":260
- *     fe_add(c, c, c)  # 8C
- *     fe_sub(r.Y, t, c)
- *     fe_set(r.Z, z3)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_set(__pyx_v_r->Z, __pyx_v_z3); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 260, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":231
- * 
- * 
- * cdef void jpt_double(JPt* r, const JPt* p) nogil:             # <<<<<<<<<<<<<<
- *     # safe when r aliases p: p.Y/p.Z are consumed before r.Y/r.Z are written
- *     cdef u64[4] a, b, c, d, e, f, t, z3
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("chainsteg._kernel.jpt_double", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-}
-
-/* "chainsteg/_kernel.pyx":263
- * 
- * 
- * cdef void jpt_add_affine(JPt* r, const JPt* p, const u64* qx, const u64* qy) nogil:             # <<<<<<<<<<<<<<
- *     cdef u64[4] z1z1, u2, s2, h, rr, h2, h3, v, t
- *     if jpt_is_infinity(p):
-*/
-
-static void __pyx_f_9chainsteg_7_kernel_jpt_add_affine(struct __pyx_t_9chainsteg_7_kernel_JPt *__pyx_v_r, struct __pyx_t_9chainsteg_7_kernel_JPt const *__pyx_v_p, u64 const *__pyx_v_qx, u64 const *__pyx_v_qy) {
-  u64 __pyx_v_z1z1[4];
-  u64 __pyx_v_u2[4];
-  u64 __pyx_v_s2[4];
-  u64 __pyx_v_h[4];
-  u64 __pyx_v_rr[4];
-  u64 __pyx_v_h2[4];
-  u64 __pyx_v_h3[4];
-  u64 __pyx_v_v[4];
-  u64 __pyx_v_t[4];
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "chainsteg/_kernel.pyx":265
- * cdef void jpt_add_affine(JPt* r, const JPt* p, const u64* qx, const u64* qy) nogil:
- *     cdef u64[4] z1z1, u2, s2, h, rr, h2, h3, v, t
- *     if jpt_is_infinity(p):             # <<<<<<<<<<<<<<
- *         fe_set(r.X, qx)
- *         fe_set(r.Y, qy)
-*/
-  __pyx_t_1 = __pyx_f_9chainsteg_7_kernel_jpt_is_infinity(__pyx_v_p); if (unlikely(__pyx_t_1 == ((int)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 265, __pyx_L1_error)
-  if (__pyx_t_1) {
-
-    /* "chainsteg/_kernel.pyx":266
- *     cdef u64[4] z1z1, u2, s2, h, rr, h2, h3, v, t
- *     if jpt_is_infinity(p):
- *         fe_set(r.X, qx)             # <<<<<<<<<<<<<<
- *         fe_set(r.Y, qy)
- *         memset(r.Z, 0, 32)
-*/
-    __pyx_f_9chainsteg_7_kernel_fe_set(__pyx_v_r->X, __pyx_v_qx); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 266, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":267
- *     if jpt_is_infinity(p):
- *         fe_set(r.X, qx)
- *         fe_set(r.Y, qy)             # <<<<<<<<<<<<<<
- *         memset(r.Z, 0, 32)
- *         r.Z[0] = 1
-*/
-    __pyx_f_9chainsteg_7_kernel_fe_set(__pyx_v_r->Y, __pyx_v_qy); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 267, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":268
- *         fe_set(r.X, qx)
- *         fe_set(r.Y, qy)
- *         memset(r.Z, 0, 32)             # <<<<<<<<<<<<<<
- *         r.Z[0] = 1
- *         return
-*/
-    (void)(memset(__pyx_v_r->Z, 0, 32));
-
-    /* "chainsteg/_kernel.pyx":269
- *         fe_set(r.Y, qy)
- *         memset(r.Z, 0, 32)
- *         r.Z[0] = 1             # <<<<<<<<<<<<<<
- *         return
- *     fe_sqr(z1z1, p.Z)
-*/
-    (__pyx_v_r->Z[0]) = 1;
-
-    /* "chainsteg/_kernel.pyx":270
- *         memset(r.Z, 0, 32)
- *         r.Z[0] = 1
- *         return             # <<<<<<<<<<<<<<
- *     fe_sqr(z1z1, p.Z)
- *     fe_mul(u2, qx, z1z1)
-*/
-    goto __pyx_L0;
-
-    /* "chainsteg/_kernel.pyx":265
- * cdef void jpt_add_affine(JPt* r, const JPt* p, const u64* qx, const u64* qy) nogil:
- *     cdef u64[4] z1z1, u2, s2, h, rr, h2, h3, v, t
- *     if jpt_is_infinity(p):             # <<<<<<<<<<<<<<
- *         fe_set(r.X, qx)
- *         fe_set(r.Y, qy)
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":271
- *         r.Z[0] = 1
- *         return
- *     fe_sqr(z1z1, p.Z)             # <<<<<<<<<<<<<<
- *     fe_mul(u2, qx, z1z1)
- *     fe_mul(s2, qy, p.Z)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sqr(__pyx_v_z1z1, __pyx_v_p->Z); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 271, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":272
- *         return
- *     fe_sqr(z1z1, p.Z)
- *     fe_mul(u2, qx, z1z1)             # <<<<<<<<<<<<<<
- *     fe_mul(s2, qy, p.Z)
- *     fe_mul(s2, s2, z1z1)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_u2, __pyx_v_qx, __pyx_v_z1z1); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 272, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":273
- *     fe_sqr(z1z1, p.Z)
- *     fe_mul(u2, qx, z1z1)
- *     fe_mul(s2, qy, p.Z)             # <<<<<<<<<<<<<<
- *     fe_mul(s2, s2, z1z1)
- *     fe_sub(h, u2, p.X)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_s2, __pyx_v_qy, __pyx_v_p->Z); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 273, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":274
- *     fe_mul(u2, qx, z1z1)
- *     fe_mul(s2, qy, p.Z)
- *     fe_mul(s2, s2, z1z1)             # <<<<<<<<<<<<<<
- *     fe_sub(h, u2, p.X)
- *     fe_sub(rr, s2, p.Y)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_s2, __pyx_v_s2, __pyx_v_z1z1); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 274, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":275
- *     fe_mul(s2, qy, p.Z)
- *     fe_mul(s2, s2, z1z1)
- *     fe_sub(h, u2, p.X)             # <<<<<<<<<<<<<<
- *     fe_sub(rr, s2, p.Y)
- *     if fe_is_zero(h):
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sub(__pyx_v_h, __pyx_v_u2, __pyx_v_p->X); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 275, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":276
- *     fe_mul(s2, s2, z1z1)
- *     fe_sub(h, u2, p.X)
- *     fe_sub(rr, s2, p.Y)             # <<<<<<<<<<<<<<
- *     if fe_is_zero(h):
- *         if fe_is_zero(rr):
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sub(__pyx_v_rr, __pyx_v_s2, __pyx_v_p->Y); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 276, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":277
- *     fe_sub(h, u2, p.X)
- *     fe_sub(rr, s2, p.Y)
- *     if fe_is_zero(h):             # <<<<<<<<<<<<<<
- *         if fe_is_zero(rr):
- *             jpt_double(r, p)
-*/
-  __pyx_t_1 = __pyx_f_9chainsteg_7_kernel_fe_is_zero(__pyx_v_h); if (unlikely(__pyx_t_1 == ((int)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 277, __pyx_L1_error)
-  if (__pyx_t_1) {
-
-    /* "chainsteg/_kernel.pyx":278
- *     fe_sub(rr, s2, p.Y)
- *     if fe_is_zero(h):
- *         if fe_is_zero(rr):             # <<<<<<<<<<<<<<
- *             jpt_double(r, p)
- *         else:
-*/
-    __pyx_t_1 = __pyx_f_9chainsteg_7_kernel_fe_is_zero(__pyx_v_rr); if (unlikely(__pyx_t_1 == ((int)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 278, __pyx_L1_error)
-    if (__pyx_t_1) {
-
-      /* "chainsteg/_kernel.pyx":279
- *     if fe_is_zero(h):
- *         if fe_is_zero(rr):
- *             jpt_double(r, p)             # <<<<<<<<<<<<<<
- *         else:
- *             jpt_set_infinity(r)
-*/
-      __pyx_f_9chainsteg_7_kernel_jpt_double(__pyx_v_r, __pyx_v_p); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 279, __pyx_L1_error)
-
-      /* "chainsteg/_kernel.pyx":278
- *     fe_sub(rr, s2, p.Y)
- *     if fe_is_zero(h):
- *         if fe_is_zero(rr):             # <<<<<<<<<<<<<<
- *             jpt_double(r, p)
- *         else:
-*/
-      goto __pyx_L5;
-    }
-
-    /* "chainsteg/_kernel.pyx":281
- *             jpt_double(r, p)
- *         else:
- *             jpt_set_infinity(r)             # <<<<<<<<<<<<<<
- *         return
- *     fe_sqr(h2, h)
-*/
-    /*else*/ {
-      __pyx_f_9chainsteg_7_kernel_jpt_set_infinity(__pyx_v_r); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 281, __pyx_L1_error)
-    }
-    __pyx_L5:;
-
-    /* "chainsteg/_kernel.pyx":282
- *         else:
- *             jpt_set_infinity(r)
- *         return             # <<<<<<<<<<<<<<
- *     fe_sqr(h2, h)
- *     fe_mul(h3, h, h2)
-*/
-    goto __pyx_L0;
-
-    /* "chainsteg/_kernel.pyx":277
- *     fe_sub(h, u2, p.X)
- *     fe_sub(rr, s2, p.Y)
- *     if fe_is_zero(h):             # <<<<<<<<<<<<<<
- *         if fe_is_zero(rr):
- *             jpt_double(r, p)
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":283
- *             jpt_set_infinity(r)
- *         return
- *     fe_sqr(h2, h)             # <<<<<<<<<<<<<<
- *     fe_mul(h3, h, h2)
- *     fe_mul(v, p.X, h2)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sqr(__pyx_v_h2, __pyx_v_h); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 283, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":284
- *         return
- *     fe_sqr(h2, h)
- *     fe_mul(h3, h, h2)             # <<<<<<<<<<<<<<
- *     fe_mul(v, p.X, h2)
- *     # X3 = r^2 - h^3 - 2v
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_h3, __pyx_v_h, __pyx_v_h2); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 284, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":285
- *     fe_sqr(h2, h)
- *     fe_mul(h3, h, h2)
- *     fe_mul(v, p.X, h2)             # <<<<<<<<<<<<<<
- *     # X3 = r^2 - h^3 - 2v
- *     fe_sqr(t, rr)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_v, __pyx_v_p->X, __pyx_v_h2); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 285, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":287
- *     fe_mul(v, p.X, h2)
- *     # X3 = r^2 - h^3 - 2v
- *     fe_sqr(t, rr)             # <<<<<<<<<<<<<<
- *     fe_sub(t, t, h3)
- *     fe_sub(t, t, v)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sqr(__pyx_v_t, __pyx_v_rr); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 287, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":288
- *     # X3 = r^2 - h^3 - 2v
- *     fe_sqr(t, rr)
- *     fe_sub(t, t, h3)             # <<<<<<<<<<<<<<
- *     fe_sub(t, t, v)
- *     fe_sub(r.X, t, v)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sub(__pyx_v_t, __pyx_v_t, __pyx_v_h3); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 288, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":289
- *     fe_sqr(t, rr)
- *     fe_sub(t, t, h3)
- *     fe_sub(t, t, v)             # <<<<<<<<<<<<<<
- *     fe_sub(r.X, t, v)
- *     # Y3 = r(v - X3) - Y1 h^3
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sub(__pyx_v_t, __pyx_v_t, __pyx_v_v); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 289, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":290
- *     fe_sub(t, t, h3)
- *     fe_sub(t, t, v)
- *     fe_sub(r.X, t, v)             # <<<<<<<<<<<<<<
- *     # Y3 = r(v - X3) - Y1 h^3
- *     fe_sub(t, v, r.X)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sub(__pyx_v_r->X, __pyx_v_t, __pyx_v_v); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 290, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":292
- *     fe_sub(r.X, t, v)
- *     # Y3 = r(v - X3) - Y1 h^3
- *     fe_sub(t, v, r.X)             # <<<<<<<<<<<<<<
- *     fe_mul(t, rr, t)
- *     fe_mul(h3, p.Y, h3)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sub(__pyx_v_t, __pyx_v_v, __pyx_v_r->X); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 292, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":293
- *     # Y3 = r(v - X3) - Y1 h^3
- *     fe_sub(t, v, r.X)
- *     fe_mul(t, rr, t)             # <<<<<<<<<<<<<<
- *     fe_mul(h3, p.Y, h3)
- *     fe_sub(r.Y, t, h3)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_t, __pyx_v_rr, __pyx_v_t); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 293, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":294
- *     fe_sub(t, v, r.X)
- *     fe_mul(t, rr, t)
- *     fe_mul(h3, p.Y, h3)             # <<<<<<<<<<<<<<
- *     fe_sub(r.Y, t, h3)
- *     # Z3 = Z1 h
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_h3, __pyx_v_p->Y, __pyx_v_h3); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 294, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":295
- *     fe_mul(t, rr, t)
- *     fe_mul(h3, p.Y, h3)
- *     fe_sub(r.Y, t, h3)             # <<<<<<<<<<<<<<
- *     # Z3 = Z1 h
- *     fe_mul(r.Z, p.Z, h)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sub(__pyx_v_r->Y, __pyx_v_t, __pyx_v_h3); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 295, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":297
- *     fe_sub(r.Y, t, h3)
- *     # Z3 = Z1 h
- *     fe_mul(r.Z, p.Z, h)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_r->Z, __pyx_v_p->Z, __pyx_v_h); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 297, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":263
- * 
- * 
- * cdef void jpt_add_affine(JPt* r, const JPt* p, const u64* qx, const u64* qy) nogil:             # <<<<<<<<<<<<<<
- *     cdef u64[4] z1z1, u2, s2, h, rr, h2, h3, v, t
- *     if jpt_is_infinity(p):
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("chainsteg._kernel.jpt_add_affine", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-}
-
-/* "chainsteg/_kernel.pyx":311
- * 
- * 
- * cdef void _mult_gen(JPt* r, const u64* scalar) nogil:             # <<<<<<<<<<<<<<
- *     """scalar (little-endian limbs, < q) times the generator."""
- *     cdef int w, bit_lo, limb, shift
-*/
-
-static void __pyx_f_9chainsteg_7_kernel__mult_gen(struct __pyx_t_9chainsteg_7_kernel_JPt *__pyx_v_r, u64 const *__pyx_v_scalar) {
-  int __pyx_v_w;
-  int __pyx_v_bit_lo;
-  int __pyx_v_limb;
-  int __pyx_v_shift;
-  u64 __pyx_v_window;
-  u64 *__pyx_v_ex;
-  u64 *__pyx_v_ey;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "chainsteg/_kernel.pyx":317
- *     cdef u64* ex
- *     cdef u64* ey
- *     jpt_set_infinity(r)             # <<<<<<<<<<<<<<
- *     for w in range(N_WINDOWS):
- *         bit_lo = w * WINDOW
-*/
-  __pyx_f_9chainsteg_7_kernel_jpt_set_infinity(__pyx_v_r); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 317, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":318
- *     cdef u64* ey
- *     jpt_set_infinity(r)
- *     for w in range(N_WINDOWS):             # <<<<<<<<<<<<<<
- *         bit_lo = w * WINDOW
- *         limb = bit_lo >> 6
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 22; __pyx_t_1+=1) {
-    __pyx_v_w = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":319
- *     jpt_set_infinity(r)
- *     for w in range(N_WINDOWS):
- *         bit_lo = w * WINDOW             # <<<<<<<<<<<<<<
- *         limb = bit_lo >> 6
- *         shift = bit_lo & 63
-*/
-    __pyx_v_bit_lo = (__pyx_v_w * 12);
-
-    /* "chainsteg/_kernel.pyx":320
- *     for w in range(N_WINDOWS):
- *         bit_lo = w * WINDOW
- *         limb = bit_lo >> 6             # <<<<<<<<<<<<<<
- *         shift = bit_lo & 63
- *         window = scalar[limb] >> shift
-*/
-    __pyx_v_limb = (__pyx_v_bit_lo >> 6);
-
-    /* "chainsteg/_kernel.pyx":321
- *         bit_lo = w * WINDOW
- *         limb = bit_lo >> 6
- *         shift = bit_lo & 63             # <<<<<<<<<<<<<<
- *         window = scalar[limb] >> shift
- *         if shift > 64 - WINDOW and limb < 3:
-*/
-    __pyx_v_shift = (__pyx_v_bit_lo & 63);
-
-    /* "chainsteg/_kernel.pyx":322
- *         limb = bit_lo >> 6
- *         shift = bit_lo & 63
- *         window = scalar[limb] >> shift             # <<<<<<<<<<<<<<
- *         if shift > 64 - WINDOW and limb < 3:
- *             window |= scalar[limb + 1] << (64 - shift)
-*/
-    __pyx_v_window = ((__pyx_v_scalar[__pyx_v_limb]) >> __pyx_v_shift);
-
-    /* "chainsteg/_kernel.pyx":323
- *         shift = bit_lo & 63
- *         window = scalar[limb] >> shift
- *         if shift > 64 - WINDOW and limb < 3:             # <<<<<<<<<<<<<<
- *             window |= scalar[limb + 1] << (64 - shift)
- *         window &= (1 << WINDOW) - 1
-*/
-    __pyx_t_3 = (__pyx_v_shift > 0x34);
-    if (__pyx_t_3) {
-    } else {
-      __pyx_t_2 = __pyx_t_3;
-      goto __pyx_L6_bool_binop_done;
-    }
-    __pyx_t_3 = (__pyx_v_limb < 3);
-    __pyx_t_2 = __pyx_t_3;
-    __pyx_L6_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "chainsteg/_kernel.pyx":324
- *         window = scalar[limb] >> shift
- *         if shift > 64 - WINDOW and limb < 3:
- *             window |= scalar[limb + 1] << (64 - shift)             # <<<<<<<<<<<<<<
- *         window &= (1 << WINDOW) - 1
- *         if window:
-*/
-      __pyx_v_window = (__pyx_v_window | ((__pyx_v_scalar[(__pyx_v_limb + 1)]) << (64 - __pyx_v_shift)));
-
-      /* "chainsteg/_kernel.pyx":323
- *         shift = bit_lo & 63
- *         window = scalar[limb] >> shift
- *         if shift > 64 - WINDOW and limb < 3:             # <<<<<<<<<<<<<<
- *             window |= scalar[limb + 1] << (64 - shift)
- *         window &= (1 << WINDOW) - 1
-*/
-    }
-
-    /* "chainsteg/_kernel.pyx":325
- *         if shift > 64 - WINDOW and limb < 3:
- *             window |= scalar[limb + 1] << (64 - shift)
- *         window &= (1 << WINDOW) - 1             # <<<<<<<<<<<<<<
- *         if window:
- *             ex = TBL_X + ((w * ENTRIES + (window - 1)) << 2)
-*/
-    __pyx_v_window = (__pyx_v_window & 0xfff);
-
-    /* "chainsteg/_kernel.pyx":326
- *             window |= scalar[limb + 1] << (64 - shift)
- *         window &= (1 << WINDOW) - 1
- *         if window:             # <<<<<<<<<<<<<<
- *             ex = TBL_X + ((w * ENTRIES + (window - 1)) << 2)
- *             ey = TBL_Y + ((w * ENTRIES + (window - 1)) << 2)
-*/
-    __pyx_t_2 = (__pyx_v_window != 0);
-    if (__pyx_t_2) {
-
-      /* "chainsteg/_kernel.pyx":327
- *         window &= (1 << WINDOW) - 1
- *         if window:
- *             ex = TBL_X + ((w * ENTRIES + (window - 1)) << 2)             # <<<<<<<<<<<<<<
- *             ey = TBL_Y + ((w * ENTRIES + (window - 1)) << 2)
- *             jpt_add_affine(r, r, ex, ey)
-*/
-      __pyx_v_ex = (__pyx_v_9chainsteg_7_kernel_TBL_X + (((__pyx_v_w * 0xFFF) + (__pyx_v_window - 1)) << 2));
-
-      /* "chainsteg/_kernel.pyx":328
- *         if window:
- *             ex = TBL_X + ((w * ENTRIES + (window - 1)) << 2)
- *             ey = TBL_Y + ((w * ENTRIES + (window - 1)) << 2)             # <<<<<<<<<<<<<<
- *             jpt_add_affine(r, r, ex, ey)
- * 
-*/
-      __pyx_v_ey = (__pyx_v_9chainsteg_7_kernel_TBL_Y + (((__pyx_v_w * 0xFFF) + (__pyx_v_window - 1)) << 2));
-
-      /* "chainsteg/_kernel.pyx":329
- *             ex = TBL_X + ((w * ENTRIES + (window - 1)) << 2)
- *             ey = TBL_Y + ((w * ENTRIES + (window - 1)) << 2)
- *             jpt_add_affine(r, r, ex, ey)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      __pyx_f_9chainsteg_7_kernel_jpt_add_affine(__pyx_v_r, __pyx_v_r, __pyx_v_ex, __pyx_v_ey); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 329, __pyx_L1_error)
-
-      /* "chainsteg/_kernel.pyx":326
- *             window |= scalar[limb + 1] << (64 - shift)
- *         window &= (1 << WINDOW) - 1
- *         if window:             # <<<<<<<<<<<<<<
- *             ex = TBL_X + ((w * ENTRIES + (window - 1)) << 2)
- *             ey = TBL_Y + ((w * ENTRIES + (window - 1)) << 2)
-*/
-    }
-  }
-
-  /* "chainsteg/_kernel.pyx":311
- * 
- * 
- * cdef void _mult_gen(JPt* r, const u64* scalar) nogil:             # <<<<<<<<<<<<<<
- *     """scalar (little-endian limbs, < q) times the generator."""
- *     cdef int w, bit_lo, limb, shift
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("chainsteg._kernel._mult_gen", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-}
-
-/* "chainsteg/_kernel.pyx":339
- * 
- * 
- * cdef inline u32 _rotr(u32 x, int n) nogil:             # <<<<<<<<<<<<<<
- *     return (x >> n) | (x << (32 - n))
- * 
-*/
-
-static CYTHON_INLINE u32 __pyx_f_9chainsteg_7_kernel__rotr(u32 __pyx_v_x, int __pyx_v_n) {
-  u32 __pyx_r;
-
-  /* "chainsteg/_kernel.pyx":340
- * 
- * cdef inline u32 _rotr(u32 x, int n) nogil:
- *     return (x >> n) | (x << (32 - n))             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((__pyx_v_x >> __pyx_v_n) | (__pyx_v_x << (32 - __pyx_v_n)));
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":339
- * 
- * 
- * cdef inline u32 _rotr(u32 x, int n) nogil:             # <<<<<<<<<<<<<<
- *     return (x >> n) | (x << (32 - n))
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":343
- * 
- * 
- * cdef void sha256_block(const u8* msg, int length, u8* out) nogil:             # <<<<<<<<<<<<<<
- *     """SHA-256 of a message short enough for one padded block."""
- *     cdef u8[64] block
-*/
-
-static void __pyx_f_9chainsteg_7_kernel_sha256_block(u8 const *__pyx_v_msg, int __pyx_v_length, u8 *__pyx_v_out) {
-  u8 __pyx_v_block[64];
-  u32 __pyx_v_w[64];
-  u32 __pyx_v_a;
-  u32 __pyx_v_b;
-  u32 __pyx_v_c;
-  u32 __pyx_v_d;
-  u32 __pyx_v_e;
-  u32 __pyx_v_f;
-  u32 __pyx_v_g;
-  u32 __pyx_v_h;
-  u32 __pyx_v_s0;
-  u32 __pyx_v_s1;
-  u32 __pyx_v_ch;
-  u32 __pyx_v_maj;
-  u32 __pyx_v_t1;
-  u32 __pyx_v_t2;
-  int __pyx_v_i;
-  u64 __pyx_v_bits;
-  u32 __pyx_v_hh[8];
-  int __pyx_t_1;
-  u32 __pyx_t_2;
-  u32 __pyx_t_3;
-  u32 __pyx_t_4;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "chainsteg/_kernel.pyx":349
- *     cdef u32 a, b, c, d, e, f, g, h, s0, s1, ch, maj, t1, t2
- *     cdef int i
- *     memset(block, 0, 64)             # <<<<<<<<<<<<<<
- *     memcpy(block, msg, length)
- *     block[length] = 0x80
-*/
-  (void)(memset(__pyx_v_block, 0, 64));
-
-  /* "chainsteg/_kernel.pyx":350
- *     cdef int i
- *     memset(block, 0, 64)
- *     memcpy(block, msg, length)             # <<<<<<<<<<<<<<
- *     block[length] = 0x80
- *     cdef u64 bits = <u64>length * 8
-*/
-  (void)(memcpy(__pyx_v_block, __pyx_v_msg, __pyx_v_length));
-
-  /* "chainsteg/_kernel.pyx":351
- *     memset(block, 0, 64)
- *     memcpy(block, msg, length)
- *     block[length] = 0x80             # <<<<<<<<<<<<<<
- *     cdef u64 bits = <u64>length * 8
- *     for i in range(8):
-*/
-  (__pyx_v_block[__pyx_v_length]) = 0x80;
-
-  /* "chainsteg/_kernel.pyx":352
- *     memcpy(block, msg, length)
- *     block[length] = 0x80
- *     cdef u64 bits = <u64>length * 8             # <<<<<<<<<<<<<<
- *     for i in range(8):
- *         block[63 - i] = <u8>(bits >> (8 * i))
-*/
-  __pyx_v_bits = (((u64)__pyx_v_length) * 8);
-
-  /* "chainsteg/_kernel.pyx":353
- *     block[length] = 0x80
- *     cdef u64 bits = <u64>length * 8
- *     for i in range(8):             # <<<<<<<<<<<<<<
- *         block[63 - i] = <u8>(bits >> (8 * i))
- *     for i in range(16):
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 8; __pyx_t_1+=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":354
- *     cdef u64 bits = <u64>length * 8
- *     for i in range(8):
- *         block[63 - i] = <u8>(bits >> (8 * i))             # <<<<<<<<<<<<<<
- *     for i in range(16):
- *         w[i] = (<u32>block[4 * i] << 24) | (<u32>block[4 * i + 1] << 16) | \
-*/
-    (__pyx_v_block[(63 - __pyx_v_i)]) = ((u8)(__pyx_v_bits >> (8 * __pyx_v_i)));
-  }
-
-  /* "chainsteg/_kernel.pyx":355
- *     for i in range(8):
- *         block[63 - i] = <u8>(bits >> (8 * i))
- *     for i in range(16):             # <<<<<<<<<<<<<<
- *         w[i] = (<u32>block[4 * i] << 24) | (<u32>block[4 * i + 1] << 16) | \
- *                (<u32>block[4 * i + 2] << 8) | <u32>block[4 * i + 3]
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 16; __pyx_t_1+=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":356
- *         block[63 - i] = <u8>(bits >> (8 * i))
- *     for i in range(16):
- *         w[i] = (<u32>block[4 * i] << 24) | (<u32>block[4 * i + 1] << 16) | \             # <<<<<<<<<<<<<<
- *                (<u32>block[4 * i + 2] << 8) | <u32>block[4 * i + 3]
- *     for i in range(16, 64):
-*/
-    (__pyx_v_w[__pyx_v_i]) = ((((((u32)(__pyx_v_block[(4 * __pyx_v_i)])) << 24) | (((u32)(__pyx_v_block[((4 * __pyx_v_i) + 1)])) << 16)) | (((u32)(__pyx_v_block[((4 * __pyx_v_i) + 2)])) << 8)) | ((u32)(__pyx_v_block[((4 * __pyx_v_i) + 3)])));
-  }
-
-  /* "chainsteg/_kernel.pyx":358
- *         w[i] = (<u32>block[4 * i] << 24) | (<u32>block[4 * i + 1] << 16) | \
- *                (<u32>block[4 * i + 2] << 8) | <u32>block[4 * i + 3]
- *     for i in range(16, 64):             # <<<<<<<<<<<<<<
- *         s0 = _rotr(w[i - 15], 7) ^ _rotr(w[i - 15], 18) ^ (w[i - 15] >> 3)
- *         s1 = _rotr(w[i - 2], 17) ^ _rotr(w[i - 2], 19) ^ (w[i - 2] >> 10)
-*/
-  for (__pyx_t_1 = 16; __pyx_t_1 < 64; __pyx_t_1+=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":359
- *                (<u32>block[4 * i + 2] << 8) | <u32>block[4 * i + 3]
- *     for i in range(16, 64):
- *         s0 = _rotr(w[i - 15], 7) ^ _rotr(w[i - 15], 18) ^ (w[i - 15] >> 3)             # <<<<<<<<<<<<<<
- *         s1 = _rotr(w[i - 2], 17) ^ _rotr(w[i - 2], 19) ^ (w[i - 2] >> 10)
- *         w[i] = w[i - 16] + s0 + w[i - 7] + s1
-*/
-    __pyx_t_2 = __pyx_f_9chainsteg_7_kernel__rotr((__pyx_v_w[(__pyx_v_i - 15)]), 7); if (unlikely(__pyx_t_2 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 359, __pyx_L1_error)
-    __pyx_t_3 = __pyx_f_9chainsteg_7_kernel__rotr((__pyx_v_w[(__pyx_v_i - 15)]), 18); if (unlikely(__pyx_t_3 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 359, __pyx_L1_error)
-    __pyx_v_s0 = ((__pyx_t_2 ^ __pyx_t_3) ^ ((__pyx_v_w[(__pyx_v_i - 15)]) >> 3));
-
-    /* "chainsteg/_kernel.pyx":360
- *     for i in range(16, 64):
- *         s0 = _rotr(w[i - 15], 7) ^ _rotr(w[i - 15], 18) ^ (w[i - 15] >> 3)
- *         s1 = _rotr(w[i - 2], 17) ^ _rotr(w[i - 2], 19) ^ (w[i - 2] >> 10)             # <<<<<<<<<<<<<<
- *         w[i] = w[i - 16] + s0 + w[i - 7] + s1
- *     a = SHA_H0[0]; b = SHA_H0[1]; c = SHA_H0[2]; d = SHA_H0[3]
-*/
-    __pyx_t_3 = __pyx_f_9chainsteg_7_kernel__rotr((__pyx_v_w[(__pyx_v_i - 2)]), 17); if (unlikely(__pyx_t_3 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 360, __pyx_L1_error)
-    __pyx_t_2 = __pyx_f_9chainsteg_7_kernel__rotr((__pyx_v_w[(__pyx_v_i - 2)]), 19); if (unlikely(__pyx_t_2 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 360, __pyx_L1_error)
-    __pyx_v_s1 = ((__pyx_t_3 ^ __pyx_t_2) ^ ((__pyx_v_w[(__pyx_v_i - 2)]) >> 10));
-
-    /* "chainsteg/_kernel.pyx":361
- *         s0 = _rotr(w[i - 15], 7) ^ _rotr(w[i - 15], 18) ^ (w[i - 15] >> 3)
- *         s1 = _rotr(w[i - 2], 17) ^ _rotr(w[i - 2], 19) ^ (w[i - 2] >> 10)
- *         w[i] = w[i - 16] + s0 + w[i - 7] + s1             # <<<<<<<<<<<<<<
- *     a = SHA_H0[0]; b = SHA_H0[1]; c = SHA_H0[2]; d = SHA_H0[3]
- *     e = SHA_H0[4]; f = SHA_H0[5]; g = SHA_H0[6]; h = SHA_H0[7]
-*/
-    (__pyx_v_w[__pyx_v_i]) = ((((__pyx_v_w[(__pyx_v_i - 16)]) + __pyx_v_s0) + (__pyx_v_w[(__pyx_v_i - 7)])) + __pyx_v_s1);
-  }
-
-  /* "chainsteg/_kernel.pyx":362
- *         s1 = _rotr(w[i - 2], 17) ^ _rotr(w[i - 2], 19) ^ (w[i - 2] >> 10)
- *         w[i] = w[i - 16] + s0 + w[i - 7] + s1
- *     a = SHA_H0[0]; b = SHA_H0[1]; c = SHA_H0[2]; d = SHA_H0[3]             # <<<<<<<<<<<<<<
- *     e = SHA_H0[4]; f = SHA_H0[5]; g = SHA_H0[6]; h = SHA_H0[7]
- *     for i in range(64):
-*/
-  __pyx_v_a = (__pyx_v_9chainsteg_7_kernel_SHA_H0[0]);
-  __pyx_v_b = (__pyx_v_9chainsteg_7_kernel_SHA_H0[1]);
-  __pyx_v_c = (__pyx_v_9chainsteg_7_kernel_SHA_H0[2]);
-  __pyx_v_d = (__pyx_v_9chainsteg_7_kernel_SHA_H0[3]);
-
-  /* "chainsteg/_kernel.pyx":363
- *         w[i] = w[i - 16] + s0 + w[i - 7] + s1
- *     a = SHA_H0[0]; b = SHA_H0[1]; c = SHA_H0[2]; d = SHA_H0[3]
- *     e = SHA_H0[4]; f = SHA_H0[5]; g = SHA_H0[6]; h = SHA_H0[7]             # <<<<<<<<<<<<<<
- *     for i in range(64):
- *         s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
-*/
-  __pyx_v_e = (__pyx_v_9chainsteg_7_kernel_SHA_H0[4]);
-  __pyx_v_f = (__pyx_v_9chainsteg_7_kernel_SHA_H0[5]);
-  __pyx_v_g = (__pyx_v_9chainsteg_7_kernel_SHA_H0[6]);
-  __pyx_v_h = (__pyx_v_9chainsteg_7_kernel_SHA_H0[7]);
-
-  /* "chainsteg/_kernel.pyx":364
- *     a = SHA_H0[0]; b = SHA_H0[1]; c = SHA_H0[2]; d = SHA_H0[3]
- *     e = SHA_H0[4]; f = SHA_H0[5]; g = SHA_H0[6]; h = SHA_H0[7]
- *     for i in range(64):             # <<<<<<<<<<<<<<
- *         s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
- *         ch = (e & f) ^ ((~e) & g)
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 64; __pyx_t_1+=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":365
- *     e = SHA_H0[4]; f = SHA_H0[5]; g = SHA_H0[6]; h = SHA_H0[7]
- *     for i in range(64):
- *         s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)             # <<<<<<<<<<<<<<
- *         ch = (e & f) ^ ((~e) & g)
- *         t1 = h + s1 + ch + SHA_K[i] + w[i]
-*/
-    __pyx_t_2 = __pyx_f_9chainsteg_7_kernel__rotr(__pyx_v_e, 6); if (unlikely(__pyx_t_2 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 365, __pyx_L1_error)
-    __pyx_t_3 = __pyx_f_9chainsteg_7_kernel__rotr(__pyx_v_e, 11); if (unlikely(__pyx_t_3 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 365, __pyx_L1_error)
-    __pyx_t_4 = __pyx_f_9chainsteg_7_kernel__rotr(__pyx_v_e, 25); if (unlikely(__pyx_t_4 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 365, __pyx_L1_error)
-    __pyx_v_s1 = ((__pyx_t_2 ^ __pyx_t_3) ^ __pyx_t_4);
-
-    /* "chainsteg/_kernel.pyx":366
- *     for i in range(64):
- *         s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
- *         ch = (e & f) ^ ((~e) & g)             # <<<<<<<<<<<<<<
- *         t1 = h + s1 + ch + SHA_K[i] + w[i]
- *         s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
-*/
-    __pyx_v_ch = ((__pyx_v_e & __pyx_v_f) ^ ((~__pyx_v_e) & __pyx_v_g));
-
-    /* "chainsteg/_kernel.pyx":367
- *         s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
- *         ch = (e & f) ^ ((~e) & g)
- *         t1 = h + s1 + ch + SHA_K[i] + w[i]             # <<<<<<<<<<<<<<
- *         s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
- *         maj = (a & b) ^ (a & c) ^ (b & c)
-*/
-    __pyx_v_t1 = ((((__pyx_v_h + __pyx_v_s1) + __pyx_v_ch) + (__pyx_v_9chainsteg_7_kernel_SHA_K[__pyx_v_i])) + (__pyx_v_w[__pyx_v_i]));
-
-    /* "chainsteg/_kernel.pyx":368
- *         ch = (e & f) ^ ((~e) & g)
- *         t1 = h + s1 + ch + SHA_K[i] + w[i]
- *         s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)             # <<<<<<<<<<<<<<
- *         maj = (a & b) ^ (a & c) ^ (b & c)
- *         t2 = s0 + maj
-*/
-    __pyx_t_4 = __pyx_f_9chainsteg_7_kernel__rotr(__pyx_v_a, 2); if (unlikely(__pyx_t_4 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 368, __pyx_L1_error)
-    __pyx_t_3 = __pyx_f_9chainsteg_7_kernel__rotr(__pyx_v_a, 13); if (unlikely(__pyx_t_3 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 368, __pyx_L1_error)
-    __pyx_t_2 = __pyx_f_9chainsteg_7_kernel__rotr(__pyx_v_a, 22); if (unlikely(__pyx_t_2 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 368, __pyx_L1_error)
-    __pyx_v_s0 = ((__pyx_t_4 ^ __pyx_t_3) ^ __pyx_t_2);
-
-    /* "chainsteg/_kernel.pyx":369
- *         t1 = h + s1 + ch + SHA_K[i] + w[i]
- *         s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
- *         maj = (a & b) ^ (a & c) ^ (b & c)             # <<<<<<<<<<<<<<
- *         t2 = s0 + maj
- *         h = g; g = f; f = e; e = d + t1
-*/
-    __pyx_v_maj = (((__pyx_v_a & __pyx_v_b) ^ (__pyx_v_a & __pyx_v_c)) ^ (__pyx_v_b & __pyx_v_c));
-
-    /* "chainsteg/_kernel.pyx":370
- *         s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
- *         maj = (a & b) ^ (a & c) ^ (b & c)
- *         t2 = s0 + maj             # <<<<<<<<<<<<<<
- *         h = g; g = f; f = e; e = d + t1
- *         d = c; c = b; b = a; a = t1 + t2
-*/
-    __pyx_v_t2 = (__pyx_v_s0 + __pyx_v_maj);
-
-    /* "chainsteg/_kernel.pyx":371
- *         maj = (a & b) ^ (a & c) ^ (b & c)
- *         t2 = s0 + maj
- *         h = g; g = f; f = e; e = d + t1             # <<<<<<<<<<<<<<
- *         d = c; c = b; b = a; a = t1 + t2
- *     cdef u32[8] hh
-*/
-    __pyx_v_h = __pyx_v_g;
-    __pyx_v_g = __pyx_v_f;
-    __pyx_v_f = __pyx_v_e;
-    __pyx_v_e = (__pyx_v_d + __pyx_v_t1);
-
-    /* "chainsteg/_kernel.pyx":372
- *         t2 = s0 + maj
- *         h = g; g = f; f = e; e = d + t1
- *         d = c; c = b; b = a; a = t1 + t2             # <<<<<<<<<<<<<<
- *     cdef u32[8] hh
- *     hh[0] = SHA_H0[0] + a; hh[1] = SHA_H0[1] + b
-*/
-    __pyx_v_d = __pyx_v_c;
-    __pyx_v_c = __pyx_v_b;
-    __pyx_v_b = __pyx_v_a;
-    __pyx_v_a = (__pyx_v_t1 + __pyx_v_t2);
-  }
-
-  /* "chainsteg/_kernel.pyx":374
- *         d = c; c = b; b = a; a = t1 + t2
- *     cdef u32[8] hh
- *     hh[0] = SHA_H0[0] + a; hh[1] = SHA_H0[1] + b             # <<<<<<<<<<<<<<
- *     hh[2] = SHA_H0[2] + c; hh[3] = SHA_H0[3] + d
- *     hh[4] = SHA_H0[4] + e; hh[5] = SHA_H0[5] + f
-*/
-  (__pyx_v_hh[0]) = ((__pyx_v_9chainsteg_7_kernel_SHA_H0[0]) + __pyx_v_a);
-  (__pyx_v_hh[1]) = ((__pyx_v_9chainsteg_7_kernel_SHA_H0[1]) + __pyx_v_b);
-
-  /* "chainsteg/_kernel.pyx":375
- *     cdef u32[8] hh
- *     hh[0] = SHA_H0[0] + a; hh[1] = SHA_H0[1] + b
- *     hh[2] = SHA_H0[2] + c; hh[3] = SHA_H0[3] + d             # <<<<<<<<<<<<<<
- *     hh[4] = SHA_H0[4] + e; hh[5] = SHA_H0[5] + f
- *     hh[6] = SHA_H0[6] + g; hh[7] = SHA_H0[7] + h
-*/
-  (__pyx_v_hh[2]) = ((__pyx_v_9chainsteg_7_kernel_SHA_H0[2]) + __pyx_v_c);
-  (__pyx_v_hh[3]) = ((__pyx_v_9chainsteg_7_kernel_SHA_H0[3]) + __pyx_v_d);
-
-  /* "chainsteg/_kernel.pyx":376
- *     hh[0] = SHA_H0[0] + a; hh[1] = SHA_H0[1] + b
- *     hh[2] = SHA_H0[2] + c; hh[3] = SHA_H0[3] + d
- *     hh[4] = SHA_H0[4] + e; hh[5] = SHA_H0[5] + f             # <<<<<<<<<<<<<<
- *     hh[6] = SHA_H0[6] + g; hh[7] = SHA_H0[7] + h
- *     for i in range(8):
-*/
-  (__pyx_v_hh[4]) = ((__pyx_v_9chainsteg_7_kernel_SHA_H0[4]) + __pyx_v_e);
-  (__pyx_v_hh[5]) = ((__pyx_v_9chainsteg_7_kernel_SHA_H0[5]) + __pyx_v_f);
-
-  /* "chainsteg/_kernel.pyx":377
- *     hh[2] = SHA_H0[2] + c; hh[3] = SHA_H0[3] + d
- *     hh[4] = SHA_H0[4] + e; hh[5] = SHA_H0[5] + f
- *     hh[6] = SHA_H0[6] + g; hh[7] = SHA_H0[7] + h             # <<<<<<<<<<<<<<
- *     for i in range(8):
- *         out[4 * i] = <u8>(hh[i] >> 24)
-*/
-  (__pyx_v_hh[6]) = ((__pyx_v_9chainsteg_7_kernel_SHA_H0[6]) + __pyx_v_g);
-  (__pyx_v_hh[7]) = ((__pyx_v_9chainsteg_7_kernel_SHA_H0[7]) + __pyx_v_h);
-
-  /* "chainsteg/_kernel.pyx":378
- *     hh[4] = SHA_H0[4] + e; hh[5] = SHA_H0[5] + f
- *     hh[6] = SHA_H0[6] + g; hh[7] = SHA_H0[7] + h
- *     for i in range(8):             # <<<<<<<<<<<<<<
- *         out[4 * i] = <u8>(hh[i] >> 24)
- *         out[4 * i + 1] = <u8>(hh[i] >> 16)
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 8; __pyx_t_1+=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":379
- *     hh[6] = SHA_H0[6] + g; hh[7] = SHA_H0[7] + h
- *     for i in range(8):
- *         out[4 * i] = <u8>(hh[i] >> 24)             # <<<<<<<<<<<<<<
- *         out[4 * i + 1] = <u8>(hh[i] >> 16)
- *         out[4 * i + 2] = <u8>(hh[i] >> 8)
-*/
-    (__pyx_v_out[(4 * __pyx_v_i)]) = ((u8)((__pyx_v_hh[__pyx_v_i]) >> 24));
-
-    /* "chainsteg/_kernel.pyx":380
- *     for i in range(8):
- *         out[4 * i] = <u8>(hh[i] >> 24)
- *         out[4 * i + 1] = <u8>(hh[i] >> 16)             # <<<<<<<<<<<<<<
- *         out[4 * i + 2] = <u8>(hh[i] >> 8)
- *         out[4 * i + 3] = <u8>hh[i]
-*/
-    (__pyx_v_out[((4 * __pyx_v_i) + 1)]) = ((u8)((__pyx_v_hh[__pyx_v_i]) >> 16));
-
-    /* "chainsteg/_kernel.pyx":381
- *         out[4 * i] = <u8>(hh[i] >> 24)
- *         out[4 * i + 1] = <u8>(hh[i] >> 16)
- *         out[4 * i + 2] = <u8>(hh[i] >> 8)             # <<<<<<<<<<<<<<
- *         out[4 * i + 3] = <u8>hh[i]
- * 
-*/
-    (__pyx_v_out[((4 * __pyx_v_i) + 2)]) = ((u8)((__pyx_v_hh[__pyx_v_i]) >> 8));
-
-    /* "chainsteg/_kernel.pyx":382
- *         out[4 * i + 1] = <u8>(hh[i] >> 16)
- *         out[4 * i + 2] = <u8>(hh[i] >> 8)
- *         out[4 * i + 3] = <u8>hh[i]             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    (__pyx_v_out[((4 * __pyx_v_i) + 3)]) = ((u8)(__pyx_v_hh[__pyx_v_i]));
-  }
-
-  /* "chainsteg/_kernel.pyx":343
- * 
- * 
- * cdef void sha256_block(const u8* msg, int length, u8* out) nogil:             # <<<<<<<<<<<<<<
- *     """SHA-256 of a message short enough for one padded block."""
- *     cdef u8[64] block
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("chainsteg._kernel.sha256_block", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-}
-
-/* "chainsteg/_kernel.pyx":396
- * 
- * 
- * cdef inline u32 _rotl(u32 x, int n) nogil:             # <<<<<<<<<<<<<<
- *     return (x << n) | (x >> (32 - n))
- * 
-*/
-
-static CYTHON_INLINE u32 __pyx_f_9chainsteg_7_kernel__rotl(u32 __pyx_v_x, int __pyx_v_n) {
-  u32 __pyx_r;
-
-  /* "chainsteg/_kernel.pyx":397
- * 
- * cdef inline u32 _rotl(u32 x, int n) nogil:
- *     return (x << n) | (x >> (32 - n))             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((__pyx_v_x << __pyx_v_n) | (__pyx_v_x >> (32 - __pyx_v_n)));
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":396
- * 
- * 
- * cdef inline u32 _rotl(u32 x, int n) nogil:             # <<<<<<<<<<<<<<
- *     return (x << n) | (x >> (32 - n))
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":400
- * 
- * 
- * cdef inline u32 _rmd_f(int j, u32 x, u32 y, u32 z) nogil:             # <<<<<<<<<<<<<<
- *     if j < 16:
- *         return x ^ y ^ z
-*/
-
-static CYTHON_INLINE u32 __pyx_f_9chainsteg_7_kernel__rmd_f(int __pyx_v_j, u32 __pyx_v_x, u32 __pyx_v_y, u32 __pyx_v_z) {
-  u32 __pyx_r;
-  int __pyx_t_1;
-
-  /* "chainsteg/_kernel.pyx":401
- * 
- * cdef inline u32 _rmd_f(int j, u32 x, u32 y, u32 z) nogil:
- *     if j < 16:             # <<<<<<<<<<<<<<
- *         return x ^ y ^ z
- *     elif j < 32:
-*/
-  __pyx_t_1 = (__pyx_v_j < 16);
-  if (__pyx_t_1) {
-
-    /* "chainsteg/_kernel.pyx":402
- * cdef inline u32 _rmd_f(int j, u32 x, u32 y, u32 z) nogil:
- *     if j < 16:
- *         return x ^ y ^ z             # <<<<<<<<<<<<<<
- *     elif j < 32:
- *         return (x & y) | ((~x) & z)
-*/
-    __pyx_r = ((__pyx_v_x ^ __pyx_v_y) ^ __pyx_v_z);
-    goto __pyx_L0;
-
-    /* "chainsteg/_kernel.pyx":401
- * 
- * cdef inline u32 _rmd_f(int j, u32 x, u32 y, u32 z) nogil:
- *     if j < 16:             # <<<<<<<<<<<<<<
- *         return x ^ y ^ z
- *     elif j < 32:
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":403
- *     if j < 16:
- *         return x ^ y ^ z
- *     elif j < 32:             # <<<<<<<<<<<<<<
- *         return (x & y) | ((~x) & z)
- *     elif j < 48:
-*/
-  __pyx_t_1 = (__pyx_v_j < 32);
-  if (__pyx_t_1) {
-
-    /* "chainsteg/_kernel.pyx":404
- *         return x ^ y ^ z
- *     elif j < 32:
- *         return (x & y) | ((~x) & z)             # <<<<<<<<<<<<<<
- *     elif j < 48:
- *         return (x | (~y)) ^ z
-*/
-    __pyx_r = ((__pyx_v_x & __pyx_v_y) | ((~__pyx_v_x) & __pyx_v_z));
-    goto __pyx_L0;
-
-    /* "chainsteg/_kernel.pyx":403
- *     if j < 16:
- *         return x ^ y ^ z
- *     elif j < 32:             # <<<<<<<<<<<<<<
- *         return (x & y) | ((~x) & z)
- *     elif j < 48:
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":405
- *     elif j < 32:
- *         return (x & y) | ((~x) & z)
- *     elif j < 48:             # <<<<<<<<<<<<<<
- *         return (x | (~y)) ^ z
- *     elif j < 64:
-*/
-  __pyx_t_1 = (__pyx_v_j < 48);
-  if (__pyx_t_1) {
-
-    /* "chainsteg/_kernel.pyx":406
- *         return (x & y) | ((~x) & z)
- *     elif j < 48:
- *         return (x | (~y)) ^ z             # <<<<<<<<<<<<<<
- *     elif j < 64:
- *         return (x & z) | (y & (~z))
-*/
-    __pyx_r = ((__pyx_v_x | (~__pyx_v_y)) ^ __pyx_v_z);
-    goto __pyx_L0;
-
-    /* "chainsteg/_kernel.pyx":405
- *     elif j < 32:
- *         return (x & y) | ((~x) & z)
- *     elif j < 48:             # <<<<<<<<<<<<<<
- *         return (x | (~y)) ^ z
- *     elif j < 64:
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":407
- *     elif j < 48:
- *         return (x | (~y)) ^ z
- *     elif j < 64:             # <<<<<<<<<<<<<<
- *         return (x & z) | (y & (~z))
- *     return x ^ (y | (~z))
-*/
-  __pyx_t_1 = (__pyx_v_j < 64);
-  if (__pyx_t_1) {
-
-    /* "chainsteg/_kernel.pyx":408
- *         return (x | (~y)) ^ z
- *     elif j < 64:
- *         return (x & z) | (y & (~z))             # <<<<<<<<<<<<<<
- *     return x ^ (y | (~z))
- * 
-*/
-    __pyx_r = ((__pyx_v_x & __pyx_v_z) | (__pyx_v_y & (~__pyx_v_z)));
-    goto __pyx_L0;
-
-    /* "chainsteg/_kernel.pyx":407
- *     elif j < 48:
- *         return (x | (~y)) ^ z
- *     elif j < 64:             # <<<<<<<<<<<<<<
- *         return (x & z) | (y & (~z))
- *     return x ^ (y | (~z))
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":409
- *     elif j < 64:
- *         return (x & z) | (y & (~z))
- *     return x ^ (y | (~z))             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (__pyx_v_x ^ (__pyx_v_y | (~__pyx_v_z)));
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":400
- * 
- * 
- * cdef inline u32 _rmd_f(int j, u32 x, u32 y, u32 z) nogil:             # <<<<<<<<<<<<<<
- *     if j < 16:
- *         return x ^ y ^ z
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":412
- * 
- * 
- * cdef void ripemd160_32(const u8* msg, u8* out) nogil:             # <<<<<<<<<<<<<<
- *     """RIPEMD-160 of exactly 32 bytes (one padded block)."""
- *     cdef u8[64] block
-*/
-
-static void __pyx_f_9chainsteg_7_kernel_ripemd160_32(u8 const *__pyx_v_msg, u8 *__pyx_v_out) {
-  u8 __pyx_v_block[64];
-  u32 __pyx_v_x[16];
-  u32 __pyx_v_al;
-  u32 __pyx_v_bl;
-  u32 __pyx_v_cl;
-  u32 __pyx_v_dl;
-  u32 __pyx_v_el;
-  u32 __pyx_v_ar;
-  u32 __pyx_v_br;
-  u32 __pyx_v_cr;
-  u32 __pyx_v_dr;
-  u32 __pyx_v_er;
-  u32 __pyx_v_t;
-  int __pyx_v_i;
-  int __pyx_v_j;
-  u32 __pyx_v_hh[5];
-  int __pyx_t_1;
-  u32 __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "chainsteg/_kernel.pyx":418
- *     cdef u32 al, bl, cl, dl, el, ar, br, cr, dr, er, t
- *     cdef int i, j
- *     memset(block, 0, 64)             # <<<<<<<<<<<<<<
- *     memcpy(block, msg, 32)
- *     block[32] = 0x80
-*/
-  (void)(memset(__pyx_v_block, 0, 64));
-
-  /* "chainsteg/_kernel.pyx":419
- *     cdef int i, j
- *     memset(block, 0, 64)
- *     memcpy(block, msg, 32)             # <<<<<<<<<<<<<<
- *     block[32] = 0x80
- *     block[56] = 0  # bit length 256 little-endian: bytes 56..63
-*/
-  (void)(memcpy(__pyx_v_block, __pyx_v_msg, 32));
-
-  /* "chainsteg/_kernel.pyx":420
- *     memset(block, 0, 64)
- *     memcpy(block, msg, 32)
- *     block[32] = 0x80             # <<<<<<<<<<<<<<
- *     block[56] = 0  # bit length 256 little-endian: bytes 56..63
- *     block[57] = 1
-*/
-  (__pyx_v_block[32]) = 0x80;
-
-  /* "chainsteg/_kernel.pyx":421
- *     memcpy(block, msg, 32)
- *     block[32] = 0x80
- *     block[56] = 0  # bit length 256 little-endian: bytes 56..63             # <<<<<<<<<<<<<<
- *     block[57] = 1
- *     for i in range(16):
-*/
-  (__pyx_v_block[56]) = 0;
-
-  /* "chainsteg/_kernel.pyx":422
- *     block[32] = 0x80
- *     block[56] = 0  # bit length 256 little-endian: bytes 56..63
- *     block[57] = 1             # <<<<<<<<<<<<<<
- *     for i in range(16):
- *         x[i] = <u32>block[4 * i] | (<u32>block[4 * i + 1] << 8) | \
-*/
-  (__pyx_v_block[57]) = 1;
-
-  /* "chainsteg/_kernel.pyx":423
- *     block[56] = 0  # bit length 256 little-endian: bytes 56..63
- *     block[57] = 1
- *     for i in range(16):             # <<<<<<<<<<<<<<
- *         x[i] = <u32>block[4 * i] | (<u32>block[4 * i + 1] << 8) | \
- *                (<u32>block[4 * i + 2] << 16) | (<u32>block[4 * i + 3] << 24)
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 16; __pyx_t_1+=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":424
- *     block[57] = 1
- *     for i in range(16):
- *         x[i] = <u32>block[4 * i] | (<u32>block[4 * i + 1] << 8) | \             # <<<<<<<<<<<<<<
- *                (<u32>block[4 * i + 2] << 16) | (<u32>block[4 * i + 3] << 24)
- *     al = <u32>0x67452301; bl = <u32>0xEFCDAB89; cl = <u32>0x98BADCFE
-*/
-    (__pyx_v_x[__pyx_v_i]) = (((((u32)(__pyx_v_block[(4 * __pyx_v_i)])) | (((u32)(__pyx_v_block[((4 * __pyx_v_i) + 1)])) << 8)) | (((u32)(__pyx_v_block[((4 * __pyx_v_i) + 2)])) << 16)) | (((u32)(__pyx_v_block[((4 * __pyx_v_i) + 3)])) << 24));
-  }
-
-  /* "chainsteg/_kernel.pyx":426
- *         x[i] = <u32>block[4 * i] | (<u32>block[4 * i + 1] << 8) | \
- *                (<u32>block[4 * i + 2] << 16) | (<u32>block[4 * i + 3] << 24)
- *     al = <u32>0x67452301; bl = <u32>0xEFCDAB89; cl = <u32>0x98BADCFE             # <<<<<<<<<<<<<<
- *     dl = <u32>0x10325476; el = <u32>0xC3D2E1F0
- *     ar = al; br = bl; cr = cl; dr = dl; er = el
-*/
-  __pyx_v_al = ((u32)0x67452301);
-  __pyx_v_bl = ((u32)0xEFCDAB89);
-  __pyx_v_cl = ((u32)0x98BADCFE);
-
-  /* "chainsteg/_kernel.pyx":427
- *                (<u32>block[4 * i + 2] << 16) | (<u32>block[4 * i + 3] << 24)
- *     al = <u32>0x67452301; bl = <u32>0xEFCDAB89; cl = <u32>0x98BADCFE
- *     dl = <u32>0x10325476; el = <u32>0xC3D2E1F0             # <<<<<<<<<<<<<<
- *     ar = al; br = bl; cr = cl; dr = dl; er = el
- *     for j in range(80):
-*/
-  __pyx_v_dl = ((u32)0x10325476);
-  __pyx_v_el = ((u32)0xC3D2E1F0);
-
-  /* "chainsteg/_kernel.pyx":428
- *     al = <u32>0x67452301; bl = <u32>0xEFCDAB89; cl = <u32>0x98BADCFE
- *     dl = <u32>0x10325476; el = <u32>0xC3D2E1F0
- *     ar = al; br = bl; cr = cl; dr = dl; er = el             # <<<<<<<<<<<<<<
- *     for j in range(80):
- *         t = al + _rmd_f(j, bl, cl, dl) + x[RMD_RL[j]] + RMD_KL[j >> 4]
-*/
-  __pyx_v_ar = __pyx_v_al;
-  __pyx_v_br = __pyx_v_bl;
-  __pyx_v_cr = __pyx_v_cl;
-  __pyx_v_dr = __pyx_v_dl;
-  __pyx_v_er = __pyx_v_el;
-
-  /* "chainsteg/_kernel.pyx":429
- *     dl = <u32>0x10325476; el = <u32>0xC3D2E1F0
- *     ar = al; br = bl; cr = cl; dr = dl; er = el
- *     for j in range(80):             # <<<<<<<<<<<<<<
- *         t = al + _rmd_f(j, bl, cl, dl) + x[RMD_RL[j]] + RMD_KL[j >> 4]
- *         t = _rotl(t, RMD_SL[j]) + el
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 80; __pyx_t_1+=1) {
-    __pyx_v_j = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":430
- *     ar = al; br = bl; cr = cl; dr = dl; er = el
- *     for j in range(80):
- *         t = al + _rmd_f(j, bl, cl, dl) + x[RMD_RL[j]] + RMD_KL[j >> 4]             # <<<<<<<<<<<<<<
- *         t = _rotl(t, RMD_SL[j]) + el
- *         al = el; el = dl; dl = _rotl(cl, 10); cl = bl; bl = t
-*/
-    __pyx_t_2 = __pyx_f_9chainsteg_7_kernel__rmd_f(__pyx_v_j, __pyx_v_bl, __pyx_v_cl, __pyx_v_dl); if (unlikely(__pyx_t_2 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 430, __pyx_L1_error)
-    __pyx_v_t = (((__pyx_v_al + __pyx_t_2) + (__pyx_v_x[(__pyx_v_9chainsteg_7_kernel_RMD_RL[__pyx_v_j])])) + (__pyx_v_9chainsteg_7_kernel_RMD_KL[(__pyx_v_j >> 4)]));
-
-    /* "chainsteg/_kernel.pyx":431
- *     for j in range(80):
- *         t = al + _rmd_f(j, bl, cl, dl) + x[RMD_RL[j]] + RMD_KL[j >> 4]
- *         t = _rotl(t, RMD_SL[j]) + el             # <<<<<<<<<<<<<<
- *         al = el; el = dl; dl = _rotl(cl, 10); cl = bl; bl = t
- *         t = ar + _rmd_f(79 - j, br, cr, dr) + x[RMD_RR[j]] + RMD_KR[j >> 4]
-*/
-    __pyx_t_2 = __pyx_f_9chainsteg_7_kernel__rotl(__pyx_v_t, (__pyx_v_9chainsteg_7_kernel_RMD_SL[__pyx_v_j])); if (unlikely(__pyx_t_2 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 431, __pyx_L1_error)
-    __pyx_v_t = (__pyx_t_2 + __pyx_v_el);
-
-    /* "chainsteg/_kernel.pyx":432
- *         t = al + _rmd_f(j, bl, cl, dl) + x[RMD_RL[j]] + RMD_KL[j >> 4]
- *         t = _rotl(t, RMD_SL[j]) + el
- *         al = el; el = dl; dl = _rotl(cl, 10); cl = bl; bl = t             # <<<<<<<<<<<<<<
- *         t = ar + _rmd_f(79 - j, br, cr, dr) + x[RMD_RR[j]] + RMD_KR[j >> 4]
- *         t = _rotl(t, RMD_SR[j]) + er
-*/
-    __pyx_v_al = __pyx_v_el;
-    __pyx_v_el = __pyx_v_dl;
-    __pyx_t_2 = __pyx_f_9chainsteg_7_kernel__rotl(__pyx_v_cl, 10); if (unlikely(__pyx_t_2 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 432, __pyx_L1_error)
-    __pyx_v_dl = __pyx_t_2;
-    __pyx_v_cl = __pyx_v_bl;
-    __pyx_v_bl = __pyx_v_t;
-
-    /* "chainsteg/_kernel.pyx":433
- *         t = _rotl(t, RMD_SL[j]) + el
- *         al = el; el = dl; dl = _rotl(cl, 10); cl = bl; bl = t
- *         t = ar + _rmd_f(79 - j, br, cr, dr) + x[RMD_RR[j]] + RMD_KR[j >> 4]             # <<<<<<<<<<<<<<
- *         t = _rotl(t, RMD_SR[j]) + er
- *         ar = er; er = dr; dr = _rotl(cr, 10); cr = br; br = t
-*/
-    __pyx_t_2 = __pyx_f_9chainsteg_7_kernel__rmd_f((79 - __pyx_v_j), __pyx_v_br, __pyx_v_cr, __pyx_v_dr); if (unlikely(__pyx_t_2 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 433, __pyx_L1_error)
-    __pyx_v_t = (((__pyx_v_ar + __pyx_t_2) + (__pyx_v_x[(__pyx_v_9chainsteg_7_kernel_RMD_RR[__pyx_v_j])])) + (__pyx_v_9chainsteg_7_kernel_RMD_KR[(__pyx_v_j >> 4)]));
-
-    /* "chainsteg/_kernel.pyx":434
- *         al = el; el = dl; dl = _rotl(cl, 10); cl = bl; bl = t
- *         t = ar + _rmd_f(79 - j, br, cr, dr) + x[RMD_RR[j]] + RMD_KR[j >> 4]
- *         t = _rotl(t, RMD_SR[j]) + er             # <<<<<<<<<<<<<<
- *         ar = er; er = dr; dr = _rotl(cr, 10); cr = br; br = t
- *     cdef u32[5] hh
-*/
-    __pyx_t_2 = __pyx_f_9chainsteg_7_kernel__rotl(__pyx_v_t, (__pyx_v_9chainsteg_7_kernel_RMD_SR[__pyx_v_j])); if (unlikely(__pyx_t_2 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 434, __pyx_L1_error)
-    __pyx_v_t = (__pyx_t_2 + __pyx_v_er);
-
-    /* "chainsteg/_kernel.pyx":435
- *         t = ar + _rmd_f(79 - j, br, cr, dr) + x[RMD_RR[j]] + RMD_KR[j >> 4]
- *         t = _rotl(t, RMD_SR[j]) + er
- *         ar = er; er = dr; dr = _rotl(cr, 10); cr = br; br = t             # <<<<<<<<<<<<<<
- *     cdef u32[5] hh
- *     hh[0] = <u32>0xEFCDAB89 + cl + dr
-*/
-    __pyx_v_ar = __pyx_v_er;
-    __pyx_v_er = __pyx_v_dr;
-    __pyx_t_2 = __pyx_f_9chainsteg_7_kernel__rotl(__pyx_v_cr, 10); if (unlikely(__pyx_t_2 == ((u32)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 435, __pyx_L1_error)
-    __pyx_v_dr = __pyx_t_2;
-    __pyx_v_cr = __pyx_v_br;
-    __pyx_v_br = __pyx_v_t;
-  }
-
-  /* "chainsteg/_kernel.pyx":437
- *         ar = er; er = dr; dr = _rotl(cr, 10); cr = br; br = t
- *     cdef u32[5] hh
- *     hh[0] = <u32>0xEFCDAB89 + cl + dr             # <<<<<<<<<<<<<<
- *     hh[1] = <u32>0x98BADCFE + dl + er
- *     hh[2] = <u32>0x10325476 + el + ar
-*/
-  (__pyx_v_hh[0]) = ((((u32)0xEFCDAB89) + __pyx_v_cl) + __pyx_v_dr);
-
-  /* "chainsteg/_kernel.pyx":438
- *     cdef u32[5] hh
- *     hh[0] = <u32>0xEFCDAB89 + cl + dr
- *     hh[1] = <u32>0x98BADCFE + dl + er             # <<<<<<<<<<<<<<
- *     hh[2] = <u32>0x10325476 + el + ar
- *     hh[3] = <u32>0xC3D2E1F0 + al + br
-*/
-  (__pyx_v_hh[1]) = ((((u32)0x98BADCFE) + __pyx_v_dl) + __pyx_v_er);
-
-  /* "chainsteg/_kernel.pyx":439
- *     hh[0] = <u32>0xEFCDAB89 + cl + dr
- *     hh[1] = <u32>0x98BADCFE + dl + er
- *     hh[2] = <u32>0x10325476 + el + ar             # <<<<<<<<<<<<<<
- *     hh[3] = <u32>0xC3D2E1F0 + al + br
- *     hh[4] = <u32>0x67452301 + bl + cr
-*/
-  (__pyx_v_hh[2]) = ((((u32)0x10325476) + __pyx_v_el) + __pyx_v_ar);
-
-  /* "chainsteg/_kernel.pyx":440
- *     hh[1] = <u32>0x98BADCFE + dl + er
- *     hh[2] = <u32>0x10325476 + el + ar
- *     hh[3] = <u32>0xC3D2E1F0 + al + br             # <<<<<<<<<<<<<<
- *     hh[4] = <u32>0x67452301 + bl + cr
- *     for i in range(5):
-*/
-  (__pyx_v_hh[3]) = ((((u32)0xC3D2E1F0) + __pyx_v_al) + __pyx_v_br);
-
-  /* "chainsteg/_kernel.pyx":441
- *     hh[2] = <u32>0x10325476 + el + ar
- *     hh[3] = <u32>0xC3D2E1F0 + al + br
- *     hh[4] = <u32>0x67452301 + bl + cr             # <<<<<<<<<<<<<<
- *     for i in range(5):
- *         out[4 * i] = <u8>hh[i]
-*/
-  (__pyx_v_hh[4]) = ((((u32)0x67452301) + __pyx_v_bl) + __pyx_v_cr);
-
-  /* "chainsteg/_kernel.pyx":442
- *     hh[3] = <u32>0xC3D2E1F0 + al + br
- *     hh[4] = <u32>0x67452301 + bl + cr
- *     for i in range(5):             # <<<<<<<<<<<<<<
- *         out[4 * i] = <u8>hh[i]
- *         out[4 * i + 1] = <u8>(hh[i] >> 8)
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 5; __pyx_t_1+=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":443
- *     hh[4] = <u32>0x67452301 + bl + cr
- *     for i in range(5):
- *         out[4 * i] = <u8>hh[i]             # <<<<<<<<<<<<<<
- *         out[4 * i + 1] = <u8>(hh[i] >> 8)
- *         out[4 * i + 2] = <u8>(hh[i] >> 16)
-*/
-    (__pyx_v_out[(4 * __pyx_v_i)]) = ((u8)(__pyx_v_hh[__pyx_v_i]));
-
-    /* "chainsteg/_kernel.pyx":444
- *     for i in range(5):
- *         out[4 * i] = <u8>hh[i]
- *         out[4 * i + 1] = <u8>(hh[i] >> 8)             # <<<<<<<<<<<<<<
- *         out[4 * i + 2] = <u8>(hh[i] >> 16)
- *         out[4 * i + 3] = <u8>(hh[i] >> 24)
-*/
-    (__pyx_v_out[((4 * __pyx_v_i) + 1)]) = ((u8)((__pyx_v_hh[__pyx_v_i]) >> 8));
-
-    /* "chainsteg/_kernel.pyx":445
- *         out[4 * i] = <u8>hh[i]
- *         out[4 * i + 1] = <u8>(hh[i] >> 8)
- *         out[4 * i + 2] = <u8>(hh[i] >> 16)             # <<<<<<<<<<<<<<
- *         out[4 * i + 3] = <u8>(hh[i] >> 24)
- * 
-*/
-    (__pyx_v_out[((4 * __pyx_v_i) + 2)]) = ((u8)((__pyx_v_hh[__pyx_v_i]) >> 16));
-
-    /* "chainsteg/_kernel.pyx":446
- *         out[4 * i + 1] = <u8>(hh[i] >> 8)
- *         out[4 * i + 2] = <u8>(hh[i] >> 16)
- *         out[4 * i + 3] = <u8>(hh[i] >> 24)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    (__pyx_v_out[((4 * __pyx_v_i) + 3)]) = ((u8)((__pyx_v_hh[__pyx_v_i]) >> 24));
-  }
-
-  /* "chainsteg/_kernel.pyx":412
- * 
- * 
- * cdef void ripemd160_32(const u8* msg, u8* out) nogil:             # <<<<<<<<<<<<<<
- *     """RIPEMD-160 of exactly 32 bytes (one padded block)."""
- *     cdef u8[64] block
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("chainsteg._kernel.ripemd160_32", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-}
-
-/* "chainsteg/_kernel.pyx":452
- * # limb <-> bytes helpers
- * 
- * cdef inline void be32_to_limbs(const u8* data, u64* r) nogil:             # <<<<<<<<<<<<<<
- *     cdef int i, j
- *     for i in range(4):
-*/
-
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_be32_to_limbs(u8 const *__pyx_v_data, u64 *__pyx_v_r) {
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "chainsteg/_kernel.pyx":454
- * cdef inline void be32_to_limbs(const u8* data, u64* r) nogil:
- *     cdef int i, j
- *     for i in range(4):             # <<<<<<<<<<<<<<
- *         r[3 - i] = 0
- *         for j in range(8):
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 4; __pyx_t_1+=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":455
- *     cdef int i, j
- *     for i in range(4):
- *         r[3 - i] = 0             # <<<<<<<<<<<<<<
- *         for j in range(8):
- *             r[3 - i] = (r[3 - i] << 8) | data[8 * i + j]
-*/
-    (__pyx_v_r[(3 - __pyx_v_i)]) = 0;
-
-    /* "chainsteg/_kernel.pyx":456
- *     for i in range(4):
- *         r[3 - i] = 0
- *         for j in range(8):             # <<<<<<<<<<<<<<
- *             r[3 - i] = (r[3 - i] << 8) | data[8 * i + j]
- * 
-*/
-    for (__pyx_t_2 = 0; __pyx_t_2 < 8; __pyx_t_2+=1) {
-      __pyx_v_j = __pyx_t_2;
-
-      /* "chainsteg/_kernel.pyx":457
- *         r[3 - i] = 0
- *         for j in range(8):
- *             r[3 - i] = (r[3 - i] << 8) | data[8 * i + j]             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      (__pyx_v_r[(3 - __pyx_v_i)]) = (((__pyx_v_r[(3 - __pyx_v_i)]) << 8) | (__pyx_v_data[((8 * __pyx_v_i) + __pyx_v_j)]));
-    }
-  }
-
-  /* "chainsteg/_kernel.pyx":452
- * # limb <-> bytes helpers
- * 
- * cdef inline void be32_to_limbs(const u8* data, u64* r) nogil:             # <<<<<<<<<<<<<<
- *     cdef int i, j
- *     for i in range(4):
-*/
-
-  /* function exit code */
-}
-
-/* "chainsteg/_kernel.pyx":460
- * 
- * 
- * cdef inline void limbs_to_be32(const u64* a, u8* out) nogil:             # <<<<<<<<<<<<<<
- *     cdef int i, j
- *     for i in range(4):
-*/
-
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_limbs_to_be32(u64 const *__pyx_v_a, u8 *__pyx_v_out) {
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "chainsteg/_kernel.pyx":462
- * cdef inline void limbs_to_be32(const u64* a, u8* out) nogil:
- *     cdef int i, j
- *     for i in range(4):             # <<<<<<<<<<<<<<
- *         for j in range(8):
- *             out[8 * i + j] = <u8>(a[3 - i] >> (8 * (7 - j)))
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 4; __pyx_t_1+=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":463
- *     cdef int i, j
- *     for i in range(4):
- *         for j in range(8):             # <<<<<<<<<<<<<<
- *             out[8 * i + j] = <u8>(a[3 - i] >> (8 * (7 - j)))
- * 
-*/
-    for (__pyx_t_2 = 0; __pyx_t_2 < 8; __pyx_t_2+=1) {
-      __pyx_v_j = __pyx_t_2;
-
-      /* "chainsteg/_kernel.pyx":464
- *     for i in range(4):
- *         for j in range(8):
- *             out[8 * i + j] = <u8>(a[3 - i] >> (8 * (7 - j)))             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      (__pyx_v_out[((8 * __pyx_v_i) + __pyx_v_j)]) = ((u8)((__pyx_v_a[(3 - __pyx_v_i)]) >> (8 * (7 - __pyx_v_j))));
-    }
-  }
-
-  /* "chainsteg/_kernel.pyx":460
- * 
- * 
- * cdef inline void limbs_to_be32(const u64* a, u8* out) nogil:             # <<<<<<<<<<<<<<
- *     cdef int i, j
- *     for i in range(4):
-*/
-
-  /* function exit code */
-}
-
-/* "chainsteg/_kernel.pyx":467
- * 
- * 
- * cdef inline void scalar_mod_q(u64* r) nogil:             # <<<<<<<<<<<<<<
- *     cdef u64[4] t
- *     cdef u128 cur
-*/
-
-static CYTHON_INLINE void __pyx_f_9chainsteg_7_kernel_scalar_mod_q(u64 *__pyx_v_r) {
-  u64 __pyx_v_t[4];
-  u128 __pyx_v_cur;
-  int __pyx_v_i;
-  u64 __pyx_v_borrow;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  u64 __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "chainsteg/_kernel.pyx":472
- *     cdef int i
- *     cdef u64 borrow
- *     if fe_cmp(r, Q_LIMB) >= 0:             # <<<<<<<<<<<<<<
- *         borrow = 0
- *         for i in range(4):
-*/
-  __pyx_t_1 = __pyx_f_9chainsteg_7_kernel_fe_cmp(__pyx_v_r, __pyx_v_9chainsteg_7_kernel_Q_LIMB); if (unlikely(__pyx_t_1 == ((int)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 472, __pyx_L1_error)
-  __pyx_t_2 = (__pyx_t_1 >= 0);
-  if (__pyx_t_2) {
-
-    /* "chainsteg/_kernel.pyx":473
- *     cdef u64 borrow
- *     if fe_cmp(r, Q_LIMB) >= 0:
- *         borrow = 0             # <<<<<<<<<<<<<<
- *         for i in range(4):
- *             cur = <u128>r[i] - Q_LIMB[i] - borrow
-*/
-    __pyx_v_borrow = 0;
-
-    /* "chainsteg/_kernel.pyx":474
- *     if fe_cmp(r, Q_LIMB) >= 0:
- *         borrow = 0
- *         for i in range(4):             # <<<<<<<<<<<<<<
- *             cur = <u128>r[i] - Q_LIMB[i] - borrow
- *             t[i] = <u64>cur
-*/
-    for (__pyx_t_1 = 0; __pyx_t_1 < 4; __pyx_t_1+=1) {
-      __pyx_v_i = __pyx_t_1;
-
-      /* "chainsteg/_kernel.pyx":475
- *         borrow = 0
- *         for i in range(4):
- *             cur = <u128>r[i] - Q_LIMB[i] - borrow             # <<<<<<<<<<<<<<
- *             t[i] = <u64>cur
- *             borrow = 1 if (cur >> 64) else 0
-*/
-      __pyx_v_cur = ((((u128)(__pyx_v_r[__pyx_v_i])) - (__pyx_v_9chainsteg_7_kernel_Q_LIMB[__pyx_v_i])) - __pyx_v_borrow);
-
-      /* "chainsteg/_kernel.pyx":476
- *         for i in range(4):
- *             cur = <u128>r[i] - Q_LIMB[i] - borrow
- *             t[i] = <u64>cur             # <<<<<<<<<<<<<<
- *             borrow = 1 if (cur >> 64) else 0
- *         fe_set(r, t)
-*/
-      (__pyx_v_t[__pyx_v_i]) = ((u64)__pyx_v_cur);
-
-      /* "chainsteg/_kernel.pyx":477
- *             cur = <u128>r[i] - Q_LIMB[i] - borrow
- *             t[i] = <u64>cur
- *             borrow = 1 if (cur >> 64) else 0             # <<<<<<<<<<<<<<
- *         fe_set(r, t)
- * 
-*/
-      __pyx_t_2 = ((__pyx_v_cur >> 64) != 0);
-      if (__pyx_t_2) {
-        __pyx_t_3 = 1;
-      } else {
-        __pyx_t_3 = 0;
-      }
-      __pyx_v_borrow = __pyx_t_3;
-    }
-
-    /* "chainsteg/_kernel.pyx":478
- *             t[i] = <u64>cur
- *             borrow = 1 if (cur >> 64) else 0
- *         fe_set(r, t)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_f_9chainsteg_7_kernel_fe_set(__pyx_v_r, __pyx_v_t); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 478, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":472
- *     cdef int i
- *     cdef u64 borrow
- *     if fe_cmp(r, Q_LIMB) >= 0:             # <<<<<<<<<<<<<<
- *         borrow = 0
- *         for i in range(4):
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":467
- * 
- * 
- * cdef inline void scalar_mod_q(u64* r) nogil:             # <<<<<<<<<<<<<<
- *     cdef u64[4] t
- *     cdef u128 cur
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("chainsteg._kernel.scalar_mod_q", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-}
-
-/* "chainsteg/_kernel.pyx":487
- * 
- * 
- * cdef void _derive_one(const u8* k, u8 tag, u64 counter,             # <<<<<<<<<<<<<<
- *                       const u64* gyx, const u64* gyy, JPt* out) nogil:
- *     """One counter's public point (Jacobian); thread-safe (own buffers)."""
-*/
-
-static void __pyx_f_9chainsteg_7_kernel__derive_one(u8 const *__pyx_v_k, u8 __pyx_v_tag, u64 __pyx_v_counter, u64 const *__pyx_v_gyx, u64 const *__pyx_v_gyy, struct __pyx_t_9chainsteg_7_kernel_JPt *__pyx_v_out) {
-  u8 __pyx_v_msg[41];
-  u8 __pyx_v_hbuf[32];
-  u64 __pyx_v_scalar[4];
-  int __pyx_v_j;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "chainsteg/_kernel.pyx":494
- *     cdef u64[4] scalar
- *     cdef int j
- *     memcpy(msg, k, 32)             # <<<<<<<<<<<<<<
- *     msg[32] = tag
- *     for j in range(8):
-*/
-  (void)(memcpy(__pyx_v_msg, __pyx_v_k, 32));
-
-  /* "chainsteg/_kernel.pyx":495
- *     cdef int j
- *     memcpy(msg, k, 32)
- *     msg[32] = tag             # <<<<<<<<<<<<<<
- *     for j in range(8):
- *         msg[33 + j] = <u8>(counter >> (8 * (7 - j)))
-*/
-  (__pyx_v_msg[32]) = __pyx_v_tag;
-
-  /* "chainsteg/_kernel.pyx":496
- *     memcpy(msg, k, 32)
- *     msg[32] = tag
- *     for j in range(8):             # <<<<<<<<<<<<<<
- *         msg[33 + j] = <u8>(counter >> (8 * (7 - j)))
- *     sha256_block(msg, 41, hbuf)
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 8; __pyx_t_1+=1) {
-    __pyx_v_j = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":497
- *     msg[32] = tag
- *     for j in range(8):
- *         msg[33 + j] = <u8>(counter >> (8 * (7 - j)))             # <<<<<<<<<<<<<<
- *     sha256_block(msg, 41, hbuf)
- *     be32_to_limbs(hbuf, scalar)
-*/
-    (__pyx_v_msg[(33 + __pyx_v_j)]) = ((u8)(__pyx_v_counter >> (8 * (7 - __pyx_v_j))));
-  }
-
-  /* "chainsteg/_kernel.pyx":498
- *     for j in range(8):
- *         msg[33 + j] = <u8>(counter >> (8 * (7 - j)))
- *     sha256_block(msg, 41, hbuf)             # <<<<<<<<<<<<<<
- *     be32_to_limbs(hbuf, scalar)
- *     scalar_mod_q(scalar)
-*/
-  __pyx_f_9chainsteg_7_kernel_sha256_block(__pyx_v_msg, 41, __pyx_v_hbuf); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 498, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":499
- *         msg[33 + j] = <u8>(counter >> (8 * (7 - j)))
- *     sha256_block(msg, 41, hbuf)
- *     be32_to_limbs(hbuf, scalar)             # <<<<<<<<<<<<<<
- *     scalar_mod_q(scalar)
- *     _mult_gen(out, scalar)
-*/
-  __pyx_f_9chainsteg_7_kernel_be32_to_limbs(__pyx_v_hbuf, __pyx_v_scalar); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 499, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":500
- *     sha256_block(msg, 41, hbuf)
- *     be32_to_limbs(hbuf, scalar)
- *     scalar_mod_q(scalar)             # <<<<<<<<<<<<<<
- *     _mult_gen(out, scalar)
- *     jpt_add_affine(out, out, gyx, gyy)
-*/
-  __pyx_f_9chainsteg_7_kernel_scalar_mod_q(__pyx_v_scalar); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 500, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":501
- *     be32_to_limbs(hbuf, scalar)
- *     scalar_mod_q(scalar)
- *     _mult_gen(out, scalar)             # <<<<<<<<<<<<<<
- *     jpt_add_affine(out, out, gyx, gyy)
- * 
-*/
-  __pyx_f_9chainsteg_7_kernel__mult_gen(__pyx_v_out, __pyx_v_scalar); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 501, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":502
- *     scalar_mod_q(scalar)
- *     _mult_gen(out, scalar)
- *     jpt_add_affine(out, out, gyx, gyy)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_f_9chainsteg_7_kernel_jpt_add_affine(__pyx_v_out, __pyx_v_out, __pyx_v_gyx, __pyx_v_gyy); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 502, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":487
- * 
- * 
- * cdef void _derive_one(const u8* k, u8 tag, u64 counter,             # <<<<<<<<<<<<<<
- *                       const u64* gyx, const u64* gyy, JPt* out) nogil:
- *     """One counter's public point (Jacobian); thread-safe (own buffers)."""
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("chainsteg._kernel._derive_one", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-}
-
-/* "chainsteg/_kernel.pyx":505
- * 
- * 
- * cdef int _derive_batch(const u8* k, u8 tag, u64 start, int count,             # <<<<<<<<<<<<<<
- *                        const u64* gyx, const u64* gyy,
- *                        u8* digests, u8* ok_flags) nogil:
-*/
-
-static int __pyx_f_9chainsteg_7_kernel__derive_batch(u8 const *__pyx_v_k, u8 __pyx_v_tag, u64 __pyx_v_start, int __pyx_v_count, u64 const *__pyx_v_gyx, u64 const *__pyx_v_gyy, u8 *__pyx_v_digests, u8 *__pyx_v_ok_flags) {
-  struct __pyx_t_9chainsteg_7_kernel_JPt __pyx_v_pts[64];
-  u64 __pyx_v_zinv[4];
-  u64 __pyx_v_zi2[4];
-  u64 __pyx_v_t[4];
-  u64 __pyx_v_prefix_acc[4];
-  u64 __pyx_v_prefix[(64 * 4)];
-  u8 __pyx_v_pub[33];
-  u8 __pyx_v_sha_out[32];
-  int __pyx_v_i;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  u8 __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "chainsteg/_kernel.pyx":518
- *     cdef u8[32] sha_out
- *     cdef int i
- *     for i in range(count):             # <<<<<<<<<<<<<<
- *         _derive_one(k, tag, start + <u64>i, gyx, gyy, &pts[i])
- *         ok_flags[i] = 0 if jpt_is_infinity(&pts[i]) else 1
-*/
-  __pyx_t_1 = __pyx_v_count;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "chainsteg/_kernel.pyx":519
- *     cdef int i
- *     for i in range(count):
- *         _derive_one(k, tag, start + <u64>i, gyx, gyy, &pts[i])             # <<<<<<<<<<<<<<
- *         ok_flags[i] = 0 if jpt_is_infinity(&pts[i]) else 1
- *     # batch inversion of the Z coordinates (Montgomery's trick)
-*/
-    __pyx_f_9chainsteg_7_kernel__derive_one(__pyx_v_k, __pyx_v_tag, (__pyx_v_start + ((u64)__pyx_v_i)), __pyx_v_gyx, __pyx_v_gyy, (&(__pyx_v_pts[__pyx_v_i]))); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 519, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":520
- *     for i in range(count):
- *         _derive_one(k, tag, start + <u64>i, gyx, gyy, &pts[i])
- *         ok_flags[i] = 0 if jpt_is_infinity(&pts[i]) else 1             # <<<<<<<<<<<<<<
- *     # batch inversion of the Z coordinates (Montgomery's trick)
- *     prefix_acc[0] = 1; prefix_acc[1] = 0; prefix_acc[2] = 0; prefix_acc[3] = 0
-*/
-    __pyx_t_5 = __pyx_f_9chainsteg_7_kernel_jpt_is_infinity((&(__pyx_v_pts[__pyx_v_i]))); if (unlikely(__pyx_t_5 == ((int)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 520, __pyx_L1_error)
-    if (__pyx_t_5) {
-      __pyx_t_4 = 0;
-    } else {
-      __pyx_t_4 = 1;
-    }
-    (__pyx_v_ok_flags[__pyx_v_i]) = __pyx_t_4;
-  }
-
-  /* "chainsteg/_kernel.pyx":522
- *         ok_flags[i] = 0 if jpt_is_infinity(&pts[i]) else 1
- *     # batch inversion of the Z coordinates (Montgomery's trick)
- *     prefix_acc[0] = 1; prefix_acc[1] = 0; prefix_acc[2] = 0; prefix_acc[3] = 0             # <<<<<<<<<<<<<<
- *     for i in range(count):
- *         fe_set(&prefix[i * 4], prefix_acc)
-*/
-  (__pyx_v_prefix_acc[0]) = 1;
-  (__pyx_v_prefix_acc[1]) = 0;
-  (__pyx_v_prefix_acc[2]) = 0;
-  (__pyx_v_prefix_acc[3]) = 0;
-
-  /* "chainsteg/_kernel.pyx":523
- *     # batch inversion of the Z coordinates (Montgomery's trick)
- *     prefix_acc[0] = 1; prefix_acc[1] = 0; prefix_acc[2] = 0; prefix_acc[3] = 0
- *     for i in range(count):             # <<<<<<<<<<<<<<
- *         fe_set(&prefix[i * 4], prefix_acc)
- *         if ok_flags[i]:
-*/
-  __pyx_t_1 = __pyx_v_count;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "chainsteg/_kernel.pyx":524
- *     prefix_acc[0] = 1; prefix_acc[1] = 0; prefix_acc[2] = 0; prefix_acc[3] = 0
- *     for i in range(count):
- *         fe_set(&prefix[i * 4], prefix_acc)             # <<<<<<<<<<<<<<
- *         if ok_flags[i]:
- *             fe_mul(prefix_acc, prefix_acc, pts[i].Z)
-*/
-    __pyx_f_9chainsteg_7_kernel_fe_set((&(__pyx_v_prefix[(__pyx_v_i * 4)])), __pyx_v_prefix_acc); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 524, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":525
- *     for i in range(count):
- *         fe_set(&prefix[i * 4], prefix_acc)
- *         if ok_flags[i]:             # <<<<<<<<<<<<<<
- *             fe_mul(prefix_acc, prefix_acc, pts[i].Z)
- *     fe_inv(zinv, prefix_acc)
-*/
-    __pyx_t_5 = ((__pyx_v_ok_flags[__pyx_v_i]) != 0);
-    if (__pyx_t_5) {
-
-      /* "chainsteg/_kernel.pyx":526
- *         fe_set(&prefix[i * 4], prefix_acc)
- *         if ok_flags[i]:
- *             fe_mul(prefix_acc, prefix_acc, pts[i].Z)             # <<<<<<<<<<<<<<
- *     fe_inv(zinv, prefix_acc)
- *     for i in range(count - 1, -1, -1):
-*/
-      __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_prefix_acc, __pyx_v_prefix_acc, (__pyx_v_pts[__pyx_v_i]).Z); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 526, __pyx_L1_error)
-
-      /* "chainsteg/_kernel.pyx":525
- *     for i in range(count):
- *         fe_set(&prefix[i * 4], prefix_acc)
- *         if ok_flags[i]:             # <<<<<<<<<<<<<<
- *             fe_mul(prefix_acc, prefix_acc, pts[i].Z)
- *     fe_inv(zinv, prefix_acc)
-*/
-    }
-  }
-
-  /* "chainsteg/_kernel.pyx":527
- *         if ok_flags[i]:
- *             fe_mul(prefix_acc, prefix_acc, pts[i].Z)
- *     fe_inv(zinv, prefix_acc)             # <<<<<<<<<<<<<<
- *     for i in range(count - 1, -1, -1):
- *         if not ok_flags[i]:
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_inv(__pyx_v_zinv, __pyx_v_prefix_acc); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 527, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":528
- *             fe_mul(prefix_acc, prefix_acc, pts[i].Z)
- *     fe_inv(zinv, prefix_acc)
- *     for i in range(count - 1, -1, -1):             # <<<<<<<<<<<<<<
- *         if not ok_flags[i]:
- *             continue
-*/
-  for (__pyx_t_1 = (__pyx_v_count - 1); __pyx_t_1 > -1; __pyx_t_1-=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "chainsteg/_kernel.pyx":529
- *     fe_inv(zinv, prefix_acc)
- *     for i in range(count - 1, -1, -1):
- *         if not ok_flags[i]:             # <<<<<<<<<<<<<<
- *             continue
- *         fe_mul(t, zinv, &prefix[i * 4])      # 1/Z_i
-*/
-    __pyx_t_5 = (!((__pyx_v_ok_flags[__pyx_v_i]) != 0));
-    if (__pyx_t_5) {
-
-      /* "chainsteg/_kernel.pyx":530
- *     for i in range(count - 1, -1, -1):
- *         if not ok_flags[i]:
- *             continue             # <<<<<<<<<<<<<<
- *         fe_mul(t, zinv, &prefix[i * 4])      # 1/Z_i
- *         fe_mul(zinv, zinv, pts[i].Z)
-*/
-      goto __pyx_L8_continue;
-
-      /* "chainsteg/_kernel.pyx":529
- *     fe_inv(zinv, prefix_acc)
- *     for i in range(count - 1, -1, -1):
- *         if not ok_flags[i]:             # <<<<<<<<<<<<<<
- *             continue
- *         fe_mul(t, zinv, &prefix[i * 4])      # 1/Z_i
-*/
-    }
-
-    /* "chainsteg/_kernel.pyx":531
- *         if not ok_flags[i]:
- *             continue
- *         fe_mul(t, zinv, &prefix[i * 4])      # 1/Z_i             # <<<<<<<<<<<<<<
- *         fe_mul(zinv, zinv, pts[i].Z)
- *         fe_sqr(zi2, t)
-*/
-    __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_t, __pyx_v_zinv, (&(__pyx_v_prefix[(__pyx_v_i * 4)]))); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 531, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":532
- *             continue
- *         fe_mul(t, zinv, &prefix[i * 4])      # 1/Z_i
- *         fe_mul(zinv, zinv, pts[i].Z)             # <<<<<<<<<<<<<<
- *         fe_sqr(zi2, t)
- *         fe_mul(&pts[i].X[0], pts[i].X, zi2)  # affine x
-*/
-    __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_zinv, __pyx_v_zinv, (__pyx_v_pts[__pyx_v_i]).Z); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 532, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":533
- *         fe_mul(t, zinv, &prefix[i * 4])      # 1/Z_i
- *         fe_mul(zinv, zinv, pts[i].Z)
- *         fe_sqr(zi2, t)             # <<<<<<<<<<<<<<
- *         fe_mul(&pts[i].X[0], pts[i].X, zi2)  # affine x
- *         fe_mul(zi2, zi2, t)
-*/
-    __pyx_f_9chainsteg_7_kernel_fe_sqr(__pyx_v_zi2, __pyx_v_t); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 533, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":534
- *         fe_mul(zinv, zinv, pts[i].Z)
- *         fe_sqr(zi2, t)
- *         fe_mul(&pts[i].X[0], pts[i].X, zi2)  # affine x             # <<<<<<<<<<<<<<
- *         fe_mul(zi2, zi2, t)
- *         fe_mul(&pts[i].Y[0], pts[i].Y, zi2)  # affine y
-*/
-    __pyx_f_9chainsteg_7_kernel_fe_mul((&((__pyx_v_pts[__pyx_v_i]).X[0])), (__pyx_v_pts[__pyx_v_i]).X, __pyx_v_zi2); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 534, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":535
- *         fe_sqr(zi2, t)
- *         fe_mul(&pts[i].X[0], pts[i].X, zi2)  # affine x
- *         fe_mul(zi2, zi2, t)             # <<<<<<<<<<<<<<
- *         fe_mul(&pts[i].Y[0], pts[i].Y, zi2)  # affine y
- *     for i in range(count):
-*/
-    __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_zi2, __pyx_v_zi2, __pyx_v_t); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 535, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":536
- *         fe_mul(&pts[i].X[0], pts[i].X, zi2)  # affine x
- *         fe_mul(zi2, zi2, t)
- *         fe_mul(&pts[i].Y[0], pts[i].Y, zi2)  # affine y             # <<<<<<<<<<<<<<
- *     for i in range(count):
- *         if not ok_flags[i]:
-*/
-    __pyx_f_9chainsteg_7_kernel_fe_mul((&((__pyx_v_pts[__pyx_v_i]).Y[0])), (__pyx_v_pts[__pyx_v_i]).Y, __pyx_v_zi2); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 536, __pyx_L1_error)
-    __pyx_L8_continue:;
-  }
-
-  /* "chainsteg/_kernel.pyx":537
- *         fe_mul(zi2, zi2, t)
- *         fe_mul(&pts[i].Y[0], pts[i].Y, zi2)  # affine y
- *     for i in range(count):             # <<<<<<<<<<<<<<
- *         if not ok_flags[i]:
- *             memset(digests + i * 20, 0, 20)
-*/
-  __pyx_t_1 = __pyx_v_count;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "chainsteg/_kernel.pyx":538
- *         fe_mul(&pts[i].Y[0], pts[i].Y, zi2)  # affine y
- *     for i in range(count):
- *         if not ok_flags[i]:             # <<<<<<<<<<<<<<
- *             memset(digests + i * 20, 0, 20)
- *             continue
-*/
-    __pyx_t_5 = (!((__pyx_v_ok_flags[__pyx_v_i]) != 0));
-    if (__pyx_t_5) {
-
-      /* "chainsteg/_kernel.pyx":539
- *     for i in range(count):
- *         if not ok_flags[i]:
- *             memset(digests + i * 20, 0, 20)             # <<<<<<<<<<<<<<
- *             continue
- *         pub[0] = 0x02 | <u8>(pts[i].Y[0] & 1)
-*/
-      (void)(memset((__pyx_v_digests + (__pyx_v_i * 20)), 0, 20));
-
-      /* "chainsteg/_kernel.pyx":540
- *         if not ok_flags[i]:
- *             memset(digests + i * 20, 0, 20)
- *             continue             # <<<<<<<<<<<<<<
- *         pub[0] = 0x02 | <u8>(pts[i].Y[0] & 1)
- *         limbs_to_be32(pts[i].X, pub + 1)
-*/
-      goto __pyx_L11_continue;
-
-      /* "chainsteg/_kernel.pyx":538
- *         fe_mul(&pts[i].Y[0], pts[i].Y, zi2)  # affine y
- *     for i in range(count):
- *         if not ok_flags[i]:             # <<<<<<<<<<<<<<
- *             memset(digests + i * 20, 0, 20)
- *             continue
-*/
-    }
-
-    /* "chainsteg/_kernel.pyx":541
- *             memset(digests + i * 20, 0, 20)
- *             continue
- *         pub[0] = 0x02 | <u8>(pts[i].Y[0] & 1)             # <<<<<<<<<<<<<<
- *         limbs_to_be32(pts[i].X, pub + 1)
- *         sha256_block(pub, 33, sha_out)
-*/
-    (__pyx_v_pub[0]) = (0x02 | ((u8)(((__pyx_v_pts[__pyx_v_i]).Y[0]) & 1)));
-
-    /* "chainsteg/_kernel.pyx":542
- *             continue
- *         pub[0] = 0x02 | <u8>(pts[i].Y[0] & 1)
- *         limbs_to_be32(pts[i].X, pub + 1)             # <<<<<<<<<<<<<<
- *         sha256_block(pub, 33, sha_out)
- *         ripemd160_32(sha_out, digests + i * 20)
-*/
-    __pyx_f_9chainsteg_7_kernel_limbs_to_be32((__pyx_v_pts[__pyx_v_i]).X, (__pyx_v_pub + 1)); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 542, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":543
- *         pub[0] = 0x02 | <u8>(pts[i].Y[0] & 1)
- *         limbs_to_be32(pts[i].X, pub + 1)
- *         sha256_block(pub, 33, sha_out)             # <<<<<<<<<<<<<<
- *         ripemd160_32(sha_out, digests + i * 20)
- *     return count
-*/
-    __pyx_f_9chainsteg_7_kernel_sha256_block(__pyx_v_pub, 33, __pyx_v_sha_out); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 543, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":544
- *         limbs_to_be32(pts[i].X, pub + 1)
- *         sha256_block(pub, 33, sha_out)
- *         ripemd160_32(sha_out, digests + i * 20)             # <<<<<<<<<<<<<<
- *     return count
- * 
-*/
-    __pyx_f_9chainsteg_7_kernel_ripemd160_32(__pyx_v_sha_out, (__pyx_v_digests + (__pyx_v_i * 20))); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 544, __pyx_L1_error)
-    __pyx_L11_continue:;
-  }
-
-  /* "chainsteg/_kernel.pyx":545
- *         sha256_block(pub, 33, sha_out)
- *         ripemd160_32(sha_out, digests + i * 20)
- *     return count             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_count;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":505
- * 
- * 
- * cdef int _derive_batch(const u8* k, u8 tag, u64 start, int count,             # <<<<<<<<<<<<<<
- *                        const u64* gyx, const u64* gyy,
- *                        u8* digests, u8* ok_flags) nogil:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("chainsteg._kernel._derive_batch", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":548
- * 
- * 
- * cdef inline u64 _select_bits(const u8* digest, const int* positions, int m) nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 out = 0
- *     cdef int i, pos
-*/
-
-static CYTHON_INLINE u64 __pyx_f_9chainsteg_7_kernel__select_bits(u8 const *__pyx_v_digest, int const *__pyx_v_positions, int __pyx_v_m) {
-  u64 __pyx_v_out;
-  int __pyx_v_i;
-  int __pyx_v_pos;
-  u64 __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "chainsteg/_kernel.pyx":549
- * 
- * cdef inline u64 _select_bits(const u8* digest, const int* positions, int m) nogil:
- *     cdef u64 out = 0             # <<<<<<<<<<<<<<
- *     cdef int i, pos
- *     for i in range(m):
-*/
-  __pyx_v_out = 0;
-
-  /* "chainsteg/_kernel.pyx":551
- *     cdef u64 out = 0
- *     cdef int i, pos
- *     for i in range(m):             # <<<<<<<<<<<<<<
- *         pos = positions[i]
- *         out = (out << 1) | ((digest[19 - (pos >> 3)] >> (pos & 7)) & 1)
-*/
-  __pyx_t_1 = __pyx_v_m;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "chainsteg/_kernel.pyx":552
- *     cdef int i, pos
- *     for i in range(m):
- *         pos = positions[i]             # <<<<<<<<<<<<<<
- *         out = (out << 1) | ((digest[19 - (pos >> 3)] >> (pos & 7)) & 1)
- *     return out
-*/
-    __pyx_v_pos = (__pyx_v_positions[__pyx_v_i]);
-
-    /* "chainsteg/_kernel.pyx":553
- *     for i in range(m):
- *         pos = positions[i]
- *         out = (out << 1) | ((digest[19 - (pos >> 3)] >> (pos & 7)) & 1)             # <<<<<<<<<<<<<<
- *     return out
- * 
-*/
-    __pyx_v_out = ((__pyx_v_out << 1) | (((__pyx_v_digest[(19 - (__pyx_v_pos >> 3))]) >> (__pyx_v_pos & 7)) & 1));
-  }
-
-  /* "chainsteg/_kernel.pyx":554
- *         pos = positions[i]
- *         out = (out << 1) | ((digest[19 - (pos >> 3)] >> (pos & 7)) & 1)
- *     return out             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_out;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":548
- * 
- * 
- * cdef inline u64 _select_bits(const u8* digest, const int* positions, int m) nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 out = 0
- *     cdef int i, pos
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":560
- * # Python-visible API
- * 
- * def derive_digest(bytes k, int tag, counter, gy_x, gy_y):             # <<<<<<<<<<<<<<
- *     """hash160 of the derived public key, or None for a degenerate index."""
- *     cdef u64[4] gyx, gyy
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9chainsteg_7_kernel_1derive_digest(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9chainsteg_7_kernel_derive_digest, "hash160 of the derived public key, or None for a degenerate index.");
-static PyMethodDef __pyx_mdef_9chainsteg_7_kernel_1derive_digest = {"derive_digest", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9chainsteg_7_kernel_1derive_digest, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9chainsteg_7_kernel_derive_digest};
-static PyObject *__pyx_pw_9chainsteg_7_kernel_1derive_digest(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_k = 0;
-  int __pyx_v_tag;
-  PyObject *__pyx_v_counter = 0;
-  PyObject *__pyx_v_gy_x = 0;
-  PyObject *__pyx_v_gy_y = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("derive_digest (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_k,&__pyx_mstate_global->__pyx_n_u_tag,&__pyx_mstate_global->__pyx_n_u_counter,&__pyx_mstate_global->__pyx_n_u_gy_x,&__pyx_mstate_global->__pyx_n_u_gy_y,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 560, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 560, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 560, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 560, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 560, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 560, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "derive_digest", 0) < (0)) __PYX_ERR(0, 560, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 5; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("derive_digest", 1, 5, 5, i); __PYX_ERR(0, 560, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 5)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 560, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 560, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 560, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 560, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 560, __pyx_L3_error)
-    }
-    __pyx_v_k = ((PyObject*)values[0]);
-    __pyx_v_tag = __Pyx_PyLong_As_int(values[1]); if (unlikely((__pyx_v_tag == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 560, __pyx_L3_error)
-    __pyx_v_counter = values[2];
-    __pyx_v_gy_x = values[3];
-    __pyx_v_gy_y = values[4];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("derive_digest", 1, 5, 5, __pyx_nargs); __PYX_ERR(0, 560, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("chainsteg._kernel.derive_digest", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_k), (&PyBytes_Type), 1, "k", 1))) __PYX_ERR(0, 560, __pyx_L1_error)
-  __pyx_r = __pyx_pf_9chainsteg_7_kernel_derive_digest(__pyx_self, __pyx_v_k, __pyx_v_tag, __pyx_v_counter, __pyx_v_gy_x, __pyx_v_gy_y);
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_r = NULL;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  goto __pyx_L7_cleaned_up;
-  __pyx_L0:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __pyx_L7_cleaned_up:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_derive_digest(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_k, int __pyx_v_tag, PyObject *__pyx_v_counter, PyObject *__pyx_v_gy_x, PyObject *__pyx_v_gy_y) {
-  u64 __pyx_v_gyx[4];
-  u64 __pyx_v_gyy[4];
-  u8 __pyx_v_digest[20];
-  u8 __pyx_v_ok[1];
-  u8 __pyx_v_xb[32];
-  u8 __pyx_v_yb[32];
-  u64 __pyx_v_ctr;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  u64 __pyx_t_1;
-  Py_ssize_t __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  u8 const *__pyx_t_7;
-  int __pyx_t_8;
-  PyObject *__pyx_t_9 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("derive_digest", 0);
-
-  /* "chainsteg/_kernel.pyx":566
- *     cdef u8[1] ok
- *     cdef u8[32] xb, yb
- *     cdef u64 ctr = counter             # <<<<<<<<<<<<<<
- *     if len(k) != 32:
- *         raise ValueError("k must be 32 bytes")
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_u64(__pyx_v_counter); if (unlikely((__pyx_t_1 == ((u64)-1)) && PyErr_Occurred())) __PYX_ERR(0, 566, __pyx_L1_error)
-  __pyx_v_ctr = __pyx_t_1;
-
-  /* "chainsteg/_kernel.pyx":567
- *     cdef u8[32] xb, yb
- *     cdef u64 ctr = counter
- *     if len(k) != 32:             # <<<<<<<<<<<<<<
- *         raise ValueError("k must be 32 bytes")
- *     _int_to_be32(gy_x, xb)
-*/
-  if (unlikely(__pyx_v_k == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "object of type 'NoneType' has no len()");
-    __PYX_ERR(0, 567, __pyx_L1_error)
-  }
-  __pyx_t_2 = __Pyx_PyBytes_GET_SIZE(__pyx_v_k); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 567, __pyx_L1_error)
-  __pyx_t_3 = (__pyx_t_2 != 32);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "chainsteg/_kernel.pyx":568
- *     cdef u64 ctr = counter
- *     if len(k) != 32:
- *         raise ValueError("k must be 32 bytes")             # <<<<<<<<<<<<<<
- *     _int_to_be32(gy_x, xb)
- *     _int_to_be32(gy_y, yb)
-*/
-    __pyx_t_5 = NULL;
-    __pyx_t_6 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_mstate_global->__pyx_kp_u_k_must_be_32_bytes};
-      __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 568, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-    }
-    __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 568, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":567
- *     cdef u8[32] xb, yb
- *     cdef u64 ctr = counter
- *     if len(k) != 32:             # <<<<<<<<<<<<<<
- *         raise ValueError("k must be 32 bytes")
- *     _int_to_be32(gy_x, xb)
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":569
- *     if len(k) != 32:
- *         raise ValueError("k must be 32 bytes")
- *     _int_to_be32(gy_x, xb)             # <<<<<<<<<<<<<<
- *     _int_to_be32(gy_y, yb)
- *     be32_to_limbs(xb, gyx)
-*/
-  __pyx_f_9chainsteg_7_kernel__int_to_be32(__pyx_v_gy_x, __pyx_v_xb); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 569, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":570
- *         raise ValueError("k must be 32 bytes")
- *     _int_to_be32(gy_x, xb)
- *     _int_to_be32(gy_y, yb)             # <<<<<<<<<<<<<<
- *     be32_to_limbs(xb, gyx)
- *     be32_to_limbs(yb, gyy)
-*/
-  __pyx_f_9chainsteg_7_kernel__int_to_be32(__pyx_v_gy_y, __pyx_v_yb); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 570, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":571
- *     _int_to_be32(gy_x, xb)
- *     _int_to_be32(gy_y, yb)
- *     be32_to_limbs(xb, gyx)             # <<<<<<<<<<<<<<
- *     be32_to_limbs(yb, gyy)
- *     _derive_batch(<const u8*>k, <u8>tag, ctr, 1, gyx, gyy, digest, ok)
-*/
-  __pyx_f_9chainsteg_7_kernel_be32_to_limbs(__pyx_v_xb, __pyx_v_gyx); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 571, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":572
- *     _int_to_be32(gy_y, yb)
- *     be32_to_limbs(xb, gyx)
- *     be32_to_limbs(yb, gyy)             # <<<<<<<<<<<<<<
- *     _derive_batch(<const u8*>k, <u8>tag, ctr, 1, gyx, gyy, digest, ok)
- *     if not ok[0]:
-*/
-  __pyx_f_9chainsteg_7_kernel_be32_to_limbs(__pyx_v_yb, __pyx_v_gyy); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 572, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":573
- *     be32_to_limbs(xb, gyx)
- *     be32_to_limbs(yb, gyy)
- *     _derive_batch(<const u8*>k, <u8>tag, ctr, 1, gyx, gyy, digest, ok)             # <<<<<<<<<<<<<<
- *     if not ok[0]:
- *         return None
-*/
-  if (unlikely(__pyx_v_k == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "expected bytes, NoneType found");
-    __PYX_ERR(0, 573, __pyx_L1_error)
-  }
-  __pyx_t_7 = __Pyx_PyBytes_AsUString(__pyx_v_k); if (unlikely((!__pyx_t_7) && PyErr_Occurred())) __PYX_ERR(0, 573, __pyx_L1_error)
-  __pyx_t_8 = __pyx_f_9chainsteg_7_kernel__derive_batch(((u8 const *)__pyx_t_7), ((u8)__pyx_v_tag), __pyx_v_ctr, 1, __pyx_v_gyx, __pyx_v_gyy, __pyx_v_digest, __pyx_v_ok); if (unlikely(__pyx_t_8 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 573, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":574
- *     be32_to_limbs(yb, gyy)
- *     _derive_batch(<const u8*>k, <u8>tag, ctr, 1, gyx, gyy, digest, ok)
- *     if not ok[0]:             # <<<<<<<<<<<<<<
- *         return None
- *     return bytes(digest[:20])
-*/
-  __pyx_t_3 = (!((__pyx_v_ok[0]) != 0));
-  if (__pyx_t_3) {
-
-    /* "chainsteg/_kernel.pyx":575
- *     _derive_batch(<const u8*>k, <u8>tag, ctr, 1, gyx, gyy, digest, ok)
- *     if not ok[0]:
- *         return None             # <<<<<<<<<<<<<<
- *     return bytes(digest[:20])
- * 
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-    goto __pyx_L0;
-
-    /* "chainsteg/_kernel.pyx":574
- *     be32_to_limbs(yb, gyy)
- *     _derive_batch(<const u8*>k, <u8>tag, ctr, 1, gyx, gyy, digest, ok)
- *     if not ok[0]:             # <<<<<<<<<<<<<<
- *         return None
- *     return bytes(digest[:20])
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":576
- *     if not ok[0]:
- *         return None
- *     return bytes(digest[:20])             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_5 = NULL;
-  __pyx_t_9 = __Pyx_PyBytes_FromStringAndSize(((char const *)__pyx_v_digest) + 0, 20 - 0); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 576, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_6 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_9};
-    __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(&PyBytes_Type), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 576, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-  }
-  __pyx_r = __pyx_t_4;
-  __pyx_t_4 = 0;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":560
- * # Python-visible API
- * 
- * def derive_digest(bytes k, int tag, counter, gy_x, gy_y):             # <<<<<<<<<<<<<<
- *     """hash160 of the derived public key, or None for a degenerate index."""
- *     cdef u64[4] gyx, gyy
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("chainsteg._kernel.derive_digest", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":579
- * 
- * 
- * def derive_compressed(bytes k, int tag, counter, gy_x, gy_y):             # <<<<<<<<<<<<<<
- *     """Compressed public key bytes for one derivation index."""
- *     cdef u64[4] gyx, gyy, scalar
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9chainsteg_7_kernel_3derive_compressed(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9chainsteg_7_kernel_2derive_compressed, "Compressed public key bytes for one derivation index.");
-static PyMethodDef __pyx_mdef_9chainsteg_7_kernel_3derive_compressed = {"derive_compressed", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9chainsteg_7_kernel_3derive_compressed, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9chainsteg_7_kernel_2derive_compressed};
-static PyObject *__pyx_pw_9chainsteg_7_kernel_3derive_compressed(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_k = 0;
-  int __pyx_v_tag;
-  PyObject *__pyx_v_counter = 0;
-  PyObject *__pyx_v_gy_x = 0;
-  PyObject *__pyx_v_gy_y = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("derive_compressed (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_k,&__pyx_mstate_global->__pyx_n_u_tag,&__pyx_mstate_global->__pyx_n_u_counter,&__pyx_mstate_global->__pyx_n_u_gy_x,&__pyx_mstate_global->__pyx_n_u_gy_y,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 579, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 579, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 579, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 579, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 579, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 579, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "derive_compressed", 0) < (0)) __PYX_ERR(0, 579, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 5; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("derive_compressed", 1, 5, 5, i); __PYX_ERR(0, 579, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 5)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 579, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 579, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 579, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 579, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 579, __pyx_L3_error)
-    }
-    __pyx_v_k = ((PyObject*)values[0]);
-    __pyx_v_tag = __Pyx_PyLong_As_int(values[1]); if (unlikely((__pyx_v_tag == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 579, __pyx_L3_error)
-    __pyx_v_counter = values[2];
-    __pyx_v_gy_x = values[3];
-    __pyx_v_gy_y = values[4];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("derive_compressed", 1, 5, 5, __pyx_nargs); __PYX_ERR(0, 579, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("chainsteg._kernel.derive_compressed", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_k), (&PyBytes_Type), 1, "k", 1))) __PYX_ERR(0, 579, __pyx_L1_error)
-  __pyx_r = __pyx_pf_9chainsteg_7_kernel_2derive_compressed(__pyx_self, __pyx_v_k, __pyx_v_tag, __pyx_v_counter, __pyx_v_gy_x, __pyx_v_gy_y);
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_r = NULL;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  goto __pyx_L7_cleaned_up;
-  __pyx_L0:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __pyx_L7_cleaned_up:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_2derive_compressed(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_k, int __pyx_v_tag, PyObject *__pyx_v_counter, PyObject *__pyx_v_gy_x, PyObject *__pyx_v_gy_y) {
-  u64 __pyx_v_gyx[4];
-  u64 __pyx_v_gyy[4];
-  u64 __pyx_v_scalar[4];
-  struct __pyx_t_9chainsteg_7_kernel_JPt __pyx_v_pt;
-  u64 __pyx_v_zinv[4];
-  u64 __pyx_v_zi2[4];
-  u8 __pyx_v_msg[41];
-  u8 __pyx_v_hbuf[32];
-  u8 __pyx_v_xb[32];
-  u8 __pyx_v_yb[32];
-  u8 __pyx_v_pub[33];
-  u64 __pyx_v_ctr;
-  int __pyx_v_j;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  u64 __pyx_t_1;
-  Py_ssize_t __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  u8 const *__pyx_t_7;
-  int __pyx_t_8;
-  PyObject *__pyx_t_9 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("derive_compressed", 0);
-
-  /* "chainsteg/_kernel.pyx":587
- *     cdef u8[32] hbuf, xb, yb
- *     cdef u8[33] pub
- *     cdef u64 ctr = counter             # <<<<<<<<<<<<<<
- *     cdef int j
- *     if len(k) != 32:
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_u64(__pyx_v_counter); if (unlikely((__pyx_t_1 == ((u64)-1)) && PyErr_Occurred())) __PYX_ERR(0, 587, __pyx_L1_error)
-  __pyx_v_ctr = __pyx_t_1;
-
-  /* "chainsteg/_kernel.pyx":589
- *     cdef u64 ctr = counter
- *     cdef int j
- *     if len(k) != 32:             # <<<<<<<<<<<<<<
- *         raise ValueError("k must be 32 bytes")
- *     _int_to_be32(gy_x, xb)
-*/
-  if (unlikely(__pyx_v_k == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "object of type 'NoneType' has no len()");
-    __PYX_ERR(0, 589, __pyx_L1_error)
-  }
-  __pyx_t_2 = __Pyx_PyBytes_GET_SIZE(__pyx_v_k); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 589, __pyx_L1_error)
-  __pyx_t_3 = (__pyx_t_2 != 32);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "chainsteg/_kernel.pyx":590
- *     cdef int j
- *     if len(k) != 32:
- *         raise ValueError("k must be 32 bytes")             # <<<<<<<<<<<<<<
- *     _int_to_be32(gy_x, xb)
- *     _int_to_be32(gy_y, yb)
-*/
-    __pyx_t_5 = NULL;
-    __pyx_t_6 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_mstate_global->__pyx_kp_u_k_must_be_32_bytes};
-      __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 590, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-    }
-    __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 590, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":589
- *     cdef u64 ctr = counter
- *     cdef int j
- *     if len(k) != 32:             # <<<<<<<<<<<<<<
- *         raise ValueError("k must be 32 bytes")
- *     _int_to_be32(gy_x, xb)
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":591
- *     if len(k) != 32:
- *         raise ValueError("k must be 32 bytes")
- *     _int_to_be32(gy_x, xb)             # <<<<<<<<<<<<<<
- *     _int_to_be32(gy_y, yb)
- *     be32_to_limbs(xb, gyx)
-*/
-  __pyx_f_9chainsteg_7_kernel__int_to_be32(__pyx_v_gy_x, __pyx_v_xb); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 591, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":592
- *         raise ValueError("k must be 32 bytes")
- *     _int_to_be32(gy_x, xb)
- *     _int_to_be32(gy_y, yb)             # <<<<<<<<<<<<<<
- *     be32_to_limbs(xb, gyx)
- *     be32_to_limbs(yb, gyy)
-*/
-  __pyx_f_9chainsteg_7_kernel__int_to_be32(__pyx_v_gy_y, __pyx_v_yb); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 592, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":593
- *     _int_to_be32(gy_x, xb)
- *     _int_to_be32(gy_y, yb)
- *     be32_to_limbs(xb, gyx)             # <<<<<<<<<<<<<<
- *     be32_to_limbs(yb, gyy)
- *     memcpy(msg, <const u8*>k, 32)
-*/
-  __pyx_f_9chainsteg_7_kernel_be32_to_limbs(__pyx_v_xb, __pyx_v_gyx); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 593, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":594
- *     _int_to_be32(gy_y, yb)
- *     be32_to_limbs(xb, gyx)
- *     be32_to_limbs(yb, gyy)             # <<<<<<<<<<<<<<
- *     memcpy(msg, <const u8*>k, 32)
- *     msg[32] = <u8>tag
-*/
-  __pyx_f_9chainsteg_7_kernel_be32_to_limbs(__pyx_v_yb, __pyx_v_gyy); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 594, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":595
- *     be32_to_limbs(xb, gyx)
- *     be32_to_limbs(yb, gyy)
- *     memcpy(msg, <const u8*>k, 32)             # <<<<<<<<<<<<<<
- *     msg[32] = <u8>tag
- *     for j in range(8):
-*/
-  if (unlikely(__pyx_v_k == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "expected bytes, NoneType found");
-    __PYX_ERR(0, 595, __pyx_L1_error)
-  }
-  __pyx_t_7 = __Pyx_PyBytes_AsUString(__pyx_v_k); if (unlikely((!__pyx_t_7) && PyErr_Occurred())) __PYX_ERR(0, 595, __pyx_L1_error)
-  (void)(memcpy(__pyx_v_msg, ((u8 const *)__pyx_t_7), 32));
-
-  /* "chainsteg/_kernel.pyx":596
- *     be32_to_limbs(yb, gyy)
- *     memcpy(msg, <const u8*>k, 32)
- *     msg[32] = <u8>tag             # <<<<<<<<<<<<<<
- *     for j in range(8):
- *         msg[33 + j] = <u8>(ctr >> (8 * (7 - j)))
-*/
-  (__pyx_v_msg[32]) = ((u8)__pyx_v_tag);
-
-  /* "chainsteg/_kernel.pyx":597
- *     memcpy(msg, <const u8*>k, 32)
- *     msg[32] = <u8>tag
- *     for j in range(8):             # <<<<<<<<<<<<<<
- *         msg[33 + j] = <u8>(ctr >> (8 * (7 - j)))
- *     sha256_block(msg, 41, hbuf)
-*/
-  for (__pyx_t_8 = 0; __pyx_t_8 < 8; __pyx_t_8+=1) {
-    __pyx_v_j = __pyx_t_8;
-
-    /* "chainsteg/_kernel.pyx":598
- *     msg[32] = <u8>tag
- *     for j in range(8):
- *         msg[33 + j] = <u8>(ctr >> (8 * (7 - j)))             # <<<<<<<<<<<<<<
- *     sha256_block(msg, 41, hbuf)
- *     be32_to_limbs(hbuf, scalar)
-*/
-    (__pyx_v_msg[(33 + __pyx_v_j)]) = ((u8)(__pyx_v_ctr >> (8 * (7 - __pyx_v_j))));
-  }
-
-  /* "chainsteg/_kernel.pyx":599
- *     for j in range(8):
- *         msg[33 + j] = <u8>(ctr >> (8 * (7 - j)))
- *     sha256_block(msg, 41, hbuf)             # <<<<<<<<<<<<<<
- *     be32_to_limbs(hbuf, scalar)
- *     scalar_mod_q(scalar)
-*/
-  __pyx_f_9chainsteg_7_kernel_sha256_block(__pyx_v_msg, 41, __pyx_v_hbuf); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 599, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":600
- *         msg[33 + j] = <u8>(ctr >> (8 * (7 - j)))
- *     sha256_block(msg, 41, hbuf)
- *     be32_to_limbs(hbuf, scalar)             # <<<<<<<<<<<<<<
- *     scalar_mod_q(scalar)
- *     _mult_gen(&pt, scalar)
-*/
-  __pyx_f_9chainsteg_7_kernel_be32_to_limbs(__pyx_v_hbuf, __pyx_v_scalar); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 600, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":601
- *     sha256_block(msg, 41, hbuf)
- *     be32_to_limbs(hbuf, scalar)
- *     scalar_mod_q(scalar)             # <<<<<<<<<<<<<<
- *     _mult_gen(&pt, scalar)
- *     jpt_add_affine(&pt, &pt, gyx, gyy)
-*/
-  __pyx_f_9chainsteg_7_kernel_scalar_mod_q(__pyx_v_scalar); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 601, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":602
- *     be32_to_limbs(hbuf, scalar)
- *     scalar_mod_q(scalar)
- *     _mult_gen(&pt, scalar)             # <<<<<<<<<<<<<<
- *     jpt_add_affine(&pt, &pt, gyx, gyy)
- *     if jpt_is_infinity(&pt):
-*/
-  __pyx_f_9chainsteg_7_kernel__mult_gen((&__pyx_v_pt), __pyx_v_scalar); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 602, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":603
- *     scalar_mod_q(scalar)
- *     _mult_gen(&pt, scalar)
- *     jpt_add_affine(&pt, &pt, gyx, gyy)             # <<<<<<<<<<<<<<
- *     if jpt_is_infinity(&pt):
- *         return None
-*/
-  __pyx_f_9chainsteg_7_kernel_jpt_add_affine((&__pyx_v_pt), (&__pyx_v_pt), __pyx_v_gyx, __pyx_v_gyy); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 603, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":604
- *     _mult_gen(&pt, scalar)
- *     jpt_add_affine(&pt, &pt, gyx, gyy)
- *     if jpt_is_infinity(&pt):             # <<<<<<<<<<<<<<
- *         return None
- *     fe_inv(zinv, pt.Z)
-*/
-  __pyx_t_3 = __pyx_f_9chainsteg_7_kernel_jpt_is_infinity((&__pyx_v_pt)); if (unlikely(__pyx_t_3 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 604, __pyx_L1_error)
-  if (__pyx_t_3) {
-
-    /* "chainsteg/_kernel.pyx":605
- *     jpt_add_affine(&pt, &pt, gyx, gyy)
- *     if jpt_is_infinity(&pt):
- *         return None             # <<<<<<<<<<<<<<
- *     fe_inv(zinv, pt.Z)
- *     fe_sqr(zi2, zinv)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-    goto __pyx_L0;
-
-    /* "chainsteg/_kernel.pyx":604
- *     _mult_gen(&pt, scalar)
- *     jpt_add_affine(&pt, &pt, gyx, gyy)
- *     if jpt_is_infinity(&pt):             # <<<<<<<<<<<<<<
- *         return None
- *     fe_inv(zinv, pt.Z)
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":606
- *     if jpt_is_infinity(&pt):
- *         return None
- *     fe_inv(zinv, pt.Z)             # <<<<<<<<<<<<<<
- *     fe_sqr(zi2, zinv)
- *     fe_mul(pt.X, pt.X, zi2)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_inv(__pyx_v_zinv, __pyx_v_pt.Z); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 606, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":607
- *         return None
- *     fe_inv(zinv, pt.Z)
- *     fe_sqr(zi2, zinv)             # <<<<<<<<<<<<<<
- *     fe_mul(pt.X, pt.X, zi2)
- *     fe_mul(zi2, zi2, zinv)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_sqr(__pyx_v_zi2, __pyx_v_zinv); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 607, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":608
- *     fe_inv(zinv, pt.Z)
- *     fe_sqr(zi2, zinv)
- *     fe_mul(pt.X, pt.X, zi2)             # <<<<<<<<<<<<<<
- *     fe_mul(zi2, zi2, zinv)
- *     fe_mul(pt.Y, pt.Y, zi2)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_pt.X, __pyx_v_pt.X, __pyx_v_zi2); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 608, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":609
- *     fe_sqr(zi2, zinv)
- *     fe_mul(pt.X, pt.X, zi2)
- *     fe_mul(zi2, zi2, zinv)             # <<<<<<<<<<<<<<
- *     fe_mul(pt.Y, pt.Y, zi2)
- *     pub[0] = 0x02 | <u8>(pt.Y[0] & 1)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_zi2, __pyx_v_zi2, __pyx_v_zinv); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 609, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":610
- *     fe_mul(pt.X, pt.X, zi2)
- *     fe_mul(zi2, zi2, zinv)
- *     fe_mul(pt.Y, pt.Y, zi2)             # <<<<<<<<<<<<<<
- *     pub[0] = 0x02 | <u8>(pt.Y[0] & 1)
- *     limbs_to_be32(pt.X, pub + 1)
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_pt.Y, __pyx_v_pt.Y, __pyx_v_zi2); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 610, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":611
- *     fe_mul(zi2, zi2, zinv)
- *     fe_mul(pt.Y, pt.Y, zi2)
- *     pub[0] = 0x02 | <u8>(pt.Y[0] & 1)             # <<<<<<<<<<<<<<
- *     limbs_to_be32(pt.X, pub + 1)
- *     return bytes(pub[:33])
-*/
-  (__pyx_v_pub[0]) = (0x02 | ((u8)((__pyx_v_pt.Y[0]) & 1)));
-
-  /* "chainsteg/_kernel.pyx":612
- *     fe_mul(pt.Y, pt.Y, zi2)
- *     pub[0] = 0x02 | <u8>(pt.Y[0] & 1)
- *     limbs_to_be32(pt.X, pub + 1)             # <<<<<<<<<<<<<<
- *     return bytes(pub[:33])
- * 
-*/
-  __pyx_f_9chainsteg_7_kernel_limbs_to_be32(__pyx_v_pt.X, (__pyx_v_pub + 1)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 612, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":613
- *     pub[0] = 0x02 | <u8>(pt.Y[0] & 1)
- *     limbs_to_be32(pt.X, pub + 1)
- *     return bytes(pub[:33])             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_5 = NULL;
-  __pyx_t_9 = __Pyx_PyBytes_FromStringAndSize(((char const *)__pyx_v_pub) + 0, 33 - 0); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 613, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_6 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_9};
-    __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(&PyBytes_Type), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 613, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-  }
-  __pyx_r = __pyx_t_4;
-  __pyx_t_4 = 0;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":579
- * 
- * 
- * def derive_compressed(bytes k, int tag, counter, gy_x, gy_y):             # <<<<<<<<<<<<<<
- *     """Compressed public key bytes for one derivation index."""
- *     cdef u64[4] gyx, gyy, scalar
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("chainsteg._kernel.derive_compressed", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":616
- * 
- * 
- * def grind_scan(bytes k, int tag, gy_x, gy_y, start, max_attempts,             # <<<<<<<<<<<<<<
- *                positions, target):
- *     """Smallest counter >= start whose digest carries `target` on the
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9chainsteg_7_kernel_5grind_scan(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9chainsteg_7_kernel_4grind_scan, "Smallest counter >= start whose digest carries `target` on the\n    selected bit positions; returns (counter, attempts) or None.");
-static PyMethodDef __pyx_mdef_9chainsteg_7_kernel_5grind_scan = {"grind_scan", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9chainsteg_7_kernel_5grind_scan, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9chainsteg_7_kernel_4grind_scan};
-static PyObject *__pyx_pw_9chainsteg_7_kernel_5grind_scan(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_k = 0;
-  int __pyx_v_tag;
-  PyObject *__pyx_v_gy_x = 0;
-  PyObject *__pyx_v_gy_y = 0;
-  PyObject *__pyx_v_start = 0;
-  PyObject *__pyx_v_max_attempts = 0;
-  PyObject *__pyx_v_positions = 0;
-  PyObject *__pyx_v_target = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[8] = {0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("grind_scan (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_k,&__pyx_mstate_global->__pyx_n_u_tag,&__pyx_mstate_global->__pyx_n_u_gy_x,&__pyx_mstate_global->__pyx_n_u_gy_y,&__pyx_mstate_global->__pyx_n_u_start,&__pyx_mstate_global->__pyx_n_u_max_attempts,&__pyx_mstate_global->__pyx_n_u_positions,&__pyx_mstate_global->__pyx_n_u_target,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 616, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 616, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 616, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 616, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 616, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 616, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 616, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 616, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 616, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "grind_scan", 0) < (0)) __PYX_ERR(0, 616, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 8; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("grind_scan", 1, 8, 8, i); __PYX_ERR(0, 616, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 8)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 616, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 616, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 616, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 616, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 616, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 616, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 616, __pyx_L3_error)
-      values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 616, __pyx_L3_error)
-    }
-    __pyx_v_k = ((PyObject*)values[0]);
-    __pyx_v_tag = __Pyx_PyLong_As_int(values[1]); if (unlikely((__pyx_v_tag == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 616, __pyx_L3_error)
-    __pyx_v_gy_x = values[2];
-    __pyx_v_gy_y = values[3];
-    __pyx_v_start = values[4];
-    __pyx_v_max_attempts = values[5];
-    __pyx_v_positions = values[6];
-    __pyx_v_target = values[7];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("grind_scan", 1, 8, 8, __pyx_nargs); __PYX_ERR(0, 616, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("chainsteg._kernel.grind_scan", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_k), (&PyBytes_Type), 1, "k", 1))) __PYX_ERR(0, 616, __pyx_L1_error)
-  __pyx_r = __pyx_pf_9chainsteg_7_kernel_4grind_scan(__pyx_self, __pyx_v_k, __pyx_v_tag, __pyx_v_gy_x, __pyx_v_gy_y, __pyx_v_start, __pyx_v_max_attempts, __pyx_v_positions, __pyx_v_target);
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_r = NULL;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  goto __pyx_L7_cleaned_up;
-  __pyx_L0:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __pyx_L7_cleaned_up:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_4grind_scan(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_k, int __pyx_v_tag, PyObject *__pyx_v_gy_x, PyObject *__pyx_v_gy_y, PyObject *__pyx_v_start, PyObject *__pyx_v_max_attempts, PyObject *__pyx_v_positions, PyObject *__pyx_v_target) {
-  u64 __pyx_v_gyx[4];
-  u64 __pyx_v_gyy[4];
-  u8 __pyx_v_xb[32];
-  u8 __pyx_v_yb[32];
-  u8 __pyx_v_digests[(64 * 20)];
-  u8 __pyx_v_ok[64];
-  int __pyx_v_pos_arr[24];
-  int __pyx_v_m;
-  u64 __pyx_v_tgt;
-  u64 __pyx_v_first;
-  u64 __pyx_v_budget;
-  u64 __pyx_v_done;
-  int __pyx_v_count;
-  int __pyx_v_i;
-  u8 const *__pyx_v_kp;
-  u8 __pyx_v_tag_c;
-  int __pyx_v_batch;
-  long __pyx_v_hit;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  u64 __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_t_10;
-  u8 const *__pyx_t_11;
-  long __pyx_t_12;
-  int __pyx_t_13;
-  PyObject *__pyx_t_14 = NULL;
-  PyObject *__pyx_t_15 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("grind_scan", 0);
-
-  /* "chainsteg/_kernel.pyx":625
- *     cdef u8[BATCH] ok
- *     cdef int[24] pos_arr
- *     cdef int m = len(positions)             # <<<<<<<<<<<<<<
- *     cdef u64 tgt = target
- *     cdef u64 first = start
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_positions); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 625, __pyx_L1_error)
-  __pyx_v_m = __pyx_t_1;
-
-  /* "chainsteg/_kernel.pyx":626
- *     cdef int[24] pos_arr
- *     cdef int m = len(positions)
- *     cdef u64 tgt = target             # <<<<<<<<<<<<<<
- *     cdef u64 first = start
- *     cdef u64 budget = max_attempts
-*/
-  __pyx_t_2 = __Pyx_PyLong_As_u64(__pyx_v_target); if (unlikely((__pyx_t_2 == ((u64)-1)) && PyErr_Occurred())) __PYX_ERR(0, 626, __pyx_L1_error)
-  __pyx_v_tgt = __pyx_t_2;
-
-  /* "chainsteg/_kernel.pyx":627
- *     cdef int m = len(positions)
- *     cdef u64 tgt = target
- *     cdef u64 first = start             # <<<<<<<<<<<<<<
- *     cdef u64 budget = max_attempts
- *     cdef u64 done = 0
-*/
-  __pyx_t_2 = __Pyx_PyLong_As_u64(__pyx_v_start); if (unlikely((__pyx_t_2 == ((u64)-1)) && PyErr_Occurred())) __PYX_ERR(0, 627, __pyx_L1_error)
-  __pyx_v_first = __pyx_t_2;
-
-  /* "chainsteg/_kernel.pyx":628
- *     cdef u64 tgt = target
- *     cdef u64 first = start
- *     cdef u64 budget = max_attempts             # <<<<<<<<<<<<<<
- *     cdef u64 done = 0
- *     cdef int count, i
-*/
-  __pyx_t_2 = __Pyx_PyLong_As_u64(__pyx_v_max_attempts); if (unlikely((__pyx_t_2 == ((u64)-1)) && PyErr_Occurred())) __PYX_ERR(0, 628, __pyx_L1_error)
-  __pyx_v_budget = __pyx_t_2;
-
-  /* "chainsteg/_kernel.pyx":629
- *     cdef u64 first = start
- *     cdef u64 budget = max_attempts
- *     cdef u64 done = 0             # <<<<<<<<<<<<<<
- *     cdef int count, i
- *     if len(k) != 32:
-*/
-  __pyx_v_done = 0;
-
-  /* "chainsteg/_kernel.pyx":631
- *     cdef u64 done = 0
- *     cdef int count, i
- *     if len(k) != 32:             # <<<<<<<<<<<<<<
- *         raise ValueError("k must be 32 bytes")
- *     if m > 24:
-*/
-  if (unlikely(__pyx_v_k == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "object of type 'NoneType' has no len()");
-    __PYX_ERR(0, 631, __pyx_L1_error)
-  }
-  __pyx_t_1 = __Pyx_PyBytes_GET_SIZE(__pyx_v_k); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 631, __pyx_L1_error)
-  __pyx_t_3 = (__pyx_t_1 != 32);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "chainsteg/_kernel.pyx":632
- *     cdef int count, i
- *     if len(k) != 32:
- *         raise ValueError("k must be 32 bytes")             # <<<<<<<<<<<<<<
- *     if m > 24:
- *         raise ValueError("at most 24 selected bits")
-*/
-    __pyx_t_5 = NULL;
-    __pyx_t_6 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_mstate_global->__pyx_kp_u_k_must_be_32_bytes};
-      __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 632, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-    }
-    __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 632, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":631
- *     cdef u64 done = 0
- *     cdef int count, i
- *     if len(k) != 32:             # <<<<<<<<<<<<<<
- *         raise ValueError("k must be 32 bytes")
- *     if m > 24:
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":633
- *     if len(k) != 32:
- *         raise ValueError("k must be 32 bytes")
- *     if m > 24:             # <<<<<<<<<<<<<<
- *         raise ValueError("at most 24 selected bits")
- *     for i in range(m):
-*/
-  __pyx_t_3 = (__pyx_v_m > 24);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "chainsteg/_kernel.pyx":634
- *         raise ValueError("k must be 32 bytes")
- *     if m > 24:
- *         raise ValueError("at most 24 selected bits")             # <<<<<<<<<<<<<<
- *     for i in range(m):
- *         pos_arr[i] = positions[i]
-*/
-    __pyx_t_5 = NULL;
-    __pyx_t_6 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_mstate_global->__pyx_kp_u_at_most_24_selected_bits};
-      __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 634, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-    }
-    __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 634, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":633
- *     if len(k) != 32:
- *         raise ValueError("k must be 32 bytes")
- *     if m > 24:             # <<<<<<<<<<<<<<
- *         raise ValueError("at most 24 selected bits")
- *     for i in range(m):
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":635
- *     if m > 24:
- *         raise ValueError("at most 24 selected bits")
- *     for i in range(m):             # <<<<<<<<<<<<<<
- *         pos_arr[i] = positions[i]
- *     _int_to_be32(gy_x, xb)
-*/
-  __pyx_t_7 = __pyx_v_m;
-  __pyx_t_8 = __pyx_t_7;
-  for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-    __pyx_v_i = __pyx_t_9;
-
-    /* "chainsteg/_kernel.pyx":636
- *         raise ValueError("at most 24 selected bits")
- *     for i in range(m):
- *         pos_arr[i] = positions[i]             # <<<<<<<<<<<<<<
- *     _int_to_be32(gy_x, xb)
- *     _int_to_be32(gy_y, yb)
-*/
-    __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_positions, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 636, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_10 = __Pyx_PyLong_As_int(__pyx_t_4); if (unlikely((__pyx_t_10 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 636, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    (__pyx_v_pos_arr[__pyx_v_i]) = __pyx_t_10;
-  }
-
-  /* "chainsteg/_kernel.pyx":637
- *     for i in range(m):
- *         pos_arr[i] = positions[i]
- *     _int_to_be32(gy_x, xb)             # <<<<<<<<<<<<<<
- *     _int_to_be32(gy_y, yb)
- *     be32_to_limbs(xb, gyx)
-*/
-  __pyx_f_9chainsteg_7_kernel__int_to_be32(__pyx_v_gy_x, __pyx_v_xb); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 637, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":638
- *         pos_arr[i] = positions[i]
- *     _int_to_be32(gy_x, xb)
- *     _int_to_be32(gy_y, yb)             # <<<<<<<<<<<<<<
- *     be32_to_limbs(xb, gyx)
- *     be32_to_limbs(yb, gyy)
-*/
-  __pyx_f_9chainsteg_7_kernel__int_to_be32(__pyx_v_gy_y, __pyx_v_yb); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 638, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":639
- *     _int_to_be32(gy_x, xb)
- *     _int_to_be32(gy_y, yb)
- *     be32_to_limbs(xb, gyx)             # <<<<<<<<<<<<<<
- *     be32_to_limbs(yb, gyy)
- *     cdef const u8* kp = <const u8*>k
-*/
-  __pyx_f_9chainsteg_7_kernel_be32_to_limbs(__pyx_v_xb, __pyx_v_gyx); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 639, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":640
- *     _int_to_be32(gy_y, yb)
- *     be32_to_limbs(xb, gyx)
- *     be32_to_limbs(yb, gyy)             # <<<<<<<<<<<<<<
- *     cdef const u8* kp = <const u8*>k
- *     cdef u8 tag_c = <u8>tag
-*/
-  __pyx_f_9chainsteg_7_kernel_be32_to_limbs(__pyx_v_yb, __pyx_v_gyy); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 640, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":641
- *     be32_to_limbs(xb, gyx)
- *     be32_to_limbs(yb, gyy)
- *     cdef const u8* kp = <const u8*>k             # <<<<<<<<<<<<<<
- *     cdef u8 tag_c = <u8>tag
- *     # expected attempts ~2^m: small m wants small batches to avoid waste
-*/
-  if (unlikely(__pyx_v_k == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "expected bytes, NoneType found");
-    __PYX_ERR(0, 641, __pyx_L1_error)
-  }
-  __pyx_t_11 = __Pyx_PyBytes_AsUString(__pyx_v_k); if (unlikely((!__pyx_t_11) && PyErr_Occurred())) __PYX_ERR(0, 641, __pyx_L1_error)
-  __pyx_v_kp = ((u8 const *)__pyx_t_11);
-
-  /* "chainsteg/_kernel.pyx":642
- *     be32_to_limbs(yb, gyy)
- *     cdef const u8* kp = <const u8*>k
- *     cdef u8 tag_c = <u8>tag             # <<<<<<<<<<<<<<
- *     # expected attempts ~2^m: small m wants small batches to avoid waste
- *     cdef int batch = BATCH
-*/
-  __pyx_v_tag_c = ((u8)__pyx_v_tag);
-
-  /* "chainsteg/_kernel.pyx":644
- *     cdef u8 tag_c = <u8>tag
- *     # expected attempts ~2^m: small m wants small batches to avoid waste
- *     cdef int batch = BATCH             # <<<<<<<<<<<<<<
- *     if m < 6:
- *         batch = 8 if m <= 3 else (1 << m)
-*/
-  __pyx_v_batch = 64;
-
-  /* "chainsteg/_kernel.pyx":645
- *     # expected attempts ~2^m: small m wants small batches to avoid waste
- *     cdef int batch = BATCH
- *     if m < 6:             # <<<<<<<<<<<<<<
- *         batch = 8 if m <= 3 else (1 << m)
- *     cdef long hit
-*/
-  __pyx_t_3 = (__pyx_v_m < 6);
-  if (__pyx_t_3) {
-
-    /* "chainsteg/_kernel.pyx":646
- *     cdef int batch = BATCH
- *     if m < 6:
- *         batch = 8 if m <= 3 else (1 << m)             # <<<<<<<<<<<<<<
- *     cdef long hit
- *     with nogil:
-*/
-    __pyx_t_3 = (__pyx_v_m <= 3);
-    if (__pyx_t_3) {
-      __pyx_t_12 = 8;
-    } else {
-      __pyx_t_12 = (1 << __pyx_v_m);
-    }
-    __pyx_v_batch = __pyx_t_12;
-
-    /* "chainsteg/_kernel.pyx":645
- *     # expected attempts ~2^m: small m wants small batches to avoid waste
- *     cdef int batch = BATCH
- *     if m < 6:             # <<<<<<<<<<<<<<
- *         batch = 8 if m <= 3 else (1 << m)
- *     cdef long hit
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":648
- *         batch = 8 if m <= 3 else (1 << m)
- *     cdef long hit
- *     with nogil:             # <<<<<<<<<<<<<<
- *         hit = -1
- *         while done < budget:
-*/
-  {
-      PyThreadState * _save;
-      _save = PyEval_SaveThread();
-      __Pyx_FastGIL_Remember();
-      /*try:*/ {
-
-        /* "chainsteg/_kernel.pyx":649
- *     cdef long hit
- *     with nogil:
- *         hit = -1             # <<<<<<<<<<<<<<
- *         while done < budget:
- *             count = batch if budget - done > <u64>batch else <int>(budget - done)
-*/
-        __pyx_v_hit = -1L;
-
-        /* "chainsteg/_kernel.pyx":650
- *     with nogil:
- *         hit = -1
- *         while done < budget:             # <<<<<<<<<<<<<<
- *             count = batch if budget - done > <u64>batch else <int>(budget - done)
- *             _derive_batch(kp, tag_c, first + done, count,
-*/
-        while (1) {
-          __pyx_t_3 = (__pyx_v_done < __pyx_v_budget);
-          if (!__pyx_t_3) break;
-
-          /* "chainsteg/_kernel.pyx":651
- *         hit = -1
- *         while done < budget:
- *             count = batch if budget - done > <u64>batch else <int>(budget - done)             # <<<<<<<<<<<<<<
- *             _derive_batch(kp, tag_c, first + done, count,
- *                           gyx, gyy, digests, ok)
-*/
-          __pyx_t_3 = ((__pyx_v_budget - __pyx_v_done) > ((u64)__pyx_v_batch));
-          if (__pyx_t_3) {
-            __pyx_t_7 = __pyx_v_batch;
-          } else {
-            __pyx_t_7 = ((int)(__pyx_v_budget - __pyx_v_done));
-          }
-          __pyx_v_count = __pyx_t_7;
-
-          /* "chainsteg/_kernel.pyx":652
- *         while done < budget:
- *             count = batch if budget - done > <u64>batch else <int>(budget - done)
- *             _derive_batch(kp, tag_c, first + done, count,             # <<<<<<<<<<<<<<
- *                           gyx, gyy, digests, ok)
- *             for i in range(count):
-*/
-          __pyx_t_7 = __pyx_f_9chainsteg_7_kernel__derive_batch(__pyx_v_kp, __pyx_v_tag_c, (__pyx_v_first + __pyx_v_done), __pyx_v_count, __pyx_v_gyx, __pyx_v_gyy, __pyx_v_digests, __pyx_v_ok); if (unlikely(__pyx_t_7 == ((int)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 652, __pyx_L9_error)
-
-          /* "chainsteg/_kernel.pyx":654
- *             _derive_batch(kp, tag_c, first + done, count,
- *                           gyx, gyy, digests, ok)
- *             for i in range(count):             # <<<<<<<<<<<<<<
- *                 if ok[i] and _select_bits(digests + i * 20, pos_arr, m) == tgt:
- *                     hit = <long>(done + i)
-*/
-          __pyx_t_7 = __pyx_v_count;
-          __pyx_t_8 = __pyx_t_7;
-          for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-            __pyx_v_i = __pyx_t_9;
-
-            /* "chainsteg/_kernel.pyx":655
- *                           gyx, gyy, digests, ok)
- *             for i in range(count):
- *                 if ok[i] and _select_bits(digests + i * 20, pos_arr, m) == tgt:             # <<<<<<<<<<<<<<
- *                     hit = <long>(done + i)
- *                     break
-*/
-            __pyx_t_13 = ((__pyx_v_ok[__pyx_v_i]) != 0);
-            if (__pyx_t_13) {
-            } else {
-              __pyx_t_3 = __pyx_t_13;
-              goto __pyx_L16_bool_binop_done;
-            }
-            __pyx_t_2 = __pyx_f_9chainsteg_7_kernel__select_bits((__pyx_v_digests + (__pyx_v_i * 20)), __pyx_v_pos_arr, __pyx_v_m); if (unlikely(__pyx_t_2 == ((u64)-1LL) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 655, __pyx_L9_error)
-            __pyx_t_13 = (__pyx_t_2 == __pyx_v_tgt);
-            __pyx_t_3 = __pyx_t_13;
-            __pyx_L16_bool_binop_done:;
-            if (__pyx_t_3) {
-
-              /* "chainsteg/_kernel.pyx":656
- *             for i in range(count):
- *                 if ok[i] and _select_bits(digests + i * 20, pos_arr, m) == tgt:
- *                     hit = <long>(done + i)             # <<<<<<<<<<<<<<
- *                     break
- *             if hit >= 0:
-*/
-              __pyx_v_hit = ((long)(__pyx_v_done + __pyx_v_i));
-
-              /* "chainsteg/_kernel.pyx":657
- *                 if ok[i] and _select_bits(digests + i * 20, pos_arr, m) == tgt:
- *                     hit = <long>(done + i)
- *                     break             # <<<<<<<<<<<<<<
- *             if hit >= 0:
- *                 break
-*/
-              goto __pyx_L14_break;
-
-              /* "chainsteg/_kernel.pyx":655
- *                           gyx, gyy, digests, ok)
- *             for i in range(count):
- *                 if ok[i] and _select_bits(digests + i * 20, pos_arr, m) == tgt:             # <<<<<<<<<<<<<<
- *                     hit = <long>(done + i)
- *                     break
-*/
-            }
-          }
-          __pyx_L14_break:;
-
-          /* "chainsteg/_kernel.pyx":658
- *                     hit = <long>(done + i)
- *                     break
- *             if hit >= 0:             # <<<<<<<<<<<<<<
- *                 break
- *             done += count
-*/
-          __pyx_t_3 = (__pyx_v_hit >= 0);
-          if (__pyx_t_3) {
-
-            /* "chainsteg/_kernel.pyx":659
- *                     break
- *             if hit >= 0:
- *                 break             # <<<<<<<<<<<<<<
- *             done += count
- *     if hit < 0:
-*/
-            goto __pyx_L12_break;
-
-            /* "chainsteg/_kernel.pyx":658
- *                     hit = <long>(done + i)
- *                     break
- *             if hit >= 0:             # <<<<<<<<<<<<<<
- *                 break
- *             done += count
-*/
-          }
-
-          /* "chainsteg/_kernel.pyx":660
- *             if hit >= 0:
- *                 break
- *             done += count             # <<<<<<<<<<<<<<
- *     if hit < 0:
- *         return None
-*/
-          __pyx_v_done = (__pyx_v_done + __pyx_v_count);
-        }
-        __pyx_L12_break:;
-      }
-
-      /* "chainsteg/_kernel.pyx":648
- *         batch = 8 if m <= 3 else (1 << m)
- *     cdef long hit
- *     with nogil:             # <<<<<<<<<<<<<<
- *         hit = -1
- *         while done < budget:
-*/
-      /*finally:*/ {
-        /*normal exit:*/{
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L10;
-        }
-        __pyx_L9_error: {
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L1_error;
-        }
-        __pyx_L10:;
-      }
-  }
-
-  /* "chainsteg/_kernel.pyx":661
- *                 break
- *             done += count
- *     if hit < 0:             # <<<<<<<<<<<<<<
- *         return None
- *     return (int(first + <u64>hit), int(<u64>hit + 1))
-*/
-  __pyx_t_3 = (__pyx_v_hit < 0);
-  if (__pyx_t_3) {
-
-    /* "chainsteg/_kernel.pyx":662
- *             done += count
- *     if hit < 0:
- *         return None             # <<<<<<<<<<<<<<
- *     return (int(first + <u64>hit), int(<u64>hit + 1))
- * 
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-    goto __pyx_L0;
-
-    /* "chainsteg/_kernel.pyx":661
- *                 break
- *             done += count
- *     if hit < 0:             # <<<<<<<<<<<<<<
- *         return None
- *     return (int(first + <u64>hit), int(<u64>hit + 1))
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":663
- *     if hit < 0:
- *         return None
- *     return (int(first + <u64>hit), int(<u64>hit + 1))             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_5 = NULL;
-  __pyx_t_14 = __Pyx_PyLong_From_u64((__pyx_v_first + ((u64)__pyx_v_hit))); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 663, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_14);
-  __pyx_t_6 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_14};
-    __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(&PyLong_Type), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
-    if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 663, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-  }
-  __pyx_t_5 = NULL;
-  __pyx_t_15 = __Pyx_PyLong_From_u64((((u64)__pyx_v_hit) + 1)); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 663, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_15);
-  __pyx_t_6 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_15};
-    __pyx_t_14 = __Pyx_PyObject_FastCall((PyObject*)(&PyLong_Type), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-    if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 663, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_14);
-  }
-  __pyx_t_15 = PyTuple_New(2); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 663, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_15);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 663, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_14);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 1, __pyx_t_14) != (0)) __PYX_ERR(0, 663, __pyx_L1_error);
-  __pyx_t_4 = 0;
-  __pyx_t_14 = 0;
-  __pyx_r = __pyx_t_15;
-  __pyx_t_15 = 0;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":616
- * 
- * 
- * def grind_scan(bytes k, int tag, gy_x, gy_y, start, max_attempts,             # <<<<<<<<<<<<<<
- *                positions, target):
- *     """Smallest counter >= start whose digest carries `target` on the
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_14);
-  __Pyx_XDECREF(__pyx_t_15);
-  __Pyx_AddTraceback("chainsteg._kernel.grind_scan", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":666
- * 
- * 
- * def hash160(bytes data):             # <<<<<<<<<<<<<<
- *     """hash160 restricted to inputs <= 55 bytes (current callers use 33)."""
- *     cdef u8[32] sha_out
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9chainsteg_7_kernel_7hash160(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9chainsteg_7_kernel_6hash160, "hash160 restricted to inputs <= 55 bytes (current callers use 33).");
-static PyMethodDef __pyx_mdef_9chainsteg_7_kernel_7hash160 = {"hash160", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9chainsteg_7_kernel_7hash160, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9chainsteg_7_kernel_6hash160};
-static PyObject *__pyx_pw_9chainsteg_7_kernel_7hash160(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_data = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("hash160 (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_data,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 666, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 666, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "hash160", 0) < (0)) __PYX_ERR(0, 666, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("hash160", 1, 1, 1, i); __PYX_ERR(0, 666, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 666, __pyx_L3_error)
-    }
-    __pyx_v_data = ((PyObject*)values[0]);
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("hash160", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 666, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("chainsteg._kernel.hash160", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_data), (&PyBytes_Type), 1, "data", 1))) __PYX_ERR(0, 666, __pyx_L1_error)
-  __pyx_r = __pyx_pf_9chainsteg_7_kernel_6hash160(__pyx_self, __pyx_v_data);
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_r = NULL;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  goto __pyx_L7_cleaned_up;
-  __pyx_L0:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __pyx_L7_cleaned_up:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_6hash160(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_data) {
-  u8 __pyx_v_sha_out[32];
-  u8 __pyx_v_out[20];
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  u8 const *__pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("hash160", 0);
-
-  /* "chainsteg/_kernel.pyx":670
- *     cdef u8[32] sha_out
- *     cdef u8[20] out
- *     if len(data) > 55:             # <<<<<<<<<<<<<<
- *         raise ValueError("single-block helper: input too long")
- *     sha256_block(<const u8*>data, len(data), sha_out)
-*/
-  if (unlikely(__pyx_v_data == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "object of type 'NoneType' has no len()");
-    __PYX_ERR(0, 670, __pyx_L1_error)
-  }
-  __pyx_t_1 = __Pyx_PyBytes_GET_SIZE(__pyx_v_data); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 670, __pyx_L1_error)
-  __pyx_t_2 = (__pyx_t_1 > 55);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "chainsteg/_kernel.pyx":671
- *     cdef u8[20] out
- *     if len(data) > 55:
- *         raise ValueError("single-block helper: input too long")             # <<<<<<<<<<<<<<
- *     sha256_block(<const u8*>data, len(data), sha_out)
- *     ripemd160_32(sha_out, out)
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_single_block_helper_input_too_lo};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 671, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 671, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":670
- *     cdef u8[32] sha_out
- *     cdef u8[20] out
- *     if len(data) > 55:             # <<<<<<<<<<<<<<
- *         raise ValueError("single-block helper: input too long")
- *     sha256_block(<const u8*>data, len(data), sha_out)
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":672
- *     if len(data) > 55:
- *         raise ValueError("single-block helper: input too long")
- *     sha256_block(<const u8*>data, len(data), sha_out)             # <<<<<<<<<<<<<<
- *     ripemd160_32(sha_out, out)
- *     return bytes(out[:20])
-*/
-  if (unlikely(__pyx_v_data == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "expected bytes, NoneType found");
-    __PYX_ERR(0, 672, __pyx_L1_error)
-  }
-  __pyx_t_6 = __Pyx_PyBytes_AsUString(__pyx_v_data); if (unlikely((!__pyx_t_6) && PyErr_Occurred())) __PYX_ERR(0, 672, __pyx_L1_error)
-  if (unlikely(__pyx_v_data == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "object of type 'NoneType' has no len()");
-    __PYX_ERR(0, 672, __pyx_L1_error)
-  }
-  __pyx_t_1 = __Pyx_PyBytes_GET_SIZE(__pyx_v_data); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 672, __pyx_L1_error)
-  __pyx_f_9chainsteg_7_kernel_sha256_block(((u8 const *)__pyx_t_6), __pyx_t_1, __pyx_v_sha_out); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 672, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":673
- *         raise ValueError("single-block helper: input too long")
- *     sha256_block(<const u8*>data, len(data), sha_out)
- *     ripemd160_32(sha_out, out)             # <<<<<<<<<<<<<<
- *     return bytes(out[:20])
- * 
-*/
-  __pyx_f_9chainsteg_7_kernel_ripemd160_32(__pyx_v_sha_out, __pyx_v_out); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 673, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":674
- *     sha256_block(<const u8*>data, len(data), sha_out)
- *     ripemd160_32(sha_out, out)
- *     return bytes(out[:20])             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_4 = NULL;
-  __pyx_t_7 = __Pyx_PyBytes_FromStringAndSize(((char const *)__pyx_v_out) + 0, 20 - 0); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 674, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_5 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_7};
-    __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(&PyBytes_Type), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 674, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-  }
-  __pyx_r = __pyx_t_3;
-  __pyx_t_3 = 0;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":666
- * 
- * 
- * def hash160(bytes data):             # <<<<<<<<<<<<<<
- *     """hash160 restricted to inputs <= 55 bytes (current callers use 33)."""
- *     cdef u8[32] sha_out
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("chainsteg._kernel.hash160", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":677
- * 
- * 
- * def sha256(bytes data):             # <<<<<<<<<<<<<<
- *     cdef u8[32] out
- *     if len(data) > 55:
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9chainsteg_7_kernel_9sha256(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_9chainsteg_7_kernel_9sha256 = {"sha256", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9chainsteg_7_kernel_9sha256, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_9chainsteg_7_kernel_9sha256(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_data = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("sha256 (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_data,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 677, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 677, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "sha256", 0) < (0)) __PYX_ERR(0, 677, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("sha256", 1, 1, 1, i); __PYX_ERR(0, 677, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 677, __pyx_L3_error)
-    }
-    __pyx_v_data = ((PyObject*)values[0]);
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("sha256", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 677, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("chainsteg._kernel.sha256", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_data), (&PyBytes_Type), 1, "data", 1))) __PYX_ERR(0, 677, __pyx_L1_error)
-  __pyx_r = __pyx_pf_9chainsteg_7_kernel_8sha256(__pyx_self, __pyx_v_data);
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_r = NULL;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  goto __pyx_L7_cleaned_up;
-  __pyx_L0:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __pyx_L7_cleaned_up:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_8sha256(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_data) {
-  u8 __pyx_v_out[32];
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  u8 const *__pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("sha256", 0);
-
-  /* "chainsteg/_kernel.pyx":679
- * def sha256(bytes data):
- *     cdef u8[32] out
- *     if len(data) > 55:             # <<<<<<<<<<<<<<
- *         raise ValueError("single-block helper: input too long")
- *     sha256_block(<const u8*>data, len(data), out)
-*/
-  if (unlikely(__pyx_v_data == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "object of type 'NoneType' has no len()");
-    __PYX_ERR(0, 679, __pyx_L1_error)
-  }
-  __pyx_t_1 = __Pyx_PyBytes_GET_SIZE(__pyx_v_data); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 679, __pyx_L1_error)
-  __pyx_t_2 = (__pyx_t_1 > 55);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "chainsteg/_kernel.pyx":680
- *     cdef u8[32] out
- *     if len(data) > 55:
- *         raise ValueError("single-block helper: input too long")             # <<<<<<<<<<<<<<
- *     sha256_block(<const u8*>data, len(data), out)
- *     return bytes(out[:32])
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_single_block_helper_input_too_lo};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 680, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 680, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":679
- * def sha256(bytes data):
- *     cdef u8[32] out
- *     if len(data) > 55:             # <<<<<<<<<<<<<<
- *         raise ValueError("single-block helper: input too long")
- *     sha256_block(<const u8*>data, len(data), out)
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":681
- *     if len(data) > 55:
- *         raise ValueError("single-block helper: input too long")
- *     sha256_block(<const u8*>data, len(data), out)             # <<<<<<<<<<<<<<
- *     return bytes(out[:32])
- * 
-*/
-  if (unlikely(__pyx_v_data == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "expected bytes, NoneType found");
-    __PYX_ERR(0, 681, __pyx_L1_error)
-  }
-  __pyx_t_6 = __Pyx_PyBytes_AsUString(__pyx_v_data); if (unlikely((!__pyx_t_6) && PyErr_Occurred())) __PYX_ERR(0, 681, __pyx_L1_error)
-  if (unlikely(__pyx_v_data == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "object of type 'NoneType' has no len()");
-    __PYX_ERR(0, 681, __pyx_L1_error)
-  }
-  __pyx_t_1 = __Pyx_PyBytes_GET_SIZE(__pyx_v_data); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 681, __pyx_L1_error)
-  __pyx_f_9chainsteg_7_kernel_sha256_block(((u8 const *)__pyx_t_6), __pyx_t_1, __pyx_v_out); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 681, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":682
- *         raise ValueError("single-block helper: input too long")
- *     sha256_block(<const u8*>data, len(data), out)
- *     return bytes(out[:32])             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_4 = NULL;
-  __pyx_t_7 = __Pyx_PyBytes_FromStringAndSize(((char const *)__pyx_v_out) + 0, 32 - 0); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 682, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_5 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_7};
-    __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(&PyBytes_Type), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 682, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-  }
-  __pyx_r = __pyx_t_3;
-  __pyx_t_3 = 0;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":677
- * 
- * 
- * def sha256(bytes data):             # <<<<<<<<<<<<<<
- *     cdef u8[32] out
- *     if len(data) > 55:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("chainsteg._kernel.sha256", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":685
- * 
- * 
- * cdef void _int_to_be32(value, u8* out):             # <<<<<<<<<<<<<<
- *     cdef bytes raw = int(value).to_bytes(32, "big")
- *     memcpy(out, <const u8*>raw, 32)
-*/
-
-static void __pyx_f_9chainsteg_7_kernel__int_to_be32(PyObject *__pyx_v_value, u8 *__pyx_v_out) {
-  PyObject *__pyx_v_raw = 0;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  u8 const *__pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_int_to_be32", 0);
-
-  /* "chainsteg/_kernel.pyx":686
- * 
- * cdef void _int_to_be32(value, u8* out):
- *     cdef bytes raw = int(value).to_bytes(32, "big")             # <<<<<<<<<<<<<<
- *     memcpy(out, <const u8*>raw, 32)
- * 
-*/
-  __pyx_t_1 = __Pyx_PyNumber_Int(__pyx_v_value); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 686, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyObject_GetAttrStr(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_to_bytes); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 686, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = __Pyx_PyObject_Call(__pyx_t_2, __pyx_mstate_global->__pyx_tuple[0], NULL); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 686, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_raw = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":687
- * cdef void _int_to_be32(value, u8* out):
- *     cdef bytes raw = int(value).to_bytes(32, "big")
- *     memcpy(out, <const u8*>raw, 32)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_3 = __Pyx_PyBytes_AsUString(__pyx_v_raw); if (unlikely((!__pyx_t_3) && PyErr_Occurred())) __PYX_ERR(0, 687, __pyx_L1_error)
-  (void)(memcpy(__pyx_v_out, ((u8 const *)__pyx_t_3), 32));
-
-  /* "chainsteg/_kernel.pyx":685
- * 
- * 
- * cdef void _int_to_be32(value, u8* out):             # <<<<<<<<<<<<<<
- *     cdef bytes raw = int(value).to_bytes(32, "big")
- *     memcpy(out, <const u8*>raw, 32)
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("chainsteg._kernel._int_to_be32", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_raw);
-  __Pyx_RefNannyFinishContext();
-}
-
-/* "chainsteg/_kernel.pyx":693
- * # Module initialization: exact constants and the comb table
- * 
- * def _exact_frac_root(n, power, bits):             # <<<<<<<<<<<<<<
- *     """floor(2^bits * frac(n^(1/power))) computed with exact integers."""
- *     shifted = n << (power * bits)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9chainsteg_7_kernel_11_exact_frac_root(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9chainsteg_7_kernel_10_exact_frac_root, "floor(2^bits * frac(n^(1/power))) computed with exact integers.");
-static PyMethodDef __pyx_mdef_9chainsteg_7_kernel_11_exact_frac_root = {"_exact_frac_root", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9chainsteg_7_kernel_11_exact_frac_root, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9chainsteg_7_kernel_10_exact_frac_root};
-static PyObject *__pyx_pw_9chainsteg_7_kernel_11_exact_frac_root(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_n = 0;
-  PyObject *__pyx_v_power = 0;
-  PyObject *__pyx_v_bits = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("_exact_frac_root (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_power,&__pyx_mstate_global->__pyx_n_u_bits,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 693, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 693, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 693, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 693, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "_exact_frac_root", 0) < (0)) __PYX_ERR(0, 693, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("_exact_frac_root", 1, 3, 3, i); __PYX_ERR(0, 693, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 693, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 693, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 693, __pyx_L3_error)
-    }
-    __pyx_v_n = values[0];
-    __pyx_v_power = values[1];
-    __pyx_v_bits = values[2];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("_exact_frac_root", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 693, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("chainsteg._kernel._exact_frac_root", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9chainsteg_7_kernel_10_exact_frac_root(__pyx_self, __pyx_v_n, __pyx_v_power, __pyx_v_bits);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_10_exact_frac_root(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_n, PyObject *__pyx_v_power, PyObject *__pyx_v_bits) {
-  PyObject *__pyx_v_shifted = NULL;
-  PyObject *__pyx_v_root = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_exact_frac_root", 0);
-
-  /* "chainsteg/_kernel.pyx":695
- * def _exact_frac_root(n, power, bits):
- *     """floor(2^bits * frac(n^(1/power))) computed with exact integers."""
- *     shifted = n << (power * bits)             # <<<<<<<<<<<<<<
- *     root = _int_nth_root(shifted, power)
- *     return root & ((1 << bits) - 1)
-*/
-  __pyx_t_1 = PyNumber_Multiply(__pyx_v_power, __pyx_v_bits); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 695, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = PyNumber_Lshift(__pyx_v_n, __pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 695, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_shifted = __pyx_t_2;
-  __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":696
- *     """floor(2^bits * frac(n^(1/power))) computed with exact integers."""
- *     shifted = n << (power * bits)
- *     root = _int_nth_root(shifted, power)             # <<<<<<<<<<<<<<
- *     return root & ((1 << bits) - 1)
- * 
-*/
-  __pyx_t_1 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_int_nth_root); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 696, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_3))) {
-    __pyx_t_1 = PyMethod_GET_SELF(__pyx_t_3);
-    assert(__pyx_t_1);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_3);
-    __Pyx_INCREF(__pyx_t_1);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_3, __pyx__function);
-    __pyx_t_4 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_1, __pyx_v_shifted, __pyx_v_power};
-    __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_3, __pyx_callargs+__pyx_t_4, (3-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 696, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-  }
-  __pyx_v_root = __pyx_t_2;
-  __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":697
- *     shifted = n << (power * bits)
- *     root = _int_nth_root(shifted, power)
- *     return root & ((1 << bits) - 1)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_2 = PyNumber_Lshift(__pyx_mstate_global->__pyx_int_1, __pyx_v_bits); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 697, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = __Pyx_PyLong_SubtractObjC(__pyx_t_2, __pyx_mstate_global->__pyx_int_1, 1, 0, 0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 697, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = PyNumber_And(__pyx_v_root, __pyx_t_3); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 697, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":693
- * # Module initialization: exact constants and the comb table
- * 
- * def _exact_frac_root(n, power, bits):             # <<<<<<<<<<<<<<
- *     """floor(2^bits * frac(n^(1/power))) computed with exact integers."""
- *     shifted = n << (power * bits)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("chainsteg._kernel._exact_frac_root", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_shifted);
-  __Pyx_XDECREF(__pyx_v_root);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":700
- * 
- * 
- * def _int_nth_root(n, power):             # <<<<<<<<<<<<<<
- *     hi = 1 << ((n.bit_length() + power - 1) // power + 1)
- *     lo = 0
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9chainsteg_7_kernel_13_int_nth_root(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_9chainsteg_7_kernel_13_int_nth_root = {"_int_nth_root", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9chainsteg_7_kernel_13_int_nth_root, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_9chainsteg_7_kernel_13_int_nth_root(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_n = 0;
-  PyObject *__pyx_v_power = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("_int_nth_root (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_power,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 700, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 700, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 700, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "_int_nth_root", 0) < (0)) __PYX_ERR(0, 700, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("_int_nth_root", 1, 2, 2, i); __PYX_ERR(0, 700, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 700, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 700, __pyx_L3_error)
-    }
-    __pyx_v_n = values[0];
-    __pyx_v_power = values[1];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("_int_nth_root", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 700, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("chainsteg._kernel._int_nth_root", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9chainsteg_7_kernel_12_int_nth_root(__pyx_self, __pyx_v_n, __pyx_v_power);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_12_int_nth_root(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_n, PyObject *__pyx_v_power) {
-  PyObject *__pyx_v_hi = NULL;
-  PyObject *__pyx_v_lo = NULL;
-  PyObject *__pyx_v_mid = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  size_t __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_int_nth_root", 0);
-
-  /* "chainsteg/_kernel.pyx":701
- * 
- * def _int_nth_root(n, power):
- *     hi = 1 << ((n.bit_length() + power - 1) // power + 1)             # <<<<<<<<<<<<<<
- *     lo = 0
- *     while lo < hi - 1:
-*/
-  __pyx_t_2 = __pyx_v_n;
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_t_3 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_2, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_bit_length, __pyx_callargs+__pyx_t_3, (1-__pyx_t_3) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 701, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __pyx_t_2 = PyNumber_Add(__pyx_t_1, __pyx_v_power); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 701, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = __Pyx_PyLong_SubtractObjC(__pyx_t_2, __pyx_mstate_global->__pyx_int_1, 1, 0, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 701, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = PyNumber_FloorDivide(__pyx_t_1, __pyx_v_power); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 701, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = __Pyx_PyLong_AddObjC(__pyx_t_2, __pyx_mstate_global->__pyx_int_1, 1, 0, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 701, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = PyNumber_Lshift(__pyx_mstate_global->__pyx_int_1, __pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 701, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_hi = __pyx_t_2;
-  __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":702
- * def _int_nth_root(n, power):
- *     hi = 1 << ((n.bit_length() + power - 1) // power + 1)
- *     lo = 0             # <<<<<<<<<<<<<<
- *     while lo < hi - 1:
- *         mid = (lo + hi) // 2
-*/
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __pyx_v_lo = __pyx_mstate_global->__pyx_int_0;
-
-  /* "chainsteg/_kernel.pyx":703
- *     hi = 1 << ((n.bit_length() + power - 1) // power + 1)
- *     lo = 0
- *     while lo < hi - 1:             # <<<<<<<<<<<<<<
- *         mid = (lo + hi) // 2
- *         if mid ** power <= n:
-*/
-  while (1) {
-    __pyx_t_2 = __Pyx_PyLong_SubtractObjC(__pyx_v_hi, __pyx_mstate_global->__pyx_int_1, 1, 0, 0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 703, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_1 = PyObject_RichCompare(__pyx_v_lo, __pyx_t_2, Py_LT); __Pyx_XGOTREF(__pyx_t_1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 703, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 703, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    if (!__pyx_t_4) break;
-
-    /* "chainsteg/_kernel.pyx":704
- *     lo = 0
- *     while lo < hi - 1:
- *         mid = (lo + hi) // 2             # <<<<<<<<<<<<<<
- *         if mid ** power <= n:
- *             lo = mid
-*/
-    __pyx_t_1 = PyNumber_Add(__pyx_v_lo, __pyx_v_hi); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 704, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_2 = __Pyx_PyLong_FloorDivideObjC(__pyx_t_1, __pyx_mstate_global->__pyx_int_2, 2, 0, 0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 704, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_XDECREF_SET(__pyx_v_mid, __pyx_t_2);
-    __pyx_t_2 = 0;
-
-    /* "chainsteg/_kernel.pyx":705
- *     while lo < hi - 1:
- *         mid = (lo + hi) // 2
- *         if mid ** power <= n:             # <<<<<<<<<<<<<<
- *             lo = mid
- *         else:
-*/
-    __pyx_t_2 = PyNumber_Power(__pyx_v_mid, __pyx_v_power, Py_None); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 705, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_1 = PyObject_RichCompare(__pyx_t_2, __pyx_v_n, Py_LE); __Pyx_XGOTREF(__pyx_t_1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 705, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 705, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    if (__pyx_t_4) {
-
-      /* "chainsteg/_kernel.pyx":706
- *         mid = (lo + hi) // 2
- *         if mid ** power <= n:
- *             lo = mid             # <<<<<<<<<<<<<<
- *         else:
- *             hi = mid
-*/
-      __Pyx_INCREF(__pyx_v_mid);
-      __Pyx_DECREF_SET(__pyx_v_lo, __pyx_v_mid);
-
-      /* "chainsteg/_kernel.pyx":705
- *     while lo < hi - 1:
- *         mid = (lo + hi) // 2
- *         if mid ** power <= n:             # <<<<<<<<<<<<<<
- *             lo = mid
- *         else:
-*/
-      goto __pyx_L5;
-    }
-
-    /* "chainsteg/_kernel.pyx":708
- *             lo = mid
- *         else:
- *             hi = mid             # <<<<<<<<<<<<<<
- *     return lo
- * 
-*/
-    /*else*/ {
-      __Pyx_INCREF(__pyx_v_mid);
-      __Pyx_DECREF_SET(__pyx_v_hi, __pyx_v_mid);
-    }
-    __pyx_L5:;
-  }
-
-  /* "chainsteg/_kernel.pyx":709
- *         else:
- *             hi = mid
- *     return lo             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_lo);
-  __pyx_r = __pyx_v_lo;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":700
- * 
- * 
- * def _int_nth_root(n, power):             # <<<<<<<<<<<<<<
- *     hi = 1 << ((n.bit_length() + power - 1) // power + 1)
- *     lo = 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("chainsteg._kernel._int_nth_root", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_hi);
-  __Pyx_XDECREF(__pyx_v_lo);
-  __Pyx_XDECREF(__pyx_v_mid);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":712
- * 
- * 
- * def _primes(count):             # <<<<<<<<<<<<<<
- *     out, cand = [], 2
- *     while len(out) < count:
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9chainsteg_7_kernel_15_primes(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_9chainsteg_7_kernel_15_primes = {"_primes", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9chainsteg_7_kernel_15_primes, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_9chainsteg_7_kernel_15_primes(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_count = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("_primes (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_count,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 712, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 712, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "_primes", 0) < (0)) __PYX_ERR(0, 712, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("_primes", 1, 1, 1, i); __PYX_ERR(0, 712, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 712, __pyx_L3_error)
-    }
-    __pyx_v_count = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("_primes", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 712, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("chainsteg._kernel._primes", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9chainsteg_7_kernel_14_primes(__pyx_self, __pyx_v_count);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-static PyObject *__pyx_gb_9chainsteg_7_kernel_7_primes_2generator(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value); /* proto */
-
-/* "chainsteg/_kernel.pyx":715
- *     out, cand = [], 2
- *     while len(out) < count:
- *         if all(cand % p for p in out):             # <<<<<<<<<<<<<<
- *             out.append(cand)
- *         cand += 1
-*/
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_7_primes_genexpr(PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0) {
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr *__pyx_cur_scope;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  __pyx_cur_scope = (struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr *)__pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr(__pyx_mstate_global->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 715, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-  __pyx_cur_scope->__pyx_outer_scope = (struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes *) __pyx_self;
-  __Pyx_INCREF((PyObject *)__pyx_cur_scope->__pyx_outer_scope);
-  __Pyx_GIVEREF((PyObject *)__pyx_cur_scope->__pyx_outer_scope);
-  __pyx_cur_scope->__pyx_genexpr_arg_0 = __pyx_genexpr_arg_0;
-  __Pyx_INCREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  __Pyx_GIVEREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  {
-    __pyx_CoroutineObject *gen = __Pyx_Generator_New((__pyx_coroutine_body_t) __pyx_gb_9chainsteg_7_kernel_7_primes_2generator, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0]), (PyObject *) __pyx_cur_scope, __pyx_mstate_global->__pyx_n_u_genexpr, __pyx_mstate_global->__pyx_n_u_primes_locals_genexpr, __pyx_mstate_global->__pyx_n_u_chainsteg__kernel); if (unlikely(!gen)) __PYX_ERR(0, 715, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_cur_scope);
-    __Pyx_RefNannyFinishContext();
-    return (PyObject *) gen;
-  }
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("chainsteg._kernel._primes.genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_gb_9chainsteg_7_kernel_7_primes_2generator(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value) /* generator body */
+static inline void fe_sqr(u64 *r, const u64 *a)
 {
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr *__pyx_cur_scope = ((struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr *)__pyx_generator->closure);
-  PyObject *__pyx_r = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  switch (__pyx_generator->resume_label) {
-    case 0: goto __pyx_L3_first_run;
-    default: /* CPython raises the right error here */
-    __Pyx_RefNannyFinishContext();
-    return NULL;
-  }
-  __pyx_L3_first_run:;
-  if (unlikely(!__pyx_sent_value)) __PYX_ERR(0, 715, __pyx_L1_error)
-  if (unlikely(!__pyx_cur_scope->__pyx_genexpr_arg_0)) { __Pyx_RaiseUnboundLocalError(".0"); __PYX_ERR(0, 715, __pyx_L1_error) }
-  __pyx_t_1 = __pyx_cur_scope->__pyx_genexpr_arg_0; __Pyx_INCREF(__pyx_t_1);
-  __pyx_t_2 = 0;
-  for (;;) {
-    {
-      Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-      #if !CYTHON_ASSUME_SAFE_SIZE
-      if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 715, __pyx_L1_error)
-      #endif
-      if (__pyx_t_2 >= __pyx_temp) break;
-    }
-    __pyx_t_3 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-    ++__pyx_t_2;
-    if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 715, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_XGOTREF(__pyx_cur_scope->__pyx_v_p);
-    __Pyx_XDECREF_SET(__pyx_cur_scope->__pyx_v_p, __pyx_t_3);
-    __Pyx_GIVEREF(__pyx_t_3);
-    __pyx_t_3 = 0;
-    if (unlikely(!__pyx_cur_scope->__pyx_outer_scope->__pyx_v_cand)) { __Pyx_RaiseClosureNameError("cand"); __PYX_ERR(0, 715, __pyx_L1_error) }
-    __pyx_t_3 = PyNumber_Remainder(__pyx_cur_scope->__pyx_outer_scope->__pyx_v_cand, __pyx_cur_scope->__pyx_v_p); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 715, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_3); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 715, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_5 = (!__pyx_t_4);
-    if (__pyx_t_5) {
-      __Pyx_XDECREF(__pyx_r);
-      __Pyx_INCREF(Py_False);
-      __pyx_r = Py_False;
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      goto __pyx_L0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  /*else*/ {
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(Py_True);
-    __pyx_r = Py_True;
-    goto __pyx_L0;
-  }
-  CYTHON_MAYBE_UNUSED_VAR(__pyx_cur_scope);
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_3);
-  if (__Pyx_PyErr_Occurred()) {
-    __Pyx_Generator_Replace_StopIteration(0);
-    __Pyx_AddTraceback("genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  }
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  #if !CYTHON_USE_EXC_INFO_STACK
-  __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-  #endif
-  __pyx_generator->resume_label = -1;
-  __Pyx_Coroutine_clear((PyObject*)__pyx_generator);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
+    u64 c0 = 0, c1 = 0, c2 = 0, t[8];
+    MULADD(a[0], a[0]); COLUMN(t[0]);
+    MULADD2(a[0], a[1]); COLUMN(t[1]);
+    MULADD2(a[0], a[2]); MULADD(a[1], a[1]); COLUMN(t[2]);
+    MULADD2(a[0], a[3]); MULADD2(a[1], a[2]); COLUMN(t[3]);
+    MULADD2(a[1], a[3]); MULADD(a[2], a[2]); COLUMN(t[4]);
+    MULADD2(a[2], a[3]); COLUMN(t[5]);
+    MULADD(a[3], a[3]); COLUMN(t[6]);
+    t[7] = c0;
+    fe_reduce8(r, t);
 }
 
-/* "chainsteg/_kernel.pyx":712
- * 
- * 
- * def _primes(count):             # <<<<<<<<<<<<<<
- *     out, cand = [], 2
- *     while len(out) < count:
-*/
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_14_primes(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_count) {
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes *__pyx_cur_scope;
-  PyObject *__pyx_v_out = NULL;
-  PyObject *__pyx_gb_9chainsteg_7_kernel_7_primes_2generator = 0;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_primes", 0);
-  __pyx_cur_scope = (struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes *)__pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct___primes(__pyx_mstate_global->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 712, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-
-  /* "chainsteg/_kernel.pyx":713
- * 
- * def _primes(count):
- *     out, cand = [], 2             # <<<<<<<<<<<<<<
- *     while len(out) < count:
- *         if all(cand % p for p in out):
-*/
-  __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 713, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __pyx_mstate_global->__pyx_int_2;
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_v_out = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-  __Pyx_GIVEREF(__pyx_t_2);
-  __pyx_cur_scope->__pyx_v_cand = __pyx_t_2;
-  __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":714
- * def _primes(count):
- *     out, cand = [], 2
- *     while len(out) < count:             # <<<<<<<<<<<<<<
- *         if all(cand % p for p in out):
- *             out.append(cand)
-*/
-  while (1) {
-    __pyx_t_3 = __Pyx_PyList_GET_SIZE(__pyx_v_out); if (unlikely(__pyx_t_3 == ((Py_ssize_t)-1))) __PYX_ERR(0, 714, __pyx_L1_error)
-    __pyx_t_2 = PyLong_FromSsize_t(__pyx_t_3); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 714, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_1 = PyObject_RichCompare(__pyx_t_2, __pyx_v_count, Py_LT); __Pyx_XGOTREF(__pyx_t_1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 714, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 714, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    if (!__pyx_t_4) break;
-
-    /* "chainsteg/_kernel.pyx":715
- *     out, cand = [], 2
- *     while len(out) < count:
- *         if all(cand % p for p in out):             # <<<<<<<<<<<<<<
- *             out.append(cand)
- *         cand += 1
-*/
-    __pyx_t_1 = __pyx_pf_9chainsteg_7_kernel_7_primes_genexpr(((PyObject*)__pyx_cur_scope), __pyx_v_out); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 715, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_2 = __Pyx_Generator_GetInlinedResult(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 715, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_2); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 715, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    if (__pyx_t_4) {
-
-      /* "chainsteg/_kernel.pyx":716
- *     while len(out) < count:
- *         if all(cand % p for p in out):
- *             out.append(cand)             # <<<<<<<<<<<<<<
- *         cand += 1
- *     return out
-*/
-      __pyx_t_2 = __pyx_cur_scope->__pyx_v_cand;
-      __Pyx_INCREF(__pyx_t_2);
-      __pyx_t_5 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_2); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 716, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-      /* "chainsteg/_kernel.pyx":715
- *     out, cand = [], 2
- *     while len(out) < count:
- *         if all(cand % p for p in out):             # <<<<<<<<<<<<<<
- *             out.append(cand)
- *         cand += 1
-*/
-    }
-
-    /* "chainsteg/_kernel.pyx":717
- *         if all(cand % p for p in out):
- *             out.append(cand)
- *         cand += 1             # <<<<<<<<<<<<<<
- *     return out
- * 
-*/
-    __pyx_t_2 = __Pyx_PyLong_AddObjC(__pyx_cur_scope->__pyx_v_cand, __pyx_mstate_global->__pyx_int_1, 1, 1, 0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 717, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_GOTREF(__pyx_cur_scope->__pyx_v_cand);
-    __Pyx_DECREF_SET(__pyx_cur_scope->__pyx_v_cand, __pyx_t_2);
-    __Pyx_GIVEREF(__pyx_t_2);
-    __pyx_t_2 = 0;
-  }
-
-  /* "chainsteg/_kernel.pyx":718
- *             out.append(cand)
- *         cand += 1
- *     return out             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_out);
-  __pyx_r = __pyx_v_out;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":712
- * 
- * 
- * def _primes(count):             # <<<<<<<<<<<<<<
- *     out, cand = [], 2
- *     while len(out) < count:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("chainsteg._kernel._primes", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XDECREF(__pyx_gb_9chainsteg_7_kernel_7_primes_2generator);
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":721
- * 
- * 
- * def _init_hash_constants():             # <<<<<<<<<<<<<<
- *     primes = _primes(64)
- *     for i, p in enumerate(primes):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9chainsteg_7_kernel_17_init_hash_constants(PyObject *__pyx_self, CYTHON_UNUSED PyObject *unused); /*proto*/
-static PyMethodDef __pyx_mdef_9chainsteg_7_kernel_17_init_hash_constants = {"_init_hash_constants", (PyCFunction)__pyx_pw_9chainsteg_7_kernel_17_init_hash_constants, METH_NOARGS, 0};
-static PyObject *__pyx_pw_9chainsteg_7_kernel_17_init_hash_constants(PyObject *__pyx_self, CYTHON_UNUSED PyObject *unused) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("_init_hash_constants (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_9chainsteg_7_kernel_16_init_hash_constants(__pyx_self);
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_16_init_hash_constants(CYTHON_UNUSED PyObject *__pyx_self) {
-  PyObject *__pyx_v_primes = NULL;
-  PyObject *__pyx_v_i = NULL;
-  PyObject *__pyx_v_p = NULL;
-  PyObject *__pyx_v_rl = NULL;
-  PyObject *__pyx_v_rr = NULL;
-  PyObject *__pyx_v_sl = NULL;
-  PyObject *__pyx_v_sr = NULL;
-  PyObject *__pyx_v_kl = NULL;
-  PyObject *__pyx_v_kr = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  Py_ssize_t __pyx_t_5;
-  PyObject *(*__pyx_t_6)(PyObject *);
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  u32 __pyx_t_9;
-  Py_ssize_t __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_init_hash_constants", 0);
-
-  /* "chainsteg/_kernel.pyx":722
- * 
- * def _init_hash_constants():
- *     primes = _primes(64)             # <<<<<<<<<<<<<<
- *     for i, p in enumerate(primes):
- *         SHA_K[i] = _exact_frac_root(p, 3, 32)
-*/
-  __pyx_t_2 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_primes); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 722, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_3))) {
-    __pyx_t_2 = PyMethod_GET_SELF(__pyx_t_3);
-    assert(__pyx_t_2);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_3);
-    __Pyx_INCREF(__pyx_t_2);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_3, __pyx__function);
-    __pyx_t_4 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_2, __pyx_mstate_global->__pyx_int_64};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_3, __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 722, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __pyx_v_primes = __pyx_t_1;
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":723
- * def _init_hash_constants():
- *     primes = _primes(64)
- *     for i, p in enumerate(primes):             # <<<<<<<<<<<<<<
- *         SHA_K[i] = _exact_frac_root(p, 3, 32)
- *     for i, p in enumerate(primes[:8]):
-*/
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __pyx_t_1 = __pyx_mstate_global->__pyx_int_0;
-  if (likely(PyList_CheckExact(__pyx_v_primes)) || PyTuple_CheckExact(__pyx_v_primes)) {
-    __pyx_t_3 = __pyx_v_primes; __Pyx_INCREF(__pyx_t_3);
-    __pyx_t_5 = 0;
-    __pyx_t_6 = NULL;
-  } else {
-    __pyx_t_5 = -1; __pyx_t_3 = PyObject_GetIter(__pyx_v_primes); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 723, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_6 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_3); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 723, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_6)) {
-      if (likely(PyList_CheckExact(__pyx_t_3))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 723, __pyx_L1_error)
-          #endif
-          if (__pyx_t_5 >= __pyx_temp) break;
-        }
-        __pyx_t_2 = __Pyx_PyList_GetItemRefFast(__pyx_t_3, __pyx_t_5, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_5;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 723, __pyx_L1_error)
-          #endif
-          if (__pyx_t_5 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_2 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_3, __pyx_t_5));
-        #else
-        __pyx_t_2 = __Pyx_PySequence_ITEM(__pyx_t_3, __pyx_t_5);
-        #endif
-        ++__pyx_t_5;
-      }
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 723, __pyx_L1_error)
-    } else {
-      __pyx_t_2 = __pyx_t_6(__pyx_t_3);
-      if (unlikely(!__pyx_t_2)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 723, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_XDECREF_SET(__pyx_v_p, __pyx_t_2);
-    __pyx_t_2 = 0;
-    __Pyx_INCREF(__pyx_t_1);
-    __Pyx_XDECREF_SET(__pyx_v_i, __pyx_t_1);
-    __pyx_t_2 = __Pyx_PyLong_AddObjC(__pyx_t_1, __pyx_mstate_global->__pyx_int_1, 1, 0, 0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 723, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_DECREF(__pyx_t_1);
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_t_2 = 0;
-
-    /* "chainsteg/_kernel.pyx":724
- *     primes = _primes(64)
- *     for i, p in enumerate(primes):
- *         SHA_K[i] = _exact_frac_root(p, 3, 32)             # <<<<<<<<<<<<<<
- *     for i, p in enumerate(primes[:8]):
- *         SHA_H0[i] = _exact_frac_root(p, 2, 32)
-*/
-    __pyx_t_7 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_8, __pyx_mstate_global->__pyx_n_u_exact_frac_root); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 724, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __pyx_t_4 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_8))) {
-      __pyx_t_7 = PyMethod_GET_SELF(__pyx_t_8);
-      assert(__pyx_t_7);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_8);
-      __Pyx_INCREF(__pyx_t_7);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_8, __pyx__function);
-      __pyx_t_4 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[4] = {__pyx_t_7, __pyx_v_p, __pyx_mstate_global->__pyx_int_3, __pyx_mstate_global->__pyx_int_32};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_8, __pyx_callargs+__pyx_t_4, (4-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 724, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __pyx_t_9 = __Pyx_PyLong_As_u32(__pyx_t_2); if (unlikely((__pyx_t_9 == ((u32)-1)) && PyErr_Occurred())) __PYX_ERR(0, 724, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_t_10 = __Pyx_PyIndex_AsSsize_t(__pyx_v_i); if (unlikely((__pyx_t_10 == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 724, __pyx_L1_error)
-    (__pyx_v_9chainsteg_7_kernel_SHA_K[__pyx_t_10]) = __pyx_t_9;
-
-    /* "chainsteg/_kernel.pyx":723
- * def _init_hash_constants():
- *     primes = _primes(64)
- *     for i, p in enumerate(primes):             # <<<<<<<<<<<<<<
- *         SHA_K[i] = _exact_frac_root(p, 3, 32)
- *     for i, p in enumerate(primes[:8]):
-*/
-  }
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":725
- *     for i, p in enumerate(primes):
- *         SHA_K[i] = _exact_frac_root(p, 3, 32)
- *     for i, p in enumerate(primes[:8]):             # <<<<<<<<<<<<<<
- *         SHA_H0[i] = _exact_frac_root(p, 2, 32)
- *     rl = [
-*/
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __pyx_t_1 = __pyx_mstate_global->__pyx_int_0;
-  __pyx_t_3 = __Pyx_PyObject_GetSlice(__pyx_v_primes, 0, 8, NULL, NULL, &__pyx_mstate_global->__pyx_slice[0], 0, 1, 0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 725, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (likely(PyList_CheckExact(__pyx_t_3)) || PyTuple_CheckExact(__pyx_t_3)) {
-    __pyx_t_2 = __pyx_t_3; __Pyx_INCREF(__pyx_t_2);
-    __pyx_t_5 = 0;
-    __pyx_t_6 = NULL;
-  } else {
-    __pyx_t_5 = -1; __pyx_t_2 = PyObject_GetIter(__pyx_t_3); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 725, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_6 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_2); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 725, __pyx_L1_error)
-  }
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  for (;;) {
-    if (likely(!__pyx_t_6)) {
-      if (likely(PyList_CheckExact(__pyx_t_2))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_2);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 725, __pyx_L1_error)
-          #endif
-          if (__pyx_t_5 >= __pyx_temp) break;
-        }
-        __pyx_t_3 = __Pyx_PyList_GetItemRefFast(__pyx_t_2, __pyx_t_5, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_5;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_2);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 725, __pyx_L1_error)
-          #endif
-          if (__pyx_t_5 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_3 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_2, __pyx_t_5));
-        #else
-        __pyx_t_3 = __Pyx_PySequence_ITEM(__pyx_t_2, __pyx_t_5);
-        #endif
-        ++__pyx_t_5;
-      }
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 725, __pyx_L1_error)
-    } else {
-      __pyx_t_3 = __pyx_t_6(__pyx_t_2);
-      if (unlikely(!__pyx_t_3)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 725, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_XDECREF_SET(__pyx_v_p, __pyx_t_3);
-    __pyx_t_3 = 0;
-    __Pyx_INCREF(__pyx_t_1);
-    __Pyx_XDECREF_SET(__pyx_v_i, __pyx_t_1);
-    __pyx_t_3 = __Pyx_PyLong_AddObjC(__pyx_t_1, __pyx_mstate_global->__pyx_int_1, 1, 0, 0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 725, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_DECREF(__pyx_t_1);
-    __pyx_t_1 = __pyx_t_3;
-    __pyx_t_3 = 0;
-
-    /* "chainsteg/_kernel.pyx":726
- *         SHA_K[i] = _exact_frac_root(p, 3, 32)
- *     for i, p in enumerate(primes[:8]):
- *         SHA_H0[i] = _exact_frac_root(p, 2, 32)             # <<<<<<<<<<<<<<
- *     rl = [
- *         0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-*/
-    __pyx_t_8 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_7, __pyx_mstate_global->__pyx_n_u_exact_frac_root); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 726, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_4 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_7))) {
-      __pyx_t_8 = PyMethod_GET_SELF(__pyx_t_7);
-      assert(__pyx_t_8);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_7);
-      __Pyx_INCREF(__pyx_t_8);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_7, __pyx__function);
-      __pyx_t_4 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[4] = {__pyx_t_8, __pyx_v_p, __pyx_mstate_global->__pyx_int_2, __pyx_mstate_global->__pyx_int_32};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_7, __pyx_callargs+__pyx_t_4, (4-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 726, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __pyx_t_9 = __Pyx_PyLong_As_u32(__pyx_t_3); if (unlikely((__pyx_t_9 == ((u32)-1)) && PyErr_Occurred())) __PYX_ERR(0, 726, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_10 = __Pyx_PyIndex_AsSsize_t(__pyx_v_i); if (unlikely((__pyx_t_10 == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 726, __pyx_L1_error)
-    (__pyx_v_9chainsteg_7_kernel_SHA_H0[__pyx_t_10]) = __pyx_t_9;
-
-    /* "chainsteg/_kernel.pyx":725
- *     for i, p in enumerate(primes):
- *         SHA_K[i] = _exact_frac_root(p, 3, 32)
- *     for i, p in enumerate(primes[:8]):             # <<<<<<<<<<<<<<
- *         SHA_H0[i] = _exact_frac_root(p, 2, 32)
- *     rl = [
-*/
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":727
- *     for i, p in enumerate(primes[:8]):
- *         SHA_H0[i] = _exact_frac_root(p, 2, 32)
- *     rl = [             # <<<<<<<<<<<<<<
- *         0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
- *         7, 4, 13, 1, 10, 6, 15, 3, 12, 0, 9, 5, 2, 14, 11, 8,
-*/
-  __pyx_t_1 = PyList_New(80); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 727, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 0, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 1, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 2, __pyx_mstate_global->__pyx_int_2) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_3);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_3);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 3, __pyx_mstate_global->__pyx_int_3) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_4);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_4);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 4, __pyx_mstate_global->__pyx_int_4) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 5, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 6, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 7, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 8, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 9, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_10);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_10);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 10, __pyx_mstate_global->__pyx_int_10) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 11, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 12, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 13, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 14, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 15, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 16, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_4);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_4);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 17, __pyx_mstate_global->__pyx_int_4) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 18, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 19, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_10);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_10);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 20, __pyx_mstate_global->__pyx_int_10) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 21, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 22, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_3);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_3);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 23, __pyx_mstate_global->__pyx_int_3) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 24, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 25, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 26, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 27, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 28, __pyx_mstate_global->__pyx_int_2) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 29, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 30, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 31, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_3);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_3);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 32, __pyx_mstate_global->__pyx_int_3) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_10);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_10);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 33, __pyx_mstate_global->__pyx_int_10) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 34, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_4);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_4);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 35, __pyx_mstate_global->__pyx_int_4) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 36, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 37, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 38, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 39, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 40, __pyx_mstate_global->__pyx_int_2) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 41, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 42, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 43, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 44, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 45, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 46, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 47, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 48, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 49, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 50, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_10);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_10);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 51, __pyx_mstate_global->__pyx_int_10) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 52, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 53, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 54, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_4);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_4);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 55, __pyx_mstate_global->__pyx_int_4) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 56, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_3);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_3);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 57, __pyx_mstate_global->__pyx_int_3) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 58, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 59, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 60, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 61, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 62, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 63, __pyx_mstate_global->__pyx_int_2) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_4);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_4);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 64, __pyx_mstate_global->__pyx_int_4) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 65, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 66, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 67, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 68, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 69, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 70, __pyx_mstate_global->__pyx_int_2) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_10);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_10);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 71, __pyx_mstate_global->__pyx_int_10) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 72, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 73, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_3);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_3);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 74, __pyx_mstate_global->__pyx_int_3) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 75, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 76, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 77, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 78, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 79, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 727, __pyx_L1_error);
-  __pyx_v_rl = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":734
- *         4, 0, 5, 9, 7, 12, 2, 10, 14, 1, 3, 8, 11, 6, 15, 13,
- *     ]
- *     rr = [             # <<<<<<<<<<<<<<
- *         5, 14, 7, 0, 9, 2, 11, 4, 13, 6, 15, 8, 1, 10, 3, 12,
- *         6, 11, 3, 7, 0, 13, 5, 10, 14, 15, 8, 12, 4, 9, 1, 2,
-*/
-  __pyx_t_1 = PyList_New(80); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 734, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 0, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 1, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 2, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 3, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 4, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 5, __pyx_mstate_global->__pyx_int_2) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 6, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_4);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_4);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 7, __pyx_mstate_global->__pyx_int_4) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 8, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 9, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 10, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 11, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 12, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_10);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_10);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 13, __pyx_mstate_global->__pyx_int_10) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_3);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_3);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 14, __pyx_mstate_global->__pyx_int_3) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 15, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 16, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 17, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_3);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_3);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 18, __pyx_mstate_global->__pyx_int_3) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 19, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 20, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 21, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 22, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_10);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_10);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 23, __pyx_mstate_global->__pyx_int_10) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 24, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 25, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 26, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 27, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_4);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_4);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 28, __pyx_mstate_global->__pyx_int_4) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 29, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 30, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 31, __pyx_mstate_global->__pyx_int_2) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 32, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 33, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 34, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_3);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_3);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 35, __pyx_mstate_global->__pyx_int_3) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 36, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 37, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 38, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 39, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 40, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 41, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 42, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 43, __pyx_mstate_global->__pyx_int_2) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_10);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_10);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 44, __pyx_mstate_global->__pyx_int_10) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 45, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_4);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_4);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 46, __pyx_mstate_global->__pyx_int_4) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 47, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 48, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 49, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_4);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_4);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 50, __pyx_mstate_global->__pyx_int_4) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 51, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_3);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_3);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 52, __pyx_mstate_global->__pyx_int_3) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 53, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 54, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 55, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 56, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 57, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 58, __pyx_mstate_global->__pyx_int_2) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 59, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 60, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 61, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_10);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_10);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 62, __pyx_mstate_global->__pyx_int_10) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 63, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 64, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 65, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_10);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_10);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 66, __pyx_mstate_global->__pyx_int_10) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_4);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_4);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 67, __pyx_mstate_global->__pyx_int_4) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 68, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 69, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 70, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 71, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 72, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 73, __pyx_mstate_global->__pyx_int_2) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 74, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 75, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 76, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_3);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_3);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 77, __pyx_mstate_global->__pyx_int_3) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 78, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 79, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 734, __pyx_L1_error);
-  __pyx_v_rr = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":741
- *         12, 15, 10, 4, 1, 5, 8, 7, 6, 2, 13, 14, 0, 3, 9, 11,
- *     ]
- *     sl = [             # <<<<<<<<<<<<<<
- *         11, 14, 15, 12, 5, 8, 7, 9, 11, 13, 14, 15, 6, 7, 9, 8,
- *         7, 6, 8, 13, 11, 9, 7, 15, 7, 12, 15, 9, 11, 7, 13, 12,
-*/
-  __pyx_t_1 = PyList_New(80); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 741, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 0, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 1, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 2, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 3, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 4, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 5, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 6, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 7, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 8, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 9, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 10, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 11, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 12, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 13, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 14, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 15, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 16, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 17, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 18, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 19, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 20, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 21, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 22, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 23, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 24, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 25, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 26, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 27, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 28, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 29, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 30, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 31, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 32, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 33, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 34, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 35, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 36, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 37, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 38, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 39, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 40, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 41, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 42, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 43, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 44, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 45, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 46, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 47, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 48, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 49, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 50, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 51, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 52, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 53, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 54, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 55, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 56, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 57, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 58, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 59, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 60, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 61, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 62, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 63, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 64, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 65, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 66, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 67, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 68, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 69, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 70, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 71, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 72, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 73, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 74, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 75, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 76, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 77, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 78, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 79, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 741, __pyx_L1_error);
-  __pyx_v_sl = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":748
- *         9, 15, 5, 11, 6, 8, 13, 12, 5, 12, 13, 14, 11, 8, 5, 6,
- *     ]
- *     sr = [             # <<<<<<<<<<<<<<
- *         8, 9, 9, 11, 13, 15, 15, 5, 7, 7, 8, 11, 14, 14, 12, 6,
- *         9, 13, 15, 7, 12, 8, 9, 11, 7, 7, 12, 7, 6, 15, 13, 11,
-*/
-  __pyx_t_1 = PyList_New(80); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 748, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 0, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 1, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 2, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 3, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 4, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 5, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 6, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 7, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 8, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 9, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 10, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 11, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 12, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 13, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 14, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 15, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 16, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 17, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 18, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 19, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 20, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 21, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 22, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 23, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 24, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 25, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 26, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 27, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 28, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 29, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 30, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 31, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 32, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 33, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 34, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 35, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 36, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 37, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 38, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 39, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 40, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 41, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 42, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 43, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 44, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 45, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_7);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 46, __pyx_mstate_global->__pyx_int_7) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 47, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 48, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 49, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 50, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 51, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 52, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 53, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 54, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 55, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 56, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 57, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 58, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 59, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 60, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 61, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 62, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 63, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 64, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 65, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 66, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_9);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 67, __pyx_mstate_global->__pyx_int_9) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_12);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_12);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 68, __pyx_mstate_global->__pyx_int_12) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 69, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_14);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_14);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 70, __pyx_mstate_global->__pyx_int_14) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 71, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_8);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_8);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 72, __pyx_mstate_global->__pyx_int_8) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 73, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_6);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_6);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 74, __pyx_mstate_global->__pyx_int_6) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_5);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_5);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 75, __pyx_mstate_global->__pyx_int_5) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_15);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_15);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 76, __pyx_mstate_global->__pyx_int_15) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_13);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_13);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 77, __pyx_mstate_global->__pyx_int_13) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 78, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_11);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_11);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 79, __pyx_mstate_global->__pyx_int_11) != (0)) __PYX_ERR(0, 748, __pyx_L1_error);
-  __pyx_v_sr = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":755
- *         8, 5, 12, 9, 12, 5, 14, 6, 8, 13, 6, 5, 15, 13, 11, 11,
- *     ]
- *     for i in range(80):             # <<<<<<<<<<<<<<
- *         RMD_RL[i] = rl[i]
- *         RMD_RR[i] = rr[i]
-*/
-  for (__pyx_t_5 = 0; __pyx_t_5 < 80; __pyx_t_5+=1) {
-    __pyx_t_1 = PyLong_FromSsize_t(__pyx_t_5); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 755, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __Pyx_XDECREF_SET(__pyx_v_i, __pyx_t_1);
-    __pyx_t_1 = 0;
-
-    /* "chainsteg/_kernel.pyx":756
- *     ]
- *     for i in range(80):
- *         RMD_RL[i] = rl[i]             # <<<<<<<<<<<<<<
- *         RMD_RR[i] = rr[i]
- *         RMD_SL[i] = sl[i]
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetItem(__pyx_v_rl, __pyx_v_i); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 756, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_11 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_11 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 756, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_10 = __Pyx_PyIndex_AsSsize_t(__pyx_v_i); if (unlikely((__pyx_t_10 == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 756, __pyx_L1_error)
-    (__pyx_v_9chainsteg_7_kernel_RMD_RL[__pyx_t_10]) = __pyx_t_11;
-
-    /* "chainsteg/_kernel.pyx":757
- *     for i in range(80):
- *         RMD_RL[i] = rl[i]
- *         RMD_RR[i] = rr[i]             # <<<<<<<<<<<<<<
- *         RMD_SL[i] = sl[i]
- *         RMD_SR[i] = sr[i]
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetItem(__pyx_v_rr, __pyx_v_i); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 757, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_11 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_11 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 757, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_10 = __Pyx_PyIndex_AsSsize_t(__pyx_v_i); if (unlikely((__pyx_t_10 == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 757, __pyx_L1_error)
-    (__pyx_v_9chainsteg_7_kernel_RMD_RR[__pyx_t_10]) = __pyx_t_11;
-
-    /* "chainsteg/_kernel.pyx":758
- *         RMD_RL[i] = rl[i]
- *         RMD_RR[i] = rr[i]
- *         RMD_SL[i] = sl[i]             # <<<<<<<<<<<<<<
- *         RMD_SR[i] = sr[i]
- *     kl = [0x00000000, 0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xA953FD4E]
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetItem(__pyx_v_sl, __pyx_v_i); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 758, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_11 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_11 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 758, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_10 = __Pyx_PyIndex_AsSsize_t(__pyx_v_i); if (unlikely((__pyx_t_10 == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 758, __pyx_L1_error)
-    (__pyx_v_9chainsteg_7_kernel_RMD_SL[__pyx_t_10]) = __pyx_t_11;
-
-    /* "chainsteg/_kernel.pyx":759
- *         RMD_RR[i] = rr[i]
- *         RMD_SL[i] = sl[i]
- *         RMD_SR[i] = sr[i]             # <<<<<<<<<<<<<<
- *     kl = [0x00000000, 0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xA953FD4E]
- *     kr = [0x50A28BE6, 0x5C4DD124, 0x6D703EF3, 0x7A6D76E9, 0x00000000]
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetItem(__pyx_v_sr, __pyx_v_i); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 759, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_11 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_11 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 759, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_10 = __Pyx_PyIndex_AsSsize_t(__pyx_v_i); if (unlikely((__pyx_t_10 == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 759, __pyx_L1_error)
-    (__pyx_v_9chainsteg_7_kernel_RMD_SR[__pyx_t_10]) = __pyx_t_11;
-  }
-
-  /* "chainsteg/_kernel.pyx":760
- *         RMD_SL[i] = sl[i]
- *         RMD_SR[i] = sr[i]
- *     kl = [0x00000000, 0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xA953FD4E]             # <<<<<<<<<<<<<<
- *     kr = [0x50A28BE6, 0x5C4DD124, 0x6D703EF3, 0x7A6D76E9, 0x00000000]
- *     for i in range(5):
-*/
-  __pyx_t_1 = PyList_New(5); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 760, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 0, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 760, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1518500249);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1518500249);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 1, __pyx_mstate_global->__pyx_int_1518500249) != (0)) __PYX_ERR(0, 760, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1859775393);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1859775393);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 2, __pyx_mstate_global->__pyx_int_1859775393) != (0)) __PYX_ERR(0, 760, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2400959708);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2400959708);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 3, __pyx_mstate_global->__pyx_int_2400959708) != (0)) __PYX_ERR(0, 760, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2840853838);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2840853838);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 4, __pyx_mstate_global->__pyx_int_2840853838) != (0)) __PYX_ERR(0, 760, __pyx_L1_error);
-  __pyx_v_kl = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":761
- *         RMD_SR[i] = sr[i]
- *     kl = [0x00000000, 0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xA953FD4E]
- *     kr = [0x50A28BE6, 0x5C4DD124, 0x6D703EF3, 0x7A6D76E9, 0x00000000]             # <<<<<<<<<<<<<<
- *     for i in range(5):
- *         RMD_KL[i] = kl[i]
-*/
-  __pyx_t_1 = PyList_New(5); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 761, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1352829926);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1352829926);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 0, __pyx_mstate_global->__pyx_int_1352829926) != (0)) __PYX_ERR(0, 761, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1548603684);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1548603684);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 1, __pyx_mstate_global->__pyx_int_1548603684) != (0)) __PYX_ERR(0, 761, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1836072691);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1836072691);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 2, __pyx_mstate_global->__pyx_int_1836072691) != (0)) __PYX_ERR(0, 761, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2053994217);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2053994217);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 3, __pyx_mstate_global->__pyx_int_2053994217) != (0)) __PYX_ERR(0, 761, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 4, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 761, __pyx_L1_error);
-  __pyx_v_kr = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":762
- *     kl = [0x00000000, 0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xA953FD4E]
- *     kr = [0x50A28BE6, 0x5C4DD124, 0x6D703EF3, 0x7A6D76E9, 0x00000000]
- *     for i in range(5):             # <<<<<<<<<<<<<<
- *         RMD_KL[i] = kl[i]
- *         RMD_KR[i] = kr[i]
-*/
-  for (__pyx_t_5 = 0; __pyx_t_5 < 5; __pyx_t_5+=1) {
-    __pyx_t_1 = PyLong_FromSsize_t(__pyx_t_5); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 762, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __Pyx_XDECREF_SET(__pyx_v_i, __pyx_t_1);
-    __pyx_t_1 = 0;
-
-    /* "chainsteg/_kernel.pyx":763
- *     kr = [0x50A28BE6, 0x5C4DD124, 0x6D703EF3, 0x7A6D76E9, 0x00000000]
- *     for i in range(5):
- *         RMD_KL[i] = kl[i]             # <<<<<<<<<<<<<<
- *         RMD_KR[i] = kr[i]
- * 
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetItem(__pyx_v_kl, __pyx_v_i); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 763, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_9 = __Pyx_PyLong_As_u32(__pyx_t_1); if (unlikely((__pyx_t_9 == ((u32)-1)) && PyErr_Occurred())) __PYX_ERR(0, 763, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_10 = __Pyx_PyIndex_AsSsize_t(__pyx_v_i); if (unlikely((__pyx_t_10 == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 763, __pyx_L1_error)
-    (__pyx_v_9chainsteg_7_kernel_RMD_KL[__pyx_t_10]) = __pyx_t_9;
-
-    /* "chainsteg/_kernel.pyx":764
- *     for i in range(5):
- *         RMD_KL[i] = kl[i]
- *         RMD_KR[i] = kr[i]             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetItem(__pyx_v_kr, __pyx_v_i); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 764, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_9 = __Pyx_PyLong_As_u32(__pyx_t_1); if (unlikely((__pyx_t_9 == ((u32)-1)) && PyErr_Occurred())) __PYX_ERR(0, 764, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_10 = __Pyx_PyIndex_AsSsize_t(__pyx_v_i); if (unlikely((__pyx_t_10 == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 764, __pyx_L1_error)
-    (__pyx_v_9chainsteg_7_kernel_RMD_KR[__pyx_t_10]) = __pyx_t_9;
-  }
-
-  /* "chainsteg/_kernel.pyx":721
- * 
- * 
- * def _init_hash_constants():             # <<<<<<<<<<<<<<
- *     primes = _primes(64)
- *     for i, p in enumerate(primes):
-*/
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_AddTraceback("chainsteg._kernel._init_hash_constants", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_primes);
-  __Pyx_XDECREF(__pyx_v_i);
-  __Pyx_XDECREF(__pyx_v_p);
-  __Pyx_XDECREF(__pyx_v_rl);
-  __Pyx_XDECREF(__pyx_v_rr);
-  __Pyx_XDECREF(__pyx_v_sl);
-  __Pyx_XDECREF(__pyx_v_sr);
-  __Pyx_XDECREF(__pyx_v_kl);
-  __Pyx_XDECREF(__pyx_v_kr);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":767
- * 
- * 
- * def _init_table(window_bases):             # <<<<<<<<<<<<<<
- *     """window_bases: list of (x, y) ints, base of each 12-bit window."""
- *     global TBL_X, TBL_Y
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9chainsteg_7_kernel_19_init_table(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9chainsteg_7_kernel_18_init_table, "window_bases: list of (x, y) ints, base of each 12-bit window.");
-static PyMethodDef __pyx_mdef_9chainsteg_7_kernel_19_init_table = {"_init_table", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9chainsteg_7_kernel_19_init_table, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9chainsteg_7_kernel_18_init_table};
-static PyObject *__pyx_pw_9chainsteg_7_kernel_19_init_table(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_window_bases = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("_init_table (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_window_bases,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 767, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 767, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "_init_table", 0) < (0)) __PYX_ERR(0, 767, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("_init_table", 1, 1, 1, i); __PYX_ERR(0, 767, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 767, __pyx_L3_error)
-    }
-    __pyx_v_window_bases = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("_init_table", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 767, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("chainsteg._kernel._init_table", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9chainsteg_7_kernel_18_init_table(__pyx_self, __pyx_v_window_bases);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_18_init_table(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_window_bases) {
-  u64 *__pyx_v_tx;
-  u64 *__pyx_v_ty;
-  struct __pyx_t_9chainsteg_7_kernel_JPt *__pyx_v_scratch;
-  u64 *__pyx_v_prefix;
-  u64 __pyx_v_bx[4];
-  u64 __pyx_v_by[4];
-  u64 __pyx_v_acc[4];
-  u64 __pyx_v_zinv[4];
-  u64 __pyx_v_zi2[4];
-  u64 __pyx_v_t[4];
-  u8 __pyx_v_buf[32];
-  int __pyx_v_w;
-  int __pyx_v_j;
-  long __pyx_v_off;
-  PyObject *__pyx_v_x_int = NULL;
-  PyObject *__pyx_v_y_int = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *(*__pyx_t_8)(PyObject *);
-  int __pyx_t_9;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_init_table", 0);
-
-  /* "chainsteg/_kernel.pyx":770
- *     """window_bases: list of (x, y) ints, base of each 12-bit window."""
- *     global TBL_X, TBL_Y
- *     cdef u64* tx = <u64*>malloc(N_WINDOWS * ENTRIES * 4 * sizeof(u64))             # <<<<<<<<<<<<<<
- *     cdef u64* ty = <u64*>malloc(N_WINDOWS * ENTRIES * 4 * sizeof(u64))
- *     cdef JPt* scratch = <JPt*>malloc(ENTRIES * sizeof(JPt))
-*/
-  __pyx_v_tx = ((u64 *)malloc((0x57fa8 * (sizeof(u64)))));
-
-  /* "chainsteg/_kernel.pyx":771
- *     global TBL_X, TBL_Y
- *     cdef u64* tx = <u64*>malloc(N_WINDOWS * ENTRIES * 4 * sizeof(u64))
- *     cdef u64* ty = <u64*>malloc(N_WINDOWS * ENTRIES * 4 * sizeof(u64))             # <<<<<<<<<<<<<<
- *     cdef JPt* scratch = <JPt*>malloc(ENTRIES * sizeof(JPt))
- *     cdef u64* prefix = <u64*>malloc(ENTRIES * 4 * sizeof(u64))
-*/
-  __pyx_v_ty = ((u64 *)malloc((0x57fa8 * (sizeof(u64)))));
-
-  /* "chainsteg/_kernel.pyx":772
- *     cdef u64* tx = <u64*>malloc(N_WINDOWS * ENTRIES * 4 * sizeof(u64))
- *     cdef u64* ty = <u64*>malloc(N_WINDOWS * ENTRIES * 4 * sizeof(u64))
- *     cdef JPt* scratch = <JPt*>malloc(ENTRIES * sizeof(JPt))             # <<<<<<<<<<<<<<
- *     cdef u64* prefix = <u64*>malloc(ENTRIES * 4 * sizeof(u64))
- *     if tx == NULL or ty == NULL or scratch == NULL or prefix == NULL:
-*/
-  __pyx_v_scratch = ((struct __pyx_t_9chainsteg_7_kernel_JPt *)malloc((0xFFF * (sizeof(struct __pyx_t_9chainsteg_7_kernel_JPt)))));
-
-  /* "chainsteg/_kernel.pyx":773
- *     cdef u64* ty = <u64*>malloc(N_WINDOWS * ENTRIES * 4 * sizeof(u64))
- *     cdef JPt* scratch = <JPt*>malloc(ENTRIES * sizeof(JPt))
- *     cdef u64* prefix = <u64*>malloc(ENTRIES * 4 * sizeof(u64))             # <<<<<<<<<<<<<<
- *     if tx == NULL or ty == NULL or scratch == NULL or prefix == NULL:
- *         raise MemoryError
-*/
-  __pyx_v_prefix = ((u64 *)malloc((0x3ffc * (sizeof(u64)))));
-
-  /* "chainsteg/_kernel.pyx":774
- *     cdef JPt* scratch = <JPt*>malloc(ENTRIES * sizeof(JPt))
- *     cdef u64* prefix = <u64*>malloc(ENTRIES * 4 * sizeof(u64))
- *     if tx == NULL or ty == NULL or scratch == NULL or prefix == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError
- *     cdef u64[4] bx, by, acc, zinv, zi2, t
-*/
-  __pyx_t_2 = (__pyx_v_tx == NULL);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_ty == NULL);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_scratch == NULL);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_prefix == NULL);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (unlikely(__pyx_t_1)) {
-
-    /* "chainsteg/_kernel.pyx":775
- *     cdef u64* prefix = <u64*>malloc(ENTRIES * 4 * sizeof(u64))
- *     if tx == NULL or ty == NULL or scratch == NULL or prefix == NULL:
- *         raise MemoryError             # <<<<<<<<<<<<<<
- *     cdef u64[4] bx, by, acc, zinv, zi2, t
- *     cdef u8[32] buf
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 775, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":774
- *     cdef JPt* scratch = <JPt*>malloc(ENTRIES * sizeof(JPt))
- *     cdef u64* prefix = <u64*>malloc(ENTRIES * 4 * sizeof(u64))
- *     if tx == NULL or ty == NULL or scratch == NULL or prefix == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError
- *     cdef u64[4] bx, by, acc, zinv, zi2, t
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":780
- *     cdef int w, j, i
- *     cdef long off
- *     for w in range(N_WINDOWS):             # <<<<<<<<<<<<<<
- *         x_int, y_int = window_bases[w]
- *         _int_to_be32(x_int, buf)
-*/
-  for (__pyx_t_3 = 0; __pyx_t_3 < 22; __pyx_t_3+=1) {
-    __pyx_v_w = __pyx_t_3;
-
-    /* "chainsteg/_kernel.pyx":781
- *     cdef long off
- *     for w in range(N_WINDOWS):
- *         x_int, y_int = window_bases[w]             # <<<<<<<<<<<<<<
- *         _int_to_be32(x_int, buf)
- *         be32_to_limbs(buf, bx)
-*/
-    __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_window_bases, __pyx_v_w, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 781, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    if ((likely(PyTuple_CheckExact(__pyx_t_4))) || (PyList_CheckExact(__pyx_t_4))) {
-      PyObject* sequence = __pyx_t_4;
-      Py_ssize_t size = __Pyx_PySequence_SIZE(sequence);
-      if (unlikely(size != 2)) {
-        if (size > 2) __Pyx_RaiseTooManyValuesError(2);
-        else if (size >= 0) __Pyx_RaiseNeedMoreValuesError(size);
-        __PYX_ERR(0, 781, __pyx_L1_error)
-      }
-      #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-      if (likely(PyTuple_CheckExact(sequence))) {
-        __pyx_t_5 = PyTuple_GET_ITEM(sequence, 0);
-        __Pyx_INCREF(__pyx_t_5);
-        __pyx_t_6 = PyTuple_GET_ITEM(sequence, 1);
-        __Pyx_INCREF(__pyx_t_6);
-      } else {
-        __pyx_t_5 = __Pyx_PyList_GetItemRefFast(sequence, 0, __Pyx_ReferenceSharing_SharedReference);
-        if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 781, __pyx_L1_error)
-        __Pyx_XGOTREF(__pyx_t_5);
-        __pyx_t_6 = __Pyx_PyList_GetItemRefFast(sequence, 1, __Pyx_ReferenceSharing_SharedReference);
-        if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 781, __pyx_L1_error)
-        __Pyx_XGOTREF(__pyx_t_6);
-      }
-      #else
-      __pyx_t_5 = __Pyx_PySequence_ITEM(sequence, 0); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 781, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_6 = __Pyx_PySequence_ITEM(sequence, 1); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 781, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      #endif
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    } else {
-      Py_ssize_t index = -1;
-      __pyx_t_7 = PyObject_GetIter(__pyx_t_4); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 781, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __pyx_t_8 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_7);
-      index = 0; __pyx_t_5 = __pyx_t_8(__pyx_t_7); if (unlikely(!__pyx_t_5)) goto __pyx_L10_unpacking_failed;
-      __Pyx_GOTREF(__pyx_t_5);
-      index = 1; __pyx_t_6 = __pyx_t_8(__pyx_t_7); if (unlikely(!__pyx_t_6)) goto __pyx_L10_unpacking_failed;
-      __Pyx_GOTREF(__pyx_t_6);
-      if (__Pyx_IternextUnpackEndCheck(__pyx_t_8(__pyx_t_7), 2) < (0)) __PYX_ERR(0, 781, __pyx_L1_error)
-      __pyx_t_8 = NULL;
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      goto __pyx_L11_unpacking_done;
-      __pyx_L10_unpacking_failed:;
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __pyx_t_8 = NULL;
-      if (__Pyx_IterFinish() == 0) __Pyx_RaiseNeedMoreValuesError(index);
-      __PYX_ERR(0, 781, __pyx_L1_error)
-      __pyx_L11_unpacking_done:;
-    }
-    __Pyx_XDECREF_SET(__pyx_v_x_int, __pyx_t_5);
-    __pyx_t_5 = 0;
-    __Pyx_XDECREF_SET(__pyx_v_y_int, __pyx_t_6);
-    __pyx_t_6 = 0;
-
-    /* "chainsteg/_kernel.pyx":782
- *     for w in range(N_WINDOWS):
- *         x_int, y_int = window_bases[w]
- *         _int_to_be32(x_int, buf)             # <<<<<<<<<<<<<<
- *         be32_to_limbs(buf, bx)
- *         _int_to_be32(y_int, buf)
-*/
-    __pyx_f_9chainsteg_7_kernel__int_to_be32(__pyx_v_x_int, __pyx_v_buf); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 782, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":783
- *         x_int, y_int = window_bases[w]
- *         _int_to_be32(x_int, buf)
- *         be32_to_limbs(buf, bx)             # <<<<<<<<<<<<<<
- *         _int_to_be32(y_int, buf)
- *         be32_to_limbs(buf, by)
-*/
-    __pyx_f_9chainsteg_7_kernel_be32_to_limbs(__pyx_v_buf, __pyx_v_bx); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 783, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":784
- *         _int_to_be32(x_int, buf)
- *         be32_to_limbs(buf, bx)
- *         _int_to_be32(y_int, buf)             # <<<<<<<<<<<<<<
- *         be32_to_limbs(buf, by)
- *         with nogil:
-*/
-    __pyx_f_9chainsteg_7_kernel__int_to_be32(__pyx_v_y_int, __pyx_v_buf); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 784, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":785
- *         be32_to_limbs(buf, bx)
- *         _int_to_be32(y_int, buf)
- *         be32_to_limbs(buf, by)             # <<<<<<<<<<<<<<
- *         with nogil:
- *             # scratch[j] = (j+1) * base, j in 0..ENTRIES-1
-*/
-    __pyx_f_9chainsteg_7_kernel_be32_to_limbs(__pyx_v_buf, __pyx_v_by); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 785, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":786
- *         _int_to_be32(y_int, buf)
- *         be32_to_limbs(buf, by)
- *         with nogil:             # <<<<<<<<<<<<<<
- *             # scratch[j] = (j+1) * base, j in 0..ENTRIES-1
- *             fe_set(scratch[0].X, bx)
-*/
-    {
-        PyThreadState * _save;
-        _save = PyEval_SaveThread();
-        __Pyx_FastGIL_Remember();
-        /*try:*/ {
-
-          /* "chainsteg/_kernel.pyx":788
- *         with nogil:
- *             # scratch[j] = (j+1) * base, j in 0..ENTRIES-1
- *             fe_set(scratch[0].X, bx)             # <<<<<<<<<<<<<<
- *             fe_set(scratch[0].Y, by)
- *             memset(scratch[0].Z, 0, 32)
-*/
-          __pyx_f_9chainsteg_7_kernel_fe_set((__pyx_v_scratch[0]).X, __pyx_v_bx); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 788, __pyx_L15_error)
-
-          /* "chainsteg/_kernel.pyx":789
- *             # scratch[j] = (j+1) * base, j in 0..ENTRIES-1
- *             fe_set(scratch[0].X, bx)
- *             fe_set(scratch[0].Y, by)             # <<<<<<<<<<<<<<
- *             memset(scratch[0].Z, 0, 32)
- *             scratch[0].Z[0] = 1
-*/
-          __pyx_f_9chainsteg_7_kernel_fe_set((__pyx_v_scratch[0]).Y, __pyx_v_by); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 789, __pyx_L15_error)
-
-          /* "chainsteg/_kernel.pyx":790
- *             fe_set(scratch[0].X, bx)
- *             fe_set(scratch[0].Y, by)
- *             memset(scratch[0].Z, 0, 32)             # <<<<<<<<<<<<<<
- *             scratch[0].Z[0] = 1
- *             for j in range(1, ENTRIES):
-*/
-          (void)(memset((__pyx_v_scratch[0]).Z, 0, 32));
-
-          /* "chainsteg/_kernel.pyx":791
- *             fe_set(scratch[0].Y, by)
- *             memset(scratch[0].Z, 0, 32)
- *             scratch[0].Z[0] = 1             # <<<<<<<<<<<<<<
- *             for j in range(1, ENTRIES):
- *                 jpt_add_affine(&scratch[j], &scratch[j - 1], bx, by)
-*/
-          ((__pyx_v_scratch[0]).Z[0]) = 1;
-
-          /* "chainsteg/_kernel.pyx":792
- *             memset(scratch[0].Z, 0, 32)
- *             scratch[0].Z[0] = 1
- *             for j in range(1, ENTRIES):             # <<<<<<<<<<<<<<
- *                 jpt_add_affine(&scratch[j], &scratch[j - 1], bx, by)
- *             # batch-normalize the window
-*/
-          for (__pyx_t_9 = 1; __pyx_t_9 < 0xFFF; __pyx_t_9+=1) {
-            __pyx_v_j = __pyx_t_9;
-
-            /* "chainsteg/_kernel.pyx":793
- *             scratch[0].Z[0] = 1
- *             for j in range(1, ENTRIES):
- *                 jpt_add_affine(&scratch[j], &scratch[j - 1], bx, by)             # <<<<<<<<<<<<<<
- *             # batch-normalize the window
- *             acc[0] = 1; acc[1] = 0; acc[2] = 0; acc[3] = 0
-*/
-            __pyx_f_9chainsteg_7_kernel_jpt_add_affine((&(__pyx_v_scratch[__pyx_v_j])), (&(__pyx_v_scratch[(__pyx_v_j - 1)])), __pyx_v_bx, __pyx_v_by); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 793, __pyx_L15_error)
-          }
-
-          /* "chainsteg/_kernel.pyx":795
- *                 jpt_add_affine(&scratch[j], &scratch[j - 1], bx, by)
- *             # batch-normalize the window
- *             acc[0] = 1; acc[1] = 0; acc[2] = 0; acc[3] = 0             # <<<<<<<<<<<<<<
- *             for j in range(ENTRIES):
- *                 fe_set(&prefix[j * 4], acc)
-*/
-          (__pyx_v_acc[0]) = 1;
-          (__pyx_v_acc[1]) = 0;
-          (__pyx_v_acc[2]) = 0;
-          (__pyx_v_acc[3]) = 0;
-
-          /* "chainsteg/_kernel.pyx":796
- *             # batch-normalize the window
- *             acc[0] = 1; acc[1] = 0; acc[2] = 0; acc[3] = 0
- *             for j in range(ENTRIES):             # <<<<<<<<<<<<<<
- *                 fe_set(&prefix[j * 4], acc)
- *                 fe_mul(acc, acc, scratch[j].Z)
-*/
-          for (__pyx_t_9 = 0; __pyx_t_9 < 0xFFF; __pyx_t_9+=1) {
-            __pyx_v_j = __pyx_t_9;
-
-            /* "chainsteg/_kernel.pyx":797
- *             acc[0] = 1; acc[1] = 0; acc[2] = 0; acc[3] = 0
- *             for j in range(ENTRIES):
- *                 fe_set(&prefix[j * 4], acc)             # <<<<<<<<<<<<<<
- *                 fe_mul(acc, acc, scratch[j].Z)
- *             fe_inv(zinv, acc)
-*/
-            __pyx_f_9chainsteg_7_kernel_fe_set((&(__pyx_v_prefix[(__pyx_v_j * 4)])), __pyx_v_acc); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 797, __pyx_L15_error)
-
-            /* "chainsteg/_kernel.pyx":798
- *             for j in range(ENTRIES):
- *                 fe_set(&prefix[j * 4], acc)
- *                 fe_mul(acc, acc, scratch[j].Z)             # <<<<<<<<<<<<<<
- *             fe_inv(zinv, acc)
- *             for j in range(ENTRIES - 1, -1, -1):
-*/
-            __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_acc, __pyx_v_acc, (__pyx_v_scratch[__pyx_v_j]).Z); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 798, __pyx_L15_error)
-          }
-
-          /* "chainsteg/_kernel.pyx":799
- *                 fe_set(&prefix[j * 4], acc)
- *                 fe_mul(acc, acc, scratch[j].Z)
- *             fe_inv(zinv, acc)             # <<<<<<<<<<<<<<
- *             for j in range(ENTRIES - 1, -1, -1):
- *                 off = (<long>w * ENTRIES + j) << 2
-*/
-          __pyx_f_9chainsteg_7_kernel_fe_inv(__pyx_v_zinv, __pyx_v_acc); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 799, __pyx_L15_error)
-
-          /* "chainsteg/_kernel.pyx":800
- *                 fe_mul(acc, acc, scratch[j].Z)
- *             fe_inv(zinv, acc)
- *             for j in range(ENTRIES - 1, -1, -1):             # <<<<<<<<<<<<<<
- *                 off = (<long>w * ENTRIES + j) << 2
- *                 fe_mul(t, zinv, &prefix[j * 4])
-*/
-          for (__pyx_t_9 = 0xffe; __pyx_t_9 > -1; __pyx_t_9-=1) {
-            __pyx_v_j = __pyx_t_9;
-
-            /* "chainsteg/_kernel.pyx":801
- *             fe_inv(zinv, acc)
- *             for j in range(ENTRIES - 1, -1, -1):
- *                 off = (<long>w * ENTRIES + j) << 2             # <<<<<<<<<<<<<<
- *                 fe_mul(t, zinv, &prefix[j * 4])
- *                 fe_mul(zinv, zinv, scratch[j].Z)
-*/
-            __pyx_v_off = (((((long)__pyx_v_w) * 0xFFF) + __pyx_v_j) << 2);
-
-            /* "chainsteg/_kernel.pyx":802
- *             for j in range(ENTRIES - 1, -1, -1):
- *                 off = (<long>w * ENTRIES + j) << 2
- *                 fe_mul(t, zinv, &prefix[j * 4])             # <<<<<<<<<<<<<<
- *                 fe_mul(zinv, zinv, scratch[j].Z)
- *                 fe_sqr(zi2, t)
-*/
-            __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_t, __pyx_v_zinv, (&(__pyx_v_prefix[(__pyx_v_j * 4)]))); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 802, __pyx_L15_error)
-
-            /* "chainsteg/_kernel.pyx":803
- *                 off = (<long>w * ENTRIES + j) << 2
- *                 fe_mul(t, zinv, &prefix[j * 4])
- *                 fe_mul(zinv, zinv, scratch[j].Z)             # <<<<<<<<<<<<<<
- *                 fe_sqr(zi2, t)
- *                 fe_mul(tx + off, scratch[j].X, zi2)
-*/
-            __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_zinv, __pyx_v_zinv, (__pyx_v_scratch[__pyx_v_j]).Z); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 803, __pyx_L15_error)
-
-            /* "chainsteg/_kernel.pyx":804
- *                 fe_mul(t, zinv, &prefix[j * 4])
- *                 fe_mul(zinv, zinv, scratch[j].Z)
- *                 fe_sqr(zi2, t)             # <<<<<<<<<<<<<<
- *                 fe_mul(tx + off, scratch[j].X, zi2)
- *                 fe_mul(zi2, zi2, t)
-*/
-            __pyx_f_9chainsteg_7_kernel_fe_sqr(__pyx_v_zi2, __pyx_v_t); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 804, __pyx_L15_error)
-
-            /* "chainsteg/_kernel.pyx":805
- *                 fe_mul(zinv, zinv, scratch[j].Z)
- *                 fe_sqr(zi2, t)
- *                 fe_mul(tx + off, scratch[j].X, zi2)             # <<<<<<<<<<<<<<
- *                 fe_mul(zi2, zi2, t)
- *                 fe_mul(ty + off, scratch[j].Y, zi2)
-*/
-            __pyx_f_9chainsteg_7_kernel_fe_mul((__pyx_v_tx + __pyx_v_off), (__pyx_v_scratch[__pyx_v_j]).X, __pyx_v_zi2); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 805, __pyx_L15_error)
-
-            /* "chainsteg/_kernel.pyx":806
- *                 fe_sqr(zi2, t)
- *                 fe_mul(tx + off, scratch[j].X, zi2)
- *                 fe_mul(zi2, zi2, t)             # <<<<<<<<<<<<<<
- *                 fe_mul(ty + off, scratch[j].Y, zi2)
- *     free(scratch)
-*/
-            __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_zi2, __pyx_v_zi2, __pyx_v_t); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 806, __pyx_L15_error)
-
-            /* "chainsteg/_kernel.pyx":807
- *                 fe_mul(tx + off, scratch[j].X, zi2)
- *                 fe_mul(zi2, zi2, t)
- *                 fe_mul(ty + off, scratch[j].Y, zi2)             # <<<<<<<<<<<<<<
- *     free(scratch)
- *     free(prefix)
-*/
-            __pyx_f_9chainsteg_7_kernel_fe_mul((__pyx_v_ty + __pyx_v_off), (__pyx_v_scratch[__pyx_v_j]).Y, __pyx_v_zi2); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 807, __pyx_L15_error)
-          }
-        }
-
-        /* "chainsteg/_kernel.pyx":786
- *         _int_to_be32(y_int, buf)
- *         be32_to_limbs(buf, by)
- *         with nogil:             # <<<<<<<<<<<<<<
- *             # scratch[j] = (j+1) * base, j in 0..ENTRIES-1
- *             fe_set(scratch[0].X, bx)
-*/
-        /*finally:*/ {
-          /*normal exit:*/{
-            __Pyx_FastGIL_Forget();
-            PyEval_RestoreThread(_save);
-            goto __pyx_L16;
-          }
-          __pyx_L15_error: {
-            __Pyx_FastGIL_Forget();
-            PyEval_RestoreThread(_save);
-            goto __pyx_L1_error;
-          }
-          __pyx_L16:;
-        }
-    }
-  }
-
-  /* "chainsteg/_kernel.pyx":808
- *                 fe_mul(zi2, zi2, t)
- *                 fe_mul(ty + off, scratch[j].Y, zi2)
- *     free(scratch)             # <<<<<<<<<<<<<<
- *     free(prefix)
- *     TBL_X = tx
-*/
-  free(__pyx_v_scratch);
-
-  /* "chainsteg/_kernel.pyx":809
- *                 fe_mul(ty + off, scratch[j].Y, zi2)
- *     free(scratch)
- *     free(prefix)             # <<<<<<<<<<<<<<
- *     TBL_X = tx
- *     TBL_Y = ty
-*/
-  free(__pyx_v_prefix);
-
-  /* "chainsteg/_kernel.pyx":810
- *     free(scratch)
- *     free(prefix)
- *     TBL_X = tx             # <<<<<<<<<<<<<<
- *     TBL_Y = ty
- * 
-*/
-  __pyx_v_9chainsteg_7_kernel_TBL_X = __pyx_v_tx;
-
-  /* "chainsteg/_kernel.pyx":811
- *     free(prefix)
- *     TBL_X = tx
- *     TBL_Y = ty             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_v_9chainsteg_7_kernel_TBL_Y = __pyx_v_ty;
-
-  /* "chainsteg/_kernel.pyx":767
- * 
- * 
- * def _init_table(window_bases):             # <<<<<<<<<<<<<<
- *     """window_bases: list of (x, y) ints, base of each 12-bit window."""
- *     global TBL_X, TBL_Y
-*/
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("chainsteg._kernel._init_table", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_x_int);
-  __Pyx_XDECREF(__pyx_v_y_int);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":814
- * 
- * 
- * def _bootstrap():             # <<<<<<<<<<<<<<
- *     _init_hash_constants()
- *     gx = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9chainsteg_7_kernel_21_bootstrap(PyObject *__pyx_self, CYTHON_UNUSED PyObject *unused); /*proto*/
-static PyMethodDef __pyx_mdef_9chainsteg_7_kernel_21_bootstrap = {"_bootstrap", (PyCFunction)__pyx_pw_9chainsteg_7_kernel_21_bootstrap, METH_NOARGS, 0};
-static PyObject *__pyx_pw_9chainsteg_7_kernel_21_bootstrap(PyObject *__pyx_self, CYTHON_UNUSED PyObject *unused) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("_bootstrap (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_9chainsteg_7_kernel_20_bootstrap(__pyx_self);
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":820
- *     p = 2**256 - 2**32 - 977
- * 
- *     def add(p1, p2):             # <<<<<<<<<<<<<<
- *         if p1 is None:
- *             return p2
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9chainsteg_7_kernel_10_bootstrap_1add(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_9chainsteg_7_kernel_10_bootstrap_1add = {"add", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9chainsteg_7_kernel_10_bootstrap_1add, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_9chainsteg_7_kernel_10_bootstrap_1add(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_p1 = 0;
-  PyObject *__pyx_v_p2 = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("add (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_p1,&__pyx_mstate_global->__pyx_n_u_p2,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 820, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 820, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 820, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "add", 0) < (0)) __PYX_ERR(0, 820, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("add", 1, 2, 2, i); __PYX_ERR(0, 820, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 820, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 820, __pyx_L3_error)
-    }
-    __pyx_v_p1 = values[0];
-    __pyx_v_p2 = values[1];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("add", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 820, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("chainsteg._kernel._bootstrap.add", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9chainsteg_7_kernel_10_bootstrap_add(__pyx_self, __pyx_v_p1, __pyx_v_p2);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_10_bootstrap_add(PyObject *__pyx_self, PyObject *__pyx_v_p1, PyObject *__pyx_v_p2) {
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *__pyx_cur_scope;
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *__pyx_outer_scope;
-  PyObject *__pyx_v_x1 = NULL;
-  PyObject *__pyx_v_y1 = NULL;
-  PyObject *__pyx_v_x2 = NULL;
-  PyObject *__pyx_v_y2 = NULL;
-  PyObject *__pyx_v_m = NULL;
-  PyObject *__pyx_v_x3 = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *(*__pyx_t_5)(PyObject *);
-  int __pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("add", 0);
-  __pyx_outer_scope = (struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *) __Pyx_CyFunction_GetClosure(__pyx_self);
-  __pyx_cur_scope = __pyx_outer_scope;
-
-  /* "chainsteg/_kernel.pyx":821
- * 
- *     def add(p1, p2):
- *         if p1 is None:             # <<<<<<<<<<<<<<
- *             return p2
- *         if p2 is None:
-*/
-  __pyx_t_1 = (__pyx_v_p1 == Py_None);
-  if (__pyx_t_1) {
-
-    /* "chainsteg/_kernel.pyx":822
- *     def add(p1, p2):
- *         if p1 is None:
- *             return p2             # <<<<<<<<<<<<<<
- *         if p2 is None:
- *             return p1
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_v_p2);
-    __pyx_r = __pyx_v_p2;
-    goto __pyx_L0;
-
-    /* "chainsteg/_kernel.pyx":821
- * 
- *     def add(p1, p2):
- *         if p1 is None:             # <<<<<<<<<<<<<<
- *             return p2
- *         if p2 is None:
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":823
- *         if p1 is None:
- *             return p2
- *         if p2 is None:             # <<<<<<<<<<<<<<
- *             return p1
- *         x1, y1 = p1
-*/
-  __pyx_t_1 = (__pyx_v_p2 == Py_None);
-  if (__pyx_t_1) {
-
-    /* "chainsteg/_kernel.pyx":824
- *             return p2
- *         if p2 is None:
- *             return p1             # <<<<<<<<<<<<<<
- *         x1, y1 = p1
- *         x2, y2 = p2
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_v_p1);
-    __pyx_r = __pyx_v_p1;
-    goto __pyx_L0;
-
-    /* "chainsteg/_kernel.pyx":823
- *         if p1 is None:
- *             return p2
- *         if p2 is None:             # <<<<<<<<<<<<<<
- *             return p1
- *         x1, y1 = p1
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":825
- *         if p2 is None:
- *             return p1
- *         x1, y1 = p1             # <<<<<<<<<<<<<<
- *         x2, y2 = p2
- *         if x1 == x2 and (y1 + y2) % p == 0:
-*/
-  if ((likely(PyTuple_CheckExact(__pyx_v_p1))) || (PyList_CheckExact(__pyx_v_p1))) {
-    PyObject* sequence = __pyx_v_p1;
-    Py_ssize_t size = __Pyx_PySequence_SIZE(sequence);
-    if (unlikely(size != 2)) {
-      if (size > 2) __Pyx_RaiseTooManyValuesError(2);
-      else if (size >= 0) __Pyx_RaiseNeedMoreValuesError(size);
-      __PYX_ERR(0, 825, __pyx_L1_error)
-    }
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    if (likely(PyTuple_CheckExact(sequence))) {
-      __pyx_t_2 = PyTuple_GET_ITEM(sequence, 0);
-      __Pyx_INCREF(__pyx_t_2);
-      __pyx_t_3 = PyTuple_GET_ITEM(sequence, 1);
-      __Pyx_INCREF(__pyx_t_3);
-    } else {
-      __pyx_t_2 = __Pyx_PyList_GetItemRefFast(sequence, 0, __Pyx_ReferenceSharing_SharedReference);
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 825, __pyx_L1_error)
-      __Pyx_XGOTREF(__pyx_t_2);
-      __pyx_t_3 = __Pyx_PyList_GetItemRefFast(sequence, 1, __Pyx_ReferenceSharing_SharedReference);
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 825, __pyx_L1_error)
-      __Pyx_XGOTREF(__pyx_t_3);
-    }
-    #else
-    __pyx_t_2 = __Pyx_PySequence_ITEM(sequence, 0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 825, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_3 = __Pyx_PySequence_ITEM(sequence, 1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 825, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    #endif
-  } else {
-    Py_ssize_t index = -1;
-    __pyx_t_4 = PyObject_GetIter(__pyx_v_p1); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 825, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_5 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_4);
-    index = 0; __pyx_t_2 = __pyx_t_5(__pyx_t_4); if (unlikely(!__pyx_t_2)) goto __pyx_L5_unpacking_failed;
-    __Pyx_GOTREF(__pyx_t_2);
-    index = 1; __pyx_t_3 = __pyx_t_5(__pyx_t_4); if (unlikely(!__pyx_t_3)) goto __pyx_L5_unpacking_failed;
-    __Pyx_GOTREF(__pyx_t_3);
-    if (__Pyx_IternextUnpackEndCheck(__pyx_t_5(__pyx_t_4), 2) < (0)) __PYX_ERR(0, 825, __pyx_L1_error)
-    __pyx_t_5 = NULL;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    goto __pyx_L6_unpacking_done;
-    __pyx_L5_unpacking_failed:;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __pyx_t_5 = NULL;
-    if (__Pyx_IterFinish() == 0) __Pyx_RaiseNeedMoreValuesError(index);
-    __PYX_ERR(0, 825, __pyx_L1_error)
-    __pyx_L6_unpacking_done:;
-  }
-  __pyx_v_x1 = __pyx_t_2;
-  __pyx_t_2 = 0;
-  __pyx_v_y1 = __pyx_t_3;
-  __pyx_t_3 = 0;
-
-  /* "chainsteg/_kernel.pyx":826
- *             return p1
- *         x1, y1 = p1
- *         x2, y2 = p2             # <<<<<<<<<<<<<<
- *         if x1 == x2 and (y1 + y2) % p == 0:
- *             return None
-*/
-  if ((likely(PyTuple_CheckExact(__pyx_v_p2))) || (PyList_CheckExact(__pyx_v_p2))) {
-    PyObject* sequence = __pyx_v_p2;
-    Py_ssize_t size = __Pyx_PySequence_SIZE(sequence);
-    if (unlikely(size != 2)) {
-      if (size > 2) __Pyx_RaiseTooManyValuesError(2);
-      else if (size >= 0) __Pyx_RaiseNeedMoreValuesError(size);
-      __PYX_ERR(0, 826, __pyx_L1_error)
-    }
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    if (likely(PyTuple_CheckExact(sequence))) {
-      __pyx_t_3 = PyTuple_GET_ITEM(sequence, 0);
-      __Pyx_INCREF(__pyx_t_3);
-      __pyx_t_2 = PyTuple_GET_ITEM(sequence, 1);
-      __Pyx_INCREF(__pyx_t_2);
-    } else {
-      __pyx_t_3 = __Pyx_PyList_GetItemRefFast(sequence, 0, __Pyx_ReferenceSharing_SharedReference);
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 826, __pyx_L1_error)
-      __Pyx_XGOTREF(__pyx_t_3);
-      __pyx_t_2 = __Pyx_PyList_GetItemRefFast(sequence, 1, __Pyx_ReferenceSharing_SharedReference);
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 826, __pyx_L1_error)
-      __Pyx_XGOTREF(__pyx_t_2);
-    }
-    #else
-    __pyx_t_3 = __Pyx_PySequence_ITEM(sequence, 0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 826, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_2 = __Pyx_PySequence_ITEM(sequence, 1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 826, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    #endif
-  } else {
-    Py_ssize_t index = -1;
-    __pyx_t_4 = PyObject_GetIter(__pyx_v_p2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 826, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_5 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_4);
-    index = 0; __pyx_t_3 = __pyx_t_5(__pyx_t_4); if (unlikely(!__pyx_t_3)) goto __pyx_L7_unpacking_failed;
-    __Pyx_GOTREF(__pyx_t_3);
-    index = 1; __pyx_t_2 = __pyx_t_5(__pyx_t_4); if (unlikely(!__pyx_t_2)) goto __pyx_L7_unpacking_failed;
-    __Pyx_GOTREF(__pyx_t_2);
-    if (__Pyx_IternextUnpackEndCheck(__pyx_t_5(__pyx_t_4), 2) < (0)) __PYX_ERR(0, 826, __pyx_L1_error)
-    __pyx_t_5 = NULL;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    goto __pyx_L8_unpacking_done;
-    __pyx_L7_unpacking_failed:;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __pyx_t_5 = NULL;
-    if (__Pyx_IterFinish() == 0) __Pyx_RaiseNeedMoreValuesError(index);
-    __PYX_ERR(0, 826, __pyx_L1_error)
-    __pyx_L8_unpacking_done:;
-  }
-  __pyx_v_x2 = __pyx_t_3;
-  __pyx_t_3 = 0;
-  __pyx_v_y2 = __pyx_t_2;
-  __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":827
- *         x1, y1 = p1
- *         x2, y2 = p2
- *         if x1 == x2 and (y1 + y2) % p == 0:             # <<<<<<<<<<<<<<
- *             return None
- *         if p1 == p2:
-*/
-  __pyx_t_2 = PyObject_RichCompare(__pyx_v_x1, __pyx_v_x2, Py_EQ); __Pyx_XGOTREF(__pyx_t_2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 827, __pyx_L1_error)
-  __pyx_t_6 = __Pyx_PyObject_IsTrue(__pyx_t_2); if (unlikely((__pyx_t_6 < 0))) __PYX_ERR(0, 827, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  if (__pyx_t_6) {
-  } else {
-    __pyx_t_1 = __pyx_t_6;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_2 = PyNumber_Add(__pyx_v_y1, __pyx_v_y2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 827, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (unlikely(!__pyx_cur_scope->__pyx_v_p)) { __Pyx_RaiseClosureNameError("p"); __PYX_ERR(0, 827, __pyx_L1_error) }
-  __pyx_t_3 = PyNumber_Remainder(__pyx_t_2, __pyx_cur_scope->__pyx_v_p); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 827, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_6 = (__Pyx_PyLong_BoolEqObjC(__pyx_t_3, __pyx_mstate_global->__pyx_int_0, 0, 0)); if (unlikely((__pyx_t_6 < 0))) __PYX_ERR(0, 827, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_t_1 = __pyx_t_6;
-  __pyx_L10_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "chainsteg/_kernel.pyx":828
- *         x2, y2 = p2
- *         if x1 == x2 and (y1 + y2) % p == 0:
- *             return None             # <<<<<<<<<<<<<<
- *         if p1 == p2:
- *             m = 3 * x1 * x1 * pow(2 * y1, -1, p) % p
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-    goto __pyx_L0;
-
-    /* "chainsteg/_kernel.pyx":827
- *         x1, y1 = p1
- *         x2, y2 = p2
- *         if x1 == x2 and (y1 + y2) % p == 0:             # <<<<<<<<<<<<<<
- *             return None
- *         if p1 == p2:
-*/
-  }
-
-  /* "chainsteg/_kernel.pyx":829
- *         if x1 == x2 and (y1 + y2) % p == 0:
- *             return None
- *         if p1 == p2:             # <<<<<<<<<<<<<<
- *             m = 3 * x1 * x1 * pow(2 * y1, -1, p) % p
- *         else:
-*/
-  __pyx_t_3 = PyObject_RichCompare(__pyx_v_p1, __pyx_v_p2, Py_EQ); __Pyx_XGOTREF(__pyx_t_3); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 829, __pyx_L1_error)
-  __pyx_t_1 = __Pyx_PyObject_IsTrue(__pyx_t_3); if (unlikely((__pyx_t_1 < 0))) __PYX_ERR(0, 829, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  if (__pyx_t_1) {
-
-    /* "chainsteg/_kernel.pyx":830
- *             return None
- *         if p1 == p2:
- *             m = 3 * x1 * x1 * pow(2 * y1, -1, p) % p             # <<<<<<<<<<<<<<
- *         else:
- *             m = (y2 - y1) * pow(x2 - x1, -1, p) % p
-*/
-    __pyx_t_3 = __Pyx_PyLong_MultiplyCObj(__pyx_mstate_global->__pyx_int_3, __pyx_v_x1, 3, 0, 0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 830, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_2 = PyNumber_Multiply(__pyx_t_3, __pyx_v_x1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 830, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_3 = __Pyx_PyLong_MultiplyCObj(__pyx_mstate_global->__pyx_int_2, __pyx_v_y1, 2, 0, 0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 830, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    if (unlikely(!__pyx_cur_scope->__pyx_v_p)) { __Pyx_RaiseClosureNameError("p"); __PYX_ERR(0, 830, __pyx_L1_error) }
-    __pyx_t_4 = __pyx_cur_scope->__pyx_v_p;
-    __Pyx_INCREF(__pyx_t_4);
-    __pyx_t_7 = PyNumber_Power(__pyx_t_3, __pyx_mstate_global->__pyx_int_neg_1, __pyx_t_4); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 830, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __pyx_t_4 = PyNumber_Multiply(__pyx_t_2, __pyx_t_7); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 830, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    if (unlikely(!__pyx_cur_scope->__pyx_v_p)) { __Pyx_RaiseClosureNameError("p"); __PYX_ERR(0, 830, __pyx_L1_error) }
-    __pyx_t_7 = PyNumber_Remainder(__pyx_t_4, __pyx_cur_scope->__pyx_v_p); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 830, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __pyx_v_m = __pyx_t_7;
-    __pyx_t_7 = 0;
-
-    /* "chainsteg/_kernel.pyx":829
- *         if x1 == x2 and (y1 + y2) % p == 0:
- *             return None
- *         if p1 == p2:             # <<<<<<<<<<<<<<
- *             m = 3 * x1 * x1 * pow(2 * y1, -1, p) % p
- *         else:
-*/
-    goto __pyx_L12;
-  }
-
-  /* "chainsteg/_kernel.pyx":832
- *             m = 3 * x1 * x1 * pow(2 * y1, -1, p) % p
- *         else:
- *             m = (y2 - y1) * pow(x2 - x1, -1, p) % p             # <<<<<<<<<<<<<<
- *         x3 = (m * m - x1 - x2) % p
- *         return (x3, (m * (x1 - x3) - y1) % p)
-*/
-  /*else*/ {
-    __pyx_t_7 = PyNumber_Subtract(__pyx_v_y2, __pyx_v_y1); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 832, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_4 = PyNumber_Subtract(__pyx_v_x2, __pyx_v_x1); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 832, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    if (unlikely(!__pyx_cur_scope->__pyx_v_p)) { __Pyx_RaiseClosureNameError("p"); __PYX_ERR(0, 832, __pyx_L1_error) }
-    __pyx_t_2 = __pyx_cur_scope->__pyx_v_p;
-    __Pyx_INCREF(__pyx_t_2);
-    __pyx_t_3 = PyNumber_Power(__pyx_t_4, __pyx_mstate_global->__pyx_int_neg_1, __pyx_t_2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 832, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_t_2 = PyNumber_Multiply(__pyx_t_7, __pyx_t_3); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 832, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_cur_scope->__pyx_v_p)) { __Pyx_RaiseClosureNameError("p"); __PYX_ERR(0, 832, __pyx_L1_error) }
-    __pyx_t_3 = PyNumber_Remainder(__pyx_t_2, __pyx_cur_scope->__pyx_v_p); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 832, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_v_m = __pyx_t_3;
-    __pyx_t_3 = 0;
-  }
-  __pyx_L12:;
-
-  /* "chainsteg/_kernel.pyx":833
- *         else:
- *             m = (y2 - y1) * pow(x2 - x1, -1, p) % p
- *         x3 = (m * m - x1 - x2) % p             # <<<<<<<<<<<<<<
- *         return (x3, (m * (x1 - x3) - y1) % p)
- * 
-*/
-  __pyx_t_3 = PyNumber_Multiply(__pyx_v_m, __pyx_v_m); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 833, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_2 = PyNumber_Subtract(__pyx_t_3, __pyx_v_x1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 833, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_t_3 = PyNumber_Subtract(__pyx_t_2, __pyx_v_x2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 833, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  if (unlikely(!__pyx_cur_scope->__pyx_v_p)) { __Pyx_RaiseClosureNameError("p"); __PYX_ERR(0, 833, __pyx_L1_error) }
-  __pyx_t_2 = PyNumber_Remainder(__pyx_t_3, __pyx_cur_scope->__pyx_v_p); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 833, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_x3 = __pyx_t_2;
-  __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":834
- *             m = (y2 - y1) * pow(x2 - x1, -1, p) % p
- *         x3 = (m * m - x1 - x2) % p
- *         return (x3, (m * (x1 - x3) - y1) % p)             # <<<<<<<<<<<<<<
- * 
- *     bases = []
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_2 = PyNumber_Subtract(__pyx_v_x1, __pyx_v_x3); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 834, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = PyNumber_Multiply(__pyx_v_m, __pyx_t_2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 834, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = PyNumber_Subtract(__pyx_t_3, __pyx_v_y1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 834, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  if (unlikely(!__pyx_cur_scope->__pyx_v_p)) { __Pyx_RaiseClosureNameError("p"); __PYX_ERR(0, 834, __pyx_L1_error) }
-  __pyx_t_3 = PyNumber_Remainder(__pyx_t_2, __pyx_cur_scope->__pyx_v_p); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 834, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = PyTuple_New(2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 834, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_INCREF(__pyx_v_x3);
-  __Pyx_GIVEREF(__pyx_v_x3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 0, __pyx_v_x3) != (0)) __PYX_ERR(0, 834, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 1, __pyx_t_3) != (0)) __PYX_ERR(0, 834, __pyx_L1_error);
-  __pyx_t_3 = 0;
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":820
- *     p = 2**256 - 2**32 - 977
- * 
- *     def add(p1, p2):             # <<<<<<<<<<<<<<
- *         if p1 is None:
- *             return p2
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("chainsteg._kernel._bootstrap.add", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_x1);
-  __Pyx_XDECREF(__pyx_v_y1);
-  __Pyx_XDECREF(__pyx_v_x2);
-  __Pyx_XDECREF(__pyx_v_y2);
-  __Pyx_XDECREF(__pyx_v_m);
-  __Pyx_XDECREF(__pyx_v_x3);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":814
- * 
- * 
- * def _bootstrap():             # <<<<<<<<<<<<<<
- *     _init_hash_constants()
- *     gx = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
-*/
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_20_bootstrap(CYTHON_UNUSED PyObject *__pyx_self) {
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *__pyx_cur_scope;
-  PyObject *__pyx_v_gx = NULL;
-  PyObject *__pyx_v_gy = NULL;
-  PyObject *__pyx_v_add = 0;
-  PyObject *__pyx_v_bases = NULL;
-  PyObject *__pyx_v_base = NULL;
-  CYTHON_UNUSED long __pyx_v__;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  long __pyx_t_5;
-  int __pyx_t_6;
-  long __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_bootstrap", 0);
-  __pyx_cur_scope = (struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *)__pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap(__pyx_mstate_global->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 814, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-
-  /* "chainsteg/_kernel.pyx":815
- * 
- * def _bootstrap():
- *     _init_hash_constants()             # <<<<<<<<<<<<<<
- *     gx = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
- *     gy = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
-*/
-  __pyx_t_2 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_init_hash_constants); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 815, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_3))) {
-    __pyx_t_2 = PyMethod_GET_SELF(__pyx_t_3);
-    assert(__pyx_t_2);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_3);
-    __Pyx_INCREF(__pyx_t_2);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_3, __pyx__function);
-    __pyx_t_4 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_2, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_3, __pyx_callargs+__pyx_t_4, (1-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 815, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":816
- * def _bootstrap():
- *     _init_hash_constants()
- *     gx = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798             # <<<<<<<<<<<<<<
- *     gy = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
- *     p = 2**256 - 2**32 - 977
-*/
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_large_0x79be667ef9dcbbac_xxx_d959f2815b16f81798);
-  __pyx_v_gx = __pyx_mstate_global->__pyx_int_large_0x79be667ef9dcbbac_xxx_d959f2815b16f81798;
-
-  /* "chainsteg/_kernel.pyx":817
- *     _init_hash_constants()
- *     gx = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
- *     gy = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8             # <<<<<<<<<<<<<<
- *     p = 2**256 - 2**32 - 977
- * 
-*/
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_large_0x483ada7726a3c465_xxx_199c47d08ffb10d4b8);
-  __pyx_v_gy = __pyx_mstate_global->__pyx_int_large_0x483ada7726a3c465_xxx_199c47d08ffb10d4b8;
-
-  /* "chainsteg/_kernel.pyx":818
- *     gx = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
- *     gy = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
- *     p = 2**256 - 2**32 - 977             # <<<<<<<<<<<<<<
- * 
- *     def add(p1, p2):
-*/
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_large_0xffffffffffffffff_xxx_fffffffffefffffc2f);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_large_0xffffffffffffffff_xxx_fffffffffefffffc2f);
-  __pyx_cur_scope->__pyx_v_p = __pyx_mstate_global->__pyx_int_large_0xffffffffffffffff_xxx_fffffffffefffffc2f;
-
-  /* "chainsteg/_kernel.pyx":820
- *     p = 2**256 - 2**32 - 977
- * 
- *     def add(p1, p2):             # <<<<<<<<<<<<<<
- *         if p1 is None:
- *             return p2
-*/
-  __pyx_t_1 = __Pyx_CyFunction_New(&__pyx_mdef_9chainsteg_7_kernel_10_bootstrap_1add, 0, __pyx_mstate_global->__pyx_n_u_bootstrap_locals_add, ((PyObject*)__pyx_cur_scope), __pyx_mstate_global->__pyx_n_u_chainsteg__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 820, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_add = __pyx_t_1;
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":836
- *         return (x3, (m * (x1 - x3) - y1) % p)
- * 
- *     bases = []             # <<<<<<<<<<<<<<
- *     base = (gx, gy)
- *     for _ in range(N_WINDOWS):
-*/
-  __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 836, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_bases = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":837
- * 
- *     bases = []
- *     base = (gx, gy)             # <<<<<<<<<<<<<<
- *     for _ in range(N_WINDOWS):
- *         bases.append(base)
-*/
-  __pyx_t_1 = PyTuple_New(2); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 837, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_INCREF(__pyx_v_gx);
-  __Pyx_GIVEREF(__pyx_v_gx);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 0, __pyx_v_gx) != (0)) __PYX_ERR(0, 837, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_v_gy);
-  __Pyx_GIVEREF(__pyx_v_gy);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 1, __pyx_v_gy) != (0)) __PYX_ERR(0, 837, __pyx_L1_error);
-  __pyx_v_base = __pyx_t_1;
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":838
- *     bases = []
- *     base = (gx, gy)
- *     for _ in range(N_WINDOWS):             # <<<<<<<<<<<<<<
- *         bases.append(base)
- *         for _ in range(WINDOW):
-*/
-  for (__pyx_t_5 = 0; __pyx_t_5 < 22; __pyx_t_5+=1) {
-    __pyx_v__ = __pyx_t_5;
-
-    /* "chainsteg/_kernel.pyx":839
- *     base = (gx, gy)
- *     for _ in range(N_WINDOWS):
- *         bases.append(base)             # <<<<<<<<<<<<<<
- *         for _ in range(WINDOW):
- *             base = add(base, base)
-*/
-    __pyx_t_6 = __Pyx_PyList_Append(__pyx_v_bases, __pyx_v_base); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 839, __pyx_L1_error)
-
-    /* "chainsteg/_kernel.pyx":840
- *     for _ in range(N_WINDOWS):
- *         bases.append(base)
- *         for _ in range(WINDOW):             # <<<<<<<<<<<<<<
- *             base = add(base, base)
- *     _init_table(bases)
-*/
-    for (__pyx_t_7 = 0; __pyx_t_7 < 12; __pyx_t_7+=1) {
-      __pyx_v__ = __pyx_t_7;
-
-      /* "chainsteg/_kernel.pyx":841
- *         bases.append(base)
- *         for _ in range(WINDOW):
- *             base = add(base, base)             # <<<<<<<<<<<<<<
- *     _init_table(bases)
- * 
-*/
-      __pyx_t_1 = __pyx_pf_9chainsteg_7_kernel_10_bootstrap_add(__pyx_v_add, __pyx_v_base, __pyx_v_base); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 841, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __Pyx_DECREF_SET(__pyx_v_base, __pyx_t_1);
-      __pyx_t_1 = 0;
-    }
-  }
-
-  /* "chainsteg/_kernel.pyx":842
- *         for _ in range(WINDOW):
- *             base = add(base, base)
- *     _init_table(bases)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_3 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_init_table); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 842, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_4 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_2))) {
-    __pyx_t_3 = PyMethod_GET_SELF(__pyx_t_2);
-    assert(__pyx_t_3);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_2);
-    __Pyx_INCREF(__pyx_t_3);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_2, __pyx__function);
-    __pyx_t_4 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_v_bases};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_2, __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 842, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":814
- * 
- * 
- * def _bootstrap():             # <<<<<<<<<<<<<<
- *     _init_hash_constants()
- *     gx = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
-*/
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("chainsteg._kernel._bootstrap", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_gx);
-  __Pyx_XDECREF(__pyx_v_gy);
-  __Pyx_XDECREF(__pyx_v_add);
-  __Pyx_XDECREF(__pyx_v_bases);
-  __Pyx_XDECREF(__pyx_v_base);
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "chainsteg/_kernel.pyx":848
- * 
- * 
- * def _microbench(int iters):             # <<<<<<<<<<<<<<
- *     """Rough per-op timings for tuning; not part of the API."""
- *     import time
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9chainsteg_7_kernel_23_microbench(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9chainsteg_7_kernel_22_microbench, "Rough per-op timings for tuning; not part of the API.");
-static PyMethodDef __pyx_mdef_9chainsteg_7_kernel_23_microbench = {"_microbench", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9chainsteg_7_kernel_23_microbench, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9chainsteg_7_kernel_22_microbench};
-static PyObject *__pyx_pw_9chainsteg_7_kernel_23_microbench(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_iters;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("_microbench (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_iters,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 848, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 848, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "_microbench", 0) < (0)) __PYX_ERR(0, 848, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("_microbench", 1, 1, 1, i); __PYX_ERR(0, 848, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 848, __pyx_L3_error)
-    }
-    __pyx_v_iters = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_iters == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 848, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("_microbench", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 848, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("chainsteg._kernel._microbench", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9chainsteg_7_kernel_22_microbench(__pyx_self, __pyx_v_iters);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9chainsteg_7_kernel_22_microbench(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_iters) {
-  PyObject *__pyx_v_time = NULL;
-  u64 __pyx_v_a[4];
-  u64 __pyx_v_b[4];
-  u64 __pyx_v_r[4];
-  u8 __pyx_v_h[32];
-  u8 __pyx_v_msg[41];
-  struct __pyx_t_9chainsteg_7_kernel_JPt __pyx_v_pt;
-  CYTHON_UNUSED int __pyx_v_i;
-  PyObject *__pyx_v_out = NULL;
-  PyObject *__pyx_v_t0 = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  long __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  PyObject *__pyx_t_9 = NULL;
-  long __pyx_t_10;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_microbench", 0);
-
-  /* "chainsteg/_kernel.pyx":850
- * def _microbench(int iters):
- *     """Rough per-op timings for tuning; not part of the API."""
- *     import time             # <<<<<<<<<<<<<<
- *     cdef u64[4] a, b, r
- *     cdef u8[32] h
-*/
-  __pyx_t_2 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_time, 0, 0, NULL, 0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 850, __pyx_L1_error)
-  __pyx_t_1 = __pyx_t_2;
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_time = __pyx_t_1;
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":856
- *     cdef JPt pt
- *     cdef int i
- *     a[0] = 0x123456789ABCDEF0; a[1] = 0xFEDCBA9876543210             # <<<<<<<<<<<<<<
- *     a[2] = 0x0F1E2D3C4B5A6978; a[3] = 0x1122334455667788
- *     fe_set(b, a); b[0] ^= 0x5555
-*/
-  (__pyx_v_a[0]) = 0x123456789ABCDEF0;
-  (__pyx_v_a[1]) = 0xFEDCBA9876543210;
-
-  /* "chainsteg/_kernel.pyx":857
- *     cdef int i
- *     a[0] = 0x123456789ABCDEF0; a[1] = 0xFEDCBA9876543210
- *     a[2] = 0x0F1E2D3C4B5A6978; a[3] = 0x1122334455667788             # <<<<<<<<<<<<<<
- *     fe_set(b, a); b[0] ^= 0x5555
- *     memset(msg, 0x42, 41)
-*/
-  (__pyx_v_a[2]) = 0x0F1E2D3C4B5A6978;
-  (__pyx_v_a[3]) = 0x1122334455667788;
-
-  /* "chainsteg/_kernel.pyx":858
- *     a[0] = 0x123456789ABCDEF0; a[1] = 0xFEDCBA9876543210
- *     a[2] = 0x0F1E2D3C4B5A6978; a[3] = 0x1122334455667788
- *     fe_set(b, a); b[0] ^= 0x5555             # <<<<<<<<<<<<<<
- *     memset(msg, 0x42, 41)
- *     out = {}
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_set(__pyx_v_b, __pyx_v_a); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 858, __pyx_L1_error)
-  __pyx_t_3 = 0;
-  (__pyx_v_b[__pyx_t_3]) = ((__pyx_v_b[__pyx_t_3]) ^ 0x5555);
-
-  /* "chainsteg/_kernel.pyx":859
- *     a[2] = 0x0F1E2D3C4B5A6978; a[3] = 0x1122334455667788
- *     fe_set(b, a); b[0] ^= 0x5555
- *     memset(msg, 0x42, 41)             # <<<<<<<<<<<<<<
- *     out = {}
- *     t0 = time.perf_counter()
-*/
-  (void)(memset(__pyx_v_msg, 0x42, 41));
-
-  /* "chainsteg/_kernel.pyx":860
- *     fe_set(b, a); b[0] ^= 0x5555
- *     memset(msg, 0x42, 41)
- *     out = {}             # <<<<<<<<<<<<<<
- *     t0 = time.perf_counter()
- *     with nogil:
-*/
-  __pyx_t_1 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 860, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_out = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":861
- *     memset(msg, 0x42, 41)
- *     out = {}
- *     t0 = time.perf_counter()             # <<<<<<<<<<<<<<
- *     with nogil:
- *         for i in range(iters):
-*/
-  __pyx_t_4 = __pyx_v_time;
-  __Pyx_INCREF(__pyx_t_4);
-  __pyx_t_5 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_4, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_perf_counter, __pyx_callargs+__pyx_t_5, (1-__pyx_t_5) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 861, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __pyx_v_t0 = __pyx_t_1;
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":862
- *     out = {}
- *     t0 = time.perf_counter()
- *     with nogil:             # <<<<<<<<<<<<<<
- *         for i in range(iters):
- *             fe_mul(r, a, b)
-*/
-  {
-      PyThreadState * _save;
-      _save = PyEval_SaveThread();
-      __Pyx_FastGIL_Remember();
-      /*try:*/ {
-
-        /* "chainsteg/_kernel.pyx":863
- *     t0 = time.perf_counter()
- *     with nogil:
- *         for i in range(iters):             # <<<<<<<<<<<<<<
- *             fe_mul(r, a, b)
- *             fe_set(a, r)
-*/
-        __pyx_t_6 = __pyx_v_iters;
-        __pyx_t_7 = __pyx_t_6;
-        for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-          __pyx_v_i = __pyx_t_8;
-
-          /* "chainsteg/_kernel.pyx":864
- *     with nogil:
- *         for i in range(iters):
- *             fe_mul(r, a, b)             # <<<<<<<<<<<<<<
- *             fe_set(a, r)
- *     out["fe_mul_ns"] = (time.perf_counter() - t0) / iters * 1e9
-*/
-          __pyx_f_9chainsteg_7_kernel_fe_mul(__pyx_v_r, __pyx_v_a, __pyx_v_b); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 864, __pyx_L4_error)
-
-          /* "chainsteg/_kernel.pyx":865
- *         for i in range(iters):
- *             fe_mul(r, a, b)
- *             fe_set(a, r)             # <<<<<<<<<<<<<<
- *     out["fe_mul_ns"] = (time.perf_counter() - t0) / iters * 1e9
- *     fe_set(pt.X, a); fe_set(pt.Y, b)
-*/
-          __pyx_f_9chainsteg_7_kernel_fe_set(__pyx_v_a, __pyx_v_r); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 865, __pyx_L4_error)
-        }
-      }
-
-      /* "chainsteg/_kernel.pyx":862
- *     out = {}
- *     t0 = time.perf_counter()
- *     with nogil:             # <<<<<<<<<<<<<<
- *         for i in range(iters):
- *             fe_mul(r, a, b)
-*/
-      /*finally:*/ {
-        /*normal exit:*/{
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L5;
-        }
-        __pyx_L4_error: {
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L1_error;
-        }
-        __pyx_L5:;
-      }
-  }
-
-  /* "chainsteg/_kernel.pyx":866
- *             fe_mul(r, a, b)
- *             fe_set(a, r)
- *     out["fe_mul_ns"] = (time.perf_counter() - t0) / iters * 1e9             # <<<<<<<<<<<<<<
- *     fe_set(pt.X, a); fe_set(pt.Y, b)
- *     memset(pt.Z, 0, 32); pt.Z[0] = 1
-*/
-  __pyx_t_4 = __pyx_v_time;
-  __Pyx_INCREF(__pyx_t_4);
-  __pyx_t_5 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_4, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_perf_counter, __pyx_callargs+__pyx_t_5, (1-__pyx_t_5) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 866, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __pyx_t_4 = PyNumber_Subtract(__pyx_t_1, __pyx_v_t0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 866, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_iters); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 866, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_9 = __Pyx_PyNumber_Divide(__pyx_t_4, __pyx_t_1); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 866, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyNumber_Multiply(__pyx_t_9, __pyx_mstate_global->__pyx_float_1e9); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 866, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-  if (unlikely((PyDict_SetItem(__pyx_v_out, __pyx_mstate_global->__pyx_n_u_fe_mul_ns, __pyx_t_1) < 0))) __PYX_ERR(0, 866, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":867
- *             fe_set(a, r)
- *     out["fe_mul_ns"] = (time.perf_counter() - t0) / iters * 1e9
- *     fe_set(pt.X, a); fe_set(pt.Y, b)             # <<<<<<<<<<<<<<
- *     memset(pt.Z, 0, 32); pt.Z[0] = 1
- *     t0 = time.perf_counter()
-*/
-  __pyx_f_9chainsteg_7_kernel_fe_set(__pyx_v_pt.X, __pyx_v_a); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 867, __pyx_L1_error)
-  __pyx_f_9chainsteg_7_kernel_fe_set(__pyx_v_pt.Y, __pyx_v_b); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 867, __pyx_L1_error)
-
-  /* "chainsteg/_kernel.pyx":868
- *     out["fe_mul_ns"] = (time.perf_counter() - t0) / iters * 1e9
- *     fe_set(pt.X, a); fe_set(pt.Y, b)
- *     memset(pt.Z, 0, 32); pt.Z[0] = 1             # <<<<<<<<<<<<<<
- *     t0 = time.perf_counter()
- *     with nogil:
-*/
-  (void)(memset(__pyx_v_pt.Z, 0, 32));
-  (__pyx_v_pt.Z[0]) = 1;
-
-  /* "chainsteg/_kernel.pyx":869
- *     fe_set(pt.X, a); fe_set(pt.Y, b)
- *     memset(pt.Z, 0, 32); pt.Z[0] = 1
- *     t0 = time.perf_counter()             # <<<<<<<<<<<<<<
- *     with nogil:
- *         for i in range(iters // 10):
-*/
-  __pyx_t_9 = __pyx_v_time;
-  __Pyx_INCREF(__pyx_t_9);
-  __pyx_t_5 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_9, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_perf_counter, __pyx_callargs+__pyx_t_5, (1-__pyx_t_5) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 869, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __Pyx_DECREF_SET(__pyx_v_t0, __pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":870
- *     memset(pt.Z, 0, 32); pt.Z[0] = 1
- *     t0 = time.perf_counter()
- *     with nogil:             # <<<<<<<<<<<<<<
- *         for i in range(iters // 10):
- *             jpt_add_affine(&pt, &pt, a, b)
-*/
-  {
-      PyThreadState * _save;
-      _save = PyEval_SaveThread();
-      __Pyx_FastGIL_Remember();
-      /*try:*/ {
-
-        /* "chainsteg/_kernel.pyx":871
- *     t0 = time.perf_counter()
- *     with nogil:
- *         for i in range(iters // 10):             # <<<<<<<<<<<<<<
- *             jpt_add_affine(&pt, &pt, a, b)
- *     out["jpt_add_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
-*/
-        __pyx_t_3 = (__pyx_v_iters / 10);
-        __pyx_t_10 = __pyx_t_3;
-        for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_10; __pyx_t_6+=1) {
-          __pyx_v_i = __pyx_t_6;
-
-          /* "chainsteg/_kernel.pyx":872
- *     with nogil:
- *         for i in range(iters // 10):
- *             jpt_add_affine(&pt, &pt, a, b)             # <<<<<<<<<<<<<<
- *     out["jpt_add_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
- *     t0 = time.perf_counter()
-*/
-          __pyx_f_9chainsteg_7_kernel_jpt_add_affine((&__pyx_v_pt), (&__pyx_v_pt), __pyx_v_a, __pyx_v_b); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 872, __pyx_L9_error)
-        }
-      }
-
-      /* "chainsteg/_kernel.pyx":870
- *     memset(pt.Z, 0, 32); pt.Z[0] = 1
- *     t0 = time.perf_counter()
- *     with nogil:             # <<<<<<<<<<<<<<
- *         for i in range(iters // 10):
- *             jpt_add_affine(&pt, &pt, a, b)
-*/
-      /*finally:*/ {
-        /*normal exit:*/{
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L10;
-        }
-        __pyx_L9_error: {
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L1_error;
-        }
-        __pyx_L10:;
-      }
-  }
-
-  /* "chainsteg/_kernel.pyx":873
- *         for i in range(iters // 10):
- *             jpt_add_affine(&pt, &pt, a, b)
- *     out["jpt_add_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9             # <<<<<<<<<<<<<<
- *     t0 = time.perf_counter()
- *     with nogil:
-*/
-  __pyx_t_9 = __pyx_v_time;
-  __Pyx_INCREF(__pyx_t_9);
-  __pyx_t_5 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_9, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_perf_counter, __pyx_callargs+__pyx_t_5, (1-__pyx_t_5) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 873, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __pyx_t_9 = PyNumber_Subtract(__pyx_t_1, __pyx_v_t0); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 873, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = __Pyx_PyLong_From_long((__pyx_v_iters / 10)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 873, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_4 = __Pyx_PyNumber_Divide(__pyx_t_9, __pyx_t_1); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 873, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyNumber_Multiply(__pyx_t_4, __pyx_mstate_global->__pyx_float_1e9); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 873, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  if (unlikely((PyDict_SetItem(__pyx_v_out, __pyx_mstate_global->__pyx_n_u_jpt_add_ns, __pyx_t_1) < 0))) __PYX_ERR(0, 873, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":874
- *             jpt_add_affine(&pt, &pt, a, b)
- *     out["jpt_add_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
- *     t0 = time.perf_counter()             # <<<<<<<<<<<<<<
- *     with nogil:
- *         for i in range(iters // 10):
-*/
-  __pyx_t_4 = __pyx_v_time;
-  __Pyx_INCREF(__pyx_t_4);
-  __pyx_t_5 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_4, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_perf_counter, __pyx_callargs+__pyx_t_5, (1-__pyx_t_5) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 874, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __Pyx_DECREF_SET(__pyx_v_t0, __pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":875
- *     out["jpt_add_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
- *     t0 = time.perf_counter()
- *     with nogil:             # <<<<<<<<<<<<<<
- *         for i in range(iters // 10):
- *             sha256_block(msg, 41, h)
-*/
-  {
-      PyThreadState * _save;
-      _save = PyEval_SaveThread();
-      __Pyx_FastGIL_Remember();
-      /*try:*/ {
-
-        /* "chainsteg/_kernel.pyx":876
- *     t0 = time.perf_counter()
- *     with nogil:
- *         for i in range(iters // 10):             # <<<<<<<<<<<<<<
- *             sha256_block(msg, 41, h)
- *     out["sha256_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
-*/
-        __pyx_t_3 = (__pyx_v_iters / 10);
-        __pyx_t_10 = __pyx_t_3;
-        for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_10; __pyx_t_6+=1) {
-          __pyx_v_i = __pyx_t_6;
-
-          /* "chainsteg/_kernel.pyx":877
- *     with nogil:
- *         for i in range(iters // 10):
- *             sha256_block(msg, 41, h)             # <<<<<<<<<<<<<<
- *     out["sha256_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
- *     t0 = time.perf_counter()
-*/
-          __pyx_f_9chainsteg_7_kernel_sha256_block(__pyx_v_msg, 41, __pyx_v_h); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 877, __pyx_L14_error)
-        }
-      }
-
-      /* "chainsteg/_kernel.pyx":875
- *     out["jpt_add_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
- *     t0 = time.perf_counter()
- *     with nogil:             # <<<<<<<<<<<<<<
- *         for i in range(iters // 10):
- *             sha256_block(msg, 41, h)
-*/
-      /*finally:*/ {
-        /*normal exit:*/{
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L15;
-        }
-        __pyx_L14_error: {
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L1_error;
-        }
-        __pyx_L15:;
-      }
-  }
-
-  /* "chainsteg/_kernel.pyx":878
- *         for i in range(iters // 10):
- *             sha256_block(msg, 41, h)
- *     out["sha256_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9             # <<<<<<<<<<<<<<
- *     t0 = time.perf_counter()
- *     with nogil:
-*/
-  __pyx_t_4 = __pyx_v_time;
-  __Pyx_INCREF(__pyx_t_4);
-  __pyx_t_5 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_4, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_perf_counter, __pyx_callargs+__pyx_t_5, (1-__pyx_t_5) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 878, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __pyx_t_4 = PyNumber_Subtract(__pyx_t_1, __pyx_v_t0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 878, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = __Pyx_PyLong_From_long((__pyx_v_iters / 10)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 878, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_9 = __Pyx_PyNumber_Divide(__pyx_t_4, __pyx_t_1); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 878, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyNumber_Multiply(__pyx_t_9, __pyx_mstate_global->__pyx_float_1e9); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 878, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-  if (unlikely((PyDict_SetItem(__pyx_v_out, __pyx_mstate_global->__pyx_n_u_sha256_ns, __pyx_t_1) < 0))) __PYX_ERR(0, 878, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":879
- *             sha256_block(msg, 41, h)
- *     out["sha256_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
- *     t0 = time.perf_counter()             # <<<<<<<<<<<<<<
- *     with nogil:
- *         for i in range(iters // 10):
-*/
-  __pyx_t_9 = __pyx_v_time;
-  __Pyx_INCREF(__pyx_t_9);
-  __pyx_t_5 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_9, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_perf_counter, __pyx_callargs+__pyx_t_5, (1-__pyx_t_5) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 879, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __Pyx_DECREF_SET(__pyx_v_t0, __pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":880
- *     out["sha256_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
- *     t0 = time.perf_counter()
- *     with nogil:             # <<<<<<<<<<<<<<
- *         for i in range(iters // 10):
- *             ripemd160_32(h, h + 0)
-*/
-  {
-      PyThreadState * _save;
-      _save = PyEval_SaveThread();
-      __Pyx_FastGIL_Remember();
-      /*try:*/ {
-
-        /* "chainsteg/_kernel.pyx":881
- *     t0 = time.perf_counter()
- *     with nogil:
- *         for i in range(iters // 10):             # <<<<<<<<<<<<<<
- *             ripemd160_32(h, h + 0)
- *     out["ripemd_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
-*/
-        __pyx_t_3 = (__pyx_v_iters / 10);
-        __pyx_t_10 = __pyx_t_3;
-        for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_10; __pyx_t_6+=1) {
-          __pyx_v_i = __pyx_t_6;
-
-          /* "chainsteg/_kernel.pyx":882
- *     with nogil:
- *         for i in range(iters // 10):
- *             ripemd160_32(h, h + 0)             # <<<<<<<<<<<<<<
- *     out["ripemd_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
- *     t0 = time.perf_counter()
-*/
-          __pyx_f_9chainsteg_7_kernel_ripemd160_32(__pyx_v_h, (__pyx_v_h + 0)); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 882, __pyx_L19_error)
-        }
-      }
-
-      /* "chainsteg/_kernel.pyx":880
- *     out["sha256_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
- *     t0 = time.perf_counter()
- *     with nogil:             # <<<<<<<<<<<<<<
- *         for i in range(iters // 10):
- *             ripemd160_32(h, h + 0)
-*/
-      /*finally:*/ {
-        /*normal exit:*/{
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L20;
-        }
-        __pyx_L19_error: {
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L1_error;
-        }
-        __pyx_L20:;
-      }
-  }
-
-  /* "chainsteg/_kernel.pyx":883
- *         for i in range(iters // 10):
- *             ripemd160_32(h, h + 0)
- *     out["ripemd_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9             # <<<<<<<<<<<<<<
- *     t0 = time.perf_counter()
- *     with nogil:
-*/
-  __pyx_t_9 = __pyx_v_time;
-  __Pyx_INCREF(__pyx_t_9);
-  __pyx_t_5 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_9, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_perf_counter, __pyx_callargs+__pyx_t_5, (1-__pyx_t_5) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 883, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __pyx_t_9 = PyNumber_Subtract(__pyx_t_1, __pyx_v_t0); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 883, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = __Pyx_PyLong_From_long((__pyx_v_iters / 10)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 883, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_4 = __Pyx_PyNumber_Divide(__pyx_t_9, __pyx_t_1); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 883, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyNumber_Multiply(__pyx_t_4, __pyx_mstate_global->__pyx_float_1e9); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 883, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  if (unlikely((PyDict_SetItem(__pyx_v_out, __pyx_mstate_global->__pyx_n_u_ripemd_ns, __pyx_t_1) < 0))) __PYX_ERR(0, 883, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":884
- *             ripemd160_32(h, h + 0)
- *     out["ripemd_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
- *     t0 = time.perf_counter()             # <<<<<<<<<<<<<<
- *     with nogil:
- *         for i in range(iters // 100):
-*/
-  __pyx_t_4 = __pyx_v_time;
-  __Pyx_INCREF(__pyx_t_4);
-  __pyx_t_5 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_4, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_perf_counter, __pyx_callargs+__pyx_t_5, (1-__pyx_t_5) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 884, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __Pyx_DECREF_SET(__pyx_v_t0, __pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":885
- *     out["ripemd_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
- *     t0 = time.perf_counter()
- *     with nogil:             # <<<<<<<<<<<<<<
- *         for i in range(iters // 100):
- *             fe_inv(r, a)
-*/
-  {
-      PyThreadState * _save;
-      _save = PyEval_SaveThread();
-      __Pyx_FastGIL_Remember();
-      /*try:*/ {
-
-        /* "chainsteg/_kernel.pyx":886
- *     t0 = time.perf_counter()
- *     with nogil:
- *         for i in range(iters // 100):             # <<<<<<<<<<<<<<
- *             fe_inv(r, a)
- *     out["fe_inv_ns"] = (time.perf_counter() - t0) / (iters // 100) * 1e9
-*/
-        __pyx_t_3 = (__pyx_v_iters / 0x64);
-        __pyx_t_10 = __pyx_t_3;
-        for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_10; __pyx_t_6+=1) {
-          __pyx_v_i = __pyx_t_6;
-
-          /* "chainsteg/_kernel.pyx":887
- *     with nogil:
- *         for i in range(iters // 100):
- *             fe_inv(r, a)             # <<<<<<<<<<<<<<
- *     out["fe_inv_ns"] = (time.perf_counter() - t0) / (iters // 100) * 1e9
- *     return out
-*/
-          __pyx_f_9chainsteg_7_kernel_fe_inv(__pyx_v_r, __pyx_v_a); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 887, __pyx_L24_error)
-        }
-      }
-
-      /* "chainsteg/_kernel.pyx":885
- *     out["ripemd_ns"] = (time.perf_counter() - t0) / (iters // 10) * 1e9
- *     t0 = time.perf_counter()
- *     with nogil:             # <<<<<<<<<<<<<<
- *         for i in range(iters // 100):
- *             fe_inv(r, a)
-*/
-      /*finally:*/ {
-        /*normal exit:*/{
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L25;
-        }
-        __pyx_L24_error: {
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L1_error;
-        }
-        __pyx_L25:;
-      }
-  }
-
-  /* "chainsteg/_kernel.pyx":888
- *         for i in range(iters // 100):
- *             fe_inv(r, a)
- *     out["fe_inv_ns"] = (time.perf_counter() - t0) / (iters // 100) * 1e9             # <<<<<<<<<<<<<<
- *     return out
-*/
-  __pyx_t_4 = __pyx_v_time;
-  __Pyx_INCREF(__pyx_t_4);
-  __pyx_t_5 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_4, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_perf_counter, __pyx_callargs+__pyx_t_5, (1-__pyx_t_5) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 888, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __pyx_t_4 = PyNumber_Subtract(__pyx_t_1, __pyx_v_t0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 888, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = __Pyx_PyLong_From_long((__pyx_v_iters / 0x64)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 888, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_9 = __Pyx_PyNumber_Divide(__pyx_t_4, __pyx_t_1); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 888, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyNumber_Multiply(__pyx_t_9, __pyx_mstate_global->__pyx_float_1e9); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 888, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-  if (unlikely((PyDict_SetItem(__pyx_v_out, __pyx_mstate_global->__pyx_n_u_fe_inv_ns, __pyx_t_1) < 0))) __PYX_ERR(0, 888, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "chainsteg/_kernel.pyx":889
- *             fe_inv(r, a)
- *     out["fe_inv_ns"] = (time.perf_counter() - t0) / (iters // 100) * 1e9
- *     return out             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_out);
-  __pyx_r = __pyx_v_out;
-  goto __pyx_L0;
-
-  /* "chainsteg/_kernel.pyx":848
- * 
- * 
- * def _microbench(int iters):             # <<<<<<<<<<<<<<
- *     """Rough per-op timings for tuning; not part of the API."""
- *     import time
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("chainsteg._kernel._microbench", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_time);
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XDECREF(__pyx_v_t0);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyObject *__pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct___primes(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct___primes > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes, sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_9chainsteg_7_kernel___pyx_scope_struct___primes[--__pyx_mstate_global->__pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct___primes];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_9chainsteg_7_kernel___pyx_scope_struct___primes(PyObject *o) {
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes *p = (struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_9chainsteg_7_kernel___pyx_scope_struct___primes) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_v_cand);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct___primes < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes, sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes))))
-  {
-    __pyx_mstate_global->__pyx_freelist_9chainsteg_7_kernel___pyx_scope_struct___primes[__pyx_mstate_global->__pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct___primes++] = ((struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_9chainsteg_7_kernel___pyx_scope_struct___primes(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes *p = (struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_v_cand) {
-    e = (*v)(p->__pyx_v_cand, a); if (e) return e;
-  }
-  return 0;
-}
-
-static int __pyx_tp_clear_9chainsteg_7_kernel___pyx_scope_struct___primes(PyObject *o) {
-  PyObject* tmp;
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes *p = (struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes *)o;
-  tmp = ((PyObject*)p->__pyx_v_cand);
-  p->__pyx_v_cand = Py_None; Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_9chainsteg_7_kernel___pyx_scope_struct___primes_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_9chainsteg_7_kernel___pyx_scope_struct___primes},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_9chainsteg_7_kernel___pyx_scope_struct___primes},
-  {Py_tp_clear, (void *)__pyx_tp_clear_9chainsteg_7_kernel___pyx_scope_struct___primes},
-  {Py_tp_new, (void *)__pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct___primes},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_9chainsteg_7_kernel___pyx_scope_struct___primes_spec = {
-  "chainsteg._kernel.__pyx_scope_struct___primes",
-  sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_9chainsteg_7_kernel___pyx_scope_struct___primes_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_9chainsteg_7_kernel___pyx_scope_struct___primes = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "chainsteg._kernel.""__pyx_scope_struct___primes", /*tp_name*/
-  sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct___primes), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_9chainsteg_7_kernel___pyx_scope_struct___primes, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_9chainsteg_7_kernel___pyx_scope_struct___primes, /*tp_traverse*/
-  __pyx_tp_clear_9chainsteg_7_kernel___pyx_scope_struct___primes, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct___primes, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr, sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr[--__pyx_mstate_global->__pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr(PyObject *o) {
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr *p = (struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_outer_scope);
-  Py_CLEAR(p->__pyx_genexpr_arg_0);
-  Py_CLEAR(p->__pyx_v_p);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr, sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr))))
-  {
-    __pyx_mstate_global->__pyx_freelist_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr[__pyx_mstate_global->__pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr++] = ((struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr *p = (struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_outer_scope) {
-    e = (*v)(((PyObject *)p->__pyx_outer_scope), a); if (e) return e;
-  }
-  if (p->__pyx_genexpr_arg_0) {
-    e = (*v)(p->__pyx_genexpr_arg_0, a); if (e) return e;
-  }
-  if (p->__pyx_v_p) {
-    e = (*v)(p->__pyx_v_p, a); if (e) return e;
-  }
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr},
-  {Py_tp_new, (void *)__pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr_spec = {
-  "chainsteg._kernel.__pyx_scope_struct_1_genexpr",
-  sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "chainsteg._kernel.""__pyx_scope_struct_1_genexpr", /*tp_name*/
-  sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap, sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap[--__pyx_mstate_global->__pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap(PyObject *o) {
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *p = (struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_v_p);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap, sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap))))
-  {
-    __pyx_mstate_global->__pyx_freelist_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap[__pyx_mstate_global->__pyx_freecount_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap++] = ((struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *p = (struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_v_p) {
-    e = (*v)(p->__pyx_v_p, a); if (e) return e;
-  }
-  return 0;
-}
-
-static int __pyx_tp_clear_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap(PyObject *o) {
-  PyObject* tmp;
-  struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *p = (struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap *)o;
-  tmp = ((PyObject*)p->__pyx_v_p);
-  p->__pyx_v_p = Py_None; Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap},
-  {Py_tp_clear, (void *)__pyx_tp_clear_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap},
-  {Py_tp_new, (void *)__pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap_spec = {
-  "chainsteg._kernel.__pyx_scope_struct_2__bootstrap",
-  sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "chainsteg._kernel.""__pyx_scope_struct_2__bootstrap", /*tp_name*/
-  sizeof(struct __pyx_obj_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap, /*tp_traverse*/
-  __pyx_tp_clear_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_9chainsteg_7_kernel___pyx_scope_struct___primes_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes)) __PYX_ERR(0, 712, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_9chainsteg_7_kernel___pyx_scope_struct___primes_spec, __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes) < (0)) __PYX_ERR(0, 712, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes = &__pyx_type_9chainsteg_7_kernel___pyx_scope_struct___primes;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes) < (0)) __PYX_ERR(0, 712, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes->tp_dictoffset && __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct___primes->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr)) __PYX_ERR(0, 715, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr_spec, __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr) < (0)) __PYX_ERR(0, 715, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr = &__pyx_type_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr) < (0)) __PYX_ERR(0, 715, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr->tp_dictoffset && __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_1_genexpr->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap)) __PYX_ERR(0, 814, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap_spec, __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap) < (0)) __PYX_ERR(0, 814, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap = &__pyx_type_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap) < (0)) __PYX_ERR(0, 814, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap->tp_dictoffset && __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_9chainsteg_7_kernel___pyx_scope_struct_2__bootstrap->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__kernel(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__kernel},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_kernel",
-      __pyx_k_Compiled_grinding_kernel_secp256, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__kernel(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__kernel(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
+static inline void fe_add(u64 *r, const u64 *a, const u64 *b)
 {
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
+    u128 acc;
+    u64 r0, r1, r2, r3;
+    acc = (u128)a[0] + b[0]; r0 = (u64)acc; acc >>= 64;
+    acc += (u128)a[1] + b[1]; r1 = (u64)acc; acc >>= 64;
+    acc += (u128)a[2] + b[2]; r2 = (u64)acc; acc >>= 64;
+    acc += (u128)a[3] + b[3]; r3 = (u64)acc; acc >>= 64;
+    if ((u64)acc) { /* a + b >= 2^256: subtract p by adding FE_C */
+        acc = (u128)r0 + FE_C; r0 = (u64)acc; acc >>= 64;
+        acc += r1; r1 = (u64)acc; acc >>= 64;
+        acc += r2; r2 = (u64)acc; acc >>= 64;
+        r3 += (u64)acc;
     }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
+    fe_final(r, r0, r1, r2, r3);
 }
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
+
+static inline void fe_sub(u64 *r, const u64 *a, const u64 *b)
 {
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
+    u128 acc;
+    u64 r0, r1, r2, r3, borrow;
+    acc = (u128)a[0] - b[0]; r0 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
+    acc = (u128)a[1] - b[1] - borrow; r1 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
+    acc = (u128)a[2] - b[2] - borrow; r2 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
+    acc = (u128)a[3] - b[3] - borrow; r3 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
+    if (borrow) { /* wrapped below zero: add p by subtracting FE_C */
+        acc = (u128)r0 - FE_C; r0 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
+        acc = (u128)r1 - borrow; r1 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
+        acc = (u128)r2 - borrow; r2 = (u64)acc; borrow = (u64)(acc >> 64) & 1;
+        r3 -= borrow;
     }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
+    r[0] = r0; r[1] = r1; r[2] = r2; r[3] = r3;
 }
 
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__kernel(PyObject *__pyx_pyinit_module)
-#endif
+static inline void fe_sqr_n(u64 *r, const u64 *a, int n)
 {
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_kernel' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_kernel" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__kernel", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_chainsteg___kernel) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "chainsteg._kernel")) {
-      if (unlikely((PyDict_SetItemString(modules, "chainsteg._kernel", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  if (unlikely((__Pyx_modinit_type_init_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "chainsteg/_kernel.pyx":138
- * # Field arithmetic mod p = 2^256 - 2^32 - 977
- * 
- * cdef u64 REDC = 0x1000003D1  # 2^256 mod p             # <<<<<<<<<<<<<<
- * 
- * cdef u64[4] P_LIMB
-*/
-  __pyx_v_9chainsteg_7_kernel_REDC = 0x1000003D1;
-
-  /* "chainsteg/_kernel.pyx":141
- * 
- * cdef u64[4] P_LIMB
- * P_LIMB[0] = 0xFFFFFFFEFFFFFC2F             # <<<<<<<<<<<<<<
- * P_LIMB[1] = 0xFFFFFFFFFFFFFFFF
- * P_LIMB[2] = 0xFFFFFFFFFFFFFFFF
-*/
-  (__pyx_v_9chainsteg_7_kernel_P_LIMB[0]) = 0xFFFFFFFEFFFFFC2F;
-
-  /* "chainsteg/_kernel.pyx":142
- * cdef u64[4] P_LIMB
- * P_LIMB[0] = 0xFFFFFFFEFFFFFC2F
- * P_LIMB[1] = 0xFFFFFFFFFFFFFFFF             # <<<<<<<<<<<<<<
- * P_LIMB[2] = 0xFFFFFFFFFFFFFFFF
- * P_LIMB[3] = 0xFFFFFFFFFFFFFFFF
-*/
-  (__pyx_v_9chainsteg_7_kernel_P_LIMB[1]) = 0xFFFFFFFFFFFFFFFF;
-
-  /* "chainsteg/_kernel.pyx":143
- * P_LIMB[0] = 0xFFFFFFFEFFFFFC2F
- * P_LIMB[1] = 0xFFFFFFFFFFFFFFFF
- * P_LIMB[2] = 0xFFFFFFFFFFFFFFFF             # <<<<<<<<<<<<<<
- * P_LIMB[3] = 0xFFFFFFFFFFFFFFFF
- * 
-*/
-  (__pyx_v_9chainsteg_7_kernel_P_LIMB[2]) = 0xFFFFFFFFFFFFFFFF;
-
-  /* "chainsteg/_kernel.pyx":144
- * P_LIMB[1] = 0xFFFFFFFFFFFFFFFF
- * P_LIMB[2] = 0xFFFFFFFFFFFFFFFF
- * P_LIMB[3] = 0xFFFFFFFFFFFFFFFF             # <<<<<<<<<<<<<<
- * 
- * cdef u64[4] PM2_LIMB  # p - 2, inversion exponent
-*/
-  (__pyx_v_9chainsteg_7_kernel_P_LIMB[3]) = 0xFFFFFFFFFFFFFFFF;
-
-  /* "chainsteg/_kernel.pyx":147
- * 
- * cdef u64[4] PM2_LIMB  # p - 2, inversion exponent
- * PM2_LIMB[0] = 0xFFFFFFFEFFFFFC2D             # <<<<<<<<<<<<<<
- * PM2_LIMB[1] = 0xFFFFFFFFFFFFFFFF
- * PM2_LIMB[2] = 0xFFFFFFFFFFFFFFFF
-*/
-  (__pyx_v_9chainsteg_7_kernel_PM2_LIMB[0]) = 0xFFFFFFFEFFFFFC2D;
-
-  /* "chainsteg/_kernel.pyx":148
- * cdef u64[4] PM2_LIMB  # p - 2, inversion exponent
- * PM2_LIMB[0] = 0xFFFFFFFEFFFFFC2D
- * PM2_LIMB[1] = 0xFFFFFFFFFFFFFFFF             # <<<<<<<<<<<<<<
- * PM2_LIMB[2] = 0xFFFFFFFFFFFFFFFF
- * PM2_LIMB[3] = 0xFFFFFFFFFFFFFFFF
-*/
-  (__pyx_v_9chainsteg_7_kernel_PM2_LIMB[1]) = 0xFFFFFFFFFFFFFFFF;
-
-  /* "chainsteg/_kernel.pyx":149
- * PM2_LIMB[0] = 0xFFFFFFFEFFFFFC2D
- * PM2_LIMB[1] = 0xFFFFFFFFFFFFFFFF
- * PM2_LIMB[2] = 0xFFFFFFFFFFFFFFFF             # <<<<<<<<<<<<<<
- * PM2_LIMB[3] = 0xFFFFFFFFFFFFFFFF
- * 
-*/
-  (__pyx_v_9chainsteg_7_kernel_PM2_LIMB[2]) = 0xFFFFFFFFFFFFFFFF;
-
-  /* "chainsteg/_kernel.pyx":150
- * PM2_LIMB[1] = 0xFFFFFFFFFFFFFFFF
- * PM2_LIMB[2] = 0xFFFFFFFFFFFFFFFF
- * PM2_LIMB[3] = 0xFFFFFFFFFFFFFFFF             # <<<<<<<<<<<<<<
- * 
- * cdef u64[4] Q_LIMB  # group order
-*/
-  (__pyx_v_9chainsteg_7_kernel_PM2_LIMB[3]) = 0xFFFFFFFFFFFFFFFF;
-
-  /* "chainsteg/_kernel.pyx":153
- * 
- * cdef u64[4] Q_LIMB  # group order
- * Q_LIMB[0] = 0xBFD25E8CD0364141             # <<<<<<<<<<<<<<
- * Q_LIMB[1] = 0xBAAEDCE6AF48A03B
- * Q_LIMB[2] = 0xFFFFFFFFFFFFFFFE
-*/
-  (__pyx_v_9chainsteg_7_kernel_Q_LIMB[0]) = 0xBFD25E8CD0364141;
-
-  /* "chainsteg/_kernel.pyx":154
- * cdef u64[4] Q_LIMB  # group order
- * Q_LIMB[0] = 0xBFD25E8CD0364141
- * Q_LIMB[1] = 0xBAAEDCE6AF48A03B             # <<<<<<<<<<<<<<
- * Q_LIMB[2] = 0xFFFFFFFFFFFFFFFE
- * Q_LIMB[3] = 0xFFFFFFFFFFFFFFFF
-*/
-  (__pyx_v_9chainsteg_7_kernel_Q_LIMB[1]) = 0xBAAEDCE6AF48A03B;
-
-  /* "chainsteg/_kernel.pyx":155
- * Q_LIMB[0] = 0xBFD25E8CD0364141
- * Q_LIMB[1] = 0xBAAEDCE6AF48A03B
- * Q_LIMB[2] = 0xFFFFFFFFFFFFFFFE             # <<<<<<<<<<<<<<
- * Q_LIMB[3] = 0xFFFFFFFFFFFFFFFF
- * 
-*/
-  (__pyx_v_9chainsteg_7_kernel_Q_LIMB[2]) = 0xFFFFFFFFFFFFFFFE;
-
-  /* "chainsteg/_kernel.pyx":156
- * Q_LIMB[1] = 0xBAAEDCE6AF48A03B
- * Q_LIMB[2] = 0xFFFFFFFFFFFFFFFE
- * Q_LIMB[3] = 0xFFFFFFFFFFFFFFFF             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  (__pyx_v_9chainsteg_7_kernel_Q_LIMB[3]) = 0xFFFFFFFFFFFFFFFF;
-
-  /* "chainsteg/_kernel.pyx":307
- * DEF ENTRIES = 4095          # 2^WINDOW - 1
- * 
- * cdef u64* TBL_X = NULL             # <<<<<<<<<<<<<<
- * cdef u64* TBL_Y = NULL
- * 
-*/
-  __pyx_v_9chainsteg_7_kernel_TBL_X = NULL;
-
-  /* "chainsteg/_kernel.pyx":308
- * 
- * cdef u64* TBL_X = NULL
- * cdef u64* TBL_Y = NULL             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_v_9chainsteg_7_kernel_TBL_Y = NULL;
-
-  /* "chainsteg/_kernel.pyx":560
- * # Python-visible API
- * 
- * def derive_digest(bytes k, int tag, counter, gy_x, gy_y):             # <<<<<<<<<<<<<<
- *     """hash160 of the derived public key, or None for a degenerate index."""
- *     cdef u64[4] gyx, gyy
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9chainsteg_7_kernel_1derive_digest, 0, __pyx_mstate_global->__pyx_n_u_derive_digest, NULL, __pyx_mstate_global->__pyx_n_u_chainsteg__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 560, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_derive_digest, __pyx_t_2) < (0)) __PYX_ERR(0, 560, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":579
- * 
- * 
- * def derive_compressed(bytes k, int tag, counter, gy_x, gy_y):             # <<<<<<<<<<<<<<
- *     """Compressed public key bytes for one derivation index."""
- *     cdef u64[4] gyx, gyy, scalar
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9chainsteg_7_kernel_3derive_compressed, 0, __pyx_mstate_global->__pyx_n_u_derive_compressed, NULL, __pyx_mstate_global->__pyx_n_u_chainsteg__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 579, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_derive_compressed, __pyx_t_2) < (0)) __PYX_ERR(0, 579, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":616
- * 
- * 
- * def grind_scan(bytes k, int tag, gy_x, gy_y, start, max_attempts,             # <<<<<<<<<<<<<<
- *                positions, target):
- *     """Smallest counter >= start whose digest carries `target` on the
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9chainsteg_7_kernel_5grind_scan, 0, __pyx_mstate_global->__pyx_n_u_grind_scan, NULL, __pyx_mstate_global->__pyx_n_u_chainsteg__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 616, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_grind_scan, __pyx_t_2) < (0)) __PYX_ERR(0, 616, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":666
- * 
- * 
- * def hash160(bytes data):             # <<<<<<<<<<<<<<
- *     """hash160 restricted to inputs <= 55 bytes (current callers use 33)."""
- *     cdef u8[32] sha_out
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9chainsteg_7_kernel_7hash160, 0, __pyx_mstate_global->__pyx_n_u_hash160, NULL, __pyx_mstate_global->__pyx_n_u_chainsteg__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 666, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_hash160, __pyx_t_2) < (0)) __PYX_ERR(0, 666, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":677
- * 
- * 
- * def sha256(bytes data):             # <<<<<<<<<<<<<<
- *     cdef u8[32] out
- *     if len(data) > 55:
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9chainsteg_7_kernel_9sha256, 0, __pyx_mstate_global->__pyx_n_u_sha256, NULL, __pyx_mstate_global->__pyx_n_u_chainsteg__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[6])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 677, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_sha256, __pyx_t_2) < (0)) __PYX_ERR(0, 677, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":693
- * # Module initialization: exact constants and the comb table
- * 
- * def _exact_frac_root(n, power, bits):             # <<<<<<<<<<<<<<
- *     """floor(2^bits * frac(n^(1/power))) computed with exact integers."""
- *     shifted = n << (power * bits)
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9chainsteg_7_kernel_11_exact_frac_root, 0, __pyx_mstate_global->__pyx_n_u_exact_frac_root, NULL, __pyx_mstate_global->__pyx_n_u_chainsteg__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[7])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 693, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_exact_frac_root, __pyx_t_2) < (0)) __PYX_ERR(0, 693, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":700
- * 
- * 
- * def _int_nth_root(n, power):             # <<<<<<<<<<<<<<
- *     hi = 1 << ((n.bit_length() + power - 1) // power + 1)
- *     lo = 0
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9chainsteg_7_kernel_13_int_nth_root, 0, __pyx_mstate_global->__pyx_n_u_int_nth_root, NULL, __pyx_mstate_global->__pyx_n_u_chainsteg__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[8])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 700, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_int_nth_root, __pyx_t_2) < (0)) __PYX_ERR(0, 700, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":712
- * 
- * 
- * def _primes(count):             # <<<<<<<<<<<<<<
- *     out, cand = [], 2
- *     while len(out) < count:
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9chainsteg_7_kernel_15_primes, 0, __pyx_mstate_global->__pyx_n_u_primes, NULL, __pyx_mstate_global->__pyx_n_u_chainsteg__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[9])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 712, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_primes, __pyx_t_2) < (0)) __PYX_ERR(0, 712, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":721
- * 
- * 
- * def _init_hash_constants():             # <<<<<<<<<<<<<<
- *     primes = _primes(64)
- *     for i, p in enumerate(primes):
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9chainsteg_7_kernel_17_init_hash_constants, 0, __pyx_mstate_global->__pyx_n_u_init_hash_constants, NULL, __pyx_mstate_global->__pyx_n_u_chainsteg__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[10])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 721, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_init_hash_constants, __pyx_t_2) < (0)) __PYX_ERR(0, 721, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":767
- * 
- * 
- * def _init_table(window_bases):             # <<<<<<<<<<<<<<
- *     """window_bases: list of (x, y) ints, base of each 12-bit window."""
- *     global TBL_X, TBL_Y
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9chainsteg_7_kernel_19_init_table, 0, __pyx_mstate_global->__pyx_n_u_init_table, NULL, __pyx_mstate_global->__pyx_n_u_chainsteg__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[11])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 767, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_init_table, __pyx_t_2) < (0)) __PYX_ERR(0, 767, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":814
- * 
- * 
- * def _bootstrap():             # <<<<<<<<<<<<<<
- *     _init_hash_constants()
- *     gx = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9chainsteg_7_kernel_21_bootstrap, 0, __pyx_mstate_global->__pyx_n_u_bootstrap, NULL, __pyx_mstate_global->__pyx_n_u_chainsteg__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[12])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 814, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_bootstrap, __pyx_t_2) < (0)) __PYX_ERR(0, 814, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":845
- * 
- * 
- * _bootstrap()             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_3 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_bootstrap); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 845, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_3, NULL};
-    __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_5, (1-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 845, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":848
- * 
- * 
- * def _microbench(int iters):             # <<<<<<<<<<<<<<
- *     """Rough per-op timings for tuning; not part of the API."""
- *     import time
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9chainsteg_7_kernel_23_microbench, 0, __pyx_mstate_global->__pyx_n_u_microbench, NULL, __pyx_mstate_global->__pyx_n_u_chainsteg__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[13])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 848, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_microbench, __pyx_t_2) < (0)) __PYX_ERR(0, 848, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "chainsteg/_kernel.pyx":1
- * # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled grinding kernel: secp256k1 fixed-base derivation and digest
- * scanning with 4x64-bit field limbs, batch inversion, and single-block
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init chainsteg._kernel", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init chainsteg._kernel");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
+    fe_sqr(r, a);
+    while (--n > 0)
+        fe_sqr(r, r);
 }
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
 
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __pyx_builtin_enumerate = __Pyx_GetBuiltinName(__pyx_mstate->__pyx_n_u_enumerate); if (!__pyx_builtin_enumerate) __PYX_ERR(0, 723, __pyx_L1_error)
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-  __pyx_L1_error:;
-  return -1;
+/* a^(p-2) by the addition chain libsecp256k1 uses: 255 squarings and 15
+ * multiplies. p - 2 in binary is 223 ones, a zero, 22 ones, then 0000101101;
+ * xN below is a^(2^N - 1). */
+static void fe_inv(u64 *r, const u64 *a)
+{
+    u64 x2[4], x3[4], x6[4], x9[4], x11[4], x22[4], x44[4], x88[4], x176[4],
+        x220[4], x223[4], t[4];
+    fe_sqr(x2, a); fe_mul(x2, x2, a);
+    fe_sqr(x3, x2); fe_mul(x3, x3, a);
+    fe_sqr_n(x6, x3, 3); fe_mul(x6, x6, x3);
+    fe_sqr_n(x9, x6, 3); fe_mul(x9, x9, x3);
+    fe_sqr_n(x11, x9, 2); fe_mul(x11, x11, x2);
+    fe_sqr_n(x22, x11, 11); fe_mul(x22, x22, x11);
+    fe_sqr_n(x44, x22, 22); fe_mul(x44, x44, x22);
+    fe_sqr_n(x88, x44, 44); fe_mul(x88, x88, x44);
+    fe_sqr_n(x176, x88, 88); fe_mul(x176, x176, x88);
+    fe_sqr_n(x220, x176, 44); fe_mul(x220, x220, x44);
+    fe_sqr_n(x223, x220, 3); fe_mul(x223, x223, x3);
+    fe_sqr_n(t, x223, 23); fe_mul(t, t, x22);
+    fe_sqr_n(t, t, 5); fe_mul(t, t, a);
+    fe_sqr_n(t, t, 3); fe_mul(t, t, x2);
+    fe_sqr_n(t, t, 2); fe_mul(r, t, a);
 }
-/* #### Code section: cached_constants ### */
 
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
+/* ------------------------------------------------------------------------
+ * Jacobian points on y^2 = x^3 + 7: x = X/Z^2, y = Y/Z^3, Z = 0 is infinity. */
 
-  /* "chainsteg/_kernel.pyx":686
- * 
- * cdef void _int_to_be32(value, u8* out):
- *     cdef bytes raw = int(value).to_bytes(32, "big")             # <<<<<<<<<<<<<<
- *     memcpy(out, <const u8*>raw, 32)
- * 
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(2, __pyx_mstate_global->__pyx_int_32, __pyx_mstate_global->__pyx_n_u_big); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 686, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-
-  /* "chainsteg/_kernel.pyx":725
- *     for i, p in enumerate(primes):
- *         SHA_K[i] = _exact_frac_root(p, 3, 32)
- *     for i, p in enumerate(primes[:8]):             # <<<<<<<<<<<<<<
- *         SHA_H0[i] = _exact_frac_root(p, 2, 32)
- *     rl = [
-*/
-  __pyx_mstate_global->__pyx_slice[0] = PySlice_New(Py_None, __pyx_mstate_global->__pyx_int_8, Py_None); if (unlikely(!__pyx_mstate_global->__pyx_slice[0])) __PYX_ERR(0, 725, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_slice[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_slice[0]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_slice;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 10; } index[] = {{1},{179},{8},{24},{7},{6},{2},{9},{18},{35},{25},{20},{1},{1},{3},{3},{12},{18},{1},{4},{5},{5},{3},{10},{4},{10},{23},{6},{3},{2},{2},{4},{17},{17},{18},{5},{5},{7},{3},{4},{17},{13},{6},{7},{4},{9},{16},{9},{9},{5},{8},{7},{10},{2},{2},{4},{4},{3},{3},{1},{7},{4},{2},{3},{1},{20},{11},{13},{13},{5},{5},{1},{10},{1},{2},{2},{2},{2},{1},{8},{12},{11},{3},{10},{3},{1},{8},{4},{3},{2},{3},{1},{2},{2},{12},{3},{7},{9},{5},{6},{7},{6},{24},{2},{3},{12},{1},{9},{2},{4},{2},{6},{7},{4},{12},{10},{6},{9},{7},{7},{2},{2},{5},{1},{2},{3},{5},{6},{8},{3},{5},{4},{8},{2},{2},{5},{6},{1},{12},{2},{2},{2},{5},{2},{2},{2},{5},{2},{3},{4},{314},{121},{90},{517},{2},{362},{189},{48},{472},{887},{43},{88},{65},{54}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (2231 bytes) */
-const char* const cstring = "BZh91AY&SY\214\014\017&\000\002q\177\377\377\377\377\371\375\357\377\367\277#\177\346\277\377\377\364\300@@@@@@@@@@@@\000@\000`\010\337\016\2725\246\211\200\t\000<\030\274\002\214\003S\321\024H\017D\000\363AOHhx4\303SM$\032?T\320\000\000\000\006\200\032i\243\3104#A\00052\032\236\215 e&\200hz\200\000\000\006\200\000\000\036\220\001\2404\323B$Rz&#\324\303@\232~\221\232$`\000\004\000i\211\200\023\023&&&&&\000\220\242\2124\000\r\0314\320d\006\232l\240\r\000\001\223\323P\017S@\310\003@\032\000\034\000\000\000\000\000\000\001\220\320\000\000\000\000\000\000\000\002IL4S&\224hi\240h\000\000\000\000\000\0004\000\000\000\007\250\001um\313\316G#\351\364\030\003\352\221\366\014i\232\020\306X5\215\371\262A(\2502$F'\341~J\022qM\004\311\212g\353\371\375\031\003\014\314\220\314\223&H\006d\204\314\225\005@(\250QP2\022\311\265* \243\304\317\312D\210\240+\376\265 \017\362)$\020F\030@\002\206K\301\013F)\320\202\220 CV+\n\301\230\222@%\203KP$\006\316X\242\t`\tf\331?\316\204\303R`\242\221\010\260\301\\7\222A\025r\t)b\262l\304Y\254\004\010d`4\355h`V\214\031,\033LJ\272(\"R\023\224D\344&\271\3172\240\320\240\212 \240Q\005\0148\214\027\"\343\021s\\Yr\271\027+\221r\271P\240\3408\351\337Sx\016\351;\214]\0314U\245\230\001\210B\016\367\306\261T\274\3105\371\277F6o\237\007\347\310\217\257\331\311\307\302\371t\253mc\367x\340\265\377r?\030\260B\307\204\357\313\313If\2636\301\233g\262\222\361\264\025\024\tL\305\351\330!!\234\010j\022'l3\356\324\025\021\272\252\250\252\025\t\210\231\245\232\232\232\221#\345\262\260\223FX\007<y\031\317\340\347g\271\254\377v\376\235}_\254\337\346\311X\005\305\"\270I\232\334\326\031\231\201\245\306\020\007\230\007\002L\264\024\223fe}K\357\277\035\302\252\265\027\254+\021m]\000\3408:N\214\"\304\273\272\334\312\212\245B\250\250t\014\001A\301O\267\334 \252\252\311\261kl\274\347\345\026\333\014\334\021aCU\251X\306'\314\260\256$\264\336\203\276\275TI`\311\204\264\005rj\023D\3051MM>S\241\304\342wC\206\252`MM\023\225bD\204!\032\310>\336/;\300\274\300\025NT\260\304\315\206-""\002\3244\332\014\3044\321\211\"F\022\010\202\n\004R\212z88:\035:w\230\023\n\252I\222\246\252\024*i(`o\261\306r\3562z\353#\351U9\365\024hi\234[\003\217\333\237\032R/\241\030e\201\212\204\272\320O\217f\363\331\372^\342\304IGS\355\371\234i\317\325}D,\322\2200\363\030\n\303\206&\325X\236\371\317U\024[\023\211k\234/X\307\335!I/2\211\272&\250\033/J\312\003&\222\263N\016\204\014\033\270\255\300f\0002\"\031\226\340h\020\302\030&\"\035\364Nq\326\032%\236\333s6\344\007s\021\242Nt\266\004v\331\t\th\346\323\225\231ax\235\032.\343\224\014\357\203\254\326\017\2762\343\342\213(\304A\212\303\260\357\000\257\000^\005\344\\\3040\016\270\364L\304\033\022v% :\275L]\226([^pK\356\005q\013\200\270\256\"\270\2078\331\246\256M\325\2610&\206X\334\3036\2747W\366\272\025Y\004>\306\270(Ua\207-N\034\246\021\261\2553\0235\317\261\354dFa\234\016`\257\tBR\242\202=\216\01433Vlx\351<\206E\226C,\262\352\207\355\374\265H\353\224\234\304n\333\271\016\312\256p\344r;\225\205O\023_;R\007Q\363\357\006t\340*\210y\227(N:\021\207\365\036\363\235\362\265\352\017\262\234\331\364\350J\271\360$\326\245\001\246\346sN\243\232\327\t@ \025\330\36157A\354v\273\016\034TZj\0338\235\313\3030SNt\005\337\234\2450\277DK{-S)\321f\177\336\035m\356{\034Uc:\023\220d\017\362\346\007\226\253\001\031\247Qk\"U\242(j\212B\265g\005\235w\263\221\205\3370\031\027q\n\220#\\%\026\222\013\266\014\245\n#]E\315\361\266\307\034b\331Y\rMF\272%x\324\320n9\350\264p4\002O(\215r\252f\311:\022V\327\337\320'\214O\031V\313\271\354q\246\325W\313{\366u\006\340\020p\003\2014\2038\317\201\270\234\200\232`0\311\034\207\270n\240\2660\\l\327~&\336$S.K\324k\212\t\2442\304q\254\016gQB\242\325;0\032$/!\243\010Fy\220\254\0265U\002\260\3055\033C\352\2044F\326\005\r\210\3245\264wS\274\315\263P\375\307V\244\256p\323\014G\362\301\215D\010'\0250\0300\374\001`\000\300\213\002\300\207\026\220R\201\234j\243n.S\305\230\310\326\344\327>\035I\242q\021p\21245\240\327cCf\244\326\0017PqF\351\024\230X?\2067\n\033]1\tr:\352\254\017;\02269\026\210<UM\230\315\003\246\232\261""\030\201\210\304\206%\210\030\365m\354\341X\341\2002\317<4m\230\226(\005\240\255+md2\333\2211\340\r\021\033N\350\236\375\363\013|:)\316\374\263\202\200\264j}\035\024\304=Ri\252\315\301\303\260\221\325\020\263_\237\277P3\321\265:\354\353t\371\357]\372\031\250]\246\r\007{P3N\306\321\2144\257\006\002bcOXf\005\343\000\325\245D\r\211RFf\214't\360=\223IM\247\252H\303`\224\241u\033\037\032M\233\344-\233\nQ\261y\026\351\203\351\313\224cxt\204J\0307\256\246\223m\235Y1]3\253\025eK\014\034m`\210\333\346\034\341S\240\276\306\035\225[\n\255;\"\256#H\263\314\321\024Jbg\017Mb6T\240\231\010\317Sn3\257\222 \261d\010\205\300\005\t$g\320P\013e\365\243v\376|.!\277\000\33210\356\354\246 \223\002\024h\177M\206\211r\202m\020$\202\340\030\017\377\001\360\376\335\207/\000\203i8\016\343\307\272 \"\252\035\323>\351QB G\234em\"o\205\022\306\230\3648P\222\020*\320\356w\005\356\265jh\277\225\273\037\207G\006\307P)9\005\351\376\307\000dq\304\n\322X\332AajS@\224\202kF5\330}\224\345\223+\003U\354\005\215C\234\224\366c\224b%\003\301g8\266f\224q|\302g\314&.\3755Ij \016R\340\340\3401\212\004\344\t\321\233\rb\251\235\303\332\243_\377\222|\230\321\004\351\221\255\n\327;\352&\230O\221\027\"\204(\214t\262\014O\304\002*4\222F\242!W\310e\017UU+)D\032\305\316a\213\001\227\240\222l<J\322<\0036\224R>Q.\"\002\026\220\203e\252t}o\304\371\212\025G\202f\250\"\177M\021Q;\315\303\033#\250\240\202\002\010\304]\310b*P\020A\217U\227\3428\0100\234\330p\303A\031@h\302\341B\201\035\027\242\024J\270K\010\222\375\323\321\303}R\021\373QIn_\027\230\313\331P6\340\324\275\1774\"\205\010\333eKy\005\242\335\2725H\\2:,\265\034|\023\0351\246\367f\365\266\336+4\355\260h\221\306\261n\322\013D\333(K\355\331\264w\241\021\355\351V\261`\202\310+@\010&\271\020\0107`\202 \020\002LW+\213\027\264\305\241f\311\004\036a@k@l\262\305X+\2219\253X\026rSV\2538\234=\376\200\273\241S?<i\016^\332\035\363\236\301\234\313\370\3066\220\370\221#\311vNW\264\312\024Q\204U(\241Q\016b-6\204\346-cg\251\247\241I\336\250\244 \010qkC\021b\247y\021\002*\257T\364.h""\313\330\227\202\213\300\202]B1\322D\010W\004\202\341\345\020Z\327\265\2576\263\243..\303+\314\033\2328]!E\221\251\020f\210\2303A<\325\0032\223\315\302\022l+\370_\257I\333\344\370\213\271\"\234(HF\006\007\223\000";
-    PyObject *data = __Pyx_DecompressString(cstring, 2231, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (2326 bytes) */
-const char* const cstring = "x\332\245VKo\033G\0226-\312\226-9\021EJ\226\035`=\224\004;\213$JH\312\262w\261\017P\224\014\370\220\300zX\336\0056\030\314\243I\2165\234!\247\233\022\031,\260:\316q\216s\234\343\034\347\310\243\216>\372\310\243~\202\177\302~\325CR\364#\211\201\000R\263\273\247\272\252\372\253\257\252\372\237?\271\202)\242\251\t\245\326\027M\327Q,\256\230\314\266t\346i\202\331}\205\013\3172\004\363H\310Q^\354\275\370n\353\351\226\2429\246\342\261\327\314\020\\\341]\335\2605\316\031W\334\272\242w-[X\216\"\372m\3067\225\347u\245\357v\025\2071S\021\256\322\206\334\364\001\321d\216\302\231\240\211\362Hs\034Wh\302r\035\025\307-\247\361H1-\017F\254SF\247\237i6g\233\232i\252\220c\360\271\345r\241\224\267\240\301\206\024L\350\226\340\246\3055\335f\314\241\261aX<\235\231'J\253\013q\235)\225\262\242\367\005\343\034&l\366\235n\273\306\211\322dv\233y\177U,\247\335\205?\256\253\330\256\323\340\236\361\275\321\324,\207\013\326\370^=a\236\303\354\315v\277\247\252/0\274\350\357\002\035\365'\326\023\007\254\256j\232a\220{\352\350&\0143\336w\014\313\3354\\\317\355\002\030\306u]\343\214\376\271\256\t\243\251[\rx\255\332\314i\210&\371\257\352\256+\000\273\326\276\232m\376\r>\342\366\377\240\333\353]\263\301\204\336\255\353=\275o \024\023\0077G\016\252\252\004X\205\230%X\213\226\260\254Z\300\325\323\014\0307N\014\333\345\314p\273\216\220\003\363\014\341\231\232\320L\346\001m\325p[m\017\0101s\264aZ\r\306\305\364\310M\027au\272-I\025\225\3654 Q\207~\325\203\333u2w\252:\034\223V\327\246\211\345q\241\252\365\256c\250\360\314a\275\266\327\360,\307T9.\321\3505\372\215\276\212Q\305/~\372\315\246\306\233\245\355\037\232\270i\323jZ\302\202F E\333\360\017\027\326\034\240%\367\004E\030S\241:\242)\355\253\026W'\230\023\010\034\203\307_\277n\013U2\210\237\234\330'\355\023\317v\201O\013\000\322\330S5\001\3316\364\266,\303su\346\030\315\226\205\210\266\\\263\013\023j\2137 \351h-\314q\005\341\326\353\356\t\254\264\333\245v\031\004\252\253#<\333n\273\355rU\3630\203m\220\232\267\3353\354{\254n\365\324\266g\265\030O\307""\321\342*\310#t\332\242\335\325U\265\323\325\354\324\240\347Ym\326\"\347=\233.\351y\200\316\3260zD%0\035\236\"\235F\376af\262\272\326\265\005oj\345\307\333\351\210\323\230\250\360\2317\255:\262\206\333\034\221\321<!\304\017Bk\340O5\260\004yT\025YBcC\210\246\347\236\t\270)\\U&\217\350\211\376\251fw\231\034\370\331\031\"\351\236\251\222\330\275R\257\334\253\364( \240h\251_\356\323\264\257\377b\225\177\001+\3163\357\026\257\315\026\202\322e\366\3469\367\213~\3057\202\334p\356\013\377u\230\ts\303\354b\220\tV\202\316\324$\027\344\202\215@\233\232\334\306\271\307\301|X\t\261\270y\336\361o\370fP\034f\347\374Y\377eP\014J\303\271y\277\344\327|/X\016X\270\025\212\250\034\035\306\327\343\265\270\232*^\016\314\260\230j|\030f\322=\030\277\343\357\373\232/\240 \273Dz\202]8U\010_FE\262\363\277@\013:\220\236\373\322\357\244Nl\007K$\233\372\223I'e\377\010\273[Ag\274?\033\354\177\364\205\234&_\327\202\275p),\207\373\241\021-E\245\324\2435\230\315\206;t\271y\322\033\344\203\235@\003r\013\022\271\341\037@\216&\337\204\207Q6\332\213\227c#YN\330\340\351\205T)\340\037n?\272]jx%\360\302\3349.v\313_\222\033_\205\265\320\213V\"/\316\307\265\37049H:\3641G\027\\\367\017|\016\347\253\244\202\313[\314\2042\024[X>\224\213\0058pI\003Y(\235g.\263\263\303l>\330\016W\336>\330Jv\007\327\007\305\217\327\253\341\215\260\036U\243\177\305\0071\314\335\rN\303\343\350/\361nr=)\246`\254\003\312\365\340\020&\036G3\321\323\270\022\263\244\2224\006\207\027\210\326\255w\267\257\315\336\272\242\306\227~/\370oT\212\340g!\250\006\257BL\226\203}\020\245\364\211\235;_\\.\020\027\236\204E\304\351(\312\r\177k\231\207\326\205<\210\263\023\350\210\3122b\270\260\010\006\274\304wb\353\342\237B-\354D7\243N\234\215\253\361\253\244\n\010\275Aapt\001\\\200<d\351\032\245p\017\272j\020\233\215\017\223\231\244\224\354\rrW\252J\303\305\025I\306\033P\347\2019[Q'\335\352\342\340\3358\023/\305\245\324\263\355pr\356\317\321v\\\210\367\207\213\204\340\001\316\255B\254\002\026\344\322\263<|\030e\020\334\316(S\344&a\375$.\306e:\230Z\250""\216\305\327&\306\266\342)\373\271O\177Gzf\210)\243\237\005\277*\207\240\nf/]\233]\002\315\253\224*y\242\3702\315V\210\262\210\310\257\325\212\233\347\036xY\232\332\231\233\0163\201\371o\302\373\363rc5\234\247\014,P\322_\246\016L\014\020\200\007\270\321\327\321\032E\345\362\326\3554O`\231\005e\210.\024\202\347\341\253h'b@\352e\362\315\340\370\342\311\233\2657`\303\2750\027n\204\215\350\030\037\216\223\322\360\376\203\260\033=\007\232\323\321\314\223\222\300@\255\371O\234\213\277N\326\222\235D\037d\007\317/\016\337\314\274)\r\013\367\303G\321r\244\307\231aay\010\242\210\240\002\237\027sd\270:I\337Q\362.\240\364u\202\033\240\340,\242W\211\264\250\233f\313y\225\3221\205\221h\372\341j\301\337#\200G?\351\267<JT\036\325\310\304\325w\"#\376\350\344bp\035\311^C\251 1#\312IA&\231\265\224\224(\335\251\200\231\240C\r\334\237A-~\031\257\203\326\224\276\000P\227\347wp\373%\224j\017\364\231\300\275\016\232R\355>\">\247u\350n\220\245\013S\271\331\037aOIK\230\234QJ\320\341\314\270\272\314/P\315\274q\276\177\316\336\316?\200\361\014@D\250g?\332\271-\351e\312\242\377\214ZCZ\273o\214\332\rY.\370?\343\003E\236\360Y\226\306d\212U\340zn<M;\322\333\271U\224\360\037Q%wb\023\321|6X\033T\257\272@!8F\212\023\246\305\253\315\374\244\0270\342\341\247\014\236\242tg\206\013\367\2114\341.|/\240\255eF\026\357\201=?\003\330\203X\240\370\325\007\265\201\270(_\354\377\246\246UY\244\314\264\277}\340\365zr<\250\014\314\213\265\213\352\357\352\240\310\353Q\346\017h\371u\364R\r,\275\213\214+5\352Wi\261\230\363g\020\246[\3101p\211\3327{\233_Gq\257E<.N\177~\030]\217$\3354\277\373\266\260\201vr\030\317\304\245\264{M\250^\223\244;\004I+\221\031o\300\372Fb\242\007I\001\023=\346\010W\335\305\347-\350_\227\245y+\021\203Q\227\023\222\n\205\321yC\366H\001\001~\245a\003\002\323\032\216\222Br8\230\031\224\246}\020\350\025f\2641\321P!\037.\307\236R7M\233\335V\310\245Ta\344\310\310\316X \213|\023\260#\220\212\004\343\310\016U\207+\201+\r\331\244v\345\351\330\0212\261\216\374\313\243\200\314\244\216\220\206]d\3414V""\244\341(\311\247\032F\236\246R\364\010\250\240*\344\243]\264\274\335\221\225\365\301\376\330NAbJ\236\246\220\033\022\221,\322Ej\230\001\246&\354\034\201\353\323nH\rc\023Y\211he\002E%1\006\371Au\014\306\030\364,h!\320\213\322\230@\303\345t\364\311\221\202\354\341\265Ih\216\320\232\367\257\202k\312\013g\245\000y\232\307\023%;\250\276\037\334i\3207\256<\255IGL\364\002C\246\355\014\034\341\0200\306&\336'\030\201\261.\243\"M\\N\2676Ibz\023\006\235\317]\320E\375o\003;\3726\266\007\305\217\226\237\241\234\036kT\254\263\250\217kx\003 \025\377\216\314\277G\265\203^\213YY\302W\250\200S\206\256\206\231\321\313P\016w\203\016\336z\357\224k\263w\322\276\277KUz\312\3548\243\247\213k\236*\002\n\004\362\234\272y\006\017\205\271k\263s\362-\220>\275\337\177\375~\025>\003Y\367\243\006\272\253\334\270\027\026?xC\217\237\022\277{|\352\324\377\001>\220\257\023";
-    PyObject *data = __Pyx_DecompressString(cstring, 2326, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (4394 bytes) */
-const char* const bytes = "?Note that Cython is deliberately stricter than PEP-484 and rejects subclasses of builtin types. If you need to pass subclasses then set the 'annotation_typing' directive to False.add_noteat most 24 selected bitsdisableenablegcisenabledk must be 32 bytessingle-block helper: input too longsrc/chainsteg/_kernel.pyx__Pyx_PyDict_NextRef_aaccadd__annotate__asyncio.coroutinesbbasebasesbatchbigbit_lengthbits_bootstrap_bootstrap.<locals>.addbudgetbufbxbycandchainsteg._kernel__class_getitem__cline_in_tracebackclosecountcounterctrdataderive_compressedderive_digestdigestdigestsdoneenumerate_exact_frac_rootfe_inv_nsfe_mul_nsfirst__func__genexprgrind_scangxgygy_xgy_ygyxgyyhhash160hbufhihiti_init_hash_constants_init_table_int_nth_root_is_coroutineitemsitersjjpt_add_nskklkpkrlom__main__max_attempts_microbenchmid__module__msgn__name__nextoffokoutpp1p2perf_counterpoppos_arrpositionspowerprefix_primesprimes_primes.<locals>.genexprptpub__qualname__rripemd_nsrlrootrrscalarscratchsend__set_name__setdefaultsha256sha256_nssha_outshiftedslsrstarttt0tagtag_ctarget__test__tgtthrowtimeto_bytestxtyvaluevalueswwindow_basesx1x2x3x_intxby1y2y_intybzi2zinv\200\001\360\020\000\005\024\2201\340\004\007\200s\210!\2103\210c\220\021\330\010\016\210j\230\001\230\021\330\004\020\220\001\220\026\220q\330\004\020\220\001\220\026\220q\330\004\021\220\021\220$\220a\330\004\021\220\021\220$\220a\330\004\n\210!\2105\220\013\2303\230a\330\004\007\200q\210\006\210d\220!\330\004\010\210\005\210U\220!\2201\330\010\013\2101\210C\210r\220\025\220e\2304\230t\2402\240S\250\002\250\"\250A\330\004\020\220\001\220\025\220d\230!\330\004\021\220\021\220&\230\001\330\004\020\220\001\220\021\330\004\r\210Q\210a\210t\2201\330\004\022\220!\2201\220D\230\001\230\024\230U\240!\330\004\007\200\177\220a\220q\230\001\330\010\017\210q\330\004\n\210!\2106\220\022\2201\330\004\n\210!\2105\220\001\330\004\n\210!\2102\210T\220\022\2204\220q\330\004\n\210!\2105\220\005\220Q\330\004\n\210!\2102\210T\220\022\2204\220q\330\004\007\200q\210""\005\210U\220\"\220E\230\022\2302\230Q\230c\240\022\2401\330\004\021\220\021\220\"\220D\230\004\230B\230a\330\004\013\2105\220\001\220\023\220B\220a\200\001\360\014\000\005\024\2201\330\004\007\200s\210!\2103\210c\220\021\330\010\016\210j\230\001\230\021\330\004\020\220\001\220\026\220q\330\004\020\220\001\220\026\220q\330\004\021\220\021\220$\220a\330\004\021\220\021\220$\220a\330\004\021\220\021\220+\230S\240\004\240E\250\025\250c\260\025\260e\2708\3001\330\004\007\200t\2102\210Q\210a\330\010\017\210q\330\004\013\2105\220\001\220\026\220r\230\021\200\001\330\004\t\210\022\2105\220\001\220\033\230C\230r\240\026\240r\250\023\250C\250v\260R\260q\330\004\t\210\021\330\004\n\210#\210R\210s\220\"\220A\330\010\017\210s\220\"\220D\230\003\2301\330\010\013\2104\210s\220&\230\003\2301\330\014\021\220\021\340\014\021\220\021\330\004\013\2101\200\001\340\004\005\330\004\023\2206\230\026\320\0374\260D\270\002\270!\330\004\023\2206\230\026\320\0374\260D\270\002\270!\330\004\030\230\006\230f\240A\240X\250R\250q\330\004\027\220v\230V\2409\250D\260\002\260!\330\004\007\200s\210#\210U\220#\220S\230\003\2305\240\003\2408\2503\250e\2603\260g\270S\300\001\330\010\t\360\n\000\005\t\210\005\210U\220!\2201\330\010\017\210x\220|\2401\240A\330\010\024\220A\220W\230A\330\010\025\220Q\220e\2301\330\010\024\220A\220W\230A\330\010\025\220Q\220e\2301\330\r\016\340\014\022\220!\2207\230!\2302\230T\240\021\330\014\022\220!\2207\230!\2302\230T\240\021\330\014\022\220!\2207\230!\2302\230T\240\023\240A\330\014\023\2201\220B\220b\230\001\230\025\230a\330\014\020\220\005\220U\230!\2303\230a\330\020\036\230a\230q\240\007\240q\250\004\250A\250W\260A\260R\260r\270\024\270T\300\021\340\014\017\210q\220\005\220S\230\003\2301\230E\240\023\240C\240q\250\005\250S\260\003\2601\260E\270\021\330\014\020\220\005\220U\230!\2301\330\020\026\220a\220q\230\006\230a\230r\240\022\2404\240q\330\020\026\220a\220u\230E\240\027\250\001\250\022\2501\330\014\022\220!\2206\230\021\330\014\020\220\005\220U\230)\2406\250\024""\250Q\330\020\027\220v\230R\230r\240\030\250\022\2503\250c\260\021\330\020\026\220a\220s\230&\240\001\240\026\240q\250\002\250\"\250A\330\020\026\220a\220v\230V\2407\250!\2502\250Q\330\020\026\220a\220u\230A\330\020\026\220a\220s\230\"\230E\240\027\250\001\250\022\2504\250q\330\020\026\220a\220u\230E\240\021\330\020\026\220a\220s\230\"\230E\240\027\250\001\250\022\2504\250q\330\004\010\210\001\210\021\330\004\010\210\001\210\021\330\004\014\210A\330\004\014\210A\220A\200\001\360\022\000\005\022\220\023\220A\220Q\330\004\023\2201\330\004\025\220Q\330\004\026\220a\330\004\024\220A\340\004\007\200s\210!\2103\210c\220\021\330\010\016\210j\230\001\230\021\330\004\007\200r\210\022\2101\330\010\016\210j\230\001\230\021\330\004\010\210\005\210U\220!\2201\330\010\017\210q\220\005\220Y\230a\230q\330\004\020\220\001\220\026\220q\330\004\020\220\001\220\026\220q\330\004\021\220\021\220$\220a\330\004\021\220\021\220$\220a\330\004\030\230\013\2401\330\004\024\220D\230\001\340\004\025\220Q\330\004\007\200r\210\022\2101\330\010\020\220\005\220R\220s\230(\240\"\240C\240q\340\t\n\330\010\017\210q\330\010\016\210e\2202\220Q\330\014\024\220I\230W\240B\240e\2502\250U\260+\270V\3007\310\"\310A\330\014\031\230\021\230$\230g\240V\2502\250V\2601\330\032\037\230u\240I\250Q\330\014\020\220\005\220U\230!\2301\330\020\023\2202\220Q\220c\230\024\230\\\250\021\250(\260\"\260B\260b\270\004\270I\300S\310\003\3101\330\024\032\230'\240\025\240b\250\001\330\024\025\330\014\017\210t\2203\220a\330\020\021\330\014\024\220A\330\004\007\200t\2102\210Q\330\010\017\210q\330\004\014\210C\210q\220\006\220b\230\005\230V\2403\240a\240u\250D\260\002\260!\200A\330\010\013\2103\210c\220\021\330\014\023\2201\330\010\013\2103\210c\220\021\330\014\023\2201\330\010\014\210E\220\021\330\010\014\210E\220\021\330\010\013\2103\210c\220\023\220E\230\023\230B\230d\240\"\240B\240c\250\021\330\014\023\2201\330\010\013\2103\210c\220\021\330\014\020\220\002\220\"\220C\220r\230\023\230B\230c\240\021\240\"\240B\240e\2503\250c\260""\022\2601\340\014\021\220\023\220B\220d\230\"\230C\230q\240\003\2402\240U\250#\250S\260\002\260!\330\010\016\210b\220\002\220\"\220B\220c\230\022\2304\230r\240\021\330\010\020\220\005\220R\220s\230#\230R\230t\2402\240T\250\022\2501\200\001\330\004\t\210\027\220\004\220A\330\004\n\210#\210Q\210e\2202\220Q\330\010\024\220A\330\014\017\210w\220a\220q\330\010\020\220\001\330\004\013\2101\200\001\340\013\014\360\014\000\005\006\200Q\200e\320\013\037\230q\240\001\240\025\240a\330\004\005\200Q\200e\320\013\037\230q\240\001\240\025\240a\330\004\n\210!\2103\210d\220!\2201\220F\230!\330\004\n\210!\2105\220\006\220a\330\004\n\210!\330\004\t\210\024\210]\230!\330\t\n\330\010\014\210E\220\025\220a\220q\330\014\022\220!\2203\220c\230\021\330\014\022\220!\2203\220a\330\004\007\200q\320\010\030\230\004\230M\250\023\250B\250d\260\"\260F\270\"\270A\330\004\n\210!\2102\210T\220\024\220V\2301\230B\230d\240!\330\004\n\210!\2102\210T\220\023\220E\230\022\2302\230Q\230e\2401\330\004\t\210\024\210]\230!\330\t\n\330\010\014\210E\220\025\220a\220v\230S\240\001\330\014\032\230!\2301\230D\240\001\240\024\240S\250\001\330\004\007\200q\320\010\031\230\024\230]\250#\250R\250t\2603\260f\270C\270t\3002\300Q\330\004\t\210\024\210]\230!\330\t\n\330\010\014\210E\220\025\220a\220v\230S\240\001\330\014\030\230\001\230\025\230d\240!\330\004\007\200q\320\010\030\230\004\230M\250\023\250B\250d\260#\260V\2703\270d\300\"\300A\330\004\t\210\024\210]\230!\330\t\n\330\010\014\210E\220\025\220a\220v\230S\240\001\330\014\030\230\001\230\023\230B\230b\240\001\330\004\007\200q\320\010\030\230\004\230M\250\023\250B\250d\260#\260V\2703\270d\300\"\300A\330\004\t\210\024\210]\230!\330\t\n\330\010\014\210E\220\025\220a\220v\230S\240\001\330\014\022\220!\2203\220a\330\004\007\200q\320\010\030\230\004\230M\250\023\250B\250d\260#\260V\2703\270e\3002\300Q\330\004\013\2101\200\001\330\004\r\210W\220A\220Q\330\004\010\210\003\2105\220\t\230\021\230!\330\010\r\210Q\210e\320\023#\2401\240C\240s\250!\330\004\010\210\003\2105""\220\t\230\021\230&\240\002\240!\330\010\016\210a\210u\320\024$\240A\240S\250\003\2501\330\004\t\210\021\330\010\013\2103\210c\220\023\220C\220s\230#\230S\240\003\2403\240d\250$\250d\260$\260d\270!\330\010\013\2103\210d\220#\220T\230\023\230D\240\003\2404\240s\250#\250S\260\003\2604\260t\2701\330\010\013\2104\210t\2203\220c\230\024\230S\240\003\2403\240c\250\023\250C\250t\2604\260s\270!\330\010\013\2103\210d\220$\220c\230\023\230D\240\003\2404\240s\250#\250T\260\024\260S\270\003\2701\330\010\013\2103\210c\220\023\220C\220t\2303\230d\240$\240c\250\023\250C\250t\2603\260d\270!\340\004\t\210\021\330\010\013\2104\210s\220#\220S\230\003\2304\230s\240$\240c\250\024\250S\260\003\2604\260s\270!\330\010\013\2104\210s\220#\220S\230\004\230C\230t\2404\240t\2503\250d\260#\260S\270\003\2701\330\010\014\210C\210s\220#\220S\230\004\230C\230s\240$\240c\250\024\250S\260\004\260C\260s\270!\330\010\013\2103\210c\220\023\220C\220t\2304\230s\240#\240T\250\023\250D\260\003\2603\260d\270!\330\010\014\210D\220\004\220C\220s\230#\230S\240\003\2403\240c\250\024\250T\260\023\260C\260s\270!\340\004\t\210\021\330\010\014\210D\220\004\220D\230\003\2303\230c\240\023\240D\250\004\250D\260\004\260C\260s\270#\270Q\330\010\013\2103\210c\220\024\220T\230\023\230C\230t\2403\240d\250$\250c\260\024\260S\270\004\270A\330\010\014\210D\220\003\2203\220d\230#\230T\240\024\240T\250\023\250D\260\003\2603\260d\270#\270Q\330\010\014\210D\220\004\220D\230\004\230D\240\003\2403\240c\250\024\250S\260\003\2603\260c\270\023\270A\330\010\013\2104\210s\220$\220c\230\023\230D\240\004\240C\240t\2504\250t\2604\260s\270#\270Q\340\004\t\210\021\330\010\013\2103\210c\220\024\220T\230\024\230T\240\023\240C\240s\250#\250T\260\024\260T\270\024\270Q\330\010\013\2104\210t\2203\220d\230#\230S\240\004\240C\240s\250$\250c\260\023\260D\270\004\270A\330\010\013\2103\210d\220$\220c\230\023\230C\230t\2404\240t\2503\250d\260$\260d\270#\270Q\330\010\014\210C\210s\220$\220d\230$\230c\240\024\240S\250\003\2504\250s\260$\260c\270\024\270Q""\330\010\013\2103\210d\220#\220T\230\023\230D\240\003\2403\240d\250#\250S\260\004\260D\270\004\270A\340\004\010\210\005\210U\220!\2201\330\010\016\210a\210u\220B\220a\220q\330\010\016\210a\210u\220B\220a\220q\330\010\016\210a\210u\220B\220a\220q\330\010\016\210a\210u\220B\220a\220q\330\004\t\210\021\210,\220l\240,\250l\270!\330\004\t\210\021\210,\220l\240,\250l\270!\330\004\010\210\005\210U\220!\2201\330\010\016\210a\210u\220B\220a\220q\330\010\016\210a\210u\220B\220a\220q\200\001\340\004\016\210b\220\004\220F\230\"\230A\330\004\013\210=\230\001\230\031\240!\330\004\013\2105\220\004\220B\220c\230\026\230r\240\021\200\001\330\004\030\230\001\330\004\t\210\021\330\004\t\210\021\330\004\027\220q\340\004\005\360 \000\005\r\210A\330\004\014\210D\220\001\330\004\010\210\005\210U\220!\2201\330\010\r\210W\220A\220Q\330\010\014\210E\220\025\220a\220q\330\014\023\2203\220a\220v\230Q\330\004\017\210q\220\001\200\001\360\010\000\005\010\200s\210!\2106\220\022\2201\330\010\016\210j\230\001\230\021\330\004\020\220\001\220\033\230F\240#\240Q\240g\250Q\330\004\020\220\001\220\031\230!\330\004\013\2105\220\001\220\023\220B\220a\200\001\340\004\007\200s\210!\2106\220\022\2201\330\010\016\210j\230\001\230\021\330\004\020\220\001\220\033\230F\240#\240Q\240g\250Q\330\004\013\2105\220\001\220\023\220B\220a";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 150; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 11) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 150; i < 164; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 164; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 150;
-      for (Py_ssize_t i=0; i<14; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab;
-    double const c_constants[] = {1e9};
-    for (int i = 0; i < 1; i++) {
-      numbertab[i] = PyFloat_FromDouble(c_constants[i]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 1;
-    int8_t const cint_constants_1[] = {0,-1,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,32,64};
-    int32_t const cint_constants_4[] = {1352829926L,1518500249L,1548603684L,1836072691L,1859775393L,2053994217L};
-    int64_t const cint_constants_8[] = {2400959708LL,2840853838LL};
-    for (int i = 0; i < 27; i++) {
-      numbertab[i] = PyLong_FromLongLong((i < 19 ? cint_constants_1[i - 0] : (i < 25 ? cint_constants_4[i - 19] : cint_constants_8[i - 25])));
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 28;
-    const char* c_constant = "i1qr9rid8u4cleq9uvs1o8gha7t2uq4h9k5agcpohughvth1l5o\000uducpvfjn5rlhaq0oklpq3gm1o2jfudmbee53cljsk1bcbfg5so\0001vvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvrvvvv1f";
-    for (int i = 0; i < 3; i++) {
-      char *end_pos;
-      numbertab[i] = PyLong_FromString(c_constant, &end_pos, 32);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-      c_constant = end_pos + 1;
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<31; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
 typedef struct {
-    unsigned int argcount : 4;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 5;
-    unsigned int flags : 10;
-    unsigned int first_line : 10;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
+    u64 X[4], Y[4], Z[4];
+} jpt;
 
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS|CO_GENERATOR), 715};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_p};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_kp_b_iso88591_A, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 8, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 820};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_p1, __pyx_mstate->__pyx_n_u_p2, __pyx_mstate->__pyx_n_u_x1, __pyx_mstate->__pyx_n_u_y1, __pyx_mstate->__pyx_n_u_x2, __pyx_mstate->__pyx_n_u_y2, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_x3};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_add, __pyx_mstate->__pyx_kp_b_iso88591_A_3c_1_3c_1_E_E_3c_E_Bd_Bc_1_3c, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 12, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 560};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_tag, __pyx_mstate->__pyx_n_u_counter, __pyx_mstate->__pyx_n_u_gy_x, __pyx_mstate->__pyx_n_u_gy_y, __pyx_mstate->__pyx_n_u_gyx, __pyx_mstate->__pyx_n_u_gyy, __pyx_mstate->__pyx_n_u_digest, __pyx_mstate->__pyx_n_u_ok, __pyx_mstate->__pyx_n_u_xb, __pyx_mstate->__pyx_n_u_yb, __pyx_mstate->__pyx_n_u_ctr};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_derive_digest, __pyx_mstate->__pyx_kp_b_iso88591_1_s_3c_j_q_q_a_a_S_E_c_e81_t2Qa, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 18, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 579};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_tag, __pyx_mstate->__pyx_n_u_counter, __pyx_mstate->__pyx_n_u_gy_x, __pyx_mstate->__pyx_n_u_gy_y, __pyx_mstate->__pyx_n_u_gyx, __pyx_mstate->__pyx_n_u_gyy, __pyx_mstate->__pyx_n_u_scalar, __pyx_mstate->__pyx_n_u_pt, __pyx_mstate->__pyx_n_u_zinv, __pyx_mstate->__pyx_n_u_zi2, __pyx_mstate->__pyx_n_u_msg, __pyx_mstate->__pyx_n_u_hbuf, __pyx_mstate->__pyx_n_u_xb, __pyx_mstate->__pyx_n_u_yb, __pyx_mstate->__pyx_n_u_pub, __pyx_mstate->__pyx_n_u_ctr, __pyx_mstate->__pyx_n_u_j};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_derive_compressed, __pyx_mstate->__pyx_kp_b_iso88591_1_s_3c_j_q_q_a_a_5_3a_q_d_U_1_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {8, 0, 0, 26, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 616};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_tag, __pyx_mstate->__pyx_n_u_gy_x, __pyx_mstate->__pyx_n_u_gy_y, __pyx_mstate->__pyx_n_u_start, __pyx_mstate->__pyx_n_u_max_attempts, __pyx_mstate->__pyx_n_u_positions, __pyx_mstate->__pyx_n_u_target, __pyx_mstate->__pyx_n_u_gyx, __pyx_mstate->__pyx_n_u_gyy, __pyx_mstate->__pyx_n_u_xb, __pyx_mstate->__pyx_n_u_yb, __pyx_mstate->__pyx_n_u_digests, __pyx_mstate->__pyx_n_u_ok, __pyx_mstate->__pyx_n_u_pos_arr, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_tgt, __pyx_mstate->__pyx_n_u_first, __pyx_mstate->__pyx_n_u_budget, __pyx_mstate->__pyx_n_u_done, __pyx_mstate->__pyx_n_u_count, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_kp, __pyx_mstate->__pyx_n_u_tag_c, __pyx_mstate->__pyx_n_u_batch, __pyx_mstate->__pyx_n_u_hit};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_grind_scan, __pyx_mstate->__pyx_kp_b_iso88591_AQ_1_Q_a_A_s_3c_j_r_1_j_U_1_q_Y, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 3, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 666};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_data, __pyx_mstate->__pyx_n_u_sha_out, __pyx_mstate->__pyx_n_u_out};
-    __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_hash160, __pyx_mstate->__pyx_kp_b_iso88591_s_6_1_j_F_QgQ_5_Ba, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 677};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_data, __pyx_mstate->__pyx_n_u_out};
-    __pyx_mstate_global->__pyx_codeobj_tab[6] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_sha256, __pyx_mstate->__pyx_kp_b_iso88591_s_6_1_j_F_QgQ_5_Ba_2, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[6])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 5, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 693};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_power, __pyx_mstate->__pyx_n_u_bits, __pyx_mstate->__pyx_n_u_shifted, __pyx_mstate->__pyx_n_u_root};
-    __pyx_mstate_global->__pyx_codeobj_tab[7] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_exact_frac_root, __pyx_mstate->__pyx_kp_b_iso88591_b_F_A_5_Bc_r, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[7])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 5, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 700};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_power, __pyx_mstate->__pyx_n_u_hi, __pyx_mstate->__pyx_n_u_lo, __pyx_mstate->__pyx_n_u_mid};
-    __pyx_mstate_global->__pyx_codeobj_tab[8] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_int_nth_root, __pyx_mstate->__pyx_kp_b_iso88591_5_Cr_r_CvRq_Rs_A_s_D_1_4s_1_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[8])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 5, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 712};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_count, __pyx_mstate->__pyx_n_u_out, __pyx_mstate->__pyx_n_u_cand, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_n_u_genexpr};
-    __pyx_mstate_global->__pyx_codeobj_tab[9] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_primes, __pyx_mstate->__pyx_kp_b_iso88591_A_Qe2Q_A_waq_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[9])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 9, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 721};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_primes_2, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_rl, __pyx_mstate->__pyx_n_u_rr, __pyx_mstate->__pyx_n_u_sl, __pyx_mstate->__pyx_n_u_sr, __pyx_mstate->__pyx_n_u_kl, __pyx_mstate->__pyx_n_u_kr};
-    __pyx_mstate_global->__pyx_codeobj_tab[10] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_init_hash_constants, __pyx_mstate->__pyx_kp_b_iso88591_WAQ_5_Qe_1Cs_5_au_AS_1_3c_Cs_S, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[10])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 18, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 767};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_window_bases, __pyx_mstate->__pyx_n_u_tx, __pyx_mstate->__pyx_n_u_ty, __pyx_mstate->__pyx_n_u_scratch, __pyx_mstate->__pyx_n_u_prefix, __pyx_mstate->__pyx_n_u_bx, __pyx_mstate->__pyx_n_u_by, __pyx_mstate->__pyx_n_u_acc, __pyx_mstate->__pyx_n_u_zinv, __pyx_mstate->__pyx_n_u_zi2, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_buf, __pyx_mstate->__pyx_n_u_w, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_off, __pyx_mstate->__pyx_n_u_x_int, __pyx_mstate->__pyx_n_u_y_int};
-    __pyx_mstate_global->__pyx_codeobj_tab[11] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_init_table, __pyx_mstate->__pyx_kp_b_iso88591_6_4D_6_4D_fAXRq_vV9D_s_U_S_5_83, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[11])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 8, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 814};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_gx, __pyx_mstate->__pyx_n_u_gy, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_add, __pyx_mstate->__pyx_n_u_add, __pyx_mstate->__pyx_n_u_bases, __pyx_mstate->__pyx_n_u_base, __pyx_mstate->__pyx_n_u__2};
-    __pyx_mstate_global->__pyx_codeobj_tab[12] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_bootstrap, __pyx_mstate->__pyx_kp_b_iso88591_q_A_D_U_1_WAQ_E_aq_3avQ_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[12])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 11, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 848};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_iters, __pyx_mstate->__pyx_n_u_time, __pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_h, __pyx_mstate->__pyx_n_u_msg, __pyx_mstate->__pyx_n_u_pt, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_out, __pyx_mstate->__pyx_n_u_t0};
-    __pyx_mstate_global->__pyx_codeobj_tab[13] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_chainsteg__kernel_pyx, __pyx_mstate->__pyx_n_u_microbench, __pyx_mstate->__pyx_kp_b_iso88591_Qe_q_a_Qe_q_a_3d_1F_5_a_E_aq_3c, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[13])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* Generator.init */
-  if (likely(__pyx_Generator_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
- */
-#pragma warning( disable : 4127 )
-#endif
-
-
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyErrFetchRestore (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* PyObjectGetAttrStr (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* ErrOccurredWithGIL */
-static CYTHON_INLINE int __Pyx_ErrOccurredWithGIL(void) {
-  int err;
-  PyGILState_STATE _save = PyGILState_Ensure();
-  err = !!PyErr_Occurred();
-  PyGILState_Release(_save);
-  return err;
-}
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
+static inline void jpt_set_infinity(jpt *p)
 {
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
+    memset(p, 0, sizeof(*p));
+    p->X[0] = 1;
+    p->Y[0] = 1;
+}
+
+static inline int jpt_is_infinity(const jpt *p)
+{
+    return fe_is_zero(p->Z);
+}
+
+/* r may alias p: p's coordinates are read before r's are written. */
+static void jpt_double(jpt *r, const jpt *p)
+{
+    u64 a[4], b[4], c[4], d[4], e[4], f[4], t[4], z3[4];
+    if (jpt_is_infinity(p) || fe_is_zero(p->Y)) {
+        jpt_set_infinity(r);
+        return;
     }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
+    fe_mul(z3, p->Y, p->Z); fe_add(z3, z3, z3);
+    fe_sqr(a, p->X);
+    fe_sqr(b, p->Y);
+    fe_sqr(c, b);
+    fe_add(t, p->X, b); fe_sqr(t, t); fe_sub(t, t, a); fe_sub(t, t, c);
+    fe_add(d, t, t);                       /* D = 2((X+B)^2 - A - C) */
+    fe_add(e, a, a); fe_add(e, e, a);      /* E = 3A */
+    fe_sqr(f, e);
+    fe_sub(t, f, d); fe_sub(r->X, t, d);   /* X3 = F - 2D */
+    fe_sub(t, d, r->X); fe_mul(t, e, t);
+    fe_add(c, c, c); fe_add(c, c, c); fe_add(c, c, c);
+    fe_sub(r->Y, t, c);                    /* Y3 = E(D - X3) - 8C */
+    fe_set(r->Z, z3);
+}
+
+/* r = p + (qx, qy) with the second point affine; r may alias p. */
+static void jpt_add_affine(jpt *r, const jpt *p, const u64 *qx, const u64 *qy)
+{
+    u64 z1z1[4], u2[4], s2[4], h[4], rr[4], h2[4], h3[4], v[4], t[4];
+    if (jpt_is_infinity(p)) {
+        fe_set(r->X, qx);
+        fe_set(r->Y, qy);
+        memset(r->Z, 0, sizeof(r->Z));
+        r->Z[0] = 1;
+        return;
+    }
+    fe_sqr(z1z1, p->Z);
+    fe_mul(u2, qx, z1z1);
+    fe_mul(s2, qy, p->Z); fe_mul(s2, s2, z1z1);
+    fe_sub(h, u2, p->X);
+    fe_sub(rr, s2, p->Y);
+    if (fe_is_zero(h)) {
+        if (fe_is_zero(rr))
+            jpt_double(r, p);
+        else
+            jpt_set_infinity(r);
+        return;
+    }
+    fe_sqr(h2, h);
+    fe_mul(h3, h, h2);
+    fe_mul(v, p->X, h2);
+    fe_sqr(t, rr); fe_sub(t, t, h3); fe_sub(t, t, v);
+    fe_sub(r->X, t, v);                    /* X3 = r^2 - h^3 - 2v */
+    fe_sub(t, v, r->X); fe_mul(t, rr, t);
+    fe_mul(h3, p->Y, h3);
+    fe_sub(r->Y, t, h3);                   /* Y3 = r(v - X3) - Y1 h^3 */
+    fe_mul(r->Z, p->Z, h);                 /* Z3 = Z1 h */
+}
+
+/* Make the points with ok[i] set (all when ok is NULL) affine, X and Y in
+ * place, with one inversion (Montgomery's trick). prefix holds n entries. */
+static void jpt_normalize(jpt *pts, const u8 *ok, int n, u64 (*prefix)[4])
+{
+    u64 acc[4] = {1, 0, 0, 0}, inv[4], zi[4], zi2[4];
+    int i;
     for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
+        fe_set(prefix[i], acc);
+        if (!ok || ok[i])
+            fe_mul(acc, acc, pts[i].Z);
     }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
+    fe_inv(inv, acc);
+    for (i = n - 1; i >= 0; i--) {
+        if (ok && !ok[i])
+            continue;
+        fe_mul(zi, inv, prefix[i]);        /* 1/Z_i */
+        fe_mul(inv, inv, pts[i].Z);
+        fe_sqr(zi2, zi);
+        fe_mul(pts[i].X, pts[i].X, zi2);
+        fe_mul(zi2, zi2, zi);
+        fe_mul(pts[i].Y, pts[i].Y, zi2);
     }
 }
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
+
+/* ------------------------------------------------------------------------
+ * Fixed-base comb: TBL[w][j] = (j + 1) * 2^(8w) * G, affine. A scalar
+ * multiple of G is then one mixed addition per non-zero scalar byte. */
+
+#define WINDOWS 32
+#define ENTRIES 255
+
+typedef struct {
+    u64 x[4], y[4];
+} apt;
+
+static apt TBL[WINDOWS][ENTRIES];
+
+static void build_table(void)
 {
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
+    static jpt scratch[ENTRIES];
+    static u64 prefix[ENTRIES][4];
+    u64 bx[4] = {0x59F2815B16F81798ULL, 0x029BFCDB2DCE28D9ULL,
+                 0x55A06295CE870B07ULL, 0x79BE667EF9DCBBACULL};
+    u64 by[4] = {0x9C47D08FFB10D4B8ULL, 0xFD17B448A6855419ULL,
+                 0x5DA4FBFC0E1108A8ULL, 0x483ADA7726A3C465ULL};
+    jpt next;
+    int w, j;
+    for (w = 0; w < WINDOWS; w++) {
+        jpt_set_infinity(&scratch[0]);
+        jpt_add_affine(&scratch[0], &scratch[0], bx, by);
+        for (j = 1; j < ENTRIES; j++)
+            jpt_add_affine(&scratch[j], &scratch[j - 1], bx, by);
+        jpt_normalize(scratch, NULL, ENTRIES, prefix);
+        for (j = 0; j < ENTRIES; j++) {
+            fe_set(TBL[w][j].x, scratch[j].X);
+            fe_set(TBL[w][j].y, scratch[j].Y);
+        }
+        /* the next window's base: 255 B + B = 2^8 B */
+        jpt_set_infinity(&next);
+        jpt_add_affine(&next, &next, TBL[w][ENTRIES - 1].x, TBL[w][ENTRIES - 1].y);
+        jpt_add_affine(&next, &next, bx, by);
+        jpt_normalize(&next, NULL, 1, prefix);
+        fe_set(bx, next.X);
+        fe_set(by, next.Y);
     }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
 }
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
+
+/* scalar (< q, little-endian limbs) times G */
+static void mult_gen(jpt *r, const u64 *scalar)
 {
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
+    int w;
+    jpt_set_infinity(r);
+    for (w = 0; w < WINDOWS; w++) {
+        unsigned byte = (unsigned)(scalar[w >> 3] >> ((w & 7) * 8)) & 0xFF;
+        if (byte)
+            jpt_add_affine(r, r, TBL[w][byte - 1].x, TBL[w][byte - 1].y);
     }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
 }
 
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
+/* ------------------------------------------------------------------------
+ * Single-block SHA-256 (inputs here are at most 55 bytes) */
 
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
+static const u32 SHA_K[64] = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 };
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
 
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
+static const u32 SHA_H0[8] = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+};
 
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
+static inline u32 rotr(u32 x, int n) { return (x >> n) | (x << (32 - n)); }
+static inline u32 rotl(u32 x, int n) { return (x << n) | (x >> (32 - n)); }
 
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
+#define SHA_ROUND(a, b, c, d, e, f, g, h, i) do { \
+        u32 _t1 = h + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) + ((e & f) ^ (~e & g)) + \
+                  SHA_K[i] + w[i]; \
+        u32 _t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + ((a & b) ^ (a & c) ^ (b & c)); \
+        d += _t1; \
+        h = _t1 + _t2; \
+    } while (0)
 
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
+static void sha256_short(const u8 *msg, int len, u8 *out)
 {
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
+    u8 block[64] = {0};
+    u32 w[64], a, b, c, d, e, f, g, h, hh[8];
+    int i;
+    memcpy(block, msg, len);
+    block[len] = 0x80;
+    block[62] = (u8)(len >> 5); /* bit length, big-endian, < 2^16 */
+    block[63] = (u8)(len << 3);
+    for (i = 0; i < 16; i++)
+        w[i] = (u32)block[4 * i] << 24 | (u32)block[4 * i + 1] << 16 |
+               (u32)block[4 * i + 2] << 8 | block[4 * i + 3];
+    for (i = 16; i < 64; i++)
+        w[i] = w[i - 16] + w[i - 7] +
+               (rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3)) +
+               (rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10));
+    a = SHA_H0[0]; b = SHA_H0[1]; c = SHA_H0[2]; d = SHA_H0[3];
+    e = SHA_H0[4]; f = SHA_H0[5]; g = SHA_H0[6]; h = SHA_H0[7];
+    for (i = 0; i < 64; i += 8) {
+        SHA_ROUND(a, b, c, d, e, f, g, h, i);
+        SHA_ROUND(h, a, b, c, d, e, f, g, i + 1);
+        SHA_ROUND(g, h, a, b, c, d, e, f, i + 2);
+        SHA_ROUND(f, g, h, a, b, c, d, e, i + 3);
+        SHA_ROUND(e, f, g, h, a, b, c, d, i + 4);
+        SHA_ROUND(d, e, f, g, h, a, b, c, i + 5);
+        SHA_ROUND(c, d, e, f, g, h, a, b, i + 6);
+        SHA_ROUND(b, c, d, e, f, g, h, a, i + 7);
     }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
+    hh[0] = a; hh[1] = b; hh[2] = c; hh[3] = d;
+    hh[4] = e; hh[5] = f; hh[6] = g; hh[7] = h;
+    for (i = 0; i < 8; i++) {
+        u32 v = SHA_H0[i] + hh[i];
+        out[4 * i] = (u8)(v >> 24);
+        out[4 * i + 1] = (u8)(v >> 16);
+        out[4 * i + 2] = (u8)(v >> 8);
+        out[4 * i + 3] = (u8)v;
     }
 }
 
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
+/* ------------------------------------------------------------------------
+ * Single-block RIPEMD-160 of exactly 32 bytes */
+
+static const u8 RMD_RL[80] = {
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+    7, 4, 13, 1, 10, 6, 15, 3, 12, 0, 9, 5, 2, 14, 11, 8,
+    3, 10, 14, 4, 9, 15, 8, 1, 2, 7, 0, 6, 13, 11, 5, 12,
+    1, 9, 11, 10, 0, 8, 12, 4, 13, 3, 7, 15, 14, 5, 6, 2,
+    4, 0, 5, 9, 7, 12, 2, 10, 14, 1, 3, 8, 11, 6, 15, 13,
+};
+static const u8 RMD_RR[80] = {
+    5, 14, 7, 0, 9, 2, 11, 4, 13, 6, 15, 8, 1, 10, 3, 12,
+    6, 11, 3, 7, 0, 13, 5, 10, 14, 15, 8, 12, 4, 9, 1, 2,
+    15, 5, 1, 3, 7, 14, 6, 9, 11, 8, 12, 2, 10, 0, 4, 13,
+    8, 6, 4, 1, 3, 11, 15, 0, 5, 12, 2, 13, 9, 7, 10, 14,
+    12, 15, 10, 4, 1, 5, 8, 7, 6, 2, 13, 14, 0, 3, 9, 11,
+};
+static const u8 RMD_SL[80] = {
+    11, 14, 15, 12, 5, 8, 7, 9, 11, 13, 14, 15, 6, 7, 9, 8,
+    7, 6, 8, 13, 11, 9, 7, 15, 7, 12, 15, 9, 11, 7, 13, 12,
+    11, 13, 6, 7, 14, 9, 13, 15, 14, 8, 13, 6, 5, 12, 7, 5,
+    11, 12, 14, 15, 14, 15, 9, 8, 9, 14, 5, 6, 8, 6, 5, 12,
+    9, 15, 5, 11, 6, 8, 13, 12, 5, 12, 13, 14, 11, 8, 5, 6,
+};
+static const u8 RMD_SR[80] = {
+    8, 9, 9, 11, 13, 15, 15, 5, 7, 7, 8, 11, 14, 14, 12, 6,
+    9, 13, 15, 7, 12, 8, 9, 11, 7, 7, 12, 7, 6, 15, 13, 11,
+    9, 7, 15, 11, 8, 6, 6, 14, 12, 13, 5, 14, 13, 13, 7, 5,
+    15, 5, 8, 11, 14, 14, 6, 14, 6, 9, 12, 9, 12, 5, 15, 8,
+    8, 5, 12, 9, 12, 5, 14, 6, 8, 13, 6, 5, 15, 13, 11, 11,
+};
+static const u32 RMD_KL[5] = {0x00000000, 0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xA953FD4E};
+static const u32 RMD_KR[5] = {0x50A28BE6, 0x5C4DD124, 0x6D703EF3, 0x7A6D76E9, 0x00000000};
+
+#define F0(x, y, z) ((x) ^ (y) ^ (z))
+#define F1(x, y, z) (((x) & (y)) | (~(x) & (z)))
+#define F2(x, y, z) (((x) | ~(y)) ^ (z))
+#define F3(x, y, z) (((x) & (z)) | ((y) & ~(z)))
+#define F4(x, y, z) ((x) ^ ((y) | ~(z)))
+
+/* Sixteen steps of both lines; the left line uses FL, the right FR. */
+#define RMD_ROUND(R, FL, FR) \
+    for (j = 16 * (R); j < 16 * (R) + 16; j++) { \
+        t = rotl(al + FL(bl, cl, dl) + x[RMD_RL[j]] + RMD_KL[R], RMD_SL[j]) + el; \
+        al = el; el = dl; dl = rotl(cl, 10); cl = bl; bl = t; \
+        t = rotl(ar + FR(br, cr, dr) + x[RMD_RR[j]] + RMD_KR[R], RMD_SR[j]) + er; \
+        ar = er; er = dr; dr = rotl(cr, 10); cr = br; br = t; \
+    }
+
+static void ripemd160_32(const u8 *msg, u8 *out)
 {
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
+    u32 x[16] = {0}, h[5], t;
+    u32 al = 0x67452301, bl = 0xEFCDAB89, cl = 0x98BADCFE, dl = 0x10325476, el = 0xC3D2E1F0;
+    u32 ar = al, br = bl, cr = cl, dr = dl, er = el;
+    int i, j;
+    for (i = 0; i < 8; i++)
+        x[i] = msg[4 * i] | (u32)msg[4 * i + 1] << 8 | (u32)msg[4 * i + 2] << 16 |
+               (u32)msg[4 * i + 3] << 24;
+    x[8] = 0x80;
+    x[14] = 256; /* bit length, little-endian */
+    RMD_ROUND(0, F0, F4)
+    RMD_ROUND(1, F1, F3)
+    RMD_ROUND(2, F2, F2)
+    RMD_ROUND(3, F3, F1)
+    RMD_ROUND(4, F4, F0)
+    h[0] = 0xEFCDAB89 + cl + dr;
+    h[1] = 0x98BADCFE + dl + er;
+    h[2] = 0x10325476 + el + ar;
+    h[3] = 0xC3D2E1F0 + al + br;
+    h[4] = 0x67452301 + bl + cr;
+    for (i = 0; i < 5; i++) {
+        out[4 * i] = (u8)h[i];
+        out[4 * i + 1] = (u8)(h[i] >> 8);
+        out[4 * i + 2] = (u8)(h[i] >> 16);
+        out[4 * i + 3] = (u8)(h[i] >> 24);
     }
-    return 0;
-bad:
-    return -1;
 }
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
+
+/* ------------------------------------------------------------------------
+ * The attempt pipeline */
+
+#define MAX_BATCH 64
+#define MAX_POSITIONS 24
+
+static void be32_to_limbs(const u8 *data, u64 *r)
 {
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
+    int i, j;
+    for (i = 0; i < 4; i++) {
+        r[3 - i] = 0;
+        for (j = 0; j < 8; j++)
+            r[3 - i] = r[3 - i] << 8 | data[8 * i + j];
     }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
 }
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
+
+/* 2^256 < 2q, so one conditional subtraction reduces a 256-bit value mod q. */
+static void scalar_mod_q(u64 *s)
 {
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* ArgTypeTestFunc (used by ArgTypeTest) */
-static int __Pyx__ArgTypeTest(PyObject *obj, PyTypeObject *type, const char *name, int exact)
-{
-    __Pyx_TypeName type_name;
-    __Pyx_TypeName obj_type_name;
-    PyObject *extra_info = __pyx_mstate_global->__pyx_empty_unicode;
-    int from_annotation_subclass = 0;
-    if (unlikely(!type)) {
-        PyErr_SetString(PyExc_SystemError, "Missing type object");
-        return 0;
-    }
-    else if (!exact) {
-        if (likely(__Pyx_TypeCheck(obj, type))) return 1;
-    } else if (exact == 2) {
-        if (__Pyx_TypeCheck(obj, type)) {
-            from_annotation_subclass = 1;
-            extra_info = __pyx_mstate_global->__pyx_kp_u_Note_that_Cython_is_deliberately;
-        }
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(type);
-    obj_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(obj));
-    PyErr_Format(PyExc_TypeError,
-        "Argument '%.200s' has incorrect type (expected " __Pyx_FMT_TYPENAME
-        ", got " __Pyx_FMT_TYPENAME ")"
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-        "%s%U"
-#endif
-        , name, type_name, obj_type_name
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-        , (from_annotation_subclass ? ". " : ""), extra_info
-#endif
-        );
-#if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    if (exact == 2 && from_annotation_subclass) {
-        PyObject *res;
-        PyObject *vargs[2];
-        vargs[0] = PyErr_GetRaisedException();
-        vargs[1] = extra_info;
-        res = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_kp_u_add_note, vargs, 2, NULL);
-        Py_XDECREF(res);
-        PyErr_SetRaisedException(vargs[0]);
-    }
-#endif
-    __Pyx_DECREF_TypeName(type_name);
-    __Pyx_DECREF_TypeName(obj_type_name);
-    return 0;
-}
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* PyLongBinop */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject* __Pyx_Fallback___Pyx_PyLong_SubtractObjC(PyObject *op1, PyObject *op2, int inplace) {
-    return (inplace ? PyNumber_InPlaceSubtract : PyNumber_Subtract)(op1, op2);
-}
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject* __Pyx_Unpacked___Pyx_PyLong_SubtractObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(inplace);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    long a;
-    const PY_LONG_LONG llb = intval;
-    PY_LONG_LONG lla;
-    if (unlikely(__Pyx_PyLong_IsZero(op1))) {
-        return PyLong_FromLong(-intval);
-    }
-    const int is_positive = __Pyx_PyLong_IsPos(op1);
-    const digit* digits = __Pyx_PyLong_Digits(op1);
-    const Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-    if (likely(size == 1)) {
-        a = (long) digits[0];
-        if (!is_positive) a *= -1;
-    } else {
-        switch (size) {
-            case 2:
-                if (8 * sizeof(long) - 1 > 2 * PyLong_SHIFT) {
-                    a = (long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 3:
-                if (8 * sizeof(long) - 1 > 3 * PyLong_SHIFT) {
-                    a = (long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 4:
-                if (8 * sizeof(long) - 1 > 4 * PyLong_SHIFT) {
-                    a = (long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-        }
-        return PyLong_Type.tp_as_number->nb_subtract(op1, op2);
-    }
-    calculate_long:
-        {
-            long x;
-            x = a - b;
-            return PyLong_FromLong(x);
-        }
-    calculate_long_long:
-        {
-            PY_LONG_LONG llx;
-            llx = lla - llb;
-            return PyLong_FromLongLong(llx);
-        }
-    
-}
-#endif
-static PyObject* __Pyx_Float___Pyx_PyLong_SubtractObjC(PyObject *float_val, long intval, int zerodivision_check) {
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    double a = __Pyx_PyFloat_AS_DOUBLE(float_val);
-        double result;
-        
-        result = ((double)a) - (double)b;
-        return PyFloat_FromDouble(result);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyLong_SubtractObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        return __Pyx_Unpacked___Pyx_PyLong_SubtractObjC(op1, op2, intval, inplace, zerodivision_check);
-    }
-    #endif
-    if (PyFloat_CheckExact(op1)) {
-        return __Pyx_Float___Pyx_PyLong_SubtractObjC(op1, intval, zerodivision_check);
-    }
-    return __Pyx_Fallback___Pyx_PyLong_SubtractObjC(op1, op2, inplace);
-}
-#endif
-
-/* PyLongBinop */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject* __Pyx_Fallback___Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, int inplace) {
-    return (inplace ? PyNumber_InPlaceAdd : PyNumber_Add)(op1, op2);
-}
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject* __Pyx_Unpacked___Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(inplace);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    long a;
-    const PY_LONG_LONG llb = intval;
-    PY_LONG_LONG lla;
-    if (unlikely(__Pyx_PyLong_IsZero(op1))) {
-        return __Pyx_NewRef(op2);
-    }
-    const int is_positive = __Pyx_PyLong_IsPos(op1);
-    const digit* digits = __Pyx_PyLong_Digits(op1);
-    const Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-    if (likely(size == 1)) {
-        a = (long) digits[0];
-        if (!is_positive) a *= -1;
-    } else {
-        switch (size) {
-            case 2:
-                if (8 * sizeof(long) - 1 > 2 * PyLong_SHIFT) {
-                    a = (long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 3:
-                if (8 * sizeof(long) - 1 > 3 * PyLong_SHIFT) {
-                    a = (long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 4:
-                if (8 * sizeof(long) - 1 > 4 * PyLong_SHIFT) {
-                    a = (long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-        }
-        return PyLong_Type.tp_as_number->nb_add(op1, op2);
-    }
-    calculate_long:
-        {
-            long x;
-            x = a + b;
-            return PyLong_FromLong(x);
-        }
-    calculate_long_long:
-        {
-            PY_LONG_LONG llx;
-            llx = lla + llb;
-            return PyLong_FromLongLong(llx);
-        }
-    
-}
-#endif
-static PyObject* __Pyx_Float___Pyx_PyLong_AddObjC(PyObject *float_val, long intval, int zerodivision_check) {
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    double a = __Pyx_PyFloat_AS_DOUBLE(float_val);
-        double result;
-        
-        result = ((double)a) + (double)b;
-        return PyFloat_FromDouble(result);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        return __Pyx_Unpacked___Pyx_PyLong_AddObjC(op1, op2, intval, inplace, zerodivision_check);
-    }
-    #endif
-    if (PyFloat_CheckExact(op1)) {
-        return __Pyx_Float___Pyx_PyLong_AddObjC(op1, intval, zerodivision_check);
-    }
-    return __Pyx_Fallback___Pyx_PyLong_AddObjC(op1, op2, inplace);
-}
-#endif
-
-/* PyObjectFastCallMethod */
-#if !CYTHON_VECTORCALL || PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_PyObject_FastCallMethod(PyObject *name, PyObject *const *args, size_t nargsf) {
-    PyObject *result;
-    PyObject *attr = PyObject_GetAttr(args[0], name);
-    if (unlikely(!attr))
-        return NULL;
-    result = __Pyx_PyObject_FastCall(attr, args+1, nargsf - 1);
-    Py_DECREF(attr);
-    return result;
-}
-#endif
-
-/* PyLongBinop */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject* __Pyx_Fallback___Pyx_PyLong_FloorDivideObjC(PyObject *op1, PyObject *op2, int inplace) {
-    return (inplace ? PyNumber_InPlaceFloorDivide : PyNumber_FloorDivide)(op1, op2);
-}
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject* __Pyx_Unpacked___Pyx_PyLong_FloorDivideObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(inplace);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    long a;
-    const PY_LONG_LONG llb = intval;
-    PY_LONG_LONG lla;
-    if (unlikely(__Pyx_PyLong_IsZero(op1))) {
-        return __Pyx_NewRef(op1);
-    }
-    const int is_positive = __Pyx_PyLong_IsPos(op1);
-    const digit* digits = __Pyx_PyLong_Digits(op1);
-    const Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-    if (likely(size == 1)) {
-        a = (long) digits[0];
-        if (!is_positive) a *= -1;
-    } else {
-        switch (size) {
-            case 2:
-                if (8 * sizeof(long) - 1 > 2 * PyLong_SHIFT) {
-                    a = (long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 3:
-                if (8 * sizeof(long) - 1 > 3 * PyLong_SHIFT) {
-                    a = (long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 4:
-                if (8 * sizeof(long) - 1 > 4 * PyLong_SHIFT) {
-                    a = (long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-        }
-        return PyLong_Type.tp_as_number->nb_floor_divide(op1, op2);
-    }
-    calculate_long:
-        {
-            long q, r;
-            q = a / b;
-            r = a - q*b;
-            q -= ((r != 0) & ((r ^ b) < 0));
-            return PyLong_FromLong(q);
-        }
-    calculate_long_long:
-        {
-            PY_LONG_LONG q, r;
-            q = lla / llb;
-            r = lla - q*llb;
-            q -= ((r != 0) & ((r ^ llb) < 0));
-            return PyLong_FromLongLong(q);
-        }
-    
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyLong_FloorDivideObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        return __Pyx_Unpacked___Pyx_PyLong_FloorDivideObjC(op1, op2, intval, inplace, zerodivision_check);
-    }
-    #endif
-    return __Pyx_Fallback___Pyx_PyLong_FloorDivideObjC(op1, op2, inplace);
-}
-#endif
-
-/* RaiseUnboundLocalError */
-static void __Pyx_RaiseUnboundLocalError(const char *varname) {
-    PyErr_Format(PyExc_UnboundLocalError, "local variable '%s' referenced before assignment", varname);
-}
-
-/* RaiseClosureNameError */
-static void __Pyx_RaiseClosureNameError(const char *varname) {
-    PyErr_Format(PyExc_NameError, "free variable '%s' referenced before assignment in enclosing scope", varname);
-}
-
-/* GetException (used by pep479) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb)
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb)
-#endif
-{
-    PyObject *local_type = NULL, *local_value, *local_tb = NULL;
-#if CYTHON_FAST_THREAD_STATE
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if PY_VERSION_HEX >= 0x030C0000
-    local_value = tstate->current_exception;
-    tstate->current_exception = 0;
-  #else
-    local_type = tstate->curexc_type;
-    local_value = tstate->curexc_value;
-    local_tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-  #endif
-#elif __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    local_value = PyErr_GetRaisedException();
-#else
-    PyErr_Fetch(&local_type, &local_value, &local_tb);
-#endif
-#if __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    if (likely(local_value)) {
-        local_type = (PyObject*) Py_TYPE(local_value);
-        Py_INCREF(local_type);
-        local_tb = PyException_GetTraceback(local_value);
-    }
-#else
-    PyErr_NormalizeException(&local_type, &local_value, &local_tb);
-#if CYTHON_FAST_THREAD_STATE
-    if (unlikely(tstate->curexc_type))
-#else
-    if (unlikely(PyErr_Occurred()))
-#endif
-        goto bad;
-    if (local_tb) {
-        if (unlikely(PyException_SetTraceback(local_value, local_tb) < 0))
-            goto bad;
-    }
-#endif // __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    Py_XINCREF(local_tb);
-    Py_XINCREF(local_type);
-    Py_XINCREF(local_value);
-    *type = local_type;
-    *value = local_value;
-    *tb = local_tb;
-#if CYTHON_FAST_THREAD_STATE
-    #if CYTHON_USE_EXC_INFO_STACK
-    {
-        _PyErr_StackItem *exc_info = tstate->exc_info;
-      #if PY_VERSION_HEX >= 0x030B00a4
-        tmp_value = exc_info->exc_value;
-        exc_info->exc_value = local_value;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-        Py_XDECREF(local_type);
-        Py_XDECREF(local_tb);
-      #else
-        tmp_type = exc_info->exc_type;
-        tmp_value = exc_info->exc_value;
-        tmp_tb = exc_info->exc_traceback;
-        exc_info->exc_type = local_type;
-        exc_info->exc_value = local_value;
-        exc_info->exc_traceback = local_tb;
-      #endif
-    }
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = local_type;
-    tstate->exc_value = local_value;
-    tstate->exc_traceback = local_tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    PyErr_SetHandledException(local_value);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_tb);
-#else
-    PyErr_SetExcInfo(local_type, local_value, local_tb);
-#endif
-    return 0;
-#if __PYX_LIMITED_VERSION_HEX <= 0x030C0000
-bad:
-    *type = 0;
-    *value = 0;
-    *tb = 0;
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_tb);
-    return -1;
-#endif
-}
-
-/* pep479 */
-static void __Pyx_Generator_Replace_StopIteration(int in_async_gen) {
-    PyObject *exc, *val, *tb, *cur_exc, *new_exc;
-    __Pyx_PyThreadState_declare
-    int is_async_stopiteration = 0;
-    CYTHON_MAYBE_UNUSED_VAR(in_async_gen);
-    __Pyx_PyThreadState_assign
-    cur_exc = __Pyx_PyErr_CurrentExceptionType();
-    if (likely(!__Pyx_PyErr_GivenExceptionMatches(cur_exc, PyExc_StopIteration))) {
-        if (in_async_gen && unlikely(__Pyx_PyErr_GivenExceptionMatches(cur_exc, PyExc_StopAsyncIteration))) {
-            is_async_stopiteration = 1;
-        } else {
-            return;
-        }
-    }
-    __Pyx_GetException(&exc, &val, &tb);
-    Py_XDECREF(exc);
-    Py_XDECREF(tb);
-    new_exc = PyObject_CallFunction(PyExc_RuntimeError, "s",
-        is_async_stopiteration ? "async generator raised StopAsyncIteration" :
-        in_async_gen ? "async generator raised StopIteration" :
-        "generator raised StopIteration");
-    if (!new_exc) {
-        Py_XDECREF(val);
+    u64 borrow = 0;
+    int i;
+    for (i = 3; i >= 0 && s[i] == Q_LIMB[i]; i--)
+        ;
+    if (i >= 0 && s[i] < Q_LIMB[i])
         return;
+    for (i = 0; i < 4; i++) {
+        u128 d = (u128)s[i] - Q_LIMB[i] - borrow;
+        s[i] = (u64)d;
+        borrow = (u64)(d >> 64) & 1;
     }
-    PyException_SetCause(new_exc, val); // steals ref to val
-    PyErr_SetObject(PyExc_RuntimeError, new_exc);
-    Py_DECREF(new_exc);
 }
 
-/* SliceObject */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetSlice(PyObject* obj,
-        Py_ssize_t cstart, Py_ssize_t cstop,
-        PyObject** _py_start, PyObject** _py_stop, PyObject** _py_slice,
-        int has_cstart, int has_cstop, CYTHON_UNUSED int wraparound) {
-    __Pyx_TypeName obj_type_name;
-#if CYTHON_USE_TYPE_SLOTS
-    PyMappingMethods* mp = Py_TYPE(obj)->tp_as_mapping;
-    if (likely(mp && mp->mp_subscript))
-#endif
-    {
-        PyObject* result;
-        PyObject *py_slice, *py_start, *py_stop;
-        if (_py_slice) {
-            py_slice = *_py_slice;
-        } else {
-            PyObject* owned_start = NULL;
-            PyObject* owned_stop = NULL;
-            if (_py_start) {
-                py_start = *_py_start;
-            } else {
-                if (has_cstart) {
-                    owned_start = py_start = PyLong_FromSsize_t(cstart);
-                    if (unlikely(!py_start)) goto bad;
-                } else
-                    py_start = Py_None;
-            }
-            if (_py_stop) {
-                py_stop = *_py_stop;
-            } else {
-                if (has_cstop) {
-                    owned_stop = py_stop = PyLong_FromSsize_t(cstop);
-                    if (unlikely(!py_stop)) {
-                        Py_XDECREF(owned_start);
-                        goto bad;
-                    }
-                } else
-                    py_stop = Py_None;
-            }
-            py_slice = PySlice_New(py_start, py_stop, Py_None);
-            Py_XDECREF(owned_start);
-            Py_XDECREF(owned_stop);
-            if (unlikely(!py_slice)) goto bad;
-        }
-#if CYTHON_USE_TYPE_SLOTS
-        result = mp->mp_subscript(obj, py_slice);
-#else
-        result = PyObject_GetItem(obj, py_slice);
-#endif
-        if (!_py_slice) {
-            Py_DECREF(py_slice);
-        }
-        return result;
+/* hash160 digests of the points derived for counters start..start+count-1:
+ * point = (SHA-256(k || tag || counter BE64) mod q) G + gy. ok[i] = 0 marks
+ * a degenerate index (the point at infinity); its digest is left unset. */
+static void derive_batch(const u8 *k, u8 tag, u64 start, int count,
+                         const u64 *gyx, const u64 *gyy, u8 *digests, u8 *ok)
+{
+    jpt pts[MAX_BATCH];
+    u64 prefix[MAX_BATCH][4], scalar[4];
+    u8 msg[41], hbuf[32], pub[33];
+    int i, j;
+    memcpy(msg, k, 32);
+    msg[32] = tag;
+    for (i = 0; i < count; i++) {
+        u64 counter = start + (u64)i;
+        for (j = 0; j < 8; j++)
+            msg[33 + j] = (u8)(counter >> (8 * (7 - j)));
+        sha256_short(msg, 41, hbuf);
+        be32_to_limbs(hbuf, scalar);
+        scalar_mod_q(scalar);
+        mult_gen(&pts[i], scalar);
+        jpt_add_affine(&pts[i], &pts[i], gyx, gyy);
+        ok[i] = !jpt_is_infinity(&pts[i]);
     }
-    obj_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(obj));
-    PyErr_Format(PyExc_TypeError,
-        "'" __Pyx_FMT_TYPENAME "' object is unsliceable", obj_type_name);
-    __Pyx_DECREF_TypeName(obj_type_name);
-bad:
-    return NULL;
+    jpt_normalize(pts, ok, count, prefix);
+    for (i = 0; i < count; i++) {
+        if (!ok[i])
+            continue;
+        pub[0] = 0x02 | (u8)(pts[i].Y[0] & 1);
+        for (j = 0; j < 32; j++)
+            pub[1 + j] = (u8)(pts[i].X[3 - j / 8] >> (8 * (7 - j % 8)));
+        sha256_short(pub, 33, hbuf);
+        ripemd160_32(hbuf, digests + 20 * i);
+    }
 }
 
-/* ObjectGetItem */
-#if CYTHON_USE_TYPE_SLOTS
-static PyObject *__Pyx_PyObject_GetIndex(PyObject *obj, PyObject *index) {
-    PyObject *runerr = NULL;
-    Py_ssize_t key_value;
-    key_value = __Pyx_PyIndex_AsSsize_t(index);
-    if (likely(key_value != -1 || !(runerr = PyErr_Occurred()))) {
-        return __Pyx_GetItemInt_Fast(obj, key_value, 0, 1, 1, 1);
-    }
-    if (PyErr_GivenExceptionMatches(runerr, PyExc_OverflowError)) {
-        __Pyx_TypeName index_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(index));
-        PyErr_Clear();
-        PyErr_Format(PyExc_IndexError,
-            "cannot fit '" __Pyx_FMT_TYPENAME "' into an index-sized integer", index_type_name);
-        __Pyx_DECREF_TypeName(index_type_name);
-    }
-    return NULL;
-}
-static PyObject *__Pyx_PyObject_GetItem_Slow(PyObject *obj, PyObject *key) {
-    __Pyx_TypeName obj_type_name;
-    if (likely(PyType_Check(obj))) {
-        PyObject *meth = __Pyx_PyObject_GetAttrStrNoError(obj, __pyx_mstate_global->__pyx_n_u_class_getitem);
-        if (!meth) {
-            PyErr_Clear();
-        } else {
-            PyObject *result = __Pyx_PyObject_CallOneArg(meth, key);
-            Py_DECREF(meth);
-            return result;
-        }
-    }
-    obj_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(obj));
-    PyErr_Format(PyExc_TypeError,
-        "'" __Pyx_FMT_TYPENAME "' object is not subscriptable", obj_type_name);
-    __Pyx_DECREF_TypeName(obj_type_name);
-    return NULL;
-}
-static PyObject *__Pyx_PyObject_GetItem(PyObject *obj, PyObject *key) {
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyMappingMethods *mm = tp->tp_as_mapping;
-    PySequenceMethods *sm = tp->tp_as_sequence;
-    if (likely(mm && mm->mp_subscript)) {
-        return mm->mp_subscript(obj, key);
-    }
-    if (likely(sm && sm->sq_item)) {
-        return __Pyx_PyObject_GetIndex(obj, key);
-    }
-    return __Pyx_PyObject_GetItem_Slow(obj, key);
-}
-#endif
-
-/* RaiseTooManyValuesToUnpack */
-static CYTHON_INLINE void __Pyx_RaiseTooManyValuesError(Py_ssize_t expected) {
-    PyErr_Format(PyExc_ValueError,
-                 "too many values to unpack (expected %" CYTHON_FORMAT_SSIZE_T "d)", expected);
+/* Chunk value from digest bits: positions are LSB-indexed into the 160-bit
+ * big-endian integer; the first position becomes the value's MSB. */
+static inline u64 select_bits(const u8 *digest, const int *positions, int m)
+{
+    u64 out = 0;
+    int i;
+    for (i = 0; i < m; i++)
+        out = out << 1 | ((digest[19 - (positions[i] >> 3)] >> (positions[i] & 7)) & 1);
+    return out;
 }
 
-/* RaiseNeedMoreValuesToUnpack */
-static CYTHON_INLINE void __Pyx_RaiseNeedMoreValuesError(Py_ssize_t index) {
-    PyErr_Format(PyExc_ValueError,
-                 "need more than %" CYTHON_FORMAT_SSIZE_T "d value%.1s to unpack",
-                 index, (index == 1) ? "" : "s");
-}
+/* ------------------------------------------------------------------------
+ * Python-visible API */
 
-/* IterFinish */
-static CYTHON_INLINE int __Pyx_IterFinish(void) {
-    PyObject* exc_type;
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    exc_type = __Pyx_PyErr_CurrentExceptionType();
-    if (unlikely(exc_type)) {
-        if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration)))
-            return -1;
-        __Pyx_PyErr_Clear();
+static int to_u64(PyObject *obj, void *out)
+{
+    u64 v = PyLong_AsUnsignedLongLong(obj);
+    if (v == (u64)-1 && PyErr_Occurred())
         return 0;
-    }
-    return 0;
-}
-
-/* UnpackItemEndCheck */
-static int __Pyx_IternextUnpackEndCheck(PyObject *retval, Py_ssize_t expected) {
-    if (unlikely(retval)) {
-        Py_DECREF(retval);
-        __Pyx_RaiseTooManyValuesError(expected);
-        return -1;
-    }
-    return __Pyx_IterFinish();
-}
-
-/* PyLongCompare */
-static CYTHON_INLINE int __Pyx_PyLong_BoolEqObjC(PyObject *op1, PyObject *op2, long intval, long inplace) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(inplace);
-    if (op1 == op2) {
-        return 1;
-    }
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        int unequal;
-        unsigned long uintval;
-        Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-        const digit* digits = __Pyx_PyLong_Digits(op1);
-        if (intval == 0) {
-            return (__Pyx_PyLong_IsZero(op1) == 1);
-        } else if (intval < 0) {
-            if (__Pyx_PyLong_IsNonNeg(op1))
-                return 0;
-            intval = -intval;
-        } else {
-            if (__Pyx_PyLong_IsNeg(op1))
-                return 0;
-        }
-        uintval = (unsigned long) intval;
-#if PyLong_SHIFT * 4 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 4)) {
-            unequal = (size != 5) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[2] != ((uintval >> (2 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[3] != ((uintval >> (3 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[4] != ((uintval >> (4 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-#if PyLong_SHIFT * 3 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 3)) {
-            unequal = (size != 4) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[2] != ((uintval >> (2 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[3] != ((uintval >> (3 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-#if PyLong_SHIFT * 2 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 2)) {
-            unequal = (size != 3) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[2] != ((uintval >> (2 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-#if PyLong_SHIFT * 1 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 1)) {
-            unequal = (size != 2) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-            unequal = (size != 1) || (((unsigned long) digits[0]) != (uintval & (unsigned long) PyLong_MASK));
-        return (unequal == 0);
-    }
-    #endif
-    if (PyFloat_CheckExact(op1)) {
-        const long b = intval;
-        double a = __Pyx_PyFloat_AS_DOUBLE(op1);
-        return ((double)a == (double)b);
-    }
-    return __Pyx_PyObject_IsTrueAndDecref(
-        PyObject_RichCompare(op1, op2, Py_EQ));
-}
-
-/* PyLongBinop */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject* __Pyx_Fallback___Pyx_PyLong_MultiplyCObj(PyObject *op1, PyObject *op2, int inplace) {
-    return (inplace ? PyNumber_InPlaceMultiply : PyNumber_Multiply)(op1, op2);
-}
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject* __Pyx_Unpacked___Pyx_PyLong_MultiplyCObj(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(inplace);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long a = intval;
-    long b;
-    const PY_LONG_LONG lla = intval;
-    PY_LONG_LONG llb;
-    if (unlikely(__Pyx_PyLong_IsZero(op2))) {
-        return __Pyx_NewRef(op2);
-    }
-    const int is_positive = __Pyx_PyLong_IsPos(op2);
-    const digit* digits = __Pyx_PyLong_Digits(op2);
-    const Py_ssize_t size = __Pyx_PyLong_DigitCount(op2);
-    if (likely(size == 1)) {
-        b = (long) digits[0];
-        if (!is_positive) b *= -1;
-    } else {
-        switch (size) {
-            case 2:
-                if (8 * sizeof(long) - 1 > 2 * PyLong_SHIFT+30) {
-                    b = (long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) b *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT+30) {
-                    llb = (PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) llb *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 3:
-                if (8 * sizeof(long) - 1 > 3 * PyLong_SHIFT+30) {
-                    b = (long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) b *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT+30) {
-                    llb = (PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) llb *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 4:
-                if (8 * sizeof(long) - 1 > 4 * PyLong_SHIFT+30) {
-                    b = (long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) b *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT+30) {
-                    llb = (PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) llb *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-        }
-        return PyLong_Type.tp_as_number->nb_multiply(op1, op2);
-    }
-    calculate_long:
-        CYTHON_UNUSED_VAR(a);
-        CYTHON_UNUSED_VAR(b);
-        llb = b;
-        goto calculate_long_long;
-    calculate_long_long:
-        {
-            PY_LONG_LONG llx;
-            llx = lla * llb;
-            return PyLong_FromLongLong(llx);
-        }
-    
-}
-#endif
-static PyObject* __Pyx_Float___Pyx_PyLong_MultiplyCObj(PyObject *float_val, long intval, int zerodivision_check) {
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long a = intval;
-    double b = __Pyx_PyFloat_AS_DOUBLE(float_val);
-        double result;
-        
-        result = ((double)a) * (double)b;
-        return PyFloat_FromDouble(result);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyLong_MultiplyCObj(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op2))) {
-        return __Pyx_Unpacked___Pyx_PyLong_MultiplyCObj(op1, op2, intval, inplace, zerodivision_check);
-    }
-    #endif
-    if (PyFloat_CheckExact(op2)) {
-        return __Pyx_Float___Pyx_PyLong_MultiplyCObj(op2, intval, zerodivision_check);
-    }
-    return __Pyx_Fallback___Pyx_PyLong_MultiplyCObj(op1, op2, inplace);
-}
-#endif
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType (used by FetchCommonType) */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* HasAttr (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *o, PyObject *n) {
-    PyObject *r;
-    if (unlikely(!PyUnicode_Check(n))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "hasattr(): attribute name must be string");
-        return -1;
-    }
-    r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-    if (!r) {
-        return (unlikely(PyErr_Occurred())) ? -1 : 0;
-    } else {
-        Py_DECREF(r);
-        return 1;
-    }
-}
-#endif
-
-/* ImportImpl (used by Import) */
-static int __Pyx__Import_GetModule(PyObject *qualname, PyObject **module) {
-    PyObject *imported_module = PyImport_GetModule(qualname);
-    if (unlikely(!imported_module)) {
-        *module = NULL;
-        if (PyErr_Occurred()) {
-            return -1;
-        }
-        return 0;
-    }
-    *module = imported_module;
+    *(u64 *)out = v;
     return 1;
 }
-static int __Pyx__Import_Lookup(PyObject *qualname, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject **module) {
-    PyObject *imported_module;
-    PyObject *top_level_package_name;
-    Py_ssize_t i;
-    int status, module_found;
-    Py_ssize_t dot_index;
-    module_found = __Pyx__Import_GetModule(qualname, &imported_module);
-    if (unlikely(!module_found || module_found == -1)) {
-        *module = NULL;
-        return module_found;
-    }
-    if (imported_names) {
-        for (i = 0; i < len_imported_names; i++) {
-            PyObject *imported_name = imported_names[i];
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-            int has_imported_attribute = PyObject_HasAttr(imported_module, imported_name);
-#else
-            int has_imported_attribute = PyObject_HasAttrWithError(imported_module, imported_name);
-            if (unlikely(has_imported_attribute == -1)) goto error;
-#endif
-            if (!has_imported_attribute) {
-                goto not_found;
-            }
-        }
-        *module = imported_module;
-        return 1;
-    }
-    dot_index = PyUnicode_FindChar(qualname, '.', 0, PY_SSIZE_T_MAX, 1);
-    if (dot_index == -1) {
-        *module = imported_module;
-        return 1;
-    }
-    if (unlikely(dot_index == -2)) goto error;
-    top_level_package_name = PyUnicode_Substring(qualname, 0, dot_index);
-    if (unlikely(!top_level_package_name)) goto error;
-    Py_DECREF(imported_module);
-    status = __Pyx__Import_GetModule(top_level_package_name, module);
-    Py_DECREF(top_level_package_name);
-    return status;
-error:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return -1;
-not_found:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return 0;
-}
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level) {
-    PyObject *module = 0;
-    PyObject *empty_dict = 0;
-    PyObject *from_list = 0;
-    int module_found;
-    if (!qualname) {
-        qualname = name;
-    }
-    module_found = __Pyx__Import_Lookup(qualname, imported_names, len_imported_names, &module);
-    if (likely(module_found == 1)) {
-        return module;
-    } else if (unlikely(module_found == -1)) {
-        return NULL;
-    }
-    empty_dict = PyDict_New();
-    if (unlikely(!empty_dict))
-        goto bad;
-    if (imported_names) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        from_list = __Pyx_PyList_FromArray(imported_names, len_imported_names);
-        if (unlikely(!from_list))
-            goto bad;
-#else
-        from_list = PyList_New(len_imported_names);
-        if (unlikely(!from_list)) goto bad;
-        for (Py_ssize_t i=0; i<len_imported_names; ++i) {
-            if (PyList_SetItem(from_list, i, __Pyx_NewRef(imported_names[i])) < 0) goto bad;
-        }
-#endif
-    }
-    if (level == -1) {
-        const char* package_sep = strchr(__Pyx_MODULE_NAME, '.');
-        if (package_sep != (0)) {
-            module = PyImport_ImportModuleLevelObject(
-                name, moddict, empty_dict, from_list, 1);
-            if (unlikely(!module)) {
-                if (unlikely(!PyErr_ExceptionMatches(PyExc_ImportError)))
-                    goto bad;
-                PyErr_Clear();
-            }
-        }
-        level = 0;
-    }
-    if (!module) {
-        module = PyImport_ImportModuleLevelObject(
-            name, moddict, empty_dict, from_list, level);
-    }
-bad:
-    Py_XDECREF(from_list);
-    Py_XDECREF(empty_dict);
-    return module;
-}
 
-/* Import */
-static PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level) {
-    return __Pyx__Import(name, imported_names, len_imported_names, qualname, __pyx_mstate_global->__pyx_d, level);
-}
-
-/* AllocateExtensionType */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final) {
-    if (is_final || likely(!__Pyx_PyType_HasFeature(t, Py_TPFLAGS_IS_ABSTRACT))) {
-        allocfunc alloc_func = __Pyx_PyType_GetSlot(t, tp_alloc, allocfunc);
-        return alloc_func(t, 0);
-    } else {
-        newfunc tp_new = __Pyx_PyType_TryGetSlot(&PyBaseObject_Type, tp_new, newfunc);
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (!tp_new) {
-            PyObject *new_str = PyUnicode_FromString("__new__");
-            if (likely(new_str)) {
-                PyObject *o = PyObject_CallMethodObjArgs((PyObject *)&PyBaseObject_Type, new_str, t, NULL);
-                Py_DECREF(new_str);
-                return o;
-            } else
-                return NULL;
-        } else
-    #endif
-        return tp_new(t, __pyx_mstate_global->__pyx_empty_tuple, 0);
-    }
-}
-
-/* PyObjectCallNoArg (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func) {
-    PyObject *arg[2] = {NULL, NULL};
-    return __Pyx_PyObject_FastCall(func, arg + 1, 0 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetMethod (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method) {
-    PyObject *attr;
-#if CYTHON_UNPACK_METHODS && CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_PYTYPE_LOOKUP
-    __Pyx_TypeName type_name;
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyObject *descr;
-    descrgetfunc f = NULL;
-    PyObject **dictptr, *dict;
-    int meth_found = 0;
-    assert (*method == NULL);
-    if (unlikely(tp->tp_getattro != PyObject_GenericGetAttr)) {
-        attr = __Pyx_PyObject_GetAttrStr(obj, name);
-        goto try_unpack;
-    }
-    if (unlikely(tp->tp_dict == NULL) && unlikely(PyType_Ready(tp) < 0)) {
-        return 0;
-    }
-    descr = _PyType_Lookup(tp, name);
-    if (likely(descr != NULL)) {
-        Py_INCREF(descr);
-#if defined(Py_TPFLAGS_METHOD_DESCRIPTOR) && Py_TPFLAGS_METHOD_DESCRIPTOR
-        if (__Pyx_PyType_HasFeature(Py_TYPE(descr), Py_TPFLAGS_METHOD_DESCRIPTOR))
-#else
-        #ifdef __Pyx_CyFunction_USED
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type) || __Pyx_CyFunction_Check(descr)))
-        #else
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type)))
-        #endif
-#endif
-        {
-            meth_found = 1;
-        } else {
-            f = Py_TYPE(descr)->tp_descr_get;
-            if (f != NULL && PyDescr_IsData(descr)) {
-                attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-                Py_DECREF(descr);
-                goto try_unpack;
-            }
-        }
-    }
-    dictptr = _PyObject_GetDictPtr(obj);
-    if (dictptr != NULL && (dict = *dictptr) != NULL) {
-        Py_INCREF(dict);
-        attr = __Pyx_PyDict_GetItemStr(dict, name);
-        if (attr != NULL) {
-            Py_INCREF(attr);
-            Py_DECREF(dict);
-            Py_XDECREF(descr);
-            goto try_unpack;
-        }
-        Py_DECREF(dict);
-    }
-    if (meth_found) {
-        *method = descr;
-        return 1;
-    }
-    if (f != NULL) {
-        attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-        Py_DECREF(descr);
-        goto try_unpack;
-    }
-    if (likely(descr != NULL)) {
-        *method = descr;
-        return 0;
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(tp);
-    PyErr_Format(PyExc_AttributeError,
-                 "'" __Pyx_FMT_TYPENAME "' object has no attribute '%U'",
-                 type_name, name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-#else
-    attr = __Pyx_PyObject_GetAttrStr(obj, name);
-    goto try_unpack;
-#endif
-try_unpack:
-#if CYTHON_UNPACK_METHODS
-    if (likely(attr) && PyMethod_Check(attr) && likely(PyMethod_GET_SELF(attr) == obj)) {
-        PyObject *function = PyMethod_GET_FUNCTION(attr);
-        Py_INCREF(function);
-        Py_DECREF(attr);
-        *method = function;
-        return 1;
-    }
-#endif
-    *method = attr;
-    return 0;
-}
-#endif
-
-/* PyObjectCallMethod0 (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[1] = {obj};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_CallNoArg;
-    return PyObject_VectorcallMethod(method_name, args, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result = NULL;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_CallOneArg(method, obj);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) goto bad;
-    result = __Pyx_PyObject_CallNoArg(method);
-    Py_DECREF(method);
-bad:
-    return result;
-#endif
-}
-
-/* ValidateBasesTuple (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases) {
-    Py_ssize_t i, n;
-#if CYTHON_ASSUME_SAFE_SIZE
-    n = PyTuple_GET_SIZE(bases);
-#else
-    n = PyTuple_Size(bases);
-    if (unlikely(n < 0)) return -1;
-#endif
-    for (i = 1; i < n; i++)
-    {
-        PyTypeObject *b;
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *b0 = PySequence_GetItem(bases, i);
-        if (!b0) return -1;
-#elif CYTHON_ASSUME_SAFE_MACROS
-        PyObject *b0 = PyTuple_GET_ITEM(bases, i);
-#else
-        PyObject *b0 = PyTuple_GetItem(bases, i);
-        if (!b0) return -1;
-#endif
-        b = (PyTypeObject*) b0;
-        if (!__Pyx_PyType_HasFeature(b, Py_TPFLAGS_HEAPTYPE))
-        {
-            __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-            PyErr_Format(PyExc_TypeError,
-                "base class '" __Pyx_FMT_TYPENAME "' is not a heap type", b_name);
-            __Pyx_DECREF_TypeName(b_name);
-#if CYTHON_AVOID_BORROWED_REFS
-            Py_DECREF(b0);
-#endif
-            return -1;
-        }
-        if (dictoffset == 0)
-        {
-            Py_ssize_t b_dictoffset = 0;
-#if CYTHON_USE_TYPE_SLOTS
-            b_dictoffset = b->tp_dictoffset;
-#else
-            PyObject *py_b_dictoffset = PyObject_GetAttrString((PyObject*)b, "__dictoffset__");
-            if (!py_b_dictoffset) goto dictoffset_return;
-            b_dictoffset = PyLong_AsSsize_t(py_b_dictoffset);
-            Py_DECREF(py_b_dictoffset);
-            if (b_dictoffset == -1 && PyErr_Occurred()) goto dictoffset_return;
-#endif
-            if (b_dictoffset) {
-                {
-                    __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-                    PyErr_Format(PyExc_TypeError,
-                        "extension type '%.200s' has no __dict__ slot, "
-                        "but base type '" __Pyx_FMT_TYPENAME "' has: "
-                        "either add 'cdef dict __dict__' to the extension type "
-                        "or add '__slots__ = [...]' to the base type",
-                        type_name, b_name);
-                    __Pyx_DECREF_TypeName(b_name);
-                }
-#if !CYTHON_USE_TYPE_SLOTS
-              dictoffset_return:
-#endif
-#if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(b0);
-#endif
-                return -1;
-            }
-        }
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(b0);
-#endif
-    }
-    return 0;
-}
-#endif
-
-/* PyType_Ready */
-CYTHON_UNUSED static int __Pyx_PyType_HasMultipleInheritance(PyTypeObject *t) {
-    while (t) {
-        PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-        if (bases) {
-            return 1;
-        }
-        t = __Pyx_PyType_GetSlot(t, tp_base, PyTypeObject*);
-    }
-    return 0;
-}
-static int __Pyx_PyType_Ready(PyTypeObject *t) {
-#if CYTHON_USE_TYPE_SPECS || !CYTHON_COMPILING_IN_CPYTHON || defined(PYSTON_MAJOR_VERSION)
-    (void)__Pyx_PyObject_CallMethod0;
-#if CYTHON_USE_TYPE_SPECS
-    (void)__Pyx_validate_bases_tuple;
-#endif
-    return PyType_Ready(t);
-#else
-    int r;
-    if (!__Pyx_PyType_HasMultipleInheritance(t)) {
-        return PyType_Ready(t);
-    }
-    PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-    if (bases && unlikely(__Pyx_validate_bases_tuple(t->tp_name, t->tp_dictoffset, bases) == -1))
-        return -1;
-#if !defined(PYSTON_MAJOR_VERSION)
-    {
-        int gc_was_enabled;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        gc_was_enabled = PyGC_Disable();
-        (void)__Pyx_PyObject_CallMethod0;
-    #else
-        PyObject *ret, *py_status;
-        PyObject *gc = NULL;
-        #if (!CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM+0 >= 0x07030400) &&\
-                !CYTHON_COMPILING_IN_GRAAL
-        gc = PyImport_GetModule(__pyx_mstate_global->__pyx_kp_u_gc);
-        #endif
-        if (unlikely(!gc)) gc = PyImport_Import(__pyx_mstate_global->__pyx_kp_u_gc);
-        if (unlikely(!gc)) return -1;
-        py_status = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_isenabled);
-        if (unlikely(!py_status)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-        gc_was_enabled = __Pyx_PyObject_IsTrue(py_status);
-        Py_DECREF(py_status);
-        if (gc_was_enabled > 0) {
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_disable);
-            if (unlikely(!ret)) {
-                Py_DECREF(gc);
-                return -1;
-            }
-            Py_DECREF(ret);
-        } else if (unlikely(gc_was_enabled == -1)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-    #endif
-        t->tp_flags |= Py_TPFLAGS_HEAPTYPE;
-#if PY_VERSION_HEX >= 0x030A0000
-        t->tp_flags |= Py_TPFLAGS_IMMUTABLETYPE;
-#endif
-#else
-        (void)__Pyx_PyObject_CallMethod0;
-#endif
-    r = PyType_Ready(t);
-#if !defined(PYSTON_MAJOR_VERSION)
-        t->tp_flags &= ~Py_TPFLAGS_HEAPTYPE;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        if (gc_was_enabled)
-            PyGC_Enable();
-    #else
-        if (gc_was_enabled) {
-            PyObject *tp, *v, *tb;
-            PyErr_Fetch(&tp, &v, &tb);
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_enable);
-            if (likely(ret || r == -1)) {
-                Py_XDECREF(ret);
-                PyErr_Restore(tp, v, tb);
-            } else {
-                Py_XDECREF(tp);
-                Py_XDECREF(v);
-                Py_XDECREF(tb);
-                r = -1;
-            }
-        }
-        Py_DECREF(gc);
-    #endif
-    }
-#endif
-    return r;
-#endif
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
+/* Parse the arguments shared by both calls: k (32 bytes), tag (0..255) and
+ * the affine point gy as two ints below 2^256. */
+static int parse_key(const u8 *k, Py_ssize_t klen, int tag, PyObject *gx, PyObject *gy,
+                     u8 *kbuf, u64 *gyx, u64 *gyy)
 {
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE u32 __Pyx_PyLong_As_u32(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const u32 neg_one = (u32) -1, const_zero = (u32) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        u32 val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (u32) -1;
-        val = __Pyx_PyLong_As_u32(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(u32, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(u32) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u32, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u32) >= 2 * PyLong_SHIFT)) {
-                            return (u32) (((((u32)digits[1]) << PyLong_SHIFT) | (u32)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(u32) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u32, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u32) >= 3 * PyLong_SHIFT)) {
-                            return (u32) (((((((u32)digits[2]) << PyLong_SHIFT) | (u32)digits[1]) << PyLong_SHIFT) | (u32)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(u32) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u32, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u32) >= 4 * PyLong_SHIFT)) {
-                            return (u32) (((((((((u32)digits[3]) << PyLong_SHIFT) | (u32)digits[2]) << PyLong_SHIFT) | (u32)digits[1]) << PyLong_SHIFT) | (u32)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (u32) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(u32) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(u32, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(u32) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(u32, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(u32, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(u32) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u32, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u32) - 1 > 2 * PyLong_SHIFT)) {
-                            return (u32) (((u32)-1)*(((((u32)digits[1]) << PyLong_SHIFT) | (u32)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(u32) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u32, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u32) - 1 > 2 * PyLong_SHIFT)) {
-                            return (u32) ((((((u32)digits[1]) << PyLong_SHIFT) | (u32)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(u32) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u32, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u32) - 1 > 3 * PyLong_SHIFT)) {
-                            return (u32) (((u32)-1)*(((((((u32)digits[2]) << PyLong_SHIFT) | (u32)digits[1]) << PyLong_SHIFT) | (u32)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(u32) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u32, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u32) - 1 > 3 * PyLong_SHIFT)) {
-                            return (u32) ((((((((u32)digits[2]) << PyLong_SHIFT) | (u32)digits[1]) << PyLong_SHIFT) | (u32)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(u32) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u32, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u32) - 1 > 4 * PyLong_SHIFT)) {
-                            return (u32) (((u32)-1)*(((((((((u32)digits[3]) << PyLong_SHIFT) | (u32)digits[2]) << PyLong_SHIFT) | (u32)digits[1]) << PyLong_SHIFT) | (u32)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(u32) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u32, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u32) - 1 > 4 * PyLong_SHIFT)) {
-                            return (u32) ((((((((((u32)digits[3]) << PyLong_SHIFT) | (u32)digits[2]) << PyLong_SHIFT) | (u32)digits[1]) << PyLong_SHIFT) | (u32)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(u32) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(u32, long, PyLong_AsLong(x))
-        } else if ((sizeof(u32) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(u32, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        u32 val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (u32) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (u32) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (u32) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (u32) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(u32) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((u32) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(u32) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((u32) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((u32) 1) << (sizeof(u32) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (u32) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to u32");
-    return (u32) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to u32");
-    return (u32) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE u64 __Pyx_PyLong_As_u64(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const u64 neg_one = (u64) -1, const_zero = (u64) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        u64 val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (u64) -1;
-        val = __Pyx_PyLong_As_u64(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(u64, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(u64) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u64, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u64) >= 2 * PyLong_SHIFT)) {
-                            return (u64) (((((u64)digits[1]) << PyLong_SHIFT) | (u64)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(u64) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u64, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u64) >= 3 * PyLong_SHIFT)) {
-                            return (u64) (((((((u64)digits[2]) << PyLong_SHIFT) | (u64)digits[1]) << PyLong_SHIFT) | (u64)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(u64) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u64, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u64) >= 4 * PyLong_SHIFT)) {
-                            return (u64) (((((((((u64)digits[3]) << PyLong_SHIFT) | (u64)digits[2]) << PyLong_SHIFT) | (u64)digits[1]) << PyLong_SHIFT) | (u64)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (u64) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(u64) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(u64, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(u64) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(u64, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(u64, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(u64) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u64, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u64) - 1 > 2 * PyLong_SHIFT)) {
-                            return (u64) (((u64)-1)*(((((u64)digits[1]) << PyLong_SHIFT) | (u64)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(u64) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u64, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u64) - 1 > 2 * PyLong_SHIFT)) {
-                            return (u64) ((((((u64)digits[1]) << PyLong_SHIFT) | (u64)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(u64) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u64, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u64) - 1 > 3 * PyLong_SHIFT)) {
-                            return (u64) (((u64)-1)*(((((((u64)digits[2]) << PyLong_SHIFT) | (u64)digits[1]) << PyLong_SHIFT) | (u64)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(u64) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u64, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u64) - 1 > 3 * PyLong_SHIFT)) {
-                            return (u64) ((((((((u64)digits[2]) << PyLong_SHIFT) | (u64)digits[1]) << PyLong_SHIFT) | (u64)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(u64) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u64, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u64) - 1 > 4 * PyLong_SHIFT)) {
-                            return (u64) (((u64)-1)*(((((((((u64)digits[3]) << PyLong_SHIFT) | (u64)digits[2]) << PyLong_SHIFT) | (u64)digits[1]) << PyLong_SHIFT) | (u64)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(u64) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(u64, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(u64) - 1 > 4 * PyLong_SHIFT)) {
-                            return (u64) ((((((((((u64)digits[3]) << PyLong_SHIFT) | (u64)digits[2]) << PyLong_SHIFT) | (u64)digits[1]) << PyLong_SHIFT) | (u64)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(u64) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(u64, long, PyLong_AsLong(x))
-        } else if ((sizeof(u64) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(u64, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        u64 val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (u64) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (u64) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (u64) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (u64) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(u64) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((u64) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(u64) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((u64) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((u64) 1) << (sizeof(u64) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (u64) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to u64");
-    return (u64) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to u64");
-    return (u64) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_u8(u8 value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const u8 neg_one = (u8) -1, const_zero = (u8) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(u8) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(u8) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(u8) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(u8) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(u8) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(u8),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(u8));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_u64(u64 value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const u64 neg_one = (u64) -1, const_zero = (u64) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(u64) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(u64) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(u64) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(u64) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(u64) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(u64),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(u64));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
-    }
-    goto done;
-}
-#endif
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
+    PyObject *coords[2] = {gx, gy};
+    u64 *limbs[2] = {gyx, gyy};
+    int i;
+    if (klen != 32) {
+        PyErr_SetString(PyExc_ValueError, "k must be 32 bytes");
         return 0;
     }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
+    if (tag < 0 || tag > 255) {
+        PyErr_SetString(PyExc_ValueError, "tag must be in [0, 256)");
         return 0;
     }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* GetTopmostException (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem *
-__Pyx_PyErr_GetTopmostException(PyThreadState *tstate)
-{
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    while ((exc_info->exc_value == NULL || exc_info->exc_value == Py_None) &&
-           exc_info->previous_item != NULL)
-    {
-        exc_info = exc_info->previous_item;
-    }
-    return exc_info;
-}
-#endif
-
-/* SaveResetException (used by CoroutineBase) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    PyObject *exc_value = exc_info->exc_value;
-    if (exc_value == NULL || exc_value == Py_None) {
-        *value = NULL;
-        *type = NULL;
-        *tb = NULL;
-    } else {
-        *value = exc_value;
-        Py_INCREF(*value);
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        *tb = PyException_GetTraceback(exc_value);
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    *type = exc_info->exc_type;
-    *value = exc_info->exc_value;
-    *tb = exc_info->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #else
-    *type = tstate->exc_type;
-    *value = tstate->exc_value;
-    *tb = tstate->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #endif
-}
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    PyObject *tmp_value = exc_info->exc_value;
-    exc_info->exc_value = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-  #else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    #if CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = type;
-    exc_info->exc_value = value;
-    exc_info->exc_traceback = tb;
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = type;
-    tstate->exc_value = value;
-    tstate->exc_traceback = tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-  #endif
-}
-#endif
-
-/* SwapException (used by CoroutineBase) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_value = exc_info->exc_value;
-    exc_info->exc_value = *value;
-    if (tmp_value == NULL || tmp_value == Py_None) {
-        Py_XDECREF(tmp_value);
-        tmp_value = NULL;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-    } else {
-        tmp_type = (PyObject*) Py_TYPE(tmp_value);
-        Py_INCREF(tmp_type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        tmp_tb = ((PyBaseExceptionObject*) tmp_value)->traceback;
-        Py_XINCREF(tmp_tb);
-        #else
-        tmp_tb = PyException_GetTraceback(tmp_value);
-        #endif
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = *type;
-    exc_info->exc_value = *value;
-    exc_info->exc_traceback = *tb;
-  #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = *type;
-    tstate->exc_value = *value;
-    tstate->exc_traceback = *tb;
-  #endif
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    PyErr_GetExcInfo(&tmp_type, &tmp_value, &tmp_tb);
-    PyErr_SetExcInfo(*type, *value, *tb);
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#endif
-
-/* IterNextPlain (used by CoroutineBase) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *__Pyx_GetBuiltinNext_LimitedAPI(void) {
-    if (unlikely(!__pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache))
-        __pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache = __Pyx_GetBuiltinName(__pyx_mstate_global->__pyx_n_u_next);
-    return __pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache;
-}
-#endif
-static CYTHON_INLINE PyObject *__Pyx_PyIter_Next_Plain(PyObject *iterator) {
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    PyObject *result;
-    PyObject *next = __Pyx_GetBuiltinNext_LimitedAPI();
-    if (unlikely(!next)) return NULL;
-    result = PyObject_CallFunctionObjArgs(next, iterator, NULL);
-    return result;
-#else
-    (void)__Pyx_GetBuiltinName; // only for early limited API
-    iternextfunc iternext = __Pyx_PyObject_GetIterNextFunc(iterator);
-    assert(iternext);
-    return iternext(iterator);
-#endif
-}
-
-/* PyObjectCall2Args (used by PyObjectCallMethod1) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2) {
-    PyObject *args[3] = {NULL, arg1, arg2};
-    return __Pyx_PyObject_FastCall(function, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectCallMethod1 (used by CoroutineBase) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static PyObject* __Pyx__PyObject_CallMethod1(PyObject* method, PyObject* arg) {
-    PyObject *result = __Pyx_PyObject_CallOneArg(method, arg);
-    Py_DECREF(method);
-    return result;
-}
-#endif
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[2] = {obj, arg};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_Call2Args;
-    return PyObject_VectorcallMethod(method_name, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_Call2Args(method, obj, arg);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) return NULL;
-    return __Pyx__PyObject_CallMethod1(method, arg);
-#endif
-}
-
-/* ReturnWithStopIteration (used by CoroutineBase) */
-static void __Pyx__ReturnWithStopIteration(PyObject* value, int async);
-static CYTHON_INLINE void __Pyx_ReturnWithStopIteration(PyObject* value, int async, int iternext) {
-    if (value == Py_None) {
-        if (async || !iternext)
-            PyErr_SetNone(async ? PyExc_StopAsyncIteration : PyExc_StopIteration);
-        return;
-    }
-    __Pyx__ReturnWithStopIteration(value, async);
-}
-static void __Pyx__ReturnWithStopIteration(PyObject* value, int async) {
-#if CYTHON_COMPILING_IN_CPYTHON
-    __Pyx_PyThreadState_declare
-#endif
-    PyObject *exc;
-    PyObject *exc_type = async ? PyExc_StopAsyncIteration : PyExc_StopIteration;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if ((PY_VERSION_HEX >= (0x030C00A6)) || unlikely(PyTuple_Check(value) || PyExceptionInstance_Check(value))) {
-        if (PY_VERSION_HEX >= (0x030e00A1)) {
-            exc = __Pyx_PyObject_CallOneArg(exc_type, value);
-        } else {
-            PyObject *args_tuple = PyTuple_New(1);
-            if (unlikely(!args_tuple)) return;
-            Py_INCREF(value);
-            PyTuple_SET_ITEM(args_tuple, 0, value);
-            exc = PyObject_Call(exc_type, args_tuple, NULL);
-            Py_DECREF(args_tuple);
-        }
-        if (unlikely(!exc)) return;
-    } else {
-        Py_INCREF(value);
-        exc = value;
-    }
-    #if CYTHON_FAST_THREAD_STATE
-    __Pyx_PyThreadState_assign
-    #if CYTHON_USE_EXC_INFO_STACK
-    if (!__pyx_tstate->exc_info->exc_value)
-    #else
-    if (!__pyx_tstate->exc_type)
-    #endif
-    {
-        Py_INCREF(exc_type);
-        __Pyx_ErrRestore(exc_type, exc, NULL);
-        return;
-    }
-    #endif
-#else
-    exc = __Pyx_PyObject_CallOneArg(exc_type, value);
-    if (unlikely(!exc)) return;
-#endif
-    PyErr_SetObject(exc_type, exc);
-    Py_DECREF(exc);
-}
-
-/* CoroutineBase (used by Generator) */
-#if !CYTHON_COMPILING_IN_LIMITED_API
-#include <frameobject.h>
-#if PY_VERSION_HEX >= 0x030b00a6 && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#endif // CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE void
-__Pyx_Coroutine_Undelegate(__pyx_CoroutineObject *gen) {
-#if CYTHON_USE_AM_SEND
-    gen->yieldfrom_am_send = NULL;
-#endif
-    Py_CLEAR(gen->yieldfrom);
-}
-static int __Pyx_PyGen__FetchStopIterationValue(PyThreadState *__pyx_tstate, PyObject **pvalue) {
-    PyObject *et, *ev, *tb;
-    PyObject *value = NULL;
-    CYTHON_UNUSED_VAR(__pyx_tstate);
-    __Pyx_ErrFetch(&et, &ev, &tb);
-    if (!et) {
-        Py_XDECREF(tb);
-        Py_XDECREF(ev);
-        Py_INCREF(Py_None);
-        *pvalue = Py_None;
-        return 0;
-    }
-    if (likely(et == PyExc_StopIteration)) {
-        if (!ev) {
-            Py_INCREF(Py_None);
-            value = Py_None;
-        }
-        else if (likely(__Pyx_IS_TYPE(ev, (PyTypeObject*)PyExc_StopIteration))) {
-            #if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-            value = PyObject_GetAttr(ev, __pyx_mstate_global->__pyx_n_u_value);
-            if (unlikely(!value)) goto limited_api_failure;
-            #else
-            value = ((PyStopIterationObject *)ev)->value;
-            Py_INCREF(value);
-            #endif
-            Py_DECREF(ev);
-        }
-        else if (unlikely(PyTuple_Check(ev))) {
-            Py_ssize_t tuple_size = __Pyx_PyTuple_GET_SIZE(ev);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely(tuple_size < 0)) {
-                Py_XDECREF(tb);
-                Py_DECREF(ev);
-                Py_DECREF(et);
-                return -1;
-            }
-            #endif
-            if (tuple_size >= 1) {
-#if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                value = PyTuple_GET_ITEM(ev, 0);
-                Py_INCREF(value);
-#elif CYTHON_ASSUME_SAFE_MACROS
-                value = PySequence_ITEM(ev, 0);
-#else
-                value = PySequence_GetItem(ev, 0);
-                if (!value) goto limited_api_failure;
-#endif
-            } else {
-                Py_INCREF(Py_None);
-                value = Py_None;
-            }
-            Py_DECREF(ev);
-        }
-        else if (!__Pyx_TypeCheck(ev, (PyTypeObject*)PyExc_StopIteration)) {
-            value = ev;
-        }
-        if (likely(value)) {
-            Py_XDECREF(tb);
-            Py_DECREF(et);
-            *pvalue = value;
+    memcpy(kbuf, k, 32);
+    for (i = 0; i < 2; i++) {
+        PyObject *raw = PyObject_CallMethod(coords[i], "to_bytes", "is", 32, "big");
+        if (raw == NULL)
+            return 0;
+        if (!PyBytes_Check(raw) || PyBytes_GET_SIZE(raw) != 32) {
+            Py_DECREF(raw);
+            PyErr_SetString(PyExc_TypeError, "gy coordinates must be ints");
             return 0;
         }
-    } else if (!__Pyx_PyErr_GivenExceptionMatches(et, PyExc_StopIteration)) {
-        __Pyx_ErrRestore(et, ev, tb);
-        return -1;
+        be32_to_limbs((const u8 *)PyBytes_AS_STRING(raw), limbs[i]);
+        Py_DECREF(raw);
     }
-    PyErr_NormalizeException(&et, &ev, &tb);
-    if (unlikely(!PyObject_TypeCheck(ev, (PyTypeObject*)PyExc_StopIteration))) {
-        __Pyx_ErrRestore(et, ev, tb);
-        return -1;
-    }
-    Py_XDECREF(tb);
-    Py_DECREF(et);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_GetAttr(ev, __pyx_mstate_global->__pyx_n_u_value);
-#else
-    value = ((PyStopIterationObject *)ev)->value;
-    Py_INCREF(value);
-#endif
-    Py_DECREF(ev);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!value)) return -1;
-#endif
-    *pvalue = value;
-    return 0;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL || !CYTHON_ASSUME_SAFE_MACROS
-  limited_api_failure:
-    Py_XDECREF(et);
-    Py_XDECREF(tb);
-    Py_XDECREF(ev);
-    return -1;
-#endif
+    return 1;
 }
-static CYTHON_INLINE
-__Pyx_PySendResult __Pyx_Coroutine_status_from_result(PyObject **retval) {
-    if (*retval) {
-        return PYGEN_NEXT;
-    } else if (likely(__Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, retval) == 0)) {
-        return PYGEN_RETURN;
-    } else {
-        return PYGEN_ERROR;
-    }
-}
-static CYTHON_INLINE
-void __Pyx_Coroutine_ExceptionClear(__Pyx_ExcInfoStruct *exc_state) {
-#if PY_VERSION_HEX >= 0x030B00a4
-    Py_CLEAR(exc_state->exc_value);
-#else
-    PyObject *t, *v, *tb;
-    t = exc_state->exc_type;
-    v = exc_state->exc_value;
-    tb = exc_state->exc_traceback;
-    exc_state->exc_type = NULL;
-    exc_state->exc_value = NULL;
-    exc_state->exc_traceback = NULL;
-    Py_XDECREF(t);
-    Py_XDECREF(v);
-    Py_XDECREF(tb);
-#endif
-}
-#define __Pyx_Coroutine_AlreadyRunningError(gen)  (__Pyx__Coroutine_AlreadyRunningError(gen), (PyObject*)NULL)
-static void __Pyx__Coroutine_AlreadyRunningError(__pyx_CoroutineObject *gen) {
-    const char *msg;
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    if ((0)) {
-    #ifdef __Pyx_Coroutine_USED
-    } else if (__Pyx_Coroutine_Check((PyObject*)gen)) {
-        msg = "coroutine already executing";
-    #endif
-    #ifdef __Pyx_AsyncGen_USED
-    } else if (__Pyx_AsyncGen_CheckExact((PyObject*)gen)) {
-        msg = "async generator already executing";
-    #endif
-    } else {
-        msg = "generator already executing";
-    }
-    PyErr_SetString(PyExc_ValueError, msg);
-}
-static void __Pyx_Coroutine_AlreadyTerminatedError(PyObject *gen, PyObject *value, int closing) {
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    CYTHON_MAYBE_UNUSED_VAR(closing);
-    #ifdef __Pyx_Coroutine_USED
-    if (!closing && __Pyx_Coroutine_Check(gen)) {
-        PyErr_SetString(PyExc_RuntimeError, "cannot reuse already awaited coroutine");
-    } else
-    #endif
-    if (value) {
-        #ifdef __Pyx_AsyncGen_USED
-        if (__Pyx_AsyncGen_CheckExact(gen))
-            PyErr_SetNone(PyExc_StopAsyncIteration);
-        else
-        #endif
-        PyErr_SetNone(PyExc_StopIteration);
-    }
-}
-static
-__Pyx_PySendResult __Pyx_Coroutine_SendEx(__pyx_CoroutineObject *self, PyObject *value, PyObject **result, int closing) {
-    __Pyx_PyThreadState_declare
-    PyThreadState *tstate;
-    __Pyx_ExcInfoStruct *exc_state;
-    PyObject *retval;
-    assert(__Pyx_Coroutine_get_is_running(self));  // Callers should ensure is_running
-    if (unlikely(self->resume_label == -1)) {
-        __Pyx_Coroutine_AlreadyTerminatedError((PyObject*)self, value, closing);
-        return PYGEN_ERROR;
-    }
-#if CYTHON_FAST_THREAD_STATE
-    __Pyx_PyThreadState_assign
-    tstate = __pyx_tstate;
-#else
-    tstate = __Pyx_PyThreadState_Current;
-#endif
-    exc_state = &self->gi_exc_state;
-    if (exc_state->exc_value) {
-        #if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        #else
-        PyObject *exc_tb;
-        #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_CPYTHON
-        exc_tb = PyException_GetTraceback(exc_state->exc_value);
-        #elif PY_VERSION_HEX >= 0x030B00a4
-        exc_tb = ((PyBaseExceptionObject*) exc_state->exc_value)->traceback;
-        #else
-        exc_tb = exc_state->exc_traceback;
-        #endif
-        if (exc_tb) {
-            PyTracebackObject *tb = (PyTracebackObject *) exc_tb;
-            PyFrameObject *f = tb->tb_frame;
-            assert(f->f_back == NULL);
-            #if PY_VERSION_HEX >= 0x030B00A1
-            f->f_back = PyThreadState_GetFrame(tstate);
-            #else
-            Py_XINCREF(tstate->frame);
-            f->f_back = tstate->frame;
-            #endif
-            #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_CPYTHON
-            Py_DECREF(exc_tb);
-            #endif
-        }
-        #endif
-    }
-#if CYTHON_USE_EXC_INFO_STACK
-    exc_state->previous_item = tstate->exc_info;
-    tstate->exc_info = exc_state;
-#else
-    if (exc_state->exc_type) {
-        __Pyx_ExceptionSwap(&exc_state->exc_type, &exc_state->exc_value, &exc_state->exc_traceback);
-    } else {
-        __Pyx_Coroutine_ExceptionClear(exc_state);
-        __Pyx_ExceptionSave(&exc_state->exc_type, &exc_state->exc_value, &exc_state->exc_traceback);
-    }
-#endif
-    retval = self->body(self, tstate, value);
-#if CYTHON_USE_EXC_INFO_STACK
-    exc_state = &self->gi_exc_state;
-    tstate->exc_info = exc_state->previous_item;
-    exc_state->previous_item = NULL;
-    __Pyx_Coroutine_ResetFrameBackpointer(exc_state);
-#endif
-    *result = retval;
-    if (self->resume_label == -1) {
-        return likely(retval) ? PYGEN_RETURN : PYGEN_ERROR;
-    }
-    return PYGEN_NEXT;
-}
-static CYTHON_INLINE void __Pyx_Coroutine_ResetFrameBackpointer(__Pyx_ExcInfoStruct *exc_state) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED_VAR(exc_state);
-#else
-    PyObject *exc_tb;
-    #if PY_VERSION_HEX >= 0x030B00a4
-    if (!exc_state->exc_value) return;
-    exc_tb = PyException_GetTraceback(exc_state->exc_value);
-    #else
-    exc_tb = exc_state->exc_traceback;
-    #endif
-    if (likely(exc_tb)) {
-        PyTracebackObject *tb = (PyTracebackObject *) exc_tb;
-        PyFrameObject *f = tb->tb_frame;
-        Py_CLEAR(f->f_back);
-        #if PY_VERSION_HEX >= 0x030B00a4
-        Py_DECREF(exc_tb);
-        #endif
-    }
-#endif
-}
-#define __Pyx_Coroutine_MethodReturnFromResult(gen, result, retval, iternext)\
-    ((result) == PYGEN_NEXT ? (retval) : __Pyx__Coroutine_MethodReturnFromResult(gen, result, retval, iternext))
-static PyObject *
-__Pyx__Coroutine_MethodReturnFromResult(PyObject* gen, __Pyx_PySendResult result, PyObject *retval, int iternext) {
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    if (likely(result == PYGEN_RETURN)) {
-        int is_async = 0;
-        #ifdef __Pyx_AsyncGen_USED
-        is_async = __Pyx_AsyncGen_CheckExact(gen);
-        #endif
-        __Pyx_ReturnWithStopIteration(retval, is_async, iternext);
-        Py_XDECREF(retval);
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE
-PyObject *__Pyx_PyGen_Send(PyGenObject *gen, PyObject *arg) {
-#if PY_VERSION_HEX <= 0x030A00A1
-    return _PyGen_Send(gen, arg);
-#else
-    PyObject *result;
-    if (PyIter_Send((PyObject*)gen, arg ? arg : Py_None, &result) == PYGEN_RETURN) {
-        if (PyAsyncGen_CheckExact(gen)) {
-            assert(result == Py_None);
-            PyErr_SetNone(PyExc_StopAsyncIteration);
-        }
-        else if (result == Py_None) {
-            PyErr_SetNone(PyExc_StopIteration);
-        }
-        else {
-#if PY_VERSION_HEX < 0x030d00A1
-            _PyGen_SetStopIterationValue(result);
-#else
-            if (!PyTuple_Check(result) && !PyExceptionInstance_Check(result)) {
-                PyErr_SetObject(PyExc_StopIteration, result);
-            } else {
-                PyObject *exc = __Pyx_PyObject_CallOneArg(PyExc_StopIteration, result);
-                if (likely(exc != NULL)) {
-                    PyErr_SetObject(PyExc_StopIteration, exc);
-                    Py_DECREF(exc);
-                }
-            }
-#endif
-        }
-        Py_DECREF(result);
-        result = NULL;
-    }
-    return result;
-#endif
-}
-#endif
-static CYTHON_INLINE __Pyx_PySendResult
-__Pyx_Coroutine_FinishDelegation(__pyx_CoroutineObject *gen, PyObject** retval) {
-    __Pyx_PySendResult result;
-    PyObject *val = NULL;
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    __Pyx_Coroutine_Undelegate(gen);
-    __Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, &val);
-    result = __Pyx_Coroutine_SendEx(gen, val, retval, 0);
-    Py_XDECREF(val);
-    return result;
-}
-#if CYTHON_USE_AM_SEND
-static __Pyx_PySendResult
-__Pyx_Coroutine_SendToDelegate(__pyx_CoroutineObject *gen, __Pyx_pyiter_sendfunc gen_am_send, PyObject *value, PyObject **retval) {
-    PyObject *ret = NULL;
-    __Pyx_PySendResult delegate_result, result;
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    delegate_result = gen_am_send(gen->yieldfrom, value, &ret);
-    if (delegate_result == PYGEN_NEXT) {
-        assert (ret != NULL);
-        *retval = ret;
-        return PYGEN_NEXT;
-    }
-    assert (delegate_result != PYGEN_ERROR || ret == NULL);
-    __Pyx_Coroutine_Undelegate(gen);
-    result = __Pyx_Coroutine_SendEx(gen, ret, retval, 0);
-    Py_XDECREF(ret);
-    return result;
-}
-#endif
-static PyObject *__Pyx_Coroutine_Send(PyObject *self, PyObject *value) {
-    PyObject *retval = NULL;
-    __Pyx_PySendResult result = __Pyx_Coroutine_AmSend(self, value, &retval);
-    return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 0);
-}
-static __Pyx_PySendResult
-__Pyx_Coroutine_AmSend(PyObject *self, PyObject *value, PyObject **retval) {
-    __Pyx_PySendResult result;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        *retval = __Pyx_Coroutine_AlreadyRunningError(gen);
-        return PYGEN_ERROR;
-    }
-    #if CYTHON_USE_AM_SEND
-    if (gen->yieldfrom_am_send) {
-        result = __Pyx_Coroutine_SendToDelegate(gen, gen->yieldfrom_am_send, value, retval);
-    } else
-    #endif
-    if (gen->yieldfrom) {
-        PyObject *yf = gen->yieldfrom;
-        PyObject *ret;
-      #if !CYTHON_USE_AM_SEND
-        #ifdef __Pyx_Generator_USED
-        if (__Pyx_Generator_CheckExact(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, value);
-        } else
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-        if (__Pyx_Coroutine_Check(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, value);
-        } else
-        #endif
-        #ifdef __Pyx_AsyncGen_USED
-        if (__pyx_PyAsyncGenASend_CheckExact(yf)) {
-            ret = __Pyx_async_gen_asend_send(yf, value);
-        } else
-        #endif
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (PyGen_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, value == Py_None ? NULL : value);
-        } else
-        if (PyCoro_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, value == Py_None ? NULL : value);
-        } else
-        #endif
-      #endif
-        {
-            #if !CYTHON_COMPILING_IN_LIMITED_API || __PYX_LIMITED_VERSION_HEX >= 0x03080000
-            if (value == Py_None && PyIter_Check(yf))
-                ret = __Pyx_PyIter_Next_Plain(yf);
-            else
-            #endif
-                ret = __Pyx_PyObject_CallMethod1(yf, __pyx_mstate_global->__pyx_n_u_send, value);
-        }
-        if (likely(ret)) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            *retval = ret;
-            return PYGEN_NEXT;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, retval);
-    } else {
-        result = __Pyx_Coroutine_SendEx(gen, value, retval, 0);
-    }
-    __Pyx_Coroutine_unset_is_running(gen);
-    return result;
-}
-static int __Pyx_Coroutine_CloseIter(__pyx_CoroutineObject *gen, PyObject *yf) {
-    __Pyx_PySendResult result;
-    PyObject *retval = NULL;
-    CYTHON_UNUSED_VAR(gen);
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    #ifdef __Pyx_Generator_USED
-    if (__Pyx_Generator_CheckExact(yf)) {
-        result = __Pyx_Coroutine_Close(yf, &retval);
-    } else
-    #endif
-    #ifdef __Pyx_Coroutine_USED
-    if (__Pyx_Coroutine_Check(yf)) {
-        result = __Pyx_Coroutine_Close(yf, &retval);
-    } else
-    if (__Pyx_CoroutineAwait_CheckExact(yf)) {
-        result = __Pyx_CoroutineAwait_Close((__pyx_CoroutineAwaitObject*)yf);
-    } else
-    #endif
-    #ifdef __Pyx_AsyncGen_USED
-    if (__pyx_PyAsyncGenASend_CheckExact(yf)) {
-        retval = __Pyx_async_gen_asend_close(yf, NULL);
-        result = PYGEN_RETURN;
-    } else
-    if (__pyx_PyAsyncGenAThrow_CheckExact(yf)) {
-        retval = __Pyx_async_gen_athrow_close(yf, NULL);
-        result = PYGEN_RETURN;
-    } else
-    #endif
-    {
-        PyObject *meth;
-        result = PYGEN_RETURN;
-        meth = __Pyx_PyObject_GetAttrStrNoError(yf, __pyx_mstate_global->__pyx_n_u_close);
-        if (unlikely(!meth)) {
-            if (unlikely(PyErr_Occurred())) {
-                PyErr_WriteUnraisable(yf);
-            }
-        } else {
-            retval = __Pyx_PyObject_CallNoArg(meth);
-            Py_DECREF(meth);
-            if (unlikely(!retval)) {
-                result = PYGEN_ERROR;
-            }
-        }
-    }
-    Py_XDECREF(retval);
-    return result == PYGEN_ERROR ? -1 : 0;
-}
-static PyObject *__Pyx_Generator_Next(PyObject *self) {
-    __Pyx_PySendResult result;
-    PyObject *retval = NULL;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    }
-    #if CYTHON_USE_AM_SEND
-    if (gen->yieldfrom_am_send) {
-        result = __Pyx_Coroutine_SendToDelegate(gen, gen->yieldfrom_am_send, Py_None, &retval);
-    } else
-    #endif
-    if (gen->yieldfrom) {
-        PyObject *yf = gen->yieldfrom;
-        PyObject *ret;
-        #ifdef __Pyx_Generator_USED
-        if (__Pyx_Generator_CheckExact(yf)) {
-            ret = __Pyx_Generator_Next(yf);
-        } else
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-        if (__Pyx_Coroutine_CheckExact(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, Py_None);
-        } else
-        #endif
-        #if CYTHON_COMPILING_IN_CPYTHON && (PY_VERSION_HEX < 0x030A00A3 || !CYTHON_USE_AM_SEND)
-        if (PyGen_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, NULL);
-        } else
-        #endif
-            ret = __Pyx_PyIter_Next_Plain(yf);
-        if (likely(ret)) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            return ret;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, &retval);
-    } else {
-        result = __Pyx_Coroutine_SendEx(gen, Py_None, &retval, 0);
-    }
-    __Pyx_Coroutine_unset_is_running(gen);
-    return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 1);
-}
-static PyObject *__Pyx_Coroutine_Close_Method(PyObject *self, PyObject *arg) {
-    PyObject *retval = NULL;
-    __Pyx_PySendResult result;
-    CYTHON_UNUSED_VAR(arg);
-    result = __Pyx_Coroutine_Close(self, &retval);
-    if (unlikely(result == PYGEN_ERROR))
+
+static PyObject *py_derive_digest(PyObject *self, PyObject *args)
+{
+    const u8 *k;
+    Py_ssize_t klen;
+    int tag;
+    u64 counter, gyx[4], gyy[4];
+    PyObject *gx, *gy;
+    u8 kbuf[32], digest[20], ok;
+    if (!PyArg_ParseTuple(args, "y#iO&OO:derive_digest", &k, &klen, &tag, to_u64,
+                          &counter, &gx, &gy) ||
+        !parse_key(k, klen, tag, gx, gy, kbuf, gyx, gyy))
         return NULL;
-    Py_XDECREF(retval);
+    Py_BEGIN_ALLOW_THREADS
+    derive_batch(kbuf, (u8)tag, counter, 1, gyx, gyy, digest, &ok);
+    Py_END_ALLOW_THREADS
+    if (!ok)
+        Py_RETURN_NONE;
+    return PyBytes_FromStringAndSize((const char *)digest, 20);
+}
+
+PyDoc_STRVAR(derive_digest_doc,
+"derive_digest(k, tag, counter, gy_x, gy_y) -> bytes | None\n\n"
+"hash160 of the derived public key, or None for a degenerate index.");
+
+static PyObject *py_grind_scan(PyObject *self, PyObject *args)
+{
+    const u8 *k;
+    Py_ssize_t klen, m, i;
+    int tag, batch, found = 0, positions[MAX_POSITIONS];
+    u64 first, budget, target, done = 0, hit = 0, gyx[4], gyy[4];
+    PyObject *gx, *gy, *pos_obj, *seq;
+    u8 kbuf[32], digests[MAX_BATCH * 20], ok[MAX_BATCH];
+    if (!PyArg_ParseTuple(args, "y#iOOO&O&OO&:grind_scan", &k, &klen, &tag, &gx, &gy,
+                          to_u64, &first, to_u64, &budget, &pos_obj, to_u64, &target) ||
+        !parse_key(k, klen, tag, gx, gy, kbuf, gyx, gyy))
+        return NULL;
+    seq = PySequence_Fast(pos_obj, "positions must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    m = PySequence_Fast_GET_SIZE(seq);
+    if (m > MAX_POSITIONS) {
+        Py_DECREF(seq);
+        return PyErr_Format(PyExc_ValueError, "at most %d selected bits", MAX_POSITIONS);
+    }
+    for (i = 0; i < m; i++) {
+        long pos = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (pos == -1 && PyErr_Occurred()) {
+            Py_DECREF(seq);
+            return NULL;
+        }
+        if (pos < 0 || pos >= 160) {
+            Py_DECREF(seq);
+            return PyErr_Format(PyExc_ValueError, "bit position %ld outside [0, 160)", pos);
+        }
+        positions[i] = (int)pos;
+    }
+    Py_DECREF(seq);
+    /* counters past 2^64 - 1 do not exist: scan up to there, then refuse */
+    int clamped = budget > 0 && budget - 1 > UINT64_MAX - first;
+    if (clamped)
+        budget = UINT64_MAX - first + 1;
+    /* A hit comes after ~2^m attempts. Each batch pays one inversion, and the
+     * last one derives up to batch - 1 counters past the hit; a batch of
+     * ~2^(m/2) balances the two. The result is the same for any batch. */
+    batch = m >= 11 ? MAX_BATCH : 1 << ((m + 1) / 2);
+    Py_BEGIN_ALLOW_THREADS
+    while (done < budget && !found) {
+        int count = budget - done > (u64)batch ? batch : (int)(budget - done);
+        derive_batch(kbuf, (u8)tag, first + done, count, gyx, gyy, digests, ok);
+        for (i = 0; i < count; i++) {
+            if (ok[i] && select_bits(digests + 20 * i, positions, (int)m) == target) {
+                hit = done + (u64)i;
+                found = 1;
+                break;
+            }
+        }
+        done += (u64)count;
+    }
+    Py_END_ALLOW_THREADS
+    if (found)
+        return Py_BuildValue("(KK)", (unsigned long long)(first + hit),
+                             (unsigned long long)(hit + 1));
+    if (clamped)
+        return PyErr_Format(PyExc_OverflowError, "grind counter passed 2^64 - 1");
     Py_RETURN_NONE;
 }
-static __Pyx_PySendResult
-__Pyx_Coroutine_Close(PyObject *self, PyObject **retval) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    __Pyx_PySendResult result;
-    PyObject *yf;
-    int err = 0;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        *retval = __Pyx_Coroutine_AlreadyRunningError(gen);
-        return PYGEN_ERROR;
-    }
-    yf = gen->yieldfrom;
-    if (yf) {
-        Py_INCREF(yf);
-        err = __Pyx_Coroutine_CloseIter(gen, yf);
-        __Pyx_Coroutine_Undelegate(gen);
-        Py_DECREF(yf);
-    }
-    if (err == 0)
-        PyErr_SetNone(PyExc_GeneratorExit);
-    result = __Pyx_Coroutine_SendEx(gen, NULL, retval, 1);
-    if (result == PYGEN_ERROR) {
-        __Pyx_PyThreadState_declare
-        __Pyx_PyThreadState_assign
-        __Pyx_Coroutine_unset_is_running(gen);
-        if (!__Pyx_PyErr_Occurred()) {
-            return PYGEN_RETURN;
-        } else if (likely(__Pyx_PyErr_ExceptionMatches2(PyExc_GeneratorExit, PyExc_StopIteration))) {
-            __Pyx_PyErr_Clear();
-            return PYGEN_RETURN;
-        }
-        return PYGEN_ERROR;
-    } else if (likely(result == PYGEN_RETURN && *retval == Py_None)) {
-        __Pyx_Coroutine_unset_is_running(gen);
-        return PYGEN_RETURN;
-    } else {
-        const char *msg;
-        Py_DECREF(*retval);
-        *retval = NULL;
-        if ((0)) {
-        #ifdef __Pyx_Coroutine_USED
-        } else if (__Pyx_Coroutine_Check(self)) {
-            msg = "coroutine ignored GeneratorExit";
-        #endif
-        #ifdef __Pyx_AsyncGen_USED
-        } else if (__Pyx_AsyncGen_CheckExact(self)) {
-            msg = "async generator ignored GeneratorExit";
-        #endif
-        } else {
-            msg = "generator ignored GeneratorExit";
-        }
-        PyErr_SetString(PyExc_RuntimeError, msg);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return PYGEN_ERROR;
-    }
+
+PyDoc_STRVAR(grind_scan_doc,
+"grind_scan(k, tag, gy_x, gy_y, start, max_attempts, positions, target)\n"
+"    -> (counter, attempts) | None\n\n"
+"Smallest counter >= start whose digest carries target on the selected bit\n"
+"positions, searched over at most max_attempts counters.");
+
+static double now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return ts.tv_sec * 1e9 + ts.tv_nsec;
 }
-static PyObject *__Pyx__Coroutine_Throw(PyObject *self, PyObject *typ, PyObject *val, PyObject *tb,
-                                        PyObject *args, int close_on_genexit) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    PyObject *yf;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen)))
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    yf = gen->yieldfrom;
-    if (yf) {
-        __Pyx_PySendResult result;
-        PyObject *ret;
-        Py_INCREF(yf);
-        if (__Pyx_PyErr_GivenExceptionMatches(typ, PyExc_GeneratorExit) && close_on_genexit) {
-            int err = __Pyx_Coroutine_CloseIter(gen, yf);
-            Py_DECREF(yf);
-            __Pyx_Coroutine_Undelegate(gen);
-            if (err < 0)
-                goto propagate_exception;
-            goto throw_here;
-        }
-        if (0
-        #ifdef __Pyx_Generator_USED
-            || __Pyx_Generator_CheckExact(yf)
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-            || __Pyx_Coroutine_Check(yf)
-        #endif
-            ) {
-            ret = __Pyx__Coroutine_Throw(yf, typ, val, tb, args, close_on_genexit);
-        #ifdef __Pyx_Coroutine_USED
-        } else if (__Pyx_CoroutineAwait_CheckExact(yf)) {
-            ret = __Pyx__Coroutine_Throw(((__pyx_CoroutineAwaitObject*)yf)->coroutine, typ, val, tb, args, close_on_genexit);
-        #endif
-        } else {
-            PyObject *meth = __Pyx_PyObject_GetAttrStrNoError(yf, __pyx_mstate_global->__pyx_n_u_throw);
-            if (unlikely(!meth)) {
-                Py_DECREF(yf);
-                if (unlikely(PyErr_Occurred())) {
-                    __Pyx_Coroutine_unset_is_running(gen);
-                    return NULL;
-                }
-                __Pyx_Coroutine_Undelegate(gen);
-                goto throw_here;
-            }
-            if (likely(args)) {
-                ret = __Pyx_PyObject_Call(meth, args, NULL);
-            } else {
-                PyObject *cargs[4] = {NULL, typ, val, tb};
-                size_t nargs = 1U + (val != NULL) + (tb != NULL);
-                ret = __Pyx_PyObject_FastCall(meth, cargs+1, nargs | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-            }
-            Py_DECREF(meth);
-        }
-        Py_DECREF(yf);
-        if (ret) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            return ret;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, &ret);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return __Pyx_Coroutine_MethodReturnFromResult(self, result, ret, 0);
-    }
-throw_here:
-    __Pyx_Raise(typ, val, tb, NULL);
-propagate_exception:
-    {
-        PyObject *retval = NULL;
-        __Pyx_PySendResult result = __Pyx_Coroutine_SendEx(gen, NULL, &retval, 0);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 0);
-    }
-}
-static PyObject *__Pyx_Coroutine_Throw(PyObject *self, PyObject *args) {
-    PyObject *typ;
-    PyObject *val = NULL;
-    PyObject *tb = NULL;
-    if (unlikely(!PyArg_UnpackTuple(args, "throw", 1, 3, &typ, &val, &tb)))
+
+static volatile u64 sink; /* keeps the timed loops from being optimised away */
+
+static PyObject *py_microbench(PyObject *self, PyObject *args)
+{
+    long iters, i;
+    u64 a[4] = {0x123456789ABCDEF0ULL, 0xFEDCBA9876543210ULL,
+                0x0F1E2D3C4B5A6978ULL, 0x1122334455667788ULL};
+    u64 b[4] = {0x123456789ABCAAA5ULL, 0xFEDCBA9876543210ULL,
+                0x0F1E2D3C4B5A6978ULL, 0x1122334455667788ULL};
+    u8 msg[41], h[32];
+    jpt pt;
+    double t0, fe_mul_ns, jpt_add_ns, fe_inv_ns, sha256_ns, ripemd_ns;
+    if (!PyArg_ParseTuple(args, "l:_microbench", &iters))
         return NULL;
-    return __Pyx__Coroutine_Throw(self, typ, val, tb, args, 1);
-}
-static CYTHON_INLINE int __Pyx_Coroutine_traverse_excstate(__Pyx_ExcInfoStruct *exc_state, visitproc visit, void *arg) {
-#if PY_VERSION_HEX >= 0x030B00a4
-    Py_VISIT(exc_state->exc_value);
-#else
-    Py_VISIT(exc_state->exc_type);
-    Py_VISIT(exc_state->exc_value);
-    Py_VISIT(exc_state->exc_traceback);
-#endif
-    return 0;
-}
-static int __Pyx_Coroutine_traverse(__pyx_CoroutineObject *gen, visitproc visit, void *arg) {
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)gen, 1, visit, arg);
-        if (e) return e;
+    if (iters < 100)
+        return PyErr_Format(PyExc_ValueError, "iters must be at least 100");
+    memset(msg, 0x42, sizeof(msg));
+    Py_BEGIN_ALLOW_THREADS
+    t0 = now_ns();
+    for (i = 0; i < iters; i++)
+        fe_mul(a, a, b);
+    fe_mul_ns = (now_ns() - t0) / iters;
+    fe_set(pt.X, a); fe_set(pt.Y, b);
+    memset(pt.Z, 0, sizeof(pt.Z));
+    pt.Z[0] = 1;
+    t0 = now_ns();
+    for (i = 0; i < iters / 10; i++)
+        jpt_add_affine(&pt, &pt, b, a);
+    jpt_add_ns = (now_ns() - t0) / (iters / 10);
+    t0 = now_ns();
+    for (i = 0; i < iters / 10; i++) {
+        sha256_short(msg, 41, h);
+        msg[0] = h[0];
     }
-    Py_VISIT(gen->closure);
-    Py_VISIT(gen->classobj);
-    Py_VISIT(gen->yieldfrom);
-    return __Pyx_Coroutine_traverse_excstate(&gen->gi_exc_state, visit, arg);
-}
-static int __Pyx_Coroutine_clear(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    Py_CLEAR(gen->closure);
-    Py_CLEAR(gen->classobj);
-    __Pyx_Coroutine_Undelegate(gen);
-    __Pyx_Coroutine_ExceptionClear(&gen->gi_exc_state);
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        Py_CLEAR(((__pyx_PyAsyncGenObject*)gen)->ag_finalizer);
-    }
-#endif
-    Py_CLEAR(gen->gi_code);
-    Py_CLEAR(gen->gi_frame);
-    Py_CLEAR(gen->gi_name);
-    Py_CLEAR(gen->gi_qualname);
-    Py_CLEAR(gen->gi_modulename);
-    return 0;
-}
-static void __Pyx_Coroutine_dealloc(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    PyObject_GC_UnTrack(gen);
-    #if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    if (gen->gi_weakreflist != NULL)
-    #endif
-        PyObject_ClearWeakRefs(self);
-    if (gen->resume_label >= 0) {
-        PyObject_GC_Track(self);
-#if CYTHON_USE_TP_FINALIZE
-        if (unlikely(PyObject_CallFinalizerFromDealloc(self)))
-#else
-        {
-            destructor del = __Pyx_PyObject_GetSlot(gen, tp_del, destructor);
-            if (del) del(self);
-        }
-        if (unlikely(Py_REFCNT(self) > 0))
-#endif
-        {
-            return;
-        }
-        PyObject_GC_UnTrack(self);
-    }
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        /* We have to handle this case for asynchronous generators
-           right here, because this code has to be between UNTRACK
-           and GC_Del. */
-        Py_CLEAR(((__pyx_PyAsyncGenObject*)self)->ag_finalizer);
-    }
-#endif
-    __Pyx_Coroutine_clear(self);
-    __Pyx_PyHeapTypeObject_GC_Del(gen);
-}
-#if CYTHON_USE_TP_FINALIZE
-static void __Pyx_Coroutine_del(PyObject *self) {
-    PyObject *error_type, *error_value, *error_traceback;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    __Pyx_PyThreadState_declare
-    if (gen->resume_label < 0) {
-        return;
-    }
-    __Pyx_PyThreadState_assign
-    __Pyx_ErrFetch(&error_type, &error_value, &error_traceback);
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        __pyx_PyAsyncGenObject *agen = (__pyx_PyAsyncGenObject*)self;
-        PyObject *finalizer = agen->ag_finalizer;
-        if (finalizer && !agen->ag_closed) {
-            PyObject *res = __Pyx_PyObject_CallOneArg(finalizer, self);
-            if (unlikely(!res)) {
-                PyErr_WriteUnraisable(self);
-            } else {
-                Py_DECREF(res);
-            }
-            __Pyx_ErrRestore(error_type, error_value, error_traceback);
-            return;
-        }
-    }
-#endif
-    if (unlikely(gen->resume_label == 0 && !error_value)) {
-#ifdef __Pyx_Coroutine_USED
-#ifdef __Pyx_Generator_USED
-    if (!__Pyx_Generator_CheckExact(self))
-#endif
-        {
-        PyObject_GC_UnTrack(self);
-        if (unlikely(PyErr_WarnFormat(PyExc_RuntimeWarning, 1, "coroutine '%.50S' was never awaited", gen->gi_qualname) < 0))
-            PyErr_WriteUnraisable(self);
-        PyObject_GC_Track(self);
-        }
-#endif
-    } else {
-        PyObject *retval = NULL;
-        __Pyx_PySendResult result = __Pyx_Coroutine_Close(self, &retval);
-        if (result == PYGEN_ERROR) {
-            PyErr_WriteUnraisable(self);
-        } else {
-            Py_XDECREF(retval);
-        }
-    }
-    __Pyx_ErrRestore(error_type, error_value, error_traceback);
-}
-#endif
-static PyObject *
-__Pyx_Coroutine_get_name(__pyx_CoroutineObject *self, void *context)
-{
-    PyObject *name = self->gi_name;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(!name)) name = Py_None;
-    Py_INCREF(name);
-    return name;
-}
-static int
-__Pyx_Coroutine_set_name(__pyx_CoroutineObject *self, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_Py_XDECREF_SET(self->gi_name, value);
-    return 0;
-}
-static PyObject *
-__Pyx_Coroutine_get_qualname(__pyx_CoroutineObject *self, void *context)
-{
-    PyObject *name = self->gi_qualname;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(!name)) name = Py_None;
-    Py_INCREF(name);
-    return name;
-}
-static int
-__Pyx_Coroutine_set_qualname(__pyx_CoroutineObject *self, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_Py_XDECREF_SET(self->gi_qualname, value);
-    return 0;
-}
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx__Coroutine_get_frame_locked(__pyx_CoroutineObject *self) {
-    PyObject *frame;
-    frame = self->gi_frame;
-    if (!frame) {
-        if (unlikely(!self->gi_code)) {
-            Py_RETURN_NONE;
-        }
-        PyObject *globals = PyDict_New();
-        if (unlikely(!globals)) return NULL;
-        frame = (PyObject *) PyFrame_New(
-            PyThreadState_Get(),            /*PyThreadState *tstate,*/
-            (PyCodeObject*) self->gi_code,  /*PyCodeObject *code,*/
-            globals,                        /*PyObject *globals,*/
-            0                               /*PyObject *locals*/
-        );
-        Py_DECREF(globals);
-        if (unlikely(!frame))
-            return NULL;
-        if (unlikely(self->gi_frame)) {
-            Py_DECREF(frame);
-            frame = self->gi_frame;
-        } else {
-            self->gi_frame = frame;
-        }
-    }
-    Py_INCREF(frame);
-    return frame;
-}
-#endif
-static PyObject *
-__Pyx__Coroutine_get_frame(__pyx_CoroutineObject *self)
-{
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *frame;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)self);
-    frame = __Pyx__Coroutine_get_frame_locked(self);
-    __Pyx_END_CRITICAL_SECTION();
-    return frame;
-#else
-    CYTHON_UNUSED_VAR(self);
-    Py_RETURN_NONE;
-#endif
-}
-static PyObject *
-__Pyx_Coroutine_get_frame(__pyx_CoroutineObject *self, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    PyObject *frame = self->gi_frame;
-    if (frame)
-        return __Pyx_NewRef(frame);
-    return __Pyx__Coroutine_get_frame(self);
-}
-static __pyx_CoroutineObject *__Pyx__Coroutine_New(
-            PyTypeObject* type, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name) {
-    __pyx_CoroutineObject *gen = PyObject_GC_New(__pyx_CoroutineObject, type);
-    if (unlikely(!gen))
-        return NULL;
-    return __Pyx__Coroutine_NewInit(gen, body, code, closure, name, qualname, module_name);
-}
-static __pyx_CoroutineObject *__Pyx__Coroutine_NewInit(
-            __pyx_CoroutineObject *gen, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name) {
-    gen->body = body;
-    gen->closure = closure;
-    Py_XINCREF(closure);
-    gen->is_running = 0;
-    gen->resume_label = 0;
-    gen->classobj = NULL;
-    gen->yieldfrom = NULL;
-    gen->yieldfrom_am_send = NULL;
-    #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_LIMITED_API
-    gen->gi_exc_state.exc_value = NULL;
-    #else
-    gen->gi_exc_state.exc_type = NULL;
-    gen->gi_exc_state.exc_value = NULL;
-    gen->gi_exc_state.exc_traceback = NULL;
-    #endif
-#if CYTHON_USE_EXC_INFO_STACK
-    gen->gi_exc_state.previous_item = NULL;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    gen->gi_weakreflist = NULL;
-#endif
-    Py_XINCREF(qualname);
-    gen->gi_qualname = qualname;
-    Py_XINCREF(name);
-    gen->gi_name = name;
-    Py_XINCREF(module_name);
-    gen->gi_modulename = module_name;
-    Py_XINCREF(code);
-    gen->gi_code = code;
-    gen->gi_frame = NULL;
-#if CYTHON_USE_SYS_MONITORING && (CYTHON_PROFILE || CYTHON_TRACE)
-    memset(gen->__pyx_pymonitoring_state, 0, sizeof(gen->__pyx_pymonitoring_state));
-    gen->__pyx_pymonitoring_version = 0;
-#endif
-    PyObject_GC_Track(gen);
-    return gen;
-}
-static char __Pyx_Coroutine_test_and_set_is_running(__pyx_CoroutineObject *gen) {
-    char result;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    result = gen->is_running;
-    gen->is_running = 1;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_Coroutine_unset_is_running(__pyx_CoroutineObject *gen) {
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    assert(gen->is_running);
-    gen->is_running = 0;
-    __Pyx_END_CRITICAL_SECTION();
-}
-static char __Pyx_Coroutine_get_is_running(__pyx_CoroutineObject *gen) {
-    char result;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    result = gen->is_running;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_Coroutine_get_is_running_getter(PyObject *gen, void *closure) {
-    CYTHON_UNUSED_VAR(closure);
-    char result = __Pyx_Coroutine_get_is_running((__pyx_CoroutineObject*)gen);
-    if (result) Py_RETURN_TRUE;
-    else Py_RETURN_FALSE;
-}
-#if __PYX_HAS_PY_AM_SEND == 2
-static void __Pyx_SetBackportTypeAmSend(PyTypeObject *type, __Pyx_PyAsyncMethodsStruct *static_amsend_methods, __Pyx_pyiter_sendfunc am_send) {
-    Py_ssize_t ptr_offset = (char*)(type->tp_as_async) - (char*)type;
-    if (ptr_offset < 0 || ptr_offset > type->tp_basicsize) {
-        return;
-    }
-    memcpy((void*)static_amsend_methods, (void*)(type->tp_as_async), sizeof(*type->tp_as_async));
-    static_amsend_methods->am_send = am_send;
-    type->tp_as_async = __Pyx_SlotTpAsAsync(static_amsend_methods);
-}
-#endif
-static PyObject *__Pyx_Coroutine_fail_reduce_ex(PyObject *self, PyObject *arg) {
-    CYTHON_UNUSED_VAR(arg);
-    __Pyx_TypeName self_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE((PyObject*)self));
-    PyErr_Format(PyExc_TypeError, "cannot pickle '" __Pyx_FMT_TYPENAME "' object",
-                         self_type_name);
-    __Pyx_DECREF_TypeName(self_type_name);
-    return NULL;
+    sha256_ns = (now_ns() - t0) / (iters / 10);
+    t0 = now_ns();
+    for (i = 0; i < iters / 10; i++)
+        ripemd160_32(h, h);
+    ripemd_ns = (now_ns() - t0) / (iters / 10);
+    t0 = now_ns();
+    for (i = 0; i < iters / 100; i++)
+        fe_inv(a, a);
+    fe_inv_ns = (now_ns() - t0) / (iters / 100);
+    sink = a[0] ^ pt.X[0] ^ h[0];
+    Py_END_ALLOW_THREADS
+    return Py_BuildValue("{sdsdsdsdsd}", "fe_mul_ns", fe_mul_ns, "jpt_add_ns", jpt_add_ns,
+                         "fe_inv_ns", fe_inv_ns, "sha256_ns", sha256_ns,
+                         "ripemd_ns", ripemd_ns);
 }
 
-/* Generator */
-static PyMethodDef __pyx_Generator_methods[] = {
-    {"send", (PyCFunction) __Pyx_Coroutine_Send, METH_O,
-     PyDoc_STR("send(arg) -> send 'arg' into generator,\nreturn next yielded value or raise StopIteration.")},
-    {"throw", (PyCFunction) __Pyx_Coroutine_Throw, METH_VARARGS,
-     PyDoc_STR("throw(typ[,val[,tb]]) -> raise exception in generator,\nreturn next yielded value or raise StopIteration.")},
-    {"close", (PyCFunction) __Pyx_Coroutine_Close_Method, METH_NOARGS,
-     PyDoc_STR("close() -> raise GeneratorExit inside generator.")},
-    {"__reduce_ex__", (PyCFunction) __Pyx_Coroutine_fail_reduce_ex, METH_O, 0},
-    {"__reduce__", (PyCFunction) __Pyx_Coroutine_fail_reduce_ex, METH_NOARGS, 0},
-    {0, 0, 0, 0}
+PyDoc_STRVAR(microbench_doc,
+"_microbench(iters) -> dict\n\n"
+"Per-operation timings in ns (fe_mul, jpt_add, fe_inv, sha256, ripemd) for\n"
+"the benchmark's layer rows; not part of the API.");
+
+static PyMethodDef kernel_methods[] = {
+    {"derive_digest", py_derive_digest, METH_VARARGS, derive_digest_doc},
+    {"grind_scan", py_grind_scan, METH_VARARGS, grind_scan_doc},
+    {"_microbench", py_microbench, METH_VARARGS, microbench_doc},
+    {NULL, NULL, 0, NULL},
 };
-static PyMemberDef __pyx_Generator_memberlist[] = {
-    {"gi_yieldfrom", T_OBJECT, offsetof(__pyx_CoroutineObject, yieldfrom), READONLY,
-     PyDoc_STR("object being iterated by 'yield from', or None")},
-    {"gi_code", T_OBJECT, offsetof(__pyx_CoroutineObject, gi_code), READONLY, NULL},
-    {"__module__", T_OBJECT, offsetof(__pyx_CoroutineObject, gi_modulename), 0, 0},
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CoroutineObject, gi_weakreflist), READONLY, 0},
-#endif
-    {0, 0, 0, 0, 0}
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT, "chainsteg._kernel",
+    "Compiled secp256k1 derivation and grinding kernel.", -1, kernel_methods,
 };
-static PyGetSetDef __pyx_Generator_getsets[] = {
-    {"__name__", (getter)__Pyx_Coroutine_get_name, (setter)__Pyx_Coroutine_set_name,
-     PyDoc_STR("name of the generator"), 0},
-    {"__qualname__", (getter)__Pyx_Coroutine_get_qualname, (setter)__Pyx_Coroutine_set_qualname,
-     PyDoc_STR("qualified name of the generator"), 0},
-    {"gi_frame", (getter)__Pyx_Coroutine_get_frame, NULL,
-     PyDoc_STR("Frame of the generator"), 0},
-    {"gi_running", __Pyx_Coroutine_get_is_running_getter, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_GeneratorType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_Coroutine_dealloc},
-    {Py_tp_traverse, (void *)__Pyx_Coroutine_traverse},
-    {Py_tp_iter, (void *)PyObject_SelfIter},
-    {Py_tp_iternext, (void *)__Pyx_Generator_Next},
-    {Py_tp_methods, (void *)__pyx_Generator_methods},
-    {Py_tp_members, (void *)__pyx_Generator_memberlist},
-    {Py_tp_getset, (void *)__pyx_Generator_getsets},
-    {Py_tp_getattro, (void *) PyObject_GenericGetAttr},
-#if CYTHON_USE_TP_FINALIZE
-    {Py_tp_finalize, (void *)__Pyx_Coroutine_del},
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    {Py_am_send, (void *)__Pyx_Coroutine_AmSend},
-#endif
-    {0, 0},
-};
-static PyType_Spec __pyx_GeneratorType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "generator",
-    sizeof(__pyx_CoroutineObject),
-    0,
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_WEAKREF |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | __Pyx_TPFLAGS_HAVE_AM_SEND,
-    __pyx_GeneratorType_slots
-};
-#if __PYX_HAS_PY_AM_SEND == 2
-static __Pyx_PyAsyncMethodsStruct __pyx_Generator_as_async;
-#endif
-static int __pyx_Generator_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_GeneratorType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_GeneratorType_spec, NULL);
-    if (unlikely(!mstate->__pyx_GeneratorType)) {
-        return -1;
-    }
-#if __PYX_HAS_PY_AM_SEND == 2
-    __Pyx_SetBackportTypeAmSend(mstate->__pyx_GeneratorType, &__pyx_Generator_as_async, &__Pyx_Coroutine_AmSend);
-#endif
-    return 0;
-}
-static PyObject *__Pyx_Generator_GetInlinedResult(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    PyObject *retval = NULL;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    }
-    __Pyx_PySendResult result = __Pyx_Coroutine_SendEx(gen, Py_None, &retval, 0);
-    __Pyx_Coroutine_unset_is_running(gen);
-    (void) result;
-    assert (result == PYGEN_RETURN || result == PYGEN_ERROR);
-    assert ((result == PYGEN_RETURN && retval != NULL) || (result == PYGEN_ERROR && retval == NULL));
-    return retval;
-}
 
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    build_table();
+    return PyModule_Create(&kernel_module);
 }
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
-
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
-    return 0;
-}
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
-}
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
-        goto done;
-    }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
-        }
-    }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
-}
-#endif
-
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
-
-
-
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */

@@ -45,6 +45,8 @@ class PureBackend:
     def grind_scan(self, k, tag, gy, start, max_attempts, positions, target):
         """First counter in [start, start+max_attempts) whose address digest
         has `positions` bits equal to `target`; returns (counter, attempts)."""
+        if any(not 0 <= pos < 160 for pos in positions):
+            raise ValueError(f"bit positions must be in [0, 160), got {positions}")
         m = len(positions)
         batch = _DIGEST_BATCH if m >= 6 else max(8, 1 << m)
         done = 0
@@ -74,7 +76,7 @@ try:
 
         def grind_scan(self, k, tag, gy, start, max_attempts, positions, target):
             return _kernel.grind_scan(
-                k, tag, gy[0], gy[1], start, max_attempts, list(positions), target
+                k, tag, gy[0], gy[1], start, max_attempts, positions, target
             )
 
     _ext = ExtBackend()

@@ -162,15 +162,19 @@ def tx_template(gen, fields: list[bytes], cfg, rng) -> StegoTemplate:
     )
 
 
-def guard_nonce(gen, counter: int, message: bytes, msg_id: int, version: int) -> None:
-    """Refuse to key two different encryptions from one signal counter."""
+def guard_nonce(gen, counter: int, message: bytes, msg_id: int, version: int) -> bytes:
+    """Refuse to key two different encryptions from one signal counter.
+
+    Returns the message's fingerprint; the caller records it in
+    `gen.high_nonce_guard` once a transaction keyed at `counter` is
+    published, so a refused send leaves the counter free."""
     fingerprint = hashlib.sha256(
         bytes([version]) + msg_id.to_bytes(2, "big") + message
     ).digest()
     previous = gen.high_nonce_guard.get(counter)
     if previous is not None and previous != fingerprint:
         raise NonceReuse(f"signal counter {counter} already keyed a different message")
-    gen.high_nonce_guard[counter] = fingerprint
+    return fingerprint
 
 
 # ---------------------------------------------------------------------------

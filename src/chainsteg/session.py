@@ -252,13 +252,14 @@ class SessionState:
         gen = self.current
         msg_id = self.next_msg_id & 0xFFF
         counter0 = gen.next_signal["HIGH"]
-        high.guard_nonce(gen, counter0, message, msg_id, version)
+        fingerprint = high.guard_nonce(gen, counter0, message, msg_id, version)
         fields = high.frame_message(gen.km, message, msg_id, counter0, self.rng, version)
         per_tx = self.cfg.max_fields_per_tx or len(fields)
         txids = []
         for i in range(0, len(fields), per_tx):
             template = high.tx_template(gen, fields[i : i + per_tx], self.cfg, self.rng)
             txids.append(self._submit_stego(ledger, template, "HIGH"))
+            gen.high_nonce_guard[counter0] = fingerprint
             if confirm is not None:
                 confirm()
         self.next_msg_id += 1

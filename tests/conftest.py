@@ -1,10 +1,38 @@
+import importlib.machinery
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
-from chainsteg import ChannelConfig, KeyMaterial, Mode
-from chainsteg.session import SessionState
+
+def _build_kernel():
+    """Build chainsteg._kernel in place (python setup.py build_ext --inplace)
+    when it is missing and a C compiler is on PATH, so the backend-parity
+    tests run. This must happen before chainsteg is imported: the backend is
+    chosen at import time."""
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "chainsteg"
+    if any((package / f"_kernel{suffix}").exists()
+           for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+        return
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler) is None:
+        return
+    proc = subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"],
+                          cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"building chainsteg._kernel failed:\n{proc.stdout}{proc.stderr}")
+
+
+_build_kernel()
+
+from chainsteg import ChannelConfig, KeyMaterial, Mode  # noqa: E402
+from chainsteg.session import SessionState  # noqa: E402
 
 settings.register_profile("default", deadline=None, max_examples=50)
 settings.load_profile("default")

@@ -1,10 +1,12 @@
 import random
+import threading
 
 import pytest
 
 from chainsteg import backend, ec
+from chainsteg.hdw import DOMAIN_GRIND, DerivationIndex, KeyMaterial, hdw_scalar
 
-pytestmark = pytest.mark.skipif(
+needs_ext = pytest.mark.skipif(
     "ext" not in backend.available(), reason="compiled kernel not built"
 )
 
@@ -15,6 +17,7 @@ def restore_backend():
     backend.set_backend("auto")
 
 
+@needs_ext
 def test_derivation_parity():
     rng = random.Random(101)
     pure, ext = backend.PureBackend(), backend.set_backend("ext")
@@ -28,6 +31,7 @@ def test_derivation_parity():
         )
 
 
+@needs_ext
 def test_grind_parity():
     rng = random.Random(202)
     pure, ext = backend.PureBackend(), backend.set_backend("ext")
@@ -42,6 +46,7 @@ def test_grind_parity():
             ext.grind_scan(k, 3, gy, start, 2 ** (m + 8), positions, target)
 
 
+@needs_ext
 def test_grind_exhaustion_parity():
     rng = random.Random(303)
     pure, ext = backend.PureBackend(), backend.set_backend("ext")
@@ -53,6 +58,77 @@ def test_grind_exhaustion_parity():
         ext.grind_scan(k, 3, gy, 1, 16, positions, 0xABC)
 
 
+@needs_ext
+@pytest.mark.parametrize("m,start", [(0, 1), (4, 2**63 - 6), (7, 12345)])
+def test_grind_budget_edges_parity(m, start):
+    """m = 0, counters across 2^63, and budgets that end on the hit, one
+    short of it, and part-way through a batch."""
+    rng = random.Random(m)
+    pure, ext = backend.PureBackend(), backend.set_backend("ext")
+    k = rng.randbytes(32)
+    gy = ec.mult_g(rng.randrange(1, ec.Q))
+    positions = tuple(rng.sample(range(160), m))
+    target = rng.randrange(2**m)
+    _, attempts = pure.grind_scan(k, 3, gy, start, 2 ** (m + 8), positions, target)
+    for budget in (attempts, attempts - 1, attempts + 3, 2 ** (m + 8)):
+        assert pure.grind_scan(k, 3, gy, start, budget, positions, target) == \
+            ext.grind_scan(k, 3, gy, start, budget, positions, target)
+
+
+@needs_ext
+def test_grind_skips_degenerate_counter_parity():
+    # y + H(k || tag || 5) == 0 mod q: counter 5 derives the point at infinity
+    k = bytes(32)
+    h = hdw_scalar(k, DerivationIndex(DOMAIN_GRIND, 5))
+    km = KeyMaterial.from_private(k, (ec.Q - h) % ec.Q)
+    pure, ext = backend.PureBackend(), backend.set_backend("ext")
+    assert ext.derive_digest(km.k, DOMAIN_GRIND, 5, km.gy) is None
+    for start, budget in ((5, 1), (5, 4), (3, 8)):
+        assert pure.grind_scan(km.k, DOMAIN_GRIND, km.gy, start, budget, (), 0) == \
+            ext.grind_scan(km.k, DOMAIN_GRIND, km.gy, start, budget, (), 0)
+
+
+@pytest.mark.parametrize("name", backend.available())
+@pytest.mark.parametrize("positions", [(160,), (-1,), (3, 1000)])
+def test_grind_rejects_bad_positions(name, positions):
+    be = backend.set_backend(name)
+    k, gy = bytes(32), ec.mult_g(5)
+    with pytest.raises(ValueError):
+        be.grind_scan(k, 3, gy, 1, 4, positions, 0)
+    if name == "ext":
+        with pytest.raises(ValueError):
+            be.grind_scan(bytes(31), 3, gy, 1, 4, (0,), 0)
+        with pytest.raises(ValueError):
+            be.grind_scan(k, 3, gy, 1, 4, tuple(range(25)), 0)
+
+
+@needs_ext
+def test_concurrent_grinds_match_sequential():
+    """The kernel releases the GIL while grinding; threads sharing its
+    comb table must still get the sequential results."""
+    rng = random.Random(404)
+    ext = backend.set_backend("ext")
+    k = rng.randbytes(32)
+    gy = ec.mult_g(rng.randrange(1, ec.Q))
+    jobs = [(1 + 1000 * i, tuple(rng.sample(range(160), 8)), rng.randrange(256))
+            for i in range(6)]
+    expected = [ext.grind_scan(k, 3, gy, start, 4096, pos, tgt) for start, pos, tgt in jobs]
+    got = [None] * len(jobs)
+
+    def worker(i):
+        start, pos, tgt = jobs[i]
+        got[i] = ext.grind_scan(k, 3, gy, start, 4096, pos, tgt)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert got == expected
+
+
+@needs_ext
 def test_backend_selection_env():
     assert backend.set_backend("pure").name == "pure"
     assert backend.set_backend("ext").name == "ext"
@@ -61,6 +137,7 @@ def test_backend_selection_env():
         backend.set_backend("gpu")
 
 
+@needs_ext
 def test_bench_attempts_identical_across_backends():
     from chainsteg.cli import bench_grind
 

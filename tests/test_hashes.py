@@ -10,7 +10,6 @@ from chainsteg.hashes import (
     base58check_encode,
     hash160,
     ripemd160,
-    sha256,
 )
 
 # Published RIPEMD-160 vectors (Dobbertin/Bosselaers/Preneel test suite).
@@ -72,12 +71,3 @@ def test_b58_leading_zeros():
 def test_b58_rejects_bad_characters():
     with pytest.raises(ValueError):
         b58decode("0OIl")
-
-
-def test_kernel_hash_parity():
-    kernel = pytest.importorskip("chainsteg._kernel")
-    rng = random.Random(9)
-    for n in (0, 1, 20, 32, 33, 41, 55):
-        data = rng.randbytes(n)
-        assert kernel.sha256(data) == sha256(data)
-        assert kernel.hash160(data) == hash160(data)

@@ -99,6 +99,8 @@ def test_message_too_long(km):
     state, ledger = make_state(km)
     with pytest.raises(FramingError):
         state.send_message(ledger, b"x" * 8193, Channel.HIGH)
+    # the refused send published nothing, so it keys no counter
+    assert receive(km.k, send(state, ledger, b"short")) == ([b"short"], [])
 
 
 def test_multi_tx_out_of_order_reassembly(km):

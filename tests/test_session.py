@@ -90,19 +90,18 @@ def test_message_split_across_blocks(km, ordered_cfg):
     sender, receiver, ledger = pair(km, ordered_cfg)
     msg = bytes(range(100, 140))
     blocks_before = len(ledger.blocks)
-    txids = sender.send_message(
-        ledger, msg, Channel.MED,
-        confirm=lambda: ledger.mine_block(NoiseProfile(rate=1.0), seed=5),
-    )
+    per_block = []  # what the receiver returns after each confirmed block
+
+    def confirm():
+        ledger.mine_block(NoiseProfile(rate=1.0), seed=5)
+        per_block.append(receiver.detect_and_receive(ledger))
+
+    txids = sender.send_message(ledger, msg, Channel.MED, confirm=confirm)
+    assert len(txids) > 1
     assert len(ledger.blocks) == blocks_before + len(txids)
-    # scan after each block: message returns only once complete
-    partial = SessionState(km, ordered_cfg, seed=7)
-    results = []
-    for height in range(1, len(ledger.blocks)):
-        snapshot_led = ledger  # receiver just advances cursor
-        partial.scan_ceiling = height
-        results.extend(partial.detect_and_receive(snapshot_led))
-    assert results == [("MED", msg)]
+    # the message returns only once its last block is in, and only once
+    assert per_block == [[]] * (len(txids) - 1) + [[("MED", msg)]]
+    assert receiver.detect_and_receive(ledger) == []
 
 
 def test_incremental_scan_returns_once(km, ordered_cfg):
