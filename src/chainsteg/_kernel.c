@@ -494,6 +494,7 @@ static void ripemd160_32(const u8 *msg, u8 *out)
 
 #define MAX_BATCH 64
 #define MAX_POSITIONS 24
+#define MAX_TARGETS 20
 
 static void be32_to_limbs(const u8 *data, u64 *r)
 {
@@ -558,7 +559,7 @@ static void derive_batch(const u8 *k, u8 tag, u64 start, int count,
 
 /* Chunk value from digest bits: positions are LSB-indexed into the 160-bit
  * big-endian integer; the first position becomes the value's MSB. */
-static inline u64 select_bits(const u8 *digest, const int *positions, int m)
+static inline u64 select_bits(const u8 *digest, const long *positions, int m)
 {
     u64 out = 0;
     int i;
@@ -635,74 +636,122 @@ PyDoc_STRVAR(derive_digest_doc,
 "derive_digest(k, tag, counter, gy_x, gy_y) -> bytes | None\n\n"
 "hash160 of the derived public key, or None for a degenerate index.");
 
+/* Read a sequence of min_len..max_len ints, each in [lo, hi), into out;
+ * returns the count, or -1 with ValueError or TypeError set. */
+static Py_ssize_t parse_ints(PyObject *obj, const char *what, Py_ssize_t min_len,
+                             Py_ssize_t max_len, long lo, long hi, long *out)
+{
+    PyObject *seq = PySequence_Fast(obj, "expected a sequence of ints");
+    Py_ssize_t len, i;
+    if (seq == NULL)
+        return -1;
+    len = PySequence_Fast_GET_SIZE(seq);
+    if (len < min_len || len > max_len) {
+        Py_DECREF(seq);
+        PyErr_Format(PyExc_ValueError, "%zd %s, expected %zd to %zd", len, what,
+                     min_len, max_len);
+        return -1;
+    }
+    for (i = 0; i < len; i++) {
+        int overflow;
+        long v = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
+        if (v == -1 && PyErr_Occurred()) {
+            Py_DECREF(seq);
+            return -1;
+        }
+        if (overflow || v < lo || v >= hi) {
+            Py_DECREF(seq);
+            PyErr_Format(PyExc_ValueError, "%s must be in [%ld, %ld)", what, lo, hi);
+            return -1;
+        }
+        out[i] = v;
+    }
+    Py_DECREF(seq);
+    return len;
+}
+
 static PyObject *py_grind_scan(PyObject *self, PyObject *args)
 {
     const u8 *k;
-    Py_ssize_t klen, m, i;
-    int tag, batch, found = 0, positions[MAX_POSITIONS];
-    u64 first, budget, target, done = 0, hit = 0, gyx[4], gyy[4];
-    PyObject *gx, *gy, *pos_obj, *seq;
+    Py_ssize_t klen, m, n, n_open, i, j;
+    int tag, batch;
+    long positions[MAX_POSITIONS], targets[MAX_TARGETS];
+    u64 first, budget, done = 0, last = 0, hit[MAX_TARGETS], gyx[4], gyy[4];
+    PyObject *gx, *gy, *pos_obj, *tgt_obj, *hits;
     u8 kbuf[32], digests[MAX_BATCH * 20], ok[MAX_BATCH];
-    if (!PyArg_ParseTuple(args, "y#iOOO&O&OO&:grind_scan", &k, &klen, &tag, &gx, &gy,
-                          to_u64, &first, to_u64, &budget, &pos_obj, to_u64, &target) ||
+    u8 hit_digests[MAX_TARGETS * 20], filled[MAX_TARGETS] = {0};
+    if (!PyArg_ParseTuple(args, "y#iOOO&O&OO:grind_scan", &k, &klen, &tag, &gx, &gy,
+                          to_u64, &first, to_u64, &budget, &pos_obj, &tgt_obj) ||
         !parse_key(k, klen, tag, gx, gy, kbuf, gyx, gyy))
         return NULL;
-    seq = PySequence_Fast(pos_obj, "positions must be a sequence");
-    if (seq == NULL)
+    m = parse_ints(pos_obj, "bit positions", 0, MAX_POSITIONS, 0, 160, positions);
+    if (m < 0)
         return NULL;
-    m = PySequence_Fast_GET_SIZE(seq);
-    if (m > MAX_POSITIONS) {
-        Py_DECREF(seq);
-        return PyErr_Format(PyExc_ValueError, "at most %d selected bits", MAX_POSITIONS);
-    }
-    for (i = 0; i < m; i++) {
-        long pos = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
-        if (pos == -1 && PyErr_Occurred()) {
-            Py_DECREF(seq);
-            return NULL;
-        }
-        if (pos < 0 || pos >= 160) {
-            Py_DECREF(seq);
-            return PyErr_Format(PyExc_ValueError, "bit position %ld outside [0, 160)", pos);
-        }
-        positions[i] = (int)pos;
-    }
-    Py_DECREF(seq);
+    n = parse_ints(tgt_obj, "targets", 1, MAX_TARGETS, 0, 1L << m, targets);
+    if (n < 0)
+        return NULL;
     /* counters past 2^64 - 1 do not exist: scan up to there, then refuse */
     int clamped = budget > 0 && budget - 1 > UINT64_MAX - first;
     if (clamped)
         budget = UINT64_MAX - first + 1;
-    /* A hit comes after ~2^m attempts. Each batch pays one inversion, and the
-     * last one derives up to batch - 1 counters past the hit; a batch of
-     * ~2^(m/2) balances the two. The result is the same for any batch. */
+    /* The last open target is hit after ~2^m attempts. Each batch pays one
+     * inversion, and the last one derives up to batch - 1 counters past that
+     * hit; a batch of ~2^(m/2) balances the two. The result is the same for
+     * any batch. */
     batch = m >= 11 ? MAX_BATCH : 1 << ((m + 1) / 2);
+    n_open = n;
     Py_BEGIN_ALLOW_THREADS
-    while (done < budget && !found) {
+    while (done < budget && n_open > 0) {
         int count = budget - done > (u64)batch ? batch : (int)(budget - done);
         derive_batch(kbuf, (u8)tag, first + done, count, gyx, gyy, digests, ok);
-        for (i = 0; i < count; i++) {
-            if (ok[i] && select_bits(digests + 20 * i, positions, (int)m) == target) {
-                hit = done + (u64)i;
-                found = 1;
-                break;
+        for (i = 0; i < count && n_open > 0; i++) {
+            if (!ok[i])
+                continue;
+            long v = (long)select_bits(digests + 20 * i, positions, (int)m);
+            /* the first still-open target with this value takes the counter */
+            for (j = 0; j < n; j++) {
+                if (!filled[j] && targets[j] == v) {
+                    filled[j] = 1;
+                    hit[j] = done + (u64)i;
+                    memcpy(hit_digests + 20 * j, digests + 20 * i, 20);
+                    n_open--;
+                    break;
+                }
             }
         }
         done += (u64)count;
     }
     Py_END_ALLOW_THREADS
-    if (found)
-        return Py_BuildValue("(KK)", (unsigned long long)(first + hit),
-                             (unsigned long long)(hit + 1));
-    if (clamped)
-        return PyErr_Format(PyExc_OverflowError, "grind counter passed 2^64 - 1");
-    Py_RETURN_NONE;
+    if (n_open > 0) {
+        if (clamped)
+            return PyErr_Format(PyExc_OverflowError, "grind counter passed 2^64 - 1");
+        Py_RETURN_NONE;
+    }
+    hits = PyTuple_New(n);
+    if (hits == NULL)
+        return NULL;
+    for (j = 0; j < n; j++) {
+        PyObject *pair = Py_BuildValue("(Ky#)", (unsigned long long)(first + hit[j]),
+                                       (const char *)(hit_digests + 20 * j), (Py_ssize_t)20);
+        if (pair == NULL) {
+            Py_DECREF(hits);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(hits, j, pair);
+        if (hit[j] > last)
+            last = hit[j];
+    }
+    return Py_BuildValue("(NK)", hits, (unsigned long long)(last + 1));
 }
 
 PyDoc_STRVAR(grind_scan_doc,
-"grind_scan(k, tag, gy_x, gy_y, start, max_attempts, positions, target)\n"
-"    -> (counter, attempts) | None\n\n"
-"Smallest counter >= start whose digest carries target on the selected bit\n"
-"positions, searched over at most max_attempts counters.");
+"grind_scan(k, tag, gy_x, gy_y, start, max_attempts, positions, targets)\n"
+"    -> (((counter, digest), ...), attempts) | None\n\n"
+"One scan of counters start, start + 1, ... that fills every target (1 to 20\n"
+"chunk values, each below 2^len(positions)): a counter whose digest carries a\n"
+"value on the selected bit positions goes to the first still-open target with\n"
+"that value. Hits come back in target order; attempts is the offset of the\n"
+"last hit + 1. None when max_attempts counters leave a target open.");
 
 static double now_ns(void)
 {

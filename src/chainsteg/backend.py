@@ -1,8 +1,9 @@
 """Backend selection: compiled kernel when importable, pure Python otherwise.
 
 Both backends implement the same two calls used on hot paths. The
-observable contract is identical: grind_scan returns the smallest matching
-counter, so results never depend on which backend ran.
+observable contract is identical: grind_scan gives each target the smallest
+matching counter not taken by an earlier target, so results never depend on
+which backend ran.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from . import ec
 from .hashes import hash160
 
 _DIGEST_BATCH = 64
+MAX_TARGETS = 20  # one target per output of a MED transaction (n <= 20)
 
 
 def select_bits(digest: bytes, positions: tuple[int, ...]) -> int:
@@ -42,12 +44,26 @@ class PureBackend:
         pt = self._points(k, tag, counter, 1, gy)[0]
         return None if pt is None else hash160(ec.compress(pt))
 
-    def grind_scan(self, k, tag, gy, start, max_attempts, positions, target):
-        """First counter in [start, start+max_attempts) whose address digest
-        has `positions` bits equal to `target`; returns (counter, attempts)."""
+    def grind_scan(self, k, tag, gy, start, max_attempts, positions, *targets):
+        """One scan of counters start, start + 1, ... that fills every target.
+
+        A usable counter whose digest carries a value on `positions` goes to
+        the first still-open target with that value, so equal targets get
+        distinct counters. Returns ((counter, digest) per target, attempts),
+        where attempts is the offset of the last hit + 1, or None when
+        `max_attempts` counters leave a target open."""
+        m = len(positions)
         if any(not 0 <= pos < 160 for pos in positions):
             raise ValueError(f"bit positions must be in [0, 160), got {positions}")
-        m = len(positions)
+        if not 1 <= len(targets) <= MAX_TARGETS:
+            raise ValueError(f"{len(targets)} targets, expected 1 to {MAX_TARGETS}")
+        if any(not 0 <= t < 1 << m for t in targets):
+            raise ValueError(f"targets must be in [0, 2^{m}), got {targets}")
+        open_slots: dict[int, list[int]] = {}
+        for slot, value in enumerate(targets):
+            open_slots.setdefault(value, []).append(slot)
+        hits = [None] * len(targets)
+        n_open = len(targets)
         batch = _DIGEST_BATCH if m >= 6 else max(8, 1 << m)
         done = 0
         while done < max_attempts:
@@ -57,8 +73,12 @@ class PureBackend:
                 if pt is None:
                     continue  # degenerate index, skip
                 digest = hash160(ec.compress(pt))
-                if select_bits(digest, positions) == target:
-                    return (start + done + i, done + i + 1)
+                slots = open_slots.get(select_bits(digest, positions))
+                if slots:
+                    hits[slots.pop(0)] = (start + done + i, digest)
+                    n_open -= 1
+                    if not n_open:
+                        return tuple(hits), done + i + 1
             done += count
         return None
 
@@ -74,9 +94,9 @@ try:
         def derive_digest(self, k, tag, counter, gy):
             return _kernel.derive_digest(k, tag, counter, gy[0], gy[1])
 
-        def grind_scan(self, k, tag, gy, start, max_attempts, positions, target):
+        def grind_scan(self, k, tag, gy, start, max_attempts, positions, *targets):
             return _kernel.grind_scan(
-                k, tag, gy[0], gy[1], start, max_attempts, positions, target
+                k, tag, gy[0], gy[1], start, max_attempts, positions, targets
             )
 
     _ext = ExtBackend()

@@ -6,6 +6,12 @@ Every emitted address is a real derived address — the digest bits are never
 written directly, only searched for — so a recorded derivation index can
 re-derive every output (the no-manual-modification property).
 
+One address carrying an m-bit chunk costs ~2^m attempts (the paper's cost
+law). A transaction grinds its n chunks in one scan over the counters, in
+which each counter fills the first open chunk it carries, so it costs the
+expected maximum of n geometric waits, ~2^m * H_n attempts
+(H_n = 1 + 1/2 + ... + 1/n; 2.2x fewer than n * 2^m at n = 5).
+
 PERMUTED mode spends t = ceil(log2 n) bits per chunk on a masked slot tag so
 the receiver can restore payload order after the permutation is applied.
 Tags are masked with a keyed per-slot stream; counters whose masks collide
@@ -148,7 +154,22 @@ def grind(
 ) -> GrindResult:
     """Smallest grind counter >= start_index whose address carries the
     target bits. Deterministic; backend-accelerated."""
-    target.validate(cfg)
+    return _grind_chunks(km, [target], cfg, start_index)[0]
+
+
+def _grind_chunks(
+    km: KeyMaterial,
+    chunks: list[Chunk],
+    cfg: ChannelConfig,
+    start_index: int,
+) -> list[GrindResult]:
+    """One scan of grind counters from start_index that gives every chunk
+    its own address, in chunk order. A counter goes to the first still-open
+    chunk its digest carries, so equal chunks get distinct counters (and
+    digests). The scan ends at the last hit, after ~2^m * H_n attempts for
+    n chunks, and never runs past cfg.attempts_cap counters."""
+    for chunk in chunks:
+        chunk.validate(cfg)
     if start_index < 1:
         raise ValidationError("start_index must be >= 1")
     hit = backend.get().grind_scan(
@@ -158,22 +179,23 @@ def grind(
         start_index,
         cfg.attempts_cap,
         cfg.selector,
-        target.bits,
+        *(chunk.bits for chunk in chunks),
     )
     if hit is None:
+        values = ", ".join(f"{chunk.bits:#x}" for chunk in chunks)
         raise GrindExhausted(
-            f"no match for {cfg.m}-bit chunk {target.bits:#x} within "
+            f"no match for every {cfg.m}-bit chunk of ({values}) within "
             f"{cfg.attempts_cap} attempts",
             next_counter=start_index + cfg.attempts_cap,
         )
-    counter, attempts = hit
-    idx = DerivationIndex(DOMAIN_GRIND, counter)
-    digest = backend.get().derive_digest(km.k, DOMAIN_GRIND, counter, km.gy)
-    return GrindResult(
-        address=Address(digest, cfg.address_version),
-        index=idx,
-        attempts=attempts,
-    )
+    return [
+        GrindResult(
+            address=Address(digest, cfg.address_version),
+            index=DerivationIndex(DOMAIN_GRIND, counter),
+            attempts=counter - start_index + 1,
+        )
+        for counter, digest in hit[0]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +235,6 @@ def next_usable_counter(k: bytes, counter: int, cfg: "ChannelConfig") -> int:
 # ---------------------------------------------------------------------------
 # Embedding
 
-def _grind_distinct(km, chunks, cfg, session, seen: set[bytes]):
-    """Grind every chunk, never emitting two equal digests."""
-    results = []
-    for chunk in chunks:
-        start = session.next_grind
-        while True:
-            result = grind(km, chunk, cfg, start)
-            session.next_grind = result.index.counter + 1
-            if result.address.digest not in seen:
-                break
-            start = result.index.counter + 1  # duplicate: resume past it
-        seen.add(result.address.digest)
-        results.append(result)
-    return results
-
-
 def embed(
     km: KeyMaterial,
     payload: list[int],
@@ -237,8 +243,10 @@ def embed(
 ) -> StegoTemplate:
     """Build one transaction's stego outputs for `payload` bits.
 
-    Consumes grind counters from the session and reads (without advancing)
-    the MED signal counter. Output amounts come from the session RNG.
+    Grinds all n chunks in one scan from the session's next grind counter,
+    ~2^m * H_n attempts (H_n = 1 + 1/2 + ... + 1/n), and moves that counter
+    past the last hit. Reads (without advancing) the MED signal counter.
+    Output amounts come from the session RNG.
     """
     expected = payload_bits_per_tx(cfg)
     if len(payload) != expected:
@@ -253,8 +261,6 @@ def embed(
             Chunk(bits=bits_to_int(payload[i * cfg.m : (i + 1) * cfg.m]), slot=i)
             for i in range(cfg.n)
         ]
-        records = _grind_distinct(km, chunks, cfg, session, set())
-        ordered_records = records
     else:
         t = cfg.tag_bits
         data_bits = cfg.m - t
@@ -271,7 +277,11 @@ def embed(
         for slot in range(cfg.n):
             bits = payload[slot * data_bits : (slot + 1) * data_bits]
             chunks.append(Chunk(bits=(tags[slot] << data_bits) | bits_to_int(bits), slot=slot))
-        records = _grind_distinct(km, chunks, cfg, session, set())
+    records = _grind_chunks(km, chunks, cfg, session.next_grind)
+    session.next_grind = max(r.index.counter for r in records) + 1
+    if cfg.mode is Mode.ORDERED:
+        ordered_records = records
+    else:
         v = bits_to_int(payload[cfg.n * data_bits :])
         canon = CanonicalSet.from_addresses([r.address for r in records])
         order = unrank(PermRank.of(v, cfg.n), canon)

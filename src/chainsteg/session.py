@@ -94,7 +94,11 @@ class SessionState:
         self.wallet: list[WalletUtxo] = []
         self.embed_log: list[dict] = []
         self.burn_log: list[high.BurnRecord] = []
-        self._candidates: dict[bytes, tuple[int, str, int]] = {}
+        # receive-side caches, rebuilt after a load: the digest of each
+        # (generation, channel, counter) in a scan window, and whether a MED
+        # (generation, counter) is usable under the cfg stored with it
+        self._candidates: dict[tuple[int, str, int], bytes | None] = {}
+        self._usable: dict[tuple[int, int], tuple[medium.ChannelConfig, bool]] = {}
 
     # -- delegation to the current generation ------------------------------
 
@@ -303,10 +307,11 @@ class SessionState:
 
     # -- receiving -----------------------------------------------------------
 
-    def _window_counters(self, gen: Generation, channel: Channel) -> list[int]:
+    def _window_counters(self, gen_idx: int, channel: Channel) -> list[int]:
         """The next scan_window counters the sender could use: unusable
         PERMUTED counters are skipped on both sides, so they do not count
         against the window."""
+        gen = self.generations[gen_idx]
         start = gen.next_signal[channel.name]
         if channel is Channel.HIGH:
             return list(range(start, start + self.scan_window))
@@ -314,29 +319,41 @@ class SessionState:
         counter = start
         limit = start + 64 * self.scan_window  # safety stop, never binding
         while len(out) < self.scan_window and counter < limit:
-            if medium.med_counter_usable(gen.km.k, counter, gen.cfg_at(counter)):
+            cfg = gen.cfg_at(counter)
+            memo = self._usable.get((gen_idx, counter))
+            # a config switch processed since the memo was made changes cfg;
+            # compared by identity, as hashing or == on a cfg costs ~10x the
+            # dict lookup
+            if memo is None or memo[0] is not cfg:
+                memo = self._usable[(gen_idx, counter)] = (
+                    cfg, medium.med_counter_usable(gen.km.k, counter, cfg)
+                )
+            if memo[1]:
                 out.append(counter)
             counter += 1
         return out
 
-    def _window_candidates(self) -> dict[bytes, tuple[int, str, int]]:
+    def _window_candidates(self) -> dict[tuple[int, str, int], bytes | None]:
+        """Digest per (generation, channel, counter) in the scan windows.
+        Each is derived once and kept until its counter is processed."""
         for gen_idx, gen in enumerate(self.generations):
             for channel in (Channel.HIGH, Channel.MED):
-                for counter in self._window_counters(gen, channel):
+                for counter in self._window_counters(gen_idx, channel):
                     key = (gen_idx, channel.name, counter)
-                    digest = backend.get().derive_digest(
-                        gen.km.k, channel.value, counter, gen.km.gy
-                    )
-                    if digest is not None:
-                        self._candidates.setdefault(digest, key)
-        # prune candidates behind the per-generation counters
-        stale = [
-            d
-            for d, (g, ch, c) in self._candidates.items()
-            if c < self.generations[g].next_signal[ch]
-        ]
-        for d in stale:
-            del self._candidates[d]
+                    if key not in self._candidates:
+                        self._candidates[key] = backend.get().derive_digest(
+                            gen.km.k, channel.value, counter, gen.km.gy
+                        )
+        # prune both caches behind the per-generation counters
+        gens = self.generations
+        self._candidates = {
+            key: digest for key, digest in self._candidates.items()
+            if key[2] >= gens[key[0]].next_signal[key[1]]
+        }
+        self._usable = {
+            key: memo for key, memo in self._usable.items()
+            if key[1] >= gens[key[0]].next_signal["MED"]
+        }
         return self._candidates
 
     def _complete_med(self, gen: Generation) -> None:
@@ -396,7 +413,7 @@ class SessionState:
         while True:
             candidates = self._window_candidates()
             matches = []
-            for digest, hit in candidates.items():
+            for hit, digest in candidates.items():
                 for tx in chain_index.get(digest, ()):
                     matches.append((hit, tx))
             progress = False

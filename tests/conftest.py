@@ -12,18 +12,23 @@ from hypothesis import settings
 
 def _build_kernel():
     """Build chainsteg._kernel in place (python setup.py build_ext --inplace)
-    when it is missing and a C compiler is on PATH, so the backend-parity
-    tests run. This must happen before chainsteg is imported: the backend is
-    chosen at import time."""
+    when it is missing or older than _kernel.c or setup.py, and a C compiler
+    is on PATH, so the tests run against the current kernel. This must
+    happen before chainsteg is imported: the backend is chosen at import
+    time."""
     root = Path(__file__).resolve().parent.parent
     package = root / "src" / "chainsteg"
-    if any((package / f"_kernel{suffix}").exists()
-           for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+    built = next((path for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                  if (path := package / f"_kernel{suffix}").exists()), None)
+    newest_source = max(path.stat().st_mtime
+                        for path in (package / "_kernel.c", root / "setup.py"))
+    if built is not None and built.stat().st_mtime >= newest_source:
         return
     compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(compiler) is None:
         return
-    proc = subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"],
+    # --force: setuptools would skip the build when only setup.py changed
+    proc = subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace", "--force"],
                           cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"building chainsteg._kernel failed:\n{proc.stdout}{proc.stderr}")

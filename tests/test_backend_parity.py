@@ -13,8 +13,9 @@ needs_ext = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def restore_backend():
+    prev = backend.get()
     yield
-    backend.set_backend("auto")
+    backend.set_backend(prev.name)
 
 
 @needs_ext
@@ -31,6 +32,13 @@ def test_derivation_parity():
         )
 
 
+def _multiset(rng, m, n):
+    """n chunk values below 2^m drawn from a pool of about n/2 values, so
+    repeats are common at every m."""
+    pool = [rng.randrange(2**m) for _ in range(max(1, n // 2))]
+    return tuple(rng.choice(pool) for _ in range(n))
+
+
 @needs_ext
 def test_grind_parity():
     rng = random.Random(202)
@@ -40,10 +48,45 @@ def test_grind_parity():
         gy = ec.mult_g(rng.randrange(1, ec.Q))
         m = rng.randint(0, 9)
         positions = tuple(rng.sample(range(160), m))
-        target = rng.randrange(2**m) if m else 0
+        targets = _multiset(rng, m, rng.randint(1, 20))
         start = rng.randint(1, 10**6)
-        assert pure.grind_scan(k, 3, gy, start, 2 ** (m + 8), positions, target) == \
-            ext.grind_scan(k, 3, gy, start, 2 ** (m + 8), positions, target)
+        got = pure.grind_scan(k, 3, gy, start, 2 ** (m + 8), positions, *targets)
+        assert got == ext.grind_scan(k, 3, gy, start, 2 ** (m + 8), positions, *targets)
+        hits, attempts = got
+        counters = [c for c, _ in hits]
+        assert len(set(counters)) == len(targets)
+        assert max(counters) == start + attempts - 1
+        for (counter, digest), target in zip(hits, targets):
+            assert backend.select_bits(digest, positions) == target
+            assert digest == pure.derive_digest(k, 3, counter, gy)
+
+
+# (counter, attempts) that single-target grind_scan returned before scans
+# took several targets, for the inputs _pinned_cases draws
+PINNED_SINGLE = [
+    (386631, 1), (629911, 4), (87752, 6), (845886, 1817), (371533, 15),
+    (177427, 4), (813675, 169), (951010, 170), (88499, 23), (352263, 78),
+]
+
+
+def _pinned_cases():
+    rng = random.Random(4040)
+    for _ in PINNED_SINGLE:
+        k = rng.randbytes(32)
+        gy = ec.mult_g(rng.randrange(1, ec.Q))
+        m = rng.randint(0, 9)
+        positions = tuple(rng.sample(range(160), m))
+        yield k, gy, positions, rng.randrange(2**m), rng.randint(1, 10**6)
+
+
+@pytest.mark.parametrize("name", backend.available())
+def test_single_target_matches_pinned(name):
+    be = backend.set_backend(name)
+    for (k, gy, positions, target, start), pinned in zip(_pinned_cases(), PINNED_SINGLE):
+        ((counter, digest),), attempts = be.grind_scan(
+            k, 3, gy, start, 2 ** (len(positions) + 8), positions, target)
+        assert (counter, attempts) == pinned
+        assert digest == be.derive_digest(k, 3, counter, gy)
 
 
 @needs_ext
@@ -61,18 +104,20 @@ def test_grind_exhaustion_parity():
 @needs_ext
 @pytest.mark.parametrize("m,start", [(0, 1), (4, 2**63 - 6), (7, 12345)])
 def test_grind_budget_edges_parity(m, start):
-    """m = 0, counters across 2^63, and budgets that end on the hit, one
-    short of it, and part-way through a batch."""
+    """m = 0, counters across 2^63, and budgets that end on the last hit,
+    one short of it, and part-way through a batch, for one target and for
+    a multiset of them."""
     rng = random.Random(m)
     pure, ext = backend.PureBackend(), backend.set_backend("ext")
     k = rng.randbytes(32)
     gy = ec.mult_g(rng.randrange(1, ec.Q))
     positions = tuple(rng.sample(range(160), m))
-    target = rng.randrange(2**m)
-    _, attempts = pure.grind_scan(k, 3, gy, start, 2 ** (m + 8), positions, target)
-    for budget in (attempts, attempts - 1, attempts + 3, 2 ** (m + 8)):
-        assert pure.grind_scan(k, 3, gy, start, budget, positions, target) == \
-            ext.grind_scan(k, 3, gy, start, budget, positions, target)
+    for targets in ((rng.randrange(2**m),), _multiset(rng, m, 7)):
+        _, attempts = pure.grind_scan(k, 3, gy, start, 2 ** (m + 8), positions, *targets)
+        for budget in (attempts, attempts - 1, attempts + 3, 2 ** (m + 8)):
+            got = pure.grind_scan(k, 3, gy, start, budget, positions, *targets)
+            assert got == ext.grind_scan(k, 3, gy, start, budget, positions, *targets)
+            assert (got is None) == (budget < attempts)
 
 
 @needs_ext
@@ -86,6 +131,12 @@ def test_grind_skips_degenerate_counter_parity():
     for start, budget in ((5, 1), (5, 4), (3, 8)):
         assert pure.grind_scan(km.k, DOMAIN_GRIND, km.gy, start, budget, (), 0) == \
             ext.grind_scan(km.k, DOMAIN_GRIND, km.gy, start, budget, (), 0)
+    # inside a multi-target scan the skipped counter still counts as an attempt
+    for be in (pure, ext):
+        hits, attempts = be.grind_scan(km.k, DOMAIN_GRIND, km.gy, 3, 8, (), 0, 0, 0, 0)
+        assert [c for c, _ in hits] == [3, 4, 6, 7]
+        assert attempts == 5
+        assert be.grind_scan(km.k, DOMAIN_GRIND, km.gy, 3, 4, (), 0, 0, 0, 0) is None
 
 
 @pytest.mark.parametrize("name", backend.available())
@@ -102,6 +153,15 @@ def test_grind_rejects_bad_positions(name, positions):
             be.grind_scan(k, 3, gy, 1, 4, tuple(range(25)), 0)
 
 
+@pytest.mark.parametrize("name", backend.available())
+@pytest.mark.parametrize("targets", [(), tuple([0] * 21), (4,), (0, -1), (2**70,)])
+def test_grind_rejects_bad_targets(name, targets):
+    # 1 to 20 targets, each a 2-bit value
+    be = backend.set_backend(name)
+    with pytest.raises(ValueError):
+        be.grind_scan(bytes(32), 3, ec.mult_g(5), 1, 4, (7, 3), *targets)
+
+
 @needs_ext
 def test_concurrent_grinds_match_sequential():
     """The kernel releases the GIL while grinding; threads sharing its
@@ -110,14 +170,16 @@ def test_concurrent_grinds_match_sequential():
     ext = backend.set_backend("ext")
     k = rng.randbytes(32)
     gy = ec.mult_g(rng.randrange(1, ec.Q))
-    jobs = [(1 + 1000 * i, tuple(rng.sample(range(160), 8)), rng.randrange(256))
+    jobs = [(1 + 10000 * i, tuple(rng.sample(range(160), 8)), _multiset(rng, 8, 5))
             for i in range(6)]
-    expected = [ext.grind_scan(k, 3, gy, start, 4096, pos, tgt) for start, pos, tgt in jobs]
+    expected = [ext.grind_scan(k, 3, gy, start, 8192, pos, *tgts)
+                for start, pos, tgts in jobs]
+    assert None not in expected
     got = [None] * len(jobs)
 
     def worker(i):
-        start, pos, tgt = jobs[i]
-        got[i] = ext.grind_scan(k, 3, gy, start, 4096, pos, tgt)
+        start, pos, tgts = jobs[i]
+        got[i] = ext.grind_scan(k, 3, gy, start, 8192, pos, *tgts)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
     for t in threads:

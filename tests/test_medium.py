@@ -16,7 +16,6 @@ from chainsteg.medium import (
     ChannelConfig,
     Chunk,
     Mode,
-    _grind_distinct,
     effective_capacity,
     embed,
     extract,
@@ -119,6 +118,12 @@ def test_grind_exhaustion(km):
             grind(km, Chunk(bits=rng.randrange(4096), slot=0), cfg,
                   rng.randint(1, 10**6))
     assert info.value.next_counter is not None
+    # the cap bounds a transaction's one scan; a failed scan consumes no counter
+    state = make_state(km, cfg)
+    with pytest.raises(GrindExhausted) as info:
+        embed(km, [1] * payload_bits_per_tx(cfg), cfg, state)
+    assert info.value.next_counter == 1 + cfg.grind_cap
+    assert state.next_grind == 1
 
 
 def test_grind_smallest_counter(km):
@@ -150,14 +155,38 @@ def test_grind_effort_small_scale(km):
     assert 16 * 0.7 < mean < 16 * 1.4
 
 
-def test_grind_distinct_regrinds_on_duplicate(km):
-    cfg = ChannelConfig(n=2, m=2)
+def test_equal_chunks_get_distinct_counters(km):
+    # an all-zero payload makes every chunk the same value: the one scan
+    # must still give each its own counter and digest
+    cfg = ChannelConfig(n=4, m=2)
     state = make_state(km, cfg)
-    first = grind(km, Chunk(bits=3, slot=0), cfg, 1)
-    seen = {first.address.digest}
-    results = _grind_distinct(km, [Chunk(bits=3, slot=0)], cfg, state, seen)
-    assert results[0].address.digest != first.address.digest
-    assert results[0].index.counter > first.index.counter
+    result = embed(km, [0] * payload_bits_per_tx(cfg), cfg, state)
+    counters = [r.index.counter for r in result.grind_records]
+    digests = [r.address.digest for r in result.grind_records]
+    assert counters == sorted(set(counters))
+    assert len(set(digests)) == cfg.n
+    assert all(backend.select_bits(d, cfg.selector) == 0 for d in digests)
+    assert state.next_grind == result.change_index.counter + 1 == counters[-1] + 2
+
+
+@pytest.mark.parametrize("mode", [Mode.ORDERED, Mode.PERMUTED])
+def test_embed_attempts_follow_harmonic_law(km, mode):
+    # one scan per transaction: ~2^m * H_n attempts, not n * 2^m
+    cfg = ChannelConfig(n=5, m=4, mode=mode)
+    state = make_state(km, cfg)
+    rng = random.Random(14)
+    attempts = []
+    for _ in range(200):
+        state.current.next_signal["MED"] = next_usable_counter(
+            km.k, state.current.next_signal["MED"], cfg
+        )
+        start = state.next_grind
+        result = embed(km, rand_bits(rng, payload_bits_per_tx(cfg)), cfg, state)
+        attempts.append(max(r.index.counter for r in result.grind_records) - start + 1)
+        state.current.next_signal["MED"] += 1
+    law = 2**cfg.m * sum(1 / i for i in range(1, cfg.n + 1))
+    mean = sum(attempts) / len(attempts)
+    assert 0.7 * law < mean < 1.4 * law
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, high
+from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, backend, high
 from chainsteg.cli import main
 from chainsteg.errors import ValidationError
 from chainsteg.hdw import KeyMaterial, signal_address
@@ -266,7 +266,7 @@ def test_seeded_scenario_is_pinned(km):
     ]
     assert [len(b.transactions) for b in ledger.blocks] == [1, 6, 13, 9, 40]
     assert ledger.blocks[-1].block_hash.hex() == (
-        "4392f2344d94c37a61600a4c8283cefff9152a91ce963fc2427f1264348f9ce1"
+        "9ea1a255eb2e4a99f8c1be561cb5137e12395f091cfeb92d9caa2ff6e713930f"
     )
 
 
@@ -284,6 +284,48 @@ def test_switch_config(km):
     assert ("MED", b"old params") in got
     assert ("MED", b"new params") in got
     assert receiver.cfg == cfg2
+
+
+def test_receive_derives_only_new_window_counters(km, monkeypatch):
+    sender, receiver, ledger = pair(km, ChannelConfig(n=4, m=8))
+    receiver.detect_and_receive(ledger)  # set-up scan: both windows derived
+    assert len(sender.send_message(ledger, b"hi", Channel.MED)) == 1
+    ledger.mine_block(seed=5)
+    be = backend.get()
+    calls = []
+    real = be.derive_digest
+    monkeypatch.setattr(be, "derive_digest", lambda *args: calls.append(args) or real(*args))
+    assert receiver.detect_and_receive(ledger) == [("MED", b"hi")]
+    # the MED window moved past counter 1, so only counter 1 + 16 is new
+    assert [args[2] for args in calls] == [1 + receiver.scan_window]
+
+
+def test_switch_config_with_scan_after_every_block(km):
+    # The receiver computes which MED counters are usable under the old
+    # parameters before the switch frame arrives; after it, the sender skips
+    # by the new ones, and every message must still be delivered.
+    cfg1 = ChannelConfig(n=5, m=6, mode=Mode.PERMUTED)
+    cfg2 = ChannelConfig(n=4, m=5, mode=Mode.PERMUTED)
+    sender, receiver, ledger = pair(km, cfg1, tx_seed=51, rx_seed=52)
+    got = receiver.detect_and_receive(ledger)
+    sent = []
+
+    def send(msg, channel):
+        sender.send_message(ledger, msg, channel)
+        sent.append((channel.name, msg))
+        ledger.mine_block(NoiseProfile(rate=1.0), seed=len(sent))
+        got.extend(receiver.detect_and_receive(ledger))
+
+    send(b"before the switch", Channel.MED)
+    sender.switch_config(ledger, cfg2)
+    ledger.mine_block(seed=99)
+    got.extend(receiver.detect_and_receive(ledger))
+    for i in range(4):
+        send(b"after the switch %d" % i, Channel.MED)
+    send(b"high", Channel.HIGH)
+    assert got == sent
+    assert receiver.cfg == cfg2
+    assert not receiver.quarantine
 
 
 def test_randomized_interleavings(km, ordered_cfg):
