@@ -2,7 +2,9 @@
 
 Subcommands: keygen, send, scan, extract, mine, capacity, bench, stats,
 export. Global flags --chain/--session/--seed/--config. Exit codes:
-0 success, 2 validation error, 3 extraction or authentication failure.
+0 success, 2 validation error (including a missing, unreadable or malformed
+chain, session, key, config or input file), 3 extraction or authentication
+failure. Errors print one "error: ..." line, never a traceback.
 
 The bench command reproduces the grinding-effort experiment (mean attempts
 per embedded-bit count, the 2^m law) and can compare the compiled kernel
@@ -13,6 +15,7 @@ asserted; they are hardware-bound.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +23,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import backend, ec, stats
+from . import backend, stats
 from .errors import (
     AuthError,
     ChainstegError,
@@ -147,8 +150,6 @@ def capacity_table(n_range, m_range) -> str:
 
 @dataclass
 class StatSuiteReport:
-    med: stats.RandomnessReport | None
-    high: stats.RandomnessReport | None
     med_ab_chi_p: float | None
     med_ab_monobit_p: float | None
     high_ab_chi_p: float | None
@@ -256,8 +257,6 @@ def stat_suite(
     t = cfg.tag_bits
     null_rate = 1.0 / math.comb(2**t, cfg.n) if cfg.n <= 2**t else 0.0
     report = StatSuiteReport(
-        med=stats.randomness_check(med_digests) if med_ok and len(med_digests) >= 30 else None,
-        high=stats.randomness_check(high_fields) if high_ok and len(high_fields) >= 30 else None,
         med_ab_chi_p=stats.two_sample_bytes_p(med_blob, decoy_blob) if med_ok else None,
         med_ab_monobit_p=stats.two_sample_monobit_p(med_blob, decoy_blob) if med_ok else None,
         high_ab_chi_p=stats.two_sample_bytes_p(high_blob, decoy_blob) if high_ok else None,
@@ -273,30 +272,48 @@ def stat_suite(
 
 
 # ---------------------------------------------------------------------------
-# Config files: plain "key = value" lines for ChannelConfig fields
+# Config files: UTF-8 "key = value" lines, one per ChannelConfig field; "#"
+# starts a comment. A value is an integer (0x... allowed), a comma list of
+# integers (a one-element list is written "5,"), true/yes, false/no, none,
+# or a word (case-insensitive), and reads as that entry of
+# ChannelConfig.to_dict().
+
+def _config_value(text: str):
+    word = text.lower()
+    if word in ("true", "yes"):
+        return True
+    if word in ("false", "no"):
+        return False
+    if word == "none":
+        return None
+    if "," in text:
+        return [int(v, 0) for v in text.split(",") if v.strip()]
+    try:
+        return int(text, 0)
+    except ValueError:
+        return word
+
 
 def load_config(path) -> ChannelConfig:
-    fields: dict = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
+    """Parse a config file; a malformed one raises ValidationError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    names = {f.name for f in dataclasses.fields(ChannelConfig)}
+    values = {}
+    try:
+        for line in raw.decode().splitlines():
+            line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in ("n", "m", "grind_cap", "address_version", "max_fields_per_tx",
-                       "high_kind"):
-                fields[key] = int(value, 0)
-            elif key == "mode":
-                fields[key] = Mode(value.lower())
-            elif key == "bit_selector":
-                fields[key] = tuple(int(v) for v in value.split(",") if v.strip())
-            elif key == "debug_unmasked_tags":
-                fields[key] = value.lower() in ("1", "true", "yes")
-            else:
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep:
+                raise ValidationError(f"expected 'key = value', got {line!r}")
+            if key not in names:
                 raise ValidationError(f"unknown config key {key!r}")
-    return ChannelConfig(**fields)
+            values[key] = _config_value(value)
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        raise ValidationError(f"malformed config file: {exc}") from exc
+    return ChannelConfig.from_dict(values)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +426,6 @@ def cmd_extract(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    state = None
-    if args.session and os.path.exists(args.session):
-        state = SessionState.load(args.session)
     ledger = _load_ledger(args, create_ok=True)
     profile = NoiseProfile(rate=args.decoys)
     block = ledger.mine_block(profile, seed=args.mine_seed if args.mine_seed is not None else (args.seed or 0))
@@ -539,7 +553,7 @@ def main(argv=None) -> int:
     except (AuthError, TagCorruption) as exc:
         print(f"extraction error: {exc}", file=sys.stderr)
         return 3
-    except ChainstegError as exc:
+    except (ChainstegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

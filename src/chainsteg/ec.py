@@ -28,12 +28,6 @@ def is_on_curve(pt: Point) -> bool:
     return (y * y - x * x * x - 7) % P == 0
 
 
-def point_neg(pt: Point) -> Point:
-    if pt is None:
-        return None
-    return (pt[0], (-pt[1]) % P)
-
-
 def point_add(p1: Point, p2: Point) -> Point:
     if p1 is None:
         return p2

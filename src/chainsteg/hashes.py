@@ -1,4 +1,4 @@
-"""Digest and address-text primitives: sha256, ripemd160, hash160, base58check.
+"""Digest primitives: sha256, sha256d, ripemd160, hash160.
 
 OpenSSL builds without the legacy provider drop ripemd160 from hashlib, so a
 pure-Python block implementation is kept here and used when hashlib refuses.
@@ -119,55 +119,3 @@ def hash160(data: bytes) -> bytes:
     """RIPEMD-160 of SHA-256; the 20-byte core of classic addresses."""
     return ripemd160(sha256(data))
 
-
-# ---------------------------------------------------------------------------
-# base58check
-
-_B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
-_B58_INDEX = {c: i for i, c in enumerate(_B58_ALPHABET)}
-
-
-def b58encode(data: bytes) -> str:
-    value = int.from_bytes(data, "big")
-    out = ""
-    while value:
-        value, mod = divmod(value, 58)
-        out = _B58_ALPHABET[mod] + out
-    pad = 0
-    for byte in data:
-        if byte == 0:
-            pad += 1
-        else:
-            break
-    return _B58_ALPHABET[0] * pad + out
-
-
-def b58decode(text: str) -> bytes:
-    value = 0
-    for ch in text:
-        if ch not in _B58_INDEX:
-            raise ValueError(f"invalid base58 character {ch!r}")
-        value = value * 58 + _B58_INDEX[ch]
-    raw = value.to_bytes((value.bit_length() + 7) // 8, "big") if value else b""
-    pad = 0
-    for ch in text:
-        if ch == _B58_ALPHABET[0]:
-            pad += 1
-        else:
-            break
-    return b"\x00" * pad + raw
-
-
-def base58check_encode(version: int, payload: bytes) -> str:
-    body = bytes([version]) + payload
-    return b58encode(body + sha256d(body)[:4])
-
-
-def base58check_decode(text: str) -> tuple[int, bytes]:
-    raw = b58decode(text)
-    if len(raw) < 5:
-        raise ValueError("base58check string too short")
-    body, check = raw[:-4], raw[-4:]
-    if sha256d(body)[:4] != check:
-        raise ValueError("base58check checksum mismatch")
-    return body[0], body[1:]

@@ -14,12 +14,12 @@ sequential signal scan.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import ec
 from .errors import DegenerateIndex, ValidationError
-from .hashes import base58check_decode, base58check_encode
+from .files import write_atomic
 
 DOMAIN_SIG_HIGH = 0x01
 DOMAIN_SIG_MED = 0x02
@@ -50,25 +50,10 @@ class DerivationIndex:
 @dataclass(frozen=True)
 class Address:
     digest: bytes
-    version: int = 0x00
 
     def __post_init__(self):
         if len(self.digest) != 20:
             raise ValidationError("address digest must be 20 bytes")
-
-    @property
-    def text(self) -> str:
-        return base58check_encode(self.version, self.digest)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Address":
-        version, digest = base58check_decode(text)
-        if len(digest) != 20:
-            raise ValidationError("decoded payload is not 20 bytes")
-        return cls(digest=digest, version=version)
-
-    def __lt__(self, other: "Address") -> bool:
-        return self.digest < other.digest
 
 
 @dataclass(frozen=True)
@@ -109,10 +94,6 @@ class KeyMaterial:
     def public_only(self) -> "KeyMaterial":
         return KeyMaterial(k=self.k, gy=self.gy)
 
-    @property
-    def has_private(self) -> bool:
-        return self.y is not None
-
 
 def hdw_scalar(k: bytes, idx: DerivationIndex) -> int:
     return int.from_bytes(hashlib.sha256(idx.message(k)).digest(), "big") % ec.Q
@@ -127,27 +108,18 @@ def derive_private(km: KeyMaterial, idx: DerivationIndex) -> int:
     return x
 
 
-def derive_address(km: KeyMaterial, idx: DerivationIndex, version: int = 0x00) -> Address:
+def derive_address(km: KeyMaterial, idx: DerivationIndex) -> Address:
     from . import backend
 
     digest = backend.get().derive_digest(km.k, idx.domain, idx.counter, km.gy)
     if digest is None:
         raise DegenerateIndex(f"index {idx} derives the point at infinity")
-    return Address(digest=digest, version=version)
-
-
-def signal_address(km: KeyMaterial, session, channel: Channel, version: int = 0x00) -> Address:
-    """Address announcing the next transaction on `channel`.
-
-    Reads the session's next counter without advancing it; advancing happens
-    when a transaction is actually submitted.
-    """
-    counter = session.next_signal[channel.name]
-    return derive_address(km, DerivationIndex(channel.value, counter), version)
+    return Address(digest=digest)
 
 
 # ---------------------------------------------------------------------------
-# Key file format (documented in the README):
+# Key file format (normative; read_key_file and write_key_file follow it),
+# UTF-8 text:
 #   line 1: "k: " + 64 hex chars
 #   line 2: "y: " + 64 hex chars      -- only in private-side files
 #   line 3: "gy: " + 66 hex chars (compressed point)
@@ -157,23 +129,21 @@ def write_key_file(path, km: KeyMaterial, include_private: bool = True) -> None:
     if include_private and km.y is not None:
         lines.append(f"y: {km.y.to_bytes(32, 'big').hex()}")
     lines.append(f"gy: {ec.compress(km.gy).hex()}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_key_file(path) -> KeyMaterial:
-    fields = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    """Parse a key file; a malformed one raises ValidationError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        fields = {}
+        for line in raw.decode().splitlines():
             name, _, value = line.partition(":")
             fields[name.strip()] = value.strip()
-    try:
         k = bytes.fromhex(fields["k"])
         gy = ec.decompress(bytes.fromhex(fields["gy"]))
-    except (KeyError, ValueError) as exc:
+        y = int.from_bytes(bytes.fromhex(fields["y"]), "big") if "y" in fields else None
+    except (KeyError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise ValidationError(f"malformed key file: {exc}") from exc
-    y = int.from_bytes(bytes.fromhex(fields["y"]), "big") if "y" in fields else None
     return KeyMaterial(k=k, gy=gy, y=y)

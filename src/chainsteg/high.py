@@ -35,8 +35,8 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import AuthError, FramingError, NonceReuse
-from .hdw import DOMAIN_GRIND, Channel, DerivationIndex, KeyMaterial, signal_address
-from .ledger import DUST, KIND_P2PKH, StegoTemplate, StegoTransaction, TxOutput
+from .hdw import DOMAIN_GRIND, Channel, DerivationIndex, KeyMaterial, derive_address
+from .ledger import DUST, StegoTemplate, StegoTransaction, TxOutput
 
 VERSION_DATA = 1
 VERSION_ROTATE = 2
@@ -142,13 +142,13 @@ def burn_records(tx: StegoTransaction) -> list[BurnRecord]:
     ]
 
 
-def tx_template(gen, fields: list[bytes], cfg, rng) -> StegoTemplate:
+def tx_template(gen, fields: list[bytes], rng) -> StegoTemplate:
     """One transaction carrying `fields` at the generation's next HIGH
     counter: masked fields, then change to a fresh wallet address."""
     counter = gen.next_signal["HIGH"]
-    signal = signal_address(gen.km, gen, Channel.HIGH, cfg.address_version)
+    signal = derive_address(gen.km, DerivationIndex(Channel.HIGH.value, counter))
     outputs = tuple(
-        TxOutput(mask_field(gen.km.k, f, counter, j), rng.randint(DUST, 10_000), cfg.high_kind)
+        TxOutput(mask_field(gen.km.k, f, counter, j), rng.randint(DUST, 10_000))
         for j, f in enumerate(fields)
     )
     change_digest, change_counter = gen.fresh_wallet_address()
@@ -157,7 +157,7 @@ def tx_template(gen, fields: list[bytes], cfg, rng) -> StegoTemplate:
         signal_address=signal,
         stego_outputs=outputs,
         grind_records=(),
-        change_output=TxOutput(change_digest, rng.randint(DUST, 1_000_000), KIND_P2PKH),
+        change_output=TxOutput(change_digest, rng.randint(DUST, 1_000_000)),
         change_index=DerivationIndex(DOMAIN_GRIND, change_counter),
     )
 

@@ -18,6 +18,7 @@ amount u64) || fee u64. txid = sha256d(transaction bytes).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -25,17 +26,25 @@ import struct
 from dataclasses import dataclass
 
 from .errors import CorruptChain, Rejected
+from .files import write_atomic
 from .hashes import sha256d
 from .hdw import Address, DerivationIndex
 
 DUST = 546
 DEFAULT_FEE = 1000
 BLOCK_SUBSIDY = 50_0000_0000
+_POOL_FUND = 10**15  # genesis output that funds the decoy economy
 _GENESIS_TIME = 1_600_000_000
 _NULL32 = bytes(32)
 
 KIND_P2PKH = 0
-KIND_P2SH = 1
+
+# Decoy output counts follow a normal of this mean and deviation, rounded
+# and redrawn until in [min, max], to match observed transaction statistics.
+_DECOY_OUT_MEAN = 3.45
+_DECOY_OUT_SD = 1.2
+_DECOY_OUT_MIN = 1
+_DECOY_OUT_MAX = 30
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,7 @@ class StegoTransaction:
         parts.append(struct.pack(">Q", self.fee))
         return b"".join(parts)
 
-    @property
+    @functools.cached_property
     def txid(self) -> bytes:
         return sha256d(self.serialize())
 
@@ -200,22 +209,18 @@ class Block:
         return block
 
 
+def _decoy_output_count(rng: random.Random) -> int:
+    while True:
+        n = round(rng.gauss(_DECOY_OUT_MEAN, _DECOY_OUT_SD))
+        if _DECOY_OUT_MIN <= n <= _DECOY_OUT_MAX:
+            return n
+
+
 @dataclass
 class NoiseProfile:
-    """Cover-traffic generator settings; output counts follow a truncated
-    normal matching observed transaction statistics."""
+    """Cover-traffic generator settings."""
 
     rate: float = 5.0  # decoy transactions per block
-    out_mean: float = 3.45
-    out_sd: float = 1.2
-    out_min: int = 1
-    out_max: int = 30
-
-    def sample_outputs(self, rng: random.Random) -> int:
-        while True:
-            n = round(rng.gauss(self.out_mean, self.out_sd))
-            if self.out_min <= n <= self.out_max:
-                return n
 
     def sample_count(self, rng: random.Random) -> int:
         # Knuth Poisson; rate is small so this is fine.
@@ -230,8 +235,7 @@ class NoiseProfile:
 class Ledger:
     """Single-writer chain state; reads of confirmed data are pure."""
 
-    def __init__(self, dust: int = DUST):
-        self.dust = dust
+    def __init__(self):
         self.blocks: list[Block] = []
         self.mempool: list[StegoTransaction] = []
         self._mempool_ids: set[bytes] = set()
@@ -249,12 +253,10 @@ class Ledger:
     def create(
         cls,
         genesis_allocations: list[tuple[bytes, int]] | None = None,
-        pool_fund: int = 10**15,
-        dust: int = DUST,
     ) -> "Ledger":
-        ledger = cls(dust=dust)
+        ledger = cls()
         rng = random.Random(0xC0FFEE)
-        outputs = [TxOutput(rng.randbytes(20), pool_fund)]
+        outputs = [TxOutput(rng.randbytes(20), _POOL_FUND)]
         for digest, amount in genesis_allocations or []:
             outputs.append(TxOutput(digest, amount))
         coinbase = StegoTransaction(
@@ -300,8 +302,8 @@ class Ledger:
         for out in tx.outputs:
             if len(out.field) != 20:
                 raise Rejected("output field must be 20 bytes")
-            if out.amount < self.dust:
-                raise Rejected(f"output below dust threshold ({out.amount} < {self.dust})")
+            if out.amount < DUST:
+                raise Rejected(f"output below dust threshold ({out.amount} < {DUST})")
         if tx.fee < 0 or total_in != sum(o.amount for o in tx.outputs) + tx.fee:
             raise Rejected("inputs do not balance outputs plus fee")
         self.mempool.append(tx)
@@ -314,21 +316,21 @@ class Ledger:
 
     # -- mining ------------------------------------------------------------
 
-    def _make_decoy(self, rng: random.Random, profile: NoiseProfile):
+    def _make_decoy(self, rng: random.Random):
         """A decoy spending a random pool outpoint, with the outpoint of its
         change; None when the pool is empty."""
         if not self._pool:
             return None
         outpoint = self._pool.pop(rng.randrange(len(self._pool)))
         prev = self._utxos[outpoint]
-        n_out = profile.sample_outputs(rng)
+        n_out = _decoy_output_count(rng)
         fee = rng.randint(200, 2000)
         budget = prev.amount - fee
         amounts = []
         for _ in range(n_out - 1):
-            amounts.append(rng.randint(self.dust, 1_000_000))
+            amounts.append(rng.randint(DUST, 1_000_000))
         change = budget - sum(amounts)
-        if change < self.dust:  # pool fragment too small; merge everything
+        if change < DUST:  # pool fragment too small; merge everything
             amounts, change = [], budget
             n_out = 1
         outputs = [TxOutput(rng.randbytes(20), a) for a in amounts]
@@ -347,7 +349,7 @@ class Ledger:
         profile = decoys or NoiseProfile(rate=0.0)
         decoy_txs, decoy_change = [], []
         for _ in range(profile.sample_count(rng)):
-            decoy = self._make_decoy(rng, profile)
+            decoy = self._make_decoy(rng)
             if decoy is not None:
                 decoy_txs.append(decoy[0])
                 decoy_change.append(decoy[1])
@@ -446,8 +448,9 @@ class Ledger:
         """Append blocks not yet persisted (append-only record file).
 
         Unconfirmed transactions go to a `<path>.mempool` sidecar (same
-        length-prefixed record framing) so a separate mine invocation can
-        pick them up; the block-file format itself stays append-only.
+        length-prefixed record framing, replaced atomically) so a separate
+        mine invocation can pick them up; the block-file format itself
+        stays append-only.
         """
         mode = "ab" if self._persisted_blocks else "wb"
         with open(path, mode) as fh:
@@ -456,9 +459,7 @@ class Ledger:
         self._persisted_blocks = len(self.blocks)
         sidecar = f"{path}.mempool"
         if self.mempool:
-            with open(sidecar, "wb") as fh:
-                for tx in self.mempool:
-                    fh.write(_record(tx.serialize()))
+            write_atomic(sidecar, b"".join(_record(tx.serialize()) for tx in self.mempool))
         else:
             try:
                 os.remove(sidecar)
@@ -466,8 +467,8 @@ class Ledger:
                 pass
 
     @classmethod
-    def load(cls, path, dust: int = DUST) -> "Ledger":
-        ledger = cls(dust=dust)
+    def load(cls, path) -> "Ledger":
+        ledger = cls()
         with open(path, "rb") as fh:
             data = fh.read()
         prev_hash = _NULL32

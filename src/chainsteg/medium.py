@@ -21,6 +21,7 @@ is computable from the shared key alone, so the skip set never desyncs).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
@@ -40,9 +41,9 @@ from .hdw import (
     Channel,
     DerivationIndex,
     KeyMaterial,
-    signal_address,
+    derive_address,
 )
-from .ledger import DUST, KIND_P2PKH, StegoTemplate, StegoTransaction, TxOutput
+from .ledger import DUST, StegoTemplate, StegoTransaction, TxOutput
 from .permcode import CanonicalSet, PermRank, perm_capacity_bits, rank, unrank
 
 
@@ -65,12 +66,20 @@ class ChannelConfig:
     mode: Mode = Mode.ORDERED
     bit_selector: tuple[int, ...] | None = None
     grind_cap: int | None = None
-    address_version: int = 0x00
     max_fields_per_tx: int = 0  # high channel: 0 = single transaction
-    high_kind: int = KIND_P2PKH  # p2pkh/p2sh flavor of high-channel outputs
     debug_unmasked_tags: bool = False
 
     def __post_init__(self):
+        # configs also arrive from files and config frames: check types first
+        ints = [self.n, self.m, self.max_fields_per_tx, *(self.bit_selector or ())]
+        if self.grind_cap is not None:
+            ints.append(self.grind_cap)
+        if (any(type(v) is not int for v in ints) or type(self.mode) is not Mode
+                or type(self.debug_unmasked_tags) is not bool
+                or type(self.bit_selector) not in (tuple, type(None))):
+            raise ValidationError(f"channel config field of the wrong type: {self!r}")
+        if self.max_fields_per_tx < 0 or (self.grind_cap is not None and self.grind_cap < 1):
+            raise ValidationError("max_fields_per_tx must be >= 0 and grind_cap >= 1")
         if not 2 <= self.n <= 20:
             raise ValidationError("n must be in [2, 20]")
         if not 0 <= self.m <= 24:
@@ -99,6 +108,33 @@ class ChannelConfig:
     @property
     def attempts_cap(self) -> int:
         return self.grind_cap if self.grind_cap is not None else 2 ** (self.m + 8)
+
+    def to_dict(self) -> dict:
+        """Every field, in field order, as JSON values (the mode's value, the
+        selector as a list)."""
+        data = dataclasses.asdict(self)
+        data["mode"] = self.mode.value
+        if self.bit_selector is not None:
+            data["bit_selector"] = list(self.bit_selector)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ChannelConfig":
+        """Inverse of to_dict. Keys that name no field are ignored, so a dict
+        written with fields since removed still loads; a missing key takes
+        the default; a bad value raises ValidationError."""
+        if not isinstance(data, dict):
+            raise ValidationError("channel config must be a mapping")
+        names = {f.name for f in dataclasses.fields(cls)}
+        values = {key: value for key, value in data.items() if key in names}
+        try:
+            if "mode" in values:
+                values["mode"] = Mode(values["mode"])
+            if values.get("bit_selector") is not None:
+                values["bit_selector"] = tuple(values["bit_selector"])
+            return cls(**values)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad channel config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -190,7 +226,7 @@ def _grind_chunks(
         )
     return [
         GrindResult(
-            address=Address(digest, cfg.address_version),
+            address=Address(digest),
             index=DerivationIndex(DOMAIN_GRIND, counter),
             attempts=counter - start_index + 1,
         )
@@ -235,26 +271,23 @@ def next_usable_counter(k: bytes, counter: int, cfg: "ChannelConfig") -> int:
 # ---------------------------------------------------------------------------
 # Embedding
 
-def embed(
-    km: KeyMaterial,
-    payload: list[int],
-    cfg: ChannelConfig,
-    session,
-) -> StegoTemplate:
-    """Build one transaction's stego outputs for `payload` bits.
+def embed(gen, payload: list[int], cfg: ChannelConfig, rng) -> StegoTemplate:
+    """Build one transaction carrying `payload` bits at the generation's
+    next MED counter.
 
-    Grinds all n chunks in one scan from the session's next grind counter,
-    ~2^m * H_n attempts (H_n = 1 + 1/2 + ... + 1/n), and moves that counter
-    past the last hit. Reads (without advancing) the MED signal counter.
-    Output amounts come from the session RNG.
+    Grinds all n chunks in one scan from the generation's next grind
+    counter, ~2^m * H_n attempts (H_n = 1 + 1/2 + ... + 1/n), and moves that
+    counter past the last hit. Reads (without advancing) the MED signal
+    counter. Output amounts come from `rng`.
     """
     expected = payload_bits_per_tx(cfg)
     if len(payload) != expected:
         raise ValidationError(f"payload must be exactly {expected} bits, got {len(payload)}")
     if any(b not in (0, 1) for b in payload):
         raise ValidationError("payload must be a bit list")
-    counter = session.next_signal["MED"]
-    signal = signal_address(km, session, Channel.MED, cfg.address_version)
+    km = gen.km
+    counter = gen.next_signal["MED"]
+    signal = derive_address(km, DerivationIndex(Channel.MED.value, counter))
 
     if cfg.mode is Mode.ORDERED:
         chunks = [
@@ -277,8 +310,8 @@ def embed(
         for slot in range(cfg.n):
             bits = payload[slot * data_bits : (slot + 1) * data_bits]
             chunks.append(Chunk(bits=(tags[slot] << data_bits) | bits_to_int(bits), slot=slot))
-    records = _grind_chunks(km, chunks, cfg, session.next_grind)
-    session.next_grind = max(r.index.counter for r in records) + 1
+    records = _grind_chunks(km, chunks, cfg, gen.next_grind)
+    gen.next_grind = max(r.index.counter for r in records) + 1
     if cfg.mode is Mode.ORDERED:
         ordered_records = records
     else:
@@ -288,18 +321,17 @@ def embed(
         by_digest = {r.address.digest: r for r in records}
         ordered_records = [by_digest[a.digest] for a in order]
 
-    rng = session.rng
     stego_outputs = tuple(
-        TxOutput(rec.address.digest, rng.randint(DUST, 1_000_000), KIND_P2PKH)
+        TxOutput(rec.address.digest, rng.randint(DUST, 1_000_000))
         for rec in ordered_records
     )
-    change_digest, change_counter = session.current.fresh_wallet_address()
+    change_digest, change_counter = gen.fresh_wallet_address()
     return StegoTemplate(
         counter=counter,
         signal_address=signal,
         stego_outputs=stego_outputs,
         grind_records=tuple(ordered_records),
-        change_output=TxOutput(change_digest, rng.randint(DUST, 1_000_000), KIND_P2PKH),
+        change_output=TxOutput(change_digest, rng.randint(DUST, 1_000_000)),
         change_index=DerivationIndex(DOMAIN_GRIND, change_counter),
     )
 
@@ -349,7 +381,7 @@ def extract(
         if slot is None or slot in slot_payloads:
             raise TagCorruption("slot tags do not unmask to a permutation")
         slot_payloads[slot] = c & ((1 << data_bits) - 1)
-    addresses = [Address(d, cfg.address_version) for d in digests]
+    addresses = [Address(d) for d in digests]
     canon = CanonicalSet.from_addresses(addresses)
     v = rank(addresses, canon)
     bits = []

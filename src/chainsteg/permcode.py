@@ -16,13 +16,6 @@ from .hdw import Address
 MAX_N = 20
 
 
-def compare(a: Address, b: Address) -> int:
-    """-1, 0, or 1; lexicographic over digest bytes (MSB first)."""
-    if a.digest == b.digest:
-        return 0
-    return -1 if a.digest < b.digest else 1
-
-
 @dataclass(frozen=True)
 class CanonicalSet:
     items: tuple[Address, ...]

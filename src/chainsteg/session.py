@@ -23,11 +23,14 @@ from dataclasses import dataclass, field
 from . import backend, ec, high, medium
 from .bitio import bits_to_bytes, bits_to_int, bytes_to_bits, int_to_bits
 from .errors import AuthError, PermutationMismatch, TagCorruption, ValidationError
+from .files import write_atomic
 from .hdw import DOMAIN_GRIND, Channel, KeyMaterial
 from .ledger import DEFAULT_FEE, DUST, Ledger, StegoTransaction, TxInput, TxOutput
 
 _MAGIC = b"CSSN"
 _FORMAT_VERSION = 1
+
+SCAN_WINDOW = 16  # signal counters per channel and generation a receive probes
 
 
 @dataclass
@@ -79,10 +82,8 @@ class Generation:
 class SessionState:
     """Single-writer session; sender and receiver share only the ledger."""
 
-    def __init__(self, km: KeyMaterial, cfg: medium.ChannelConfig, seed: int = 0,
-                 scan_window: int = 16):
+    def __init__(self, km: KeyMaterial, cfg: medium.ChannelConfig, seed: int = 0):
         self.cfg = cfg
-        self.scan_window = scan_window
         self.cursor = 0
         self.rng = random.Random(seed)
         self.next_msg_id = 0
@@ -100,31 +101,13 @@ class SessionState:
         self._candidates: dict[tuple[int, str, int], bytes | None] = {}
         self._usable: dict[tuple[int, int], tuple[medium.ChannelConfig, bool]] = {}
 
-    # -- delegation to the current generation ------------------------------
-
     @property
     def current(self) -> Generation:
         return self.generations[-1]
 
     @property
-    def km(self) -> KeyMaterial:
-        return self.current.km
-
-    @property
     def key_gen(self) -> int:
         return len(self.generations) - 1
-
-    @property
-    def next_signal(self) -> dict[str, int]:
-        return self.current.next_signal
-
-    @property
-    def next_grind(self) -> int:
-        return self.current.next_grind
-
-    @next_grind.setter
-    def next_grind(self, value: int) -> None:
-        self.current.next_grind = value
 
     # -- wallet -------------------------------------------------------------
 
@@ -191,10 +174,10 @@ class SessionState:
 
     # -- ledger bootstrap ----------------------------------------------------
 
-    def genesis_ledger(self, amount: int = 10**12, pool_fund: int = 10**15) -> Ledger:
+    def genesis_ledger(self, amount: int = 10**12) -> Ledger:
         """Create a fresh chain whose genesis funds this session's wallet."""
         digest, counter = self.current.fresh_wallet_address()
-        ledger = Ledger.create(genesis_allocations=[(digest, amount)], pool_fund=pool_fund)
+        ledger = Ledger.create(genesis_allocations=[(digest, amount)])
         coinbase = ledger.blocks[0].transactions[0]
         self.wallet_add(WalletUtxo(coinbase.txid, 1, amount, self.key_gen, counter))
         return ledger
@@ -239,13 +222,14 @@ class SessionState:
         n_txs = max(1, -(-len(bits) // cap))
         while len(bits) < n_txs * cap:
             bits.append(self.rng.getrandbits(1))
+        gen = self.current
         txids = []
         for i in range(n_txs):
             chunk = bits[i * cap : (i + 1) * cap]
-            self.current.next_signal["MED"] = medium.next_usable_counter(
-                self.km.k, self.current.next_signal["MED"], self.cfg
+            gen.next_signal["MED"] = medium.next_usable_counter(
+                gen.km.k, gen.next_signal["MED"], self.cfg
             )
-            template = medium.embed(self.km, chunk, self.cfg, self)
+            template = medium.embed(gen, chunk, self.cfg, self.rng)
             txids.append(self._submit_stego(ledger, template, "MED"))
             if confirm is not None:
                 confirm()
@@ -261,7 +245,7 @@ class SessionState:
         per_tx = self.cfg.max_fields_per_tx or len(fields)
         txids = []
         for i in range(0, len(fields), per_tx):
-            template = high.tx_template(gen, fields[i : i + per_tx], self.cfg, self.rng)
+            template = high.tx_template(gen, fields[i : i + per_tx], self.rng)
             txids.append(self._submit_stego(ledger, template, "HIGH"))
             gen.high_nonce_guard[counter0] = fingerprint
             if confirm is not None:
@@ -297,9 +281,7 @@ class SessionState:
         """Announce new channel parameters over the high channel, effective
         from this generation's next MED counter, then apply locally."""
         from_med = self.current.next_signal["MED"]
-        payload = json.dumps(
-            {"from_med": from_med, "cfg": _cfg_to_dict(new_cfg)}
-        ).encode()
+        payload = _config_frame(from_med, new_cfg)
         txids = self._send_high(ledger, payload, version=high.VERSION_CONFIG)
         self.current.med_cfg_schedule.append((from_med, new_cfg))
         self.cfg = new_cfg
@@ -308,17 +290,17 @@ class SessionState:
     # -- receiving -----------------------------------------------------------
 
     def _window_counters(self, gen_idx: int, channel: Channel) -> list[int]:
-        """The next scan_window counters the sender could use: unusable
+        """The next SCAN_WINDOW counters the sender could use: unusable
         PERMUTED counters are skipped on both sides, so they do not count
         against the window."""
         gen = self.generations[gen_idx]
         start = gen.next_signal[channel.name]
         if channel is Channel.HIGH:
-            return list(range(start, start + self.scan_window))
+            return list(range(start, start + SCAN_WINDOW))
         out = []
         counter = start
-        limit = start + 64 * self.scan_window  # safety stop, never binding
-        while len(out) < self.scan_window and counter < limit:
+        limit = start + 64 * SCAN_WINDOW  # safety stop, never binding
+        while len(out) < SCAN_WINDOW and counter < limit:
             cfg = gen.cfg_at(counter)
             memo = self._usable.get((gen_idx, counter))
             # a config switch processed since the memo was made changes cfg;
@@ -393,9 +375,9 @@ class SessionState:
         elif version == high.VERSION_CONFIG:
             try:
                 frame = json.loads(plaintext.decode())
-                new_cfg = _cfg_from_dict(frame["cfg"])
+                new_cfg = medium.ChannelConfig.from_dict(frame["cfg"])
                 from_med = int(frame["from_med"])
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, ValidationError) as exc:
                 raise AuthError(f"malformed config frame: {exc}") from exc
             gen.med_cfg_schedule.append((from_med, new_cfg))
             self.cfg = new_cfg
@@ -454,9 +436,9 @@ class SessionState:
     # Session file: 4-byte magic || u16 format version || JSON payload.
 
     def save(self, path) -> None:
+        """Replace the session file atomically (see files.write_atomic)."""
         payload = json.dumps(self._to_dict()).encode()
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC + struct.pack(">H", _FORMAT_VERSION) + payload)
+        write_atomic(path, _MAGIC + struct.pack(">H", _FORMAT_VERSION) + payload)
 
     @classmethod
     def load(cls, path) -> "SessionState":
@@ -505,13 +487,12 @@ class SessionState:
                     "med_bits": "".join(map(str, gen.med_bits)),
                     "reassembly": buffers,
                     "cfg_schedule": [
-                        [c, _cfg_to_dict(cfg)] for c, cfg in gen.med_cfg_schedule
+                        [c, cfg.to_dict()] for c, cfg in gen.med_cfg_schedule
                     ],
                 }
             )
         return {
-            "cfg": _cfg_to_dict(self.cfg),
-            "scan_window": self.scan_window,
+            "cfg": self.cfg.to_dict(),
             "cursor": self.cursor,
             "rng_state": _rng_state_to_json(self.rng.getstate()),
             "next_msg_id": self.next_msg_id,
@@ -535,7 +516,7 @@ class SessionState:
             )
 
         first = km_from(data["generations"][0]["km"])
-        state = cls(first, _cfg_from_dict(data["cfg"]), scan_window=data["scan_window"])
+        state = cls(first, medium.ChannelConfig.from_dict(data["cfg"]))
         state.generations = []
         for gd in data["generations"]:
             gen = Generation(
@@ -546,7 +527,7 @@ class SessionState:
                 processed_control=set(gd["processed_control"]),
                 med_bits=[int(ch) for ch in gd["med_bits"]],
                 med_cfg_schedule=[
-                    (c, _cfg_from_dict(cd)) for c, cd in gd["cfg_schedule"]
+                    (c, medium.ChannelConfig.from_dict(cd)) for c, cd in gd["cfg_schedule"]
                 ],
             )
             for mid, bucket in gd["reassembly"].items():
@@ -580,32 +561,20 @@ class SessionState:
         return state
 
 
-def _cfg_to_dict(cfg: medium.ChannelConfig) -> dict:
-    return {
-        "n": cfg.n,
-        "m": cfg.m,
-        "mode": cfg.mode.value,
-        "bit_selector": list(cfg.bit_selector) if cfg.bit_selector else None,
-        "grind_cap": cfg.grind_cap,
-        "address_version": cfg.address_version,
-        "max_fields_per_tx": cfg.max_fields_per_tx,
-        "debug_unmasked_tags": cfg.debug_unmasked_tags,
-        "high_kind": cfg.high_kind,
-    }
+def _config_frame(from_med: int, cfg: medium.ChannelConfig) -> bytes:
+    """Plaintext of a VERSION_CONFIG frame: JSON of the first MED counter
+    the config applies from and cfg.to_dict().
 
-
-def _cfg_from_dict(data: dict) -> medium.ChannelConfig:
-    return medium.ChannelConfig(
-        n=data["n"],
-        m=data["m"],
-        mode=medium.Mode(data["mode"]),
-        bit_selector=tuple(data["bit_selector"]) if data.get("bit_selector") else None,
-        grind_cap=data.get("grind_cap"),
-        address_version=data.get("address_version", 0),
-        max_fields_per_tx=data.get("max_fields_per_tx", 0),
-        debug_unmasked_tags=data.get("debug_unmasked_tags", False),
-        high_kind=data.get("high_kind", 0),
-    )
+    The frame format also holds two retired fields, at their original
+    places and with the only value they ever took: "address_version" after
+    "grind_cap", and "high_kind" last. Receivers ignore both; they are kept
+    because the frame is on the wire, so dropping them would change every
+    config frame and every seeded chain that switches parameters.
+    """
+    entries = list(cfg.to_dict().items())
+    entries.insert(5, ("address_version", 0))
+    entries.append(("high_kind", 0))
+    return json.dumps({"from_med": from_med, "cfg": dict(entries)}).encode()
 
 
 def _rng_state_to_json(state):

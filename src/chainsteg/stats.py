@@ -9,7 +9,6 @@ slot-tag debug mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc
@@ -73,25 +72,3 @@ def binomial_excess_p(hits: int, trials: int, p0: float) -> float:
     if trials == 0:
         raise InsufficientSample("no trials")
     return float(binom.sf(hits - 1, trials, p0))
-
-
-@dataclass
-class RandomnessReport:
-    n_fields: int
-    monobit: float
-    chi_square: float
-
-    def passed(self, alpha: float = 0.01) -> bool:
-        return self.monobit >= alpha and self.chi_square >= alpha
-
-
-def randomness_check(fields: list[bytes]) -> RandomnessReport:
-    """Statistics over a set of 160-bit values (stego fields or digests)."""
-    if len(fields) < 30:
-        raise InsufficientSample(f"need >= 30 fields, got {len(fields)}")
-    blob = b"".join(fields)
-    return RandomnessReport(
-        n_fields=len(fields),
-        monobit=monobit_p(blob),
-        chi_square=chi_square_bytes_p(blob),
-    )

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import random
+import re
 
 import pytest
 
 from chainsteg import Channel, ChannelConfig, KeyMaterial, Mode, NoiseProfile
-from chainsteg.cli import bench_grind, capacity_table, load_config, main, stat_suite
-from chainsteg.errors import InsufficientSample
+from chainsteg.cli import bench_grind, load_config, main, stat_suite
+from chainsteg.errors import InsufficientSample, ValidationError
 from chainsteg.session import SessionState
 
 
@@ -121,6 +123,48 @@ def test_truncated_sidecar_exits_2(tmp_path, capsys):
         assert code == 2 and "error" in err
 
 
+def send_files(tmp_path, capsys):
+    """A key file, a small config file and a message file for `send`."""
+    paths = {"--key": tmp_path / "key.txt", "--config": tmp_path / "small.cfg",
+             "--in": tmp_path / "msg.bin"}
+    run(capsys, "--seed", "8", "keygen", "--out", str(paths["--key"]))
+    paths["--config"].write_text("n = 3\nm = 6\n")
+    paths["--in"].write_bytes(b"message")
+    return paths
+
+
+def run_send(capsys, tmp_path, paths):
+    return run(
+        capsys, "--chain", str(tmp_path / "c.bin"), "--session", str(tmp_path / "s.bin"),
+        "--config", str(paths["--config"]), "send", "--channel", "high",
+        "--in", str(paths["--in"]), "--key", str(paths["--key"]),
+    )
+
+
+@pytest.mark.parametrize("flag,corrupt", [
+    ("--key", lambda raw: re.sub(rb"(?m)^y: \w+", b"y: zz", raw)),
+    ("--key", lambda raw: raw + b"\xff\n"),
+    ("--config", lambda raw: raw + b"\xff\n"),
+    ("--config", lambda raw: b"n = five\n"),
+    ("--config", lambda raw: b"mode = sideways\n"),
+    ("--config", lambda raw: b"bit_selector = 1,x\n"),
+], ids=["key-bad-y", "key-not-utf8", "config-not-utf8", "config-n-five",
+        "config-mode-sideways", "config-selector-1-x"])
+def test_malformed_key_or_config_exits_2(tmp_path, capsys, flag, corrupt):
+    paths = send_files(tmp_path, capsys)
+    paths[flag].write_bytes(corrupt(paths[flag].read_bytes()))
+    code, _, err = run_send(capsys, tmp_path, paths)
+    assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--in", "--key", "--config"])
+def test_missing_file_exits_2(tmp_path, capsys, flag):
+    paths = send_files(tmp_path, capsys)
+    paths[flag] = tmp_path / "absent"
+    code, _, err = run_send(capsys, tmp_path, paths)
+    assert code == 2 and err.startswith("error:")
+
+
 def test_missing_session_for_stats(tmp_path, capsys):
     code, _, err = run(capsys, "--chain", str(tmp_path / "c.bin"),
                        "--session", str(tmp_path / "s.bin"), "stats")
@@ -173,11 +217,29 @@ def test_config_file(tmp_path):
     assert cfg.n == 4 and cfg.m == 6 and cfg.mode is Mode.PERMUTED
     assert cfg.max_fields_per_tx == 8
     bad = tmp_path / "bad.txt"
-    bad.write_text("wibble = 3\n")
-    from chainsteg.errors import ValidationError
+    # address_version and high_kind were fields once; they are unknown now
+    for line in ("wibble = 3", "address_version = 0", "high_kind = 0", "n 3"):
+        bad.write_text(line + "\n")
+        with pytest.raises(ValidationError):
+            load_config(bad)
 
-    with pytest.raises(ValidationError):
-        load_config(bad)
+
+def test_every_config_field_round_trips(tmp_path):
+    # one non-default value per field: a field added later fails here until
+    # both the dict form and the key = value loader carry it
+    values = dict(n=7, m=9, mode=Mode.PERMUTED, bit_selector=tuple(range(159, 150, -1)),
+                  grind_cap=4096, max_fields_per_tx=3, debug_unmasked_tags=True)
+    assert set(values) == {f.name for f in dataclasses.fields(ChannelConfig)}
+    cfg = ChannelConfig(**values)
+    assert all(getattr(cfg, name) != getattr(ChannelConfig(), name) for name in values)
+    assert ChannelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def text(value):
+        return ",".join(map(str, value)) if isinstance(value, list) else str(value).lower()
+
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{key} = {text(v)}\n" for key, v in cfg.to_dict().items()))
+    assert load_config(path) == cfg
 
 
 def test_bench_grind_library():

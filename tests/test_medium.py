@@ -121,9 +121,9 @@ def test_grind_exhaustion(km):
     # the cap bounds a transaction's one scan; a failed scan consumes no counter
     state = make_state(km, cfg)
     with pytest.raises(GrindExhausted) as info:
-        embed(km, [1] * payload_bits_per_tx(cfg), cfg, state)
+        embed(state.current, [1] * payload_bits_per_tx(cfg), cfg, state.rng)
     assert info.value.next_counter == 1 + cfg.grind_cap
-    assert state.next_grind == 1
+    assert state.current.next_grind == 1
 
 
 def test_grind_smallest_counter(km):
@@ -160,13 +160,13 @@ def test_equal_chunks_get_distinct_counters(km):
     # must still give each its own counter and digest
     cfg = ChannelConfig(n=4, m=2)
     state = make_state(km, cfg)
-    result = embed(km, [0] * payload_bits_per_tx(cfg), cfg, state)
+    result = embed(state.current, [0] * payload_bits_per_tx(cfg), cfg, state.rng)
     counters = [r.index.counter for r in result.grind_records]
     digests = [r.address.digest for r in result.grind_records]
     assert counters == sorted(set(counters))
     assert len(set(digests)) == cfg.n
     assert all(backend.select_bits(d, cfg.selector) == 0 for d in digests)
-    assert state.next_grind == result.change_index.counter + 1 == counters[-1] + 2
+    assert state.current.next_grind == result.change_index.counter + 1 == counters[-1] + 2
 
 
 @pytest.mark.parametrize("mode", [Mode.ORDERED, Mode.PERMUTED])
@@ -180,8 +180,8 @@ def test_embed_attempts_follow_harmonic_law(km, mode):
         state.current.next_signal["MED"] = next_usable_counter(
             km.k, state.current.next_signal["MED"], cfg
         )
-        start = state.next_grind
-        result = embed(km, rand_bits(rng, payload_bits_per_tx(cfg)), cfg, state)
+        start = state.current.next_grind
+        result = embed(state.current, rand_bits(rng, payload_bits_per_tx(cfg)), cfg, state.rng)
         attempts.append(max(r.index.counter for r in result.grind_records) - start + 1)
         state.current.next_signal["MED"] += 1
     law = 2**cfg.m * sum(1 / i for i in range(1, cfg.n + 1))
@@ -222,7 +222,7 @@ def test_embed_ordered_spec_example(km):
     # n=2, m=1, payload bits "10": first output LSB 1, second LSB 0
     cfg = ChannelConfig(n=2, m=1, mode=Mode.ORDERED)
     state = make_state(km, cfg)
-    result = embed(km, [1, 0], cfg, state)
+    result = embed(state.current, [1, 0], cfg, state.rng)
     lsb = [o.field[-1] & 1 for o in result.stego_outputs]
     assert lsb == [1, 0]
 
@@ -243,7 +243,7 @@ def test_embed_extract_roundtrip(km, mode, n, m):
         state.current.next_signal["MED"] = next_usable_counter(
             km.k, state.current.next_signal["MED"], cfg
         )
-        result = embed(km, payload, cfg, state)
+        result = embed(state.current, payload, cfg, state.rng)
         tx = result.transaction()
         assert extract(tx, km, cfg, result.counter) == payload
         state.current.next_signal["MED"] += 1
@@ -257,7 +257,7 @@ def test_embed_outputs_rederive(km, permuted_cfg):
     state.current.next_signal["MED"] = next_usable_counter(
         km.k, 1, permuted_cfg
     )
-    result = embed(km, payload, permuted_cfg, state)
+    result = embed(state.current, payload, permuted_cfg, state.rng)
     for out, rec in zip(result.stego_outputs, result.grind_records):
         assert out.field == rec.address.digest
         assert be.derive_digest(km.k, DOMAIN_GRIND, rec.index.counter, km.gy) == out.field
@@ -271,9 +271,9 @@ def test_embed_outputs_rederive(km, permuted_cfg):
 def test_embed_validates_payload(km, ordered_cfg):
     state = make_state(km, ordered_cfg)
     with pytest.raises(ValidationError):
-        embed(km, [1, 0], ordered_cfg, state)  # wrong length
+        embed(state.current, [1, 0], ordered_cfg, state.rng)  # wrong length
     with pytest.raises(ValidationError):
-        embed(km, [2] * payload_bits_per_tx(ordered_cfg), ordered_cfg, state)
+        embed(state.current, [2] * payload_bits_per_tx(ordered_cfg), ordered_cfg, state.rng)
 
 
 def test_extract_wrong_key_tag_corruption(km, permuted_cfg):
@@ -286,7 +286,7 @@ def test_extract_wrong_key_tag_corruption(km, permuted_cfg):
         state.current.next_signal["MED"] = next_usable_counter(
             km.k, state.current.next_signal["MED"], permuted_cfg
         )
-        result = embed(km, payload, permuted_cfg, state)
+        result = embed(state.current, payload, permuted_cfg, state.rng)
         tx = result.transaction()
         wrong = KeyMaterial.generate(random.Random(1000 + trial))
         try:
@@ -303,7 +303,7 @@ def test_extract_structural_errors(km, ordered_cfg):
     state = make_state(km, ordered_cfg)
     rng = random.Random(10)
     payload = rand_bits(rng, payload_bits_per_tx(ordered_cfg))
-    result = embed(km, payload, ordered_cfg, state)
+    result = embed(state.current, payload, ordered_cfg, state.rng)
     tx = result.transaction()
     with pytest.raises(TagCorruption):  # wrong output count
         short = StegoTransaction(tx.inputs, tx.outputs[:-2], tx.fee)
@@ -321,7 +321,7 @@ def test_extract_ignores_amounts(km, ordered_cfg):
     state = make_state(km, ordered_cfg)
     rng = random.Random(11)
     payload = rand_bits(rng, payload_bits_per_tx(ordered_cfg))
-    result = embed(km, payload, ordered_cfg, state)
+    result = embed(state.current, payload, ordered_cfg, state.rng)
     tx = result.transaction()
     bumped = StegoTransaction(
         tx.inputs,
@@ -340,7 +340,7 @@ def test_permuted_grind_counters_monotone(km, permuted_cfg):
         state.current.next_signal["MED"] = next_usable_counter(
             km.k, state.current.next_signal["MED"], permuted_cfg
         )
-        result = embed(km, payload, permuted_cfg, state)
+        result = embed(state.current, payload, permuted_cfg, state.rng)
         counters = sorted(r.index.counter for r in result.grind_records)
         assert counters[0] > last
         last = max(max(counters), result.change_index.counter)
@@ -355,4 +355,4 @@ def test_embed_unusable_counter_rejected(km):
     state = make_state(km, cfg)
     state.current.next_signal["MED"] = unusable
     with pytest.raises(ValidationError):
-        embed(km, [0] * payload_bits_per_tx(cfg), cfg, state)
+        embed(state.current, [0] * payload_bits_per_tx(cfg), cfg, state.rng)

@@ -1,0 +1,64 @@
+"""Every on-disk parser fails closed: any truncation or single bit flip of a
+key, config, chain, mempool sidecar or session file either loads or raises
+a ChainstegError subclass."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainsteg import Channel, ChannelConfig, KeyMaterial, Mode, NoiseProfile
+from chainsteg.cli import load_config
+from chainsteg.errors import ChainstegError
+from chainsteg.hdw import read_key_file, write_key_file
+from chainsteg.ledger import Ledger
+from chainsteg.session import SessionState
+
+
+@pytest.fixture(scope="module")
+def state_files(tmp_path_factory):
+    """Path and loader per file kind, from one small seeded run."""
+    root = tmp_path_factory.mktemp("state")
+    km = KeyMaterial.generate(random.Random(3))
+    sender = SessionState(km, ChannelConfig(n=3, m=5, mode=Mode.PERMUTED,
+                                            max_fields_per_tx=2), seed=4)
+    ledger = sender.genesis_ledger()
+    sender.send_message(ledger, b"confirmed", Channel.MED)
+    ledger.mine_block(NoiseProfile(rate=2.0), seed=1)
+    sender.send_message(ledger, b"still in the mempool", Channel.HIGH)
+    ledger.save(root / "chain.bin")
+    sender.save(root / "sender.session")
+    write_key_file(root / "key.txt", km)
+    (root / "channel.cfg").write_text(
+        "n = 3\nm = 5\nmode = permuted  # comment\nbit_selector = 4,3,2,1,0\n"
+        "grind_cap = 100000\nmax_fields_per_tx = 2\ndebug_unmasked_tags = false\n"
+    )
+    return {
+        "key": (root / "key.txt", read_key_file),
+        "config": (root / "channel.cfg", load_config),
+        "chain": (root / "chain.bin", Ledger.load),
+        "sidecar": (root / "chain.bin.mempool", lambda _: Ledger.load(root / "chain.bin")),
+        "session": (root / "sender.session", SessionState.load),
+    }
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_truncated_or_bit_flipped_file_fails_closed(state_files, data):
+    kind = data.draw(st.sampled_from(sorted(state_files)), label="kind")
+    path, load = state_files[kind]
+    raw = path.read_bytes()
+    mutated = bytearray(raw)
+    if data.draw(st.booleans(), label="truncate"):
+        del mutated[data.draw(st.integers(0, len(raw) - 1), label="length"):]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        mutated[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(mutated))
+    try:
+        load(path)
+    except ChainstegError:
+        pass
+    finally:
+        path.write_bytes(raw)

@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from chainsteg.errors import PermutationMismatch, RangeError, ValidationError
 from chainsteg.hdw import Address
-from chainsteg.permcode import (
-    CanonicalSet,
-    PermRank,
-    compare,
-    perm_capacity_bits,
-    rank,
-    unrank,
-)
+from chainsteg.permcode import MAX_N, CanonicalSet, PermRank, perm_capacity_bits, rank, unrank
 
 
 def addr(value: int) -> Address:
@@ -27,27 +20,29 @@ def addrs(*values) -> list[Address]:
     return [addr(v) for v in values]
 
 
+def canonical(*items) -> list[Address]:
+    return list(CanonicalSet.from_addresses(items).items)
+
+
 def test_compare_rules():
-    a = addr(1)
-    assert compare(a, a) == 0
-    assert compare(addr(1), addr(2)) == -1  # last-byte tiebreak
+    # the canonical order compares digests bytewise, most significant first
+    assert canonical(addr(2), addr(1)) == [addr(1), addr(2)]  # last-byte tiebreak
     high = Address(b"\x80" + bytes(19))
     low = Address(b"\x7f" + b"\xff" * 19)
-    assert compare(high, low) == 1  # first differing byte decides
+    assert canonical(high, low) == [low, high]  # first differing byte decides
 
 
-@given(st.tuples(st.binary(min_size=20, max_size=20),
-                 st.binary(min_size=20, max_size=20),
-                 st.binary(min_size=20, max_size=20)))
-def test_compare_total_order(triple):
-    a, b, c = (Address(x) for x in triple)
-    # antisymmetry
-    assert compare(a, b) == -compare(b, a)
-    # transitivity
-    if compare(a, b) <= 0 and compare(b, c) <= 0:
-        assert compare(a, c) <= 0
-    # equality iff same digest
-    assert (compare(a, b) == 0) == (a.digest == b.digest)
+@given(st.lists(st.binary(min_size=20, max_size=20), min_size=2, max_size=MAX_N,
+                unique=True),
+       st.randoms(use_true_random=False))
+def test_compare_total_order(digests, rnd):
+    # the canonical order is a total order on distinct digests: it does not
+    # depend on the input order, and it is the bytewise order
+    items = [Address(d) for d in digests]
+    shuffled = list(items)
+    rnd.shuffle(shuffled)
+    assert canonical(*shuffled) == canonical(*items)
+    assert [a.digest for a in canonical(*items)] == sorted(digests)
 
 
 def test_rank_spec_examples():

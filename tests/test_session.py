@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -5,10 +7,10 @@ import pytest
 from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, backend, high
 from chainsteg.cli import main
 from chainsteg.errors import ValidationError
-from chainsteg.hdw import KeyMaterial, signal_address
+from chainsteg.hdw import DerivationIndex, KeyMaterial, derive_address
 from chainsteg.ledger import StegoTransaction, TxInput, TxOutput
 from chainsteg.medium import payload_bits_per_tx
-from chainsteg.session import SessionState
+from chainsteg.session import SCAN_WINDOW, SessionState
 
 
 def pair(km, cfg, tx_seed=21, rx_seed=99):
@@ -26,7 +28,7 @@ def test_med_roundtrip_multi_tx(km, ordered_cfg):
     ledger.mine_block(NoiseProfile(rate=3.0), seed=1)
     assert receiver.detect_and_receive(ledger) == [("MED", msg)]
     # counters synchronized after quiescence
-    assert receiver.next_signal["MED"] == sender.next_signal["MED"]
+    assert receiver.current.next_signal["MED"] == sender.current.next_signal["MED"]
     assert receiver.detect_and_receive(ledger) == []  # exactly once
 
 
@@ -124,15 +126,15 @@ def test_rotation_and_handover(km, ordered_cfg):
     sender, receiver, ledger = pair(km, ordered_cfg)
     sender.send_message(ledger, b"before rotation", Channel.MED)
     new_km = sender.rotate_keys(ledger)
-    assert sender.km == new_km
-    assert sender.next_signal == {"HIGH": 1, "MED": 1}
+    assert sender.current.km == new_km
+    assert sender.current.next_signal == {"HIGH": 1, "MED": 1}
     sender.send_message(ledger, b"after rotation", Channel.MED)
     ledger.mine_block(NoiseProfile(rate=3.0), seed=6)  # everything in one block
     got = receiver.detect_and_receive(ledger)
     assert ("MED", b"before rotation") in got
     assert ("MED", b"after rotation") in got
     assert len(receiver.generations) == 2
-    assert receiver.km.k == new_km.k
+    assert receiver.current.km.k == new_km.k
 
 
 def test_rotation_replay_is_noop(km, ordered_cfg):
@@ -147,7 +149,7 @@ def test_rotation_replay_is_noop(km, ordered_cfg):
     counter = old_gen.next_signal["HIGH"]
     fields = high.frame_message(old_gen.km, payload, 0, counter, sender.rng,
                                 high.VERSION_ROTATE)
-    template = high.tx_template(old_gen, fields, sender.cfg, sender.rng)
+    template = high.tx_template(old_gen, fields, sender.rng)
     outpoint = sender._fund(ledger, template.signal_address.digest,
                             template.required_funding)
     ledger.submit(template.transaction(outpoint))
@@ -161,7 +163,8 @@ def test_rotation_replay_is_noop(km, ordered_cfg):
 def test_quarantine_and_advance(km, ordered_cfg):
     sender, receiver, ledger = pair(km, ordered_cfg)
     # craft a poisoned tx on the next MED signal address: wrong output count
-    digest = signal_address(km, sender, Channel.MED).digest
+    counter = sender.current.next_signal["MED"]
+    digest = derive_address(km, DerivationIndex(Channel.MED.value, counter)).digest
     outpoint = sender._fund(ledger, digest, 5000)
     poison = StegoTransaction(
         inputs=(TxInput(outpoint[0], outpoint[1], digest),),
@@ -208,8 +211,8 @@ def test_session_persistence_resume(km, ordered_cfg, tmp_path):
     receiver.save(rpath)
     sender2 = SessionState.load(spath)
     receiver2 = SessionState.load(rpath)
-    assert sender2.next_signal == sender.next_signal
-    assert sender2.next_grind == sender.next_grind
+    assert sender2.current.next_signal == sender.current.next_signal
+    assert sender2.current.next_grind == sender.current.next_grind
     assert [u.txid for u in sender2.wallet] == [u.txid for u in sender.wallet]
     assert receiver2.cursor == receiver.cursor
     assert receiver2.drain_inbox() == [("MED", b"part one")]
@@ -234,6 +237,43 @@ def test_truncated_or_garbled_session_is_validation_error(km, ordered_cfg, tmp_p
             SessionState.load(path)
     ledger.save(tmp_path / "c.bin")
     assert main(["--chain", str(tmp_path / "c.bin"), "--session", str(path), "scan"]) == 2
+
+
+def test_failed_save_keeps_previous_file(km, ordered_cfg, tmp_path, monkeypatch):
+    sender, _, ledger = pair(km, ordered_cfg)
+    path = tmp_path / "s.bin"
+    sender.save(path)
+    before = path.read_bytes()
+    sender.send_message(ledger, b"changes the session", Channel.HIGH)
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        sender.save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["s.bin"]  # the temporary file is gone
+    assert SessionState.load(path).current.next_signal["HIGH"] == 1
+
+
+def test_session_file_with_retired_keys_loads(km, tmp_path):
+    # files written before scan_window, address_version and high_kind were
+    # removed hold those keys; loading ignores them
+    cfg = ChannelConfig(n=3, m=4, mode=Mode.PERMUTED, max_fields_per_tx=2)
+    state = SessionState(km, cfg, seed=3)
+    path = tmp_path / "s.bin"
+    state.save(path)
+    raw = path.read_bytes()
+    data = json.loads(raw[6:])
+    data["scan_window"] = 16
+    for cfg_dict in [data["cfg"]] + [c for _, c in data["generations"][0]["cfg_schedule"]]:
+        cfg_dict.update(address_version=0, high_kind=0)
+    path.write_bytes(raw[:6] + json.dumps(data).encode())
+    loaded = SessionState.load(path)
+    assert loaded.cfg == cfg
+    assert loaded.current.cfg_at(1) == cfg
 
 
 def test_seeded_scenario_is_pinned(km):
@@ -297,7 +337,7 @@ def test_receive_derives_only_new_window_counters(km, monkeypatch):
     monkeypatch.setattr(be, "derive_digest", lambda *args: calls.append(args) or real(*args))
     assert receiver.detect_and_receive(ledger) == [("MED", b"hi")]
     # the MED window moved past counter 1, so only counter 1 + 16 is new
-    assert [args[2] for args in calls] == [1 + receiver.scan_window]
+    assert [args[2] for args in calls] == [1 + SCAN_WINDOW]
 
 
 def test_switch_config_with_scan_after_every_block(km):

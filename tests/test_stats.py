@@ -7,7 +7,6 @@ from chainsteg.stats import (
     binomial_excess_p,
     chi_square_bytes_p,
     monobit_p,
-    randomness_check,
     two_sample_bytes_p,
     two_sample_monobit_p,
 )
@@ -57,14 +56,3 @@ def test_binomial_excess():
     assert binomial_excess_p(10, 100, 0.1) > 0.3
     with pytest.raises(InsufficientSample):
         binomial_excess_p(0, 0, 0.1)
-
-
-def test_randomness_check():
-    rng = random.Random(5)
-    fields = [rng.randbytes(20) for _ in range(100)]
-    report = randomness_check(fields)
-    assert report.passed(0.01)
-    bad = randomness_check([bytes(20)] * 100)
-    assert not bad.passed(0.01)
-    with pytest.raises(InsufficientSample):
-        randomness_check(fields[:29])
