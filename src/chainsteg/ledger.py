@@ -14,6 +14,15 @@ Block bytes: height u64 || prev_hash 32B || timestamp u64 || tx_count u32
 before it. Transaction bytes: input_count u32 || inputs (prev_txid 32B,
 vout u32, address 20B) || output_count u32 || outputs (field 20B, kind u8,
 amount u64) || fee u64. txid = sha256d(transaction bytes).
+
+The encoding is canonical: every byte belongs to a fixed-width field, so
+serializing the parsed fields gives back exactly the bytes they were parsed
+from. Loading therefore hashes the bytes it read: a parsed transaction's
+txid is sha256d of its own slice of the record, and a block record is
+checked against its stored hash as sha256d of the record bytes before the
+hash. Neither is serialized again on load. `Block.verify` re-serializes,
+so `input_index` still catches a block whose fields were replaced after it
+was loaded.
 """
 
 from __future__ import annotations
@@ -45,6 +54,14 @@ _DECOY_OUT_MEAN = 3.45
 _DECOY_OUT_SD = 1.2
 _DECOY_OUT_MIN = 1
 _DECOY_OUT_MAX = 30
+
+# Fixed-width parts of the wire format; a parser decodes each with one
+# unpack_from.
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_INPUT = struct.Struct(">32sI20s")  # prev_txid, vout, address
+_OUTPUT = struct.Struct(">20sBQ")  # field, kind, amount
+_BLOCK_HEAD = struct.Struct(">Q32sQI")  # height, prev_hash, timestamp, tx_count
 
 
 @dataclass(frozen=True)
@@ -91,25 +108,27 @@ class StegoTransaction:
 
     @classmethod
     def deserialize(cls, data: bytes, offset: int = 0) -> tuple["StegoTransaction", int]:
-        (n_in,) = struct.unpack_from(">I", data, offset)
+        """Parse one transaction at `offset`; its txid is the hash of the
+        bytes it was parsed from (the encoding is canonical)."""
+        start = offset
+        (n_in,) = _U32.unpack_from(data, offset)
         offset += 4
         inputs = []
         for _ in range(n_in):
-            prev = data[offset : offset + 32]
-            (vout,) = struct.unpack_from(">I", data, offset + 32)
-            addr = data[offset + 36 : offset + 56]
-            inputs.append(TxInput(prev, vout, addr))
+            inputs.append(TxInput(*_INPUT.unpack_from(data, offset)))
             offset += 56
-        (n_out,) = struct.unpack_from(">I", data, offset)
+        (n_out,) = _U32.unpack_from(data, offset)
         offset += 4
         outputs = []
         for _ in range(n_out):
-            fld = data[offset : offset + 20]
-            kind, amount = struct.unpack_from(">BQ", data, offset + 20)
+            fld, kind, amount = _OUTPUT.unpack_from(data, offset)
             outputs.append(TxOutput(fld, amount, kind))
             offset += 29
-        (fee,) = struct.unpack_from(">Q", data, offset)
-        return cls(tuple(inputs), tuple(outputs), fee), offset + 8
+        (fee,) = _U64.unpack_from(data, offset)
+        offset += 8
+        tx = cls(tuple(inputs), tuple(outputs), fee)
+        tx.__dict__["txid"] = sha256d(data[start:offset])  # seeds the cached_property
+        return tx, offset
 
 
 @dataclass
@@ -148,7 +167,7 @@ def _records(data: bytes):
     while offset < len(data):
         if offset + 4 > len(data):
             raise CorruptChain("truncated record length")
-        (length,) = struct.unpack_from(">I", data, offset)
+        (length,) = _U32.unpack_from(data, offset)
         offset += 4
         if offset + length > len(data):
             raise CorruptChain("record extends past end of file")
@@ -190,23 +209,23 @@ class Block:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Block":
+        """Parse one block record and check its stored hash against the
+        hash of the record bytes before it (the encoding is canonical)."""
         try:
-            height, = struct.unpack_from(">Q", data, 0)
-            prev = data[8:40]
-            timestamp, n_tx = struct.unpack_from(">QI", data, 40)
-            offset = 52
+            height, prev, timestamp, n_tx = _BLOCK_HEAD.unpack_from(data, 0)
+            offset = _BLOCK_HEAD.size
             txs = []
             for _ in range(n_tx):
                 tx, offset = StegoTransaction.deserialize(data, offset)
                 txs.append(tx)
-            claimed = data[offset : offset + 32]
-            if offset + 32 != len(data):
-                raise CorruptChain("trailing bytes in block record")
-        except (struct.error, IndexError) as exc:
+        except struct.error as exc:
             raise CorruptChain(f"truncated block record: {exc}") from exc
-        block = cls(height, prev, timestamp, tuple(txs), block_hash=claimed)
-        block.verify()
-        return block
+        if offset + 32 != len(data):
+            raise CorruptChain("trailing bytes in block record")
+        claimed = data[offset:]
+        if sha256d(data[:offset]) != claimed:
+            raise CorruptChain(f"block {height} failed hash re-verification")
+        return cls(height, prev, timestamp, tuple(txs), block_hash=claimed)
 
 
 def _decoy_output_count(rng: random.Random) -> int:
@@ -406,7 +425,11 @@ class Ledger:
             if not tx.is_coinbase:
                 for inp in tx.inputs:
                     outpoint = (inp.prev_txid, inp.vout)
-                    del self._utxos[outpoint]
+                    if self._utxos.pop(outpoint, None) is None:
+                        raise CorruptChain(
+                            f"block {block.height} spends unknown or spent output "
+                            f"{inp.prev_txid.hex()[:16]}:{inp.vout}"
+                        )
                     self._spent.add(outpoint)
             else:
                 self._issued += sum(o.amount for o in tx.outputs) - sum(

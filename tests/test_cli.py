@@ -3,11 +3,13 @@ import json
 import random
 import re
 
+import chainfile
 import pytest
 
 from chainsteg import Channel, ChannelConfig, KeyMaterial, Mode, NoiseProfile
 from chainsteg.cli import bench_grind, load_config, main, stat_suite
 from chainsteg.errors import InsufficientSample, ValidationError
+from chainsteg.ledger import Ledger
 from chainsteg.session import SessionState
 
 
@@ -121,6 +123,16 @@ def test_truncated_sidecar_exits_2(tmp_path, capsys):
         sidecar.write_bytes(raw[:cut])
         code, _, err = run(capsys, "--chain", str(chain), "export")
         assert code == 2 and "error" in err
+
+
+def test_chain_spending_unknown_output_exits_2(tmp_path, capsys):
+    chain = tmp_path / "bad.bin"
+    ledger = Ledger.create()
+    ledger.save(chain)
+    chainfile.append_block(chain, ledger, chainfile.spend((b"\x07" * 32, 0)))
+    code, _, err = run(capsys, "--chain", str(chain), "mine")
+    assert code == 2 and "spends unknown or spent output" in err
+    assert "Traceback" not in err
 
 
 def send_files(tmp_path, capsys):

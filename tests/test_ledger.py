@@ -1,8 +1,12 @@
+import dataclasses
 import random
 
+import chainfile
 import pytest
 
+from chainsteg import Channel, ChannelConfig, Mode
 from chainsteg.errors import CorruptChain, Rejected
+from chainsteg.hashes import sha256d
 from chainsteg.ledger import (
     BLOCK_SUBSIDY,
     Block,
@@ -12,6 +16,7 @@ from chainsteg.ledger import (
     TxInput,
     TxOutput,
 )
+from chainsteg.session import SessionState
 
 
 def fresh_ledger():
@@ -181,6 +186,76 @@ def test_scan_detects_tampering():
         ledger.input_index(0)
     ledger.blocks[1] = good
     ledger.input_index(0)
+
+
+@pytest.fixture()
+def stego_chain(tmp_path, km):
+    """A seeded chain file with MED and HIGH transactions among decoys, and
+    one HIGH message still in its mempool sidecar."""
+    cfg = ChannelConfig(n=3, m=5, mode=Mode.PERMUTED, max_fields_per_tx=2)
+    sender = SessionState(km, cfg, seed=4)
+    ledger = sender.genesis_ledger()
+    sender.send_message(ledger, b"confirmed", Channel.MED)
+    ledger.mine_block(NoiseProfile(rate=4.0), seed=1)
+    sender.send_message(ledger, b"also confirmed", Channel.HIGH)
+    ledger.mine_block(NoiseProfile(rate=4.0), seed=2)
+    sender.send_message(ledger, b"still in the mempool", Channel.HIGH)
+    path = tmp_path / "chain.bin"
+    ledger.save(path)
+    return path
+
+
+def test_encoding_is_canonical(stego_chain):
+    """Load hashes the bytes it read, which is sound only because
+    serializing the parsed fields gives back exactly those bytes."""
+    ledger = Ledger.load(stego_chain)
+    pending = chainfile.records((stego_chain.parent / "chain.bin.mempool").read_bytes())
+    assert [b.serialize() for b in ledger.blocks] == chainfile.records(stego_chain.read_bytes())
+    assert [tx.serialize() for tx in ledger.mempool] == pending
+    txs = [tx for b in ledger.blocks for tx in b.transactions] + ledger.mempool
+    assert len(ledger.mempool) >= 1 and len(txs) > 3 * len(ledger.blocks)  # decoys too
+    for tx in txs:
+        assert vars(tx)["txid"] == sha256d(tx.serialize())
+
+
+def test_load_serializes_nothing(stego_chain, monkeypatch):
+    calls = []
+    for owner, name in ((StegoTransaction, "serialize"), (Block, "body_bytes")):
+        def counted(self, _original=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _original(self)
+        monkeypatch.setattr(owner, name, counted)
+    ledger = Ledger.load(stego_chain)
+    assert ledger.mempool and len(ledger.blocks) == 3
+    assert calls == []
+
+
+def test_scan_detects_tampering_after_load(stego_chain):
+    ledger = Ledger.load(stego_chain)
+    good = ledger.blocks[1]
+    tx = good.transactions[1]
+    ledger.blocks[1] = dataclasses.replace(good, transactions=(
+        good.transactions[0], dataclasses.replace(tx, fee=tx.fee + 1), *good.transactions[2:]
+    ))
+    with pytest.raises(CorruptChain):
+        ledger.input_index(0)
+    ledger.blocks[1] = good
+    ledger.input_index(0)
+
+
+@pytest.mark.parametrize("spent", ["unknown", "already spent"])
+def test_load_rejects_resealed_block_with_bad_spend(tmp_path, spent):
+    path = tmp_path / "chain.bin"
+    ledger = fresh_ledger()
+    outpoint = genesis_outpoint(ledger)
+    ledger.submit(spend_genesis(ledger, [TxOutput(b"\x01" * 20, 10**9 - 1000)], 1000))
+    ledger.mine_block()
+    ledger.save(path)
+    if spent == "unknown":
+        outpoint = (b"\x07" * 32, 0)
+    chainfile.append_block(path, ledger, chainfile.spend(outpoint))
+    with pytest.raises(CorruptChain, match="spends unknown or spent output"):
+        Ledger.load(path)
 
 
 def test_save_load_roundtrip(tmp_path):

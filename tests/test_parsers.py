@@ -4,6 +4,7 @@ a ChainstegError subclass."""
 
 import random
 
+import chainfile
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,27 @@ def test_truncated_or_bit_flipped_file_fails_closed(state_files, data):
     path.write_bytes(bytes(mutated))
     try:
         load(path)
+    except ChainstegError:
+        pass
+    finally:
+        path.write_bytes(raw)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_resealed_bit_flip_in_last_block_fails_closed(state_files, data):
+    """A bit flip inside the last block's transactions, with that block's
+    hash re-sealed, gets past the hash check to the spend checks."""
+    path, _ = state_files["chain"]
+    raw = path.read_bytes()
+    *head, last = chainfile.records(raw)
+    # transactions lie between the 52-byte header and the 32-byte hash
+    bit = data.draw(st.integers(8 * 52, 8 * (len(last) - 32) - 1), label="bit")
+    mutated = bytearray(last)
+    mutated[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(chainfile.framed([*head, chainfile.reseal(bytes(mutated))]))
+    try:
+        Ledger.load(path)
     except ChainstegError:
         pass
     finally:
