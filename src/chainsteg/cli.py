@@ -220,9 +220,7 @@ def stat_suite(
     tag_trials = 0
     n_stego_txs = 0
     for block in ledger.blocks:
-        for tx in block.transactions:
-            if tx.is_coinbase:
-                continue
+        for tx in block.transactions[1:]:
             if tx.txid in stego_txids:
                 n_stego_txs += 1
                 chan = channels.get(tx.txid, "MED")
@@ -241,8 +239,8 @@ def stat_suite(
     n_decoys = sum(
         1
         for block in ledger.blocks
-        for tx in block.transactions
-        if not tx.is_coinbase and tx.txid not in stego_txids
+        for tx in block.transactions[1:]
+        if tx.txid not in stego_txids
     )
     if n_stego_txs < min_sample or n_decoys < min_sample:
         raise InsufficientSample(

@@ -23,16 +23,31 @@ checked against its stored hash as sha256d of the record bytes before the
 hash. Neither is serialized again on load. `Block.verify` re-serializes,
 so `input_index` still catches a block whose fields were replaced after it
 was loaded.
+
+Block rules, checked by `Ledger._connect` whether a block was mined or
+loaded (a loaded block that breaks one raises CorruptChain):
+- coinbase first: transaction 0 is the coinbase, whose one input spends the
+  null outpoint, and no other transaction spends a null outpoint;
+- spends known and unspent: every other input spends an output that exists
+  and is unspent, and names the address that output pays;
+- inputs balance: each non-coinbase transaction's inputs sum to its outputs
+  plus its fee;
+- coinbase cap: above height 0 the coinbase pays at most BLOCK_SUBSIDY plus
+  the fees of the block.
+Transactions apply in block order, so one may spend an output created
+earlier in the same block.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import random
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CorruptChain, Rejected
 from .files import write_atomic
@@ -56,7 +71,7 @@ _DECOY_OUT_MIN = 1
 _DECOY_OUT_MAX = 30
 
 # Fixed-width parts of the wire format; a parser decodes each with one
-# unpack_from.
+# unpack_from, and each run of input or output rows with one iter_unpack.
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _INPUT = struct.Struct(">32sI20s")  # prev_txid, vout, address
@@ -64,8 +79,7 @@ _OUTPUT = struct.Struct(">20sBQ")  # field, kind, amount
 _BLOCK_HEAD = struct.Struct(">Q32sQI")  # height, prev_hash, timestamp, tx_count
 
 
-@dataclass(frozen=True)
-class TxInput:
+class TxInput(NamedTuple):
     prev_txid: bytes
     vout: int
     address: bytes  # 20-byte digest of the output being spent
@@ -74,14 +88,21 @@ class TxInput:
         return self.prev_txid + struct.pack(">I", self.vout) + self.address
 
 
-@dataclass(frozen=True)
-class TxOutput:
+class TxOutput(NamedTuple):
     field: bytes  # 20 bytes: an address digest or a raw stego field
     amount: int
     kind: int = KIND_P2PKH
 
     def serialize(self) -> bytes:
         return self.field + struct.pack(">BQ", self.kind, self.amount)
+
+
+# Build parsed rows without a Python-level call per row: TxInput rows are in
+# wire order; TxOutput rows are (field, kind, amount) on the wire.
+_new_input = functools.partial(tuple.__new__, TxInput)
+_new_output = functools.partial(tuple.__new__, TxOutput)
+_output_order = operator.itemgetter(0, 2, 1)
+_amount = operator.attrgetter("amount")
 
 
 @dataclass(frozen=True)
@@ -102,32 +123,28 @@ class StegoTransaction:
     def txid(self) -> bytes:
         return sha256d(self.serialize())
 
-    @property
-    def is_coinbase(self) -> bool:
-        return len(self.inputs) == 1 and self.inputs[0].prev_txid == _NULL32
-
     @classmethod
     def deserialize(cls, data: bytes, offset: int = 0) -> tuple["StegoTransaction", int]:
         """Parse one transaction at `offset`; its txid is the hash of the
-        bytes it was parsed from (the encoding is canonical)."""
+        bytes it was parsed from (the encoding is canonical). Raises
+        struct.error when `data` ends inside it: a count that runs past the
+        end gives a short slice, and the read after that slice fails."""
         start = offset
         (n_in,) = _U32.unpack_from(data, offset)
         offset += 4
-        inputs = []
-        for _ in range(n_in):
-            inputs.append(TxInput(*_INPUT.unpack_from(data, offset)))
-            offset += 56
-        (n_out,) = _U32.unpack_from(data, offset)
-        offset += 4
-        outputs = []
-        for _ in range(n_out):
-            fld, kind, amount = _OUTPUT.unpack_from(data, offset)
-            outputs.append(TxOutput(fld, amount, kind))
-            offset += 29
-        (fee,) = _U64.unpack_from(data, offset)
-        offset += 8
-        tx = cls(tuple(inputs), tuple(outputs), fee)
-        tx.__dict__["txid"] = sha256d(data[start:offset])  # seeds the cached_property
+        end = offset + _INPUT.size * n_in
+        inputs = tuple(map(_new_input, _INPUT.iter_unpack(data[offset:end])))
+        (n_out,) = _U32.unpack_from(data, end)
+        offset = end + 4
+        end = offset + _OUTPUT.size * n_out
+        rows = _OUTPUT.iter_unpack(data[offset:end])
+        outputs = tuple(map(_new_output, map(_output_order, rows)))
+        (fee,) = _U64.unpack_from(data, end)
+        offset = end + 8
+        # Frozen: fill the fields and the cached txid without __init__.
+        tx = object.__new__(cls)
+        vars(tx).update(inputs=inputs, outputs=outputs, fee=fee,
+                        txid=sha256d(data[start:offset]))
         return tx, offset
 
 
@@ -421,22 +438,51 @@ class Ledger:
         return placed
 
     def _connect(self, block: Block) -> None:
-        for tx in block.transactions:
-            if not tx.is_coinbase:
+        """Apply a block transaction by transaction, spends before
+        creations, so a transaction may spend an earlier one of the same
+        block. The block rules are in the module docstring."""
+        txs = block.transactions
+        if not txs or len(txs[0].inputs) != 1 or txs[0].inputs[0].prev_txid != _NULL32:
+            raise CorruptChain(f"block {block.height} does not start with a coinbase")
+        utxos, spent, fees = self._utxos, self._spent, 0
+        for position, tx in enumerate(txs):
+            txid = tx.txid
+            if position:
+                total_in = 0
                 for inp in tx.inputs:
                     outpoint = (inp.prev_txid, inp.vout)
-                    if self._utxos.pop(outpoint, None) is None:
+                    prev = utxos.pop(outpoint, None)
+                    if prev is None:
+                        if inp.prev_txid == _NULL32:
+                            raise CorruptChain(
+                                f"block {block.height} spends a null outpoint outside its coinbase"
+                            )
                         raise CorruptChain(
                             f"block {block.height} spends unknown or spent output "
                             f"{inp.prev_txid.hex()[:16]}:{inp.vout}"
                         )
-                    self._spent.add(outpoint)
-            else:
-                self._issued += sum(o.amount for o in tx.outputs) - sum(
-                    t.fee for t in block.transactions
-                )
+                    if prev.field != inp.address:
+                        raise CorruptChain(
+                            f"block {block.height} spends {inp.prev_txid.hex()[:16]}:"
+                            f"{inp.vout} from an address it was not paid to"
+                        )
+                    spent.add(outpoint)
+                    total_in += prev.amount
+                if total_in != sum(map(_amount, tx.outputs)) + tx.fee:
+                    raise CorruptChain(
+                        f"block {block.height} transaction {txid.hex()[:16]} "
+                        "does not balance its inputs with its outputs plus fee"
+                    )
+                fees += tx.fee
             for vout, out in enumerate(tx.outputs):
-                self._utxos[(tx.txid, vout)] = out
+                utxos[(txid, vout)] = out
+        minted = sum(map(_amount, txs[0].outputs))
+        if block.height and minted > BLOCK_SUBSIDY + fees:
+            raise CorruptChain(
+                f"block {block.height} coinbase pays {minted}, more than "
+                f"subsidy plus fees ({BLOCK_SUBSIDY + fees})"
+            )
+        self._issued += minted - fees
         self.blocks.append(block)
 
     # -- reading -----------------------------------------------------------
@@ -452,9 +498,7 @@ class Ledger:
         index: dict[bytes, list[StegoTransaction]] = {}
         for block in self.blocks[max(from_height, 0) :]:
             block.verify()
-            for tx in block.transactions:
-                if tx.is_coinbase:
-                    continue
+            for tx in block.transactions[1:]:
                 for inp in tx.inputs:
                     index.setdefault(inp.address, []).append(tx)
         return index
@@ -508,9 +552,9 @@ class Ledger:
         ledger._persisted_blocks = len(ledger.blocks)
         # Rebuild the decoy pool conservatively: coinbase outputs still unspent.
         for block in ledger.blocks:
-            for tx in block.transactions:
-                if tx.is_coinbase and (tx.txid, 0) in ledger._utxos:
-                    ledger._pool.append((tx.txid, 0))
+            coinbase = block.transactions[0]
+            if (coinbase.txid, 0) in ledger._utxos:
+                ledger._pool.append((coinbase.txid, 0))
         try:
             with open(f"{path}.mempool", "rb") as fh:
                 raw = fh.read()

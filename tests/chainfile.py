@@ -26,25 +26,35 @@ def reseal(record: bytes) -> bytes:
     return record[:-32] + sha256d(record[:-32])
 
 
-def append_block(path, ledger, *txs) -> None:
-    """Append to `path` a sealed block after `ledger`'s tip that holds a
-    coinbase and `txs`, unchecked."""
-    height = len(ledger.blocks)
-    coinbase = StegoTransaction(
+def coinbase(height: int, amount: int = BLOCK_SUBSIDY) -> StegoTransaction:
+    """A coinbase for `height` paying `amount` to one output."""
+    return StegoTransaction(
         inputs=(TxInput(bytes(32), height, bytes(20)),),
-        outputs=(TxOutput(b"\x05" * 20, BLOCK_SUBSIDY),),
+        outputs=(TxOutput(b"\x05" * 20, amount),),
         fee=0,
     )
-    block = Block.seal(height, ledger.blocks[-1].block_hash,
-                       ledger.blocks[-1].timestamp + 600, (coinbase, *txs))
+
+
+def append_sealed(path, ledger, txs) -> None:
+    """Append to `path` a sealed block after `ledger`'s tip that holds
+    exactly `txs`, in that order, unchecked."""
+    tip = ledger.blocks[-1]
+    block = Block.seal(len(ledger.blocks), tip.block_hash, tip.timestamp + 600, txs)
     with open(path, "ab") as fh:
         fh.write(framed([block.serialize()]))
 
 
-def spend(outpoint, address: bytes = b"\xaa" * 20) -> StegoTransaction:
-    """A one-in, one-out transaction spending `outpoint` at `address`."""
+def append_block(path, ledger, *txs) -> None:
+    """Append to `path` a sealed block after `ledger`'s tip that holds a
+    coinbase and `txs`, unchecked."""
+    append_sealed(path, ledger, (coinbase(len(ledger.blocks)), *txs))
+
+
+def spend(outpoint, address: bytes = b"\xaa" * 20, amount: int = 10**6) -> StegoTransaction:
+    """A one-in, one-out transaction with fee 1000 spending `outpoint` at
+    `address`."""
     return StegoTransaction(
         inputs=(TxInput(outpoint[0], outpoint[1], address),),
-        outputs=(TxOutput(b"\x02" * 20, 10**6),),
+        outputs=(TxOutput(b"\x02" * 20, amount),),
         fee=1000,
     )

@@ -135,6 +135,17 @@ def test_chain_spending_unknown_output_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_chain_creating_value_exits_2(tmp_path, capsys):
+    chain = tmp_path / "bad.bin"
+    ledger = Ledger.create(genesis_allocations=[(b"\xaa" * 20, 10**9)])
+    ledger.save(chain)
+    allocation = (ledger.blocks[0].transactions[0].txid, 1)
+    chainfile.append_block(chain, ledger, chainfile.spend(allocation, amount=10**12))
+    code, _, err = run(capsys, "--chain", str(chain), "mine")
+    assert code == 2 and "does not balance" in err
+    assert "Traceback" not in err
+
+
 def send_files(tmp_path, capsys):
     """A key file, a small config file and a message file for `send`."""
     paths = {"--key": tmp_path / "key.txt", "--config": tmp_path / "small.cfg",

@@ -167,7 +167,7 @@ def test_scan():
     assert b"\xff" * 20 not in index
     assert index[b"\xaa" * 20] == [tx]
     assert ledger.input_index(0) == index  # pure read
-    assert all(not t.is_coinbase for txs in index.values() for t in txs)
+    assert all(i.prev_txid != bytes(32) for txs in index.values() for t in txs for i in t.inputs)
     assert ledger.input_index(2) == {}
 
 
@@ -219,11 +219,14 @@ def test_encoding_is_canonical(stego_chain):
 
 
 def test_load_serializes_nothing(stego_chain, monkeypatch):
+    """Load neither re-serializes a parsed record nor builds a transaction
+    through the dataclass constructor."""
     calls = []
-    for owner, name in ((StegoTransaction, "serialize"), (Block, "body_bytes")):
-        def counted(self, _original=getattr(owner, name), _name=name):
+    for owner, name in ((StegoTransaction, "serialize"), (StegoTransaction, "__init__"),
+                        (Block, "body_bytes")):
+        def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
-            return _original(self)
+            return _original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     ledger = Ledger.load(stego_chain)
     assert ledger.mempool and len(ledger.blocks) == 3
@@ -256,6 +259,85 @@ def test_load_rejects_resealed_block_with_bad_spend(tmp_path, spent):
     chainfile.append_block(path, ledger, chainfile.spend(outpoint))
     with pytest.raises(CorruptChain, match="spends unknown or spent output"):
         Ledger.load(path)
+
+
+def chain_with_unspent_allocation(path):
+    """A saved two-block chain whose genesis also pays 10**9 to \xaa*20,
+    and the outpoint of that allocation, which no block spends."""
+    ledger = fresh_ledger()
+    outpoint = genesis_outpoint(ledger)
+    ledger.mine_block()
+    ledger.save(path)
+    return ledger, outpoint
+
+
+@pytest.mark.parametrize("case,message", [
+    ("creates value", "does not balance"),
+    ("pays too little", "does not balance"),
+    ("wrong address", "not paid to"),
+    ("coinbase over cap", "more than subsidy plus fees"),
+])
+def test_load_rejects_resealed_block_that_breaks_value_rules(tmp_path, case, message):
+    path = tmp_path / "chain.bin"
+    ledger, outpoint = chain_with_unspent_allocation(path)
+    height = len(ledger.blocks)
+    txs = {
+        "creates value": [chainfile.coinbase(height), chainfile.spend(outpoint, amount=10**12)],
+        "pays too little": [chainfile.coinbase(height), chainfile.spend(outpoint)],
+        "wrong address": [chainfile.coinbase(height),
+                          chainfile.spend(outpoint, b"\xbb" * 20, 10**9 - 1000)],
+        "coinbase over cap": [chainfile.coinbase(height, BLOCK_SUBSIDY + 1001),
+                              chainfile.spend(outpoint, amount=10**9 - 1000)],
+    }[case]
+    chainfile.append_sealed(path, ledger, txs)
+    with pytest.raises(CorruptChain, match=message):
+        Ledger.load(path)
+
+
+def test_load_accepts_coinbase_at_cap(tmp_path):
+    path = tmp_path / "chain.bin"
+    ledger, outpoint = chain_with_unspent_allocation(path)
+    chainfile.append_sealed(path, ledger, [
+        chainfile.coinbase(len(ledger.blocks), BLOCK_SUBSIDY + 1000),
+        chainfile.spend(outpoint, amount=10**9 - 1000),
+    ])
+    loaded = Ledger.load(path)
+    assert len(loaded.blocks) == 3
+    assert loaded.total_supply() == loaded.utxo_total()
+
+
+@pytest.mark.parametrize("layout,message", [
+    ("coinbase second", "does not start with a coinbase"),
+    ("no coinbase", "does not start with a coinbase"),
+    ("two coinbases", "null outpoint outside its coinbase"),
+])
+def test_load_rejects_resealed_block_without_coinbase_first(tmp_path, layout, message):
+    path = tmp_path / "chain.bin"
+    ledger, outpoint = chain_with_unspent_allocation(path)
+    coinbase = chainfile.coinbase(len(ledger.blocks))
+    spend = chainfile.spend(outpoint, amount=10**9 - 1000)
+    txs = {
+        "coinbase second": [spend, coinbase],
+        "no coinbase": [spend],
+        "two coinbases": [coinbase, chainfile.coinbase(len(ledger.blocks), 1000)],
+    }[layout]
+    chainfile.append_sealed(path, ledger, txs)
+    with pytest.raises(CorruptChain, match=message):
+        Ledger.load(path)
+
+
+def test_load_keeps_in_block_chaining(tmp_path):
+    """A transaction may spend an output created earlier in its block."""
+    path, reordered = tmp_path / "chain.bin", tmp_path / "reordered.bin"
+    ledger, outpoint = chain_with_unspent_allocation(path)
+    reordered.write_bytes(path.read_bytes())
+    parent = chainfile.spend(outpoint, amount=10**9 - 1000)
+    child = chainfile.spend((parent.txid, 0), b"\x02" * 20, 10**9 - 2000)
+    chainfile.append_block(path, ledger, parent, child)
+    assert Ledger.load(path).utxo((child.txid, 0)).amount == 10**9 - 2000
+    chainfile.append_block(reordered, ledger, child, parent)
+    with pytest.raises(CorruptChain, match="spends unknown or spent output"):
+        Ledger.load(reordered)
 
 
 def test_save_load_roundtrip(tmp_path):
