@@ -272,16 +272,11 @@ def stat_suite(
 # ---------------------------------------------------------------------------
 # Config files: UTF-8 "key = value" lines, one per ChannelConfig field; "#"
 # starts a comment. A value is an integer (0x... allowed), a comma list of
-# integers (a one-element list is written "5,"), true/yes, false/no, none,
-# or a word (case-insensitive), and reads as that entry of
-# ChannelConfig.to_dict().
+# integers (a one-element list is written "5,"), none, or a word
+# (case-insensitive), and reads as that entry of ChannelConfig.to_dict().
 
 def _config_value(text: str):
     word = text.lower()
-    if word in ("true", "yes"):
-        return True
-    if word in ("false", "no"):
-        return False
     if word == "none":
         return None
     if "," in text:

@@ -13,7 +13,6 @@ sequential signal scan.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,9 +41,6 @@ class DerivationIndex:
             raise ValidationError(f"unknown domain tag {self.domain:#x}")
         if not 1 <= self.counter < 2**64:
             raise ValidationError("counter must be in [1, 2^64)")
-
-    def message(self, k: bytes) -> bytes:
-        return k + bytes([self.domain]) + self.counter.to_bytes(8, "big")
 
 
 @dataclass(frozen=True)
@@ -93,19 +89,6 @@ class KeyMaterial:
 
     def public_only(self) -> "KeyMaterial":
         return KeyMaterial(k=self.k, gy=self.gy)
-
-
-def hdw_scalar(k: bytes, idx: DerivationIndex) -> int:
-    return int.from_bytes(hashlib.sha256(idx.message(k)).digest(), "big") % ec.Q
-
-
-def derive_private(km: KeyMaterial, idx: DerivationIndex) -> int:
-    if km.y is None:
-        raise ValidationError("private derivation needs y")
-    x = (km.y + hdw_scalar(km.k, idx)) % ec.Q
-    if x == 0:
-        raise DegenerateIndex(f"index {idx} derives the zero key")
-    return x
 
 
 def derive_address(km: KeyMaterial, idx: DerivationIndex) -> Address:

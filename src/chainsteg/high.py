@@ -126,22 +126,6 @@ def frame_message(
     return fields
 
 
-@dataclass(frozen=True)
-class BurnRecord:
-    txid: bytes
-    vout: int
-    amount: int
-
-
-def burn_records(tx: StegoTransaction) -> list[BurnRecord]:
-    """Burned value: every output except the trailing change."""
-    txid = tx.txid
-    return [
-        BurnRecord(txid, vout, out.amount)
-        for vout, out in enumerate(tx.outputs[:-1])
-    ]
-
-
 def tx_template(gen, fields: list[bytes], rng) -> StegoTemplate:
     """One transaction carrying `fields` at the generation's next HIGH
     counter: masked fields, then change to a fresh wallet address."""

@@ -278,7 +278,6 @@ class Ledger:
         self._mempool_outputs: dict[tuple[bytes, int], TxOutput] = {}
         self._mempool_reserved: set[tuple[bytes, int]] = set()
         self._utxos: dict[tuple[bytes, int], TxOutput] = {}
-        self._spent: set[tuple[bytes, int]] = set()
         self._pool: list[tuple[bytes, int]] = []  # decoy-economy outpoints
         self._issued = 0
         self._persisted_blocks = 0
@@ -325,7 +324,7 @@ class Ledger:
             if outpoint in seen:
                 raise Rejected("duplicate outpoint within transaction")
             seen.add(outpoint)
-            if outpoint in self._spent or outpoint in self._mempool_reserved:
+            if outpoint in self._mempool_reserved:
                 raise Rejected(f"outpoint {inp.prev_txid.hex()[:16]}:{inp.vout} already spent")
             prev = self._utxos.get(outpoint) or self._mempool_outputs.get(outpoint)
             if prev is None:
@@ -444,7 +443,7 @@ class Ledger:
         txs = block.transactions
         if not txs or len(txs[0].inputs) != 1 or txs[0].inputs[0].prev_txid != _NULL32:
             raise CorruptChain(f"block {block.height} does not start with a coinbase")
-        utxos, spent, fees = self._utxos, self._spent, 0
+        utxos, fees = self._utxos, 0
         for position, tx in enumerate(txs):
             txid = tx.txid
             if position:
@@ -466,7 +465,6 @@ class Ledger:
                             f"block {block.height} spends {inp.prev_txid.hex()[:16]}:"
                             f"{inp.vout} from an address it was not paid to"
                         )
-                    spent.add(outpoint)
                     total_in += prev.amount
                 if total_in != sum(map(_amount, tx.outputs)) + tx.fee:
                     raise CorruptChain(

@@ -67,7 +67,6 @@ class ChannelConfig:
     bit_selector: tuple[int, ...] | None = None
     grind_cap: int | None = None
     max_fields_per_tx: int = 0  # high channel: 0 = single transaction
-    debug_unmasked_tags: bool = False
 
     def __post_init__(self):
         # configs also arrive from files and config frames: check types first
@@ -75,7 +74,6 @@ class ChannelConfig:
         if self.grind_cap is not None:
             ints.append(self.grind_cap)
         if (any(type(v) is not int for v in ints) or type(self.mode) is not Mode
-                or type(self.debug_unmasked_tags) is not bool
                 or type(self.bit_selector) not in (tuple, type(None))):
             raise ValidationError(f"channel config field of the wrong type: {self!r}")
         if self.max_fields_per_tx < 0 or (self.grind_cap is not None and self.grind_cap < 1):
@@ -297,15 +295,12 @@ def embed(gen, payload: list[int], cfg: ChannelConfig, rng) -> StegoTemplate:
     else:
         t = cfg.tag_bits
         data_bits = cfg.m - t
-        if cfg.debug_unmasked_tags:
-            tags = list(range(cfg.n))
-        else:
-            tags = masked_slot_tags(km.k, counter, cfg.n, t)
-            if len(set(tags)) != cfg.n:
-                raise ValidationError(
-                    f"MED counter {counter} is unusable in PERMUTED mode "
-                    "(colliding slot tags); skip to the next counter"
-                )
+        tags = masked_slot_tags(km.k, counter, cfg.n, t)
+        if len(set(tags)) != cfg.n:
+            raise ValidationError(
+                f"MED counter {counter} is unusable in PERMUTED mode "
+                "(colliding slot tags); skip to the next counter"
+            )
         chunks = []
         for slot in range(cfg.n):
             bits = payload[slot * data_bits : (slot + 1) * data_bits]
@@ -365,14 +360,11 @@ def extract(
 
     t = cfg.tag_bits
     data_bits = cfg.m - t
-    if cfg.debug_unmasked_tags:
-        expected_tags = list(range(cfg.n))
-    else:
-        expected_tags = masked_slot_tags(km.k, counter, cfg.n, t)
-        if len(set(expected_tags)) != cfg.n:
-            raise TagCorruption(
-                "matched counter is unusable under this key (colliding tags)"
-            )
+    expected_tags = masked_slot_tags(km.k, counter, cfg.n, t)
+    if len(set(expected_tags)) != cfg.n:
+        raise TagCorruption(
+            "matched counter is unusable under this key (colliding tags)"
+        )
     tag_to_slot = {tag: slot for slot, tag in enumerate(expected_tags)}
     slot_payloads: dict[int, int] = {}
     for c in chunks:

@@ -94,7 +94,6 @@ class SessionState:
         self.quarantine: list[tuple[str, str]] = []
         self.wallet: list[WalletUtxo] = []
         self.embed_log: list[dict] = []
-        self.burn_log: list[high.BurnRecord] = []
         # receive-side caches, rebuilt after a load: the digest of each
         # (generation, channel, counter) in a scan window, and whether a MED
         # (generation, counter) is usable under the cfg stored with it
@@ -199,8 +198,6 @@ class SessionState:
         audit_entries += [
             (vout, rec.index.counter) for vout, rec in enumerate(template.grind_records)
         ]
-        if channel == "HIGH":
-            self.burn_log.extend(high.burn_records(tx))
         self.embed_log.append(
             {
                 "txid": txid.hex(),
@@ -504,7 +501,6 @@ class SessionState:
                 for u in self.wallet
             ],
             "embed_log": self.embed_log,
-            "burn_log": [[b.txid.hex(), b.vout, b.amount] for b in self.burn_log],
         }
 
     @classmethod
@@ -555,9 +551,6 @@ class SessionState:
             {**e, "entries": [tuple(pair) for pair in e["entries"]]}
             for e in data["embed_log"]
         ]
-        state.burn_log = [
-            high.BurnRecord(bytes.fromhex(t), v, a) for t, v, a in data["burn_log"]
-        ]
         return state
 
 
@@ -565,15 +558,16 @@ def _config_frame(from_med: int, cfg: medium.ChannelConfig) -> bytes:
     """Plaintext of a VERSION_CONFIG frame: JSON of the first MED counter
     the config applies from and cfg.to_dict().
 
-    The frame format also holds two retired fields, at their original
-    places and with the only value they ever took: "address_version" after
-    "grind_cap", and "high_kind" last. Receivers ignore both; they are kept
-    because the frame is on the wire, so dropping them would change every
-    config frame and every seeded chain that switches parameters.
+    The frame format also holds three retired fields, at their original
+    places and with fixed values: "address_version" after "grind_cap",
+    then "debug_unmasked_tags" (false) and "high_kind" after
+    "max_fields_per_tx". Receivers ignore them; they are kept because
+    the frame is on the wire, so dropping them would change every config
+    frame and every seeded chain that switches parameters.
     """
     entries = list(cfg.to_dict().items())
     entries.insert(5, ("address_version", 0))
-    entries.append(("high_kind", 0))
+    entries += [("debug_unmasked_tags", False), ("high_kind", 0)]
     return json.dumps({"from_med": from_med, "cfg": dict(entries)}).encode()
 
 

@@ -3,8 +3,9 @@ import threading
 
 import pytest
 
+import oracles
 from chainsteg import backend, ec
-from chainsteg.hdw import DOMAIN_GRIND, DerivationIndex, KeyMaterial, hdw_scalar
+from chainsteg.hdw import DOMAIN_GRIND, KeyMaterial
 
 needs_ext = pytest.mark.skipif(
     "ext" not in backend.available(), reason="compiled kernel not built"
@@ -124,7 +125,7 @@ def test_grind_budget_edges_parity(m, start):
 def test_grind_skips_degenerate_counter_parity():
     # y + H(k || tag || 5) == 0 mod q: counter 5 derives the point at infinity
     k = bytes(32)
-    h = hdw_scalar(k, DerivationIndex(DOMAIN_GRIND, 5))
+    h = oracles.hdw_scalar(k, DOMAIN_GRIND, 5)
     km = KeyMaterial.from_private(k, (ec.Q - h) % ec.Q)
     pure, ext = backend.PureBackend(), backend.set_backend("ext")
     assert ext.derive_digest(km.k, DOMAIN_GRIND, 5, km.gy) is None

@@ -234,14 +234,16 @@ def test_config_file(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text(
         "n = 4\nm = 6\nmode = permuted\nmax_fields_per_tx = 8\n"
-        "# comment line\ndebug_unmasked_tags = false\n"
+        "# comment line\ngrind_cap = none\n"
     )
     cfg = load_config(path)
     assert cfg.n == 4 and cfg.m == 6 and cfg.mode is Mode.PERMUTED
-    assert cfg.max_fields_per_tx == 8
+    assert cfg.max_fields_per_tx == 8 and cfg.grind_cap is None
     bad = tmp_path / "bad.txt"
-    # address_version and high_kind were fields once; they are unknown now
-    for line in ("wibble = 3", "address_version = 0", "high_kind = 0", "n 3"):
+    # address_version, debug_unmasked_tags and high_kind were fields once;
+    # they are unknown now
+    for line in ("wibble = 3", "address_version = 0", "debug_unmasked_tags = false",
+                 "high_kind = 0", "n 3"):
         bad.write_text(line + "\n")
         with pytest.raises(ValidationError):
             load_config(bad)
@@ -251,7 +253,7 @@ def test_every_config_field_round_trips(tmp_path):
     # one non-default value per field: a field added later fails here until
     # both the dict form and the key = value loader carry it
     values = dict(n=7, m=9, mode=Mode.PERMUTED, bit_selector=tuple(range(159, 150, -1)),
-                  grind_cap=4096, max_fields_per_tx=3, debug_unmasked_tags=True)
+                  grind_cap=4096, max_fields_per_tx=3)
     assert set(values) == {f.name for f in dataclasses.fields(ChannelConfig)}
     cfg = ChannelConfig(**values)
     assert all(getattr(cfg, name) != getattr(ChannelConfig(), name) for name in values)

@@ -11,13 +11,11 @@ from chainsteg.hdw import (
     DerivationIndex,
     KeyMaterial,
     derive_address,
-    derive_private,
-    hdw_scalar,
     read_key_file,
     write_key_file,
 )
 from chainsteg.hashes import hash160
-from chainsteg.stats import chi_square_bytes_p
+from chainsteg.stats import two_sample_bytes_p
 
 # Frozen from the independent affine oracle (tests/oracles.py), computed
 # before the production path existed.
@@ -27,10 +25,11 @@ VECTOR_B_DIGEST = "f823c9e0cf128a3d4ba5b5f5ccbf35c364c64c1a"
 
 
 def test_private_derivation_frozen_vector():
+    # the private key y + H(k || i) whose public key derive_address hashes
     km = KeyMaterial.from_private(bytes(32), 1)
-    idx = DerivationIndex(DOMAIN_GRIND, 1)
-    assert derive_private(km, idx) == VECTOR_A_X1
-    assert derive_private(km, idx) == oracles.hdw_private(bytes(32), 1, 0x03, 1)
+    assert oracles.hdw_private(km.k, km.y, DOMAIN_GRIND, 1) == VECTOR_A_X1
+    digest = derive_address(km, DerivationIndex(DOMAIN_GRIND, 1)).digest
+    assert digest == hash160(ec.compress(ec.mult_g(VECTOR_A_X1)))
 
 
 def test_public_derivation_frozen_vector():
@@ -46,21 +45,24 @@ def test_public_derivation_frozen_vector():
 def test_derivation_is_deterministic():
     km = KeyMaterial.generate(random.Random(1))
     idx = DerivationIndex(DOMAIN_GRIND, 1234)
-    assert derive_private(km, idx) == derive_private(km, idx)
     assert derive_address(km, idx) == derive_address(km, idx)
 
 
 def test_private_difference_identity():
-    # x_i - x_j == H(k||i) - H(k||j) mod q
+    # x_i - x_j == H(k||i) - H(k||j) mod q, so the address at i is the hash
+    # of G*x_j + G*(H(k||i) - H(k||j)); distinct indices give distinct keys
     km = KeyMaterial.generate(random.Random(2))
     rng = random.Random(3)
     for _ in range(5):
         i, j = rng.randrange(1, 2**40), rng.randrange(1, 2**40)
-        xi = derive_private(km, DerivationIndex(DOMAIN_GRIND, i))
-        xj = derive_private(km, DerivationIndex(DOMAIN_GRIND, j))
-        hi = hdw_scalar(km.k, DerivationIndex(DOMAIN_GRIND, i))
-        hj = hdw_scalar(km.k, DerivationIndex(DOMAIN_GRIND, j))
-        assert (xi - xj) % ec.Q == (hi - hj) % ec.Q
+        xi = oracles.hdw_private(km.k, km.y, DOMAIN_GRIND, i)
+        xj = oracles.hdw_private(km.k, km.y, DOMAIN_GRIND, j)
+        hi = oracles.hdw_scalar(km.k, DOMAIN_GRIND, i)
+        hj = oracles.hdw_scalar(km.k, DOMAIN_GRIND, j)
+        assert xi != xj and (xi - xj) % ec.Q == (hi - hj) % ec.Q
+        pub = ec.point_add(ec.mult_g(xj), ec.mult_g((hi - hj) % ec.Q))
+        assert derive_address(km, DerivationIndex(DOMAIN_GRIND, i)).digest == \
+            hash160(ec.compress(pub))
 
 
 def test_public_equals_generator_times_private():
@@ -70,7 +72,7 @@ def test_public_equals_generator_times_private():
     rng = random.Random(5)
     for _ in range(25):
         idx = DerivationIndex(DOMAIN_GRIND, rng.randrange(1, 2**50))
-        pub = ec.mult_g(derive_private(km, idx))
+        pub = ec.mult_g(oracles.hdw_private(km.k, km.y, DOMAIN_GRIND, idx.counter))
         assert derive_address(km.public_only(), idx).digest == hash160(ec.compress(pub))
 
 
@@ -91,7 +93,6 @@ def test_oracle_agreement_random_triples():
         counter = rng.randrange(1, 2**30)
         km = KeyMaterial.from_private(k, y)
         idx = DerivationIndex(DOMAIN_GRIND, counter)
-        assert derive_private(km, idx) == oracles.hdw_private(k, y, 0x03, counter)
         assert derive_address(km, idx).digest == oracles.address_digest(
             k, y, 0x03, counter
         )
@@ -101,12 +102,12 @@ def test_degenerate_index_rejected_on_both_paths():
     # pick y so that y + H(k||i) == 0 mod q
     k = bytes(32)
     idx = DerivationIndex(DOMAIN_GRIND, 5)
-    h = hdw_scalar(k, idx)
+    h = oracles.hdw_scalar(k, DOMAIN_GRIND, 5)
     km = KeyMaterial.from_private(k, (ec.Q - h) % ec.Q)
-    with pytest.raises(DegenerateIndex):
-        derive_private(km, idx)
-    with pytest.raises(DegenerateIndex):
-        derive_address(km, idx)
+    assert oracles.hdw_private(k, km.y, DOMAIN_GRIND, 5) == 0
+    for side in (km, km.public_only()):
+        with pytest.raises(DegenerateIndex):
+            derive_address(side, idx)
     # neighbouring index is fine
     assert derive_address(km, DerivationIndex(DOMAIN_GRIND, 6))
 
@@ -128,6 +129,7 @@ def test_signal_addresses():
 
 def test_digest_uniformity_chi_square():
     # 10000 consecutive indices -> byte frequencies pass chi-square at 0.01
+    # against a seeded uniform reference of the same length
     km = KeyMaterial.generate(random.Random(11))
     from chainsteg import backend
 
@@ -135,7 +137,8 @@ def test_digest_uniformity_chi_square():
     blob = bytearray()
     for counter in range(1, 10001):
         blob += be.derive_digest(km.k, DOMAIN_GRIND, counter, km.gy)
-    assert chi_square_bytes_p(bytes(blob)) >= 0.01
+    reference = random.Random(12).randbytes(len(blob))
+    assert two_sample_bytes_p(bytes(blob), reference) >= 0.01
 
 
 def test_key_material_validation():

@@ -8,7 +8,6 @@ from chainsteg.hdw import KeyMaterial
 from chainsteg.high import (
     VERSION_DATA,
     Reassembler,
-    burn_records,
     fragment_count,
     guard_nonce,
     mask_field,
@@ -18,7 +17,7 @@ from chainsteg.high import (
 from chainsteg.ledger import StegoTransaction, TxOutput
 from chainsteg.medium import ChannelConfig
 from chainsteg.session import SessionState
-from chainsteg.stats import chi_square_bytes_p, monobit_p
+from chainsteg.stats import two_sample_bytes_p, two_sample_monobit_p
 
 
 def make_state(km, seed=9, **cfg_kwargs):
@@ -185,17 +184,6 @@ def test_nonce_reuse_refused(km):
     guard_nonce(state.current, 1, b"first", 0, VERSION_DATA)
 
 
-def test_burn_records(km):
-    state, ledger = make_state(km)
-    [(_, tx)] = send(state, ledger, b"burned bytes")
-    records = burn_records(tx)
-    assert len(records) == len(tx.outputs) - 1
-    assert sum(r.amount for r in records) == sum(o.amount for o in tx.outputs[:-1])
-    assert all(r.txid == tx.txid for r in records)
-    assert {r.vout for r in records} == set(range(len(tx.outputs) - 1))
-    assert state.burn_log == records
-
-
 def test_field_mask_is_involution(km):
     rng = random.Random(5)
     field = rng.randbytes(20)
@@ -214,8 +202,9 @@ def test_randomness_of_fields(km):
         [(_, tx)] = send(state, ledger, msg)
         fields.extend(o.field for o in tx.outputs[:-1])
     blob = b"".join(fields)
-    assert monobit_p(blob) >= 0.001
-    assert chi_square_bytes_p(blob) >= 0.001
+    reference = random.Random(7).randbytes(len(blob))
+    assert two_sample_monobit_p(blob, reference) >= 0.001
+    assert two_sample_bytes_p(blob, reference) >= 0.001
 
 
 def test_reassembler_rejects_conflicting_duplicate(km):

@@ -35,7 +35,7 @@ def state_files(tmp_path_factory):
     write_key_file(root / "key.txt", km)
     (root / "channel.cfg").write_text(
         "n = 3\nm = 5\nmode = permuted  # comment\nbit_selector = 4,3,2,1,0\n"
-        "grind_cap = 100000\nmax_fields_per_tx = 2\ndebug_unmasked_tags = false\n"
+        "grind_cap = 100000\nmax_fields_per_tx = 2\n"
     )
     return {
         "key": (root / "key.txt", read_key_file),

@@ -276,6 +276,28 @@ def test_session_file_with_retired_keys_loads(km, tmp_path):
     assert loaded.current.cfg_at(1) == cfg
 
 
+def test_session_file_with_burn_log_loads(km, tmp_path):
+    # files written while sessions kept a burn log hold "burn_log" and a
+    # "debug_unmasked_tags" entry in every config; loading ignores both
+    cfg = ChannelConfig(n=3, m=4, mode=Mode.PERMUTED, max_fields_per_tx=2)
+    state = SessionState(km, cfg, seed=3)
+    ledger = state.genesis_ledger()
+    [txid] = state.send_message(ledger, b"burned bytes", Channel.HIGH)
+    path = tmp_path / "s.bin"
+    state.save(path)
+    raw = path.read_bytes()
+    data = json.loads(raw[6:])
+    assert "burn_log" not in data
+    data["burn_log"] = [[txid.hex(), vout, 1000] for vout in range(2)]
+    for cfg_dict in [data["cfg"]] + [c for _, c in data["generations"][0]["cfg_schedule"]]:
+        cfg_dict["debug_unmasked_tags"] = False
+    path.write_bytes(raw[:6] + json.dumps(data).encode())
+    loaded = SessionState.load(path)
+    assert loaded.cfg == cfg and loaded.embed_log == state.embed_log
+    loaded.save(path)
+    assert path.read_bytes() == raw
+
+
 def test_seeded_scenario_is_pinned(km):
     # One seeded run through HIGH split by max_fields_per_tx, PERMUTED MED at
     # small m, rotate_keys, switch_config and decoy traffic. The tip hash is
