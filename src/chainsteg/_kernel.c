@@ -1,10 +1,11 @@
-/* Compiled grinding kernel: secp256k1 fixed-base derivation and digest
- * scanning with 4x64-bit field limbs, batch inversion, and single-block
- * SHA-256 / RIPEMD-160, so the whole attempt loop runs in C without the GIL.
+/* Compiled kernel: secp256k1 fixed-base derivation and digest scanning with
+ * 4x64-bit field limbs, batch inversion, SHA-256 (SHA-NI when the CPU has
+ * it) and RIPEMD-160, so the whole attempt loop runs in C without the GIL;
+ * and the parser of a block's transaction rows, which hashes each txid.
  *
  * Results are bit-identical to backend.PureBackend, the reference; the
- * parity tests enforce it. Python-visible: derive_digest, grind_scan and
- * _microbench.
+ * parity tests enforce it. Python-visible: derive_digest, grind_scan,
+ * parse_transactions and _microbench.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -340,7 +341,9 @@ static void mult_gen(jpt *r, const u64 *scalar)
 }
 
 /* ------------------------------------------------------------------------
- * Single-block SHA-256 (inputs here are at most 55 bytes) */
+ * SHA-256 of any length. The compression runs on SHA-NI when the CPU has
+ * it (chosen once at module init) and on portable C otherwise; both pass a
+ * known-answer test at init. */
 
 static const u32 SHA_K[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
@@ -364,6 +367,19 @@ static const u32 SHA_H0[8] = {
 static inline u32 rotr(u32 x, int n) { return (x >> n) | (x << (32 - n)); }
 static inline u32 rotl(u32 x, int n) { return (x << n) | (x >> (32 - n)); }
 
+static inline u32 load_be32(const u8 *p)
+{
+    return (u32)p[0] << 24 | (u32)p[1] << 16 | (u32)p[2] << 8 | p[3];
+}
+
+static inline u64 load_be64(const u8 *p)
+{
+    return (u64)load_be32(p) << 32 | load_be32(p + 4);
+}
+
+/* Folds n 64-byte blocks into the eight state words. */
+typedef void sha256_compress_fn(u32 *state, const u8 *blocks, size_t n);
+
 #define SHA_ROUND(a, b, c, d, e, f, g, h, i) do { \
         u32 _t1 = h + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) + ((e & f) ^ (~e & g)) + \
                   SHA_K[i] + w[i]; \
@@ -372,43 +388,185 @@ static inline u32 rotl(u32 x, int n) { return (x << n) | (x >> (32 - n)); }
         h = _t1 + _t2; \
     } while (0)
 
-static void sha256_short(const u8 *msg, int len, u8 *out)
+static void sha256_compress_portable(u32 *state, const u8 *blocks, size_t n)
 {
-    u8 block[64] = {0};
-    u32 w[64], a, b, c, d, e, f, g, h, hh[8];
+    u32 w[64], a, b, c, d, e, f, g, h;
     int i;
-    memcpy(block, msg, len);
-    block[len] = 0x80;
-    block[62] = (u8)(len >> 5); /* bit length, big-endian, < 2^16 */
-    block[63] = (u8)(len << 3);
-    for (i = 0; i < 16; i++)
-        w[i] = (u32)block[4 * i] << 24 | (u32)block[4 * i + 1] << 16 |
-               (u32)block[4 * i + 2] << 8 | block[4 * i + 3];
-    for (i = 16; i < 64; i++)
-        w[i] = w[i - 16] + w[i - 7] +
-               (rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3)) +
-               (rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10));
-    a = SHA_H0[0]; b = SHA_H0[1]; c = SHA_H0[2]; d = SHA_H0[3];
-    e = SHA_H0[4]; f = SHA_H0[5]; g = SHA_H0[6]; h = SHA_H0[7];
-    for (i = 0; i < 64; i += 8) {
-        SHA_ROUND(a, b, c, d, e, f, g, h, i);
-        SHA_ROUND(h, a, b, c, d, e, f, g, i + 1);
-        SHA_ROUND(g, h, a, b, c, d, e, f, i + 2);
-        SHA_ROUND(f, g, h, a, b, c, d, e, i + 3);
-        SHA_ROUND(e, f, g, h, a, b, c, d, i + 4);
-        SHA_ROUND(d, e, f, g, h, a, b, c, i + 5);
-        SHA_ROUND(c, d, e, f, g, h, a, b, i + 6);
-        SHA_ROUND(b, c, d, e, f, g, h, a, i + 7);
+    for (; n > 0; n--, blocks += 64) {
+        for (i = 0; i < 16; i++)
+            w[i] = load_be32(blocks + 4 * i);
+        for (i = 16; i < 64; i++)
+            w[i] = w[i - 16] + w[i - 7] +
+                   (rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3)) +
+                   (rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10));
+        a = state[0]; b = state[1]; c = state[2]; d = state[3];
+        e = state[4]; f = state[5]; g = state[6]; h = state[7];
+        for (i = 0; i < 64; i += 8) {
+            SHA_ROUND(a, b, c, d, e, f, g, h, i);
+            SHA_ROUND(h, a, b, c, d, e, f, g, i + 1);
+            SHA_ROUND(g, h, a, b, c, d, e, f, i + 2);
+            SHA_ROUND(f, g, h, a, b, c, d, e, i + 3);
+            SHA_ROUND(e, f, g, h, a, b, c, d, i + 4);
+            SHA_ROUND(d, e, f, g, h, a, b, c, i + 5);
+            SHA_ROUND(c, d, e, f, g, h, a, b, i + 6);
+            SHA_ROUND(b, c, d, e, f, g, h, a, i + 7);
+        }
+        state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+        state[4] += e; state[5] += f; state[6] += g; state[7] += h;
     }
-    hh[0] = a; hh[1] = b; hh[2] = c; hh[3] = d;
-    hh[4] = e; hh[5] = f; hh[6] = g; hh[7] = h;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+
+/* Four rounds on four message words w with the constants K[k..k+3]. */
+#define SHANI_ROUNDS(w, k) do { \
+        __m128i _m = _mm_add_epi32((w), _mm_loadu_si128((const __m128i *)(SHA_K + (k)))); \
+        cdgh = _mm_sha256rnds2_epu32(cdgh, abef, _m); \
+        abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(_m, 0x0E)); \
+    } while (0)
+
+/* Group g of four rounds, with W[i] the i-th four message words: rounds on
+ * cur = W[g], then msg2 finishes next as W[g + 1], and msg1 starts turning
+ * prev = W[g - 1] into W[g + 3]. */
+#define SHANI_GROUP(k, cur, prev, next) do { \
+        SHANI_ROUNDS(cur, k); \
+        next = _mm_sha256msg2_epu32(_mm_add_epi32(next, _mm_alignr_epi8(cur, prev, 4)), cur); \
+        prev = _mm_sha256msg1_epu32(prev, cur); \
+    } while (0)
+
+__attribute__((target("sha,sse4.1")))
+static void sha256_compress_shani(u32 *state, const u8 *blocks, size_t n)
+{
+    const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+    __m128i abef, cdgh, abef_in, cdgh_in, w0, w1, w2, w3, t;
+    /* state words a..h into the (a, b, e, f) and (c, d, g, h) lanes */
+    t = _mm_shuffle_epi32(_mm_loadu_si128((const __m128i *)state), 0xB1);
+    cdgh = _mm_shuffle_epi32(_mm_loadu_si128((const __m128i *)(state + 4)), 0x1B);
+    abef = _mm_alignr_epi8(t, cdgh, 8);
+    cdgh = _mm_blend_epi16(cdgh, t, 0xF0);
+    for (; n > 0; n--, blocks += 64) {
+        abef_in = abef;
+        cdgh_in = cdgh;
+        w0 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)blocks), bswap);
+        w1 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(blocks + 16)), bswap);
+        w2 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(blocks + 32)), bswap);
+        w3 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(blocks + 48)), bswap);
+        SHANI_ROUNDS(w0, 0);
+        SHANI_ROUNDS(w1, 4);
+        w0 = _mm_sha256msg1_epu32(w0, w1);
+        SHANI_ROUNDS(w2, 8);
+        w1 = _mm_sha256msg1_epu32(w1, w2);
+        SHANI_GROUP(12, w3, w2, w0);
+        SHANI_GROUP(16, w0, w3, w1);
+        SHANI_GROUP(20, w1, w0, w2);
+        SHANI_GROUP(24, w2, w1, w3);
+        SHANI_GROUP(28, w3, w2, w0);
+        SHANI_GROUP(32, w0, w3, w1);
+        SHANI_GROUP(36, w1, w0, w2);
+        SHANI_GROUP(40, w2, w1, w3);
+        SHANI_GROUP(44, w3, w2, w0);
+        SHANI_GROUP(48, w0, w3, w1);
+        SHANI_GROUP(52, w1, w0, w2); /* the msg1 of this group and the next goes unused */
+        SHANI_GROUP(56, w2, w1, w3);
+        SHANI_ROUNDS(w3, 60);
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+    t = _mm_shuffle_epi32(abef, 0x1B);
+    cdgh = _mm_shuffle_epi32(cdgh, 0xB1);
+    _mm_storeu_si128((__m128i *)state, _mm_blend_epi16(t, cdgh, 0xF0));
+    _mm_storeu_si128((__m128i *)(state + 4), _mm_alignr_epi8(cdgh, t, 8));
+}
+
+static int cpu_has_sha_ni(void)
+{
+    unsigned a, b, c, d;
+    if (!__get_cpuid(1, &a, &b, &c, &d) || !(c & bit_SSSE3) || !(c & bit_SSE4_1))
+        return 0;
+    return __get_cpuid_count(7, 0, &a, &b, &c, &d) && (b & bit_SHA);
+}
+#endif
+
+static sha256_compress_fn *sha256_compress = sha256_compress_portable;
+
+static void sha256_with(sha256_compress_fn *compress, const u8 *msg, size_t len, u8 *out)
+{
+    u32 state[8];
+    u8 tail[128] = {0};
+    size_t full = len / 64, rest = len % 64, tail_len = rest < 56 ? 64 : 128;
+    u64 bits = (u64)len << 3;
+    int i;
+    memcpy(state, SHA_H0, sizeof(state));
+    compress(state, msg, full);
+    memcpy(tail, msg + 64 * full, rest);
+    tail[rest] = 0x80;
+    for (i = 0; i < 8; i++)
+        tail[tail_len - 1 - i] = (u8)(bits >> (8 * i));
+    compress(state, tail, tail_len / 64);
     for (i = 0; i < 8; i++) {
-        u32 v = SHA_H0[i] + hh[i];
-        out[4 * i] = (u8)(v >> 24);
-        out[4 * i + 1] = (u8)(v >> 16);
-        out[4 * i + 2] = (u8)(v >> 8);
-        out[4 * i + 3] = (u8)v;
+        out[4 * i] = (u8)(state[i] >> 24);
+        out[4 * i + 1] = (u8)(state[i] >> 16);
+        out[4 * i + 2] = (u8)(state[i] >> 8);
+        out[4 * i + 3] = (u8)state[i];
     }
+}
+
+static void sha256(const u8 *msg, size_t len, u8 *out)
+{
+    sha256_with(sha256_compress, msg, len, out);
+}
+
+static void sha256d(const u8 *msg, size_t len, u8 *out)
+{
+    u8 once[32];
+    sha256(msg, len, once);
+    sha256(once, 32, out);
+}
+
+/* FIPS 180-2 examples: one block, one block plus a length-only block (56
+ * bytes), and a full block plus a tail. */
+static const char *const SHA_KAT[3][2] = {
+    {"abc",
+     "\xba\x78\x16\xbf\x8f\x01\xcf\xea\x41\x41\x40\xde\x5d\xae\x22\x23"
+     "\xb0\x03\x61\xa3\x96\x17\x7a\x9c\xb4\x10\xff\x61\xf2\x00\x15\xad"},
+    {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+     "\x24\x8d\x6a\x61\xd2\x06\x38\xb8\xe5\xc0\x26\x93\x0c\x3e\x60\x39"
+     "\xa3\x3c\xe4\x59\x64\xff\x21\x67\xf6\xec\xed\xd4\x19\xdb\x06\xc1"},
+    {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+     "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+     "\xcf\x5b\x16\xa7\x78\xaf\x83\x80\x03\x6c\xe5\x9e\x7b\x04\x92\x37"
+     "\x0b\x24\x9b\x11\xe8\xf0\x7a\x51\xaf\xac\x45\x03\x7a\xfe\xe9\xd1"},
+};
+
+static int sha256_passes_kat(sha256_compress_fn *compress)
+{
+    u8 digest[32];
+    int i;
+    for (i = 0; i < 3; i++) {
+        sha256_with(compress, (const u8 *)SHA_KAT[i][0], strlen(SHA_KAT[i][0]), digest);
+        if (memcmp(digest, SHA_KAT[i][1], 32) != 0)
+            return 0;
+    }
+    return 1;
+}
+
+/* Checks the portable compression, then switches to SHA-NI when the CPU has
+ * it and it checks out too. Returns the name of a compression that failed,
+ * or NULL. */
+static const char *sha256_select(void)
+{
+    if (!sha256_passes_kat(sha256_compress_portable))
+        return "portable";
+#if defined(__x86_64__) || defined(__i386__)
+    if (cpu_has_sha_ni()) {
+        if (!sha256_passes_kat(sha256_compress_shani))
+            return "SHA-NI";
+        sha256_compress = sha256_compress_shani;
+    }
+#endif
+    return NULL;
 }
 
 /* ------------------------------------------------------------------------
@@ -498,12 +656,9 @@ static void ripemd160_32(const u8 *msg, u8 *out)
 
 static void be32_to_limbs(const u8 *data, u64 *r)
 {
-    int i, j;
-    for (i = 0; i < 4; i++) {
-        r[3 - i] = 0;
-        for (j = 0; j < 8; j++)
-            r[3 - i] = r[3 - i] << 8 | data[8 * i + j];
-    }
+    int i;
+    for (i = 0; i < 4; i++)
+        r[3 - i] = load_be64(data + 8 * i);
 }
 
 /* 2^256 < 2q, so one conditional subtraction reduces a 256-bit value mod q. */
@@ -538,7 +693,7 @@ static void derive_batch(const u8 *k, u8 tag, u64 start, int count,
         u64 counter = start + (u64)i;
         for (j = 0; j < 8; j++)
             msg[33 + j] = (u8)(counter >> (8 * (7 - j)));
-        sha256_short(msg, 41, hbuf);
+        sha256(msg, 41, hbuf);
         be32_to_limbs(hbuf, scalar);
         scalar_mod_q(scalar);
         mult_gen(&pts[i], scalar);
@@ -552,7 +707,7 @@ static void derive_batch(const u8 *k, u8 tag, u64 start, int count,
         pub[0] = 0x02 | (u8)(pts[i].Y[0] & 1);
         for (j = 0; j < 32; j++)
             pub[1 + j] = (u8)(pts[i].X[3 - j / 8] >> (8 * (7 - j % 8)));
-        sha256_short(pub, 33, hbuf);
+        sha256(pub, 33, hbuf);
         ripemd160_32(hbuf, digests + 20 * i);
     }
 }
@@ -753,6 +908,157 @@ PyDoc_STRVAR(grind_scan_doc,
 "that value. Hits come back in target order; attempts is the offset of the\n"
 "last hit + 1. None when max_attempts counters leave a target open.");
 
+/* Wire sizes: a transaction is at least its two u32 counts and its u64 fee;
+ * an input row is prev_txid 32B, vout u32, address 20B; an output row is
+ * field 20B, kind u8, amount u64. */
+#define TX_MIN 16
+#define INPUT_ROW 56
+#define OUTPUT_ROW 29
+
+static PyObject *NAME_INPUTS, *NAME_OUTPUTS, *NAME_FEE, *NAME_TXID, *NO_ARGS;
+
+/* A three-field row of a tuple subclass; steals a, b and c. */
+static PyObject *new_row(PyTypeObject *type, PyObject *a, PyObject *b, PyObject *c)
+{
+    PyObject *row = NULL;
+    if (a != NULL && b != NULL && c != NULL)
+        row = type->tp_alloc(type, 3);
+    if (row == NULL) {
+        Py_XDECREF(a);
+        Py_XDECREF(b);
+        Py_XDECREF(c);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(row, 0, a);
+    PyTuple_SET_ITEM(row, 1, b);
+    PyTuple_SET_ITEM(row, 2, c);
+    return row;
+}
+
+/* The transaction at *pos of data[0:size], with its txid and the offset
+ * past it in *pos. Every count is checked against the bytes left before
+ * anything is sized from it. */
+static PyObject *parse_transaction(const u8 *data, Py_ssize_t size, Py_ssize_t *pos,
+                                   PyTypeObject *tx_type, PyTypeObject *in_type,
+                                   PyTypeObject *out_type)
+{
+    Py_ssize_t off = *pos, n_in, n_out, i;
+    PyObject *inputs = NULL, *outputs = NULL, *fee = NULL, *txid = NULL, *tx = NULL;
+    u8 digest[32];
+    if (size - off < TX_MIN) {
+        PyErr_SetString(PyExc_ValueError, "data ends inside a transaction");
+        return NULL;
+    }
+    n_in = load_be32(data + off);
+    off += 4;
+    /* the output count and the fee follow the inputs */
+    if (n_in > (size - off - 4 - 8) / INPUT_ROW) {
+        PyErr_SetString(PyExc_ValueError, "input count runs past the data");
+        return NULL;
+    }
+    if ((inputs = PyTuple_New(n_in)) == NULL)
+        return NULL;
+    for (i = 0; i < n_in; i++, off += INPUT_ROW) {
+        PyObject *row = new_row(
+            in_type, PyBytes_FromStringAndSize((const char *)data + off, 32),
+            PyLong_FromUnsignedLong(load_be32(data + off + 32)),
+            PyBytes_FromStringAndSize((const char *)data + off + 36, 20));
+        if (row == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(inputs, i, row);
+    }
+    n_out = load_be32(data + off);
+    off += 4;
+    if (n_out > (size - off - 8) / OUTPUT_ROW) {
+        PyErr_SetString(PyExc_ValueError, "output count runs past the data");
+        goto fail;
+    }
+    if ((outputs = PyTuple_New(n_out)) == NULL)
+        goto fail;
+    for (i = 0; i < n_out; i++, off += OUTPUT_ROW) {
+        PyObject *row = new_row(
+            out_type, PyBytes_FromStringAndSize((const char *)data + off, 20),
+            PyLong_FromUnsignedLongLong(load_be64(data + off + 21)),
+            PyLong_FromLong(data[off + 20]));
+        if (row == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(outputs, i, row);
+    }
+    if ((fee = PyLong_FromUnsignedLongLong(load_be64(data + off))) == NULL)
+        goto fail;
+    off += 8;
+    sha256d(data + *pos, (size_t)(off - *pos), digest);
+    if ((txid = PyBytes_FromStringAndSize((const char *)digest, 32)) == NULL)
+        goto fail;
+    /* object.__new__ and object.__setattr__: a frozen dataclass is filled
+     * without its __init__, and txid seeds its cached property */
+    tx = PyBaseObject_Type.tp_new(tx_type, NO_ARGS, NULL);
+    if (tx == NULL || PyObject_GenericSetAttr(tx, NAME_INPUTS, inputs) < 0 ||
+        PyObject_GenericSetAttr(tx, NAME_OUTPUTS, outputs) < 0 ||
+        PyObject_GenericSetAttr(tx, NAME_FEE, fee) < 0 ||
+        PyObject_GenericSetAttr(tx, NAME_TXID, txid) < 0)
+        Py_CLEAR(tx);
+    else
+        *pos = off;
+fail:
+    Py_XDECREF(inputs);
+    Py_XDECREF(outputs);
+    Py_XDECREF(fee);
+    Py_XDECREF(txid);
+    return tx;
+}
+
+/* Rows are built with tp_alloc, so a row type must be a tuple subclass that
+ * adds no instance fields (a NamedTuple). */
+static int check_row_type(PyTypeObject *type, const char *what)
+{
+    if (PyType_IsSubtype(type, &PyTuple_Type) &&
+        type->tp_basicsize == PyTuple_Type.tp_basicsize)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s must be a tuple subclass without instance fields", what);
+    return 0;
+}
+
+static PyObject *py_parse_transactions(PyObject *self, PyObject *args)
+{
+    Py_buffer buf;
+    Py_ssize_t offset, count, i;
+    PyTypeObject *tx_type, *in_type, *out_type;
+    PyObject *txs = NULL, *result = NULL;
+    if (!PyArg_ParseTuple(args, "y*nnO!O!O!:parse_transactions", &buf, &offset, &count,
+                          &PyType_Type, &tx_type, &PyType_Type, &in_type,
+                          &PyType_Type, &out_type))
+        return NULL;
+    if (!check_row_type(in_type, "input_type") || !check_row_type(out_type, "output_type"))
+        goto done;
+    if (offset < 0 || offset > buf.len || count < 0 || count > (buf.len - offset) / TX_MIN) {
+        PyErr_Format(PyExc_ValueError, "%zd transactions cannot fit in the data", count);
+        goto done;
+    }
+    if ((txs = PyTuple_New(count)) == NULL)
+        goto done;
+    for (i = 0; i < count; i++) {
+        PyObject *tx = parse_transaction(buf.buf, buf.len, &offset, tx_type, in_type, out_type);
+        if (tx == NULL)
+            goto done;
+        PyTuple_SET_ITEM(txs, i, tx);
+    }
+    result = Py_BuildValue("(On)", txs, offset);
+done:
+    Py_XDECREF(txs);
+    PyBuffer_Release(&buf);
+    return result;
+}
+
+PyDoc_STRVAR(parse_transactions_doc,
+"parse_transactions(data, offset, count, tx_type, input_type, output_type)\n"
+"    -> (transactions, end)\n\n"
+"Parse count transactions from data at offset: rows are input_type and\n"
+"output_type tuples, and each transaction is a tx_type made without its\n"
+"__init__, its inputs, outputs, fee and txid (sha256d of its own bytes) set\n"
+"in its __dict__. end is the offset past the last one. ValueError when a\n"
+"count runs past the data.");
+
 static double now_ns(void)
 {
     struct timespec ts;
@@ -791,7 +1097,7 @@ static PyObject *py_microbench(PyObject *self, PyObject *args)
     jpt_add_ns = (now_ns() - t0) / (iters / 10);
     t0 = now_ns();
     for (i = 0; i < iters / 10; i++) {
-        sha256_short(msg, 41, h);
+        sha256(msg, 41, h);
         msg[0] = h[0];
     }
     sha256_ns = (now_ns() - t0) / (iters / 10);
@@ -818,17 +1124,31 @@ PyDoc_STRVAR(microbench_doc,
 static PyMethodDef kernel_methods[] = {
     {"derive_digest", py_derive_digest, METH_VARARGS, derive_digest_doc},
     {"grind_scan", py_grind_scan, METH_VARARGS, grind_scan_doc},
+    {"parse_transactions", py_parse_transactions, METH_VARARGS, parse_transactions_doc},
     {"_microbench", py_microbench, METH_VARARGS, microbench_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "chainsteg._kernel",
-    "Compiled secp256k1 derivation and grinding kernel.", -1, kernel_methods,
+    "Compiled secp256k1 derivation, grinding and transaction-parsing kernel.", -1,
+    kernel_methods,
 };
 
+/* A compression that fails its known-answer test raises RuntimeError, not
+ * ImportError, so the package does not quietly fall back to pure Python. */
 PyMODINIT_FUNC PyInit__kernel(void)
 {
+    const char *failed = sha256_select();
+    if (failed != NULL)
+        return PyErr_Format(PyExc_RuntimeError,
+                            "chainsteg._kernel: %s SHA-256 failed its known-answer test", failed);
+    if ((NAME_INPUTS = PyUnicode_InternFromString("inputs")) == NULL ||
+        (NAME_OUTPUTS = PyUnicode_InternFromString("outputs")) == NULL ||
+        (NAME_FEE = PyUnicode_InternFromString("fee")) == NULL ||
+        (NAME_TXID = PyUnicode_InternFromString("txid")) == NULL ||
+        (NO_ARGS = PyTuple_New(0)) == NULL)
+        return NULL;
     build_table();
     return PyModule_Create(&kernel_module);
 }

@@ -1,21 +1,36 @@
 """Backend selection: compiled kernel when importable, pure Python otherwise.
 
-Both backends implement the same two calls used on hot paths. The
-observable contract is identical: grind_scan gives each target the smallest
-matching counter not taken by an earlier target, so results never depend on
-which backend ran.
+Both backends implement the same three calls used on hot paths:
+derive_digest and grind_scan for grinding, and parse_transactions for
+loading chain records. The observable contract is identical: grind_scan
+gives each target the smallest matching counter not taken by an earlier
+target, and parse_transactions builds the same rows, fields and txids, so
+results never depend on which backend ran.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import operator
 import os
+import struct
 
 from . import ec
-from .hashes import hash160
+from .hashes import hash160, sha256d
 
 _DIGEST_BATCH = 64
 MAX_TARGETS = 20  # one target per output of a MED transaction (n <= 20)
+
+# Fixed-width parts of a transaction on the wire (see ledger); the pure
+# parser decodes each with one unpack_from, and each run of input or output
+# rows with one iter_unpack.
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_INPUT = struct.Struct(">32sI20s")  # prev_txid, vout, address
+_OUTPUT = struct.Struct(">20sBQ")  # field, kind, amount
+_TX_MIN = 16  # both counts and the fee
+_output_order = operator.itemgetter(0, 2, 1)  # wire (field, kind, amount) -> row
 
 
 def select_bits(digest: bytes, positions: tuple[int, ...]) -> int:
@@ -82,6 +97,46 @@ class PureBackend:
             done += count
         return None
 
+    @staticmethod
+    def parse_transactions(data, offset, count, tx_type, input_type, output_type):
+        """Parse `count` transactions from `data` at `offset`; returns them as
+        a tuple and the offset past the last one. Rows are built without a
+        Python-level call per row; each transaction is made without its
+        __init__, its fields and txid (sha256d of its own bytes) set in its
+        __dict__. Raises ValueError when a count runs past the data; no
+        count is trusted before it is checked against the bytes left."""
+        size = len(data)
+        if not 0 <= offset <= size or not 0 <= count <= (size - offset) // _TX_MIN:
+            raise ValueError(f"{count} transactions cannot fit in the data")
+        new_input = functools.partial(tuple.__new__, input_type)
+        new_output = functools.partial(tuple.__new__, output_type)
+        txs = []
+        for _ in range(count):
+            start = offset
+            if size - offset < _TX_MIN:
+                raise ValueError("data ends inside a transaction")
+            (n_in,) = _U32.unpack_from(data, offset)
+            offset += 4
+            # the output count and the fee follow the inputs
+            if n_in > (size - offset - 4 - 8) // _INPUT.size:
+                raise ValueError("input count runs past the data")
+            end = offset + _INPUT.size * n_in
+            inputs = tuple(map(new_input, _INPUT.iter_unpack(data[offset:end])))
+            (n_out,) = _U32.unpack_from(data, end)
+            offset = end + 4
+            if n_out > (size - offset - 8) // _OUTPUT.size:
+                raise ValueError("output count runs past the data")
+            end = offset + _OUTPUT.size * n_out
+            rows = _OUTPUT.iter_unpack(data[offset:end])
+            outputs = tuple(map(new_output, map(_output_order, rows)))
+            (fee,) = _U64.unpack_from(data, end)
+            offset = end + 8
+            tx = object.__new__(tx_type)
+            vars(tx).update(inputs=inputs, outputs=outputs, fee=fee,
+                            txid=sha256d(data[start:offset]))
+            txs.append(tx)
+        return tuple(txs), offset
+
 
 _pure = PureBackend()
 _ext = None
@@ -98,6 +153,8 @@ try:
             return _kernel.grind_scan(
                 k, tag, gy[0], gy[1], start, max_attempts, positions, targets
             )
+
+        parse_transactions = staticmethod(_kernel.parse_transactions)
 
     _ext = ExtBackend()
 except ImportError:

@@ -157,6 +157,8 @@ class StatSuiteReport:
     tag_hits: int
     tag_trials: int
     tag_null_rate: float
+    # None without trials, and at a null rate of 1 (n a power of two), where
+    # every tag set is {0..n-1} and the test cannot flag anything
     tag_excess_p: float | None
 
     def tag_flagged(self, alpha: float = 0.01) -> bool:
@@ -263,7 +265,8 @@ def stat_suite(
         tag_trials=tag_trials,
         tag_null_rate=null_rate,
         tag_excess_p=(
-            stats.binomial_excess_p(tag_hits, tag_trials, null_rate) if tag_trials else None
+            stats.binomial_excess_p(tag_hits, tag_trials, null_rate)
+            if tag_trials and null_rate < 1 else None
         ),
     )
     return report

@@ -24,6 +24,12 @@ hash. Neither is serialized again on load. `Block.verify` re-serializes,
 so `input_index` still catches a block whose fields were replaced after it
 was loaded.
 
+The active backend parses transaction rows (`backend.get()`'s
+`parse_transactions`): the C kernel when it is built, which also hashes each
+txid, and otherwise the pure-Python parser. Block records and the mempool
+sidecar both go through it. A truncated record, trailing bytes, a count
+that runs past the record and a failed hash check all raise CorruptChain.
+
 Block rules, checked by `Ledger._connect` whether a block was mined or
 loaded (a loaded block that breaks one raises CorruptChain):
 - coinbase first: transaction 0 is the coinbase, whose one input spends the
@@ -49,6 +55,8 @@ import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import backend
+from .backend import _INPUT, _OUTPUT, _U32, _U64
 from .errors import CorruptChain, Rejected
 from .files import write_atomic
 from .hashes import sha256d
@@ -70,12 +78,8 @@ _DECOY_OUT_SD = 1.2
 _DECOY_OUT_MIN = 1
 _DECOY_OUT_MAX = 30
 
-# Fixed-width parts of the wire format; a parser decodes each with one
-# unpack_from, and each run of input or output rows with one iter_unpack.
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-_INPUT = struct.Struct(">32sI20s")  # prev_txid, vout, address
-_OUTPUT = struct.Struct(">20sBQ")  # field, kind, amount
+# Fixed-width parts of the wire format; the transaction rows are shared
+# with the pure backend's parser.
 _BLOCK_HEAD = struct.Struct(">Q32sQI")  # height, prev_hash, timestamp, tx_count
 
 
@@ -84,24 +88,13 @@ class TxInput(NamedTuple):
     vout: int
     address: bytes  # 20-byte digest of the output being spent
 
-    def serialize(self) -> bytes:
-        return self.prev_txid + struct.pack(">I", self.vout) + self.address
-
 
 class TxOutput(NamedTuple):
     field: bytes  # 20 bytes: an address digest or a raw stego field
     amount: int
     kind: int = KIND_P2PKH
 
-    def serialize(self) -> bytes:
-        return self.field + struct.pack(">BQ", self.kind, self.amount)
 
-
-# Build parsed rows without a Python-level call per row: TxInput rows are in
-# wire order; TxOutput rows are (field, kind, amount) on the wire.
-_new_input = functools.partial(tuple.__new__, TxInput)
-_new_output = functools.partial(tuple.__new__, TxOutput)
-_output_order = operator.itemgetter(0, 2, 1)
 _amount = operator.attrgetter("amount")
 
 
@@ -112,40 +105,25 @@ class StegoTransaction:
     fee: int
 
     def serialize(self) -> bytes:
-        parts = [struct.pack(">I", len(self.inputs))]
-        parts += [i.serialize() for i in self.inputs]
-        parts.append(struct.pack(">I", len(self.outputs)))
-        parts += [o.serialize() for o in self.outputs]
-        parts.append(struct.pack(">Q", self.fee))
-        return b"".join(parts)
+        return b"".join([
+            _U32.pack(len(self.inputs)),
+            *[_INPUT.pack(*i) for i in self.inputs],
+            _U32.pack(len(self.outputs)),
+            *[_OUTPUT.pack(o.field, o.kind, o.amount) for o in self.outputs],
+            _U64.pack(self.fee),
+        ])
 
     @functools.cached_property
     def txid(self) -> bytes:
         return sha256d(self.serialize())
 
-    @classmethod
-    def deserialize(cls, data: bytes, offset: int = 0) -> tuple["StegoTransaction", int]:
-        """Parse one transaction at `offset`; its txid is the hash of the
-        bytes it was parsed from (the encoding is canonical). Raises
-        struct.error when `data` ends inside it: a count that runs past the
-        end gives a short slice, and the read after that slice fails."""
-        start = offset
-        (n_in,) = _U32.unpack_from(data, offset)
-        offset += 4
-        end = offset + _INPUT.size * n_in
-        inputs = tuple(map(_new_input, _INPUT.iter_unpack(data[offset:end])))
-        (n_out,) = _U32.unpack_from(data, end)
-        offset = end + 4
-        end = offset + _OUTPUT.size * n_out
-        rows = _OUTPUT.iter_unpack(data[offset:end])
-        outputs = tuple(map(_new_output, map(_output_order, rows)))
-        (fee,) = _U64.unpack_from(data, end)
-        offset = end + 8
-        # Frozen: fill the fields and the cached txid without __init__.
-        tx = object.__new__(cls)
-        vars(tx).update(inputs=inputs, outputs=outputs, fee=fee,
-                        txid=sha256d(data[start:offset]))
-        return tx, offset
+
+def _parse_transactions(data: bytes, offset: int, count: int):
+    """`count` transactions of `data` from `offset`, and the offset past
+    them, parsed by the active backend; ValueError when a count runs past
+    the data."""
+    return backend.get().parse_transactions(data, offset, count,
+                                            StegoTransaction, TxInput, TxOutput)
 
 
 @dataclass
@@ -175,7 +153,7 @@ class StegoTemplate:
 
 
 def _record(raw: bytes) -> bytes:
-    return struct.pack(">I", len(raw)) + raw
+    return _U32.pack(len(raw)) + raw
 
 
 def _records(data: bytes):
@@ -201,13 +179,9 @@ class Block:
     block_hash: bytes = b""  # claimed hash, sealed at creation
 
     def body_bytes(self) -> bytes:
-        parts = [
-            struct.pack(">Q", self.height),
-            self.prev_hash,
-            struct.pack(">QI", self.timestamp, len(self.transactions)),
-        ]
-        parts += [tx.serialize() for tx in self.transactions]
-        return b"".join(parts)
+        head = _BLOCK_HEAD.pack(self.height, self.prev_hash, self.timestamp,
+                                len(self.transactions))
+        return b"".join([head, *[tx.serialize() for tx in self.transactions]])
 
     @classmethod
     def seal(cls, height, prev_hash, timestamp, transactions) -> "Block":
@@ -230,19 +204,15 @@ class Block:
         hash of the record bytes before it (the encoding is canonical)."""
         try:
             height, prev, timestamp, n_tx = _BLOCK_HEAD.unpack_from(data, 0)
-            offset = _BLOCK_HEAD.size
-            txs = []
-            for _ in range(n_tx):
-                tx, offset = StegoTransaction.deserialize(data, offset)
-                txs.append(tx)
-        except struct.error as exc:
+            txs, offset = _parse_transactions(data, _BLOCK_HEAD.size, n_tx)
+        except (struct.error, ValueError) as exc:
             raise CorruptChain(f"truncated block record: {exc}") from exc
         if offset + 32 != len(data):
             raise CorruptChain("trailing bytes in block record")
         claimed = data[offset:]
         if sha256d(data[:offset]) != claimed:
             raise CorruptChain(f"block {height} failed hash re-verification")
-        return cls(height, prev, timestamp, tuple(txs), block_hash=claimed)
+        return cls(height, prev, timestamp, txs, block_hash=claimed)
 
 
 def _decoy_output_count(rng: random.Random) -> int:
@@ -293,6 +263,8 @@ class Ledger:
         rng = random.Random(0xC0FFEE)
         outputs = [TxOutput(rng.randbytes(20), _POOL_FUND)]
         for digest, amount in genesis_allocations or []:
+            if len(digest) != 20:  # packing would pad it silently
+                raise Rejected("genesis allocation digest must be 20 bytes")
             outputs.append(TxOutput(digest, amount))
         coinbase = StegoTransaction(
             inputs=(TxInput(_NULL32, 0, bytes(20)),),
@@ -560,8 +532,8 @@ class Ledger:
             return ledger
         for record in _records(raw):
             try:
-                tx, consumed = StegoTransaction.deserialize(record)
-            except struct.error as exc:
+                (tx,), consumed = _parse_transactions(record, 0, 1)
+            except ValueError as exc:
                 raise CorruptChain(f"truncated mempool record: {exc}") from exc
             if consumed != len(record):
                 raise CorruptChain("trailing bytes in mempool record")

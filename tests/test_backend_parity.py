@@ -6,6 +6,7 @@ import pytest
 import oracles
 from chainsteg import backend, ec
 from chainsteg.hdw import DOMAIN_GRIND, KeyMaterial
+from chainsteg.ledger import StegoTransaction, TxInput, TxOutput
 
 needs_ext = pytest.mark.skipif(
     "ext" not in backend.available(), reason="compiled kernel not built"
@@ -189,6 +190,46 @@ def test_concurrent_grinds_match_sequential():
         t.join(timeout=60)
         assert not t.is_alive()
     assert got == expected
+
+
+def _random_transaction(rng):
+    return StegoTransaction(
+        inputs=tuple(TxInput(rng.randbytes(32), rng.randrange(2**32), rng.randbytes(20))
+                     for _ in range(rng.randint(0, 3))),
+        outputs=tuple(TxOutput(rng.randbytes(20), rng.randrange(2**64), rng.randrange(256))
+                      for _ in range(rng.randint(0, 6))),
+        fee=rng.randrange(2**64),
+    )
+
+
+@needs_ext
+def test_parse_parity():
+    """On whole, truncated and bit-flipped runs of transactions both parsers
+    return the same transactions, txids and end offset, or refuse with the
+    same message."""
+    rng = random.Random(505)
+    pure, ext = backend.PureBackend(), backend.set_backend("ext")
+    for _ in range(400):
+        txs = [_random_transaction(rng) for _ in range(rng.randint(0, 3))]
+        offset = rng.randint(0, 8)
+        data = bytearray(rng.randbytes(offset) + b"".join(tx.serialize() for tx in txs))
+        mutation = rng.choice(["none", "truncate", "flip"])
+        if mutation == "truncate" and data:
+            del data[rng.randrange(len(data)):]
+        elif mutation == "flip" and data:
+            bit = rng.randrange(8 * len(data))
+            data[bit // 8] ^= 1 << (bit % 8)
+        outcomes = []
+        for be in (pure, ext):
+            try:
+                got, end = be.parse_transactions(bytes(data), offset, len(txs),
+                                                 StegoTransaction, TxInput, TxOutput)
+                outcomes.append(([(tx, tx.txid) for tx in got], end))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if mutation == "none":
+            assert outcomes[0] == ([(tx, tx.txid) for tx in txs], len(data))
 
 
 @needs_ext

@@ -301,3 +301,20 @@ def test_stat_suite_small_chain(km):
     assert report.tag_trials > 0
     assert not report.tag_flagged(0.01)
     assert report.passed(0.01)
+
+
+def test_stat_suite_tag_test_is_na_at_null_rate_one(km):
+    """At n = 4 (t = 2 tag bits) the only possible tag set is {0..3}, so the
+    null rate is 1 and the tag test reports n/a in place of a p-value."""
+    cfg = ChannelConfig(n=4, m=4, mode=Mode.PERMUTED)
+    state = SessionState(km, cfg, seed=56)
+    ledger = state.genesis_ledger()
+    rng = random.Random(67)
+    for i in range(10):
+        state.send_message(ledger, rng.randbytes(4), Channel.MED)
+        ledger.mine_block(NoiseProfile(rate=4.0), seed=i)
+    stego = {bytes.fromhex(e["txid"]) for e in state.embed_log}
+    report = stat_suite(ledger, stego, {}, cfg, min_sample=10)
+    assert report.tag_trials > 0 and report.tag_null_rate == 1.0
+    assert report.tag_excess_p is None and not report.tag_flagged(0.01)
+    assert "excess_p=n/a flagged=False" in report.to_text()

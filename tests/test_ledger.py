@@ -88,6 +88,8 @@ def test_validation_rules():
             outputs=(TxOutput(b"\x01" * 20, 1000),),
             fee=0,
         ))
+    with pytest.raises(Rejected):  # a genesis digest of the wrong length
+        Ledger.create([(b"\x01" * 19, 10**9)])
 
 
 def test_mempool_chaining():

@@ -1,22 +1,39 @@
 """Every on-disk parser fails closed: any truncation or single bit flip of a
 key, config, chain, mempool sidecar or session file either loads or raises
-a ChainstegError subclass."""
+a ChainstegError subclass. Chain records are parsed by the active backend,
+so every chain test runs on each backend present."""
 
+import contextlib
 import random
 import struct
+import tracemalloc
 
 import chainfile
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainsteg import Channel, ChannelConfig, KeyMaterial, Mode, NoiseProfile
+from chainsteg import Channel, ChannelConfig, KeyMaterial, Mode, NoiseProfile, backend
 from chainsteg.cli import load_config
 from chainsteg.errors import ChainstegError, CorruptChain
 from chainsteg.hashes import sha256d
 from chainsteg.hdw import read_key_file, write_key_file
 from chainsteg.ledger import Block, Ledger, StegoTransaction, TxInput, TxOutput
 from chainsteg.session import SessionState
+
+
+@contextlib.contextmanager
+def active_backend(name):
+    """Make `name` the active backend inside the block, then restore."""
+    previous = backend.get().name
+    try:
+        yield backend.set_backend(name)
+    finally:
+        backend.set_backend(previous)
+
+
+def parse(impl, data, offset=0, count=1):
+    return impl.parse_transactions(data, offset, count, StegoTransaction, TxInput, TxOutput)
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +77,9 @@ def test_truncated_or_bit_flipped_file_fails_closed(state_files, data):
         mutated[bit // 8] ^= 1 << (bit % 8)
     path.write_bytes(bytes(mutated))
     try:
-        load(path)
-    except ChainstegError:
-        pass
+        for name in backend.available():
+            with active_backend(name), contextlib.suppress(ChainstegError):
+                load(path)
     finally:
         path.write_bytes(raw)
 
@@ -81,9 +98,9 @@ def test_resealed_bit_flip_in_last_block_fails_closed(state_files, data):
     mutated[bit // 8] ^= 1 << (bit % 8)
     path.write_bytes(chainfile.framed([*head, chainfile.reseal(bytes(mutated))]))
     try:
-        Ledger.load(path)
-    except ChainstegError:
-        pass
+        for name in backend.available():
+            with active_backend(name), contextlib.suppress(ChainstegError):
+                Ledger.load(path)
     finally:
         path.write_bytes(raw)
 
@@ -105,12 +122,14 @@ transactions = st.builds(
 @given(tx=transactions, before=st.binary(max_size=40), after=st.binary(max_size=40))
 def test_transaction_round_trip(tx, before, after):
     raw = tx.serialize()
-    parsed, end = StegoTransaction.deserialize(before + raw + after, len(before))
-    assert end == len(before) + len(raw)
-    assert parsed == tx
-    assert {type(i) for i in parsed.inputs} <= {TxInput}
-    assert {type(o) for o in parsed.outputs} <= {TxOutput}
-    assert vars(parsed)["txid"] == sha256d(raw)
+    for name in backend.available():
+        with active_backend(name) as impl:
+            (parsed,), end = parse(impl, before + raw + after, len(before))
+        assert end == len(before) + len(raw)
+        assert parsed == tx
+        assert {type(i) for i in parsed.inputs} <= {TxInput}
+        assert {type(o) for o in parsed.outputs} <= {TxOutput}
+        assert vars(parsed)["txid"] == sha256d(raw)
 
 
 def test_every_output_kind_round_trips():
@@ -120,8 +139,57 @@ def test_every_output_kind_round_trips():
                       for kind in range(256)),
         fee=2**64 - 1,
     )
-    parsed, _ = StegoTransaction.deserialize(tx.serialize())
-    assert parsed == tx and [o.kind for o in parsed.outputs] == list(range(256))
+    for name in backend.available():
+        with active_backend(name) as impl:
+            (parsed,), _ = parse(impl, tx.serialize())
+        assert parsed == tx and [o.kind for o in parsed.outputs] == list(range(256))
+
+
+@pytest.mark.parametrize("name", backend.available())
+@pytest.mark.parametrize("residue", [55, 56, 63, 0])
+def test_txid_at_sha256_padding_edges(name, residue):
+    """A transaction whose length is `residue` mod 64: SHA-256 pads a tail
+    of up to 55 bytes within its block and a longer one into a second."""
+    n_out = next(n for n in range(64) if (16 + 56 + 29 * n) % 64 == residue)
+    tx = StegoTransaction(
+        inputs=(TxInput(b"\x07" * 32, 1, b"\x08" * 20),),
+        outputs=tuple(TxOutput(bytes([i]) * 20, 1000 + i) for i in range(n_out)),
+        fee=1000,
+    )
+    raw = tx.serialize()
+    assert len(raw) % 64 == residue
+    with active_backend(name) as impl:
+        (parsed,), end = parse(impl, raw)
+    assert end == len(raw) and parsed == tx
+    assert parsed.txid == sha256d(raw)
+
+
+_HUGE = struct.pack(">I", 2**32 - 1)
+
+
+@pytest.mark.parametrize("name", backend.available())
+@pytest.mark.parametrize("run", ["transactions", "inputs", "outputs"])
+def test_huge_count_is_corrupt_without_allocating(tmp_path, name, run):
+    """A count of 2^32 - 1 is refused before anything is sized from it."""
+    tx = {"transactions": b"", "inputs": _HUGE + bytes(60),
+          "outputs": bytes(4) + _HUGE + bytes(40)}[run]
+    n_tx = 2**32 - 1 if run == "transactions" else 1
+    record = struct.pack(">Q32sQI", 1, bytes(32), 0, n_tx) + tx + bytes(32)
+    path = tmp_path / "chain.bin"
+    Ledger.create().save(path)
+    (tmp_path / "chain.bin.mempool").write_bytes(chainfile.framed([tx]))
+    with active_backend(name):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptChain):
+                Block.deserialize(record)
+            if tx:
+                with pytest.raises(CorruptChain, match="truncated mempool record"):
+                    Ledger.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("missing_rows", [1, 3])
@@ -139,10 +207,12 @@ def test_count_past_end_by_whole_rows_is_corrupt(tmp_path, run, missing_rows):
     rows_end = 4 + 56 * 2 if run == "inputs" else count_at + 4 + 29 * 3
     (count,) = struct.unpack_from(">I", raw, count_at)
     cut = raw[:count_at] + struct.pack(">I", count + missing_rows) + raw[count_at + 4 : rows_end]
-    with pytest.raises(CorruptChain):
-        Block.deserialize(struct.pack(">Q32sQI", 1, bytes(32), 0, 1) + cut)
     path = tmp_path / "chain.bin"
     Ledger.create().save(path)
     (tmp_path / "chain.bin.mempool").write_bytes(chainfile.framed([cut]))
-    with pytest.raises(CorruptChain, match="truncated mempool record"):
-        Ledger.load(path)
+    for name in backend.available():
+        with active_backend(name):
+            with pytest.raises(CorruptChain):
+                Block.deserialize(struct.pack(">Q32sQI", 1, bytes(32), 0, 1) + cut)
+            with pytest.raises(CorruptChain, match="truncated mempool record"):
+                Ledger.load(path)
