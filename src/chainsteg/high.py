@@ -228,6 +228,3 @@ class Reassembler:
         except InvalidTag as exc:
             raise AuthError("authentication failed") from exc
         return msg_id, first.version, plaintext
-
-    def pending(self) -> list[int]:
-        return sorted(self.buffers)

@@ -1,3 +1,4 @@
+import json
 import random
 import threading
 
@@ -242,11 +243,14 @@ def test_backend_selection_env():
 
 
 @needs_ext
-def test_bench_attempts_identical_across_backends():
-    from chainsteg.cli import bench_grind
+def test_bench_attempts_identical_across_backends(capsys):
+    from chainsteg.cli import main
 
-    pure = bench_grind([3, 5], runs=25, seed=7, backend_name="pure")
-    ext = bench_grind([3, 5], runs=25, seed=7, backend_name="ext")
-    for rp, re_ in zip(pure.rows, ext.rows):
-        assert rp.mean_attempts == re_.mean_attempts
-        assert rp.std_error == re_.std_error
+    assert main(["--seed", "7", "bench", "--m", "3,5", "--runs", "25",
+                 "--backend", "both", "--json"]) == 0
+    # stdout holds the JSON and nothing else
+    pure, ext = json.loads(capsys.readouterr().out)
+    assert (pure["backend"], ext["backend"]) == ("pure", "ext")
+    for rp, re_ in zip(pure["rows"], ext["rows"], strict=True):
+        assert rp["mean_attempts"] == re_["mean_attempts"]
+        assert rp["std_error"] == re_["std_error"]

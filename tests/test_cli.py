@@ -7,7 +7,8 @@ import chainfile
 import pytest
 
 from chainsteg import Channel, ChannelConfig, KeyMaterial, Mode, NoiseProfile
-from chainsteg.cli import bench_grind, load_config, main, stat_suite
+from chainsteg.cli import load_config, main
+from chainsteg.evaluate import bench_grind, stat_suite
 from chainsteg.errors import InsufficientSample, ValidationError
 from chainsteg.ledger import Ledger
 from chainsteg.session import SessionState
@@ -230,6 +231,19 @@ def test_bench_cli(capsys):
     assert [r["mean_attempts"] for r in rows] == [r["mean_attempts"] for r in rows2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--n", "1..x", "--m", "2"],
+    ["capacity", "--n", "3", "--m", "2,,3"],
+    ["bench", "--m", "2,x", "--runs", "3"],
+], ids=["n-1..x", "m-2,,3", "bench-m-2,x"])
+def test_malformed_range_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "invalid int_range value" in err and "Traceback" not in err
+
+
 def test_config_file(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text(
@@ -269,10 +283,10 @@ def test_every_config_field_round_trips(tmp_path):
 
 def test_bench_grind_library():
     report = bench_grind([1], runs=60, seed=5)
-    row = report.rows[0]
+    row = report["rows"][0]
     # geometric with p=1/2: mean ~2
-    assert 1.4 < row.mean_attempts < 2.8
-    assert row.expected == 2.0
+    assert 1.4 < row["mean_attempts"] < 2.8
+    assert row["expected"] == 2.0
 
 
 def test_stat_suite_insufficient():
@@ -280,10 +294,12 @@ def test_stat_suite_insufficient():
     state = SessionState(km, ChannelConfig(n=3, m=4), seed=1)
     ledger = state.genesis_ledger()
     with pytest.raises(InsufficientSample):
-        stat_suite(ledger, set(), {}, state.cfg)
+        stat_suite(ledger, state)
 
 
-def test_stat_suite_small_chain(km):
+def small_permuted_chain(km):
+    """30 blocks of a seeded n=3, m=4 PERMUTED session: a MED send in each
+    block, a HIGH send in every third, and decoys at rate 4."""
     cfg = ChannelConfig(n=3, m=4, mode=Mode.PERMUTED)
     state = SessionState(km, cfg, seed=55)
     ledger = state.genesis_ledger()
@@ -293,14 +309,17 @@ def test_stat_suite_small_chain(km):
         if i % 3 == 0:
             state.send_message(ledger, rng.randbytes(80), Channel.HIGH)
         ledger.mine_block(NoiseProfile(rate=4.0), seed=i)
-    stego = {bytes.fromhex(e["txid"]) for e in state.embed_log}
-    channels = {bytes.fromhex(e["txid"]): e["channel"] for e in state.embed_log}
-    report = stat_suite(ledger, stego, channels, cfg, min_sample=30)
+    return state, ledger
+
+
+def test_stat_suite_small_chain(km):
+    state, ledger = small_permuted_chain(km)
+    report = stat_suite(ledger, state, min_sample=30)
     assert report.med_ab_chi_p is not None
     assert report.high_ab_chi_p is not None
     assert report.tag_trials > 0
-    assert not report.tag_flagged(0.01)
-    assert report.passed(0.01)
+    assert not report.tag_flagged()
+    assert report.passed()
 
 
 def test_stat_suite_tag_test_is_na_at_null_rate_one(km):
@@ -313,8 +332,40 @@ def test_stat_suite_tag_test_is_na_at_null_rate_one(km):
     for i in range(10):
         state.send_message(ledger, rng.randbytes(4), Channel.MED)
         ledger.mine_block(NoiseProfile(rate=4.0), seed=i)
-    stego = {bytes.fromhex(e["txid"]) for e in state.embed_log}
-    report = stat_suite(ledger, stego, {}, cfg, min_sample=10)
+    report = stat_suite(ledger, state, min_sample=10)
     assert report.tag_trials > 0 and report.tag_null_rate == 1.0
-    assert report.tag_excess_p is None and not report.tag_flagged(0.01)
+    assert report.tag_excess_p is None and not report.tag_flagged()
     assert "excess_p=n/a flagged=False" in report.to_text()
+
+
+def test_evaluation_output_is_pinned(km, tmp_path, capsys):
+    """The whole `stats` text and the `bench --json` rows, wall-clock fields
+    aside, on fixed seeds; the same on both backends."""
+    state, ledger = small_permuted_chain(km)
+    ledger.save(tmp_path / "c.bin")
+    state.save(tmp_path / "s.bin")
+    code, out, _ = run(capsys, "--chain", str(tmp_path / "c.bin"),
+                       "--session", str(tmp_path / "s.bin"), "stats", "--min-sample", "30")
+    assert code == 0
+    assert out == (
+        "indistinguishability suite (A/B stego vs decoy)\n"
+        "med_ab_chi_p=0.3183\n"
+        "med_ab_monobit_p=0.3315\n"
+        "high_ab_chi_p=0.0298\n"
+        "high_ab_monobit_p=0.4578\n"
+        "tag_permutation_test hits=48/180 null_rate=0.25000 excess_p=0.3293 flagged=False\n"
+        "verdict=pass at alpha=0.01\n"
+    )
+    code, out, _ = run(capsys, "--seed", "3", "bench", "--m", "0,2,4", "--runs", "30", "--json")
+    assert code == 0
+    [report] = json.loads(out)
+    for row in report["rows"]:
+        del row["wall_per_attempt_us"], row["est_seconds_per_address"]
+    assert report["rows"] == [
+        {"m": 0, "runs": 30, "mean_attempts": 1.0, "expected": 1.0, "std_error": 0.0},
+        {"m": 2, "runs": 30, "mean_attempts": 3.7333333333333334, "expected": 4.0,
+         "std_error": 0.4840759257758113},
+        {"m": 4, "runs": 30, "mean_attempts": 13.266666666666667, "expected": 16.0,
+         "std_error": 2.753444377265921},
+    ]
+    assert report["ratios"] == [3.7333333333333334, 3.553571428571429]

@@ -41,7 +41,7 @@ def receive(k, pairs):
     done = []
     for counter, tx in pairs:
         done += [plaintext for _, _, plaintext in asm.feed_transaction(tx, counter)]
-    return done, asm.pending()
+    return done, sorted(asm.buffers)
 
 
 def flip(tx, vout, byte, bit):
