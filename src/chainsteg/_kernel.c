@@ -1,11 +1,17 @@
 /* Compiled kernel: secp256k1 fixed-base derivation and digest scanning with
- * 4x64-bit field limbs, batch inversion, SHA-256 (SHA-NI when the CPU has
- * it) and RIPEMD-160, so the whole attempt loop runs in C without the GIL;
- * and the parser of a block's transaction rows, which hashes each txid.
+ * 4x64-bit field limbs, SHA-256 (SHA-NI when the CPU has it) and RIPEMD-160,
+ * so the whole attempt loop runs in C without the GIL; and the parser of a
+ * block's transaction rows, which hashes each txid.
+ *
+ * A grind scan derives counters in batches of 256 affine lanes: each comb
+ * window's additions share one inversion (Montgomery's trick). A single
+ * derivation and small batches take the Jacobian comb. The scan keeps its
+ * last batch (the grind stream), and the next scan under the same key takes
+ * the digests derived past the previous last hit.
  *
  * Results are bit-identical to backend.PureBackend, the reference; the
  * parity tests enforce it. Python-visible: derive_digest, grind_scan,
- * parse_transactions and _microbench.
+ * parse_transactions, and _microbench and _derived for measurements.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -328,13 +334,19 @@ static void build_table(void)
     }
 }
 
+/* byte w of a scalar in little-endian limbs: its comb entry in window w */
+static inline unsigned scalar_byte(const u64 *scalar, int w)
+{
+    return (unsigned)(scalar[w >> 3] >> ((w & 7) * 8)) & 0xFF;
+}
+
 /* scalar (< q, little-endian limbs) times G */
 static void mult_gen(jpt *r, const u64 *scalar)
 {
     int w;
     jpt_set_infinity(r);
     for (w = 0; w < WINDOWS; w++) {
-        unsigned byte = (unsigned)(scalar[w >> 3] >> ((w & 7) * 8)) & 0xFF;
+        unsigned byte = scalar_byte(scalar, w);
         if (byte)
             jpt_add_affine(r, r, TBL[w][byte - 1].x, TBL[w][byte - 1].y);
     }
@@ -650,9 +662,17 @@ static void ripemd160_32(const u8 *msg, u8 *out)
 /* ------------------------------------------------------------------------
  * The attempt pipeline */
 
-#define MAX_BATCH 64
+#define SCAN_LANES 256      /* counters per grind_scan batch */
+#define AFFINE_MIN_LANES 64 /* smaller batches take the Jacobian comb */
 #define MAX_POSITIONS 24
 #define MAX_TARGETS 20
+
+/* One counter's working state in derive_batch. */
+typedef struct {
+    u64 scalar[4];        /* SHA-256(k || tag || counter) mod q */
+    apt pt;               /* the derived point, affine */
+    u64 dx[4], prefix[4]; /* this window's x2 - x1, and the product before it */
+} lane;
 
 static void be32_to_limbs(const u8 *data, u64 *r)
 {
@@ -677,14 +697,87 @@ static void scalar_mod_q(u64 *s)
     }
 }
 
+/* scalar G + gy for count <= AFFINE_MIN_LANES lanes: one mixed Jacobian
+ * addition per non-zero scalar byte, then one shared normalization. ok[i] = 0
+ * marks the point at infinity. */
+static void comb_jacobian(lane *l, int count, const u64 *gyx, const u64 *gyy, u8 *ok)
+{
+    jpt pts[AFFINE_MIN_LANES];
+    u64 prefix[AFFINE_MIN_LANES][4];
+    int i;
+    for (i = 0; i < count; i++) {
+        mult_gen(&pts[i], l[i].scalar);
+        jpt_add_affine(&pts[i], &pts[i], gyx, gyy);
+        ok[i] = !jpt_is_infinity(&pts[i]);
+    }
+    jpt_normalize(pts, ok, count, prefix);
+    for (i = 0; i < count; i++) {
+        fe_set(l[i].pt.x, pts[i].X);
+        fe_set(l[i].pt.y, pts[i].Y);
+    }
+}
+
+/* scalar G + gy for count <= SCAN_LANES lanes in affine coordinates: every
+ * lane starts at gy, and each comb window adds TBL[w][byte - 1] to the lanes
+ * whose scalar byte is non-zero. The window's slopes share one inversion
+ * (Montgomery's trick), so an addition costs ~6 multiplies against ~11 for a
+ * Jacobian one. A lane whose addition meets x1 == x2 (a doubling, or a sum
+ * at infinity) leaves the affine path and is derived on the Jacobian comb. */
+static void comb_affine(lane *l, int count, const u64 *gyx, const u64 *gyy, u8 *ok)
+{
+    int adding[SCAN_LANES];
+    u8 slow[SCAN_LANES] = {0};
+    u64 acc[4], inv[4], dxi[4], lam[4], x3[4], t[4];
+    int i, j, n, w;
+    for (i = 0; i < count; i++) {
+        fe_set(l[i].pt.x, gyx);
+        fe_set(l[i].pt.y, gyy);
+    }
+    for (w = 0; w < WINDOWS; w++) {
+        n = 0;
+        acc[0] = 1; acc[1] = acc[2] = acc[3] = 0;
+        for (i = 0; i < count; i++) {
+            unsigned byte = scalar_byte(l[i].scalar, w);
+            if (!byte || slow[i])
+                continue;
+            fe_sub(l[i].dx, TBL[w][byte - 1].x, l[i].pt.x);
+            if (fe_is_zero(l[i].dx)) {
+                slow[i] = 1;
+                continue;
+            }
+            fe_set(l[i].prefix, acc);
+            fe_mul(acc, acc, l[i].dx);
+            adding[n++] = i;
+        }
+        if (n == 0)
+            continue;
+        fe_inv(inv, acc);
+        for (j = n - 1; j >= 0; j--) {
+            lane *p = &l[adding[j]];
+            const apt *q = &TBL[w][scalar_byte(p->scalar, w) - 1];
+            fe_mul(dxi, inv, p->prefix);       /* 1/dx */
+            fe_mul(inv, inv, p->dx);
+            fe_sub(lam, q->y, p->pt.y);
+            fe_mul(lam, lam, dxi);
+            fe_sqr(x3, lam); fe_sub(x3, x3, p->pt.x); fe_sub(x3, x3, q->x);
+            fe_sub(t, p->pt.x, x3); fe_mul(t, lam, t);
+            fe_sub(p->pt.y, t, p->pt.y);       /* y3 = lam (x1 - x3) - y1 */
+            fe_set(p->pt.x, x3);               /* x3 = lam^2 - x1 - x2 */
+        }
+    }
+    for (i = 0; i < count; i++) {
+        ok[i] = 1;
+        if (slow[i])
+            comb_jacobian(&l[i], 1, gyx, gyy, &ok[i]);
+    }
+}
+
 /* hash160 digests of the points derived for counters start..start+count-1:
  * point = (SHA-256(k || tag || counter BE64) mod q) G + gy. ok[i] = 0 marks
  * a degenerate index (the point at infinity); its digest is left unset. */
-static void derive_batch(const u8 *k, u8 tag, u64 start, int count,
-                         const u64 *gyx, const u64 *gyy, u8 *digests, u8 *ok)
+static void derive_batch(const u8 *k, u8 tag, u64 start, int count, const u64 *gyx,
+                         const u64 *gyy, lane *l, u8 *digests, u8 *ok)
 {
-    jpt pts[MAX_BATCH];
-    u64 prefix[MAX_BATCH][4], scalar[4];
     u8 msg[41], hbuf[32], pub[33];
     int i, j;
     memcpy(msg, k, 32);
@@ -694,19 +787,19 @@ static void derive_batch(const u8 *k, u8 tag, u64 start, int count,
         for (j = 0; j < 8; j++)
             msg[33 + j] = (u8)(counter >> (8 * (7 - j)));
         sha256(msg, 41, hbuf);
-        be32_to_limbs(hbuf, scalar);
-        scalar_mod_q(scalar);
-        mult_gen(&pts[i], scalar);
-        jpt_add_affine(&pts[i], &pts[i], gyx, gyy);
-        ok[i] = !jpt_is_infinity(&pts[i]);
+        be32_to_limbs(hbuf, l[i].scalar);
+        scalar_mod_q(l[i].scalar);
     }
-    jpt_normalize(pts, ok, count, prefix);
+    if (count < AFFINE_MIN_LANES)
+        comb_jacobian(l, count, gyx, gyy, ok);
+    else
+        comb_affine(l, count, gyx, gyy, ok);
     for (i = 0; i < count; i++) {
         if (!ok[i])
             continue;
-        pub[0] = 0x02 | (u8)(pts[i].Y[0] & 1);
+        pub[0] = 0x02 | (u8)(l[i].pt.y[0] & 1);
         for (j = 0; j < 32; j++)
-            pub[1 + j] = (u8)(pts[i].X[3 - j / 8] >> (8 * (7 - j % 8)));
+            pub[1 + j] = (u8)(l[i].pt.x[3 - j / 8] >> (8 * (7 - j % 8)));
         sha256(pub, 33, hbuf);
         ripemd160_32(hbuf, digests + 20 * i);
     }
@@ -775,12 +868,13 @@ static PyObject *py_derive_digest(PyObject *self, PyObject *args)
     u64 counter, gyx[4], gyy[4];
     PyObject *gx, *gy;
     u8 kbuf[32], digest[20], ok;
+    lane one;
     if (!PyArg_ParseTuple(args, "y#iO&OO:derive_digest", &k, &klen, &tag, to_u64,
                           &counter, &gx, &gy) ||
         !parse_key(k, klen, tag, gx, gy, kbuf, gyx, gyy))
         return NULL;
     Py_BEGIN_ALLOW_THREADS
-    derive_batch(kbuf, (u8)tag, counter, 1, gyx, gyy, digest, &ok);
+    derive_batch(kbuf, (u8)tag, counter, 1, gyx, gyy, &one, digest, &ok);
     Py_END_ALLOW_THREADS
     if (!ok)
         Py_RETURN_NONE;
@@ -825,16 +919,35 @@ static Py_ssize_t parse_ints(PyObject *obj, const char *what, Py_ssize_t min_len
     return len;
 }
 
+/* The grind stream: the last batch grind_scan derived, with the key, tag
+ * and gy it belongs to. The next transaction's scan starts a few counters
+ * past the previous one's last hit, inside that batch, and takes its digests
+ * before deriving more. Read and written only with the GIL held; never
+ * persisted, and a scan under another key, tag or gy replaces it. */
+static struct {
+    u8 k[32], tag;
+    u64 gyx[4], gyy[4], first;
+    int count;
+    u8 digests[SCAN_LANES * 20], ok[SCAN_LANES];
+} stream;
+static u64 derived_total; /* counters grind_scan has derived; read by _derived */
+
+/* A scan's own working memory: threads grind without the GIL. */
+typedef struct {
+    lane lanes[SCAN_LANES];
+    u8 digests[SCAN_LANES * 20], ok[SCAN_LANES];
+} scan_work;
+
 static PyObject *py_grind_scan(PyObject *self, PyObject *args)
 {
     const u8 *k;
     Py_ssize_t klen, m, n, n_open, i, j;
-    int tag, batch;
+    int tag, count = 0;
     long positions[MAX_POSITIONS], targets[MAX_TARGETS];
-    u64 first, budget, done = 0, last = 0, hit[MAX_TARGETS], gyx[4], gyy[4];
+    u64 first, budget, done = 0, derived = 0, last = 0, hit[MAX_TARGETS], gyx[4], gyy[4];
     PyObject *gx, *gy, *pos_obj, *tgt_obj, *hits;
-    u8 kbuf[32], digests[MAX_BATCH * 20], ok[MAX_BATCH];
-    u8 hit_digests[MAX_TARGETS * 20], filled[MAX_TARGETS] = {0};
+    u8 kbuf[32], hit_digests[MAX_TARGETS * 20], filled[MAX_TARGETS] = {0};
+    scan_work *work;
     if (!PyArg_ParseTuple(args, "y#iOOO&O&OO:grind_scan", &k, &klen, &tag, &gx, &gy,
                           to_u64, &first, to_u64, &budget, &pos_obj, &tgt_obj) ||
         !parse_key(k, klen, tag, gx, gy, kbuf, gyx, gyy))
@@ -849,34 +962,60 @@ static PyObject *py_grind_scan(PyObject *self, PyObject *args)
     int clamped = budget > 0 && budget - 1 > UINT64_MAX - first;
     if (clamped)
         budget = UINT64_MAX - first + 1;
-    /* The last open target is hit after ~2^m attempts. Each batch pays one
-     * inversion, and the last one derives up to batch - 1 counters past that
-     * hit; a batch of ~2^(m/2) balances the two. The result is the same for
-     * any batch. */
-    batch = m >= 11 ? MAX_BATCH : 1 << ((m + 1) / 2);
+    if ((work = PyMem_RawMalloc(sizeof(*work))) == NULL)
+        return PyErr_NoMemory();
+    if (stream.count > 0 && memcmp(stream.k, kbuf, 32) == 0 && stream.tag == tag &&
+        memcmp(stream.gyx, gyx, sizeof(gyx)) == 0 && memcmp(stream.gyy, gyy, sizeof(gyy)) == 0 &&
+        first >= stream.first && first - stream.first < (u64)stream.count) {
+        int skip = (int)(first - stream.first);
+        count = stream.count - skip;
+        if ((u64)count > budget)
+            count = (int)budget;
+        memcpy(work->digests, stream.digests + 20 * skip, 20 * (size_t)count);
+        memcpy(work->ok, stream.ok + skip, (size_t)count);
+    }
     n_open = n;
     Py_BEGIN_ALLOW_THREADS
-    while (done < budget && n_open > 0) {
-        int count = budget - done > (u64)batch ? batch : (int)(budget - done);
-        derive_batch(kbuf, (u8)tag, first + done, count, gyx, gyy, digests, ok);
+    /* work holds the digests of counters first + done + i, i < count: first
+     * those taken from the stream, then each new batch. A batch may run past
+     * the last hit; the result is the same for any batch. */
+    for (;;) {
         for (i = 0; i < count && n_open > 0; i++) {
-            if (!ok[i])
+            if (!work->ok[i])
                 continue;
-            long v = (long)select_bits(digests + 20 * i, positions, (int)m);
+            long v = (long)select_bits(work->digests + 20 * i, positions, (int)m);
             /* the first still-open target with this value takes the counter */
             for (j = 0; j < n; j++) {
                 if (!filled[j] && targets[j] == v) {
                     filled[j] = 1;
                     hit[j] = done + (u64)i;
-                    memcpy(hit_digests + 20 * j, digests + 20 * i, 20);
+                    memcpy(hit_digests + 20 * j, work->digests + 20 * i, 20);
                     n_open--;
                     break;
                 }
             }
         }
         done += (u64)count;
+        if (n_open == 0 || done >= budget)
+            break;
+        count = budget - done > SCAN_LANES ? SCAN_LANES : (int)(budget - done);
+        derive_batch(kbuf, (u8)tag, first + done, count, gyx, gyy, work->lanes,
+                     work->digests, work->ok);
+        derived += (u64)count;
     }
     Py_END_ALLOW_THREADS
+    if (derived > 0) {
+        memcpy(stream.k, kbuf, 32);
+        stream.tag = (u8)tag;
+        fe_set(stream.gyx, gyx);
+        fe_set(stream.gyy, gyy);
+        stream.first = first + done - (u64)count;
+        stream.count = count;
+        memcpy(stream.digests, work->digests, 20 * (size_t)count);
+        memcpy(stream.ok, work->ok, (size_t)count);
+        derived_total += derived;
+    }
+    PyMem_RawFree(work);
     if (n_open > 0) {
         if (clamped)
             return PyErr_Format(PyExc_OverflowError, "grind counter passed 2^64 - 1");
@@ -906,7 +1045,10 @@ PyDoc_STRVAR(grind_scan_doc,
 "chunk values, each below 2^len(positions)): a counter whose digest carries a\n"
 "value on the selected bit positions goes to the first still-open target with\n"
 "that value. Hits come back in target order; attempts is the offset of the\n"
-"last hit + 1. None when max_attempts counters leave a target open.");
+"last hit + 1. None when max_attempts counters leave a target open.\n\n"
+"Counters are derived in batches, and the last batch is kept: a later scan\n"
+"under the same k, tag and gy that starts inside it takes its digests. The\n"
+"result never depends on it.");
 
 /* Wire sizes: a transaction is at least its two u32 counts and its u64 fee;
  * an input row is prev_txid 32B, vout u32, address 20B; an output row is
@@ -1121,11 +1263,22 @@ PyDoc_STRVAR(microbench_doc,
 "Per-operation timings in ns (fe_mul, jpt_add, fe_inv, sha256, ripemd) for\n"
 "the benchmark's layer rows; not part of the API.");
 
+static PyObject *py_derived(PyObject *self, PyObject *args)
+{
+    return PyLong_FromUnsignedLongLong(derived_total);
+}
+
+PyDoc_STRVAR(derived_doc,
+"_derived() -> int\n\n"
+"Counters grind_scan has derived in this process, those kept in the grind\n"
+"stream past a scan's last hit included; not part of the API.");
+
 static PyMethodDef kernel_methods[] = {
     {"derive_digest", py_derive_digest, METH_VARARGS, derive_digest_doc},
     {"grind_scan", py_grind_scan, METH_VARARGS, grind_scan_doc},
     {"parse_transactions", py_parse_transactions, METH_VARARGS, parse_transactions_doc},
     {"_microbench", py_microbench, METH_VARARGS, microbench_doc},
+    {"_derived", py_derived, METH_NOARGS, derived_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -6,6 +6,13 @@ loading chain records. The observable contract is identical: grind_scan
 gives each target the smallest matching counter not taken by an earlier
 target, and parse_transactions builds the same rows, fields and txids, so
 results never depend on which backend ran.
+
+The compiled grind_scan derives counters in batches of 256, so it may
+derive past the last hit. It keeps that last batch in memory, and the next
+scan under the same key, tag and gy that starts inside it (the next
+transaction's scan) uses those digests before deriving more. The kept batch
+is never persisted, a scan under another key replaces it, and results,
+attempts included, never depend on it.
 """
 
 from __future__ import annotations

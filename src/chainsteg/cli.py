@@ -79,7 +79,10 @@ def int_range(text: str) -> list[int]:
     integers. A ValueError makes argparse exit 2 with a usage error."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"empty range {text!r}")
+        return values
     return [int(v) for v in text.split(",")]
 
 
@@ -274,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="m values: range C..D or comma list")
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--backend", choices=("auto", "pure", "ext", "both"),
-                   default="auto")
+                   help="default: the active backend (CHAINSTEG_BACKEND, else auto)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)
 

@@ -21,15 +21,16 @@ from .session import SessionState
 ALPHA = 0.01
 
 
-def bench_grind(m_values, runs: int, seed: int = 0, backend_name: str = "auto") -> dict:
-    """Mean grinding attempts per m over `runs` random targets each.
+def bench_grind(m_values, runs: int, seed: int = 0, backend_name: str | None = None) -> dict:
+    """Mean grinding attempts per m over `runs` random targets each, on the
+    named backend, or on the active one (`backend.get()`) when None.
 
     Returns {"backend", "rows", "ratios"}: one row dict per m, and the ratio
     of each row's mean attempts to the previous row's."""
     if runs < 1:
         raise ValidationError("runs must be >= 1")
     prev = backend.get()
-    be = backend.set_backend(backend_name)
+    be = prev if backend_name is None else backend.set_backend(backend_name)
     try:
         rng = random.Random(seed)
         km = KeyMaterial.generate(rng)

@@ -1,13 +1,15 @@
 import json
 import random
+import sys
 import threading
 
 import pytest
 
 import oracles
-from chainsteg import backend, ec
+from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, backend, ec
 from chainsteg.hdw import DOMAIN_GRIND, KeyMaterial
 from chainsteg.ledger import StegoTransaction, TxInput, TxOutput
+from chainsteg.session import SessionState
 
 needs_ext = pytest.mark.skipif(
     "ext" not in backend.available(), reason="compiled kernel not built"
@@ -142,6 +144,118 @@ def test_grind_skips_degenerate_counter_parity():
         assert be.grind_scan(km.k, DOMAIN_GRIND, km.gy, 3, 4, (), 0, 0, 0, 0) is None
 
 
+@needs_ext
+@pytest.mark.parametrize("case", ["doubling", "cancel", "infinity"])
+def test_affine_degenerate_lane_parity(case):
+    """A lane of a wide batch whose affine addition meets x1 == x2. With b the
+    low byte of counter c's scalar h, gy = bG makes lane c's first addition a
+    doubling and gy = -bG cancels it to infinity; gy = -hG makes the whole
+    point infinity, so counter c is skipped."""
+    k = bytes(range(32))
+    c = next(c for c in range(100, 200) if oracles.hdw_scalar(k, DOMAIN_GRIND, c) & 0xFF)
+    h = oracles.hdw_scalar(k, DOMAIN_GRIND, c)
+    y = {"doubling": h & 0xFF, "cancel": ec.Q - (h & 0xFF), "infinity": ec.Q - h}[case]
+    km = KeyMaterial.from_private(k, y)
+    pure, ext = backend.PureBackend(), backend.set_backend("ext")
+    for counter in (c - 1, c, c + 1):
+        assert ext.derive_digest(km.k, DOMAIN_GRIND, counter, km.gy) == \
+            pure.derive_digest(km.k, DOMAIN_GRIND, counter, km.gy)
+    # 20 targets on no bits take the first 20 usable counters from c - 5,
+    # all in one batch of the affine width
+    args = (km.k, DOMAIN_GRIND, km.gy, c - 5, 1024, ()) + (0,) * 20
+    got = ext.grind_scan(*args)
+    assert got == pure.grind_scan(*args)
+    assert (c in [counter for counter, _ in got[0]]) == (case != "infinity")
+
+
+def _consecutive_scans(be, k, tag, gy, start, jobs):
+    """One scan per (positions, targets) job, each from the previous scan's
+    last hit + 2, as embed and fresh_wallet_address leave next_grind."""
+    results = []
+    for positions, targets in jobs:
+        got = be.grind_scan(k, tag, gy, start, 2 ** (len(positions) + 8), positions, *targets)
+        results.append(got)
+        start = max(counter for counter, _ in got[0]) + 2
+    return results
+
+
+@needs_ext
+@pytest.mark.parametrize("m", [0, 3, 6, 12])
+def test_stream_scans_match_pure(m):
+    """Consecutive scans under one key continue the kernel's counter stream:
+    the same results as the pure backend, and together they derive at most
+    one batch (256 counters) past the last hit."""
+    from chainsteg import _kernel
+
+    rng = random.Random(600 + m)
+    pure, ext = backend.PureBackend(), backend.set_backend("ext")
+    k = rng.randbytes(32)
+    gy = ec.mult_g(rng.randrange(1, ec.Q))
+    positions = tuple(rng.sample(range(160), m))
+    n_scans, n_targets = (2, 1) if m == 12 else (6, 5)
+    jobs = [(positions, _multiset(rng, m, n_targets)) for _ in range(n_scans)]
+    start = rng.randint(1, 10**6)
+    before = _kernel._derived()
+    got = _consecutive_scans(ext, k, 3, gy, start, jobs)
+    derived = _kernel._derived() - before
+    assert got == _consecutive_scans(pure, k, 3, gy, start, jobs)
+    last = max(counter for counter, _ in got[-1][0])
+    assert derived < last + 1 - start + 256
+
+
+@needs_ext
+@pytest.mark.parametrize("other", ["key", "tag", "gy"])
+def test_stream_ignores_other_keys(other):
+    """A scan under a second key, tag or gy, placed between two scans of the
+    first key and starting inside their stream, neither uses nor corrupts it."""
+    rng = random.Random(700)
+    pure, ext = backend.PureBackend(), backend.set_backend("ext")
+    k, gy = rng.randbytes(32), ec.mult_g(rng.randrange(1, ec.Q))
+    second = {
+        "key": (rng.randbytes(32), 3, gy),
+        "tag": (k, 1, gy),
+        "gy": (k, 3, ec.mult_g(rng.randrange(1, ec.Q))),
+    }[other]
+    positions = tuple(rng.sample(range(160), 6))
+    targets = [_multiset(rng, 6, 5) for _ in range(3)]
+    results = []
+    for be in (pure, ext):
+        first = be.grind_scan(k, 3, gy, 1000, 2**14, positions, *targets[0])
+        start = max(counter for counter, _ in first[0]) + 2
+        between = be.grind_scan(*second, start, 2**14, positions, *targets[1])
+        again = be.grind_scan(k, 3, gy, start, 2**14, positions, *targets[2])
+        results.append((first, between, again))
+    assert results[0] == results[1]
+
+
+@needs_ext
+def test_stream_derives_about_what_sends_consume(monkeypatch):
+    """Over MED sends as in the med_grind benchmark (n = 5, m = 6, PERMUTED),
+    the kernel derives at most 5% more counters than the scans consume."""
+    from chainsteg import _kernel
+
+    ext = backend.set_backend("ext")
+    attempts = []
+    scan = ext.grind_scan
+
+    def counted(*args):
+        got = scan(*args)
+        attempts.append(got[1])
+        return got
+
+    monkeypatch.setattr(ext, "grind_scan", counted)
+    cfg = ChannelConfig(n=5, m=6, mode=Mode.PERMUTED)
+    state = SessionState(KeyMaterial.generate(random.Random(808)), cfg, seed=9)
+    ledger = state.genesis_ledger()
+    rng = random.Random(909)
+    before = _kernel._derived()
+    for i in range(40):
+        state.send_message(ledger, rng.randbytes(4), Channel.MED)
+        ledger.mine_block(NoiseProfile(rate=5.0), seed=i)
+    assert len(attempts) >= 40
+    assert _kernel._derived() - before <= 1.05 * sum(attempts)
+
+
 @pytest.mark.parametrize("name", backend.available())
 @pytest.mark.parametrize("positions", [(160,), (-1,), (3, 1000)])
 def test_grind_rejects_bad_positions(name, positions):
@@ -168,28 +282,37 @@ def test_grind_rejects_bad_targets(name, targets):
 @needs_ext
 def test_concurrent_grinds_match_sequential():
     """The kernel releases the GIL while grinding; threads sharing its
-    comb table must still get the sequential results."""
+    comb table, and contending for its counter stream with two keys on the
+    same tag, must still get the sequential results."""
     rng = random.Random(404)
     ext = backend.set_backend("ext")
-    k = rng.randbytes(32)
-    gy = ec.mult_g(rng.randrange(1, ec.Q))
-    jobs = [(1 + 10000 * i, tuple(rng.sample(range(160), 8)), _multiset(rng, 8, 5))
+    keys = [(rng.randbytes(32), ec.mult_g(rng.randrange(1, ec.Q))) for _ in range(2)]
+    # jobs 2i and 2i + 1 scan the same counters under the two keys
+    jobs = [(keys[i % 2], 1 + 10000 * (i // 2),
+             [(tuple(rng.sample(range(160), 8)), _multiset(rng, 8, 5)) for _ in range(3)])
             for i in range(6)]
-    expected = [ext.grind_scan(k, 3, gy, start, 8192, pos, *tgts)
-                for start, pos, tgts in jobs]
-    assert None not in expected
+
+    def run(job):
+        (k, gy), start, scans = job
+        return _consecutive_scans(ext, k, 3, gy, start, scans)
+
+    expected = [run(job) for job in jobs]
     got = [None] * len(jobs)
 
     def worker(i):
-        start, pos, tgts = jobs[i]
-        got[i] = ext.grind_scan(k, 3, gy, start, 8192, pos, *tgts)
+        got[i] = run(jobs[i])
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     assert got == expected
 
 

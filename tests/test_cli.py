@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import chainfile
 import pytest
 
-from chainsteg import Channel, ChannelConfig, KeyMaterial, Mode, NoiseProfile
+from chainsteg import Channel, ChannelConfig, KeyMaterial, Mode, NoiseProfile, backend
 from chainsteg.cli import load_config, main
 from chainsteg.evaluate import bench_grind, stat_suite
 from chainsteg.errors import InsufficientSample, ValidationError
@@ -231,11 +235,26 @@ def test_bench_cli(capsys):
     assert [r["mean_attempts"] for r in rows] == [r["mean_attempts"] for r in rows2]
 
 
+@pytest.mark.parametrize("name", backend.available())
+def test_bench_honours_backend_env(name):
+    """Without --backend, bench runs on the backend CHAINSTEG_BACKEND names."""
+    src = Path(backend.__file__).resolve().parents[1]
+    env = dict(os.environ, CHAINSTEG_BACKEND=name,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from chainsteg.cli import main; sys.exit(main())",
+         "--seed", "3", "bench", "--m", "1", "--runs", "3", "--json"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [report["backend"] for report in json.loads(proc.stdout)] == [name]
+
+
 @pytest.mark.parametrize("argv", [
     ["capacity", "--n", "1..x", "--m", "2"],
     ["capacity", "--n", "3", "--m", "2,,3"],
     ["bench", "--m", "2,x", "--runs", "3"],
-], ids=["n-1..x", "m-2,,3", "bench-m-2,x"])
+    ["capacity", "--n", "5..3", "--m", "2"],
+], ids=["n-1..x", "m-2,,3", "bench-m-2,x", "n-5..3"])
 def test_malformed_range_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
