@@ -173,7 +173,12 @@ class _Fragment:
 
 
 class Reassembler:
-    """Collects fragments by message id; yields plaintext when complete."""
+    """Collects fragments by message id; yields plaintext when complete.
+
+    Ids wrap at 12 bits, and a send that fails part-way leaves its id to the
+    next message. Fragment 0 rides its message's lowest counter, so when it
+    arrives at counter c, that id's fragments below c are an older
+    message's and are dropped."""
 
     def __init__(self, k: bytes):
         self.k = k
@@ -194,6 +199,9 @@ class Reassembler:
             if frag_idx >= n_frags:
                 raise AuthError("fragment index out of range for declared length")
             bucket = self.buffers.setdefault(msg_id, {})
+            if frag_idx == 0:
+                for stale in [i for i, f in bucket.items() if f.counter < counter]:
+                    del bucket[stale]
             frag = _Fragment(version, total_len, raw[HEADER_BYTES:], counter)
             existing = bucket.get(frag_idx)
             if existing is not None:

@@ -10,6 +10,10 @@ Medium messages travel as: 16-bit byte-length prefix || message bits ||
 random padding, split into per-transaction payloads of the configured
 capacity. High messages use the frame layout in the high module; version 2
 frames rotate keys, version 3 frames switch channel parameters.
+
+Control frames are idempotent by their content, so the receiver keeps no
+record of the 12-bit msg_ids it has seen (they wrap), and a reused msg_id
+drops the older message's pending fragments (see high.Reassembler).
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ class Generation:
     next_signal: dict[str, int] = field(default_factory=lambda: {"HIGH": 1, "MED": 1})
     next_grind: int = 1
     high_nonce_guard: dict[int, bytes] = field(default_factory=dict)
-    processed_control: set[int] = field(default_factory=set)
     med_bits: list[int] = field(default_factory=list)
     # channel parameters keyed by the MED counter they apply from; config
     # switches announce their effective counter so processing order across
@@ -95,10 +98,11 @@ class SessionState:
         self.wallet: list[WalletUtxo] = []
         self.embed_log: list[dict] = []
         # receive-side caches, rebuilt after a load: the digest of each
-        # (generation, channel, counter) in a scan window, and whether a MED
-        # (generation, counter) is usable under the cfg stored with it
+        # (generation, channel, counter) in a scan window, and per generation
+        # the MED walk (schedule length, next counter to test, usable
+        # counters found at or after next_signal)
         self._candidates: dict[tuple[int, str, int], bytes | None] = {}
-        self._usable: dict[tuple[int, int], tuple[medium.ChannelConfig, bool]] = {}
+        self._med_walks: dict[int, tuple[int, int, list[int]]] = {}
 
     @property
     def current(self) -> Generation:
@@ -287,52 +291,40 @@ class SessionState:
     # -- receiving -----------------------------------------------------------
 
     def _window_counters(self, gen_idx: int, channel: Channel) -> list[int]:
-        """The next SCAN_WINDOW counters the sender could use: unusable
-        PERMUTED counters are skipped on both sides, so they do not count
-        against the window."""
+        """The next SCAN_WINDOW counters the sender could use. Unusable
+        PERMUTED counters are skipped on both sides and do not count; like
+        medium.next_usable_counter, the walk has no bound. It resumes where
+        the last call stopped, or from next_signal once a switch has grown
+        the schedule."""
         gen = self.generations[gen_idx]
         start = gen.next_signal[channel.name]
         if channel is Channel.HIGH:
             return list(range(start, start + SCAN_WINDOW))
-        out = []
-        counter = start
-        limit = start + 64 * SCAN_WINDOW  # safety stop, never binding
-        while len(out) < SCAN_WINDOW and counter < limit:
-            cfg = gen.cfg_at(counter)
-            memo = self._usable.get((gen_idx, counter))
-            # a config switch processed since the memo was made changes cfg;
-            # compared by identity, as hashing or == on a cfg costs ~10x the
-            # dict lookup
-            if memo is None or memo[0] is not cfg:
-                memo = self._usable[(gen_idx, counter)] = (
-                    cfg, medium.med_counter_usable(gen.km.k, counter, cfg)
-                )
-            if memo[1]:
-                out.append(counter)
+        n_cfgs, counter, usable = self._med_walks.get(gen_idx, (0, start, []))
+        if n_cfgs != len(gen.med_cfg_schedule):
+            counter, usable = start, []
+        usable = [c for c in usable if c >= start]
+        counter = max(counter, start)
+        while len(usable) < SCAN_WINDOW:
+            if medium.med_counter_usable(gen.km.k, counter, gen.cfg_at(counter)):
+                usable.append(counter)
             counter += 1
-        return out
+        self._med_walks[gen_idx] = (len(gen.med_cfg_schedule), counter, usable)
+        return usable
 
     def _window_candidates(self) -> dict[tuple[int, str, int], bytes | None]:
         """Digest per (generation, channel, counter) in the scan windows.
-        Each is derived once and kept until its counter is processed."""
+        Each is derived once and kept while its counter stays in a window."""
+        previous, self._candidates = self._candidates, {}
         for gen_idx, gen in enumerate(self.generations):
             for channel in (Channel.HIGH, Channel.MED):
                 for counter in self._window_counters(gen_idx, channel):
                     key = (gen_idx, channel.name, counter)
-                    if key not in self._candidates:
-                        self._candidates[key] = backend.get().derive_digest(
+                    if key not in previous:
+                        previous[key] = backend.get().derive_digest(
                             gen.km.k, channel.value, counter, gen.km.gy
                         )
-        # prune both caches behind the per-generation counters
-        gens = self.generations
-        self._candidates = {
-            key: digest for key, digest in self._candidates.items()
-            if key[2] >= gens[key[0]].next_signal[key[1]]
-        }
-        self._usable = {
-            key: memo for key, memo in self._usable.items()
-            if key[1] >= gens[key[0]].next_signal["MED"]
-        }
+                    self._candidates[key] = previous[key]
         return self._candidates
 
     def _complete_med(self, gen: Generation) -> None:
@@ -346,36 +338,33 @@ class SessionState:
         message = bits_to_bytes(bits[16:needed])
         gen.med_bits = []
         self.inbox.append(("MED", message))
-        self._new_messages.append(("MED", message))
 
-    def _handle_high_completion(self, gen_idx: int, msg_id: int, version: int,
+    def _handle_high_completion(self, gen_idx: int, version: int,
                                 plaintext: bytes) -> None:
         gen = self.generations[gen_idx]
         if version == high.VERSION_DATA:
             self.inbox.append(("HIGH", plaintext))
-            self._new_messages.append(("HIGH", plaintext))
             return
-        if msg_id in gen.processed_control:
-            return  # replay: no-op
-        gen.processed_control.add(msg_id)
-        if version == high.VERSION_ROTATE:
-            if len(plaintext) != 64:
-                raise AuthError("malformed rotation frame")
-            k, y = plaintext[:32], int.from_bytes(plaintext[32:], "big")
-            if gen_idx == len(self.generations) - 1:
-                self.generations.append(
-                    Generation(
-                        km=KeyMaterial.from_private(k, y),
-                        med_cfg_schedule=[(1, self.cfg)],
-                    )
-                )
-        elif version == high.VERSION_CONFIG:
-            try:
+        try:
+            if version == high.VERSION_ROTATE:
+                if len(plaintext) != 64:
+                    raise ValueError("not 64 bytes")
+                k, y = plaintext[:32], int.from_bytes(plaintext[32:], "big")
+                new_km = KeyMaterial.from_private(k, y)
+            else:
                 frame = json.loads(plaintext.decode())
                 new_cfg = medium.ChannelConfig.from_dict(frame["cfg"])
                 from_med = int(frame["from_med"])
-            except (ValueError, KeyError, TypeError, ValidationError) as exc:
-                raise AuthError(f"malformed config frame: {exc}") from exc
+        except (ValueError, KeyError, TypeError, ValidationError) as exc:
+            kind = "rotation" if version == high.VERSION_ROTATE else "config"
+            raise AuthError(f"malformed {kind} frame: {exc}") from exc
+        # a re-sent frame (under an old key, or for an old switch) does nothing
+        if version == high.VERSION_ROTATE:
+            if gen_idx == self.key_gen:
+                self.generations.append(
+                    Generation(km=new_km, med_cfg_schedule=[(1, self.cfg)])
+                )
+        elif from_med >= gen.med_cfg_schedule[-1][0]:
             gen.med_cfg_schedule.append((from_med, new_cfg))
             self.cfg = new_cfg
 
@@ -384,17 +373,14 @@ class SessionState:
 
         Returns messages completed by this call, exactly once each.
         """
-        self._new_messages: list[tuple[str, bytes]] = []
+        delivered = len(self.inbox)
         tip = ledger.tip_height
         # Index the unscanned range once; the window fixpoint below then
         # probes the index instead of re-walking the chain every pass.
         chain_index = ledger.input_index(self.cursor)
         while True:
-            candidates = self._window_candidates()
-            matches = []
-            for hit, digest in candidates.items():
-                for tx in chain_index.get(digest, ()):
-                    matches.append((hit, tx))
+            matches = [(hit, tx) for hit, digest in self._window_candidates().items()
+                       for tx in chain_index.get(digest, ())]
             progress = False
             for (gen_idx, channel, counter), tx in sorted(
                 matches, key=lambda item: (item[0][0], item[0][2])
@@ -409,10 +395,10 @@ class SessionState:
                         gen.med_bits.extend(bits)
                         self._complete_med(gen)
                     else:
-                        for msg_id, version, plaintext in gen.reassembler.feed_transaction(
+                        for _, version, plaintext in gen.reassembler.feed_transaction(
                             tx, counter
                         ):
-                            self._handle_high_completion(gen_idx, msg_id, version, plaintext)
+                            self._handle_high_completion(gen_idx, version, plaintext)
                 except (TagCorruption, AuthError, PermutationMismatch) as exc:
                     self.quarantine.append((tx.txid.hex(), str(exc)))
                     if channel == "MED":
@@ -421,9 +407,7 @@ class SessionState:
             if not progress:
                 break
         self.cursor = tip + 1
-        messages = self._new_messages
-        del self._new_messages
-        return messages
+        return self.inbox[delivered:]
 
     def drain_inbox(self) -> list[tuple[str, bytes]]:
         out, self.inbox = self.inbox, []
@@ -480,7 +464,6 @@ class SessionState:
                     "next_signal": gen.next_signal,
                     "next_grind": gen.next_grind,
                     "nonce_guard": {str(c): f.hex() for c, f in gen.high_nonce_guard.items()},
-                    "processed_control": sorted(gen.processed_control),
                     "med_bits": "".join(map(str, gen.med_bits)),
                     "reassembly": buffers,
                     "cfg_schedule": [
@@ -520,7 +503,6 @@ class SessionState:
                 next_signal=dict(gd["next_signal"]),
                 next_grind=gd["next_grind"],
                 high_nonce_guard={int(c): bytes.fromhex(f) for c, f in gd["nonce_guard"].items()},
-                processed_control=set(gd["processed_control"]),
                 med_bits=[int(ch) for ch in gd["med_bits"]],
                 med_cfg_schedule=[
                     (c, medium.ChannelConfig.from_dict(cd)) for c, cd in gd["cfg_schedule"]
@@ -536,6 +518,8 @@ class SessionState:
                     )
                     for idx, f in bucket.items()
                 }
+            if not gen.med_cfg_schedule:
+                raise ValidationError("generation has an empty cfg_schedule")
             state.generations.append(gen)
         state.cursor = data["cursor"]
         state.rng.setstate(_rng_state_from_json(data["rng_state"]))
@@ -546,6 +530,8 @@ class SessionState:
             WalletUtxo(bytes.fromhex(t), v, a, g, c)
             for t, v, a, g, c in data["wallet"]
         ]
+        if any(not 0 <= u.generation < len(state.generations) for u in state.wallet):
+            raise ValidationError("wallet entry names an unknown generation")
         heapq.heapify(state.wallet)
         state.embed_log = [
             {**e, "entries": [tuple(pair) for pair in e["entries"]]}

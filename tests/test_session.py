@@ -10,7 +10,7 @@ from chainsteg.errors import ValidationError
 from chainsteg.hdw import DerivationIndex, KeyMaterial, derive_address
 from chainsteg.ledger import StegoTransaction, TxInput, TxOutput
 from chainsteg.medium import payload_bits_per_tx
-from chainsteg.session import SCAN_WINDOW, SessionState
+from chainsteg.session import SCAN_WINDOW, SessionState, _config_frame
 
 
 def pair(km, cfg, tx_seed=21, rx_seed=99):
@@ -160,6 +160,106 @@ def test_rotation_replay_is_noop(km, ordered_cfg):
     assert len(receiver.generations) == 2  # replay did not add a generation
 
 
+def test_config_replay_is_noop(km, ordered_cfg):
+    cfg2 = ChannelConfig(n=4, m=5, mode=Mode.ORDERED)
+    cfg3 = ChannelConfig(n=2, m=7, mode=Mode.ORDERED)
+    sender, receiver, ledger = pair(km, ordered_cfg)
+    sender.switch_config(ledger, cfg2)  # from MED counter 1
+    sender.send_message(ledger, b"under cfg2", Channel.MED)
+    sender.switch_config(ledger, cfg3)
+    ledger.mine_block()
+    assert receiver.detect_and_receive(ledger) == [("MED", b"under cfg2")]
+    schedule = list(receiver.current.med_cfg_schedule)
+    assert [start for start, _ in schedule] == [1, 1, sender.current.next_signal["MED"]]
+    # replay: the first switch frame re-sent under a fresh msg_id
+    sender._send_high(ledger, _config_frame(1, cfg2), version=high.VERSION_CONFIG)
+    sender.send_message(ledger, b"under cfg3", Channel.MED)
+    ledger.mine_block()
+    assert receiver.detect_and_receive(ledger) == [("MED", b"under cfg3")]
+    assert receiver.current.med_cfg_schedule == schedule
+    assert receiver.cfg == cfg3 and not receiver.quarantine
+
+
+def test_control_frames_survive_msg_id_wrap(km, ordered_cfg):
+    sender, receiver, ledger = pair(km, ordered_cfg)
+    sender.switch_config(ledger, ChannelConfig(n=4, m=5, mode=Mode.ORDERED))  # msg_id 0
+    ledger.mine_block()
+    receiver.detect_and_receive(ledger)
+    sender.next_msg_id = 4096  # what 4,096 HIGH sends leave
+    sender.rotate_keys(ledger)  # msg_id wraps to 0
+    ledger.mine_block()
+    receiver.detect_and_receive(ledger)
+    assert len(sender.generations) == len(receiver.generations) == 2
+    sender.send_message(ledger, b"under the new key", Channel.MED)
+    ledger.mine_block()
+    assert receiver.detect_and_receive(ledger) == [("MED", b"under the new key")]
+    assert not receiver.quarantine
+
+
+def test_malformed_rotation_is_quarantined(km, ordered_cfg):
+    sender, receiver, ledger = pair(km, ordered_cfg)
+    # a rotation frame whose key material fails validation: y = 0
+    [bad] = sender._send_high(ledger, km.k + bytes(32), version=high.VERSION_ROTATE)
+    sender.send_message(ledger, b"after the bad rotation", Channel.HIGH)
+    ledger.mine_block()
+    assert receiver.detect_and_receive(ledger) == [("HIGH", b"after the bad rotation")]
+    [(txid, reason)] = receiver.quarantine
+    assert txid == bad.hex() and reason.startswith("malformed rotation frame")
+    assert len(receiver.generations) == 1
+    assert receiver.detect_and_receive(ledger) == []
+
+
+def _fail_after_first_tx():
+    raise RuntimeError("confirmation failed")
+
+
+def test_failed_send_leaves_its_msg_id_to_the_next_message(km):
+    sender, receiver, ledger = pair(km, ChannelConfig(n=3, m=4, max_fields_per_tx=2))
+    with pytest.raises(RuntimeError):  # 60 bytes: 6 fields, 3 transactions
+        sender.send_message(ledger, b"x" * 60, Channel.HIGH, confirm=_fail_after_first_tx)
+    assert sender.next_msg_id == 0
+    assert len(sender.send_message(ledger, b"y" * 60, Channel.HIGH)) == 3
+    ledger.mine_block()
+    # the first message's lone fragment 0 is dropped, never mixed in
+    assert receiver.detect_and_receive(ledger) == [("HIGH", b"y" * 60)]
+    assert not receiver.quarantine and not receiver.current.reassembler.buffers
+
+
+def test_msg_id_wrap_by_real_sends(km):
+    # An incomplete first message, then 4,097 complete ones: msg_ids 0
+    # (incomplete), 0, 1, ..., 4095, and 0 again after the 12-bit wrap.
+    sender, receiver, ledger = pair(km, ChannelConfig(n=3, m=4, max_fields_per_tx=2))
+    with pytest.raises(RuntimeError):
+        sender.send_message(ledger, b"x" * 30, Channel.HIGH, confirm=_fail_after_first_tx)
+    sent = []
+    for i in range(4097):
+        sent.append(("HIGH", b"%d" % i))
+        sender.send_message(ledger, sent[-1][1], Channel.HIGH)
+        if i % 16 == 15:
+            ledger.mine_block()
+    ledger.mine_block()
+    assert sender.next_msg_id == 4097
+    assert receiver.detect_and_receive(ledger) == sent
+    assert not receiver.quarantine and not receiver.current.reassembler.buffers
+
+
+def test_permuted_n8_delivers_past_long_unusable_gaps():
+    # At n = 8 a counter is usable with probability 0.0024, so gaps between
+    # usable MED counters exceed 64 * SCAN_WINDOW; the receiver's walk must
+    # go past them as the sender's does.
+    km = KeyMaterial.generate(random.Random(1))
+    sender, receiver, ledger = pair(km, ChannelConfig(n=8, m=6, mode=Mode.PERMUTED))
+    sent, got = [], []
+    for i in range(30):
+        sent.append(("MED", bytes([i])))
+        sender.send_message(ledger, sent[-1][1], Channel.MED)
+        ledger.mine_block(NoiseProfile(rate=2.0), seed=5)
+        got += receiver.detect_and_receive(ledger)
+    counters = [e["counter"] for e in sender.embed_log]
+    assert max(b - a for a, b in zip(counters, counters[1:])) > 64 * SCAN_WINDOW
+    assert got == sent and not receiver.quarantine
+
+
 def test_quarantine_and_advance(km, ordered_cfg):
     sender, receiver, ledger = pair(km, ordered_cfg)
     # craft a poisoned tx on the next MED signal address: wrong output count
@@ -239,6 +339,33 @@ def test_truncated_or_garbled_session_is_validation_error(km, ordered_cfg, tmp_p
     assert main(["--chain", str(tmp_path / "c.bin"), "--session", str(path), "scan"]) == 2
 
 
+@pytest.mark.parametrize("command", ["scan", "send"])
+def test_session_that_would_fail_on_use_is_refused(km, ordered_cfg, tmp_path, capsys,
+                                                    command):
+    # each file parses, but scan would index an empty cfg_schedule and send
+    # a wallet row's generation outside `generations`
+    sender, _, ledger = pair(km, ordered_cfg)
+    path, chain, msg = tmp_path / "s.bin", tmp_path / "c.bin", tmp_path / "m.bin"
+    sender.save(path)
+    ledger.save(chain)
+    msg.write_bytes(b"m")
+    raw = path.read_bytes()
+    data = json.loads(raw[6:])
+    if command == "scan":
+        data["generations"][0]["cfg_schedule"] = []
+    else:
+        data["wallet"][0][3] = 1
+    path.write_bytes(raw[:6] + json.dumps(data).encode())
+    with pytest.raises(ValidationError):
+        SessionState.load(path)
+    args = ["--chain", str(chain), "--session", str(path), command]
+    if command == "send":
+        args += ["--channel", "high", "--in", str(msg)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_failed_save_keeps_previous_file(km, ordered_cfg, tmp_path, monkeypatch):
     sender, _, ledger = pair(km, ordered_cfg)
     path = tmp_path / "s.bin"
@@ -259,8 +386,8 @@ def test_failed_save_keeps_previous_file(km, ordered_cfg, tmp_path, monkeypatch)
 
 
 def test_session_file_with_retired_keys_loads(km, tmp_path):
-    # files written before scan_window, address_version and high_kind were
-    # removed hold those keys; loading ignores them
+    # files written before scan_window, address_version, high_kind and
+    # processed_control were removed hold those keys; loading ignores them
     cfg = ChannelConfig(n=3, m=4, mode=Mode.PERMUTED, max_fields_per_tx=2)
     state = SessionState(km, cfg, seed=3)
     path = tmp_path / "s.bin"
@@ -268,6 +395,7 @@ def test_session_file_with_retired_keys_loads(km, tmp_path):
     raw = path.read_bytes()
     data = json.loads(raw[6:])
     data["scan_window"] = 16
+    data["generations"][0]["processed_control"] = [0, 4095]
     for cfg_dict in [data["cfg"]] + [c for _, c in data["generations"][0]["cfg_schedule"]]:
         cfg_dict.update(address_version=0, high_kind=0)
     path.write_bytes(raw[:6] + json.dumps(data).encode())
