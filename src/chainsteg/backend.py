@@ -9,8 +9,9 @@ results never depend on which backend ran.
 
 The compiled grind_scan derives counters in batches of 256, so it may
 derive past the last hit. It keeps that last batch in memory, and the next
-scan under the same key, tag and gy that starts inside it (the next
-transaction's scan) uses those digests before deriving more. The kept batch
+scan under the same key, tag and gy that starts inside it (the scan of
+the next group of MED transactions) uses those digests before deriving
+more. The kept batch
 is never persisted, a scan under another key replaces it, and results,
 attempts included, never depend on it.
 """
@@ -27,7 +28,7 @@ from . import ec
 from .hashes import hash160, sha256d
 
 _DIGEST_BATCH = 64
-MAX_TARGETS = 20  # one target per output of a MED transaction (n <= 20)
+MAX_TARGETS = 20  # targets per scan: MED outputs of a group of floor(20 / n) transactions
 
 # Fixed-width parts of a transaction on the wire (see ledger); the pure
 # parser decodes each with one unpack_from, and each run of input or output

@@ -7,15 +7,20 @@ written directly, only searched for — so a recorded derivation index can
 re-derive every output (the no-manual-modification property).
 
 One address carrying an m-bit chunk costs ~2^m attempts (the paper's cost
-law). A transaction grinds its n chunks in one scan over the counters, in
-which each counter fills the first open chunk it carries, so it costs the
-expected maximum of n geometric waits, ~2^m * H_n attempts
-(H_n = 1 + 1/2 + ... + 1/n; 2.2x fewer than n * 2^m at n = 5). An attempt
-is one counter consumed. The compiled backend derives counters in batches
-of 256 and hands the part of a batch past the last hit to the next
-transaction's scan, which starts a few counters later, so over many
-transactions it derives about as many counters as the scans consume (1.02x
-over 100 messages at n = 5, m = 6), and at most one batch more.
+law). A scan grinds many chunks at once: each counter fills the first open
+chunk it carries, so k chunks of distinct values cost the expected maximum
+of k geometric waits, ~2^m * H_k attempts (H_k = 1 + 1/2 + ... + 1/k); a
+value that c chunks share waits for its c-th hit, so when k nears 2^m a
+scan costs more (~1.4x at k = 20, m = 4). A message grinds its T
+transactions in groups of g = floor(MAX_TARGETS / n), one scan for the
+g * n chunks of a group, so it costs ceil(T/g) scans of ~2^m * H_{g*n}
+attempts (the last group may be smaller): 64 * H_15 ~ 212 for a
+3-transaction message at n = 5, m = 6, where one scan per transaction
+costs 3 * 64 * H_5 ~ 438. At n > 10 a group is one transaction. An attempt is one counter consumed. The
+compiled backend derives counters in batches of 256 and hands the part of
+a batch past the last hit to the next group's scan, which starts just past
+it, so over many messages it derives about as many counters as the scans
+consume, and at most one batch more.
 
 PERMUTED mode spends t = ceil(log2 n) bits per chunk on a masked slot tag so
 the receiver can restore payload order after the permutation is applied.
@@ -209,8 +214,8 @@ def _grind_chunks(
     """One scan of grind counters from start_index that gives every chunk
     its own address, in chunk order. A counter goes to the first still-open
     chunk its digest carries, so equal chunks get distinct counters (and
-    digests). The scan ends at the last hit, after ~2^m * H_n attempts for
-    n chunks, and never runs past cfg.attempts_cap counters."""
+    digests). The scan ends at the last hit, after ~2^m * H_k attempts for
+    k chunks, and never runs past cfg.attempts_cap counters."""
     for chunk in chunks:
         chunk.validate(cfg)
     if start_index < 1:
@@ -250,7 +255,7 @@ def _grind_chunks(
 # transaction fails to unmask with probability 1 - n!/2^(t*n).
 
 def masked_slot_tags(k: bytes, counter: int, n: int, t: int) -> list[int]:
-    """Masked tag per slot (may collide; see med_counter_usable)."""
+    """Masked tag per slot (may collide; see usable_tags)."""
     tags = []
     for slot in range(n):
         msg = k + b"tagmask" + counter.to_bytes(8, "big") + bytes([slot])
@@ -259,13 +264,18 @@ def masked_slot_tags(k: bytes, counter: int, n: int, t: int) -> list[int]:
     return tags
 
 
-def med_counter_usable(k: bytes, counter: int, cfg: "ChannelConfig") -> bool:
-    """PERMUTED transactions only ride counters whose masked tags are
-    distinct; ORDERED mode uses every counter."""
+def usable_tags(k: bytes, counter: int, cfg: "ChannelConfig") -> list[int] | None:
+    """The counter's masked slot tags when the counter is usable, None when
+    they collide. PERMUTED transactions only ride counters whose masked
+    tags are distinct; ORDERED mode uses every counter and has no tags ([])."""
     if cfg.mode is not Mode.PERMUTED:
-        return True
+        return []
     tags = masked_slot_tags(k, counter, cfg.n, cfg.tag_bits)
-    return len(set(tags)) == cfg.n
+    return tags if len(set(tags)) == cfg.n else None
+
+
+def med_counter_usable(k: bytes, counter: int, cfg: "ChannelConfig") -> bool:
+    return usable_tags(k, counter, cfg) is not None
 
 
 def next_usable_counter(k: bytes, counter: int, cfg: "ChannelConfig") -> int:
@@ -277,66 +287,100 @@ def next_usable_counter(k: bytes, counter: int, cfg: "ChannelConfig") -> int:
 # ---------------------------------------------------------------------------
 # Embedding
 
-def embed(gen, payload: list[int], cfg: ChannelConfig, rng) -> StegoTemplate:
-    """Build one transaction carrying `payload` bits at the generation's
-    next MED counter.
+def group_size(cfg: ChannelConfig) -> int:
+    """Transactions ground together in one scan: as many as fit their
+    n chunks each into one grind_scan."""
+    return backend.MAX_TARGETS // cfg.n
 
-    Grinds all n chunks in one scan from the generation's next grind
-    counter, ~2^m * H_n attempts (H_n = 1 + 1/2 + ... + 1/n), and moves that
-    counter past the last hit. Reads (without advancing) the MED signal
-    counter. Output amounts come from `rng`.
-    """
-    expected = payload_bits_per_tx(cfg)
-    if len(payload) != expected:
-        raise ValidationError(f"payload must be exactly {expected} bits, got {len(payload)}")
-    if any(b not in (0, 1) for b in payload):
-        raise ValidationError("payload must be a bit list")
-    km = gen.km
-    counter = gen.next_signal["MED"]
-    signal = derive_address(km, DerivationIndex(Channel.MED.value, counter))
 
+def _chunks(payload: list[int], tags: list[int], cfg: ChannelConfig) -> list[Chunk]:
+    """The n chunks of one transaction's payload: m payload bits each in
+    ORDERED mode; in PERMUTED mode a slot's masked tag above m - t bits,
+    the rest of the payload going to the permutation rank."""
     if cfg.mode is Mode.ORDERED:
-        chunks = [
+        return [
             Chunk(bits=bits_to_int(payload[i * cfg.m : (i + 1) * cfg.m]), slot=i)
             for i in range(cfg.n)
         ]
-    else:
-        t = cfg.tag_bits
-        data_bits = cfg.m - t
-        tags = masked_slot_tags(km.k, counter, cfg.n, t)
-        if len(set(tags)) != cfg.n:
-            raise ValidationError(
-                f"MED counter {counter} is unusable in PERMUTED mode "
-                "(colliding slot tags); skip to the next counter"
-            )
-        chunks = []
-        for slot in range(cfg.n):
-            bits = payload[slot * data_bits : (slot + 1) * data_bits]
-            chunks.append(Chunk(bits=(tags[slot] << data_bits) | bits_to_int(bits), slot=slot))
-    records = _grind_chunks(km, chunks, cfg, gen.next_grind)
-    gen.next_grind = max(r.index.counter for r in records) + 1
-    if cfg.mode is Mode.ORDERED:
-        ordered_records = records
-    else:
-        v = bits_to_int(payload[cfg.n * data_bits :])
-        canon = CanonicalSet.from_addresses([r.address for r in records])
-        order = unrank(PermRank.of(v, cfg.n), canon)
-        by_digest = {r.address.digest: r for r in records}
-        ordered_records = [by_digest[a.digest] for a in order]
+    data_bits = cfg.m - cfg.tag_bits
+    return [
+        Chunk(bits=(tags[slot] << data_bits)
+              | bits_to_int(payload[slot * data_bits : (slot + 1) * data_bits]), slot=slot)
+        for slot in range(cfg.n)
+    ]
 
-    stego_outputs = tuple(
-        TxOutput(rec.address.digest, rng.randint(DUST, 1_000_000))
-        for rec in ordered_records
-    )
-    change_digest, change_counter = gen.fresh_wallet_address()
-    return StegoTemplate(
-        counter=counter,
-        signal_address=signal,
-        stego_outputs=stego_outputs,
-        grind_records=tuple(ordered_records),
-        change_output=TxOutput(change_digest, rng.randint(DUST, 1_000_000)),
-        change_index=DerivationIndex(DOMAIN_GRIND, change_counter),
-    )
+
+def embed(gen, payloads: list[list[int]], cfg: ChannelConfig, rng) -> list[StegoTemplate]:
+    """Build one group of transactions, one per payload of
+    payload_bits_per_tx(cfg) bits, at most group_size(cfg) of them.
+
+    The first rides the generation's next MED counter, which must be
+    usable; each next one rides the next usable counter after it, with the
+    slot tags its usability test computed. One scan from the generation's
+    next grind counter grinds the chunks of every transaction, ~2^m * H_k
+    attempts for k chunks (H_k = 1 + 1/2 + ... + 1/k). The first two
+    non-hit counters of the scan per transaction, for its change and its
+    funding change, are kept in `gen.grind_spares`, which
+    fresh_wallet_address takes first, and next_grind moves past the last
+    hit. Reads (without advancing) the MED
+    signal counter. Output amounts come from `rng`.
+    """
+    expected = payload_bits_per_tx(cfg)
+    if not 1 <= len(payloads) <= group_size(cfg):
+        raise ValidationError(
+            f"a group holds 1 to {group_size(cfg)} payloads, got {len(payloads)}"
+        )
+    for payload in payloads:
+        if len(payload) != expected:
+            raise ValidationError(
+                f"payload must be exactly {expected} bits, got {len(payload)}"
+            )
+        if any(b not in (0, 1) for b in payload):
+            raise ValidationError("payload must be a bit list")
+    km = gen.km
+    counters, chunks = [], []
+    counter = gen.next_signal["MED"]
+    for payload in payloads:
+        while (tags := usable_tags(km.k, counter, cfg)) is None:
+            if not counters:
+                raise ValidationError(
+                    f"MED counter {counter} is unusable in PERMUTED mode "
+                    "(colliding slot tags); skip to the next counter"
+                )
+            counter += 1
+        counters.append(counter)
+        chunks += _chunks(payload, tags, cfg)
+        counter += 1
+
+    start = gen.next_grind
+    records = _grind_chunks(km, chunks, cfg, start)
+    hits = {r.index.counter for r in records}
+    last = max(hits)
+    gen.grind_spares = [c for c in range(start, last) if c not in hits][: 2 * len(payloads)]
+    gen.next_grind = last + 1
+
+    templates = []
+    for i, (counter, payload) in enumerate(zip(counters, payloads)):
+        tx_records = records[i * cfg.n : (i + 1) * cfg.n]
+        if cfg.mode is Mode.PERMUTED:
+            v = bits_to_int(payload[cfg.n * (cfg.m - cfg.tag_bits) :])
+            canon = CanonicalSet.from_addresses([r.address for r in tx_records])
+            by_digest = {r.address.digest: r for r in tx_records}
+            tx_records = [by_digest[a.digest] for a in unrank(PermRank.of(v, cfg.n), canon)]
+        stego_outputs = tuple(
+            TxOutput(rec.address.digest, rng.randint(DUST, 1_000_000))
+            for rec in tx_records
+        )
+        change_digest, change_counter = gen.fresh_wallet_address()
+        templates.append(StegoTemplate(
+            counter=counter,
+            signal_address=derive_address(km, DerivationIndex(Channel.MED.value, counter)),
+            stego_outputs=stego_outputs,
+            grind_records=tuple(tx_records),
+            change_output=TxOutput(change_digest, rng.randint(DUST, 1_000_000)),
+            change_index=DerivationIndex(DOMAIN_GRIND, change_counter),
+        ))
+    return templates
 
 
 def extract(
@@ -368,8 +412,8 @@ def extract(
 
     t = cfg.tag_bits
     data_bits = cfg.m - t
-    expected_tags = masked_slot_tags(km.k, counter, cfg.n, t)
-    if len(set(expected_tags)) != cfg.n:
+    expected_tags = usable_tags(km.k, counter, cfg)
+    if expected_tags is None:
         raise TagCorruption(
             "matched counter is unusable under this key (colliding tags)"
         )

@@ -8,8 +8,12 @@ quarantined transaction cannot deadlock the receiver.
 
 Medium messages travel as: 16-bit byte-length prefix || message bits ||
 random padding, split into per-transaction payloads of the configured
-capacity. High messages use the frame layout in the high module; version 2
-frames rotate keys, version 3 frames switch channel parameters.
+capacity and ground in groups of transactions (see medium). The receiver
+joins the bits of consecutive MED transactions, so a send that fails
+part-way leaves its unsent bits to the next MED send, which finishes that
+message before its own. High messages use the frame layout in the high
+module; version 2 frames rotate keys, version 3 frames switch channel
+parameters.
 
 Control frames are idempotent by their content, so the receiver keeps no
 record of the 12-bit msg_ids it has seen (they wrap), and a reused msg_id
@@ -59,6 +63,12 @@ class Generation:
     next_grind: int = 1
     high_nonce_guard: dict[int, bytes] = field(default_factory=dict)
     med_bits: list[int] = field(default_factory=list)
+    # sender: the bits of a MED message that a failed send left off the
+    # chain (no padding); the next MED send finishes that message first
+    med_unsent: list[int] = field(default_factory=list)
+    # sender, during one MED send: the non-hit counters its group scan left
+    # below next_grind, for the group's change addresses
+    grind_spares: list[int] = field(default_factory=list)
     # channel parameters keyed by the MED counter they apply from; config
     # switches announce their effective counter so processing order across
     # channels cannot misapply them
@@ -68,9 +78,15 @@ class Generation:
         self.reassembler = high.Reassembler(self.km.k)
 
     def fresh_wallet_address(self) -> tuple[bytes, int]:
-        """Digest at the next grind counter, and that counter (consumed)."""
-        counter = self.next_grind
-        self.next_grind += 1
+        """Digest at a fresh grind counter, and that counter (consumed): the
+        first of grind_spares while a MED send holds them, else next_grind,
+        so the change and funding change of a MED group take the first
+        non-hit counters of its scan."""
+        if self.grind_spares:
+            counter = self.grind_spares.pop(0)
+        else:
+            counter = self.next_grind
+            self.next_grind += 1
         digest = backend.get().derive_digest(self.km.k, DOMAIN_GRIND, counter, self.km.gy)
         return digest, counter
 
@@ -214,26 +230,38 @@ class SessionState:
         return txid
 
     def _send_med(self, ledger: Ledger, message: bytes, confirm=None) -> list[bytes]:
+        """Send the message in groups of medium.group_size transactions.
+        A message that a failed send left part-way goes first: its unsent
+        bits, padded to whole transactions under the current config."""
         cap = medium.payload_bits_per_tx(self.cfg)
         if not cap or cap < 1:
             raise ValidationError("configured capacity too small")
         if len(message) >= 2**16:
             raise ValidationError("medium message exceeds 16-bit length prefix")
-        bits = int_to_bits(len(message), 16) + bytes_to_bits(message)
-        n_txs = max(1, -(-len(bits) // cap))
-        while len(bits) < n_txs * cap:
-            bits.append(self.rng.getrandbits(1))
         gen = self.current
+        # per transaction: its payload, and its message's bits still unsent after it
+        txs = []
+        for bits in (gen.med_unsent, int_to_bits(len(message), 16) + bytes_to_bits(message)):
+            n_txs = -(-len(bits) // cap)
+            padded = bits + [self.rng.getrandbits(1) for _ in range(n_txs * cap - len(bits))]
+            txs += [(padded[i * cap : (i + 1) * cap], bits[(i + 1) * cap :])
+                    for i in range(n_txs)]
+        group = medium.group_size(self.cfg)
         txids = []
-        for i in range(n_txs):
-            chunk = bits[i * cap : (i + 1) * cap]
-            gen.next_signal["MED"] = medium.next_usable_counter(
-                gen.km.k, gen.next_signal["MED"], self.cfg
-            )
-            template = medium.embed(gen, chunk, self.cfg, self.rng)
-            txids.append(self._submit_stego(ledger, template, "MED"))
-            if confirm is not None:
-                confirm()
+        try:
+            for i in range(0, len(txs), group):
+                gen.next_signal["MED"] = medium.next_usable_counter(
+                    gen.km.k, gen.next_signal["MED"], self.cfg
+                )
+                payloads = [payload for payload, _ in txs[i : i + group]]
+                templates = medium.embed(gen, payloads, self.cfg, self.rng)
+                for template, (_, unsent) in zip(templates, txs[i : i + group]):
+                    txids.append(self._submit_stego(ledger, template, "MED"))
+                    gen.med_unsent = unsent
+                    if confirm is not None:
+                        confirm()
+        finally:
+            gen.grind_spares = []  # never outlive the send, so never saved
         return txids
 
     def _send_high(self, ledger: Ledger, message: bytes,
@@ -273,6 +301,7 @@ class SessionState:
         new_km = KeyMaterial.generate(self.rng)
         payload = new_km.k + new_km.y.to_bytes(32, "big")
         self._send_high(ledger, payload, version=high.VERSION_ROTATE)
+        self.current.med_unsent = []  # no later MED send under the old key
         self.generations.append(
             Generation(km=new_km, med_cfg_schedule=[(1, self.cfg)])
         )
@@ -465,6 +494,7 @@ class SessionState:
                     "next_grind": gen.next_grind,
                     "nonce_guard": {str(c): f.hex() for c, f in gen.high_nonce_guard.items()},
                     "med_bits": "".join(map(str, gen.med_bits)),
+                    "med_unsent": "".join(map(str, gen.med_unsent)),
                     "reassembly": buffers,
                     "cfg_schedule": [
                         [c, cfg.to_dict()] for c, cfg in gen.med_cfg_schedule
@@ -504,6 +534,7 @@ class SessionState:
                 next_grind=gd["next_grind"],
                 high_nonce_guard={int(c): bytes.fromhex(f) for c, f in gd["nonce_guard"].items()},
                 med_bits=[int(ch) for ch in gd["med_bits"]],
+                med_unsent=[int(ch) for ch in gd.get("med_unsent", "")],
                 med_cfg_schedule=[
                     (c, medium.ChannelConfig.from_dict(cd)) for c, cd in gd["cfg_schedule"]
                 ],

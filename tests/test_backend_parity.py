@@ -170,7 +170,8 @@ def test_affine_degenerate_lane_parity(case):
 
 def _consecutive_scans(be, k, tag, gy, start, jobs):
     """One scan per (positions, targets) job, each from the previous scan's
-    last hit + 2, as embed and fresh_wallet_address leave next_grind."""
+    last hit + 2, so it starts inside the batch the previous scan kept, as
+    the scan of a MED group does."""
     results = []
     for positions, targets in jobs:
         got = be.grind_scan(k, tag, gy, start, 2 ** (len(positions) + 8), positions, *targets)
@@ -254,6 +255,49 @@ def test_stream_derives_about_what_sends_consume(monkeypatch):
         ledger.mine_block(NoiseProfile(rate=5.0), seed=i)
     assert len(attempts) >= 40
     assert _kernel._derived() - before <= 1.05 * sum(attempts)
+
+
+def _med_across_group_boundaries():
+    """Per config, a fresh sender and receiver: a 5-transaction message at
+    n = 5 and a 2-transaction message at n = 11, each mined and received.
+    Returns (transactions sent, messages received, tip) per config."""
+    out = []
+    for cfg, message in ((ChannelConfig(n=5, m=6, mode=Mode.PERMUTED), bytes(range(10))),
+                         (ChannelConfig(n=11, m=4), b"eleven")):
+        km = KeyMaterial.generate(random.Random(1313))
+        sender = SessionState(km, cfg, seed=13)
+        ledger = sender.genesis_ledger()
+        receiver = SessionState(km.public_only(), cfg, seed=14)
+        txids = sender.send_message(ledger, message, Channel.MED)
+        ledger.mine_block(NoiseProfile(rate=2.0), seed=13)
+        out.append((len(txids), receiver.detect_and_receive(ledger),
+                    ledger.blocks[-1].block_hash.hex()))
+    return out
+
+
+@pytest.mark.parametrize("name", backend.available())
+def test_med_groups_split_at_max_targets(name, monkeypatch):
+    """A MED message grinds floor(MAX_TARGETS / n) transactions per scan:
+    at n = 5 its 5 transactions take a scan of 20 targets and one of 5, at
+    n = 11 each transaction takes its own scan. Every message arrives
+    byte-identical, on the pure backend's tip."""
+    be = backend.set_backend(name)
+    scans = []
+    scan = be.grind_scan
+
+    def counted(k, tag, gy, start, max_attempts, positions, *targets):
+        scans.append(len(targets))
+        return scan(k, tag, gy, start, max_attempts, positions, *targets)
+
+    monkeypatch.setattr(be, "grind_scan", counted)
+    got = _med_across_group_boundaries()
+    assert scans == [20, 5, 11, 11]
+    assert [(n, received) for n, received, _ in got] == [
+        (5, [("MED", bytes(range(10)))]),
+        (2, [("MED", b"eleven")]),
+    ]
+    backend.set_backend("pure")
+    assert [tip for *_, tip in got] == [tip for *_, tip in _med_across_group_boundaries()]
 
 
 @pytest.mark.parametrize("name", backend.available())

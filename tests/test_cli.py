@@ -368,10 +368,10 @@ def test_evaluation_output_is_pinned(km, tmp_path, capsys):
     assert code == 0
     assert out == (
         "indistinguishability suite (A/B stego vs decoy)\n"
-        "med_ab_chi_p=0.3183\n"
-        "med_ab_monobit_p=0.3315\n"
-        "high_ab_chi_p=0.0298\n"
-        "high_ab_monobit_p=0.4578\n"
+        "med_ab_chi_p=0.5105\n"
+        "med_ab_monobit_p=0.6665\n"
+        "high_ab_chi_p=0.0431\n"
+        "high_ab_monobit_p=0.5058\n"
         "tag_permutation_test hits=48/180 null_rate=0.25000 excess_p=0.3293 flagged=False\n"
         "verdict=pass at alpha=0.01\n"
     )

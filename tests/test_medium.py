@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from chainsteg.medium import (
     embed,
     extract,
     grind,
+    group_size,
     masked_slot_tags,
     med_counter_usable,
     next_usable_counter,
@@ -121,7 +123,7 @@ def test_grind_exhaustion(km):
     # the cap bounds a transaction's one scan; a failed scan consumes no counter
     state = make_state(km, cfg)
     with pytest.raises(GrindExhausted) as info:
-        embed(state.current, [1] * payload_bits_per_tx(cfg), cfg, state.rng)
+        embed(state.current, [[1] * payload_bits_per_tx(cfg)], cfg, state.rng)
     assert info.value.next_counter == 1 + cfg.grind_cap
     assert state.current.next_grind == 1
 
@@ -160,13 +162,16 @@ def test_equal_chunks_get_distinct_counters(km):
     # must still give each its own counter and digest
     cfg = ChannelConfig(n=4, m=2)
     state = make_state(km, cfg)
-    result = embed(state.current, [0] * payload_bits_per_tx(cfg), cfg, state.rng)
+    [result] = embed(state.current, [[0] * payload_bits_per_tx(cfg)], cfg, state.rng)
     counters = [r.index.counter for r in result.grind_records]
     digests = [r.address.digest for r in result.grind_records]
     assert counters == sorted(set(counters))
     assert len(set(digests)) == cfg.n
     assert all(backend.select_bits(d, cfg.selector) == 0 for d in digests)
-    assert state.current.next_grind == result.change_index.counter + 1 == counters[-1] + 2
+    # the change takes the scan's first non-hit counter; next_grind passes the last hit
+    first_spare = min(set(range(1, counters[-1])) - set(counters))
+    assert result.change_index.counter == first_spare
+    assert state.current.next_grind == counters[-1] + 1
 
 
 @pytest.mark.parametrize("mode", [Mode.ORDERED, Mode.PERMUTED])
@@ -181,12 +186,60 @@ def test_embed_attempts_follow_harmonic_law(km, mode):
             km.k, state.current.next_signal["MED"], cfg
         )
         start = state.current.next_grind
-        result = embed(state.current, rand_bits(rng, payload_bits_per_tx(cfg)), cfg, state.rng)
+        [result] = embed(state.current, [rand_bits(rng, payload_bits_per_tx(cfg))], cfg, state.rng)
         attempts.append(max(r.index.counter for r in result.grind_records) - start + 1)
         state.current.next_signal["MED"] += 1
     law = 2**cfg.m * sum(1 / i for i in range(1, cfg.n + 1))
     mean = sum(attempts) / len(attempts)
     assert 0.7 * law < mean < 1.4 * law
+
+
+def expected_scan_attempts(values, m):
+    """Expected attempts of one scan for targets `values`: the scan ends
+    when each value v needed c_v times has had c_v hits, at rate 2^-m per
+    counter (Poisson approximation). With distinct values it is
+    ~2^m * H_k for k targets."""
+    needs = Counter(values).values()
+    total, t = 0.0, 0
+    while True:
+        lam = t / 2**m
+        done = math.prod(
+            1 - math.exp(-lam) * sum(lam**i / math.factorial(i) for i in range(c))
+            for c in needs
+        )
+        if done > 1 - 1e-9:
+            return total
+        total += 1 - done
+        t += 1
+
+
+@pytest.mark.parametrize("mode", [Mode.ORDERED, Mode.PERMUTED])
+def test_group_attempts_follow_harmonic_law(km, mode):
+    # one scan per group of 4 transactions: ~2^m * H_20 attempts, not
+    # 4 * 2^m * H_5. At m = 4 the 20 chunk values over 16 must repeat, so
+    # the law counts each value's repeats (~1.4 * 2^m * H_20 here).
+    cfg = ChannelConfig(n=5, m=4, mode=mode)
+    harmonic = 2**cfg.m * sum(1 / i for i in range(1, 21))
+    assert 0.99 < expected_scan_attempts(range(20), cfg.m) / harmonic < 1.02
+    state = make_state(km, cfg)
+    rng = random.Random(15)
+    attempts, law = [], []
+    for _ in range(100):
+        state.current.next_signal["MED"] = next_usable_counter(
+            km.k, state.current.next_signal["MED"], cfg
+        )
+        start = state.current.next_grind
+        payloads = [rand_bits(rng, payload_bits_per_tx(cfg)) for _ in range(4)]
+        results = embed(state.current, payloads, cfg, state.rng)
+        assert len(results) == group_size(cfg) == 4
+        digests = [r.address.digest for t in results for r in t.grind_records]
+        counters = [r.index.counter for t in results for r in t.grind_records]
+        attempts.append(max(counters) - start + 1)
+        law.append(expected_scan_attempts(
+            [backend.select_bits(d, cfg.selector) for d in digests], cfg.m))
+        state.current.next_signal["MED"] = results[-1].counter + 1
+    assert 0.7 * sum(law) < sum(attempts) < 1.4 * sum(law)
+    assert sum(attempts) / len(attempts) < 4 * 2**cfg.m * sum(1 / i for i in range(1, 6)) / 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +275,7 @@ def test_embed_ordered_spec_example(km):
     # n=2, m=1, payload bits "10": first output LSB 1, second LSB 0
     cfg = ChannelConfig(n=2, m=1, mode=Mode.ORDERED)
     state = make_state(km, cfg)
-    result = embed(state.current, [1, 0], cfg, state.rng)
+    [result] = embed(state.current, [[1, 0]], cfg, state.rng)
     lsb = [o.field[-1] & 1 for o in result.stego_outputs]
     assert lsb == [1, 0]
 
@@ -243,7 +296,7 @@ def test_embed_extract_roundtrip(km, mode, n, m):
         state.current.next_signal["MED"] = next_usable_counter(
             km.k, state.current.next_signal["MED"], cfg
         )
-        result = embed(state.current, payload, cfg, state.rng)
+        [result] = embed(state.current, [payload], cfg, state.rng)
         tx = result.transaction()
         assert extract(tx, km, cfg, result.counter) == payload
         state.current.next_signal["MED"] += 1
@@ -257,7 +310,7 @@ def test_embed_outputs_rederive(km, permuted_cfg):
     state.current.next_signal["MED"] = next_usable_counter(
         km.k, 1, permuted_cfg
     )
-    result = embed(state.current, payload, permuted_cfg, state.rng)
+    [result] = embed(state.current, [payload], permuted_cfg, state.rng)
     for out, rec in zip(result.stego_outputs, result.grind_records):
         assert out.field == rec.address.digest
         assert be.derive_digest(km.k, DOMAIN_GRIND, rec.index.counter, km.gy) == out.field
@@ -271,9 +324,9 @@ def test_embed_outputs_rederive(km, permuted_cfg):
 def test_embed_validates_payload(km, ordered_cfg):
     state = make_state(km, ordered_cfg)
     with pytest.raises(ValidationError):
-        embed(state.current, [1, 0], ordered_cfg, state.rng)  # wrong length
+        embed(state.current, [[1, 0]], ordered_cfg, state.rng)  # wrong length
     with pytest.raises(ValidationError):
-        embed(state.current, [2] * payload_bits_per_tx(ordered_cfg), ordered_cfg, state.rng)
+        embed(state.current, [[2] * payload_bits_per_tx(ordered_cfg)], ordered_cfg, state.rng)
 
 
 def test_extract_wrong_key_tag_corruption(km, permuted_cfg):
@@ -286,7 +339,7 @@ def test_extract_wrong_key_tag_corruption(km, permuted_cfg):
         state.current.next_signal["MED"] = next_usable_counter(
             km.k, state.current.next_signal["MED"], permuted_cfg
         )
-        result = embed(state.current, payload, permuted_cfg, state.rng)
+        [result] = embed(state.current, [payload], permuted_cfg, state.rng)
         tx = result.transaction()
         wrong = KeyMaterial.generate(random.Random(1000 + trial))
         try:
@@ -303,7 +356,7 @@ def test_extract_structural_errors(km, ordered_cfg):
     state = make_state(km, ordered_cfg)
     rng = random.Random(10)
     payload = rand_bits(rng, payload_bits_per_tx(ordered_cfg))
-    result = embed(state.current, payload, ordered_cfg, state.rng)
+    [result] = embed(state.current, [payload], ordered_cfg, state.rng)
     tx = result.transaction()
     with pytest.raises(TagCorruption):  # wrong output count
         short = StegoTransaction(tx.inputs, tx.outputs[:-2], tx.fee)
@@ -321,7 +374,7 @@ def test_extract_ignores_amounts(km, ordered_cfg):
     state = make_state(km, ordered_cfg)
     rng = random.Random(11)
     payload = rand_bits(rng, payload_bits_per_tx(ordered_cfg))
-    result = embed(state.current, payload, ordered_cfg, state.rng)
+    [result] = embed(state.current, [payload], ordered_cfg, state.rng)
     tx = result.transaction()
     bumped = StegoTransaction(
         tx.inputs,
@@ -340,7 +393,7 @@ def test_permuted_grind_counters_monotone(km, permuted_cfg):
         state.current.next_signal["MED"] = next_usable_counter(
             km.k, state.current.next_signal["MED"], permuted_cfg
         )
-        result = embed(state.current, payload, permuted_cfg, state.rng)
+        [result] = embed(state.current, [payload], permuted_cfg, state.rng)
         counters = sorted(r.index.counter for r in result.grind_records)
         assert counters[0] > last
         last = max(max(counters), result.change_index.counter)
@@ -355,4 +408,4 @@ def test_embed_unusable_counter_rejected(km):
     state = make_state(km, cfg)
     state.current.next_signal["MED"] = unusable
     with pytest.raises(ValidationError):
-        embed(state.current, [0] * payload_bits_per_tx(cfg), cfg, state.rng)
+        embed(state.current, [[0] * payload_bits_per_tx(cfg)], cfg, state.rng)

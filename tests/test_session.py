@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, backend, high
+from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, backend, high, medium
 from chainsteg.cli import main
 from chainsteg.errors import ValidationError
 from chainsteg.hdw import DerivationIndex, KeyMaterial, derive_address
 from chainsteg.ledger import StegoTransaction, TxInput, TxOutput
 from chainsteg.medium import payload_bits_per_tx
-from chainsteg.session import SCAN_WINDOW, SessionState, _config_frame
+from chainsteg.session import SCAN_WINDOW, Generation, SessionState, _config_frame
 
 
 def pair(km, cfg, tx_seed=21, rx_seed=99):
@@ -260,6 +260,83 @@ def test_permuted_n8_delivers_past_long_unusable_gaps():
     assert got == sent and not receiver.quarantine
 
 
+def _half_sent_med(tmp_path=None):
+    """A PERMUTED n=5 sender whose 3-transaction MED message "first" failed
+    after its first transaction was mined; with `tmp_path`, the sender is
+    saved and loaded after the failure."""
+    km = KeyMaterial.generate(random.Random(5))
+    sender, receiver, ledger = pair(km, ChannelConfig(n=5, m=6, mode=Mode.PERMUTED),
+                                    tx_seed=1, rx_seed=2)
+
+    def mine_then_fail():
+        ledger.mine_block()
+        raise RuntimeError("confirmation failed")
+
+    with pytest.raises(RuntimeError):
+        sender.send_message(ledger, b"first", Channel.MED, confirm=mine_then_fail)
+    assert len(sender.current.med_unsent) == 16 + 40 - payload_bits_per_tx(sender.cfg)
+    if tmp_path is not None:
+        sender.save(tmp_path / "s.bin")
+        sender = SessionState.load(tmp_path / "s.bin")
+    return sender, receiver, ledger
+
+
+@pytest.mark.parametrize("reload", [False, True])
+def test_half_sent_med_message_is_finished_by_the_next_send(tmp_path, reload):
+    sender, receiver, ledger = _half_sent_med(tmp_path if reload else None)
+    sender.send_message(ledger, b"second", Channel.MED)
+    ledger.mine_block()
+    assert receiver.detect_and_receive(ledger) == [("MED", b"first"), ("MED", b"second")]
+    assert not receiver.quarantine and not receiver.current.med_bits
+    assert not sender.current.med_unsent
+
+
+def test_rotation_drops_a_half_sent_med_message():
+    sender, receiver, ledger = _half_sent_med()
+    sender.rotate_keys(ledger)
+    assert not sender.generations[0].med_unsent
+    sender.send_message(ledger, b"second", Channel.MED)
+    ledger.mine_block()
+    assert receiver.detect_and_receive(ledger) == [("MED", b"second")]
+    assert not receiver.quarantine
+
+
+def test_med_sends_never_reuse_a_grind_counter(km, monkeypatch):
+    # Every grind counter a MED send uses (hits, change, funding change) is
+    # distinct, and no later send uses it again, also after a send that
+    # fails part-way, whose unsent transactions' hits stay used.
+    sender, receiver, ledger = pair(km, ChannelConfig(n=5, m=6, mode=Mode.PERMUTED))
+    handed = []
+    fresh, embed = Generation.fresh_wallet_address, medium.embed
+
+    def fresh_recorded(gen):
+        digest, counter = fresh(gen)
+        handed.append(counter)
+        return digest, counter
+
+    def embed_recorded(*args):
+        templates = embed(*args)
+        handed.extend(r.index.counter for t in templates for r in t.grind_records)
+        return templates
+
+    monkeypatch.setattr(Generation, "fresh_wallet_address", fresh_recorded)
+    monkeypatch.setattr(medium, "embed", embed_recorded)
+    used = set()
+    messages = [b"x" * 12, b"y" * 12, b"z" * 12]  # 6 transactions: groups of 4 and 2
+    for i, message in enumerate(messages):
+        handed.clear()
+        try:
+            sender.send_message(ledger, message, Channel.MED,
+                                confirm=_fail_after_first_tx if i == 1 else None)
+        except RuntimeError:
+            pass
+        assert len(handed) == len(set(handed)) > 20
+        assert used.isdisjoint(handed)
+        used.update(handed)
+    ledger.mine_block()
+    assert receiver.detect_and_receive(ledger) == [("MED", m) for m in messages]
+
+
 def test_quarantine_and_advance(km, ordered_cfg):
     sender, receiver, ledger = pair(km, ordered_cfg)
     # craft a poisoned tx on the next MED signal address: wrong output count
@@ -456,7 +533,7 @@ def test_seeded_scenario_is_pinned(km):
     ]
     assert [len(b.transactions) for b in ledger.blocks] == [1, 6, 13, 9, 40]
     assert ledger.blocks[-1].block_hash.hex() == (
-        "9ea1a255eb2e4a99f8c1be561cb5137e12395f091cfeb92d9caa2ff6e713930f"
+        "023228a2548cc1c76fc8feaa9b6712901e779fffe2e7b85bb4f95409a350734b"
     )
 
 
