@@ -3,8 +3,13 @@ detection scanning, key rotation, and parameter switching.
 
 Counters are per-domain and advance on accepted submission (sender) or on
 processed receipt (receiver). Detection derives candidate signal addresses
-for a bounded look-ahead window in every live key generation, so a lost or
+for a window of SCAN_WINDOW usable counters per key stream, so a lost or
 quarantined transaction cannot deadlock the receiver.
+
+The receiver walks each generation in turn (a rotation read appends the
+next): its HIGH stream, then its MED stream, each in counter order. HIGH goes
+first because its config frames govern MED; the two streams' counters say
+nothing about their order on the chain.
 
 Medium messages travel as: 16-bit byte-length prefix || message bits ||
 random padding, split into per-transaction payloads of the configured
@@ -102,7 +107,6 @@ class SessionState:
     """Single-writer session; sender and receiver share only the ledger."""
 
     def __init__(self, km: KeyMaterial, cfg: medium.ChannelConfig, seed: int = 0):
-        self.cfg = cfg
         self.cursor = 0
         self.rng = random.Random(seed)
         self.next_msg_id = 0
@@ -113,12 +117,15 @@ class SessionState:
         self.quarantine: list[tuple[str, str]] = []
         self.wallet: list[WalletUtxo] = []
         self.embed_log: list[dict] = []
-        # receive-side caches, rebuilt after a load: the digest of each
-        # (generation, channel, counter) in a scan window, and per generation
-        # the MED walk (schedule length, next counter to test, usable
-        # counters found at or after next_signal)
-        self._candidates: dict[tuple[int, str, int], bytes | None] = {}
-        self._med_walks: dict[int, tuple[int, int, list[int]]] = {}
+        # receive side, rebuilt after a load: per (generation, channel) the
+        # scan window (MED schedule length it was walked under, next counter
+        # to test, digest per window counter in counter order)
+        self._windows: dict[tuple[int, Channel], tuple[int, int, dict[int, bytes]]] = {}
+
+    @property
+    def cfg(self) -> medium.ChannelConfig:
+        """The channel parameters in force: the current generation's newest."""
+        return self.current.med_cfg_schedule[-1][1]
 
     @property
     def current(self) -> Generation:
@@ -314,47 +321,32 @@ class SessionState:
         payload = _config_frame(from_med, new_cfg)
         txids = self._send_high(ledger, payload, version=high.VERSION_CONFIG)
         self.current.med_cfg_schedule.append((from_med, new_cfg))
-        self.cfg = new_cfg
         return txids
 
     # -- receiving -----------------------------------------------------------
 
-    def _window_counters(self, gen_idx: int, channel: Channel) -> list[int]:
-        """The next SCAN_WINDOW counters the sender could use. Unusable
-        PERMUTED counters are skipped on both sides and do not count; like
-        medium.next_usable_counter, the walk has no bound. It resumes where
-        the last call stopped, or from next_signal once a switch has grown
-        the schedule."""
+    def _window(self, gen_idx: int, channel: Channel) -> dict[int, bytes]:
+        """Digest per counter, derived once, of the stream's next SCAN_WINDOW
+        counters that the sender could use: unusable PERMUTED counters are
+        skipped without bound, like medium.next_usable_counter. A MED window
+        restarts from next_signal once a switch has grown the schedule."""
         gen = self.generations[gen_idx]
-        start = gen.next_signal[channel.name]
-        if channel is Channel.HIGH:
-            return list(range(start, start + SCAN_WINDOW))
-        n_cfgs, counter, usable = self._med_walks.get(gen_idx, (0, start, []))
-        if n_cfgs != len(gen.med_cfg_schedule):
-            counter, usable = start, []
-        usable = [c for c in usable if c >= start]
+        start, n_cfgs = gen.next_signal[channel.name], len(gen.med_cfg_schedule)
+        walked, counter, digests = self._windows.get((gen_idx, channel), (0, start, {}))
+        if channel is Channel.MED and walked != n_cfgs:
+            counter, digests = start, {}
+        digests = {c: d for c, d in digests.items() if c >= start}
         counter = max(counter, start)
-        while len(usable) < SCAN_WINDOW:
-            if medium.med_counter_usable(gen.km.k, counter, gen.cfg_at(counter)):
-                usable.append(counter)
+        while len(digests) < SCAN_WINDOW:
+            if channel is Channel.HIGH or medium.med_counter_usable(
+                gen.km.k, counter, gen.cfg_at(counter)
+            ):
+                digests[counter] = backend.get().derive_digest(
+                    gen.km.k, channel.value, counter, gen.km.gy
+                )
             counter += 1
-        self._med_walks[gen_idx] = (len(gen.med_cfg_schedule), counter, usable)
-        return usable
-
-    def _window_candidates(self) -> dict[tuple[int, str, int], bytes | None]:
-        """Digest per (generation, channel, counter) in the scan windows.
-        Each is derived once and kept while its counter stays in a window."""
-        previous, self._candidates = self._candidates, {}
-        for gen_idx, gen in enumerate(self.generations):
-            for channel in (Channel.HIGH, Channel.MED):
-                for counter in self._window_counters(gen_idx, channel):
-                    key = (gen_idx, channel.name, counter)
-                    if key not in previous:
-                        previous[key] = backend.get().derive_digest(
-                            gen.km.k, channel.value, counter, gen.km.gy
-                        )
-                    self._candidates[key] = previous[key]
-        return self._candidates
+        self._windows[gen_idx, channel] = (n_cfgs, counter, digests)
+        return digests
 
     def _complete_med(self, gen: Generation) -> None:
         bits = gen.med_bits
@@ -395,31 +387,17 @@ class SessionState:
                 )
         elif from_med >= gen.med_cfg_schedule[-1][0]:
             gen.med_cfg_schedule.append((from_med, new_cfg))
-            self.cfg = new_cfg
 
-    def detect_and_receive(self, ledger: Ledger) -> list[tuple[str, bytes]]:
-        """Scan new blocks, decode matches, advance counters and cursor.
-
-        Returns messages completed by this call, exactly once each.
-        """
-        delivered = len(self.inbox)
-        tip = ledger.tip_height
-        # Index the unscanned range once; the window fixpoint below then
-        # probes the index instead of re-walking the chain every pass.
-        chain_index = ledger.input_index(self.cursor)
-        while True:
-            matches = [(hit, tx) for hit, digest in self._window_candidates().items()
-                       for tx in chain_index.get(digest, ())]
-            progress = False
-            for (gen_idx, channel, counter), tx in sorted(
-                matches, key=lambda item: (item[0][0], item[0][2])
-            ):
-                gen = self.generations[gen_idx]
-                if counter < gen.next_signal[channel]:
-                    continue  # already processed in an earlier pass
-                progress = True
+    def _receive_stream(self, gen_idx: int, channel: Channel,
+                        chain_index: dict[bytes, list]) -> None:
+        """Process the window's hits in counter order until it holds none."""
+        gen = self.generations[gen_idx]
+        while hits := [(counter, chain_index[digest][0])
+                       for counter, digest in self._window(gen_idx, channel).items()
+                       if digest in chain_index]:
+            for counter, tx in hits:
                 try:
-                    if channel == "MED":
+                    if channel is Channel.MED:
                         bits = medium.extract(tx, gen.km, gen.cfg_at(counter), counter)
                         gen.med_bits.extend(bits)
                         self._complete_med(gen)
@@ -430,11 +408,28 @@ class SessionState:
                             self._handle_high_completion(gen_idx, version, plaintext)
                 except (TagCorruption, AuthError, PermutationMismatch) as exc:
                     self.quarantine.append((tx.txid.hex(), str(exc)))
-                    if channel == "MED":
+                    if channel is Channel.MED:
                         gen.med_bits = []  # poisoned mid-message assembly
-                gen.next_signal[channel] = counter + 1
-            if not progress:
-                break
+                gen.next_signal[channel.name] = counter + 1
+
+    def detect_and_receive(self, ledger: Ledger) -> list[tuple[str, bytes]]:
+        """Scan new blocks, decode matches, advance counters and cursor.
+
+        Returns messages completed by this call, exactly once each, in walk
+        order: per generation, its HIGH messages, then its MED messages.
+        """
+        delivered = len(self.inbox)
+        tip = ledger.tip_height
+        chain_index = ledger.input_index(self.cursor)
+        # a rotation read in a generation's HIGH stream appends the next one,
+        # which this loop then reaches
+        for gen_idx, _ in enumerate(self.generations):
+            self._receive_stream(gen_idx, Channel.HIGH, chain_index)
+            self._receive_stream(gen_idx, Channel.MED, chain_index)
+        # no MED transaction rides a retired key after its rotation frame,
+        # so an unfinished message there never completes
+        for gen in self.generations[:-1]:
+            gen.med_bits = []
         self.cursor = tip + 1
         return self.inbox[delivered:]
 

@@ -180,6 +180,34 @@ def test_config_replay_is_noop(km, ordered_cfg):
     assert receiver.cfg == cfg3 and not receiver.quarantine
 
 
+@pytest.mark.parametrize("block_per_step", [False, True], ids=["one_block", "block_per_step"])
+def test_switch_is_read_before_the_med_transactions_it_governs(km, ordered_cfg,
+                                                                block_per_step):
+    # The config frame rides HIGH counter 5 and governs MED from counter 1;
+    # HIGH and MED counters are separate streams, so a receiver must read the
+    # switch first, whatever the two counters say. One receiver scans after
+    # every block, the other once at the end.
+    cfg2 = ChannelConfig(n=4, m=5, mode=Mode.ORDERED)
+    sender, live, ledger = pair(km, ordered_cfg)
+    lagging = SessionState(km.public_only(), ordered_cfg, seed=98)
+    sent, got = [], []
+    for step in ["HIGH"] * 4 + ["switch"] + ["MED"] * 2:
+        if step == "switch":
+            sender.switch_config(ledger, cfg2)
+        else:
+            sent.append((step, b"%s %d" % (step.encode(), len(sent))))
+            sender.send_message(ledger, sent[-1][1], Channel[step])
+        if block_per_step or len(sent) == 6:
+            ledger.mine_block()
+            got += live.detect_and_receive(ledger)
+    assert got == sent
+    assert lagging.detect_and_receive(ledger) == sent
+    assert not live.quarantine and not lagging.quarantine
+    assert lagging.current.med_cfg_schedule == live.current.med_cfg_schedule
+    assert lagging.current.next_signal == live.current.next_signal
+    assert lagging.cfg == live.cfg == cfg2
+
+
 def test_control_frames_survive_msg_id_wrap(km, ordered_cfg):
     sender, receiver, ledger = pair(km, ordered_cfg)
     sender.switch_config(ledger, ChannelConfig(n=4, m=5, mode=Mode.ORDERED))  # msg_id 0
@@ -299,6 +327,8 @@ def test_rotation_drops_a_half_sent_med_message():
     ledger.mine_block()
     assert receiver.detect_and_receive(ledger) == [("MED", b"second")]
     assert not receiver.quarantine
+    # the retired key's unfinished message can never complete
+    assert receiver.generations[0].med_bits == []
 
 
 def test_med_sends_never_reuse_a_grind_counter(km, monkeypatch):
@@ -565,6 +595,16 @@ def test_receive_derives_only_new_window_counters(km, monkeypatch):
     assert receiver.detect_and_receive(ledger) == [("MED", b"hi")]
     # the MED window moved past counter 1, so only counter 1 + 16 is new
     assert [args[2] for args in calls] == [1 + SCAN_WINDOW]
+    sender.switch_config(ledger, ChannelConfig(n=3, m=8))  # HIGH counter 1, from MED 2
+    ledger.mine_block(seed=6)
+    calls.clear()
+    assert receiver.detect_and_receive(ledger) == []
+    # the HIGH window keeps its digests and derives one new counter; the MED
+    # window restarts under the grown schedule
+    assert [args[1:3] for args in calls] == (
+        [(Channel.HIGH.value, 1 + SCAN_WINDOW)]
+        + [(Channel.MED.value, c) for c in range(2, 2 + SCAN_WINDOW)]
+    )
 
 
 def test_switch_config_with_scan_after_every_block(km):
@@ -596,22 +636,34 @@ def test_switch_config_with_scan_after_every_block(km):
 
 
 def test_randomized_interleavings(km, ordered_cfg):
+    # MED and HIGH sends, config switches and key rotations, mined and
+    # scanned at random; a lagging receiver scans once at the end
     rng = random.Random(1234)
+    configs = [ChannelConfig(n=4, m=5, mode=Mode.ORDERED),
+               ChannelConfig(n=3, m=4, mode=Mode.PERMUTED)]
     for trial in range(3):
         sender, receiver, ledger = pair(km, ordered_cfg,
                                         tx_seed=100 + trial, rx_seed=200 + trial)
-        messages = [rng.randbytes(rng.randint(1, 80)) for _ in range(4)]
-        got = []
-        for i, msg in enumerate(messages):
-            chan = Channel.MED if i % 2 == 0 else Channel.HIGH
-            sender.send_message(ledger, msg, chan)
+        lagging = SessionState(km.public_only(), ordered_cfg, seed=300 + trial)
+        sent, got = [], []
+        for i in range(10):
+            step = rng.choice(["MED", "HIGH", "MED", "HIGH", "switch", "rotate"])
+            if step == "switch":
+                sender.switch_config(ledger, rng.choice(configs))
+            elif step == "rotate":
+                sender.rotate_keys(ledger)
+            else:
+                sent.append((step, b"%d " % i + rng.randbytes(rng.randint(1, 80))))
+                sender.send_message(ledger, sent[-1][1], Channel[step])
             if rng.random() < 0.7:
                 ledger.mine_block(NoiseProfile(rate=2.0), seed=rng.randrange(2**30))
             if rng.random() < 0.5:
                 got.extend(receiver.detect_and_receive(ledger))
         ledger.mine_block(NoiseProfile(rate=2.0), seed=rng.randrange(2**30))
         got.extend(receiver.detect_and_receive(ledger))
-        assert sorted(data for _, data in got) == sorted(messages)
+        assert sorted(got) == sorted(sent)  # each exactly once
+        assert sorted(lagging.detect_and_receive(ledger)) == sorted(sent)
+        assert not receiver.quarantine and not lagging.quarantine
         # repeated scans return nothing new
         assert receiver.detect_and_receive(ledger) == []
 
