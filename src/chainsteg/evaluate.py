@@ -14,7 +14,7 @@ from . import backend, stats
 from .errors import InsufficientSample, ValidationError
 from .hdw import KeyMaterial
 from .ledger import Ledger
-from .medium import ChannelConfig, Chunk, Mode, effective_capacity, grind
+from .medium import ChannelConfig, Chunk, capacity, grind
 from .session import SessionState
 
 # significance level of every test in the steganalysis suite
@@ -95,20 +95,14 @@ def bench_text(reports: list[dict]) -> str:
 
 
 def capacity_table(n_range, m_range) -> str:
-    """CSV capacity grid: the real-valued formula column plus the two
-    implementable per-mode capacities."""
+    """CSV capacity grid: the paper's formula, then the bits per transaction
+    of each mode, PERMUTED as a mean over uniform chunk values (see
+    medium.capacity)."""
     lines = ["n,m,paper_bits,ordered_bits,permuted_bits"]
     for n in n_range:
         for m in m_range:
-            paper = n * m + math.log2(math.factorial(n))
-            ordered = n * m
-            t = (n - 1).bit_length()
-            if n >= 2 and m > t:
-                cap = effective_capacity(ChannelConfig(n=n, m=m))
-                permuted = str(cap.permuted)
-            else:
-                permuted = ""
-            lines.append(f"{n},{m},{paper:.4f},{ordered},{permuted}")
+            cap = capacity(n, m)
+            lines.append(f"{n},{m},{cap.paper:.4f},{cap.ordered},{cap.permuted:.4f}")
     return "\n".join(lines)
 
 
@@ -122,21 +116,19 @@ class StatSuiteReport:
     med_ab_monobit_p: float | None
     high_ab_chi_p: float | None
     high_ab_monobit_p: float | None
-    tag_hits: int
-    tag_trials: int
-    tag_null_rate: float
-    # None without trials, and at a null rate of 1 (n a power of two), where
-    # every tag set is {0..n-1} and the test cannot flag anything
-    tag_excess_p: float | None
+    chunk_values: int
+    chunk_bins: int
+    # None with fewer than 10 chunk values (two bins of 5)
+    chunk_uniform_p: float | None
 
-    def tag_flagged(self) -> bool:
-        return self.tag_excess_p is not None and self.tag_excess_p < ALPHA
+    def chunk_flagged(self) -> bool:
+        return self.chunk_uniform_p is not None and self.chunk_uniform_p < ALPHA
 
     def passed(self) -> bool:
         values = [getattr(self, name) for name in _AB_FIELDS]
         if all(v is None for v in values):
             raise InsufficientSample("no A/B comparison possible")
-        return all(v is None or v >= ALPHA for v in values) and not self.tag_flagged()
+        return all(v is None or v >= ALPHA for v in values) and not self.chunk_flagged()
 
     def to_text(self) -> str:
         def fmt(v):
@@ -145,9 +137,8 @@ class StatSuiteReport:
         lines = ["indistinguishability suite (A/B stego vs decoy)"]
         lines += [f"{name}={fmt(getattr(self, name))}" for name in _AB_FIELDS]
         lines.append(
-            f"tag_permutation_test hits={self.tag_hits}/{self.tag_trials} "
-            f"null_rate={self.tag_null_rate:.5f} excess_p={fmt(self.tag_excess_p)} "
-            f"flagged={self.tag_flagged()}"
+            f"chunk_uniform_test values={self.chunk_values} bins={self.chunk_bins} "
+            f"p={fmt(self.chunk_uniform_p)} flagged={self.chunk_flagged()}"
         )
         lines.append(f"verdict={'pass' if self.passed() else 'FAIL'} at alpha={ALPHA}")
         return "\n".join(lines)
@@ -164,7 +155,8 @@ def _ab_p(fields: bytes, decoys: bytes) -> tuple[float | None, float | None]:
 def stat_suite(ledger: Ledger, state: SessionState, min_sample: int = 100) -> StatSuiteReport:
     """A/B statistics of the digests and fields of the session's stego
     transactions (its embed log) against the other non-coinbase
-    transactions on the chain, the decoys."""
+    transactions on the chain, the decoys, and a keyless chi-square of the
+    MED transactions' selected chunk values against uniform."""
     cfg = state.cfg
     channels = {bytes.fromhex(e["txid"]): e["channel"] for e in state.embed_log}
     med_txs, high_txs, decoys = [], [], []
@@ -181,23 +173,17 @@ def stat_suite(ledger: Ledger, state: SessionState, min_sample: int = 100) -> St
     decoy_blob = b"".join(o.field for tx in decoys for o in tx.outputs)
     med_p = _ab_p(b"".join(o.field for tx in med_txs for o in tx.outputs[: cfg.n]), decoy_blob)
     high_p = _ab_p(b"".join(o.field for tx in high_txs for o in tx.outputs[:-1]), decoy_blob)
-    # the top tag bits of the selected chunk of each slot; no key required
-    t = cfg.tag_bits
-    tag_sets = [
-        {backend.select_bits(o.field, cfg.selector) >> (cfg.m - t) for o in tx.outputs[: cfg.n]}
-        for tx in med_txs
-        if cfg.mode is Mode.PERMUTED and len(tx.outputs) >= cfg.n
-    ]
-    tag_hits = tag_sets.count(set(range(cfg.n)))
-    null_rate = 1.0 / math.comb(2**t, cfg.n)
+    # what an observer without the key reads: the selected chunk values,
+    # binned by their top b bits so that each of the 2^b bins expects >= 5
+    values = [backend.select_bits(o.field, cfg.selector)
+              for tx in med_txs for o in tx.outputs[: cfg.n]]
+    b = min(cfg.m, (len(values) // 5).bit_length() - 1)
     return StatSuiteReport(
         *med_p,
         *high_p,
-        tag_hits=tag_hits,
-        tag_trials=len(tag_sets),
-        tag_null_rate=null_rate,
-        tag_excess_p=(
-            stats.binomial_excess_p(tag_hits, len(tag_sets), null_rate)
-            if tag_sets and null_rate < 1 else None
+        chunk_values=len(values),
+        chunk_bins=2**b if b > 0 else 0,
+        chunk_uniform_p=(
+            stats.uniform_chi_p([v >> (cfg.m - b) for v in values], 2**b) if b > 0 else None
         ),
     )

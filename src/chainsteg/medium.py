@@ -14,23 +14,29 @@ value that c chunks share waits for its c-th hit, so when k nears 2^m a
 scan costs more (~1.4x at k = 20, m = 4). A message grinds its T
 transactions in groups of g = floor(MAX_TARGETS / n), one scan for the
 g * n chunks of a group, so it costs ceil(T/g) scans of ~2^m * H_{g*n}
-attempts (the last group may be smaller): 64 * H_15 ~ 212 for a
-3-transaction message at n = 5, m = 6, where one scan per transaction
-costs 3 * 64 * H_5 ~ 438. At n > 10 a group is one transaction. An attempt is one counter consumed. The
-compiled backend derives counters in batches of 256 and hands the part of
-a batch past the last hit to the next group's scan, which starts just past
-it, so over many messages it derives about as many counters as the scans
-consume, and at most one batch more.
+attempts (the last group may be smaller): 64 * H_10 ~ 188 for a
+2-transaction message at n = 5, m = 6, where one scan per transaction
+costs 2 * 64 * H_5 ~ 292. At n > 10 a group is one transaction. An
+attempt is one counter consumed. The compiled backend derives counters in
+batches of 256 and hands the part of a batch past the last hit to the next
+group's scan, which starts just past it, so over many messages it derives
+about as many counters as the scans consume, and at most one batch more.
 
-PERMUTED mode spends t = ceil(log2 n) bits per chunk on a masked slot tag so
-the receiver can restore payload order after the permutation is applied.
-Tags are masked with a keyed per-slot stream. A counter whose n masked tags
-collide is unusable, and both sides skip it: usability is computable from
-the shared key alone, so the skip set never desyncs. A counter is usable
-with probability p = (2^t)! / ((2^t - n)! * 2^(t*n)): 0.205 at n = 5,
-0.0024 at n = 8, 1.1e-6 at n = 16. A send walks ~1/p counters to the next
-usable one, and a receiver's first scan ~16/p (SCAN_WINDOW usable
-counters), each at n SHA-256 calls.
+Every mode XORs each transaction's payload bits with a keystream, the
+first bits of SHA-256(k || "medstream" || 8-byte MED signal counter ||
+4-byte block index) over blocks 0, 1, ..., so the chunk values on the
+chain are uniform and carry no message bit in the clear (Cachin, IH 1998;
+Hopper, Langford and von Ahn, CRYPTO 2002). No two MED transactions of a
+key share a signal counter, so no two share a keystream.
+
+PERMUTED mode is ORDERED plus the order of tied outputs. The n chunks are
+the first n * m whitened payload bits, in output order, as in ORDERED. The
+outputs that share a chunk value v (c_v > 1 of them) may stand in any order
+over the positions that hold v: measured against sorted-digest order, per
+value in ascending order, their orders give a mixed-radix rank that
+carries floor(log2 prod c_v!) more payload bits. Sender and receiver both
+read that count off the chunk values, so the bits a transaction carries
+vary, and every signal counter is usable.
 """
 
 from __future__ import annotations
@@ -58,16 +64,12 @@ from .hdw import (
     derive_address,
 )
 from .ledger import DUST, StegoTemplate, StegoTransaction, TxOutput
-from .permcode import CanonicalSet, PermRank, perm_capacity_bits, rank, unrank
+from .permcode import CanonicalSet, PermRank, rank, unrank
 
 
 class Mode(Enum):
     ORDERED = "ordered"
     PERMUTED = "permuted"
-
-
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,6 @@ class ChannelConfig:
             raise ValidationError("n must be in [2, 20]")
         if not 0 <= self.m <= 24:
             raise ValidationError("m must be in [0, 24]")
-        if self.mode is Mode.PERMUTED and self.m <= self.tag_bits:
-            raise ValidationError(
-                f"PERMUTED needs m > ceil(log2 n) = {self.tag_bits}"
-            )
         if self.bit_selector is not None:
             sel = self.bit_selector
             if len(sel) != self.m or len(set(sel)) != self.m:
@@ -112,10 +110,6 @@ class ChannelConfig:
         if self.bit_selector is not None:
             return self.bit_selector
         return tuple(range(self.m - 1, -1, -1))  # m least-significant bits
-
-    @property
-    def tag_bits(self) -> int:
-        return _ceil_log2(self.n)
 
     @property
     def attempts_cap(self) -> int:
@@ -172,26 +166,55 @@ class CapacityReport:
     m: int
     paper: float  # n*m + log2(n!), fractional bits included
     ordered: int
-    permuted: int | None
+    permuted: float  # n*m + E[floor(log2 prod c_v!)] over uniform chunk values
 
 
-def effective_capacity(cfg: ChannelConfig) -> CapacityReport:
-    t = cfg.tag_bits
-    permuted = None
-    if cfg.m > t and cfg.n >= 2:
-        permuted = cfg.n * (cfg.m - t) + perm_capacity_bits(cfg.n)
+def _partitions(n: int, largest: int):
+    """The integer partitions of n into parts of at most `largest`, each a
+    non-increasing tuple."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def expected_rank_bits(n: int, m: int) -> float:
+    """E[floor(log2 prod c_v!)] for n uniform m-bit chunk values, where c_v
+    counts the chunks of value v: the mean tie-rank bits of a PERMUTED
+    transaction. Exact: a sum over the partitions of n into the counts of
+    the distinct values, each weighted by the share of the 2^(m*n) chunk
+    sequences that have those counts."""
+    total = 0
+    for counts in _partitions(n, n):
+        orders = math.prod(map(math.factorial, counts))  # tie arrangements
+        # value choices times chunk orders, over the orders among equal counts
+        sequences = math.perm(2**m, len(counts)) * math.factorial(n) // (
+            orders * math.prod(math.factorial(counts.count(c)) for c in set(counts))
+        )
+        total += sequences * (orders.bit_length() - 1)
+    return total / 2 ** (m * n)
+
+
+def capacity(n: int, m: int) -> CapacityReport:
+    """Bits per transaction of n outputs carrying m bits each.
+
+    The paper's n*m + log2(n!) counts the order twice: the receiver sees n
+    distinct addresses whose chunk values the sender chose, and distinct
+    values already fix their order. Only the order among outputs of equal
+    value is free, so PERMUTED carries n*m + E[floor(log2 prod c_v!)]: m = 0
+    gives the paper's pure order channel, floor(log2 n!)."""
     return CapacityReport(
-        n=cfg.n,
-        m=cfg.m,
-        paper=cfg.n * cfg.m + math.log2(math.factorial(cfg.n)),
-        ordered=cfg.n * cfg.m,
-        permuted=permuted,
+        n=n,
+        m=m,
+        paper=n * m + math.log2(math.factorial(n)),
+        ordered=n * m,
+        permuted=n * m + expected_rank_bits(n, m),
     )
 
 
-def payload_bits_per_tx(cfg: ChannelConfig) -> int:
-    cap = effective_capacity(cfg)
-    return cap.ordered if cfg.mode is Mode.ORDERED else cap.permuted
+def effective_capacity(cfg: ChannelConfig) -> CapacityReport:
+    return capacity(cfg.n, cfg.m)
 
 
 def grind(
@@ -247,41 +270,67 @@ def _grind_chunks(
 
 
 # ---------------------------------------------------------------------------
-# Slot-tag masking (PERMUTED mode)
-#
-# mask(slot) = first t bits of SHA-256(k || "tagmask" || counter || slot),
-# independent per slot, so tags can collide (slot recovery would then be
-# ambiguous). A wrong key yields an unrelated tag set, so a matched
-# transaction fails to unmask with probability 1 - n!/2^(t*n).
+# Payload layout
 
-def masked_slot_tags(k: bytes, counter: int, n: int, t: int) -> list[int]:
-    """Masked tag per slot (may collide; see usable_tags)."""
-    tags = []
-    for slot in range(n):
-        msg = k + b"tagmask" + counter.to_bytes(8, "big") + bytes([slot])
-        mask = int.from_bytes(hashlib.sha256(msg).digest()[:4], "big") >> (32 - t)
-        tags.append(slot ^ mask)
-    return tags
+_STREAM_TAG = b"medstream"
 
 
-def usable_tags(k: bytes, counter: int, cfg: "ChannelConfig") -> list[int] | None:
-    """The counter's masked slot tags when the counter is usable, None when
-    they collide. PERMUTED transactions only ride counters whose masked
-    tags are distinct; ORDERED mode uses every counter and has no tags ([])."""
-    if cfg.mode is not Mode.PERMUTED:
+def _keystream(k: bytes, counter: int, nbits: int) -> int:
+    """The first nbits of SHA-256(k || "medstream" || counter || block) over
+    blocks 0, 1, ..., as an integer: the mask of the MED transaction at
+    signal counter `counter`. A longer stream extends a shorter one."""
+    head = k + _STREAM_TAG + counter.to_bytes(8, "big")
+    blocks = -(-nbits // 256)
+    stream = b"".join(
+        hashlib.sha256(head + block.to_bytes(4, "big")).digest() for block in range(blocks)
+    )
+    return int.from_bytes(stream, "big") >> (256 * blocks - nbits)
+
+
+def _chunk_values(word: int, width: int, cfg: ChannelConfig) -> list[int]:
+    """The n m-bit chunk values at the top of a width-bit word, in output
+    order."""
+    head = word >> (width - cfg.n * cfg.m)
+    return [(head >> (cfg.m * (cfg.n - 1 - i))) & ((1 << cfg.m) - 1) for i in range(cfg.n)]
+
+
+def _tie_groups(values: list[int], cfg: ChannelConfig) -> list[list[int]]:
+    """PERMUTED: the positions of each chunk value that more than one output
+    holds, by ascending value; ORDERED: none."""
+    if cfg.mode is Mode.ORDERED:
         return []
-    tags = masked_slot_tags(k, counter, cfg.n, cfg.tag_bits)
-    return tags if len(set(tags)) == cfg.n else None
+    positions: dict[int, list[int]] = {}
+    for i, value in enumerate(values):
+        positions.setdefault(value, []).append(i)
+    return [positions[v] for v in sorted(positions) if len(positions[v]) > 1]
 
 
-def med_counter_usable(k: bytes, counter: int, cfg: "ChannelConfig") -> bool:
-    return usable_tags(k, counter, cfg) is not None
+def _rank_bits(groups: list[list[int]]) -> int:
+    """floor(log2 prod c_v!): the payload bits the tie arrangements carry."""
+    return math.prod(math.factorial(len(g)) for g in groups).bit_length() - 1
 
 
-def next_usable_counter(k: bytes, counter: int, cfg: "ChannelConfig") -> int:
-    while not med_counter_usable(k, counter, cfg):
+def split_payloads(k: bytes, cfg: ChannelConfig, counter: int, bits: list[int],
+                   rng) -> list[list[int]]:
+    """Cut `bits` into the payloads of the MED transactions at signal counters
+    `counter`, `counter` + 1, ...: n*m bits each, plus in PERMUTED mode the
+    tie-rank bits its whitened chunk values allow. The last payload is
+    padded with random bits from `rng`."""
+    nm = cfg.n * cfg.m
+    payloads, pos = [], 0
+    while pos < len(bits):
+        payload = bits[pos : pos + nm]
+        payload += [rng.getrandbits(1) for _ in range(nm - len(payload))]
+        word = bits_to_int(payload) ^ _keystream(k, counter, nm)
+        extra = _rank_bits(_tie_groups(_chunk_values(word, nm, cfg), cfg))
+        if not nm + extra:
+            raise ValidationError("configured capacity too small")
+        rest = bits[pos + nm : pos + nm + extra]
+        payload += rest + [rng.getrandbits(1) for _ in range(extra - len(rest))]
+        payloads.append(payload)
+        pos += len(payload)
         counter += 1
-    return counter
+    return payloads
 
 
 # ---------------------------------------------------------------------------
@@ -293,64 +342,43 @@ def group_size(cfg: ChannelConfig) -> int:
     return backend.MAX_TARGETS // cfg.n
 
 
-def _chunks(payload: list[int], tags: list[int], cfg: ChannelConfig) -> list[Chunk]:
-    """The n chunks of one transaction's payload: m payload bits each in
-    ORDERED mode; in PERMUTED mode a slot's masked tag above m - t bits,
-    the rest of the payload going to the permutation rank."""
-    if cfg.mode is Mode.ORDERED:
-        return [
-            Chunk(bits=bits_to_int(payload[i * cfg.m : (i + 1) * cfg.m]), slot=i)
-            for i in range(cfg.n)
-        ]
-    data_bits = cfg.m - cfg.tag_bits
-    return [
-        Chunk(bits=(tags[slot] << data_bits)
-              | bits_to_int(payload[slot * data_bits : (slot + 1) * data_bits]), slot=slot)
-        for slot in range(cfg.n)
-    ]
-
-
 def embed(gen, payloads: list[list[int]], cfg: ChannelConfig, rng) -> list[StegoTemplate]:
-    """Build one group of transactions, one per payload of
-    payload_bits_per_tx(cfg) bits, at most group_size(cfg) of them.
+    """Build one group of transactions, one per payload, at most
+    group_size(cfg) of them, riding consecutive MED signal counters from
+    the generation's next one. Each payload must be as split_payloads cuts
+    it for its counter.
 
-    The first rides the generation's next MED counter, which must be
-    usable; each next one rides the next usable counter after it, with the
-    slot tags its usability test computed. One scan from the generation's
-    next grind counter grinds the chunks of every transaction, ~2^m * H_k
-    attempts for k chunks (H_k = 1 + 1/2 + ... + 1/k). The first two
-    non-hit counters of the scan per transaction, for its change and its
-    funding change, are kept in `gen.grind_spares`, which
-    fresh_wallet_address takes first, and next_grind moves past the last
-    hit. Reads (without advancing) the MED
-    signal counter. Output amounts come from `rng`.
+    One scan from the generation's next grind counter grinds the chunks of
+    every transaction, ~2^m * H_k attempts for k chunks (H_k = 1 + 1/2 +
+    ... + 1/k). The first two non-hit counters of the scan per transaction,
+    for its change and its funding change, are kept in `gen.grind_spares`,
+    which fresh_wallet_address takes first, and next_grind moves past the
+    last hit. Reads (without advancing) the MED signal counter. Output
+    amounts come from `rng`.
     """
-    expected = payload_bits_per_tx(cfg)
     if not 1 <= len(payloads) <= group_size(cfg):
         raise ValidationError(
             f"a group holds 1 to {group_size(cfg)} payloads, got {len(payloads)}"
         )
-    for payload in payloads:
-        if len(payload) != expected:
-            raise ValidationError(
-                f"payload must be exactly {expected} bits, got {len(payload)}"
-            )
+    km = gen.km
+    nm = cfg.n * cfg.m
+    layouts, chunks = [], []
+    for counter, payload in enumerate(payloads, gen.next_signal["MED"]):
         if any(b not in (0, 1) for b in payload):
             raise ValidationError("payload must be a bit list")
-    km = gen.km
-    counters, chunks = [], []
-    counter = gen.next_signal["MED"]
-    for payload in payloads:
-        while (tags := usable_tags(km.k, counter, cfg)) is None:
-            if not counters:
-                raise ValidationError(
-                    f"MED counter {counter} is unusable in PERMUTED mode "
-                    "(colliding slot tags); skip to the next counter"
-                )
-            counter += 1
-        counters.append(counter)
-        chunks += _chunks(payload, tags, cfg)
-        counter += 1
+        if len(payload) < nm:
+            raise ValidationError(f"payload must hold at least {nm} bits, got {len(payload)}")
+        word = bits_to_int(payload) ^ _keystream(km.k, counter, len(payload))
+        values = _chunk_values(word, len(payload), cfg)
+        groups = _tie_groups(values, cfg)
+        size = nm + _rank_bits(groups)
+        if len(payload) != size:
+            raise ValidationError(
+                f"payload at MED counter {counter} must be exactly {size} bits, "
+                f"got {len(payload)}"
+            )
+        layouts.append((counter, groups, word & ((1 << (size - nm)) - 1)))
+        chunks += [Chunk(bits=value, slot=i) for i, value in enumerate(values)]
 
     start = gen.next_grind
     records = _grind_chunks(km, chunks, cfg, start)
@@ -360,13 +388,14 @@ def embed(gen, payloads: list[list[int]], cfg: ChannelConfig, rng) -> list[Stego
     gen.next_grind = last + 1
 
     templates = []
-    for i, (counter, payload) in enumerate(zip(counters, payloads)):
+    for i, (counter, groups, tie_rank) in enumerate(layouts):
         tx_records = records[i * cfg.n : (i + 1) * cfg.n]
-        if cfg.mode is Mode.PERMUTED:
-            v = bits_to_int(payload[cfg.n * (cfg.m - cfg.tag_bits) :])
-            canon = CanonicalSet.from_addresses([r.address for r in tx_records])
-            by_digest = {r.address.digest: r for r in tx_records}
-            tx_records = [by_digest[a.digest] for a in unrank(PermRank.of(v, cfg.n), canon)]
+        for positions in groups:
+            tie_rank, digit = divmod(tie_rank, math.factorial(len(positions)))
+            by_digest = {tx_records[p].address.digest: tx_records[p] for p in positions}
+            canon = CanonicalSet.from_addresses([tx_records[p].address for p in positions])
+            for p, address in zip(positions, unrank(PermRank.of(digit, len(positions)), canon)):
+                tx_records[p] = by_digest[address.digest]
         stego_outputs = tuple(
             TxOutput(rec.address.digest, rng.randint(DUST, 1_000_000))
             for rec in tx_records
@@ -397,39 +426,20 @@ def extract(
         raise TagCorruption(
             f"expected {cfg.n} stego outputs plus change, got {len(tx.outputs)}"
         )
-    stego = tx.outputs[: cfg.n]
-    digests = [o.field for o in stego]
+    digests = [o.field for o in tx.outputs[: cfg.n]]
     if len(set(digests)) != len(digests):
         raise PermutationMismatch("duplicate output digests")
-    sel = cfg.selector
-    chunks = [backend.select_bits(d, sel) for d in digests]
-
-    if cfg.mode is Mode.ORDERED:
-        bits: list[int] = []
-        for c in chunks:
-            bits.extend(int_to_bits(c, cfg.m))
-        return bits
-
-    t = cfg.tag_bits
-    data_bits = cfg.m - t
-    expected_tags = usable_tags(km.k, counter, cfg)
-    if expected_tags is None:
-        raise TagCorruption(
-            "matched counter is unusable under this key (colliding tags)"
-        )
-    tag_to_slot = {tag: slot for slot, tag in enumerate(expected_tags)}
-    slot_payloads: dict[int, int] = {}
-    for c in chunks:
-        tag = c >> data_bits
-        slot = tag_to_slot.get(tag)
-        if slot is None or slot in slot_payloads:
-            raise TagCorruption("slot tags do not unmask to a permutation")
-        slot_payloads[slot] = c & ((1 << data_bits) - 1)
-    addresses = [Address(d) for d in digests]
-    canon = CanonicalSet.from_addresses(addresses)
-    v = rank(addresses, canon)
-    bits = []
-    for slot in range(cfg.n):
-        bits.extend(int_to_bits(slot_payloads[slot], data_bits))
-    bits.extend(int_to_bits(v.value, perm_capacity_bits(cfg.n)))
-    return bits
+    values = [backend.select_bits(d, cfg.selector) for d in digests]
+    word = 0
+    for value in values:
+        word = (word << cfg.m) | value
+    tie_rank, radix = 0, 1
+    for positions in _tie_groups(values, cfg):
+        observed = [Address(digests[p]) for p in positions]
+        tie_rank += rank(observed, CanonicalSet.from_addresses(observed)).value * radix
+        radix *= math.factorial(len(positions))
+    extra = radix.bit_length() - 1
+    if tie_rank >> extra:
+        raise PermutationMismatch(f"tie rank {tie_rank} does not fit in {extra} bits")
+    size = cfg.n * cfg.m + extra
+    return int_to_bits(((word << extra) | tie_rank) ^ _keystream(km.k, counter, size), size)

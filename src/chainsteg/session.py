@@ -3,7 +3,7 @@ detection scanning, key rotation, and parameter switching.
 
 Counters are per-domain and advance on accepted submission (sender) or on
 processed receipt (receiver). Detection derives candidate signal addresses
-for a window of SCAN_WINDOW usable counters per key stream, so a lost or
+for a window of SCAN_WINDOW counters per key stream, so a lost or
 quarantined transaction cannot deadlock the receiver.
 
 The receiver walks each generation in turn (a rotation read appends the
@@ -118,9 +118,8 @@ class SessionState:
         self.wallet: list[WalletUtxo] = []
         self.embed_log: list[dict] = []
         # receive side, rebuilt after a load: per (generation, channel) the
-        # scan window (MED schedule length it was walked under, next counter
-        # to test, digest per window counter in counter order)
-        self._windows: dict[tuple[int, Channel], tuple[int, int, dict[int, bytes]]] = {}
+        # digest of each scan window counter, in counter order
+        self._windows: dict[tuple[int, Channel], dict[int, bytes]] = {}
 
     @property
     def cfg(self) -> medium.ChannelConfig:
@@ -240,26 +239,24 @@ class SessionState:
         """Send the message in groups of medium.group_size transactions.
         A message that a failed send left part-way goes first: its unsent
         bits, padded to whole transactions under the current config."""
-        cap = medium.payload_bits_per_tx(self.cfg)
-        if not cap or cap < 1:
-            raise ValidationError("configured capacity too small")
         if len(message) >= 2**16:
             raise ValidationError("medium message exceeds 16-bit length prefix")
         gen = self.current
-        # per transaction: its payload, and its message's bits still unsent after it
+        # per transaction, at consecutive MED counters: its payload, and its
+        # message's bits still unsent after it
         txs = []
+        counter = gen.next_signal["MED"]
         for bits in (gen.med_unsent, int_to_bits(len(message), 16) + bytes_to_bits(message)):
-            n_txs = -(-len(bits) // cap)
-            padded = bits + [self.rng.getrandbits(1) for _ in range(n_txs * cap - len(bits))]
-            txs += [(padded[i * cap : (i + 1) * cap], bits[(i + 1) * cap :])
-                    for i in range(n_txs)]
+            payloads = medium.split_payloads(gen.km.k, self.cfg, counter, bits, self.rng)
+            counter += len(payloads)
+            cut = 0
+            for payload in payloads:
+                cut += len(payload)
+                txs.append((payload, bits[cut:]))
         group = medium.group_size(self.cfg)
         txids = []
         try:
             for i in range(0, len(txs), group):
-                gen.next_signal["MED"] = medium.next_usable_counter(
-                    gen.km.k, gen.next_signal["MED"], self.cfg
-                )
                 payloads = [payload for payload, _ in txs[i : i + group]]
                 templates = medium.embed(gen, payloads, self.cfg, self.rng)
                 for template, (_, unsent) in zip(templates, txs[i : i + group]):
@@ -327,25 +324,15 @@ class SessionState:
 
     def _window(self, gen_idx: int, channel: Channel) -> dict[int, bytes]:
         """Digest per counter, derived once, of the stream's next SCAN_WINDOW
-        counters that the sender could use: unusable PERMUTED counters are
-        skipped without bound, like medium.next_usable_counter. A MED window
-        restarts from next_signal once a switch has grown the schedule."""
+        counters."""
         gen = self.generations[gen_idx]
-        start, n_cfgs = gen.next_signal[channel.name], len(gen.med_cfg_schedule)
-        walked, counter, digests = self._windows.get((gen_idx, channel), (0, start, {}))
-        if channel is Channel.MED and walked != n_cfgs:
-            counter, digests = start, {}
-        digests = {c: d for c, d in digests.items() if c >= start}
-        counter = max(counter, start)
-        while len(digests) < SCAN_WINDOW:
-            if channel is Channel.HIGH or medium.med_counter_usable(
-                gen.km.k, counter, gen.cfg_at(counter)
-            ):
-                digests[counter] = backend.get().derive_digest(
-                    gen.km.k, channel.value, counter, gen.km.gy
-                )
-            counter += 1
-        self._windows[gen_idx, channel] = (n_cfgs, counter, digests)
+        start = gen.next_signal[channel.name]
+        held = self._windows.get((gen_idx, channel), {})
+        digests = {
+            c: held.get(c) or backend.get().derive_digest(gen.km.k, channel.value, c, gen.km.gy)
+            for c in range(start, start + SCAN_WINDOW)
+        }
+        self._windows[gen_idx, channel] = digests
         return digests
 
     def _complete_med(self, gen: Generation) -> None:

@@ -2,9 +2,8 @@
 
 Two-sample tests compare a stego blob with a decoy blob: chi-square
 homogeneity of their byte frequencies, and a two-proportion z-test on
-their ones rates. A binomial tail scores how often the observed slot
-tags of PERMUTED transactions form the set {0, ..., n-1}. Standard
-library only.
+their ones rates. A one-sample chi-square scores values against the
+uniform law. Standard library only.
 """
 
 from __future__ import annotations
@@ -63,6 +62,17 @@ def two_sample_monobit_p(a: bytes, b: bytes) -> float:
         return 0.0
     z = abs(ones_a / na - ones_b / nb) / denom
     return math.erfc(z / math.sqrt(2))
+
+
+def uniform_chi_p(values: list[int], bins: int) -> float:
+    """Chi-square goodness of fit of values in [0, bins) to the uniform law,
+    bins - 1 dof; small means 'not uniform'."""
+    if not values or bins < 2:
+        raise InsufficientSample("need values over at least two bins")
+    counts = Counter(values)
+    expected = len(values) / bins
+    stat = math.fsum((counts[v] - expected) ** 2 for v in range(bins)) / expected
+    return _chi2_sf(stat, bins - 1)
 
 
 def binomial_excess_p(hits: int, trials: int, p0: float) -> float:

@@ -259,10 +259,11 @@ def test_stream_derives_about_what_sends_consume(monkeypatch):
 
 def _med_across_group_boundaries():
     """Per config, a fresh sender and receiver: a 5-transaction message at
-    n = 5 and a 2-transaction message at n = 11, each mined and received.
+    n = 5 (144 bits, where 4 transactions carry 120 plus their tie-rank
+    bits) and a 2-transaction message at n = 11, each mined and received.
     Returns (transactions sent, messages received, tip) per config."""
     out = []
-    for cfg, message in ((ChannelConfig(n=5, m=6, mode=Mode.PERMUTED), bytes(range(10))),
+    for cfg, message in ((ChannelConfig(n=5, m=6, mode=Mode.PERMUTED), bytes(range(16))),
                          (ChannelConfig(n=11, m=4), b"eleven")):
         km = KeyMaterial.generate(random.Random(1313))
         sender = SessionState(km, cfg, seed=13)
@@ -273,6 +274,30 @@ def _med_across_group_boundaries():
         out.append((len(txids), receiver.detect_and_receive(ledger),
                     ledger.blocks[-1].block_hash.hex()))
     return out
+
+
+@pytest.mark.parametrize("n,m", [(8, 2), (5, 0)])
+@pytest.mark.parametrize("name", backend.available())
+def test_tie_heavy_permuted_sessions_round_trip(name, n, m):
+    """PERMUTED sessions where every transaction has ties (8 chunks over 4
+    values; 5 chunks of one value) deliver every message on each backend,
+    and both backends end on the same tip."""
+    tips = []
+    for be in (name, "pure"):
+        backend.set_backend(be)
+        km = KeyMaterial.generate(random.Random(1717))
+        cfg = ChannelConfig(n=n, m=m, mode=Mode.PERMUTED)
+        sender = SessionState(km, cfg, seed=17)
+        ledger = sender.genesis_ledger()
+        receiver = SessionState(km.public_only(), cfg, seed=18)
+        sent = [("MED", bytes(range(i, 3 * i))) for i in range(4)]
+        for _, message in sent:
+            sender.send_message(ledger, message, Channel.MED)
+            ledger.mine_block(NoiseProfile(rate=2.0), seed=len(message))
+        assert receiver.detect_and_receive(ledger) == sent
+        assert not receiver.quarantine
+        tips.append(ledger.blocks[-1].block_hash)
+    assert tips[0] == tips[1]
 
 
 @pytest.mark.parametrize("name", backend.available())
@@ -293,7 +318,7 @@ def test_med_groups_split_at_max_targets(name, monkeypatch):
     got = _med_across_group_boundaries()
     assert scans == [20, 5, 11, 11]
     assert [(n, received) for n, received, _ in got] == [
-        (5, [("MED", bytes(range(10)))]),
+        (5, [("MED", bytes(range(16)))]),
         (2, [("MED", b"eleven")]),
     ]
     backend.set_backend("pure")

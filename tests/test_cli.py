@@ -10,7 +10,7 @@ from pathlib import Path
 import chainfile
 import pytest
 
-from chainsteg import Channel, ChannelConfig, KeyMaterial, Mode, NoiseProfile, backend
+from chainsteg import Channel, ChannelConfig, KeyMaterial, Mode, NoiseProfile, backend, medium
 from chainsteg.cli import load_config, main
 from chainsteg.evaluate import bench_grind, stat_suite
 from chainsteg.errors import InsufficientSample, ValidationError
@@ -204,7 +204,8 @@ def test_capacity_output(capsys):
     assert code == 0
     line = out.strip().splitlines()[1]
     n, m, paper, ordered, permuted = line.split(",")
-    assert (n, m, ordered, permuted) == ("5", "15", "75", "66")
+    # PERMUTED: 75 chunk bits, plus 0.0003 expected tie-rank bits
+    assert (n, m, ordered, permuted) == ("5", "15", "75", "75.0003")
     assert abs(float(paper) - 81.9) < 0.05
     code, out, _ = run(capsys, "capacity", "--n", "1..3", "--m", "2..4")
     rows = out.strip().splitlines()
@@ -212,6 +213,8 @@ def test_capacity_output(capsys):
     # n=1 shows paper == m exactly (log2 1! = 0)
     row = next(r for r in rows if r.startswith("1,3,"))
     assert float(row.split(",")[2]) == 3.0
+    # n=2, m=2: the two chunks tie with probability 1/4, for one more bit
+    assert "2,2,5.0000,4,4.2500" in rows
 
 
 def test_capacity_deterministic(capsys):
@@ -316,15 +319,17 @@ def test_stat_suite_insufficient():
         stat_suite(ledger, state)
 
 
-def small_permuted_chain(km):
+def small_permuted_chain(km, messages=None):
     """30 blocks of a seeded n=3, m=4 PERMUTED session: a MED send in each
-    block, a HIGH send in every third, and decoys at rate 4."""
+    block (`messages[i]`, or 4 random bytes), a HIGH send in every third,
+    and decoys at rate 4."""
     cfg = ChannelConfig(n=3, m=4, mode=Mode.PERMUTED)
     state = SessionState(km, cfg, seed=55)
     ledger = state.genesis_ledger()
     rng = random.Random(66)
     for i in range(30):
-        state.send_message(ledger, rng.randbytes(4), Channel.MED)
+        message = rng.randbytes(4) if messages is None else messages[i]
+        state.send_message(ledger, message, Channel.MED)
         if i % 3 == 0:
             state.send_message(ledger, rng.randbytes(80), Channel.HIGH)
         ledger.mine_block(NoiseProfile(rate=4.0), seed=i)
@@ -336,25 +341,26 @@ def test_stat_suite_small_chain(km):
     report = stat_suite(ledger, state, min_sample=30)
     assert report.med_ab_chi_p is not None
     assert report.high_ab_chi_p is not None
-    assert report.tag_trials > 0
-    assert not report.tag_flagged()
+    assert report.chunk_values == 3 * 120 and report.chunk_bins == 16
+    assert not report.chunk_flagged()
     assert report.passed()
 
 
-def test_stat_suite_tag_test_is_na_at_null_rate_one(km):
-    """At n = 4 (t = 2 tag bits) the only possible tag set is {0..3}, so the
-    null rate is 1 and the tag test reports n/a in place of a p-value."""
-    cfg = ChannelConfig(n=4, m=4, mode=Mode.PERMUTED)
-    state = SessionState(km, cfg, seed=56)
-    ledger = state.genesis_ledger()
-    rng = random.Random(67)
-    for i in range(10):
-        state.send_message(ledger, rng.randbytes(4), Channel.MED)
-        ledger.mine_block(NoiseProfile(rate=4.0), seed=i)
-    report = stat_suite(ledger, state, min_sample=10)
-    assert report.tag_trials > 0 and report.tag_null_rate == 1.0
-    assert report.tag_excess_p is None and not report.tag_flagged()
-    assert "excess_p=n/a flagged=False" in report.to_text()
+ASCII_MESSAGES = [b"meet at the north gate %02d" % i for i in range(30)]
+
+
+@pytest.mark.parametrize("keystream", [True, False], ids=["whitened", "clear"])
+def test_chunk_uniform_row_flags_clear_ascii(km, monkeypatch, keystream):
+    """The keyless chi-square of the selected chunk values flags ASCII text
+    written in the clear (a zero keystream), and passes the same ASCII
+    messages sent as they are."""
+    if not keystream:
+        monkeypatch.setattr(medium, "_keystream", lambda k, counter, nbits: 0)
+    state, ledger = small_permuted_chain(km, ASCII_MESSAGES)
+    report = stat_suite(ledger, state, min_sample=30)
+    assert report.chunk_bins == 16
+    assert report.chunk_flagged() is not keystream
+    assert report.passed() is keystream
 
 
 def test_evaluation_output_is_pinned(km, tmp_path, capsys):
@@ -368,11 +374,11 @@ def test_evaluation_output_is_pinned(km, tmp_path, capsys):
     assert code == 0
     assert out == (
         "indistinguishability suite (A/B stego vs decoy)\n"
-        "med_ab_chi_p=0.5105\n"
-        "med_ab_monobit_p=0.6665\n"
-        "high_ab_chi_p=0.0431\n"
-        "high_ab_monobit_p=0.5058\n"
-        "tag_permutation_test hits=48/180 null_rate=0.25000 excess_p=0.3293 flagged=False\n"
+        "med_ab_chi_p=0.3253\n"
+        "med_ab_monobit_p=0.1037\n"
+        "high_ab_chi_p=0.0776\n"
+        "high_ab_monobit_p=0.6877\n"
+        "chunk_uniform_test values=360 bins=16 p=0.9126 flagged=False\n"
         "verdict=pass at alpha=0.01\n"
     )
     code, out, _ = run(capsys, "--seed", "3", "bench", "--m", "0,2,4", "--runs", "30", "--json")

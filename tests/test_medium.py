@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from chainsteg import backend
+from chainsteg import backend, medium
+from chainsteg.bitio import int_to_bits
 from chainsteg.errors import (
     GrindExhausted,
     PermutationMismatch,
@@ -17,15 +18,14 @@ from chainsteg.medium import (
     ChannelConfig,
     Chunk,
     Mode,
+    capacity,
     effective_capacity,
     embed,
+    expected_rank_bits,
     extract,
     grind,
     group_size,
-    masked_slot_tags,
-    med_counter_usable,
-    next_usable_counter,
-    payload_bits_per_tx,
+    split_payloads,
 )
 from chainsteg.session import SessionState
 
@@ -36,6 +36,17 @@ def make_state(km, cfg, seed=3):
 
 def rand_bits(rng, count):
     return [rng.getrandbits(1) for _ in range(count)]
+
+
+def next_payloads(state, cfg, rng, count=1):
+    """Random payloads for the generation's next `count` MED transactions,
+    each cut by split_payloads for its own signal counter."""
+    gen = state.current
+    return [
+        split_payloads(gen.km.k, cfg, gen.next_signal["MED"] + i,
+                       rand_bits(rng, max(cfg.n * cfg.m, 1)), rng)[0]
+        for i in range(count)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +60,7 @@ def test_config_validation():
         ChannelConfig(n=21, m=4)
     with pytest.raises(ValidationError):
         ChannelConfig(n=4, m=25)
-    with pytest.raises(ValidationError):
-        ChannelConfig(n=4, m=2, mode=Mode.PERMUTED)  # m <= ceil(log2 n)
+    ChannelConfig(n=4, m=0, mode=Mode.PERMUTED)  # the pure order channel
     with pytest.raises(ValidationError):
         ChannelConfig(n=4, m=4, bit_selector=(0, 1, 2))  # wrong length
     with pytest.raises(ValidationError):
@@ -58,20 +68,35 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         ChannelConfig(n=4, m=3, bit_selector=(0, 1, 160))
     assert ChannelConfig(n=4, m=3).selector == (2, 1, 0)
-    assert ChannelConfig(n=5, m=15).tag_bits == 3
-    assert ChannelConfig(n=4, m=8).tag_bits == 2
 
 
 def test_capacity_report():
     cap = effective_capacity(ChannelConfig(n=5, m=15))
     assert abs(cap.paper - 81.9069) < 1e-3
     assert cap.ordered == 75
-    assert cap.permuted == 66  # 5*(15-3) + floor(log2 120)
+    assert 75 < cap.permuted < 75.001  # ties among 5 chunks of 15 bits are rare
     cap48 = effective_capacity(ChannelConfig(n=4, m=8))
     assert abs(cap48.paper - (32 + math.log2(24))) < 1e-9
     assert cap48.ordered == 32
-    assert cap48.permuted == 4 * 6 + 4
-    assert effective_capacity(ChannelConfig(n=4, m=2)).permuted is None
+    # one pair ties with probability ~6/256, and carries floor(log2 2!) = 1 bit
+    assert 32 < cap48.permuted < 32.03
+    # m = 0: every chunk ties, so the order alone carries floor(log2 n!) bits
+    assert capacity(5, 0).permuted == 6 and capacity(20, 0).permuted == 61
+    # n = 2: the two chunks tie with probability 2^-m, for 1 bit
+    assert all(expected_rank_bits(2, m) == 2.0**-m for m in range(12))
+    # PERMUTED never carries less than ORDERED
+    assert all(capacity(n, m).permuted >= n * m for n in range(2, 21) for m in range(7))
+
+
+def test_expected_rank_bits_is_exact():
+    """The partition sum equals a count over every chunk sequence."""
+    for n, m in [(3, 2), (4, 2), (5, 1), (3, 3)]:
+        total = 0
+        for seq in range(2 ** (n * m)):
+            values = [(seq >> (m * i)) & ((1 << m) - 1) for i in range(n)]
+            counts = Counter(values).values()
+            total += math.prod(map(math.factorial, counts)).bit_length() - 1
+        assert expected_rank_bits(n, m) == pytest.approx(total / 2 ** (n * m), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +148,7 @@ def test_grind_exhaustion(km):
     # the cap bounds a transaction's one scan; a failed scan consumes no counter
     state = make_state(km, cfg)
     with pytest.raises(GrindExhausted) as info:
-        embed(state.current, [[1] * payload_bits_per_tx(cfg)], cfg, state.rng)
+        embed(state.current, [[1] * cfg.n * cfg.m], cfg, state.rng)
     assert info.value.next_counter == 1 + cfg.grind_cap
     assert state.current.next_grind == 1
 
@@ -158,11 +183,12 @@ def test_grind_effort_small_scale(km):
 
 
 def test_equal_chunks_get_distinct_counters(km):
-    # an all-zero payload makes every chunk the same value: the one scan
+    # a payload equal to its keystream makes every chunk zero: the one scan
     # must still give each its own counter and digest
     cfg = ChannelConfig(n=4, m=2)
     state = make_state(km, cfg)
-    [result] = embed(state.current, [[0] * payload_bits_per_tx(cfg)], cfg, state.rng)
+    payload = int_to_bits(medium._keystream(km.k, 1, 8), 8)
+    [result] = embed(state.current, [payload], cfg, state.rng)
     counters = [r.index.counter for r in result.grind_records]
     digests = [r.address.digest for r in result.grind_records]
     assert counters == sorted(set(counters))
@@ -182,11 +208,8 @@ def test_embed_attempts_follow_harmonic_law(km, mode):
     rng = random.Random(14)
     attempts = []
     for _ in range(200):
-        state.current.next_signal["MED"] = next_usable_counter(
-            km.k, state.current.next_signal["MED"], cfg
-        )
         start = state.current.next_grind
-        [result] = embed(state.current, [rand_bits(rng, payload_bits_per_tx(cfg))], cfg, state.rng)
+        [result] = embed(state.current, next_payloads(state, cfg, rng), cfg, state.rng)
         attempts.append(max(r.index.counter for r in result.grind_records) - start + 1)
         state.current.next_signal["MED"] += 1
     law = 2**cfg.m * sum(1 / i for i in range(1, cfg.n + 1))
@@ -225,11 +248,8 @@ def test_group_attempts_follow_harmonic_law(km, mode):
     rng = random.Random(15)
     attempts, law = [], []
     for _ in range(100):
-        state.current.next_signal["MED"] = next_usable_counter(
-            km.k, state.current.next_signal["MED"], cfg
-        )
         start = state.current.next_grind
-        payloads = [rand_bits(rng, payload_bits_per_tx(cfg)) for _ in range(4)]
+        payloads = next_payloads(state, cfg, rng, 4)
         results = embed(state.current, payloads, cfg, state.rng)
         assert len(results) == group_size(cfg) == 4
         digests = [r.address.digest for t in results for r in t.grind_records]
@@ -243,41 +263,17 @@ def test_group_attempts_follow_harmonic_law(km, mode):
 
 
 # ---------------------------------------------------------------------------
-# slot tags
-
-def test_masked_slot_tags_deterministic(km):
-    for counter in range(1, 40):
-        tags = masked_slot_tags(km.k, counter, 5, 3)
-        assert all(0 <= t < 8 for t in tags)
-        assert tags == masked_slot_tags(km.k, counter, 5, 3)
-    streams = {tuple(masked_slot_tags(km.k, c, 5, 3)) for c in range(1, 40)}
-    assert len(streams) > 1
-
-
-def test_counter_usability(km):
-    cfg = ChannelConfig(n=5, m=6, mode=Mode.PERMUTED)
-    usable = sum(
-        med_counter_usable(km.k, c, cfg) for c in range(1, 2001)
-    )
-    # distinct-tag probability is 8*7*6*5*4/8^5 ~ 0.205
-    assert 0.14 < usable / 2000 < 0.28
-    c = next_usable_counter(km.k, 1, cfg)
-    assert med_counter_usable(km.k, c, cfg)
-    assert all(not med_counter_usable(km.k, x, cfg) for x in range(1, c))
-    # ORDERED mode uses every counter
-    assert med_counter_usable(km.k, 1, ChannelConfig(n=5, m=6, mode=Mode.ORDERED))
-
-
-# ---------------------------------------------------------------------------
 # embed / extract
 
 def test_embed_ordered_spec_example(km):
-    # n=2, m=1, payload bits "10": first output LSB 1, second LSB 0
+    # n=2, m=1, payload bits "10": the output LSBs are those bits XOR the
+    # first two keystream bits of MED counter 1
     cfg = ChannelConfig(n=2, m=1, mode=Mode.ORDERED)
     state = make_state(km, cfg)
     [result] = embed(state.current, [[1, 0]], cfg, state.rng)
     lsb = [o.field[-1] & 1 for o in result.stego_outputs]
-    assert lsb == [1, 0]
+    stream = medium._keystream(km.k, 1, 2)
+    assert lsb == [1 ^ (stream >> 1), stream & 1]
 
 
 @pytest.mark.parametrize("mode,n,m", [
@@ -285,32 +281,50 @@ def test_embed_ordered_spec_example(km):
     (Mode.ORDERED, 2, 1),
     (Mode.PERMUTED, 4, 6),
     (Mode.PERMUTED, 3, 3),
+    (Mode.PERMUTED, 8, 2),  # 8 chunks over 4 values: ties in every transaction
+    (Mode.PERMUTED, 5, 0),  # one value: the order alone, floor(log2 5!) = 6 bits
 ])
 def test_embed_extract_roundtrip(km, mode, n, m):
     cfg = ChannelConfig(n=n, m=m, mode=mode)
     state = make_state(km, cfg, seed=5 if mode is Mode.PERMUTED else 4)
     rng = random.Random(77)
-    cap = payload_bits_per_tx(cfg)
+    sizes = []
     for trial in range(12):
-        payload = rand_bits(rng, cap)
-        state.current.next_signal["MED"] = next_usable_counter(
-            km.k, state.current.next_signal["MED"], cfg
-        )
+        [payload] = next_payloads(state, cfg, rng)
         [result] = embed(state.current, [payload], cfg, state.rng)
         tx = result.transaction()
         assert extract(tx, km, cfg, result.counter) == payload
+        sizes.append(len(payload))
         state.current.next_signal["MED"] += 1
+    if mode is Mode.PERMUTED and n > 2**m:
+        assert min(sizes) > n * m  # every transaction has a tie
+    if m == 0:
+        assert sizes == [6] * 12
+
+
+def test_split_payloads_cuts_each_counter_its_own_size(km):
+    cfg = ChannelConfig(n=8, m=2, mode=Mode.PERMUTED)
+    rng = random.Random(3)
+    bits = rand_bits(rng, 500)
+    payloads = split_payloads(km.k, cfg, 7, bits, rng)
+    assert sum(map(len, payloads[:-1])) < len(bits) <= sum(map(len, payloads))
+    assert [b for p in payloads for b in p][: len(bits)] == bits
+    assert len({len(p) for p in payloads}) > 1
+    state = make_state(km, cfg)
+    state.current.next_signal["MED"] = 7
+    embed(state.current, payloads[:2], cfg, state.rng)  # each fits its counter
+    with pytest.raises(ValidationError):
+        embed(state.current, payloads[1:3], cfg, state.rng)  # one counter off
+    with pytest.raises(ValidationError):
+        split_payloads(km.k, ChannelConfig(n=4, m=0), 1, [1], rng)  # carries nothing
 
 
 def test_embed_outputs_rederive(km, permuted_cfg):
     state = make_state(km, permuted_cfg)
     rng = random.Random(6)
     be = backend.get()
-    payload = rand_bits(rng, payload_bits_per_tx(permuted_cfg))
-    state.current.next_signal["MED"] = next_usable_counter(
-        km.k, 1, permuted_cfg
-    )
-    [result] = embed(state.current, [payload], permuted_cfg, state.rng)
+    [result] = embed(state.current, next_payloads(state, permuted_cfg, rng),
+                     permuted_cfg, state.rng)
     for out, rec in zip(result.stego_outputs, result.grind_records):
         assert out.field == rec.address.digest
         assert be.derive_digest(km.k, DOMAIN_GRIND, rec.index.counter, km.gy) == out.field
@@ -326,36 +340,53 @@ def test_embed_validates_payload(km, ordered_cfg):
     with pytest.raises(ValidationError):
         embed(state.current, [[1, 0]], ordered_cfg, state.rng)  # wrong length
     with pytest.raises(ValidationError):
-        embed(state.current, [[2] * payload_bits_per_tx(ordered_cfg)], ordered_cfg, state.rng)
+        embed(state.current, [[2] * ordered_cfg.n * ordered_cfg.m], ordered_cfg, state.rng)
 
 
-def test_extract_wrong_key_tag_corruption(km, permuted_cfg):
-    state = make_state(km, permuted_cfg)
+def test_extract_wrong_key_does_not_return_payload(km):
     rng = random.Random(8)
-    corrupted = 0
-    trials = 20
-    for trial in range(trials):
-        payload = rand_bits(rng, payload_bits_per_tx(permuted_cfg))
-        state.current.next_signal["MED"] = next_usable_counter(
-            km.k, state.current.next_signal["MED"], permuted_cfg
-        )
-        [result] = embed(state.current, [payload], permuted_cfg, state.rng)
-        tx = result.transaction()
-        wrong = KeyMaterial.generate(random.Random(1000 + trial))
-        try:
-            extract(tx, wrong, permuted_cfg, result.counter)
-            corrupted += 0
-        except (TagCorruption, PermutationMismatch):
-            corrupted += 1
-        state.current.next_signal["MED"] += 1
-    # 1 - n! * 2^(-t*n) = 1 - 24/256 ~ 0.906 per trial for n=4, t=2
-    assert corrupted >= trials * 2 // 3
+    agree = total = 0
+    for mode in Mode:
+        cfg = ChannelConfig(n=4, m=6, mode=mode)
+        state = make_state(km, cfg)
+        for trial in range(10):
+            [payload] = next_payloads(state, cfg, rng)
+            [result] = embed(state.current, [payload], cfg, state.rng)
+            tx = result.transaction()
+            wrong = KeyMaterial.generate(random.Random(1000 + trial))
+            got = extract(tx, wrong, cfg, result.counter)
+            assert got != payload and extract(tx, km, cfg, result.counter) == payload
+            agree += sum(a == b for a, b in zip(got, payload))
+            total += len(payload)
+            state.current.next_signal["MED"] += 1
+    # the wrong keystream leaves each bit right about half the time
+    assert 0.4 < agree / total < 0.6
+
+
+def test_extract_rejects_tie_rank_past_its_bits(km):
+    # m = 0, n = 3: 3! = 6 orders carry 2 bits, so ranks 4 and 5 never occur
+    cfg = ChannelConfig(n=3, m=0, mode=Mode.PERMUTED)
+    state = make_state(km, cfg)
+    [result] = embed(state.current, [[1, 1]], cfg, state.rng)
+    tx = result.transaction()
+    stego = sorted(tx.outputs[:3], key=lambda o: o.field, reverse=True)  # rank 5
+    with pytest.raises(PermutationMismatch):
+        extract(StegoTransaction(tx.inputs, (*stego, tx.outputs[3]), tx.fee), km, cfg, 1)
+
+
+def test_no_message_bits_in_the_clear(km):
+    # all-zero message bits: without the keystream every chunk would be 0
+    cfg = ChannelConfig(n=5, m=8, mode=Mode.ORDERED)
+    state = make_state(km, cfg)
+    [result] = embed(state.current, [[0] * 40], cfg, state.rng)
+    values = [backend.select_bits(o.field, cfg.selector) for o in result.stego_outputs]
+    assert values == list(medium._keystream(km.k, 1, 40).to_bytes(5, "big"))
 
 
 def test_extract_structural_errors(km, ordered_cfg):
     state = make_state(km, ordered_cfg)
     rng = random.Random(10)
-    payload = rand_bits(rng, payload_bits_per_tx(ordered_cfg))
+    payload = rand_bits(rng, ordered_cfg.n * ordered_cfg.m)
     [result] = embed(state.current, [payload], ordered_cfg, state.rng)
     tx = result.transaction()
     with pytest.raises(TagCorruption):  # wrong output count
@@ -373,7 +404,7 @@ def test_extract_structural_errors(km, ordered_cfg):
 def test_extract_ignores_amounts(km, ordered_cfg):
     state = make_state(km, ordered_cfg)
     rng = random.Random(11)
-    payload = rand_bits(rng, payload_bits_per_tx(ordered_cfg))
+    payload = rand_bits(rng, ordered_cfg.n * ordered_cfg.m)
     [result] = embed(state.current, [payload], ordered_cfg, state.rng)
     tx = result.transaction()
     bumped = StegoTransaction(
@@ -389,23 +420,9 @@ def test_permuted_grind_counters_monotone(km, permuted_cfg):
     rng = random.Random(12)
     last = 0
     for _ in range(3):
-        payload = rand_bits(rng, payload_bits_per_tx(permuted_cfg))
-        state.current.next_signal["MED"] = next_usable_counter(
-            km.k, state.current.next_signal["MED"], permuted_cfg
-        )
-        [result] = embed(state.current, [payload], permuted_cfg, state.rng)
+        [result] = embed(state.current, next_payloads(state, permuted_cfg, rng),
+                         permuted_cfg, state.rng)
         counters = sorted(r.index.counter for r in result.grind_records)
         assert counters[0] > last
         last = max(max(counters), result.change_index.counter)
         state.current.next_signal["MED"] += 1
-
-
-def test_embed_unusable_counter_rejected(km):
-    cfg = ChannelConfig(n=4, m=6, mode=Mode.PERMUTED)
-    unusable = 1
-    while med_counter_usable(km.k, unusable, cfg):
-        unusable += 1
-    state = make_state(km, cfg)
-    state.current.next_signal["MED"] = unusable
-    with pytest.raises(ValidationError):
-        embed(state.current, [[0] * payload_bits_per_tx(cfg)], cfg, state.rng)

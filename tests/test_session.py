@@ -7,9 +7,10 @@ import pytest
 from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, backend, high, medium
 from chainsteg.cli import main
 from chainsteg.errors import ValidationError
+from chainsteg.bitio import bytes_to_bits, int_to_bits
 from chainsteg.hdw import DerivationIndex, KeyMaterial, derive_address
 from chainsteg.ledger import StegoTransaction, TxInput, TxOutput
-from chainsteg.medium import payload_bits_per_tx
+from chainsteg.medium import split_payloads
 from chainsteg.session import SCAN_WINDOW, Generation, SessionState, _config_frame
 
 
@@ -24,7 +25,7 @@ def test_med_roundtrip_multi_tx(km, ordered_cfg):
     sender, receiver, ledger = pair(km, ordered_cfg)
     msg = b"the quick brown fox jumps over the lazy dog"
     txids = sender.send_message(ledger, msg, Channel.MED)
-    assert len(txids) == -(-((len(msg) * 8) + 16) // payload_bits_per_tx(ordered_cfg))
+    assert len(txids) == -(-((len(msg) * 8) + 16) // (ordered_cfg.n * ordered_cfg.m))
     ledger.mine_block(NoiseProfile(rate=3.0), seed=1)
     assert receiver.detect_and_receive(ledger) == [("MED", msg)]
     # counters synchronized after quiescence
@@ -59,12 +60,13 @@ def test_empty_med_message_small_capacity(km, ordered_cfg):
     assert receiver.detect_and_receive(ledger) == [("MED", b"")]
 
 
-def test_med_framing_arithmetic():
+def test_med_framing_arithmetic(km):
     # 66-byte message at n=5, m=15 ORDERED: ceil((16+528)/75) = 8 transactions
     cfg = ChannelConfig(n=5, m=15)
-    cap = payload_bits_per_tx(cfg)
-    assert cap == 75
-    assert -(-(16 + 8 * 66) // cap) == 8
+    bits = int_to_bits(66, 16) + bytes_to_bits(bytes(66))
+    payloads = split_payloads(km.k, cfg, 1, bits, random.Random(0))
+    assert [len(p) for p in payloads] == [75] * 8
+    assert sum(payloads, [])[: len(bits)] == bits
 
 
 def test_high_roundtrip(km, ordered_cfg):
@@ -271,25 +273,23 @@ def test_msg_id_wrap_by_real_sends(km):
     assert not receiver.quarantine and not receiver.current.reassembler.buffers
 
 
-def test_permuted_n8_delivers_past_long_unusable_gaps():
-    # At n = 8 a counter is usable with probability 0.0024, so gaps between
-    # usable MED counters exceed 64 * SCAN_WINDOW; the receiver's walk must
-    # go past them as the sender's does.
+def test_permuted_n16_delivers_every_message():
+    # Every MED counter is usable at every n: 10 messages at n = 16 ride
+    # MED counters 1 to 10, one transaction each.
     km = KeyMaterial.generate(random.Random(1))
-    sender, receiver, ledger = pair(km, ChannelConfig(n=8, m=6, mode=Mode.PERMUTED))
+    sender, receiver, ledger = pair(km, ChannelConfig(n=16, m=6, mode=Mode.PERMUTED))
     sent, got = [], []
-    for i in range(30):
-        sent.append(("MED", bytes([i])))
+    for i in range(10):
+        sent.append(("MED", bytes([i]) * 8))
         sender.send_message(ledger, sent[-1][1], Channel.MED)
         ledger.mine_block(NoiseProfile(rate=2.0), seed=5)
         got += receiver.detect_and_receive(ledger)
-    counters = [e["counter"] for e in sender.embed_log]
-    assert max(b - a for a, b in zip(counters, counters[1:])) > 64 * SCAN_WINDOW
+    assert [e["counter"] for e in sender.embed_log] == list(range(1, 11))
     assert got == sent and not receiver.quarantine
 
 
 def _half_sent_med(tmp_path=None):
-    """A PERMUTED n=5 sender whose 3-transaction MED message "first" failed
+    """A PERMUTED n=5 sender whose 2-transaction MED message "first" failed
     after its first transaction was mined; with `tmp_path`, the sender is
     saved and loaded after the failure."""
     km = KeyMaterial.generate(random.Random(5))
@@ -302,7 +302,10 @@ def _half_sent_med(tmp_path=None):
 
     with pytest.raises(RuntimeError):
         sender.send_message(ledger, b"first", Channel.MED, confirm=mine_then_fail)
-    assert len(sender.current.med_unsent) == 16 + 40 - payload_bits_per_tx(sender.cfg)
+    # the first transaction carried 30 chunk bits and 0 to 6 tie-rank bits
+    unsent = sender.current.med_unsent
+    assert 16 + 40 - 36 <= len(unsent) <= 16 + 40 - 30
+    assert unsent == (int_to_bits(5, 16) + bytes_to_bits(b"first"))[-len(unsent):]
     if tmp_path is not None:
         sender.save(tmp_path / "s.bin")
         sender = SessionState.load(tmp_path / "s.bin")
@@ -352,7 +355,7 @@ def test_med_sends_never_reuse_a_grind_counter(km, monkeypatch):
     monkeypatch.setattr(Generation, "fresh_wallet_address", fresh_recorded)
     monkeypatch.setattr(medium, "embed", embed_recorded)
     used = set()
-    messages = [b"x" * 12, b"y" * 12, b"z" * 12]  # 6 transactions: groups of 4 and 2
+    messages = [b"x" * 20, b"y" * 20, b"z" * 20]  # 6 transactions: groups of 4 and 2
     for i, message in enumerate(messages):
         handed.clear()
         try:
@@ -399,6 +402,27 @@ def test_no_plaintext_on_chain(km, ordered_cfg):
     assert msg not in chain_bytes
     for window in range(len(msg) - 8):
         assert msg[window : window + 8] not in chain_bytes
+
+
+def test_keyless_read_of_selected_bits_shows_no_message():
+    # An observer without the key joins the selected bits of the first n
+    # outputs of every transaction with n + 1 outputs. Without the
+    # keystream this read the whole message, led by its length prefix.
+    km = KeyMaterial.generate(random.Random(7))
+    cfg = ChannelConfig(n=5, m=8, mode=Mode.ORDERED)
+    sender, receiver, ledger = pair(km, cfg)
+    msg = b"meet at the north gate at dawn, bring the second key"
+    sender.send_message(ledger, msg, Channel.MED)
+    ledger.mine_block(NoiseProfile(rate=5.0), seed=1)
+    fragments = [
+        bytes(backend.select_bits(o.field, cfg.selector) for o in tx.outputs[: cfg.n])
+        for tx in ledger.blocks[-1].transactions if len(tx.outputs) == cfg.n + 1
+    ]
+    assert len(fragments) >= 11  # the message's 11 transactions, and any decoys
+    assert not any(f.startswith(len(msg).to_bytes(2, "big")) for f in fragments)
+    joined = b"".join(fragments)
+    assert not any(msg[i : i + 4] in joined for i in range(len(msg) - 3))
+    assert receiver.detect_and_receive(ledger) == [("MED", msg)]
 
 
 def test_insufficient_funds(km, ordered_cfg):
@@ -533,10 +557,10 @@ def test_session_file_with_burn_log_loads(km, tmp_path):
     assert path.read_bytes() == raw
 
 
-def test_seeded_scenario_is_pinned(km):
-    # One seeded run through HIGH split by max_fields_per_tx, PERMUTED MED at
-    # small m, rotate_keys, switch_config and decoy traffic. The tip hash is
-    # the wire contract: change it only with a recorded format change.
+def _seeded_scenario():
+    """One seeded run through HIGH split by max_fields_per_tx, PERMUTED MED at
+    small m, rotate_keys, switch_config and decoy traffic; returns the
+    ledger and what a fresh receiver reads from it."""
     km = KeyMaterial.generate(random.Random(2101))
     cfg = ChannelConfig(n=3, m=4, mode=Mode.PERMUTED, max_fields_per_tx=2)
     sender = SessionState(km, cfg, seed=31)
@@ -555,16 +579,37 @@ def test_seeded_scenario_is_pinned(km):
     sender.send_message(ledger, b"high again", Channel.HIGH)
     ledger.mine_block(noise, seed=4)
     receiver = SessionState(km.public_only(), cfg, seed=32)
-    assert receiver.detect_and_receive(ledger) == [
+    return ledger, receiver.detect_and_receive(ledger)
+
+
+def test_seeded_scenario_is_pinned():
+    # The tip hash is the wire contract: change it only with a recorded
+    # format change.
+    ledger, got = _seeded_scenario()
+    assert got == [
         ("HIGH", b"split over HIGH txs"),
         ("MED", b"med"),
         ("HIGH", b"high again"),
         ("MED", b"new key, new cfg"),
     ]
-    assert [len(b.transactions) for b in ledger.blocks] == [1, 6, 13, 9, 40]
+    assert [len(b.transactions) for b in ledger.blocks] == [1, 6, 11, 9, 38]
     assert ledger.blocks[-1].block_hash.hex() == (
-        "023228a2548cc1c76fc8feaa9b6712901e779fffe2e7b85bb4f95409a350734b"
+        "52239b1ed2cf8952a35914574999302658d840de6965bc57ad7572950e66fe88"
     )
+
+
+@pytest.mark.skipif("ext" not in backend.available(), reason="compiled kernel not built")
+def test_seeded_scenario_tip_is_backend_independent():
+    prev = backend.get()
+    tips = []
+    try:
+        for name in ("pure", "ext"):
+            backend.set_backend(name)
+            ledger, got = _seeded_scenario()
+            tips.append((got, ledger.blocks[-1].block_hash))
+    finally:
+        backend.set_backend(prev.name)
+    assert tips[0] == tips[1]
 
 
 def test_switch_config(km):
@@ -600,17 +645,14 @@ def test_receive_derives_only_new_window_counters(km, monkeypatch):
     calls.clear()
     assert receiver.detect_and_receive(ledger) == []
     # the HIGH window keeps its digests and derives one new counter; the MED
-    # window restarts under the grown schedule
-    assert [args[1:3] for args in calls] == (
-        [(Channel.HIGH.value, 1 + SCAN_WINDOW)]
-        + [(Channel.MED.value, c) for c in range(2, 2 + SCAN_WINDOW)]
-    )
+    # window, whose counters are all usable under either config, derives none
+    assert [args[1:3] for args in calls] == [(Channel.HIGH.value, 1 + SCAN_WINDOW)]
 
 
 def test_switch_config_with_scan_after_every_block(km):
-    # The receiver computes which MED counters are usable under the old
-    # parameters before the switch frame arrives; after it, the sender skips
-    # by the new ones, and every message must still be delivered.
+    # The receiver holds its MED window from before the switch frame arrives;
+    # after it, the sender embeds under the new parameters, and every message
+    # must still be delivered.
     cfg1 = ChannelConfig(n=5, m=6, mode=Mode.PERMUTED)
     cfg2 = ChannelConfig(n=4, m=5, mode=Mode.PERMUTED)
     sender, receiver, ledger = pair(km, cfg1, tx_seed=51, rx_seed=52)

@@ -13,6 +13,7 @@ from chainsteg.stats import (
     binomial_excess_p,
     two_sample_bytes_p,
     two_sample_monobit_p,
+    uniform_chi_p,
 )
 
 # a seeded uniform reference arm for the one-sided questions below
@@ -60,6 +61,28 @@ def test_two_sample_different_distributions_fail():
     b = bytes(x & 0x7F for x in rng.randbytes(20000))  # top bit cleared
     assert two_sample_bytes_p(a, b) < 1e-6
     assert two_sample_monobit_p(a, b) < 1e-6
+
+
+def test_uniform_chi_p():
+    rng = random.Random(9)
+    assert uniform_chi_p([rng.randrange(16) for _ in range(2000)], 16) > 0.01
+    assert uniform_chi_p([3] * 200 + list(range(16)), 16) < 1e-10
+    assert uniform_chi_p(list(range(8)) * 5, 8) == 1.0
+    with pytest.raises(InsufficientSample):
+        uniform_chi_p([], 16)
+    with pytest.raises(InsufficientSample):
+        uniform_chi_p([0, 0], 1)
+
+
+def test_uniform_chi_p_matches_scipy():
+    chisquare = pytest.importorskip("scipy.stats").chisquare
+    rng = random.Random(10)
+    for bins in (2, 16, 64, 256):
+        values = [min(rng.randrange(bins), rng.randrange(bins)) for _ in range(20 * bins)]
+        counts = [values.count(v) for v in range(bins)]
+        assert uniform_chi_p(values, bins) == pytest.approx(
+            chisquare(counts).pvalue, abs=1e-12, rel=0
+        )
 
 
 def test_binomial_excess():
