@@ -7,6 +7,11 @@ against it (tests/conftest.py also does this when a C compiler is present):
 
 Without the built module, chainsteg runs on its pure-Python backend, which is
 much slower at grinding.
+
+The kernel compiles with -O3 alone. Its AVX-512 IFMA and SHA-NI code is
+built for those instruction sets function by function, and the kernel
+chooses it at run time when the CPU has them, so no compiler flag selects
+the fast path and one build runs on any x86-64 CPU.
 """
 
 from setuptools import Extension, setup

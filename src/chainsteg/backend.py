@@ -14,6 +14,14 @@ the next group of MED transactions) uses those digests before deriving
 more. The kept batch
 is never persisted, a scan under another key replaces it, and results,
 attempts included, never depend on it.
+
+The compiled kernel picks its batch path once, at import: on a CPU with
+AVX-512 F and IFMA it adds 8 lanes at a time in 5x52-bit limbs, after
+known-answer tests against its portable 4x64 path, which every other CPU
+runs. A failed test raises RuntimeError on import. No option or setting
+chooses the path, and results are the same on both. A derivation in a
+256-lane batch takes 2.0 us of CPU time on the IFMA path and 6.5 us on the
+portable one (2-vCPU Xeon VM; BENCH_17.json).
 """
 
 from __future__ import annotations

@@ -73,18 +73,3 @@ def uniform_chi_p(values: list[int], bins: int) -> float:
     expected = len(values) / bins
     stat = math.fsum((counts[v] - expected) ** 2 for v in range(bins)) / expected
     return _chi2_sf(stat, bins - 1)
-
-
-def binomial_excess_p(hits: int, trials: int, p0: float) -> float:
-    """P[X >= hits] for X ~ Binomial(trials, p0), 0 < p0 <= 1; small means
-    'too many'."""
-    if trials == 0:
-        raise InsufficientSample("no trials")
-    if hits <= 0 or p0 == 1:
-        return 1.0 if hits <= trials else 0.0
-    # log of the exact binomial coefficient: lgamma loses ~1e-12 at 2000 trials
-    log_p, log_q = math.log(p0), math.log1p(-p0)
-    return min(1.0, math.fsum(
-        math.exp(math.log(math.comb(trials, k)) + k * log_p + (trials - k) * log_q)
-        for k in range(hits, trials + 1)
-    ))

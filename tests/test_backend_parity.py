@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import sys
@@ -14,13 +15,32 @@ from chainsteg.session import SessionState
 needs_ext = pytest.mark.skipif(
     "ext" not in backend.available(), reason="compiled kernel not built"
 )
+kernel = getattr(backend, "_kernel", None)
+
+
+def _cpu_has_ifma():
+    """Whether the CPU flags the OS reports include avx512f and avx512ifma;
+    None where /proc/cpuinfo cannot be read."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            flags = next((set(line.split(":", 1)[1].split()) for line in f
+                          if line.startswith("flags")), set())
+    except OSError:
+        return None
+    return {"avx512f", "avx512ifma"} <= flags
+
+
+HAS_IFMA = _cpu_has_ifma()
 
 
 @pytest.fixture(autouse=True)
 def restore_backend():
     prev = backend.get()
+    path = kernel._comb_path() if kernel is not None else None
     yield
     backend.set_backend(prev.name)
+    if path is not None:
+        kernel._comb_path(path)
 
 
 @needs_ext
@@ -106,8 +126,11 @@ def test_grind_exhaustion_parity():
         ext.grind_scan(k, 3, gy, 1, 16, positions, 0xABC)
 
 
+BUDGET_EDGES = [(0, 1), (4, 2**63 - 6), (7, 12345)]
+
+
 @needs_ext
-@pytest.mark.parametrize("m,start", [(0, 1), (4, 2**63 - 6), (7, 12345)])
+@pytest.mark.parametrize("m,start", BUDGET_EDGES)
 def test_grind_budget_edges_parity(m, start):
     """m = 0, counters across 2^63, and budgets that end on the last hit,
     one short of it, and part-way through a batch, for one target and for
@@ -144,8 +167,11 @@ def test_grind_skips_degenerate_counter_parity():
         assert be.grind_scan(km.k, DOMAIN_GRIND, km.gy, 3, 4, (), 0, 0, 0, 0) is None
 
 
+DEGENERATE_LANES = ["doubling", "cancel", "infinity"]
+
+
 @needs_ext
-@pytest.mark.parametrize("case", ["doubling", "cancel", "infinity"])
+@pytest.mark.parametrize("case", DEGENERATE_LANES)
 def test_affine_degenerate_lane_parity(case):
     """A lane of a wide batch whose affine addition meets x1 == x2. With b the
     low byte of counter c's scalar h, gy = bG makes lane c's first addition a
@@ -180,8 +206,11 @@ def _consecutive_scans(be, k, tag, gy, start, jobs):
     return results
 
 
+STREAM_MS = [0, 3, 6, 12]
+
+
 @needs_ext
-@pytest.mark.parametrize("m", [0, 3, 6, 12])
+@pytest.mark.parametrize("m", STREAM_MS)
 def test_stream_scans_match_pure(m):
     """Consecutive scans under one key continue the kernel's counter stream:
     the same results as the pure backend, and together they derive at most
@@ -383,6 +412,59 @@ def test_concurrent_grinds_match_sequential():
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+
+
+# The parity tests above run on the comb path chosen at import; each runs
+# again below on both paths.
+PARITY_ON_EACH_PATH = {
+    "grind": test_grind_parity,
+    **{f"budget_edges-{m}-{start}": functools.partial(test_grind_budget_edges_parity, m, start)
+       for m, start in BUDGET_EDGES},
+    **{f"stream-{m}": functools.partial(test_stream_scans_match_pure, m) for m in STREAM_MS},
+    **{f"degenerate-{case}": functools.partial(test_affine_degenerate_lane_parity, case)
+       for case in DEGENERATE_LANES},
+    "concurrent": test_concurrent_grinds_match_sequential,
+}
+
+
+@needs_ext
+@pytest.mark.parametrize("case", list(PARITY_ON_EACH_PATH))
+@pytest.mark.parametrize("path", ["portable", "ifma"])
+def test_parity_on_each_comb_path(path, case):
+    """The portable 4x64 comb and the 8-lane AVX-512 IFMA comb, selected
+    through the kernel's private hook, each match the pure backend. The IFMA
+    cases skip only where the CPU lacks avx512f or avx512ifma."""
+    if path == "ifma" and not HAS_IFMA:
+        pytest.skip("the CPU lacks avx512f or avx512ifma, or its flags are unknown")
+    kernel._comb_path(path)
+    PARITY_ON_EACH_PATH[case]()
+
+
+@needs_ext
+@pytest.mark.skipif(HAS_IFMA is None, reason="CPU flags unknown")
+def test_comb_path_follows_cpu():
+    """Import chooses the IFMA comb exactly where the CPU has avx512f and
+    avx512ifma; the hook switches paths and refuses unknown or missing ones."""
+    chosen = "ifma" if HAS_IFMA else "portable"
+    assert kernel._comb_path() == chosen
+    assert kernel._comb_path("portable") == chosen
+    assert kernel._comb_path() == "portable"
+    with pytest.raises(ValueError):
+        kernel._comb_path("gpu")
+    if not HAS_IFMA:
+        with pytest.raises(ValueError):
+            kernel._comb_path("ifma")
+
+
+@needs_ext
+def test_microbench_times_each_comb_path():
+    """Every row is timed; the IFMA rows read 0 where that path is missing."""
+    timings = kernel._microbench(100)
+    ifma = ("derive_ifma_ns", "fe_mul8_ns")
+    assert set(timings) == {"fe_mul_ns", "jpt_add_ns", "fe_inv_ns", "sha256_ns", "ripemd_ns",
+                            "derive_portable_ns", *ifma}
+    for key, ns in timings.items():
+        assert ns > 0 if key not in ifma or kernel._comb_path() == "ifma" else ns == 0
 
 
 def _random_transaction(rng):

@@ -10,7 +10,6 @@ import chainsteg
 from chainsteg.errors import InsufficientSample
 from chainsteg.stats import (
     _chi2_sf,
-    binomial_excess_p,
     two_sample_bytes_p,
     two_sample_monobit_p,
     uniform_chi_p,
@@ -85,13 +84,6 @@ def test_uniform_chi_p_matches_scipy():
         )
 
 
-def test_binomial_excess():
-    assert binomial_excess_p(100, 100, 0.1) < 1e-50
-    assert binomial_excess_p(10, 100, 0.1) > 0.3
-    with pytest.raises(InsufficientSample):
-        binomial_excess_p(0, 0, 0.1)
-
-
 @pytest.mark.filterwarnings("error")
 def test_byte_values_absent_from_both_arms():
     # only the 100 values that occur count: 99 dof, and no division by an
@@ -118,17 +110,6 @@ def test_chi2_sf_matches_scipy():
             assert _chi2_sf(stat, dof) == pytest.approx(
                 gammaincc(dof / 2, stat / 2), abs=1e-12, rel=0
             )
-
-
-def test_binomial_excess_matches_scipy():
-    binom = pytest.importorskip("scipy.stats").binom
-    for trials in (1, 2, 5, 10, 50, 100, 500, 2000):
-        for p0 in (1e-6, 0.001, 1 / 6, 0.25, 0.5, 0.9, 0.999999, 1.0):
-            for hits in {-1, 0, 1, 2, trials // 3, trials // 2, trials - 1, trials,
-                         trials + 1, int(trials * p0)}:
-                assert binomial_excess_p(hits, trials, p0) == pytest.approx(
-                    binom.sf(hits - 1, trials, p0), abs=1e-12, rel=0
-                )
 
 
 def test_two_sample_functions_match_numpy_formulas():
