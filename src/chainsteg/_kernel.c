@@ -7,23 +7,26 @@
  * window's additions share one inversion (Montgomery's trick). A single
  * derivation and small batches take the Jacobian comb. The scan keeps its
  * last batch (the grind stream), and the next scan under the same key takes
- * the digests derived past the previous last hit.
+ * the digests derived past the previous last hit. A scan also returns, on
+ * request, its first non-hit counters with their digests (spares), so a MED
+ * send derives its change addresses no second time.
  *
  * The batch's field work runs on one of two paths, chosen once at module
  * init like the SHA-256 compression: on a CPU with AVX-512 F and IFMA,
  * comb_affine8 works 8 lanes at a time in 5x52-bit limbs, and passes
  * known-answer tests against the portable 4x64 comb_affine first; any
  * other CPU keeps comb_affine. No build flag or setting selects it. On a
- * 2-vCPU Xeon VM (gcc -O3) a derivation in a 256-lane batch takes 2.0 us of
- * CPU time on the IFMA path against 6.5 us on the portable one, and a
- * med_grind grind attempt 2.7 us against 8.5 (BENCH_17.json). The window's
- * shared scalar inversion, ~0.8 us per lane, and the hashes, ~0.45 us, are
- * now most of a derivation.
+ * 2-vCPU Xeon VM (gcc -O3) a derivation in a 256-lane batch takes 1.7 us of
+ * CPU time on the IFMA path against 6.2 us on the portable one, and a single
+ * derive_digest 12.5 us (BENCH_18.json). Every inversion is a constant-time
+ * safegcd of ~2.1 us, so each comb window's shared one costs a 256-lane
+ * batch ~0.26 us per lane; the hashes, ~0.45 us, are now the largest single
+ * part of a derivation.
  *
  * Results are bit-identical to backend.PureBackend, the reference; the
  * parity tests enforce it on both paths. Python-visible: derive_digest,
- * grind_scan, parse_transactions, and _microbench, _derived and _comb_path
- * for measurements and tests.
+ * grind_scan, parse_transactions, and _microbench, _derived, _comb_path and
+ * _upper_state for measurements and tests.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -172,35 +175,223 @@ static inline void fe_sub(u64 *r, const u64 *a, const u64 *b)
     r[0] = r0; r[1] = r1; r[2] = r2; r[3] = r3;
 }
 
-static inline void fe_sqr_n(u64 *r, const u64 *a, int n)
+/* ------------------------------------------------------------------------
+ * Inversion mod p by Bernstein and Yang's safegcd ("Fast constant-time gcd
+ * computation and modular inversion", TCHES 2019), as libsecp256k1's
+ * modinv64 runs it. Values are five signed 62-bit limbs, limb i weighing
+ * 2^(62 i). Ten rounds of 59 divsteps, 590 in all, take f = p and any g
+ * below p to g = 0 and f = +-1, with d = +-1/g (mod p); g = 0 gives d = 0.
+ * Each round builds the 2x2 matrix of its 59 divsteps from the low 64 bits
+ * of f and g alone, then applies it to f and g (an exact division by 2^62)
+ * and to d and e (mod p). The step count is fixed, and no branch or loop
+ * bound reads the operand.
+ *
+ * A right shift of a negative int64_t or __int128 is gcc's arithmetic
+ * (sign-extending) shift. No negative value is shifted left: the matrix
+ * entries, which go negative, are shifted as u64. */
+
+typedef __int128 i128;
+
+typedef struct {
+    int64_t v[5];
+} s62;
+
+/* 59 divsteps scaled by 2^62: [f, g] becomes [u f + v g, q f + r g] / 2^62 */
+typedef struct {
+    int64_t u, v, q, r;
+} divmat;
+
+#define M62 (UINT64_MAX >> 2)
+#define P62_0 (-(int64_t)FE_C) /* p = -FE_C + 256 * 2^248: limbs 1..3 are 0 */
+#define P62_4 256
+#define P_INV62 0x27C7F6E22DDACACFULL /* 1/p mod 2^62 */
+
+/* 59 divsteps on the low bits of f (odd) and g, with zeta = -(delta + 1/2);
+ * returns the new zeta and sets the matrix in t. */
+static int64_t divsteps_59(int64_t zeta, u64 f0, u64 g0, divmat *t)
 {
-    fe_sqr(r, a);
-    while (--n > 0)
-        fe_sqr(r, r);
+    /* the identity times 8: with 59 doublings the matrix is scaled by 2^62 */
+    u64 u = 8, v = 0, q = 0, r = 8, f = f0, g = g0, x, y, z, swap, odd;
+    /* volatile keeps the compiler from turning the masks into branches */
+    volatile u64 c1, c2;
+    int i;
+    for (i = 3; i < 62; i++) {
+        c1 = (u64)(zeta >> 63); /* all ones when zeta < 0, i.e. delta > 0 */
+        swap = c1;
+        c2 = g & 1;
+        odd = -c2;
+        /* g odd: g += f, or g -= f when delta > 0 */
+        x = (f ^ swap) - swap;
+        y = (u ^ swap) - swap;
+        z = (v ^ swap) - swap;
+        g += x & odd;
+        q += y & odd;
+        r += z & odd;
+        /* both: f takes the old g, and delta becomes 1 - delta */
+        swap &= odd;
+        zeta = (zeta ^ (int64_t)swap) - 1;
+        f += g & swap;
+        u += q & swap;
+        v += r & swap;
+        g >>= 1;
+        u <<= 1;
+        v <<= 1;
+    }
+    t->u = (int64_t)u;
+    t->v = (int64_t)v;
+    t->q = (int64_t)q;
+    t->r = (int64_t)r;
+    return zeta;
 }
 
-/* a^(p-2) by the addition chain libsecp256k1 uses: 255 squarings and 15
- * multiplies. p - 2 in binary is 223 ones, a zero, 22 ones, then 0000101101;
- * xN below is a^(2^N - 1). */
+/* [d, e] = (t [d, e] + p [md, me]) / 2^62, md and me chosen to make the
+ * division exact; d and e stay in (-2p, p). */
+static void update_de(s62 *d, s62 *e, const divmat *t)
+{
+    const int64_t u = t->u, v = t->v, q = t->q, r = t->r;
+    const int64_t sd = d->v[4] >> 63, se = e->v[4] >> 63;
+    int64_t md = (u & sd) + (v & se), me = (q & sd) + (r & se);
+    i128 cd = (i128)u * d->v[0] + (i128)v * e->v[0];
+    i128 ce = (i128)q * d->v[0] + (i128)r * e->v[0];
+    int i;
+    md -= (int64_t)((P_INV62 * (u64)cd + (u64)md) & M62);
+    me -= (int64_t)((P_INV62 * (u64)ce + (u64)me) & M62);
+    cd += (i128)P62_0 * md;
+    ce += (i128)P62_0 * me;
+    cd >>= 62; /* the low 62 bits are now 0 */
+    ce >>= 62;
+    for (i = 1; i < 5; i++) {
+        cd += (i128)u * d->v[i] + (i128)v * e->v[i];
+        ce += (i128)q * d->v[i] + (i128)r * e->v[i];
+        if (i == 4) {
+            cd += (i128)P62_4 * md;
+            ce += (i128)P62_4 * me;
+        }
+        d->v[i - 1] = (int64_t)((u64)cd & M62);
+        e->v[i - 1] = (int64_t)((u64)ce & M62);
+        cd >>= 62;
+        ce >>= 62;
+    }
+    d->v[4] = (int64_t)cd;
+    e->v[4] = (int64_t)ce;
+}
+
+/* [f, g] = t [f, g] / 2^62, an exact division */
+static void update_fg(s62 *f, s62 *g, const divmat *t)
+{
+    const int64_t u = t->u, v = t->v, q = t->q, r = t->r;
+    i128 cf = (i128)u * f->v[0] + (i128)v * g->v[0];
+    i128 cg = (i128)q * f->v[0] + (i128)r * g->v[0];
+    int i;
+    cf >>= 62;
+    cg >>= 62;
+    for (i = 1; i < 5; i++) {
+        cf += (i128)u * f->v[i] + (i128)v * g->v[i];
+        cg += (i128)q * f->v[i] + (i128)r * g->v[i];
+        f->v[i - 1] = (int64_t)((u64)cf & M62);
+        g->v[i - 1] = (int64_t)((u64)cg & M62);
+        cf >>= 62;
+        cg >>= 62;
+    }
+    f->v[4] = (int64_t)cf;
+    g->v[4] = (int64_t)cg;
+}
+
+/* d in (-2p, p), negated when sign < 0, into [0, p) with limbs 0..3 in
+ * [0, 2^62): add p if negative, negate, carry, add p if still negative,
+ * carry. */
+static void normalize62(s62 *d, int64_t sign)
+{
+    int64_t *r = d->v, add, neg;
+    int i, pass;
+    for (pass = 0; pass < 2; pass++) {
+        add = r[4] >> 63;
+        r[0] += P62_0 & add;
+        r[4] += P62_4 & add;
+        if (pass == 0) {
+            neg = sign >> 63;
+            for (i = 0; i < 5; i++)
+                r[i] = (r[i] ^ neg) - neg;
+        }
+        for (i = 0; i < 4; i++) {
+            r[i + 1] += r[i] >> 62;
+            r[i] &= (int64_t)M62;
+        }
+    }
+}
+
 static void fe_inv(u64 *r, const u64 *a)
 {
-    u64 x2[4], x3[4], x6[4], x9[4], x11[4], x22[4], x44[4], x88[4], x176[4],
-        x220[4], x223[4], t[4];
-    fe_sqr(x2, a); fe_mul(x2, x2, a);
-    fe_sqr(x3, x2); fe_mul(x3, x3, a);
-    fe_sqr_n(x6, x3, 3); fe_mul(x6, x6, x3);
-    fe_sqr_n(x9, x6, 3); fe_mul(x9, x9, x3);
-    fe_sqr_n(x11, x9, 2); fe_mul(x11, x11, x2);
-    fe_sqr_n(x22, x11, 11); fe_mul(x22, x22, x11);
-    fe_sqr_n(x44, x22, 22); fe_mul(x44, x44, x22);
-    fe_sqr_n(x88, x44, 44); fe_mul(x88, x88, x44);
-    fe_sqr_n(x176, x88, 88); fe_mul(x176, x176, x88);
-    fe_sqr_n(x220, x176, 44); fe_mul(x220, x220, x44);
-    fe_sqr_n(x223, x220, 3); fe_mul(x223, x223, x3);
-    fe_sqr_n(t, x223, 23); fe_mul(t, t, x22);
-    fe_sqr_n(t, t, 5); fe_mul(t, t, a);
-    fe_sqr_n(t, t, 3); fe_mul(t, t, x2);
-    fe_sqr_n(t, t, 2); fe_mul(r, t, a);
+    s62 d = {{0, 0, 0, 0, 0}}, e = {{1, 0, 0, 0, 0}}, f = {{P62_0, 0, 0, 0, P62_4}}, g;
+    divmat t;
+    int64_t zeta = -1; /* delta = 1/2 */
+    u64 s[4], x[4], ge_p;
+    u128 acc;
+    int i;
+    /* a mod p without a branch: a + FE_C carries past 2^256 exactly when
+     * a >= p, and then its low 256 bits are a - p */
+    acc = (u128)a[0] + FE_C;
+    for (i = 0; i < 4; i++) {
+        s[i] = (u64)acc;
+        acc = (acc >> 64) + (i < 3 ? a[i + 1] : 0);
+    }
+    ge_p = -(u64)acc;
+    for (i = 0; i < 4; i++)
+        x[i] = (s[i] & ge_p) | (a[i] & ~ge_p);
+    g.v[0] = (int64_t)(x[0] & M62);
+    g.v[1] = (int64_t)((x[0] >> 62 | x[1] << 2) & M62);
+    g.v[2] = (int64_t)((x[1] >> 60 | x[2] << 4) & M62);
+    g.v[3] = (int64_t)((x[2] >> 58 | x[3] << 6) & M62);
+    g.v[4] = (int64_t)(x[3] >> 56);
+    for (i = 0; i < 10; i++) {
+        zeta = divsteps_59(zeta, (u64)f.v[0], (u64)g.v[0], &t);
+        update_de(&d, &e, &t);
+        update_fg(&f, &g, &t);
+    }
+    normalize62(&d, f.v[4]); /* f = -1 leaves d = -1/a */
+    r[0] = (u64)d.v[0] | (u64)d.v[1] << 62;
+    r[1] = (u64)d.v[1] >> 2 | (u64)d.v[2] << 60;
+    r[2] = (u64)d.v[2] >> 4 | (u64)d.v[3] << 58;
+    r[3] = (u64)d.v[3] >> 6 | (u64)d.v[4] << 56;
+}
+
+/* fe_inv on edge operands (1, 2, p - 1, p - 2, G's x, one that takes 535
+ * divsteps to reach g = 0 where random operands take at most ~530, so that
+ * 9 rounds of 59 fall short, and p + 1 and 2^256 - 1 above p), then on 64
+ * squarings of G's x: a (1/a) = 1 for each, and 0, given as 0 or p,
+ * inverts to 0. Runs at module init. */
+static int fe_inv_passes_kat(void)
+{
+    static const u64 ops[][4] = {
+        {1, 0, 0, 0},
+        {2, 0, 0, 0},
+        {FE_P0 - 1, ~0ULL, ~0ULL, ~0ULL},
+        {FE_P0 - 2, ~0ULL, ~0ULL, ~0ULL},
+        {0x59F2815B16F81798ULL, 0x029BFCDB2DCE28D9ULL, 0x55A06295CE870B07ULL,
+         0x79BE667EF9DCBBACULL},
+        {0xDCFC3B99F4AEB964ULL, 0xD953BFC8F2A4D25BULL, 0x1F6649D30C7A261CULL,
+         0x1C68433715BA0BD5ULL},
+        {FE_P0 + 1, ~0ULL, ~0ULL, ~0ULL},
+        {~0ULL, ~0ULL, ~0ULL, ~0ULL},
+        {0, 0, 0, 0},
+        {FE_P0, ~0ULL, ~0ULL, ~0ULL},
+    };
+    const int n_ops = (int)(sizeof(ops) / sizeof(ops[0]));
+    static const u64 one[4] = {1, 0, 0, 0};
+    u64 a[4], inv[4], prod[4];
+    int i;
+    for (i = 0; i < n_ops + 64; i++) {
+        if (i < n_ops)
+            fe_set(a, ops[i]);
+        else
+            fe_sqr(a, i == n_ops ? ops[4] : a);
+        fe_inv(inv, a);
+        fe_mul(prod, a, inv);
+        if ((i == n_ops - 2 || i == n_ops - 1) ? !fe_is_zero(inv)
+                                                 : memcmp(prod, one, sizeof(one)) != 0)
+            return 0;
+    }
+    return 1;
 }
 
 /* ------------------------------------------------------------------------
@@ -678,6 +869,7 @@ static void ripemd160_32(const u8 *msg, u8 *out)
 #define AFFINE_MIN_LANES 64 /* smaller batches take the Jacobian comb */
 #define MAX_POSITIONS 24
 #define MAX_TARGETS 20
+#define MAX_SPARES (2 * MAX_TARGETS)
 
 /* One counter's working state in derive_batch. */
 typedef struct {
@@ -1362,21 +1554,44 @@ typedef struct {
     u8 digests[SCAN_LANES * 20], ok[SCAN_LANES];
 } scan_work;
 
-static PyObject *py_grind_scan(PyObject *self, PyObject *args)
+/* ((first + at[i], the 20 bytes at digests + 20 i) for i < count), or NULL
+ * with an exception set */
+static PyObject *pairs_tuple(u64 first, const u64 *at, const u8 *digests, Py_ssize_t count)
 {
+    PyObject *pairs = PyTuple_New(count);
+    Py_ssize_t i;
+    for (i = 0; pairs != NULL && i < count; i++) {
+        PyObject *pair = Py_BuildValue("(Ky#)", (unsigned long long)(first + at[i]),
+                                       (const char *)(digests + 20 * i), (Py_ssize_t)20);
+        if (pair == NULL)
+            Py_CLEAR(pairs);
+        else
+            PyTuple_SET_ITEM(pairs, i, pair);
+    }
+    return pairs;
+}
+
+static PyObject *py_grind_scan(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"", "", "", "", "", "", "", "", "spares", NULL};
     const u8 *k;
-    Py_ssize_t klen, m, n, n_open, i, j;
+    Py_ssize_t klen, m, n, n_open, spares = 0, n_spare = 0, i, j;
     int tag, count = 0;
     long positions[MAX_POSITIONS], targets[MAX_TARGETS];
-    u64 first, budget, done = 0, derived = 0, last = 0, hit[MAX_TARGETS], gyx[4], gyy[4];
-    PyObject *gx, *gy, *pos_obj, *tgt_obj, *hits;
-    u8 kbuf[32], hit_digests[MAX_TARGETS * 20], filled[MAX_TARGETS] = {0};
+    u64 first, budget, done = 0, derived = 0, last = 0, hit[MAX_TARGETS], spare[MAX_SPARES],
+        gyx[4], gyy[4];
+    PyObject *gx, *gy, *pos_obj, *tgt_obj, *hits, *spare_pairs;
+    u8 kbuf[32], hit_digests[MAX_TARGETS * 20], spare_digests[MAX_SPARES * 20],
+        filled[MAX_TARGETS] = {0};
     comb_fn *wide = comb_wide;
     scan_work *work;
-    if (!PyArg_ParseTuple(args, "y#iOOO&O&OO:grind_scan", &k, &klen, &tag, &gx, &gy,
-                          to_u64, &first, to_u64, &budget, &pos_obj, &tgt_obj) ||
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "y#iOOO&O&OO|$n:grind_scan", kwlist, &k,
+                                     &klen, &tag, &gx, &gy, to_u64, &first, to_u64, &budget,
+                                     &pos_obj, &tgt_obj, &spares) ||
         !parse_key(k, klen, tag, gx, gy, kbuf, gyx, gyy))
         return NULL;
+    if (spares < 0 || spares > MAX_SPARES)
+        return PyErr_Format(PyExc_ValueError, "spares must be in [0, %d]", MAX_SPARES);
     m = parse_ints(pos_obj, "bit positions", 0, MAX_POSITIONS, 0, 160, positions);
     if (m < 0)
         return NULL;
@@ -1419,6 +1634,11 @@ static PyObject *py_grind_scan(PyObject *self, PyObject *args)
                     break;
                 }
             }
+            /* no target took it, and a later one will: a spare */
+            if (j == n && n_spare < spares) {
+                spare[n_spare] = done + (u64)i;
+                memcpy(spare_digests + 20 * n_spare++, work->digests + 20 * i, 20);
+            }
         }
         done += (u64)count;
         if (n_open == 0 || done >= budget)
@@ -1447,31 +1667,31 @@ static PyObject *py_grind_scan(PyObject *self, PyObject *args)
             return PyErr_Format(PyExc_OverflowError, "grind counter passed 2^64 - 1");
         Py_RETURN_NONE;
     }
-    hits = PyTuple_New(n);
-    if (hits == NULL)
-        return NULL;
-    for (j = 0; j < n; j++) {
-        PyObject *pair = Py_BuildValue("(Ky#)", (unsigned long long)(first + hit[j]),
-                                       (const char *)(hit_digests + 20 * j), (Py_ssize_t)20);
-        if (pair == NULL) {
-            Py_DECREF(hits);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(hits, j, pair);
+    for (j = 0; j < n; j++)
         if (hit[j] > last)
             last = hit[j];
+    if ((hits = pairs_tuple(first, hit, hit_digests, n)) == NULL)
+        return NULL;
+    if (spares == 0)
+        return Py_BuildValue("(NK)", hits, (unsigned long long)(last + 1));
+    if ((spare_pairs = pairs_tuple(first, spare, spare_digests, n_spare)) == NULL) {
+        Py_DECREF(hits);
+        return NULL;
     }
-    return Py_BuildValue("(NK)", hits, (unsigned long long)(last + 1));
+    return Py_BuildValue("(NKN)", hits, (unsigned long long)(last + 1), spare_pairs);
 }
 
 PyDoc_STRVAR(grind_scan_doc,
-"grind_scan(k, tag, gy_x, gy_y, start, max_attempts, positions, targets)\n"
-"    -> (((counter, digest), ...), attempts) | None\n\n"
+"grind_scan(k, tag, gy_x, gy_y, start, max_attempts, positions, targets, *, spares=0)\n"
+"    -> (((counter, digest), ...), attempts[, ((counter, digest), ...)]) | None\n\n"
 "One scan of counters start, start + 1, ... that fills every target (1 to 20\n"
 "chunk values, each below 2^len(positions)): a counter whose digest carries a\n"
 "value on the selected bit positions goes to the first still-open target with\n"
 "that value. Hits come back in target order; attempts is the offset of the\n"
 "last hit + 1. None when max_attempts counters leave a target open.\n\n"
+"With spares > 0 (at most 40) a third item follows: the first spares counters\n"
+"below the last hit that no target took, with their digests, in counter\n"
+"order; a degenerate counter has no digest and is never one.\n\n"
 "Counters are derived in batches, and the last batch is kept: a later scan\n"
 "under the same k, tag and gy that starts inside it takes its digests. The\n"
 "result never depends on it.");
@@ -1774,13 +1994,40 @@ PyDoc_STRVAR(comb_path_doc,
 "name, switches to that comb for later scans and returns the previous one;\n"
 "not part of the API.");
 
+static PyObject *py_upper_state(PyObject *self, PyObject *args)
+{
+    u64 bits = 0;
+#if defined(__x86_64__)
+    unsigned a, b, c, d;
+    /* XGETBV with ECX = 1 reads XINUSE: CPUID.(EAX = 0DH, ECX = 1):EAX bit 2 */
+    if (__get_cpuid(1, &a, &b, &c, &d) && (c & bit_OSXSAVE) && __get_cpuid_max(0, NULL) >= 0xD) {
+        __cpuid_count(0xD, 1, a, b, c, d);
+        if (a & (1u << 2)) {
+            u32 lo, hi;
+            __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+            bits = ((u64)hi << 32 | lo) & 0x44;
+        }
+    }
+#endif
+    return PyLong_FromUnsignedLongLong(bits);
+}
+
+PyDoc_STRVAR(upper_state_doc,
+"_upper_state() -> int\n\n"
+"Bits 2 (upper halves of ymm0-15) and 6 (upper halves of zmm0-15) of\n"
+"XGETBV(1), the vector state in use; 0 where the CPU lacks XGETBV with\n"
+"ECX = 1. Both read 0 once AVX code has cleaned up, as legacy-SSE code such\n"
+"as SHA-NI needs to run at full speed. Not part of the API.");
+
 static PyMethodDef kernel_methods[] = {
     {"derive_digest", py_derive_digest, METH_VARARGS, derive_digest_doc},
-    {"grind_scan", py_grind_scan, METH_VARARGS, grind_scan_doc},
+    {"grind_scan", (PyCFunction)(void (*)(void))py_grind_scan, METH_VARARGS | METH_KEYWORDS,
+     grind_scan_doc},
     {"parse_transactions", py_parse_transactions, METH_VARARGS, parse_transactions_doc},
     {"_microbench", py_microbench, METH_VARARGS, microbench_doc},
     {"_derived", py_derived, METH_NOARGS, derived_doc},
     {"_comb_path", py_comb_path, METH_VARARGS, comb_path_doc},
+    {"_upper_state", py_upper_state, METH_NOARGS, upper_state_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1790,9 +2037,9 @@ static struct PyModuleDef kernel_module = {
     kernel_methods,
 };
 
-/* A compression or comb that fails its known-answer test raises
- * RuntimeError, not ImportError, so the package does not quietly fall back
- * to pure Python. */
+/* A compression, the inversion or a comb that fails its known-answer test
+ * raises RuntimeError, not ImportError, so the package does not quietly fall
+ * back to pure Python. */
 PyMODINIT_FUNC PyInit__kernel(void)
 {
     const char *failed = sha256_select();
@@ -1805,6 +2052,9 @@ PyMODINIT_FUNC PyInit__kernel(void)
         (NAME_TXID = PyUnicode_InternFromString("txid")) == NULL ||
         (NO_ARGS = PyTuple_New(0)) == NULL)
         return NULL;
+    if (!fe_inv_passes_kat())
+        return PyErr_Format(PyExc_RuntimeError,
+                            "chainsteg._kernel: the safegcd inversion failed its known-answer test");
     build_table();
     if ((failed = comb_select()) != NULL)
         return PyErr_Format(PyExc_RuntimeError,

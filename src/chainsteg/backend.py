@@ -15,13 +15,19 @@ more. The kept batch
 is never persisted, a scan under another key replaces it, and results,
 attempts included, never depend on it.
 
+grind_scan(..., spares=s) also returns the (counter, digest) pairs of the
+first s counters below the last hit that no target took, the same on both
+backends. A MED send takes its change addresses from them, so it derives
+none of them a second time.
+
 The compiled kernel picks its batch path once, at import: on a CPU with
 AVX-512 F and IFMA it adds 8 lanes at a time in 5x52-bit limbs, after
 known-answer tests against its portable 4x64 path, which every other CPU
 runs. A failed test raises RuntimeError on import. No option or setting
 chooses the path, and results are the same on both. A derivation in a
-256-lane batch takes 2.0 us of CPU time on the IFMA path and 6.5 us on the
-portable one (2-vCPU Xeon VM; BENCH_17.json).
+256-lane batch takes 1.7 us of CPU time on the IFMA path and 6.2 us on the
+portable one, and a single derive_digest 12.5 us (2-vCPU Xeon VM;
+BENCH_18.json).
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .hashes import hash160, sha256d
 
 _DIGEST_BATCH = 64
 MAX_TARGETS = 20  # targets per scan: MED outputs of a group of floor(20 / n) transactions
+MAX_SPARES = 2 * MAX_TARGETS  # spare counters a scan returns: two per transaction at most
 
 # Fixed-width parts of a transaction on the wire (see ledger); the pure
 # parser decodes each with one unpack_from, and each run of input or output
@@ -75,14 +82,16 @@ class PureBackend:
         pt = self._points(k, tag, counter, 1, gy)[0]
         return None if pt is None else hash160(ec.compress(pt))
 
-    def grind_scan(self, k, tag, gy, start, max_attempts, positions, *targets):
+    def grind_scan(self, k, tag, gy, start, max_attempts, positions, *targets, spares=0):
         """One scan of counters start, start + 1, ... that fills every target.
 
         A usable counter whose digest carries a value on `positions` goes to
         the first still-open target with that value, so equal targets get
         distinct counters. Returns ((counter, digest) per target, attempts),
         where attempts is the offset of the last hit + 1, or None when
-        `max_attempts` counters leave a target open."""
+        `max_attempts` counters leave a target open. With `spares` > 0 a
+        third item follows: the (counter, digest) pairs of the first
+        `spares` usable counters below the last hit that no target took."""
         m = len(positions)
         if any(not 0 <= pos < 160 for pos in positions):
             raise ValueError(f"bit positions must be in [0, 160), got {positions}")
@@ -90,10 +99,13 @@ class PureBackend:
             raise ValueError(f"{len(targets)} targets, expected 1 to {MAX_TARGETS}")
         if any(not 0 <= t < 1 << m for t in targets):
             raise ValueError(f"targets must be in [0, 2^{m}), got {targets}")
+        if not 0 <= spares <= MAX_SPARES:
+            raise ValueError(f"spares must be in [0, {MAX_SPARES}], got {spares}")
         open_slots: dict[int, list[int]] = {}
         for slot, value in enumerate(targets):
             open_slots.setdefault(value, []).append(slot)
         hits = [None] * len(targets)
+        kept = []
         n_open = len(targets)
         batch = _DIGEST_BATCH if m >= 6 else max(8, 1 << m)
         done = 0
@@ -109,7 +121,10 @@ class PureBackend:
                     hits[slots.pop(0)] = (start + done + i, digest)
                     n_open -= 1
                     if not n_open:
-                        return tuple(hits), done + i + 1
+                        result = tuple(hits), done + i + 1
+                        return (*result, tuple(kept)) if spares else result
+                elif len(kept) < spares:
+                    kept.append((start + done + i, digest))
             done += count
         return None
 
@@ -165,9 +180,9 @@ try:
         def derive_digest(self, k, tag, counter, gy):
             return _kernel.derive_digest(k, tag, counter, gy[0], gy[1])
 
-        def grind_scan(self, k, tag, gy, start, max_attempts, positions, *targets):
+        def grind_scan(self, k, tag, gy, start, max_attempts, positions, *targets, spares=0):
             return _kernel.grind_scan(
-                k, tag, gy[0], gy[1], start, max_attempts, positions, targets
+                k, tag, gy[0], gy[1], start, max_attempts, positions, targets, spares=spares
             )
 
         parse_transactions = staticmethod(_kernel.parse_transactions)

@@ -156,14 +156,21 @@ def stat_suite(ledger: Ledger, state: SessionState, min_sample: int = 100) -> St
     """A/B statistics of the digests and fields of the session's stego
     transactions (its embed log) against the other non-coinbase
     transactions on the chain, the decoys, and a keyless chi-square of the
-    MED transactions' selected chunk values against uniform."""
-    cfg = state.cfg
-    channels = {bytes.fromhex(e["txid"]): e["channel"] for e in state.embed_log}
+    MED transactions' selected chunk values against uniform. Each MED
+    transaction is read under the config it was sent with: its generation's
+    config at its MED counter, from its embed log entry."""
+    logged = {bytes.fromhex(e["txid"]): e for e in state.embed_log}
     med_txs, high_txs, decoys = [], [], []
     for block in ledger.blocks:
         for tx in block.transactions[1:]:
-            chan = channels.get(tx.txid)
-            (decoys if chan is None else med_txs if chan == "MED" else high_txs).append(tx)
+            entry = logged.get(tx.txid)
+            if entry is None:
+                decoys.append(tx)
+            elif entry["channel"] == "MED":
+                cfg = state.generations[entry["generation"]].cfg_at(entry["counter"])
+                med_txs.append((tx, cfg))
+            else:
+                high_txs.append(tx)
     n_stego_txs = len(med_txs) + len(high_txs)
     if n_stego_txs < min_sample or len(decoys) < min_sample:
         raise InsufficientSample(
@@ -171,19 +178,22 @@ def stat_suite(ledger: Ledger, state: SessionState, min_sample: int = 100) -> St
             f"got {n_stego_txs} and {len(decoys)}"
         )
     decoy_blob = b"".join(o.field for tx in decoys for o in tx.outputs)
-    med_p = _ab_p(b"".join(o.field for tx in med_txs for o in tx.outputs[: cfg.n]), decoy_blob)
+    med_fields = [(o.field, cfg) for tx, cfg in med_txs for o in tx.outputs[: cfg.n]]
+    med_p = _ab_p(b"".join(field for field, _ in med_fields), decoy_blob)
     high_p = _ab_p(b"".join(o.field for tx in high_txs for o in tx.outputs[:-1]), decoy_blob)
     # what an observer without the key reads: the selected chunk values,
-    # binned by their top b bits so that each of the 2^b bins expects >= 5
-    values = [backend.select_bits(o.field, cfg.selector)
-              for tx in med_txs for o in tx.outputs[: cfg.n]]
-    b = min(cfg.m, (len(values) // 5).bit_length() - 1)
+    # binned by their top b bits so that each of the 2^b bins expects >= 5;
+    # b is at most the narrowest chunk's m
+    b = min([cfg.m for _, cfg in med_fields] + [(len(med_fields) // 5).bit_length() - 1])
     return StatSuiteReport(
         *med_p,
         *high_p,
-        chunk_values=len(values),
+        chunk_values=len(med_fields),
         chunk_bins=2**b if b > 0 else 0,
         chunk_uniform_p=(
-            stats.uniform_chi_p([v >> (cfg.m - b) for v in values], 2**b) if b > 0 else None
+            stats.uniform_chi_p(
+                [backend.select_bits(field, cfg.selector) >> (cfg.m - b)
+                 for field, cfg in med_fields], 2**b
+            ) if b > 0 else None
         ),
     )

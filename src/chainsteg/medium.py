@@ -228,7 +228,7 @@ def grind(
 ) -> GrindResult:
     """Smallest grind counter >= start_index whose address carries the
     target bits. Deterministic; backend-accelerated."""
-    return _grind_chunks(km, [target], cfg, start_index)[0]
+    return _grind_chunks(km, [target], cfg, start_index)[0][0]
 
 
 def _grind_chunks(
@@ -236,12 +236,15 @@ def _grind_chunks(
     chunks: list[Chunk],
     cfg: ChannelConfig,
     start_index: int,
-) -> list[GrindResult]:
+    spares: int = 0,
+) -> tuple[list[GrindResult], tuple[tuple[int, bytes], ...]]:
     """One scan of grind counters from start_index that gives every chunk
     its own address, in chunk order. A counter goes to the first still-open
     chunk its digest carries, so equal chunks get distinct counters (and
     digests). The scan ends at the last hit, after ~2^m * H_k attempts for
-    k chunks, and never runs past cfg.attempts_cap counters."""
+    k chunks, and never runs past cfg.attempts_cap counters. Also returns
+    the (counter, digest) pairs of the first `spares` counters below the
+    last hit that no chunk took."""
     for chunk in chunks:
         chunk.validate(cfg)
     if start_index < 1:
@@ -254,6 +257,7 @@ def _grind_chunks(
         cfg.attempts_cap,
         cfg.selector,
         *(chunk.bits for chunk in chunks),
+        spares=spares,
     )
     if hit is None:
         values = ", ".join(f"{chunk.bits:#x}" for chunk in chunks)
@@ -262,7 +266,7 @@ def _grind_chunks(
             f"{cfg.attempts_cap} attempts",
             next_counter=start_index + cfg.attempts_cap,
         )
-    return [
+    records = [
         GrindResult(
             address=Address(digest),
             index=DerivationIndex(DOMAIN_GRIND, counter),
@@ -270,6 +274,7 @@ def _grind_chunks(
         )
         for counter, digest in hit[0]
     ]
+    return records, hit[2] if spares else ()
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +358,13 @@ def embed(gen, payloads: list[list[int]], cfg: ChannelConfig, rng) -> list[Stego
 
     One scan from the generation's next grind counter grinds the chunks of
     every transaction, ~2^m * H_k attempts for k chunks (H_k = 1 + 1/2 +
-    ... + 1/k). The first two non-hit counters of the scan per transaction,
-    for its change and its funding change, are kept in `gen.grind_spares`,
-    which fresh_wallet_address takes first, and next_grind moves past the
-    last hit. Reads (without advancing) the MED signal counter. Output
-    amounts come from `rng`.
+    ... + 1/k). The scan also hands back the first two non-hit counters per
+    transaction with their digests, for its change and its funding change.
+    They are kept in `gen.grind_spares`, which fresh_wallet_address takes
+    first without deriving them again, and next_grind moves past the last
+    hit. Only each transaction's signal address is derived on its own.
+    Reads (without advancing) the MED signal counter. Output amounts come
+    from `rng`.
     """
     if not 1 <= len(payloads) <= group_size(cfg):
         raise ValidationError(
@@ -383,12 +390,9 @@ def embed(gen, payloads: list[list[int]], cfg: ChannelConfig, rng) -> list[Stego
         layouts.append((counter, groups, word & ((1 << (size - nm)) - 1)))
         chunks += [Chunk(bits=value, slot=i) for i, value in enumerate(values)]
 
-    start = gen.next_grind
-    records = _grind_chunks(km, chunks, cfg, start)
-    hits = {r.index.counter for r in records}
-    last = max(hits)
-    gen.grind_spares = [c for c in range(start, last) if c not in hits][: 2 * len(payloads)]
-    gen.next_grind = last + 1
+    records, spares = _grind_chunks(km, chunks, cfg, gen.next_grind, 2 * len(payloads))
+    gen.grind_spares = list(spares)
+    gen.next_grind = max(r.index.counter for r in records) + 1
 
     templates = []
     for i, (counter, groups, tie_rank) in enumerate(layouts):

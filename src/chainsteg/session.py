@@ -53,6 +53,9 @@ class WalletUtxo:
     amount: int
     generation: int
     grind_counter: int
+    # the address, kept from the output's creation; never saved, so None for
+    # an output loaded from a session file
+    digest: bytes | None = field(default=None, compare=False)
 
     def __lt__(self, other: "WalletUtxo") -> bool:
         # wallet is a largest-first heap
@@ -71,9 +74,10 @@ class Generation:
     # sender: the bits of a MED message that a failed send left off the
     # chain (no padding); the next MED send finishes that message first
     med_unsent: list[int] = field(default_factory=list)
-    # sender, during one MED send: the non-hit counters its group scan left
-    # below next_grind, for the group's change addresses
-    grind_spares: list[int] = field(default_factory=list)
+    # sender, during one MED send: the (counter, digest) pairs of the
+    # non-hit counters its group scan left below next_grind, for the group's
+    # change addresses
+    grind_spares: list[tuple[int, bytes]] = field(default_factory=list)
     # channel parameters keyed by the MED counter they apply from; config
     # switches announce their effective counter so processing order across
     # channels cannot misapply them
@@ -84,16 +88,16 @@ class Generation:
 
     def fresh_wallet_address(self) -> tuple[bytes, int]:
         """Digest at a fresh grind counter, and that counter (consumed): the
-        first of grind_spares while a MED send holds them, else next_grind,
-        so the change and funding change of a MED group take the first
-        non-hit counters of its scan."""
+        first of grind_spares while a MED send holds them, with the digest
+        its scan derived, so the change and funding change of a MED group
+        take the first non-hit counters of its scan; else next_grind,
+        derived here."""
         if self.grind_spares:
-            counter = self.grind_spares.pop(0)
-        else:
-            counter = self.next_grind
-            self.next_grind += 1
-        digest = backend.get().derive_digest(self.km.k, DOMAIN_GRIND, counter, self.km.gy)
-        return digest, counter
+            counter, digest = self.grind_spares.pop(0)
+            return digest, counter
+        counter = self.next_grind
+        self.next_grind += 1
+        return backend.get().derive_digest(self.km.k, DOMAIN_GRIND, counter, self.km.gy), counter
 
     def cfg_at(self, counter: int) -> medium.ChannelConfig:
         chosen = self.med_cfg_schedule[0][1]
@@ -159,6 +163,10 @@ class SessionState:
         return chosen
 
     def _wallet_digest(self, utxo: WalletUtxo) -> bytes:
+        """The output's address: kept since its creation, or derived once more
+        for an output loaded from a session file."""
+        if utxo.digest is not None:
+            return utxo.digest
         gen = self.generations[utxo.generation]
         return backend.get().derive_digest(
             gen.km.k, DOMAIN_GRIND, utxo.grind_counter, gen.km.gy
@@ -192,9 +200,8 @@ class SessionState:
                 heapq.heappush(self.wallet, utxo)
             raise
         if change_entry is not None:
-            self.wallet_add(
-                WalletUtxo(txid, 1, change_entry[2], self.key_gen, change_entry[1])
-            )
+            digest, counter, change = change_entry
+            self.wallet_add(WalletUtxo(txid, 1, change, self.key_gen, counter, digest))
         return (txid, 0)
 
     # -- ledger bootstrap ----------------------------------------------------
@@ -204,7 +211,7 @@ class SessionState:
         digest, counter = self.current.fresh_wallet_address()
         ledger = Ledger.create(genesis_allocations=[(digest, amount)])
         coinbase = ledger.blocks[0].transactions[0]
-        self.wallet_add(WalletUtxo(coinbase.txid, 1, amount, self.key_gen, counter))
+        self.wallet_add(WalletUtxo(coinbase.txid, 1, amount, self.key_gen, counter, digest))
         return ledger
 
     # -- sending -------------------------------------------------------------
@@ -218,7 +225,8 @@ class SessionState:
         n_outs = len(tx.outputs)
         self.wallet_add(
             WalletUtxo(txid, n_outs - 1, template.change_output.amount,
-                       self.key_gen, template.change_index.counter)
+                       self.key_gen, template.change_index.counter,
+                       template.change_output.field)
         )
         audit_entries = [(n_outs - 1, template.change_index.counter)]
         audit_entries += [

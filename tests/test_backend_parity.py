@@ -1,8 +1,12 @@
 import functools
 import json
 import random
+import shutil
+import subprocess
 import sys
+import sysconfig
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -268,8 +272,8 @@ def test_stream_derives_about_what_sends_consume(monkeypatch):
     attempts = []
     scan = ext.grind_scan
 
-    def counted(*args):
-        got = scan(*args)
+    def counted(*args, **kwargs):
+        got = scan(*args, **kwargs)
         attempts.append(got[1])
         return got
 
@@ -339,9 +343,9 @@ def test_med_groups_split_at_max_targets(name, monkeypatch):
     scans = []
     scan = be.grind_scan
 
-    def counted(k, tag, gy, start, max_attempts, positions, *targets):
+    def counted(k, tag, gy, start, max_attempts, positions, *targets, **kwargs):
         scans.append(len(targets))
-        return scan(k, tag, gy, start, max_attempts, positions, *targets)
+        return scan(k, tag, gy, start, max_attempts, positions, *targets, **kwargs)
 
     monkeypatch.setattr(be, "grind_scan", counted)
     got = _med_across_group_boundaries()
@@ -375,6 +379,50 @@ def test_grind_rejects_bad_targets(name, targets):
     be = backend.set_backend(name)
     with pytest.raises(ValueError):
         be.grind_scan(bytes(32), 3, ec.mult_g(5), 1, 4, (7, 3), *targets)
+
+
+@pytest.mark.parametrize("name", backend.available())
+@pytest.mark.parametrize("spares", [-1, backend.MAX_SPARES + 1])
+def test_grind_rejects_bad_spares(name, spares):
+    be = backend.set_backend(name)
+    with pytest.raises(ValueError):
+        be.grind_scan(bytes(32), 3, ec.mult_g(5), 1, 4, (7, 3), 0, spares=spares)
+
+
+SPARE_SCANS = ["fresh", "inside_kept", "several_batches"]
+
+
+@needs_ext
+@pytest.mark.parametrize("case", SPARE_SCANS)
+def test_spares_match_pure(case):
+    """grind_scan(..., spares=s) hands back the same spare pairs on both
+    backends: the first s counters below the last hit that no target took,
+    each with the digest derive_digest gives it. The scan starts at a fresh
+    counter; or 250 counters into the 256-counter batch the kernel kept from
+    a previous scan, so its spares come from two batches; or it runs
+    several batches to its last hit."""
+    rng = random.Random(1800 + SPARE_SCANS.index(case))
+    pure, ext = backend.PureBackend(), backend.set_backend("ext")
+    k, gy = rng.randbytes(32), ec.mult_g(rng.randrange(1, ec.Q))
+    m = 10 if case == "several_batches" else 6
+    positions = tuple(rng.sample(range(160), m))
+    targets = _multiset(rng, m, 5)
+    start = rng.randint(1, 10**6)
+    if case == "inside_kept":
+        hits, _ = ext.grind_scan(k, 3, gy, start, 2**14, positions, *_multiset(rng, 6, 5))
+        start += 256 * ((max(c for c, _ in hits) - start) // 256) + 250
+    args = (k, 3, gy, start, 2 ** (m + 8), positions, *targets)
+    got = ext.grind_scan(*args, spares=backend.MAX_SPARES)
+    assert got == pure.grind_scan(*args, spares=backend.MAX_SPARES)
+    hits, attempts, spares = got
+    assert attempts > (2 * 256 if case == "several_batches" else backend.MAX_SPARES + 5)
+    taken = {c for c, _ in hits}
+    expected = [c for c in range(start, start + attempts - 1) if c not in taken]
+    assert [c for c, _ in spares] == expected[: backend.MAX_SPARES]
+    for counter, digest in spares:
+        assert digest == pure.derive_digest(k, 3, counter, gy)
+    assert ext.grind_scan(*args, spares=3)[2] == spares[:3]
+    assert ext.grind_scan(*args) == got[:2]
 
 
 @needs_ext
@@ -454,6 +502,39 @@ def test_comb_path_follows_cpu():
     if not HAS_IFMA:
         with pytest.raises(ValueError):
             kernel._comb_path("ifma")
+
+
+@needs_ext
+@pytest.mark.skipif(not HAS_IFMA, reason="the CPU lacks avx512f or avx512ifma, or its flags are unknown")
+def test_ifma_path_leaves_upper_vector_state_clean():
+    """After AVX-512 code the upper halves of the vector registers must read
+    as unused (XGETBV(1) bits 2 and 6), or every later legacy-SSE
+    instruction, SHA-NI's among them, runs slowly: after 64- and 256-lane
+    scans on the IFMA comb, and after a single derivation."""
+    kernel._comb_path("ifma")
+    rng = random.Random(1900)
+    k, gy = rng.randbytes(32), ec.mult_g(rng.randrange(1, ec.Q))
+    for lanes in (64, 256):
+        # a 24-bit target is almost never hit: the scan derives all its lanes
+        kernel.grind_scan(k, 3, gy[0], gy[1], lanes * 10**6, lanes, tuple(range(24)),
+                          (0xABCDEF,))
+        assert kernel._upper_state() == 0
+    kernel.derive_digest(k, 3, 5, gy[0], gy[1])
+    assert kernel._upper_state() == 0
+
+
+def test_kernel_compiles_without_warnings():
+    """_kernel.c is clean under -Wall -Werror."""
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip("no C compiler")
+    source = Path(backend.__file__).with_name("_kernel.c")
+    proc = subprocess.run(
+        [compiler, "-Wall", "-Werror", "-fsyntax-only", "-I", sysconfig.get_paths()["include"],
+         str(source)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @needs_ext

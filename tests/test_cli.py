@@ -336,6 +336,26 @@ def small_permuted_chain(km, messages=None):
     return state, ledger
 
 
+def test_stat_suite_reads_each_med_tx_under_its_config(km):
+    """Across a switch from n = 3, m = 4 to n = 5, m = 3, stat_suite takes n
+    chunk values from each MED transaction under the config it was sent
+    with, and bins them at the narrower m."""
+    state = SessionState(km, ChannelConfig(n=3, m=4, mode=Mode.PERMUTED), seed=56)
+    ledger = state.genesis_ledger()
+    rng = random.Random(67)
+    sent = {3: 0, 5: 0}
+    for i in range(24):
+        if i == 12:
+            state.switch_config(ledger, ChannelConfig(n=5, m=3, mode=Mode.PERMUTED))
+        sent[state.cfg.n] += len(state.send_message(ledger, rng.randbytes(4), Channel.MED))
+        ledger.mine_block(NoiseProfile(rate=4.0), seed=i)
+    report = stat_suite(ledger, state, min_sample=20)
+    assert sent[3] and sent[5]
+    assert report.chunk_values == 3 * sent[3] + 5 * sent[5]
+    assert report.chunk_bins == 8
+    assert not report.chunk_flagged()
+
+
 def test_stat_suite_small_chain(km):
     state, ledger = small_permuted_chain(km)
     report = stat_suite(ledger, state, min_sample=30)

@@ -8,7 +8,7 @@ from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, backend, high,
 from chainsteg.cli import main
 from chainsteg.errors import ValidationError
 from chainsteg.bitio import bytes_to_bits, int_to_bits
-from chainsteg.hdw import DerivationIndex, KeyMaterial, derive_address
+from chainsteg.hdw import DOMAIN_GRIND, DerivationIndex, KeyMaterial, derive_address
 from chainsteg.ledger import StegoTransaction, TxInput, TxOutput
 from chainsteg.medium import split_payloads
 from chainsteg.session import SCAN_WINDOW, Generation, SessionState, _config_frame
@@ -626,6 +626,33 @@ def test_switch_config(km):
     assert ("MED", b"old params") in got
     assert ("MED", b"new params") in got
     assert receiver.cfg == cfg2
+
+
+def test_med_send_derives_only_signal_addresses(km, tmp_path, monkeypatch):
+    """A MED send derives each transaction's signal address and nothing else:
+    its change and funding-change digests come from its grind scan, and the
+    output it spends keeps the digest it was made with. After a load the
+    spent output's digest is derived once more, as the session file does not
+    hold it."""
+    sender, receiver, ledger = pair(km, ChannelConfig(n=5, m=6, mode=Mode.PERMUTED))
+    be = backend.get()
+    calls = []
+    real = be.derive_digest
+    monkeypatch.setattr(be, "derive_digest", lambda *args: calls.append(args) or real(*args))
+    signal = sender.current.next_signal["MED"]
+    txids = sender.send_message(ledger, b"4 by", Channel.MED)
+    assert len(txids) == 2
+    assert [args[1:3] for args in calls] == [(Channel.MED.value, signal), (Channel.MED.value, signal + 1)]
+    sender.save(tmp_path / "s.bin")
+    sender = SessionState.load(tmp_path / "s.bin")
+    calls.clear()
+    signal = sender.current.next_signal["MED"]
+    txids = sender.send_message(ledger, b"more", Channel.MED)
+    tags = [args[1] for args in calls]
+    assert tags.count(Channel.MED.value) == len(txids)
+    assert len(calls) == len(txids) + 1 and tags.count(DOMAIN_GRIND) == 1
+    ledger.mine_block(seed=3)
+    assert receiver.detect_and_receive(ledger) == [("MED", b"4 by"), ("MED", b"more")]
 
 
 def test_receive_derives_only_new_window_counters(km, monkeypatch):
