@@ -1,7 +1,13 @@
 /* Compiled kernel: secp256k1 fixed-base derivation and digest scanning with
  * 4x64-bit field limbs, SHA-256 (SHA-NI when the CPU has it) and RIPEMD-160,
- * so the whole attempt loop runs in C without the GIL; and the parser of a
- * block's transaction rows, which hashes each txid.
+ * so the whole attempt loop runs in C without the GIL; the parser of a
+ * block's transaction rows, which hashes each txid; and connect, which
+ * applies a block's per-transaction rules to the UTXO dict.
+ *
+ * The rows, the inputs and outputs tuples and the outpoint keys that the
+ * parser and connect make hold only bytes and ints, so they can be in no
+ * reference cycle: each is untracked from the cyclic GC as it is made,
+ * which spares every later collection a walk over the whole chain.
  *
  * A grind scan derives counters in batches of 256 affine lanes: each comb
  * window's additions share one inversion (Montgomery's trick). A single
@@ -25,8 +31,8 @@
  *
  * Results are bit-identical to backend.PureBackend, the reference; the
  * parity tests enforce it on both paths. Python-visible: derive_digest,
- * grind_scan, parse_transactions, and _microbench, _derived, _comb_path and
- * _upper_state for measurements and tests.
+ * grind_scan, parse_transactions, connect, and _microbench, _derived,
+ * _comb_path and _upper_state for measurements and tests.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1705,7 +1711,9 @@ PyDoc_STRVAR(grind_scan_doc,
 
 static PyObject *NAME_INPUTS, *NAME_OUTPUTS, *NAME_FEE, *NAME_TXID, *NO_ARGS;
 
-/* A three-field row of a tuple subclass; steals a, b and c. */
+/* A three-field row of a tuple subclass; steals a, b and c, which are bytes
+ * and ints. Such a row can be in no reference cycle, so it is untracked:
+ * the cyclic GC never scans it (CPython untracks only exact tuples). */
 static PyObject *new_row(PyTypeObject *type, PyObject *a, PyObject *b, PyObject *c)
 {
     PyObject *row = NULL;
@@ -1717,6 +1725,7 @@ static PyObject *new_row(PyTypeObject *type, PyObject *a, PyObject *b, PyObject 
         Py_XDECREF(c);
         return NULL;
     }
+    PyObject_GC_UnTrack(row);
     PyTuple_SET_ITEM(row, 0, a);
     PyTuple_SET_ITEM(row, 1, b);
     PyTuple_SET_ITEM(row, 2, c);
@@ -1772,6 +1781,10 @@ static PyObject *parse_transaction(const u8 *data, Py_ssize_t size, Py_ssize_t *
             goto fail;
         PyTuple_SET_ITEM(outputs, i, row);
     }
+    /* tuples of untracked rows: untracked before they are set, so the
+     * transaction's attribute values hold nothing the GC has to scan */
+    PyObject_GC_UnTrack(inputs);
+    PyObject_GC_UnTrack(outputs);
     if ((fee = PyLong_FromUnsignedLongLong(load_be64(data + off))) == NULL)
         goto fail;
     off += 8;
@@ -1845,7 +1858,230 @@ PyDoc_STRVAR(parse_transactions_doc,
 "output_type tuples, and each transaction is a tx_type made without its\n"
 "__init__, its inputs, outputs, fee and txid (sha256d of its own bytes) set\n"
 "in its __dict__. end is the offset past the last one. ValueError when a\n"
-"count runs past the data.");
+"count runs past the data. The rows and the inputs and outputs tuples are\n"
+"untracked from the cyclic GC: they hold only bytes and ints.");
+
+/* ------------------------------------------------------------------------
+ * connect: a block's per-transaction rules over the UTXO dict */
+
+static PyObject *MISSING; /* a private object(), which no UTXO value is */
+
+/* The three items of a row: a tuple of three, as a TxInput or TxOutput made
+ * by Python or by this kernel; TypeError for any other object. */
+static PyObject **row_items(PyObject *row, const char *what)
+{
+    if (PyTuple_Check(row) && PyTuple_GET_SIZE(row) == 3)
+        return ((PyTupleObject *)row)->ob_item;
+    PyErr_Format(PyExc_TypeError, "%s must be a row of three fields, not %.100s", what,
+                 Py_TYPE(row)->tp_name);
+    return NULL;
+}
+
+/* Whether a field is bytes (a txid or a 20-byte digest) or an int (a vout
+ * or an amount), as wanted; TypeError when it is not. */
+static int field_is(PyObject *field, int bytes, const char *what)
+{
+    if (bytes ? PyBytes_CheckExact(field) : PyLong_Check(field))
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s must be %s, not %.100s", what, bytes ? "bytes" : "int",
+                 Py_TYPE(field)->tp_name);
+    return 0;
+}
+
+/* A transaction's inputs or outputs as a tuple (a new reference). A tuple
+ * is taken as it is; a list is copied, so code that a lookup runs cannot
+ * free a row while it is read. */
+static PyObject *tx_rows(PyObject *tx, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(tx, name), *rows;
+    if (value == NULL)
+        return NULL;
+    rows = PySequence_Tuple(value);
+    Py_DECREF(value);
+    return rows;
+}
+
+/* Raise ValueError(reason, position, index): transaction `position` of the
+ * block broke a rule, at input `index` (-1 for the balance). Returns 0. */
+static int rule_broken(const char *reason, Py_ssize_t position, Py_ssize_t index)
+{
+    PyObject *why = Py_BuildValue("(snn)", reason, position, index);
+    if (why != NULL) {
+        PyErr_SetObject(PyExc_ValueError, why);
+        Py_DECREF(why);
+    }
+    return 0;
+}
+
+/* Remove key from dict: a new reference to its value, or NULL when it is
+ * absent or the lookup raised (an error is set only then). */
+static PyObject *dict_pop(PyObject *dict, PyObject *key)
+{
+#if PY_VERSION_HEX >= 0x030D0000
+    PyObject *value = NULL;
+    PyDict_Pop(dict, key, &value);
+    return value;
+#else
+    PyObject *value = _PyDict_Pop(dict, key, MISSING);
+    if (value == MISSING) {
+        Py_DECREF(value);
+        return NULL;
+    }
+    return value;
+#endif
+}
+
+/* Spend input `index` of transaction `position`: pop the outpoint it names
+ * and add the amount that output held to *total_in. The input must name
+ * the address the output pays. */
+static int spend(PyObject *utxos, PyObject *row, Py_ssize_t position, Py_ssize_t index,
+                 u128 *total_in)
+{
+    PyObject **in = row_items(row, "an input"), **out, *key, *prev;
+    u64 amount;
+    int ok = 0;
+    if (in == NULL || !field_is(in[0], 1, "prev_txid") || !field_is(in[1], 0, "vout") ||
+        !field_is(in[2], 1, "address") || (key = PyTuple_Pack(2, in[0], in[1])) == NULL)
+        return 0;
+    prev = dict_pop(utxos, key);
+    Py_DECREF(key);
+    if (prev == NULL)
+        return PyErr_Occurred() ? 0 : rule_broken("spent", position, index);
+    if ((out = row_items(prev, "a UTXO")) != NULL && field_is(out[0], 1, "field") &&
+        to_u64(out[1], &amount)) {
+        if (PyBytes_GET_SIZE(out[0]) != PyBytes_GET_SIZE(in[2]) ||
+            memcmp(PyBytes_AS_STRING(out[0]), PyBytes_AS_STRING(in[2]),
+                   PyBytes_GET_SIZE(in[2])) != 0)
+            rule_broken("address", position, index);
+        else {
+            *total_in += amount;
+            ok = 1;
+        }
+    }
+    Py_DECREF(prev);
+    return ok;
+}
+
+/* Apply transaction `position` of a block to utxos: unless it is the
+ * coinbase (position 0), spend its inputs, check that they pay its outputs
+ * plus its fee, and add the fee to *fees; then insert its outputs in order
+ * under untracked (txid, vout) keys. */
+static int connect_tx(PyObject *utxos, PyObject *tx, Py_ssize_t position, u128 *fees)
+{
+    PyObject *txid, *inputs = NULL, *outputs = NULL, **out;
+    Py_ssize_t i, n_out;
+    u128 total_in = 0, total_out = 0;
+    u64 value;
+    int ok = 0;
+    if ((txid = PyObject_GetAttr(tx, NAME_TXID)) == NULL || !field_is(txid, 1, "txid"))
+        goto done;
+    if (position) {
+        if ((inputs = tx_rows(tx, NAME_INPUTS)) == NULL)
+            goto done;
+        for (i = 0; i < PyTuple_GET_SIZE(inputs); i++)
+            if (!spend(utxos, PyTuple_GET_ITEM(inputs, i), position, i, &total_in))
+                goto done;
+    }
+    if ((outputs = tx_rows(tx, NAME_OUTPUTS)) == NULL)
+        goto done;
+    n_out = PyTuple_GET_SIZE(outputs);
+    for (i = 0; i < n_out; i++) {
+        out = row_items(PyTuple_GET_ITEM(outputs, i), "an output");
+        if (out == NULL || !field_is(out[0], 1, "field") || !field_is(out[1], 0, "amount"))
+            goto done;
+        if (position) {
+            if (!to_u64(out[1], &value))
+                goto done;
+            total_out += value;
+        }
+    }
+    if (position) {
+        PyObject *fee = PyObject_GetAttr(tx, NAME_FEE);
+        int fee_ok = fee != NULL && to_u64(fee, &value);
+        Py_XDECREF(fee);
+        if (!fee_ok)
+            goto done;
+        if (total_in != total_out + value) {
+            rule_broken("balance", position, -1);
+            goto done;
+        }
+        *fees += value;
+    }
+    for (i = 0; i < n_out; i++) {
+        PyObject *key = PyTuple_New(2), *vout = PyLong_FromSsize_t(i);
+        if (key == NULL || vout == NULL) {
+            Py_XDECREF(key);
+            Py_XDECREF(vout);
+            goto done;
+        }
+        /* bytes and an int: the key can be in no reference cycle */
+        PyObject_GC_UnTrack(key);
+        Py_INCREF(txid);
+        PyTuple_SET_ITEM(key, 0, txid);
+        PyTuple_SET_ITEM(key, 1, vout);
+        ok = PyDict_SetItem(utxos, key, PyTuple_GET_ITEM(outputs, i)) == 0;
+        Py_DECREF(key);
+        if (!ok)
+            goto done;
+    }
+    ok = 1;
+done:
+    Py_XDECREF(txid);
+    Py_XDECREF(inputs);
+    Py_XDECREF(outputs);
+    return ok;
+}
+
+/* v as a Python int; fees pass 2^64 only on a chain that holds that much */
+static PyObject *u128_to_long(u128 v)
+{
+    PyObject *high, *low, *shift, *shifted = NULL, *result = NULL;
+    if (v >> 64 == 0)
+        return PyLong_FromUnsignedLongLong((u64)v);
+    high = PyLong_FromUnsignedLongLong((u64)(v >> 64));
+    low = PyLong_FromUnsignedLongLong((u64)v);
+    shift = PyLong_FromLong(64);
+    if (high != NULL && low != NULL && shift != NULL &&
+        (shifted = PyNumber_Lshift(high, shift)) != NULL)
+        result = PyNumber_Or(shifted, low);
+    Py_XDECREF(high);
+    Py_XDECREF(low);
+    Py_XDECREF(shift);
+    Py_XDECREF(shifted);
+    return result;
+}
+
+static PyObject *py_connect(PyObject *self, PyObject *args)
+{
+    PyObject *utxos, *txs, *result = NULL;
+    Py_ssize_t position;
+    u128 fees = 0;
+    if (!PyArg_ParseTuple(args, "O!O:connect", &PyDict_Type, &utxos, &txs) ||
+        (txs = PySequence_Tuple(txs)) == NULL)
+        return NULL;
+    for (position = 0; position < PyTuple_GET_SIZE(txs); position++)
+        if (!connect_tx(utxos, PyTuple_GET_ITEM(txs, position), position, &fees))
+            goto done;
+    result = u128_to_long(fees);
+done:
+    Py_DECREF(txs);
+    return result;
+}
+
+PyDoc_STRVAR(connect_doc,
+"connect(utxos, transactions) -> fees\n\n"
+"Apply a block's transactions to the utxos dict, in order. Transaction 0 is\n"
+"the coinbase: its inputs spend nothing. Every other one pops the (prev_txid,\n"
+"vout) outpoint of each input, which must be present and pay the input's\n"
+"address, and its inputs must sum to its outputs plus its fee. Each\n"
+"transaction's outputs then go in under (txid, vout) keys, in order, so a\n"
+"later one may spend them. Returns the sum of the non-coinbase fees.\n\n"
+"A broken rule raises ValueError(reason, position, index), reason 'spent',\n"
+"'address' or 'balance' (index -1); utxos keeps what was applied before it.\n"
+"Rows may be made by Python or by parse_transactions; a row that is not a\n"
+"tuple of three with bytes and int fields raises TypeError, and a spent or\n"
+"paid amount or a fee outside 0..2^64-1 OverflowError (coinbase amounts are\n"
+"not summed here).");
 
 static double now_ns(void)
 {
@@ -2024,6 +2260,7 @@ static PyMethodDef kernel_methods[] = {
     {"grind_scan", (PyCFunction)(void (*)(void))py_grind_scan, METH_VARARGS | METH_KEYWORDS,
      grind_scan_doc},
     {"parse_transactions", py_parse_transactions, METH_VARARGS, parse_transactions_doc},
+    {"connect", py_connect, METH_VARARGS, connect_doc},
     {"_microbench", py_microbench, METH_VARARGS, microbench_doc},
     {"_derived", py_derived, METH_NOARGS, derived_doc},
     {"_comb_path", py_comb_path, METH_VARARGS, comb_path_doc},
@@ -2050,7 +2287,8 @@ PyMODINIT_FUNC PyInit__kernel(void)
         (NAME_OUTPUTS = PyUnicode_InternFromString("outputs")) == NULL ||
         (NAME_FEE = PyUnicode_InternFromString("fee")) == NULL ||
         (NAME_TXID = PyUnicode_InternFromString("txid")) == NULL ||
-        (NO_ARGS = PyTuple_New(0)) == NULL)
+        (NO_ARGS = PyTuple_New(0)) == NULL ||
+        (MISSING = PyObject_CallNoArgs((PyObject *)&PyBaseObject_Type)) == NULL)
         return NULL;
     if (!fe_inv_passes_kat())
         return PyErr_Format(PyExc_RuntimeError,

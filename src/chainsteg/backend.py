@@ -1,11 +1,32 @@
 """Backend selection: compiled kernel when importable, pure Python otherwise.
 
-Both backends implement the same three calls used on hot paths:
-derive_digest and grind_scan for grinding, and parse_transactions for
-loading chain records. The observable contract is identical: grind_scan
-gives each target the smallest matching counter not taken by an earlier
-target, and parse_transactions builds the same rows, fields and txids, so
+Both backends implement the same four calls used on hot paths:
+derive_digest and grind_scan for grinding, and parse_transactions and
+connect for loading and mining blocks. The observable contract is
+identical: grind_scan gives each target the smallest matching counter not
+taken by an earlier target, parse_transactions builds the same rows, fields
+and txids, and connect leaves the same UTXO dict, in the same order, so
 results never depend on which backend ran.
+
+connect(utxos, transactions) applies one block's transactions in order.
+Transaction 0 is the coinbase, whose inputs spend nothing. Each other one
+pops the outpoint of every input, which must be present and pay the
+input's address, and must balance its inputs with its outputs plus its
+fee. Its outputs then go in under (txid, vout) keys. It returns the block's
+fees, or raises ValueError(reason, position, index) with reason "spent",
+"address" or "balance" (index -1), which the ledger turns into its
+CorruptChain text. The coinbase-first rule and the coinbase cap stay in
+the ledger. The compiled connect reads rows made by Python or by the
+parser alike; a row or field of another type raises TypeError.
+
+A loaded chain holds tens of thousands of rows, inputs and outputs tuples
+and outpoint keys. Each holds only bytes and ints, so none can be part of a
+reference cycle, and the kernel untracks each from the cyclic GC when it
+makes it. A collection untracks an exact tuple whose items are all
+untracked, which covers the keys, but never a tuple subclass such as the
+TxInput and TxOutput rows, and so never the tuples that hold those rows:
+without this, every full collection would walk them all. Only
+gc.is_tracked tells the difference.
 
 The compiled grind_scan derives counters in batches of 256, so it may
 derive past the last hit. It keeps that last batch in memory, and the next
@@ -54,6 +75,7 @@ _INPUT = struct.Struct(">32sI20s")  # prev_txid, vout, address
 _OUTPUT = struct.Struct(">20sBQ")  # field, kind, amount
 _TX_MIN = 16  # both counts and the fee
 _output_order = operator.itemgetter(0, 2, 1)  # wire (field, kind, amount) -> row
+_amount = operator.itemgetter(1)  # an output row's amount
 
 
 def select_bits(digest: bytes, positions: tuple[int, ...]) -> int:
@@ -168,6 +190,31 @@ class PureBackend:
             txs.append(tx)
         return tuple(txs), offset
 
+    @staticmethod
+    def connect(utxos, transactions):
+        """Apply a block's transactions to `utxos` in order and return the
+        sum of the non-coinbase fees (the contract is in the module
+        docstring). A broken rule raises ValueError(reason, position,
+        index), with what came before it applied."""
+        fees = 0
+        for position, tx in enumerate(transactions):
+            txid = tx.txid
+            if position:
+                total_in = 0
+                for index, inp in enumerate(tx.inputs):
+                    prev = utxos.pop((inp.prev_txid, inp.vout), None)
+                    if prev is None:
+                        raise ValueError("spent", position, index)
+                    if prev.field != inp.address:
+                        raise ValueError("address", position, index)
+                    total_in += prev.amount
+                if total_in != sum(map(_amount, tx.outputs)) + tx.fee:
+                    raise ValueError("balance", position, -1)
+                fees += tx.fee
+            for vout, out in enumerate(tx.outputs):
+                utxos[(txid, vout)] = out
+        return fees
+
 
 _pure = PureBackend()
 _ext = None
@@ -186,6 +233,7 @@ try:
             )
 
         parse_transactions = staticmethod(_kernel.parse_transactions)
+        connect = staticmethod(_kernel.connect)
 
     _ext = ExtBackend()
 except ImportError:

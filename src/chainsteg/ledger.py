@@ -30,8 +30,11 @@ txid, and otherwise the pure-Python parser. Block records and the mempool
 sidecar both go through it. A truncated record, trailing bytes, a count
 that runs past the record and a failed hash check all raise CorruptChain.
 
-Block rules, checked by `Ledger._connect` whether a block was mined or
-loaded (a loaded block that breaks one raises CorruptChain):
+Block rules, checked by `Ledger._connect` whether a block was created,
+mined or loaded (a block that breaks one raises CorruptChain). `_connect`
+checks that the block starts with a coinbase and the coinbase cap; the
+active backend's `connect` applies the block transaction by transaction
+and reports which rule a transaction broke:
 - coinbase first: transaction 0 is the coinbase, whose one input spends the
   null outpoint, and no other transaction spends a null outpoint;
 - spends known and unspent: every other input spends an output that exists
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 import random
 import struct
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import backend
-from .backend import _INPUT, _OUTPUT, _U32, _U64
+from .backend import _INPUT, _OUTPUT, _U32, _U64, _amount
 from .errors import CorruptChain, Rejected
 from .files import write_atomic
 from .hashes import sha256d
@@ -93,9 +95,6 @@ class TxOutput(NamedTuple):
     field: bytes  # 20 bytes: an address digest or a raw stego field
     amount: int
     kind: int = KIND_P2PKH
-
-
-_amount = operator.attrgetter("amount")
 
 
 @dataclass(frozen=True)
@@ -213,6 +212,22 @@ class Block:
         if sha256d(data[:offset]) != claimed:
             raise CorruptChain(f"block {height} failed hash re-verification")
         return cls(height, prev, timestamp, txs, block_hash=claimed)
+
+
+def _broken_rule(block: Block, reason: str, position: int, index: int) -> str:
+    """The CorruptChain text for a rule that transaction `position` of
+    `block` broke, as the backend's `connect` reports it."""
+    tx = block.transactions[position]
+    if reason == "balance":
+        return (f"block {block.height} transaction {tx.txid.hex()[:16]} "
+                "does not balance its inputs with its outputs plus fee")
+    inp = tx.inputs[index]
+    outpoint = f"{inp.prev_txid.hex()[:16]}:{inp.vout}"
+    if reason == "address":
+        return f"block {block.height} spends {outpoint} from an address it was not paid to"
+    if inp.prev_txid == _NULL32:
+        return f"block {block.height} spends a null outpoint outside its coinbase"
+    return f"block {block.height} spends unknown or spent output {outpoint}"
 
 
 def _decoy_output_count(rng: random.Random) -> int:
@@ -354,6 +369,9 @@ class Ledger:
         height = len(self.blocks)
         rng = random.Random((seed << 20) ^ height)
         profile = decoys or NoiseProfile(rate=0.0)
+        if self._mempool_reserved:
+            # this block's mempool transactions spend these: no decoy may
+            self._pool = [op for op in self._pool if op not in self._mempool_reserved]
         decoy_txs, decoy_change = [], []
         for _ in range(profile.sample_count(rng)):
             decoy = self._make_decoy(rng)
@@ -409,43 +427,17 @@ class Ledger:
         return placed
 
     def _connect(self, block: Block) -> None:
-        """Apply a block transaction by transaction, spends before
-        creations, so a transaction may spend an earlier one of the same
-        block. The block rules are in the module docstring."""
+        """Apply a block. The backend's `connect` applies it transaction by
+        transaction, spends before creations, so a transaction may spend an
+        earlier one of the same block. The block rules are in the module
+        docstring."""
         txs = block.transactions
         if not txs or len(txs[0].inputs) != 1 or txs[0].inputs[0].prev_txid != _NULL32:
             raise CorruptChain(f"block {block.height} does not start with a coinbase")
-        utxos, fees = self._utxos, 0
-        for position, tx in enumerate(txs):
-            txid = tx.txid
-            if position:
-                total_in = 0
-                for inp in tx.inputs:
-                    outpoint = (inp.prev_txid, inp.vout)
-                    prev = utxos.pop(outpoint, None)
-                    if prev is None:
-                        if inp.prev_txid == _NULL32:
-                            raise CorruptChain(
-                                f"block {block.height} spends a null outpoint outside its coinbase"
-                            )
-                        raise CorruptChain(
-                            f"block {block.height} spends unknown or spent output "
-                            f"{inp.prev_txid.hex()[:16]}:{inp.vout}"
-                        )
-                    if prev.field != inp.address:
-                        raise CorruptChain(
-                            f"block {block.height} spends {inp.prev_txid.hex()[:16]}:"
-                            f"{inp.vout} from an address it was not paid to"
-                        )
-                    total_in += prev.amount
-                if total_in != sum(map(_amount, tx.outputs)) + tx.fee:
-                    raise CorruptChain(
-                        f"block {block.height} transaction {txid.hex()[:16]} "
-                        "does not balance its inputs with its outputs plus fee"
-                    )
-                fees += tx.fee
-            for vout, out in enumerate(tx.outputs):
-                utxos[(txid, vout)] = out
+        try:
+            fees = backend.get().connect(self._utxos, txs)
+        except ValueError as exc:
+            raise CorruptChain(_broken_rule(block, *exc.args)) from None
         minted = sum(map(_amount, txs[0].outputs))
         if block.height and minted > BLOCK_SUBSIDY + fees:
             raise CorruptChain(

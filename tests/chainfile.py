@@ -1,11 +1,24 @@
 """Chain-file surgery for tests: split a file into its length-prefixed
 records, re-seal an edited block record, and append a block whose hash is
-valid whatever its transactions do."""
+valid whatever its transactions do; and the backend switch that runs a
+load on each backend present."""
 
+import contextlib
 import struct
 
+from chainsteg import backend
 from chainsteg.hashes import sha256d
 from chainsteg.ledger import BLOCK_SUBSIDY, Block, StegoTransaction, TxInput, TxOutput
+
+
+@contextlib.contextmanager
+def active_backend(name):
+    """Make `name` the active backend inside the block, then restore."""
+    previous = backend.get().name
+    try:
+        yield backend.set_backend(name)
+    finally:
+        backend.set_backend(previous)
 
 
 def records(raw: bytes) -> list[bytes]:

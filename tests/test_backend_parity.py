@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import random
 import shutil
@@ -10,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import chainfile
 import oracles
 from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, backend, ec
 from chainsteg.hdw import DOMAIN_GRIND, KeyMaterial
-from chainsteg.ledger import StegoTransaction, TxInput, TxOutput
+from chainsteg.ledger import Ledger, StegoTransaction, TxInput, TxOutput
 from chainsteg.session import SessionState
 
 needs_ext = pytest.mark.skipif(
@@ -586,6 +588,170 @@ def test_parse_parity():
         assert outcomes[0] == outcomes[1]
         if mutation == "none":
             assert outcomes[0] == ([(tx, tx.txid) for tx in txs], len(data))
+
+
+def _connect_case(rng):
+    """A UTXO dict and a block's transactions over it, each rule kept or, now
+    and then, broken: an absent outpoint, another address, a balance one off.
+    Amounts and fees span the u64 range, so sums pass 2^64."""
+    utxos, known = {}, {}
+    for _ in range(rng.randint(1, 4)):
+        out = TxOutput(rng.randbytes(20), rng.choice([rng.randrange(1, 10**6), 2**64 - 1]))
+        outpoint = (rng.randbytes(32), rng.randrange(3))
+        utxos[outpoint] = known[outpoint] = out
+    txs = [chainfile.coinbase(1)]
+    for _ in range(rng.randint(0, 5)):
+        spends = rng.sample(list(known), min(len(known), rng.randint(0, 2)))
+        inputs = [TxInput(*op, known[op].field) for op in spends]
+        if inputs and rng.random() < 0.1:
+            inputs[0] = TxInput(rng.randbytes(32), 0, inputs[0].address)
+        if inputs and rng.random() < 0.1:
+            inputs[-1] = inputs[-1]._replace(address=rng.randbytes(20))
+        total = sum(known[op].amount for op in spends)
+        fee = rng.randrange(min(total, 2**64 - 1) + 1)
+        first = min(total - fee, 2**64 - 1)
+        outputs = [TxOutput(rng.randbytes(20), first)]
+        if total - fee - first:
+            outputs.append(TxOutput(rng.randbytes(20), total - fee - first))
+        if rng.random() < 0.1:
+            fee = fee + 1 if fee < 2**64 - 1 else fee - 1
+        tx = StegoTransaction(tuple(inputs), tuple(outputs), fee)
+        txs.append(tx)
+        known.update({(tx.txid, vout): out for vout, out in enumerate(outputs)})
+    return utxos, txs
+
+
+@needs_ext
+def test_connect_parity():
+    """On kept and broken rules, over rows made by Python and by the kernel,
+    both backends leave the same UTXO dict, in the same order, and return the
+    same fees or raise the same ValueError."""
+    rng = random.Random(1919)
+    pure, ext = backend.PureBackend(), backend.set_backend("ext")
+    broken = 0
+    for _ in range(400):
+        utxos, txs = _connect_case(rng)
+        if rng.random() < 0.5:
+            data = b"".join(tx.serialize() for tx in txs)
+            txs = ext.parse_transactions(data, 0, len(txs), StegoTransaction, TxInput,
+                                         TxOutput)[0]
+        outcomes = []
+        for be in (pure, ext):
+            after = dict(utxos)
+            try:
+                outcomes.append((be.connect(after, txs), list(after.items())))
+            except ValueError as exc:
+                outcomes.append((exc.args, list(after.items())))
+        assert outcomes[0] == outcomes[1]
+        broken += isinstance(outcomes[0][0], tuple)
+    assert 40 < broken < 360
+
+
+@needs_ext
+@pytest.mark.parametrize("bad", [
+    "transactions", "inputs", "short row", "txid", "prev_txid", "vout", "address",
+    "output field", "amount", "fee", "utxo",
+])
+def test_connect_type_checks_what_it_reads(bad):
+    """A foreign object where connect reads a row or a field raises
+    TypeError, not a crash."""
+    ext = backend.set_backend("ext")
+    outpoint = (b"\x01" * 32, 0)
+    spend = StegoTransaction((TxInput(*outpoint, b"\x02" * 20),),
+                             (TxOutput(b"\x03" * 20, 4000),), 1000)
+    row = spend.inputs[0]
+    fields = vars(spend) | {"txid": spend.txid}
+    edits = {
+        "inputs": {"inputs": 7},
+        "short row": {"inputs": (row[:2],)},
+        "txid": {"txid": "ab"},
+        "prev_txid": {"inputs": (row._replace(prev_txid=bytearray(32)),)},
+        "vout": {"inputs": (row._replace(vout=0.0),)},
+        "address": {"inputs": (row._replace(address=None),)},
+        "output field": {"outputs": (TxOutput("x" * 20, 4000),)},
+        "amount": {"outputs": (TxOutput(b"\x03" * 20, 4000.0),)},
+        "fee": {"fee": "1000"},
+    }
+    tx = object.__new__(StegoTransaction)
+    vars(tx).update(fields | edits.get(bad, {}))
+    prev = [b"\x02" * 20, 5000, 0] if bad == "utxo" else TxOutput(b"\x02" * 20, 5000)
+    with pytest.raises(TypeError):
+        ext.connect({outpoint: prev},
+                    5 if bad == "transactions" else (chainfile.coinbase(1), tx))
+    utxos = {outpoint: TxOutput(b"\x02" * 20, 5000)}
+    assert ext.connect(utxos, (chainfile.coinbase(1), spend)) == 1000
+    assert [out.field for out in utxos.values()] == [b"\x05" * 20, b"\x03" * 20]
+
+
+def _seeded_chain(km, path):
+    """A seeded 30-block chain at decoy rate 20 that carries MED and HIGH
+    sends, saved to `path` with one HIGH message left in its mempool; the
+    ledger that mined it. Mining applies every block through the active
+    backend's connect."""
+    cfg = ChannelConfig(n=3, m=4, mode=Mode.PERMUTED, max_fields_per_tx=2)
+    sender = SessionState(km, cfg, seed=19)
+    ledger = sender.genesis_ledger()
+    for height in range(1, 31):
+        if height % 6 == 1:
+            sender.send_message(ledger, b"med %d" % height, Channel.MED)
+        elif height % 6 == 4:
+            sender.send_message(ledger, b"high message %d" % height, Channel.HIGH)
+        ledger.mine_block(NoiseProfile(rate=20.0), seed=height)
+    sender.send_message(ledger, b"still in the mempool", Channel.HIGH)
+    ledger.save(path)
+    return ledger
+
+
+def _chain_state(ledger):
+    return (list(ledger._utxos.items()), ledger.total_supply(), ledger._pool,
+            ledger.blocks[-1].block_hash)
+
+
+@needs_ext
+def test_connect_parity_on_a_seeded_chain(km, tmp_path):
+    """Mined and loaded on each backend, a seeded chain gives the same UTXO
+    dict in the same order, supply, decoy pool and tip."""
+    mined = {}
+    for name in ("pure", "ext"):
+        backend.set_backend(name)
+        mined[name] = _chain_state(_seeded_chain(km, tmp_path / f"{name}.bin"))
+    assert mined["pure"] == mined["ext"]
+    assert (tmp_path / "pure.bin").read_bytes() == (tmp_path / "ext.bin").read_bytes()
+    loaded = {}
+    for name in ("pure", "ext"):
+        backend.set_backend(name)
+        loaded[name] = _chain_state(Ledger.load(tmp_path / "ext.bin"))
+    assert loaded["pure"] == loaded["ext"]
+    utxos, supply, _, tip = loaded["ext"]
+    assert (utxos, supply, tip) == (mined["ext"][0], mined["ext"][1], mined["ext"][3])
+    assert len(utxos) > 1000 and len(mined["ext"][2]) > 30  # decoys spent the pool
+
+
+@needs_ext
+def test_loaded_rows_and_keys_are_untracked(km, tmp_path):
+    """The kernel untracks what holds only bytes and ints: after an ext load
+    the cyclic GC tracks no row, no inputs or outputs tuple and no UTXO key,
+    and a collection frees none of it."""
+    path = tmp_path / "chain.bin"
+    backend.set_backend("ext")
+    _seeded_chain(km, path)
+    ledger = Ledger.load(path)
+    txs = [tx for block in ledger.blocks for tx in block.transactions] + ledger.mempool
+    assert ledger.mempool
+    for tx in txs:
+        assert not gc.is_tracked(tx.inputs) and not gc.is_tracked(tx.outputs)
+        assert not any(map(gc.is_tracked, tx.inputs + tx.outputs))
+    assert not any(map(gc.is_tracked, ledger._utxos))
+    tip = ledger.blocks[-1].block_hash
+    gc.collect()
+    assert [b.serialize() for b in ledger.blocks] == chainfile.records(path.read_bytes())
+    assert ledger.utxo_total() == ledger.total_supply()
+    ledger.mine_block(NoiseProfile(rate=20.0), seed=31)
+    ledger.save(path)
+    again = Ledger.load(path)
+    assert again.blocks[-2].block_hash == tip
+    assert again.blocks[-1].block_hash == ledger.blocks[-1].block_hash
+    assert again.utxo_total() == again.total_supply()
 
 
 @needs_ext

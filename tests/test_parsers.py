@@ -10,6 +10,7 @@ import tracemalloc
 
 import chainfile
 import pytest
+from chainfile import active_backend
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,16 +21,6 @@ from chainsteg.hashes import sha256d
 from chainsteg.hdw import read_key_file, write_key_file
 from chainsteg.ledger import Block, Ledger, StegoTransaction, TxInput, TxOutput
 from chainsteg.session import SessionState
-
-
-@contextlib.contextmanager
-def active_backend(name):
-    """Make `name` the active backend inside the block, then restore."""
-    previous = backend.get().name
-    try:
-        yield backend.set_backend(name)
-    finally:
-        backend.set_backend(previous)
 
 
 def parse(impl, data, offset=0, count=1):
