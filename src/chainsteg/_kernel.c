@@ -1,12 +1,15 @@
 /* Compiled kernel: secp256k1 fixed-base derivation and digest scanning with
  * 4x64-bit field limbs, SHA-256 (SHA-NI when the CPU has it) and RIPEMD-160,
  * so the whole attempt loop runs in C without the GIL; the parser of a
- * block's transaction rows, which hashes each txid; and connect, which
- * applies a block's per-transaction rules to the UTXO dict.
+ * block's transaction rows, which hashes each txid; connect, which applies
+ * a block's per-transaction rules to the UTXO dict from rows; and
+ * connect_record, which checks a block record and applies the same rules
+ * straight from its bytes, so a chain loads without building a transaction.
+ * Both connects share their spend, balance and insert code.
  *
  * The rows, the inputs and outputs tuples and the outpoint keys that the
- * parser and connect make hold only bytes and ints, so they can be in no
- * reference cycle: each is untracked from the cyclic GC as it is made,
+ * parser and the connects make hold only bytes and ints, so they can be in
+ * no reference cycle: each is untracked from the cyclic GC as it is made,
  * which spares every later collection a walk over the whole chain.
  *
  * A grind scan derives counters in batches of 256 affine lanes: each comb
@@ -31,8 +34,8 @@
  *
  * Results are bit-identical to backend.PureBackend, the reference; the
  * parity tests enforce it on both paths. Python-visible: derive_digest,
- * grind_scan, parse_transactions, connect, and _microbench, _derived,
- * _comb_path and _upper_state for measurements and tests.
+ * grind_scan, parse_transactions, connect, connect_record, and _microbench,
+ * _derived, _comb_path and _upper_state for measurements and tests.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1704,12 +1707,39 @@ PyDoc_STRVAR(grind_scan_doc,
 
 /* Wire sizes: a transaction is at least its two u32 counts and its u64 fee;
  * an input row is prev_txid 32B, vout u32, address 20B; an output row is
- * field 20B, kind u8, amount u64. */
+ * field 20B, kind u8, amount u64. A block record is its header (height u64,
+ * prev_hash 32B, timestamp u64, tx_count u32), its transactions and its
+ * 32-byte hash. */
 #define TX_MIN 16
 #define INPUT_ROW 56
 #define OUTPUT_ROW 29
+#define BLOCK_HEAD 52
 
 static PyObject *NAME_INPUTS, *NAME_OUTPUTS, *NAME_FEE, *NAME_TXID, *NO_ARGS;
+
+/* The extent of the transaction at *pos of data[0:size]: its input and
+ * output counts, and the offset past it in *pos. Every count is checked
+ * against the bytes left before anything is sized from it. Returns NULL,
+ * or what is wrong (the ValueError text of both parsers). */
+static const char *tx_frame(const u8 *data, Py_ssize_t size, Py_ssize_t *pos,
+                            Py_ssize_t *n_in, Py_ssize_t *n_out)
+{
+    Py_ssize_t off = *pos;
+    if (size - off < TX_MIN)
+        return "data ends inside a transaction";
+    *n_in = load_be32(data + off);
+    off += 4;
+    /* the output count and the fee follow the inputs */
+    if (*n_in > (size - off - 4 - 8) / INPUT_ROW)
+        return "input count runs past the data";
+    off += *n_in * INPUT_ROW;
+    *n_out = load_be32(data + off);
+    off += 4;
+    if (*n_out > (size - off - 8) / OUTPUT_ROW)
+        return "output count runs past the data";
+    *pos = off + *n_out * OUTPUT_ROW + 8;
+    return NULL;
+}
 
 /* A three-field row of a tuple subclass; steals a, b and c, which are bytes
  * and ints. Such a row can be in no reference cycle, so it is untracked:
@@ -1732,25 +1762,26 @@ static PyObject *new_row(PyTypeObject *type, PyObject *a, PyObject *b, PyObject 
     return row;
 }
 
+/* The output row at data: field, amount, kind. */
+static PyObject *output_row(PyTypeObject *type, const u8 *data)
+{
+    return new_row(type, PyBytes_FromStringAndSize((const char *)data, 20),
+                   PyLong_FromUnsignedLongLong(load_be64(data + 21)),
+                   PyLong_FromLong(data[20]));
+}
+
 /* The transaction at *pos of data[0:size], with its txid and the offset
- * past it in *pos. Every count is checked against the bytes left before
- * anything is sized from it. */
+ * past it in *pos. */
 static PyObject *parse_transaction(const u8 *data, Py_ssize_t size, Py_ssize_t *pos,
                                    PyTypeObject *tx_type, PyTypeObject *in_type,
                                    PyTypeObject *out_type)
 {
-    Py_ssize_t off = *pos, n_in, n_out, i;
+    Py_ssize_t end = *pos, off = *pos + 4, n_in, n_out, i;
     PyObject *inputs = NULL, *outputs = NULL, *fee = NULL, *txid = NULL, *tx = NULL;
+    const char *bad = tx_frame(data, size, &end, &n_in, &n_out);
     u8 digest[32];
-    if (size - off < TX_MIN) {
-        PyErr_SetString(PyExc_ValueError, "data ends inside a transaction");
-        return NULL;
-    }
-    n_in = load_be32(data + off);
-    off += 4;
-    /* the output count and the fee follow the inputs */
-    if (n_in > (size - off - 4 - 8) / INPUT_ROW) {
-        PyErr_SetString(PyExc_ValueError, "input count runs past the data");
+    if (bad != NULL) {
+        PyErr_SetString(PyExc_ValueError, bad);
         return NULL;
     }
     if ((inputs = PyTuple_New(n_in)) == NULL)
@@ -1764,19 +1795,11 @@ static PyObject *parse_transaction(const u8 *data, Py_ssize_t size, Py_ssize_t *
             goto fail;
         PyTuple_SET_ITEM(inputs, i, row);
     }
-    n_out = load_be32(data + off);
     off += 4;
-    if (n_out > (size - off - 8) / OUTPUT_ROW) {
-        PyErr_SetString(PyExc_ValueError, "output count runs past the data");
-        goto fail;
-    }
     if ((outputs = PyTuple_New(n_out)) == NULL)
         goto fail;
     for (i = 0; i < n_out; i++, off += OUTPUT_ROW) {
-        PyObject *row = new_row(
-            out_type, PyBytes_FromStringAndSize((const char *)data + off, 20),
-            PyLong_FromUnsignedLongLong(load_be64(data + off + 21)),
-            PyLong_FromLong(data[off + 20]));
+        PyObject *row = output_row(out_type, data + off);
         if (row == NULL)
             goto fail;
         PyTuple_SET_ITEM(outputs, i, row);
@@ -1787,8 +1810,7 @@ static PyObject *parse_transaction(const u8 *data, Py_ssize_t size, Py_ssize_t *
     PyObject_GC_UnTrack(outputs);
     if ((fee = PyLong_FromUnsignedLongLong(load_be64(data + off))) == NULL)
         goto fail;
-    off += 8;
-    sha256d(data + *pos, (size_t)(off - *pos), digest);
+    sha256d(data + *pos, (size_t)(end - *pos), digest);
     if ((txid = PyBytes_FromStringAndSize((const char *)digest, 32)) == NULL)
         goto fail;
     /* object.__new__ and object.__setattr__: a frozen dataclass is filled
@@ -1800,7 +1822,7 @@ static PyObject *parse_transaction(const u8 *data, Py_ssize_t size, Py_ssize_t *
         PyObject_GenericSetAttr(tx, NAME_TXID, txid) < 0)
         Py_CLEAR(tx);
     else
-        *pos = off;
+        *pos = end;
 fail:
     Py_XDECREF(inputs);
     Py_XDECREF(outputs);
@@ -1862,9 +1884,11 @@ PyDoc_STRVAR(parse_transactions_doc,
 "untracked from the cyclic GC: they hold only bytes and ints.");
 
 /* ------------------------------------------------------------------------
- * connect: a block's per-transaction rules over the UTXO dict */
+ * connect and connect_record: a block's per-transaction rules over the UTXO
+ * dict, from rows or straight from a block record's bytes */
 
 static PyObject *MISSING; /* a private object(), which no UTXO value is */
+static const u8 NULL32[32]; /* the txid of the null outpoint a coinbase spends */
 
 /* The three items of a row: a tuple of three, as a TxInput or TxOutput made
  * by Python or by this kernel; TypeError for any other object. */
@@ -1901,16 +1925,22 @@ static PyObject *tx_rows(PyObject *tx, PyObject *name)
     return rows;
 }
 
-/* Raise ValueError(reason, position, index): transaction `position` of the
- * block broke a rule, at input `index` (-1 for the balance). Returns 0. */
-static int rule_broken(const char *reason, Py_ssize_t position, Py_ssize_t index)
+/* Raise ValueError(*why), why a tuple (a new reference, NULL when building
+ * it failed). Returns 0. */
+static int refuse(PyObject *why)
 {
-    PyObject *why = Py_BuildValue("(snn)", reason, position, index);
     if (why != NULL) {
         PyErr_SetObject(PyExc_ValueError, why);
         Py_DECREF(why);
     }
     return 0;
+}
+
+/* Raise ValueError(reason, position, index): transaction `position` of the
+ * block broke a rule, at input `index` (-1 for the balance). Returns 0. */
+static int rule_broken(const char *reason, Py_ssize_t position, Py_ssize_t index)
+{
+    return refuse(Py_BuildValue("(snn)", reason, position, index));
 }
 
 /* Remove key from dict: a new reference to its value, or NULL when it is
@@ -1931,17 +1961,32 @@ static PyObject *dict_pop(PyObject *dict, PyObject *key)
 #endif
 }
 
-/* Spend input `index` of transaction `position`: pop the outpoint it names
- * and add the amount that output held to *total_in. The input must name
- * the address the output pays. */
-static int spend(PyObject *utxos, PyObject *row, Py_ssize_t position, Py_ssize_t index,
-                 u128 *total_in)
+/* An untracked (txid, vout) key: bytes and an int can be in no reference
+ * cycle. Steals both; NULL when either is NULL. */
+static PyObject *outpoint(PyObject *txid, PyObject *vout)
 {
-    PyObject **in = row_items(row, "an input"), **out, *key, *prev;
+    PyObject *key = NULL;
+    if (txid != NULL && vout != NULL && (key = PyTuple_New(2)) != NULL) {
+        PyObject_GC_UnTrack(key);
+        PyTuple_SET_ITEM(key, 0, txid);
+        PyTuple_SET_ITEM(key, 1, vout);
+        return key;
+    }
+    Py_XDECREF(txid);
+    Py_XDECREF(vout);
+    return NULL;
+}
+
+/* Spend input `index` of transaction `position`: pop the outpoint key (stolen)
+ * and add the amount that output held to *total_in. The output must pay
+ * `address`, the input's. */
+static int spend(PyObject *utxos, PyObject *key, const char *address, Py_ssize_t address_len,
+                 Py_ssize_t position, Py_ssize_t index, u128 *total_in)
+{
+    PyObject **out, *prev;
     u64 amount;
     int ok = 0;
-    if (in == NULL || !field_is(in[0], 1, "prev_txid") || !field_is(in[1], 0, "vout") ||
-        !field_is(in[2], 1, "address") || (key = PyTuple_Pack(2, in[0], in[1])) == NULL)
+    if (key == NULL)
         return 0;
     prev = dict_pop(utxos, key);
     Py_DECREF(key);
@@ -1949,9 +1994,8 @@ static int spend(PyObject *utxos, PyObject *row, Py_ssize_t position, Py_ssize_t
         return PyErr_Occurred() ? 0 : rule_broken("spent", position, index);
     if ((out = row_items(prev, "a UTXO")) != NULL && field_is(out[0], 1, "field") &&
         to_u64(out[1], &amount)) {
-        if (PyBytes_GET_SIZE(out[0]) != PyBytes_GET_SIZE(in[2]) ||
-            memcmp(PyBytes_AS_STRING(out[0]), PyBytes_AS_STRING(in[2]),
-                   PyBytes_GET_SIZE(in[2])) != 0)
+        if (PyBytes_GET_SIZE(out[0]) != address_len ||
+            memcmp(PyBytes_AS_STRING(out[0]), address, address_len) != 0)
             rule_broken("address", position, index);
         else {
             *total_in += amount;
@@ -1962,13 +2006,37 @@ static int spend(PyObject *utxos, PyObject *row, Py_ssize_t position, Py_ssize_t
     return ok;
 }
 
-/* Apply transaction `position` of a block to utxos: unless it is the
- * coinbase (position 0), spend its inputs, check that they pay its outputs
- * plus its fee, and add the fee to *fees; then insert its outputs in order
- * under untracked (txid, vout) keys. */
+/* Transaction `position` must pay out exactly what its inputs bring in:
+ * its outputs plus its fee, which then goes into *fees. */
+static int balance(u128 total_in, u128 total_out, u64 fee, Py_ssize_t position, u128 *fees)
+{
+    if (total_in != total_out + fee)
+        return rule_broken("balance", position, -1);
+    *fees += fee;
+    return 1;
+}
+
+/* Insert output `vout` of txid, the row (stolen), under an untracked key. */
+static int add_output(PyObject *utxos, PyObject *txid, Py_ssize_t vout, PyObject *row)
+{
+    PyObject *key;
+    int ok;
+    if (row == NULL)
+        return 0;
+    Py_INCREF(txid);
+    key = outpoint(txid, PyLong_FromSsize_t(vout));
+    ok = key != NULL && PyDict_SetItem(utxos, key, row) == 0;
+    Py_XDECREF(key);
+    Py_DECREF(row);
+    return ok;
+}
+
+/* Apply transaction `position` of a block, given as rows, to utxos: unless
+ * it is the coinbase (position 0), spend its inputs and check its balance;
+ * then insert its outputs in order. */
 static int connect_tx(PyObject *utxos, PyObject *tx, Py_ssize_t position, u128 *fees)
 {
-    PyObject *txid, *inputs = NULL, *outputs = NULL, **out;
+    PyObject *txid, *inputs = NULL, *outputs = NULL, **row;
     Py_ssize_t i, n_out;
     u128 total_in = 0, total_out = 0;
     u64 value;
@@ -1978,19 +2046,27 @@ static int connect_tx(PyObject *utxos, PyObject *tx, Py_ssize_t position, u128 *
     if (position) {
         if ((inputs = tx_rows(tx, NAME_INPUTS)) == NULL)
             goto done;
-        for (i = 0; i < PyTuple_GET_SIZE(inputs); i++)
-            if (!spend(utxos, PyTuple_GET_ITEM(inputs, i), position, i, &total_in))
+        for (i = 0; i < PyTuple_GET_SIZE(inputs); i++) {
+            row = row_items(PyTuple_GET_ITEM(inputs, i), "an input");
+            if (row == NULL || !field_is(row[0], 1, "prev_txid") ||
+                !field_is(row[1], 0, "vout") || !field_is(row[2], 1, "address"))
                 goto done;
+            Py_INCREF(row[0]);
+            Py_INCREF(row[1]);
+            if (!spend(utxos, outpoint(row[0], row[1]), PyBytes_AS_STRING(row[2]),
+                       PyBytes_GET_SIZE(row[2]), position, i, &total_in))
+                goto done;
+        }
     }
     if ((outputs = tx_rows(tx, NAME_OUTPUTS)) == NULL)
         goto done;
     n_out = PyTuple_GET_SIZE(outputs);
     for (i = 0; i < n_out; i++) {
-        out = row_items(PyTuple_GET_ITEM(outputs, i), "an output");
-        if (out == NULL || !field_is(out[0], 1, "field") || !field_is(out[1], 0, "amount"))
+        row = row_items(PyTuple_GET_ITEM(outputs, i), "an output");
+        if (row == NULL || !field_is(row[0], 1, "field") || !field_is(row[1], 0, "amount"))
             goto done;
         if (position) {
-            if (!to_u64(out[1], &value))
+            if (!to_u64(row[1], &value))
                 goto done;
             total_out += value;
         }
@@ -1999,29 +2075,13 @@ static int connect_tx(PyObject *utxos, PyObject *tx, Py_ssize_t position, u128 *
         PyObject *fee = PyObject_GetAttr(tx, NAME_FEE);
         int fee_ok = fee != NULL && to_u64(fee, &value);
         Py_XDECREF(fee);
-        if (!fee_ok)
+        if (!fee_ok || !balance(total_in, total_out, value, position, fees))
             goto done;
-        if (total_in != total_out + value) {
-            rule_broken("balance", position, -1);
-            goto done;
-        }
-        *fees += value;
     }
     for (i = 0; i < n_out; i++) {
-        PyObject *key = PyTuple_New(2), *vout = PyLong_FromSsize_t(i);
-        if (key == NULL || vout == NULL) {
-            Py_XDECREF(key);
-            Py_XDECREF(vout);
-            goto done;
-        }
-        /* bytes and an int: the key can be in no reference cycle */
-        PyObject_GC_UnTrack(key);
-        Py_INCREF(txid);
-        PyTuple_SET_ITEM(key, 0, txid);
-        PyTuple_SET_ITEM(key, 1, vout);
-        ok = PyDict_SetItem(utxos, key, PyTuple_GET_ITEM(outputs, i)) == 0;
-        Py_DECREF(key);
-        if (!ok)
+        PyObject *out = PyTuple_GET_ITEM(outputs, i);
+        Py_INCREF(out);
+        if (!add_output(utxos, txid, i, out))
             goto done;
     }
     ok = 1;
@@ -2082,6 +2142,118 @@ PyDoc_STRVAR(connect_doc,
 "tuple of three with bytes and int fields raises TypeError, and a spent or\n"
 "paid amount or a fee outside 0..2^64-1 OverflowError (coinbase amounts are\n"
 "not summed here).");
+
+/* Check a block record before anything touches the UTXO dict: its framing
+ * and every count, its stored hash, its place after `prev` at `height`, and
+ * a coinbase first. Each refusal raises ValueError(reason, detail). */
+static int record_fits(const u8 *data, Py_ssize_t size, Py_ssize_t height, const u8 *prev)
+{
+    Py_ssize_t pos = BLOCK_HEAD, n_in, n_out;
+    u64 count, at_height, t;
+    const char *bad = NULL;
+    u8 digest[32];
+    if (size < BLOCK_HEAD)
+        return refuse(Py_BuildValue("(ss)", "truncated", "data ends inside the block header"));
+    at_height = load_be64(data);
+    count = load_be32(data + BLOCK_HEAD - 4);
+    if (count > (u64)((size - BLOCK_HEAD) / TX_MIN))
+        return refuse(Py_BuildValue("(sN)", "truncated", PyUnicode_FromFormat(
+            "%llu transactions cannot fit in the data", (unsigned long long)count)));
+    for (t = 0; t < count && bad == NULL; t++)
+        bad = tx_frame(data, size, &pos, &n_in, &n_out);
+    if (bad != NULL)
+        return refuse(Py_BuildValue("(ss)", "truncated", bad));
+    if (pos + 32 != size)
+        return refuse(Py_BuildValue("(s)", "trailing"));
+    sha256d(data, (size_t)pos, digest);
+    if (memcmp(digest, data + pos, 32) != 0)
+        return refuse(Py_BuildValue("(sK)", "hash", (unsigned long long)at_height));
+    if (at_height != (u64)height)
+        return refuse(Py_BuildValue("(sK)", "height", (unsigned long long)at_height));
+    if (memcmp(data + 8, prev, 32) != 0)
+        return refuse(Py_BuildValue("(sK)", "chain", (unsigned long long)at_height));
+    /* transaction 0 has one input, which spends the null outpoint */
+    if (count == 0 || load_be32(data + BLOCK_HEAD) != 1 ||
+        memcmp(data + BLOCK_HEAD + 4, NULL32, 32) != 0)
+        return refuse(Py_BuildValue("(sK)", "coinbase", (unsigned long long)at_height));
+    return 1;
+}
+
+static PyObject *py_connect_record(PyObject *self, PyObject *args)
+{
+    Py_buffer buf, prev;
+    PyObject *utxos, *txid = NULL, *coinbase = NULL, *result = NULL;
+    PyTypeObject *out_type;
+    Py_ssize_t height, count, pos = BLOCK_HEAD, start, position, n_in, n_out, i;
+    u128 fees = 0, minted = 0, total_in, total_out;
+    const u8 *data, *row;
+    u8 digest[32];
+    if (!PyArg_ParseTuple(args, "O!y*ny*O!:connect_record", &PyDict_Type, &utxos, &buf,
+                          &height, &prev, &PyType_Type, &out_type))
+        return NULL;
+    data = buf.buf;
+    if (prev.len != 32) {
+        PyErr_SetString(PyExc_ValueError, "prev_hash must be 32 bytes");
+        goto done;
+    }
+    if (!check_row_type(out_type, "output_type") || !record_fits(data, buf.len, height, prev.buf))
+        goto done;
+    count = load_be32(data + BLOCK_HEAD - 4);
+    for (position = 0; position < count; position++) {
+        start = pos;
+        tx_frame(data, buf.len, &pos, &n_in, &n_out); /* record_fits checked it */
+        sha256d(data + start, (size_t)(pos - start), digest);
+        Py_XDECREF(txid);
+        if ((txid = PyBytes_FromStringAndSize((const char *)digest, 32)) == NULL)
+            goto done;
+        row = data + start + 4;
+        total_in = total_out = 0;
+        for (i = 0; position && i < n_in; i++, row += INPUT_ROW)
+            if (!spend(utxos, outpoint(PyBytes_FromStringAndSize((const char *)row, 32),
+                                       PyLong_FromUnsignedLong(load_be32(row + 32))),
+                       (const char *)row + 36, 20, position, i, &total_in))
+                goto done;
+        row = data + start + 8 + n_in * INPUT_ROW;
+        for (i = 0; i < n_out; i++)
+            total_out += load_be64(row + i * OUTPUT_ROW + 21);
+        if (!position)
+            minted = total_out;
+        else if (!balance(total_in, total_out, load_be64(data + pos - 8), position, &fees))
+            goto done;
+        for (i = 0; i < n_out; i++, row += OUTPUT_ROW)
+            if (!add_output(utxos, txid, i, output_row(out_type, row)))
+                goto done;
+        if (!position)
+            coinbase = Py_NewRef(txid);
+    }
+    result = Py_BuildValue("(Ky#NNO)", (unsigned long long)load_be64(data + 40),
+                           (const char *)data + pos, (Py_ssize_t)32, u128_to_long(fees),
+                           u128_to_long(minted), coinbase);
+done:
+    Py_XDECREF(txid);
+    Py_XDECREF(coinbase);
+    PyBuffer_Release(&buf);
+    PyBuffer_Release(&prev);
+    return result;
+}
+
+PyDoc_STRVAR(connect_record_doc,
+"connect_record(utxos, record, height, prev_hash, output_type)\n"
+"    -> (timestamp, block_hash, fees, minted, coinbase_txid)\n\n"
+"Apply one block record straight from its bytes, as connect applies rows.\n"
+"Before the utxos dict is touched, the record must frame (a header, every\n"
+"count within the bytes left, the 32-byte hash last), its stored hash must\n"
+"be sha256d of the bytes before it, its header must give height and\n"
+"prev_hash, and transaction 0 must be a coinbase: one input, which spends\n"
+"the null outpoint. Each transaction's txid is then hashed, its inputs are\n"
+"spent and balanced as connect does, and its outputs go in as output_type\n"
+"rows under (txid, vout) keys, in order; the rows and keys are untracked\n"
+"from the cyclic GC. minted is what the coinbase pays, fees the sum of the\n"
+"other transactions' fees.\n\n"
+"A refusal raises ValueError(reason, ...): ('truncated', text), ('trailing',),\n"
+"('hash' | 'height' | 'chain' | 'coinbase', the record's height), or\n"
+"connect's (reason, position, index), after which utxos keeps what was\n"
+"applied before it.");
 
 static double now_ns(void)
 {
@@ -2261,6 +2433,7 @@ static PyMethodDef kernel_methods[] = {
      grind_scan_doc},
     {"parse_transactions", py_parse_transactions, METH_VARARGS, parse_transactions_doc},
     {"connect", py_connect, METH_VARARGS, connect_doc},
+    {"connect_record", py_connect_record, METH_VARARGS, connect_record_doc},
     {"_microbench", py_microbench, METH_VARARGS, microbench_doc},
     {"_derived", py_derived, METH_NOARGS, derived_doc},
     {"_comb_path", py_comb_path, METH_VARARGS, comb_path_doc},

@@ -1,12 +1,14 @@
 """Backend selection: compiled kernel when importable, pure Python otherwise.
 
-Both backends implement the same four calls used on hot paths:
-derive_digest and grind_scan for grinding, and parse_transactions and
-connect for loading and mining blocks. The observable contract is
-identical: grind_scan gives each target the smallest matching counter not
-taken by an earlier target, parse_transactions builds the same rows, fields
-and txids, and connect leaves the same UTXO dict, in the same order, so
-results never depend on which backend ran.
+Both backends implement the same five calls used on hot paths:
+derive_digest and grind_scan for grinding, parse_transactions for reading
+transactions, connect for blocks mined in this process, and connect_record
+for loading blocks. The observable contract is identical: grind_scan gives
+each target the smallest matching counter not taken by an earlier target,
+parse_transactions builds the same rows, fields and txids, and connect and
+connect_record leave the same UTXO dict, in the same order, and refuse the
+same block for the same reason, so results never depend on which backend
+ran.
 
 connect(utxos, transactions) applies one block's transactions in order.
 Transaction 0 is the coinbase, whose inputs spend nothing. Each other one
@@ -16,13 +18,28 @@ fee. Its outputs then go in under (txid, vout) keys. It returns the block's
 fees, or raises ValueError(reason, position, index) with reason "spent",
 "address" or "balance" (index -1), which the ledger turns into its
 CorruptChain text. The coinbase-first rule and the coinbase cap stay in
-the ledger. The compiled connect reads rows made by Python or by the
-parser alike; a row or field of another type raises TypeError.
+the ledger. Rows are read by position; the compiled connect reads rows made
+by Python or by the parser alike, and a row or field of another type
+raises TypeError.
 
-A loaded chain holds tens of thousands of rows, inputs and outputs tuples
-and outpoint keys. Each holds only bytes and ints, so none can be part of a
-reference cycle, and the kernel untracks each from the cyclic GC when it
-makes it. A collection untracks an exact tuple whose items are all
+connect_record(utxos, record, height, prev_hash, output_type) applies one
+block record straight from its bytes, and builds no transaction: only the
+output rows that go into utxos. Before utxos is touched it checks the
+record's framing and every count, its stored hash (sha256d of the bytes
+before it), that its header gives `height` and `prev_hash`, and that
+transaction 0 is a coinbase; a refusal there raises ValueError("truncated",
+text), ValueError("trailing") or ValueError("hash" | "height" | "chain" |
+"coinbase", the record's height). It then applies the transactions as
+connect does, with the same ValueError on a broken rule, and returns
+(timestamp, block_hash, fees, minted, coinbase_txid), minted being what
+the coinbase pays; the ledger checks the cap. The kernel walks the bytes
+once to check and once to apply, with connect's spend and balance code;
+PureBackend parses the record with parse_transactions and runs connect.
+
+A loaded chain holds thousands of UTXO rows and outpoint keys, and tens of
+thousands of rows and tuples once its blocks are read. Each holds only
+bytes and ints, so none can be part of a reference cycle, and the kernel
+untracks each from the cyclic GC when it makes it. A collection untracks an exact tuple whose items are all
 untracked, which covers the keys, but never a tuple subclass such as the
 TxInput and TxOutput rows, and so never the tuples that hold those rows:
 without this, every full collection would walk them all. Only
@@ -71,11 +88,17 @@ MAX_SPARES = 2 * MAX_TARGETS  # spare counters a scan returns: two per transacti
 # rows with one iter_unpack.
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
+_BLOCK_HEAD = struct.Struct(">Q32sQI")  # height, prev_hash, timestamp, tx_count
 _INPUT = struct.Struct(">32sI20s")  # prev_txid, vout, address
 _OUTPUT = struct.Struct(">20sBQ")  # field, kind, amount
 _TX_MIN = 16  # both counts and the fee
 _output_order = operator.itemgetter(0, 2, 1)  # wire (field, kind, amount) -> row
 _amount = operator.itemgetter(1)  # an output row's amount
+_NULL32 = bytes(32)
+
+
+class _Parsed:
+    """A transaction the pure connect_record parses only to apply it."""
 
 
 def select_bits(digest: bytes, positions: tuple[int, ...]) -> int:
@@ -195,25 +218,51 @@ class PureBackend:
         """Apply a block's transactions to `utxos` in order and return the
         sum of the non-coinbase fees (the contract is in the module
         docstring). A broken rule raises ValueError(reason, position,
-        index), with what came before it applied."""
+        index), with what came before it applied. Rows are read by
+        position, as the kernel reads them."""
         fees = 0
         for position, tx in enumerate(transactions):
             txid = tx.txid
             if position:
                 total_in = 0
                 for index, inp in enumerate(tx.inputs):
-                    prev = utxos.pop((inp.prev_txid, inp.vout), None)
+                    prev = utxos.pop(inp[:2], None)  # (prev_txid, vout)
                     if prev is None:
                         raise ValueError("spent", position, index)
-                    if prev.field != inp.address:
+                    if prev[0] != inp[2]:  # the field it pays, the input's address
                         raise ValueError("address", position, index)
-                    total_in += prev.amount
+                    total_in += prev[1]
                 if total_in != sum(map(_amount, tx.outputs)) + tx.fee:
                     raise ValueError("balance", position, -1)
                 fees += tx.fee
             for vout, out in enumerate(tx.outputs):
                 utxos[(txid, vout)] = out
         return fees
+
+    def connect_record(self, utxos, record, height, prev_hash, output_type):
+        """Apply one block record (the contract is in the module docstring):
+        parse_transactions, the record checks, then connect."""
+        if len(record) < _BLOCK_HEAD.size:
+            raise ValueError("truncated", "data ends inside the block header")
+        at_height, prev, timestamp, count = _BLOCK_HEAD.unpack_from(record)
+        try:
+            txs, end = self.parse_transactions(record, _BLOCK_HEAD.size, count,
+                                               _Parsed, tuple, output_type)
+        except ValueError as exc:
+            raise ValueError("truncated", str(exc)) from None
+        if end + 32 != len(record):
+            raise ValueError("trailing")
+        block_hash = record[end:]
+        if sha256d(record[:end]) != block_hash:
+            raise ValueError("hash", at_height)
+        if at_height != height:
+            raise ValueError("height", at_height)
+        if prev != prev_hash:
+            raise ValueError("chain", at_height)
+        if not txs or len(txs[0].inputs) != 1 or txs[0].inputs[0][0] != _NULL32:
+            raise ValueError("coinbase", at_height)
+        fees = self.connect(utxos, txs)
+        return timestamp, block_hash, fees, sum(map(_amount, txs[0].outputs)), txs[0].txid
 
 
 _pure = PureBackend()
@@ -234,6 +283,7 @@ try:
 
         parse_transactions = staticmethod(_kernel.parse_transactions)
         connect = staticmethod(_kernel.connect)
+        connect_record = staticmethod(_kernel.connect_record)
 
     _ext = ExtBackend()
 except ImportError:

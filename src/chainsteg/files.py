@@ -1,5 +1,6 @@
 """Whole-file replacement for the state files (session, key, mempool
-sidecar). The chain file is append-only and does not use it."""
+sidecar), and for a chain file that a ledger writes whole: one it has not
+saved to before. Saves to the same chain file append."""
 
 from __future__ import annotations
 

@@ -17,24 +17,37 @@ amount u64) || fee u64. txid = sha256d(transaction bytes).
 
 The encoding is canonical: every byte belongs to a fixed-width field, so
 serializing the parsed fields gives back exactly the bytes they were parsed
-from. Loading therefore hashes the bytes it read: a parsed transaction's
-txid is sha256d of its own slice of the record, and a block record is
-checked against its stored hash as sha256d of the record bytes before the
-hash. Neither is serialized again on load. `Block.verify` re-serializes,
-so `input_index` still catches a block whose fields were replaced after it
-was loaded.
+from. Loading therefore hashes the bytes it read and serializes nothing: a
+txid is sha256d of the transaction's own slice of the record, and a record
+is checked against its stored hash as sha256d of the record bytes before
+the hash.
 
-The active backend parses transaction rows (`backend.get()`'s
-`parse_transactions`): the C kernel when it is built, which also hashes each
-txid, and otherwise the pure-Python parser. Block records and the mempool
-sidecar both go through it. A truncated record, trailing bytes, a count
-that runs past the record and a failed hash check all raise CorruptChain.
+Loading builds no transaction. For each record, the active backend's
+`connect_record` (the C kernel when it is built, else the pure-Python loop)
+checks the framing and every count, the stored hash, the height and the
+hash chain, and then applies the block rules below straight from the
+bytes, so the UTXO dict gets only the outputs' rows. The block keeps its
+record and parses its transactions from it (`parse_transactions`) only
+when they are first read: by `input_index` from a receiver's cursor on, by
+`export_text` or `stat_suite`, or to name the transaction that broke a
+rule. A truncated record, trailing bytes, a count that runs past the record
+and a failed hash check all raise CorruptChain. Mempool sidecar records are
+parsed at once, since each is submitted again.
 
-Block rules, checked by `Ledger._connect` whether a block was created,
-mined or loaded (a block that breaks one raises CorruptChain). `_connect`
-checks that the block starts with a coinbase and the coinbase cap; the
-active backend's `connect` applies the block transaction by transaction
-and reports which rule a transaction broke:
+A sealed or loaded block keeps its wire bytes: `save` writes them, and
+`Block.verify` has nothing to re-serialize, since frozen fields cannot
+drift from them. A block made by `Block(...)` or `dataclasses.replace`
+keeps none, so `verify` re-serializes it, and `input_index` still catches a
+block whose fields were replaced after it was mined or loaded. The chain
+file is append-only: a save appends to the file the blocks went to last,
+and writes the whole chain to any other file.
+
+Block rules, checked whether a block was created, mined or loaded (a block
+that breaks one raises CorruptChain). A block made in this process has its
+rows, and `Ledger._connect` applies them through the backend's `connect`; a
+loaded block goes through `connect_record`. Either reports which rule a
+transaction broke, and the ledger checks the coinbase cap from the fees and
+the amount the coinbase mints:
 - coinbase first: transaction 0 is the coinbase, whose one input spends the
   null outpoint, and no other transaction spends a null outpoint;
 - spends known and unspent: every other input spends an output that exists
@@ -53,12 +66,11 @@ import functools
 import math
 import os
 import random
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import backend
-from .backend import _INPUT, _OUTPUT, _U32, _U64, _amount
+from .backend import _BLOCK_HEAD, _INPUT, _OUTPUT, _U32, _U64, _amount
 from .errors import CorruptChain, Rejected
 from .files import write_atomic
 from .hashes import sha256d
@@ -80,9 +92,16 @@ _DECOY_OUT_SD = 1.2
 _DECOY_OUT_MIN = 1
 _DECOY_OUT_MAX = 30
 
-# Fixed-width parts of the wire format; the transaction rows are shared
-# with the pure backend's parser.
-_BLOCK_HEAD = struct.Struct(">Q32sQI")  # height, prev_hash, timestamp, tx_count
+# The CorruptChain text of each way a block record or block can be refused;
+# the details are those of the backend's connect_record refusal.
+_FAULTS = {
+    "truncated": "truncated block record: {}",
+    "trailing": "trailing bytes in block record",
+    "hash": "block {} failed hash re-verification",
+    "height": "unexpected height {}",
+    "chain": "block {} breaks the hash chain",
+    "coinbase": "block {} does not start with a coinbase",
+}
 
 
 class TxInput(NamedTuple):
@@ -123,6 +142,12 @@ def _parse_transactions(data: bytes, offset: int, count: int):
     the data."""
     return backend.get().parse_transactions(data, offset, count,
                                             StegoTransaction, TxInput, TxOutput)
+
+
+def _record_transactions(wire: bytes) -> tuple[StegoTransaction, ...]:
+    """The transactions of a block record that framed when it was kept."""
+    (count,) = _U32.unpack_from(wire, _BLOCK_HEAD.size - 4)
+    return _parse_transactions(wire, _BLOCK_HEAD.size, count)[0]
 
 
 @dataclass
@@ -171,11 +196,23 @@ def _records(data: bytes):
 
 @dataclass(frozen=True)
 class Block:
+    """A block. One that was sealed or loaded keeps its wire bytes, checked
+    against its hash when kept, in `_wire`; a loaded one parses its
+    transactions from them when they are first read."""
+
     height: int
     prev_hash: bytes
     timestamp: int
     transactions: tuple[StegoTransaction, ...]
     block_hash: bytes = b""  # claimed hash, sealed at creation
+
+    def __getattr__(self, name):
+        # only a missing field reaches here: a loaded block's transactions
+        wire = vars(self).get("_wire")
+        if name != "transactions" or wire is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        txs = vars(self)["transactions"] = _record_transactions(wire)
+        return txs
 
     def body_bytes(self) -> bytes:
         head = _BLOCK_HEAD.pack(self.height, self.prev_hash, self.timestamp,
@@ -184,50 +221,54 @@ class Block:
 
     @classmethod
     def seal(cls, height, prev_hash, timestamp, transactions) -> "Block":
-        blk = cls(height, prev_hash, timestamp, tuple(transactions))
-        return cls(
-            height, prev_hash, timestamp, tuple(transactions),
-            block_hash=sha256d(blk.body_bytes()),
-        )
+        txs = tuple(transactions)
+        body = cls(height, prev_hash, timestamp, txs).body_bytes()
+        block = cls(height, prev_hash, timestamp, txs, block_hash=sha256d(body))
+        vars(block)["_wire"] = body + block.block_hash
+        return block
+
+    @classmethod
+    def _loaded(cls, wire, height, prev_hash, timestamp, block_hash) -> "Block":
+        """The block of a record that the backend's connect_record took."""
+        block = object.__new__(cls)
+        vars(block).update(height=height, prev_hash=prev_hash, timestamp=timestamp,
+                           block_hash=block_hash, _wire=wire)
+        return block
 
     def verify(self) -> None:
-        if sha256d(self.body_bytes()) != self.block_hash:
-            raise CorruptChain(f"block {self.height} failed hash re-verification")
+        """Check the stored hash against the fields. Frozen fields cannot
+        drift from the wire bytes a block keeps, so only a block without
+        them, made by Block(...) or dataclasses.replace, is re-serialized."""
+        if "_wire" not in vars(self) and sha256d(self.body_bytes()) != self.block_hash:
+            raise CorruptChain(_FAULTS["hash"].format(self.height))
 
     def serialize(self) -> bytes:
         return self.body_bytes() + self.block_hash
 
-    @classmethod
-    def deserialize(cls, data: bytes) -> "Block":
-        """Parse one block record and check its stored hash against the
-        hash of the record bytes before it (the encoding is canonical)."""
-        try:
-            height, prev, timestamp, n_tx = _BLOCK_HEAD.unpack_from(data, 0)
-            txs, offset = _parse_transactions(data, _BLOCK_HEAD.size, n_tx)
-        except (struct.error, ValueError) as exc:
-            raise CorruptChain(f"truncated block record: {exc}") from exc
-        if offset + 32 != len(data):
-            raise CorruptChain("trailing bytes in block record")
-        claimed = data[offset:]
-        if sha256d(data[:offset]) != claimed:
-            raise CorruptChain(f"block {height} failed hash re-verification")
-        return cls(height, prev, timestamp, txs, block_hash=claimed)
 
-
-def _broken_rule(block: Block, reason: str, position: int, index: int) -> str:
-    """The CorruptChain text for a rule that transaction `position` of
-    `block` broke, as the backend's `connect` reports it."""
-    tx = block.transactions[position]
+def _broken_rule(height: int, txs, reason: str, position: int, index: int) -> str:
+    """The CorruptChain text for a rule that transaction `position` of the
+    block at `height`, whose transactions are `txs`, broke, as the
+    backend's `connect` reports it."""
+    tx = txs[position]
     if reason == "balance":
-        return (f"block {block.height} transaction {tx.txid.hex()[:16]} "
+        return (f"block {height} transaction {tx.txid.hex()[:16]} "
                 "does not balance its inputs with its outputs plus fee")
     inp = tx.inputs[index]
     outpoint = f"{inp.prev_txid.hex()[:16]}:{inp.vout}"
     if reason == "address":
-        return f"block {block.height} spends {outpoint} from an address it was not paid to"
+        return f"block {height} spends {outpoint} from an address it was not paid to"
     if inp.prev_txid == _NULL32:
-        return f"block {block.height} spends a null outpoint outside its coinbase"
-    return f"block {block.height} spends unknown or spent output {outpoint}"
+        return f"block {height} spends a null outpoint outside its coinbase"
+    return f"block {height} spends unknown or spent output {outpoint}"
+
+
+def _record_error(wire: bytes, height: int, reason: str, *details) -> str:
+    """The CorruptChain text for the refusal of the block record `wire` at
+    `height`; a broken transaction rule parses the record to name it."""
+    if reason in _FAULTS:
+        return _FAULTS[reason].format(*details)
+    return _broken_rule(height, _record_transactions(wire), reason, *details)
 
 
 def _decoy_output_count(rng: random.Random) -> int:
@@ -265,6 +306,7 @@ class Ledger:
         self._utxos: dict[tuple[bytes, int], TxOutput] = {}
         self._pool: list[tuple[bytes, int]] = []  # decoy-economy outpoints
         self._issued = 0
+        self._saved_to = None  # real path of the chain file the blocks went to
         self._persisted_blocks = 0
 
     # -- construction ------------------------------------------------------
@@ -427,25 +469,29 @@ class Ledger:
         return placed
 
     def _connect(self, block: Block) -> None:
-        """Apply a block. The backend's `connect` applies it transaction by
-        transaction, spends before creations, so a transaction may spend an
-        earlier one of the same block. The block rules are in the module
-        docstring."""
+        """Apply a block made in this process, whose rows exist. The
+        backend's `connect` applies it transaction by transaction, spends
+        before creations, so a transaction may spend an earlier one of the
+        same block. The block rules are in the module docstring."""
         txs = block.transactions
         if not txs or len(txs[0].inputs) != 1 or txs[0].inputs[0].prev_txid != _NULL32:
-            raise CorruptChain(f"block {block.height} does not start with a coinbase")
+            raise CorruptChain(_FAULTS["coinbase"].format(block.height))
         try:
             fees = backend.get().connect(self._utxos, txs)
         except ValueError as exc:
-            raise CorruptChain(_broken_rule(block, *exc.args)) from None
-        minted = sum(map(_amount, txs[0].outputs))
-        if block.height and minted > BLOCK_SUBSIDY + fees:
+            raise CorruptChain(_broken_rule(block.height, txs, *exc.args)) from None
+        self._mint(block.height, sum(map(_amount, txs[0].outputs)), fees)
+        self.blocks.append(block)
+
+    def _mint(self, height: int, minted: int, fees: int) -> None:
+        """Check the coinbase cap of the block at `height` and count what it
+        issues."""
+        if height and minted > BLOCK_SUBSIDY + fees:
             raise CorruptChain(
-                f"block {block.height} coinbase pays {minted}, more than "
+                f"block {height} coinbase pays {minted}, more than "
                 f"subsidy plus fees ({BLOCK_SUBSIDY + fees})"
             )
         self._issued += minted - fees
-        self.blocks.append(block)
 
     # -- reading -----------------------------------------------------------
 
@@ -476,16 +522,23 @@ class Ledger:
     def save(self, path) -> None:
         """Append blocks not yet persisted (append-only record file).
 
+        Only the file the blocks went to last is appended to; a save to any
+        other file writes the whole chain there, replaced atomically.
         Unconfirmed transactions go to a `<path>.mempool` sidecar (same
         length-prefixed record framing, replaced atomically) so a separate
         mine invocation can pick them up; the block-file format itself
         stays append-only.
         """
-        mode = "ab" if self._persisted_blocks else "wb"
-        with open(path, mode) as fh:
-            for block in self.blocks[self._persisted_blocks :]:
-                fh.write(_record(block.serialize()))
-        self._persisted_blocks = len(self.blocks)
+        target = os.path.realpath(path)
+        append = target == self._saved_to
+        data = b"".join(_record(vars(b).get("_wire") or b.serialize())
+                        for b in self.blocks[self._persisted_blocks if append else 0 :])
+        if append:
+            with open(path, "ab") as fh:
+                fh.write(data)
+        else:
+            write_atomic(path, data)
+        self._saved_to, self._persisted_blocks = target, len(self.blocks)
         sidecar = f"{path}.mempool"
         if self.mempool:
             write_atomic(sidecar, b"".join(_record(tx.serialize()) for tx in self.mempool))
@@ -500,23 +553,24 @@ class Ledger:
         ledger = cls()
         with open(path, "rb") as fh:
             data = fh.read()
-        prev_hash = _NULL32
+        connect_record = backend.get().connect_record
+        prev_hash, coinbases = _NULL32, []
         for record in _records(data):
-            block = Block.deserialize(record)
-            if block.height != len(ledger.blocks):
-                raise CorruptChain(f"unexpected height {block.height}")
-            if block.prev_hash != prev_hash:
-                raise CorruptChain(f"block {block.height} breaks the hash chain")
-            ledger._connect(block)
-            prev_hash = block.block_hash
+            height = len(ledger.blocks)
+            try:
+                timestamp, block_hash, fees, minted, coinbase = connect_record(
+                    ledger._utxos, record, height, prev_hash, TxOutput)
+            except ValueError as exc:
+                raise CorruptChain(_record_error(record, height, *exc.args)) from None
+            ledger._mint(height, minted, fees)
+            ledger.blocks.append(Block._loaded(record, height, prev_hash, timestamp, block_hash))
+            coinbases.append(coinbase)
+            prev_hash = block_hash
         if not ledger.blocks:
             raise CorruptChain("empty chain file")
-        ledger._persisted_blocks = len(ledger.blocks)
+        ledger._saved_to, ledger._persisted_blocks = os.path.realpath(path), len(ledger.blocks)
         # Rebuild the decoy pool conservatively: coinbase outputs still unspent.
-        for block in ledger.blocks:
-            coinbase = block.transactions[0]
-            if (coinbase.txid, 0) in ledger._utxos:
-                ledger._pool.append((coinbase.txid, 0))
+        ledger._pool = [(txid, 0) for txid in coinbases if (txid, 0) in ledger._utxos]
         try:
             with open(f"{path}.mempool", "rb") as fh:
                 raw = fh.read()

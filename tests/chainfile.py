@@ -1,7 +1,7 @@
 """Chain-file surgery for tests: split a file into its length-prefixed
 records, re-seal an edited block record, and append a block whose hash is
-valid whatever its transactions do; and the backend switch that runs a
-load on each backend present."""
+valid whatever its transactions do; the backend switch that runs a load on
+each backend present, and the state a load rebuilds."""
 
 import contextlib
 import struct
@@ -19,6 +19,13 @@ def active_backend(name):
         yield backend.set_backend(name)
     finally:
         backend.set_backend(previous)
+
+
+def chain_state(ledger):
+    """What a load must rebuild the same on every backend: the UTXO dict in
+    order, the supply, the decoy pool and the tip."""
+    return (list(ledger._utxos.items()), ledger.total_supply(), ledger._pool,
+            ledger.blocks[-1].block_hash)
 
 
 def records(raw: bytes) -> list[bytes]:

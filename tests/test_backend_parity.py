@@ -702,11 +702,6 @@ def _seeded_chain(km, path):
     return ledger
 
 
-def _chain_state(ledger):
-    return (list(ledger._utxos.items()), ledger.total_supply(), ledger._pool,
-            ledger.blocks[-1].block_hash)
-
-
 @needs_ext
 def test_connect_parity_on_a_seeded_chain(km, tmp_path):
     """Mined and loaded on each backend, a seeded chain gives the same UTXO
@@ -714,13 +709,13 @@ def test_connect_parity_on_a_seeded_chain(km, tmp_path):
     mined = {}
     for name in ("pure", "ext"):
         backend.set_backend(name)
-        mined[name] = _chain_state(_seeded_chain(km, tmp_path / f"{name}.bin"))
+        mined[name] = chainfile.chain_state(_seeded_chain(km, tmp_path / f"{name}.bin"))
     assert mined["pure"] == mined["ext"]
     assert (tmp_path / "pure.bin").read_bytes() == (tmp_path / "ext.bin").read_bytes()
     loaded = {}
     for name in ("pure", "ext"):
         backend.set_backend(name)
-        loaded[name] = _chain_state(Ledger.load(tmp_path / "ext.bin"))
+        loaded[name] = chainfile.chain_state(Ledger.load(tmp_path / "ext.bin"))
     assert loaded["pure"] == loaded["ext"]
     utxos, supply, _, tip = loaded["ext"]
     assert (utxos, supply, tip) == (mined["ext"][0], mined["ext"][1], mined["ext"][3])
@@ -730,12 +725,15 @@ def test_connect_parity_on_a_seeded_chain(km, tmp_path):
 @needs_ext
 def test_loaded_rows_and_keys_are_untracked(km, tmp_path):
     """The kernel untracks what holds only bytes and ints: after an ext load
-    the cyclic GC tracks no row, no inputs or outputs tuple and no UTXO key,
-    and a collection frees none of it."""
+    the cyclic GC tracks no UTXO key or row that connect_record made, and no
+    row or inputs or outputs tuple of a block parsed on first read, and a
+    collection frees none of it."""
     path = tmp_path / "chain.bin"
     backend.set_backend("ext")
     _seeded_chain(km, path)
     ledger = Ledger.load(path)
+    assert not any(map(gc.is_tracked, ledger._utxos))
+    assert not any(map(gc.is_tracked, ledger._utxos.values()))
     txs = [tx for block in ledger.blocks for tx in block.transactions] + ledger.mempool
     assert ledger.mempool
     for tx in txs:

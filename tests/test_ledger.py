@@ -1,10 +1,12 @@
 import dataclasses
 import random
+import struct
 
 import chainfile
 import pytest
 
 from chainsteg import Channel, ChannelConfig, Mode, backend
+from chainsteg import ledger as ledger_module
 from chainsteg.errors import CorruptChain, Rejected
 from chainsteg.hashes import sha256d
 from chainsteg.ledger import (
@@ -236,19 +238,45 @@ def test_encoding_is_canonical(stego_chain):
         assert vars(tx)["txid"] == sha256d(tx.serialize())
 
 
+def file_txids(record: bytes) -> list[bytes]:
+    """sha256d of each transaction's bytes in a block record, found by
+    walking its counts."""
+    (count,), offset, txids = struct.unpack_from(">I", record, 48), 52, []
+    for _ in range(count):
+        start = offset
+        (n_in,) = struct.unpack_from(">I", record, offset)
+        offset += 4 + 56 * n_in
+        (n_out,) = struct.unpack_from(">I", record, offset)
+        offset += 4 + 29 * n_out + 8
+        txids.append(sha256d(record[start:offset]))
+    assert offset + 32 == len(record)
+    return txids
+
+
 def test_load_serializes_nothing(stego_chain, monkeypatch):
-    """Load neither re-serializes a parsed record nor builds a transaction
-    through the dataclass constructor."""
+    """Load neither re-serializes a record nor builds a transaction through
+    the dataclass constructor, and on each backend it parses transactions
+    only from the mempool sidecar; a block parses its own from its record
+    when they are first read."""
     calls = []
-    for owner, name in ((StegoTransaction, "serialize"), (StegoTransaction, "__init__"),
-                        (Block, "body_bytes")):
-        def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
+    for owner, attr in ((StegoTransaction, "serialize"), (StegoTransaction, "__init__"),
+                        (Block, "body_bytes"), (ledger_module, "_parse_transactions")):
+        def counted(*args, _original=getattr(owner, attr), _name=attr, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
-    ledger = Ledger.load(stego_chain)
-    assert ledger.mempool and len(ledger.blocks) == 3
-    assert calls == []
+        monkeypatch.setattr(owner, attr, counted)
+    pending = chainfile.records((stego_chain.parent / "chain.bin.mempool").read_bytes())
+    records = chainfile.records(stego_chain.read_bytes())
+    for name in backend.available():
+        calls.clear()
+        with chainfile.active_backend(name):
+            ledger = Ledger.load(stego_chain)
+            assert ledger.mempool and len(ledger.blocks) == 3
+            assert calls == ["_parse_transactions"] * len(pending)
+            assert all("transactions" not in vars(block) for block in ledger.blocks)
+            for block, record in zip(ledger.blocks, records, strict=True):
+                assert [tx.txid for tx in block.transactions] == file_txids(record)
+        assert calls == ["_parse_transactions"] * (len(pending) + len(records))
 
 
 def test_scan_detects_tampering_after_load(stego_chain):
@@ -274,15 +302,31 @@ def load_on_each_backend(path) -> list[Ledger]:
     return loaded
 
 
+def record_refusal(impl, path):
+    """The ValueError args with which `impl`'s connect_record refuses the
+    first record of the chain file it refuses; None when it takes them all."""
+    utxos, prev_hash = {}, bytes(32)
+    for height, record in enumerate(chainfile.records(path.read_bytes())):
+        try:
+            _, prev_hash, *_ = impl.connect_record(utxos, record, height, prev_hash, TxOutput)
+        except ValueError as exc:
+            return exc.args
+    return None
+
+
 def load_error(path) -> str:
     """The CorruptChain text that Ledger.load(path) raises, the same on each
-    backend present."""
-    texts = set()
+    backend present, whose connect_record refuses the same record for the
+    same (reason, position, index)."""
+    texts, refusals = set(), set()
     for name in backend.available():
-        with chainfile.active_backend(name), pytest.raises(CorruptChain) as exc:
-            Ledger.load(path)
+        with chainfile.active_backend(name) as impl:
+            with pytest.raises(CorruptChain) as exc:
+                Ledger.load(path)
+            refusals.add(record_refusal(impl, path))
         texts.add(str(exc.value))
     assert len(texts) == 1, texts
+    assert len(refusals) == 1, refusals
     return texts.pop()
 
 
@@ -370,6 +414,24 @@ def test_load_rejects_resealed_block_without_coinbase_first(tmp_path, layout, me
     }[layout]
     chainfile.append_sealed(path, ledger, txs)
     assert message in load_error(path)
+
+
+@pytest.mark.parametrize("place,message", [
+    ("height", "unexpected height 3"),
+    ("parent", "block 2 breaks the hash chain"),
+])
+def test_load_rejects_resealed_block_out_of_place(tmp_path, place, message):
+    """A block whose hash holds must still sit at the next height, on the
+    tip."""
+    path = tmp_path / "chain.bin"
+    ledger, _ = chain_with_unspent_allocation(path)
+    tip = ledger.blocks[-1]
+    height = tip.height + (2 if place == "height" else 1)
+    parent = tip.prev_hash if place == "parent" else tip.block_hash
+    block = Block.seal(height, parent, tip.timestamp + 600, [chainfile.coinbase(height)])
+    with open(path, "ab") as fh:
+        fh.write(chainfile.framed([block.serialize()]))
+    assert load_error(path) == message
 
 
 def test_load_keeps_in_block_chaining(tmp_path):
@@ -465,11 +527,33 @@ def test_single_byte_corruption_detected(tmp_path):
     Ledger.load(path)  # pristine file still loads
 
 
-def test_block_deserialize_rejects_trailing_bytes():
+def test_load_rejects_trailing_bytes_in_block_record(tmp_path):
+    path = tmp_path / "chain.bin"
+    path.write_bytes(chainfile.framed([fresh_ledger().blocks[0].serialize() + b"\x00"]))
+    assert load_error(path) == "trailing bytes in block record"
+
+
+def test_save_to_another_file_writes_the_whole_chain(tmp_path):
+    """Blocks persisted to one file are not what another file holds: a save
+    elsewhere writes the whole chain, and appends stay per file."""
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
     ledger = fresh_ledger()
-    raw = ledger.blocks[0].serialize()
-    with pytest.raises(CorruptChain):
-        Block.deserialize(raw + b"\x00")
+    ledger.mine_block(NoiseProfile(rate=3.0), seed=1)
+    ledger.save(first)
+    loaded = Ledger.load(first)
+    loaded.mine_block(NoiseProfile(rate=3.0), seed=2)
+    loaded.save(second)
+    assert second.read_bytes().startswith(first.read_bytes())
+    again = Ledger.load(second)
+    assert [b.block_hash for b in again.blocks] == [b.block_hash for b in loaded.blocks]
+    assert again.utxo_total() == again.total_supply() == loaded.total_supply()
+    loaded.mine_block(seed=3)
+    loaded.save(second)  # an append
+    assert len(Ledger.load(first).blocks) == 2
+    loaded.save(first)  # behind by two blocks: rewritten whole
+    for path in (first, second):
+        assert Ledger.load(path).blocks[-1].block_hash == loaded.blocks[-1].block_hash
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_export_text():

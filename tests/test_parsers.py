@@ -3,10 +3,10 @@ key, config, chain, mempool sidecar or session file either loads or raises
 a ChainstegError subclass. Chain records are parsed by the active backend,
 so every chain test runs on each backend present."""
 
-import contextlib
 import random
 import struct
 import tracemalloc
+from pathlib import Path
 
 import chainfile
 import pytest
@@ -19,7 +19,7 @@ from chainsteg.cli import load_config
 from chainsteg.errors import ChainstegError, CorruptChain
 from chainsteg.hashes import sha256d
 from chainsteg.hdw import read_key_file, write_key_file
-from chainsteg.ledger import Block, Ledger, StegoTransaction, TxInput, TxOutput
+from chainsteg.ledger import Ledger, StegoTransaction, TxInput, TxOutput
 from chainsteg.session import SessionState
 
 
@@ -54,6 +54,22 @@ def state_files(tmp_path_factory):
     }
 
 
+def assert_backends_agree(load, path):
+    """load(path) on each backend present either raises a ChainstegError,
+    with the same text on each, or loads: a chain to the same state."""
+    outcomes = []
+    for name in backend.available():
+        with active_backend(name):
+            try:
+                loaded = load(path)
+            except ChainstegError as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                outcomes.append(chainfile.chain_state(loaded) if isinstance(loaded, Ledger)
+                                else "loaded")
+    assert all(outcome == outcomes[0] for outcome in outcomes), outcomes
+
+
 @settings(max_examples=300)
 @given(data=st.data())
 def test_truncated_or_bit_flipped_file_fails_closed(state_files, data):
@@ -68,9 +84,7 @@ def test_truncated_or_bit_flipped_file_fails_closed(state_files, data):
         mutated[bit // 8] ^= 1 << (bit % 8)
     path.write_bytes(bytes(mutated))
     try:
-        for name in backend.available():
-            with active_backend(name), contextlib.suppress(ChainstegError):
-                load(path)
+        assert_backends_agree(load, path)
     finally:
         path.write_bytes(raw)
 
@@ -89,9 +103,7 @@ def test_resealed_bit_flip_in_last_block_fails_closed(state_files, data):
     mutated[bit // 8] ^= 1 << (bit % 8)
     path.write_bytes(chainfile.framed([*head, chainfile.reseal(bytes(mutated))]))
     try:
-        for name in backend.available():
-            with active_backend(name), contextlib.suppress(ChainstegError):
-                Ledger.load(path)
+        assert_backends_agree(Ledger.load, path)
     finally:
         path.write_bytes(raw)
 
@@ -158,6 +170,24 @@ def test_txid_at_sha256_padding_edges(name, residue):
 _HUGE = struct.pack(">I", 2**32 - 1)
 
 
+def chain_then(path, record: bytes) -> Path:
+    """Save a genesis chain to `path`, followed by `record` framed as block
+    1 (it names the genesis hash as its parent), and return the path of
+    the chain without it."""
+    genesis = Ledger.create()
+    clean = path.with_name("genesis.bin")
+    genesis.save(clean)
+    assert record[:40] == struct.pack(">Q32s", 1, genesis.blocks[0].block_hash)
+    path.write_bytes(clean.read_bytes() + chainfile.framed([record]))
+    return clean
+
+
+def block_one(n_tx: int, txs: bytes) -> bytes:
+    """A block 1 header after the genesis block, then `txs`."""
+    prev = Ledger.create().blocks[0].block_hash
+    return struct.pack(">Q32sQI", 1, prev, 0, n_tx) + txs
+
+
 @pytest.mark.parametrize("name", backend.available())
 @pytest.mark.parametrize("run", ["transactions", "inputs", "outputs"])
 def test_huge_count_is_corrupt_without_allocating(tmp_path, name, run):
@@ -165,18 +195,17 @@ def test_huge_count_is_corrupt_without_allocating(tmp_path, name, run):
     tx = {"transactions": b"", "inputs": _HUGE + bytes(60),
           "outputs": bytes(4) + _HUGE + bytes(40)}[run]
     n_tx = 2**32 - 1 if run == "transactions" else 1
-    record = struct.pack(">Q32sQI", 1, bytes(32), 0, n_tx) + tx + bytes(32)
-    path = tmp_path / "chain.bin"
-    Ledger.create().save(path)
-    (tmp_path / "chain.bin.mempool").write_bytes(chainfile.framed([tx]))
+    chain = tmp_path / "chain.bin"
+    clean = chain_then(chain, block_one(n_tx, tx + bytes(32)))
+    (tmp_path / "genesis.bin.mempool").write_bytes(chainfile.framed([tx]))
     with active_backend(name):
         tracemalloc.start()
         try:
-            with pytest.raises(CorruptChain):
-                Block.deserialize(record)
+            with pytest.raises(CorruptChain, match="truncated block record"):
+                Ledger.load(chain)
             if tx:
                 with pytest.raises(CorruptChain, match="truncated mempool record"):
-                    Ledger.load(path)
+                    Ledger.load(clean)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -198,12 +227,12 @@ def test_count_past_end_by_whole_rows_is_corrupt(tmp_path, run, missing_rows):
     rows_end = 4 + 56 * 2 if run == "inputs" else count_at + 4 + 29 * 3
     (count,) = struct.unpack_from(">I", raw, count_at)
     cut = raw[:count_at] + struct.pack(">I", count + missing_rows) + raw[count_at + 4 : rows_end]
-    path = tmp_path / "chain.bin"
-    Ledger.create().save(path)
-    (tmp_path / "chain.bin.mempool").write_bytes(chainfile.framed([cut]))
+    chain = tmp_path / "chain.bin"
+    clean = chain_then(chain, block_one(1, cut))
+    (tmp_path / "genesis.bin.mempool").write_bytes(chainfile.framed([cut]))
     for name in backend.available():
         with active_backend(name):
-            with pytest.raises(CorruptChain):
-                Block.deserialize(struct.pack(">Q32sQI", 1, bytes(32), 0, 1) + cut)
+            with pytest.raises(CorruptChain, match="truncated block record"):
+                Ledger.load(chain)
             with pytest.raises(CorruptChain, match="truncated mempool record"):
-                Ledger.load(path)
+                Ledger.load(clean)
