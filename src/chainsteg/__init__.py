@@ -26,7 +26,7 @@ from .errors import (
 )
 from .hdw import Address, Channel, DerivationIndex, KeyMaterial
 from .ledger import Block, Ledger, NoiseProfile, StegoTransaction, TxInput, TxOutput
-from .medium import ChannelConfig, Chunk, GrindResult, Mode, effective_capacity, grind
+from .medium import ChannelConfig, Chunk, GrindResult, Mode, grind
 from .permcode import CanonicalSet, PermRank, perm_capacity_bits, rank, unrank
 from .session import SessionState
 
@@ -64,7 +64,6 @@ __all__ = [
     "TxOutput",
     "ValidationError",
     "available_backends",
-    "effective_capacity",
     "get_backend",
     "grind",
     "perm_capacity_bits",

@@ -1,7 +1,9 @@
 """The paper's evaluation: the grinding effort of the medium channel (the
 2^m law), the capacity of each mode, and what a steganalyzer sees, as A/B
-statistics of stego against decoy traffic. Wall-clock numbers are reported,
-never asserted; they are hardware-bound."""
+statistics of stego against decoy traffic. The stego transactions are
+labelled from the keys alone, as a receiver finds them, so the statistics
+need no record of what was sent. Wall-clock numbers are reported, never
+asserted; they are hardware-bound."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from . import backend, stats
 from .errors import InsufficientSample, ValidationError
-from .hdw import KeyMaterial
+from .hdw import Channel, KeyMaterial
 from .ledger import Ledger
 from .medium import ChannelConfig, Chunk, capacity, grind
 from .session import SessionState
@@ -41,7 +43,7 @@ def bench_grind(m_values, runs: int, seed: int = 0, backend_name: str | None = N
             start = 1
             t0 = time.perf_counter()
             for _ in range(runs):
-                target = Chunk(bits=rng.randrange(2**m) if m else 0, slot=0)
+                target = Chunk(bits=rng.randrange(2**m) if m else 0)
                 result = grind(km, target, cfg, start)
                 attempts.append(result.attempts)
                 start = result.index.counter + 1
@@ -154,23 +156,34 @@ def _ab_p(fields: bytes, decoys: bytes) -> tuple[float | None, float | None]:
 
 def stat_suite(ledger: Ledger, state: SessionState, min_sample: int = 100) -> StatSuiteReport:
     """A/B statistics of the digests and fields of the session's stego
-    transactions (its embed log) against the other non-coinbase
-    transactions on the chain, the decoys, and a keyless chi-square of the
-    MED transactions' selected chunk values against uniform. Each MED
-    transaction is read under the config it was sent with: its generation's
-    config at its MED counter, from its embed log entry."""
-    logged = {bytes.fromhex(e["txid"]): e for e in state.embed_log}
+    transactions against the other non-coinbase transactions on the chain,
+    the decoys, and a keyless chi-square of the MED transactions' selected
+    chunk values against uniform.
+
+    The stego transactions are labelled from the keys, as a receive finds
+    them: per generation and channel, the signal address of every counter
+    below its next_signal is derived and looked up among the chain's input
+    addresses. So a sender and a receiver that has scanned the chain label
+    the same transactions. Each MED transaction is read under the config it
+    was sent with: its generation's config at its MED counter."""
+    index = ledger.input_index(0)
+    be = backend.get()
+    stego = {}  # txid -> a MED transaction's config, None for a HIGH one
+    for gen in state.generations:
+        for channel in Channel:
+            for counter in range(1, gen.next_signal[channel.name]):
+                txs = index.get(be.derive_digest(gen.km.k, channel.value, counter, gen.km.gy))
+                if txs:
+                    stego[txs[0].txid] = gen.cfg_at(counter) if channel is Channel.MED else None
     med_txs, high_txs, decoys = [], [], []
     for block in ledger.blocks:
         for tx in block.transactions[1:]:
-            entry = logged.get(tx.txid)
-            if entry is None:
+            if tx.txid not in stego:
                 decoys.append(tx)
-            elif entry["channel"] == "MED":
-                cfg = state.generations[entry["generation"]].cfg_at(entry["counter"])
-                med_txs.append((tx, cfg))
-            else:
+            elif stego[tx.txid] is None:
                 high_txs.append(tx)
+            else:
+                med_txs.append((tx, stego[tx.txid]))
     n_stego_txs = len(med_txs) + len(high_txs)
     if n_stego_txs < min_sample or len(decoys) < min_sample:
         raise InsufficientSample(

@@ -140,7 +140,6 @@ def tx_template(gen, fields: list[bytes], rng) -> StegoTemplate:
         counter=counter,
         signal_address=signal,
         stego_outputs=outputs,
-        grind_records=(),
         change_output=TxOutput(change_digest, rng.randint(DUST, 1_000_000)),
         change_index=DerivationIndex(DOMAIN_GRIND, change_counter),
     )
@@ -149,15 +148,21 @@ def tx_template(gen, fields: list[bytes], rng) -> StegoTemplate:
 def guard_nonce(gen, counter: int, message: bytes, msg_id: int, version: int) -> bytes:
     """Refuse to key two different encryptions from one signal counter.
 
-    Returns the message's fingerprint; the caller records it in
-    `gen.high_nonce_guard` once a transaction keyed at `counter` is
+    `gen.nonce_mark` holds the highest counter0 that keyed a published
+    transaction, and that message's fingerprint. HIGH counters only go up,
+    so a counter below the mark has already carried a published
+    transaction: it is refused, and so is the mark itself for a different
+    message. Returns the message's fingerprint; the caller moves the mark to
+    (`counter`, fingerprint) once a transaction keyed at `counter` is
     published, so a refused send leaves the counter free."""
     fingerprint = hashlib.sha256(
         bytes([version]) + msg_id.to_bytes(2, "big") + message
     ).digest()
-    previous = gen.high_nonce_guard.get(counter)
-    if previous is not None and previous != fingerprint:
-        raise NonceReuse(f"signal counter {counter} already keyed a different message")
+    if gen.nonce_mark is not None:
+        mark, previous = gen.nonce_mark
+        if counter < mark or (counter == mark and previous != fingerprint):
+            raise NonceReuse(f"signal counter {counter} is at or below the nonce mark "
+                             f"{mark}, which keyed a different message")
     return fingerprint
 
 

@@ -165,7 +165,6 @@ class StegoTemplate:
     counter: int  # signal counter of the carrying channel
     signal_address: Address
     stego_outputs: tuple[TxOutput, ...]
-    grind_records: tuple  # MED: a GrindResult per stego output; HIGH: empty
     change_output: TxOutput
     change_index: DerivationIndex
 

@@ -3,8 +3,8 @@ payload chunks, then (optionally) order the outputs to carry a permutation
 rank as extra bits.
 
 Every emitted address is a real derived address — the digest bits are never
-written directly, only searched for — so a recorded derivation index can
-re-derive every output (the no-manual-modification property).
+written directly, only searched for — so every output is a derived address
+at some grind counter (the no-manual-modification property).
 
 One address carrying an m-bit chunk costs ~2^m attempts (the paper's cost
 law). A scan grinds many chunks at once: each counter fills the first open
@@ -149,7 +149,6 @@ class ChannelConfig:
 @dataclass(frozen=True)
 class Chunk:
     bits: int
-    slot: int
 
     def validate(self, cfg: ChannelConfig) -> None:
         if self.bits >> cfg.m:
@@ -214,10 +213,6 @@ def capacity(n: int, m: int) -> CapacityReport:
         ordered=n * m,
         permuted=n * m + expected_rank_bits(n, m),
     )
-
-
-def effective_capacity(cfg: ChannelConfig) -> CapacityReport:
-    return capacity(cfg.n, cfg.m)
 
 
 def grind(
@@ -388,7 +383,7 @@ def embed(gen, payloads: list[list[int]], cfg: ChannelConfig, rng) -> list[Stego
                 f"got {len(payload)}"
             )
         layouts.append((counter, groups, word & ((1 << (size - nm)) - 1)))
-        chunks += [Chunk(bits=value, slot=i) for i, value in enumerate(values)]
+        chunks += [Chunk(bits=value) for value in values]
 
     records, spares = _grind_chunks(km, chunks, cfg, gen.next_grind, 2 * len(payloads))
     gen.grind_spares = list(spares)
@@ -412,7 +407,6 @@ def embed(gen, payloads: list[list[int]], cfg: ChannelConfig, rng) -> list[Stego
             counter=counter,
             signal_address=derive_address(km, DerivationIndex(Channel.MED.value, counter)),
             stego_outputs=stego_outputs,
-            grind_records=tuple(tx_records),
             change_output=TxOutput(change_digest, rng.randint(DUST, 1_000_000)),
             change_index=DerivationIndex(DOMAIN_GRIND, change_counter),
         ))

@@ -69,7 +69,9 @@ class Generation:
     km: KeyMaterial
     next_signal: dict[str, int] = field(default_factory=lambda: {"HIGH": 1, "MED": 1})
     next_grind: int = 1
-    high_nonce_guard: dict[int, bytes] = field(default_factory=dict)
+    # sender: the highest HIGH counter0 that keyed a published transaction,
+    # and its message's fingerprint (see high.guard_nonce); None before one
+    nonce_mark: tuple[int, bytes] | None = None
     med_bits: list[int] = field(default_factory=list)
     # sender: the bits of a MED message that a failed send left off the
     # chain (no padding); the next MED send finishes that message first
@@ -120,7 +122,6 @@ class SessionState:
         self.inbox: list[tuple[str, bytes]] = []
         self.quarantine: list[tuple[str, str]] = []
         self.wallet: list[WalletUtxo] = []
-        self.embed_log: list[dict] = []
         # receive side, rebuilt after a load: per (generation, channel) the
         # digest of each scan window counter, in counter order
         self._windows: dict[tuple[int, Channel], dict[int, bytes]] = {}
@@ -222,24 +223,10 @@ class SessionState:
         tx = template.transaction(outpoint)
         txid = ledger.submit(tx)
         self.current.next_signal[channel] = template.counter + 1
-        n_outs = len(tx.outputs)
         self.wallet_add(
-            WalletUtxo(txid, n_outs - 1, template.change_output.amount,
+            WalletUtxo(txid, len(tx.outputs) - 1, template.change_output.amount,
                        self.key_gen, template.change_index.counter,
                        template.change_output.field)
-        )
-        audit_entries = [(n_outs - 1, template.change_index.counter)]
-        audit_entries += [
-            (vout, rec.index.counter) for vout, rec in enumerate(template.grind_records)
-        ]
-        self.embed_log.append(
-            {
-                "txid": txid.hex(),
-                "generation": self.key_gen,
-                "channel": channel,
-                "counter": template.counter,
-                "entries": audit_entries,
-            }
         )
         return txid
 
@@ -288,7 +275,7 @@ class SessionState:
         for i in range(0, len(fields), per_tx):
             template = high.tx_template(gen, fields[i : i + per_tx], self.rng)
             txids.append(self._submit_stego(ledger, template, "HIGH"))
-            gen.high_nonce_guard[counter0] = fingerprint
+            gen.nonce_mark = (counter0, fingerprint)
             if confirm is not None:
                 confirm()
         self.next_msg_id += 1
@@ -482,7 +469,8 @@ class SessionState:
                     "km": km_dict(gen.km),
                     "next_signal": gen.next_signal,
                     "next_grind": gen.next_grind,
-                    "nonce_guard": {str(c): f.hex() for c, f in gen.high_nonce_guard.items()},
+                    "nonce_guard": ({str(gen.nonce_mark[0]): gen.nonce_mark[1].hex()}
+                                    if gen.nonce_mark else {}),
                     "med_bits": "".join(map(str, gen.med_bits)),
                     "med_unsent": "".join(map(str, gen.med_unsent)),
                     "reassembly": buffers,
@@ -502,7 +490,6 @@ class SessionState:
                 [u.txid.hex(), u.vout, u.amount, u.generation, u.grind_counter]
                 for u in self.wallet
             ],
-            "embed_log": self.embed_log,
         }
 
     @classmethod
@@ -515,11 +502,14 @@ class SessionState:
 
         generations = []
         for gd in data["generations"]:
+            # a file written before the mark holds a guard entry per HIGH
+            # message; the highest is the mark
+            guard = [(int(c), bytes.fromhex(f)) for c, f in gd["nonce_guard"].items()]
             gen = Generation(
                 km=km_from(gd["km"]),
                 next_signal=dict(gd["next_signal"]),
                 next_grind=gd["next_grind"],
-                high_nonce_guard={int(c): bytes.fromhex(f) for c, f in gd["nonce_guard"].items()},
+                nonce_mark=max(guard, default=None),
                 med_bits=[int(ch) for ch in gd["med_bits"]],
                 med_unsent=[int(ch) for ch in gd.get("med_unsent", "")],
                 med_cfg_schedule=[
@@ -540,7 +530,8 @@ class SessionState:
                 raise ValidationError("generation has an empty cfg_schedule")
             generations.append(gen)
         # the generations replace the one the constructor makes; a file
-        # written before the top-level "cfg" was dropped still holds it, unread
+        # written before the top-level "cfg" and the embed log were dropped
+        # still holds them, unread
         state = cls(generations[0].km, generations[0].med_cfg_schedule[0][1])
         state.generations = generations
         state.cursor = data["cursor"]
@@ -555,10 +546,6 @@ class SessionState:
         if any(not 0 <= u.generation < len(state.generations) for u in state.wallet):
             raise ValidationError("wallet entry names an unknown generation")
         heapq.heapify(state.wallet)
-        state.embed_log = [
-            {**e, "entries": [tuple(pair) for pair in e["entries"]]}
-            for e in data["embed_log"]
-        ]
         return state
 
 

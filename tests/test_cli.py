@@ -354,6 +354,29 @@ def test_stat_suite_reads_each_med_tx_under_its_config(km):
     assert report.chunk_values == 3 * sent[3] + 5 * sent[5]
     assert report.chunk_bins == 8
     assert not report.chunk_flagged()
+    # a receiver learns the switch from the chain, and labels the same way
+    receiver = SessionState(km.public_only(), ChannelConfig(n=3, m=4, mode=Mode.PERMUTED))
+    receiver.detect_and_receive(ledger)
+    assert stat_suite(ledger, receiver, min_sample=20) == report
+
+
+def test_stat_suite_labels_a_receivers_chain_as_the_senders(km):
+    """The stego transactions are found from the keys, so a receiver that
+    has scanned the chain gets the sender's report, also across a key
+    rotation."""
+    state, ledger = small_permuted_chain(km)
+    rng = random.Random(68)
+    state.rotate_keys(ledger)
+    for i in range(5):
+        state.send_message(ledger, rng.randbytes(4), Channel.MED)
+        state.send_message(ledger, rng.randbytes(40), Channel.HIGH)
+        ledger.mine_block(NoiseProfile(rate=4.0), seed=30 + i)
+    receiver = SessionState(km.public_only(), ChannelConfig(n=3, m=4, mode=Mode.PERMUTED))
+    receiver.detect_and_receive(ledger)
+    assert receiver.key_gen == 1 and not receiver.quarantine
+    report = stat_suite(ledger, state, min_sample=30)
+    assert report.chunk_values > 3 * 120
+    assert stat_suite(ledger, receiver, min_sample=30) == report
 
 
 def test_stat_suite_small_chain(km):

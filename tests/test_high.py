@@ -184,6 +184,26 @@ def test_nonce_reuse_refused(km):
     guard_nonce(state.current, 1, b"first", 0, VERSION_DATA)
 
 
+def test_high_counter_below_the_nonce_mark_is_refused(km):
+    # the mark is the highest counter0 published: a send wound back below
+    # it is refused even with the message that counter keyed, since its
+    # signal address is already spent
+    state, ledger = make_state(km)
+    send(state, ledger, b"first")
+    send(state, ledger, b"second")
+    assert state.current.nonce_mark[0] == 2
+    state.current.next_signal["HIGH"] = 1
+    state.next_msg_id = 0
+    pending = len(ledger.mempool)
+    with pytest.raises(NonceReuse):
+        state.send_message(ledger, b"first", Channel.HIGH)
+    assert len(ledger.mempool) == pending and state.current.next_signal["HIGH"] == 1
+    # at the mark, only the message it keyed may be sent again
+    with pytest.raises(NonceReuse):
+        guard_nonce(state.current, 2, b"first", 1, VERSION_DATA)
+    guard_nonce(state.current, 2, b"second", 1, VERSION_DATA)
+
+
 def test_field_mask_is_involution(km):
     rng = random.Random(5)
     field = rng.randbytes(20)

@@ -19,7 +19,6 @@ from chainsteg.medium import (
     Chunk,
     Mode,
     capacity,
-    effective_capacity,
     embed,
     expected_rank_bits,
     extract,
@@ -36,6 +35,15 @@ def make_state(km, cfg, seed=3):
 
 def rand_bits(rng, count):
     return [rng.getrandbits(1) for _ in range(count)]
+
+
+def grind_counters(gen, start, digests):
+    """The grind counter of each digest, found by deriving every counter
+    embed's scans took from `start` on: [start, gen.next_grind)."""
+    be = backend.get()
+    at = {be.derive_digest(gen.km.k, DOMAIN_GRIND, c, gen.km.gy): c
+          for c in range(start, gen.next_grind)}
+    return [at[d] for d in digests]
 
 
 def next_payloads(state, cfg, rng, count=1):
@@ -71,11 +79,11 @@ def test_config_validation():
 
 
 def test_capacity_report():
-    cap = effective_capacity(ChannelConfig(n=5, m=15))
+    cap = capacity(5, 15)
     assert abs(cap.paper - 81.9069) < 1e-3
     assert cap.ordered == 75
     assert 75 < cap.permuted < 75.001  # ties among 5 chunks of 15 bits are rare
-    cap48 = effective_capacity(ChannelConfig(n=4, m=8))
+    cap48 = capacity(4, 8)
     assert abs(cap48.paper - (32 + math.log2(24))) < 1e-9
     assert cap48.ordered == 32
     # one pair ties with probability ~6/256, and carries floor(log2 2!) = 1 bit
@@ -104,15 +112,15 @@ def test_expected_rank_bits_is_exact():
 
 def test_grind_empty_selector_accepts_first(km):
     cfg = ChannelConfig(n=2, m=0)
-    result = grind(km, Chunk(bits=0, slot=0), cfg, start_index=7)
+    result = grind(km, Chunk(bits=0), cfg, start_index=7)
     assert result.attempts == 1
     assert result.index.counter == 7
 
 
 def test_grind_deterministic(km):
     cfg = ChannelConfig(n=2, m=6)
-    a = grind(km, Chunk(bits=33, slot=0), cfg, start_index=1)
-    b = grind(km, Chunk(bits=33, slot=0), cfg, start_index=1)
+    a = grind(km, Chunk(bits=33), cfg, start_index=1)
+    b = grind(km, Chunk(bits=33), cfg, start_index=1)
     assert a == b
 
 
@@ -122,7 +130,7 @@ def test_grind_finds_target_bits(km):
     for m in (1, 4, 8):
         cfg = ChannelConfig(n=2, m=m)
         target = rng.randrange(2**m)
-        result = grind(km, Chunk(bits=target, slot=0), cfg, rng.randint(1, 10**6))
+        result = grind(km, Chunk(bits=target), cfg, rng.randint(1, 10**6))
         assert backend.select_bits(result.address.digest, cfg.selector) == target
         # the returned address re-derives from its recorded index
         digest = be.derive_digest(km.k, DOMAIN_GRIND, result.index.counter, km.gy)
@@ -132,7 +140,7 @@ def test_grind_finds_target_bits(km):
 def test_grind_respects_custom_selector(km):
     sel = (159, 100, 7)  # arbitrary distinct positions
     cfg = ChannelConfig(n=2, m=3, bit_selector=sel)
-    result = grind(km, Chunk(bits=0b101, slot=0), cfg, 1)
+    result = grind(km, Chunk(bits=0b101), cfg, 1)
     assert backend.select_bits(result.address.digest, sel) == 0b101
 
 
@@ -142,7 +150,7 @@ def test_grind_exhaustion(km):
         # some 12-bit target will not appear within 4 attempts
         rng = random.Random(1)
         for _ in range(60):
-            grind(km, Chunk(bits=rng.randrange(4096), slot=0), cfg,
+            grind(km, Chunk(bits=rng.randrange(4096)), cfg,
                   rng.randint(1, 10**6))
     assert info.value.next_counter is not None
     # the cap bounds a transaction's one scan; a failed scan consumes no counter
@@ -158,8 +166,8 @@ def test_grind_smallest_counter(km):
     # first digest whose selected bit equals the target
     cfg = ChannelConfig(n=2, m=1)
     be = backend.get()
-    r0 = grind(km, Chunk(bits=0, slot=0), cfg, 1)
-    r1 = grind(km, Chunk(bits=1, slot=0), cfg, 1)
+    r0 = grind(km, Chunk(bits=0), cfg, 1)
+    r1 = grind(km, Chunk(bits=1), cfg, 1)
     assert {r0.index.counter, r1.index.counter} == {1, 2} or min(
         r0.index.counter, r1.index.counter
     ) == 1
@@ -175,7 +183,7 @@ def test_grind_effort_small_scale(km):
     attempts = []
     start = 1
     for _ in range(200):
-        r = grind(km, Chunk(bits=rng.randrange(16), slot=0), cfg, start)
+        r = grind(km, Chunk(bits=rng.randrange(16)), cfg, start)
         attempts.append(r.attempts)
         start = r.index.counter + 1
     mean = sum(attempts) / len(attempts)
@@ -189,8 +197,8 @@ def test_equal_chunks_get_distinct_counters(km):
     state = make_state(km, cfg)
     payload = int_to_bits(medium._keystream(km.k, 1, 8), 8)
     [result] = embed(state.current, [payload], cfg, state.rng)
-    counters = [r.index.counter for r in result.grind_records]
-    digests = [r.address.digest for r in result.grind_records]
+    digests = [o.field for o in result.stego_outputs]
+    counters = grind_counters(state.current, 1, digests)
     assert counters == sorted(set(counters))
     assert len(set(digests)) == cfg.n
     assert all(backend.select_bits(d, cfg.selector) == 0 for d in digests)
@@ -210,7 +218,7 @@ def test_embed_attempts_follow_harmonic_law(km, mode):
     for _ in range(200):
         start = state.current.next_grind
         [result] = embed(state.current, next_payloads(state, cfg, rng), cfg, state.rng)
-        attempts.append(max(r.index.counter for r in result.grind_records) - start + 1)
+        attempts.append(state.current.next_grind - start)
         state.current.next_signal["MED"] += 1
     law = 2**cfg.m * sum(1 / i for i in range(1, cfg.n + 1))
     mean = sum(attempts) / len(attempts)
@@ -252,9 +260,8 @@ def test_group_attempts_follow_harmonic_law(km, mode):
         payloads = next_payloads(state, cfg, rng, 4)
         results = embed(state.current, payloads, cfg, state.rng)
         assert len(results) == group_size(cfg) == 4
-        digests = [r.address.digest for t in results for r in t.grind_records]
-        counters = [r.index.counter for t in results for r in t.grind_records]
-        attempts.append(max(counters) - start + 1)
+        digests = [o.field for t in results for o in t.stego_outputs]
+        attempts.append(state.current.next_grind - start)
         law.append(expected_scan_attempts(
             [backend.select_bits(d, cfg.selector) for d in digests], cfg.m))
         state.current.next_signal["MED"] = results[-1].counter + 1
@@ -325,9 +332,9 @@ def test_embed_outputs_rederive(km, permuted_cfg):
     be = backend.get()
     [result] = embed(state.current, next_payloads(state, permuted_cfg, rng),
                      permuted_cfg, state.rng)
-    for out, rec in zip(result.stego_outputs, result.grind_records):
-        assert out.field == rec.address.digest
-        assert be.derive_digest(km.k, DOMAIN_GRIND, rec.index.counter, km.gy) == out.field
+    # every stego output is the address of a grind counter its scan took
+    digests = [o.field for o in result.stego_outputs]
+    assert len(set(grind_counters(state.current, 1, digests))) == permuted_cfg.n
     # change re-derives too
     assert (
         be.derive_digest(km.k, DOMAIN_GRIND, result.change_index.counter, km.gy)
@@ -420,9 +427,11 @@ def test_permuted_grind_counters_monotone(km, permuted_cfg):
     rng = random.Random(12)
     last = 0
     for _ in range(3):
+        start = state.current.next_grind
         [result] = embed(state.current, next_payloads(state, permuted_cfg, rng),
                          permuted_cfg, state.rng)
-        counters = sorted(r.index.counter for r in result.grind_records)
+        counters = sorted(grind_counters(
+            state.current, start, [o.field for o in result.stego_outputs]))
         assert counters[0] > last
         last = max(max(counters), result.change_index.counter)
         state.current.next_signal["MED"] += 1

@@ -12,6 +12,7 @@ from chainsteg.hdw import DOMAIN_GRIND, DerivationIndex, KeyMaterial, derive_add
 from chainsteg.ledger import StegoTransaction, TxInput, TxOutput
 from chainsteg.medium import split_payloads
 from chainsteg.session import SCAN_WINDOW, Generation, SessionState, _config_frame
+from test_medium import grind_counters
 
 
 def pair(km, cfg, tx_seed=21, rx_seed=99):
@@ -284,7 +285,10 @@ def test_permuted_n16_delivers_every_message():
         sender.send_message(ledger, sent[-1][1], Channel.MED)
         ledger.mine_block(NoiseProfile(rate=2.0), seed=5)
         got += receiver.detect_and_receive(ledger)
-    assert [e["counter"] for e in sender.embed_log] == list(range(1, 11))
+    index = ledger.input_index(0)
+    assert sender.current.next_signal["MED"] == 11
+    assert all(derive_address(km, DerivationIndex(Channel.MED.value, c)).digest in index
+               for c in range(1, 11))
     assert got == sent and not receiver.quarantine
 
 
@@ -347,9 +351,11 @@ def test_med_sends_never_reuse_a_grind_counter(km, monkeypatch):
         handed.append(counter)
         return digest, counter
 
-    def embed_recorded(*args):
-        templates = embed(*args)
-        handed.extend(r.index.counter for t in templates for r in t.grind_records)
+    def embed_recorded(gen, *args):
+        start = gen.next_grind
+        templates = embed(gen, *args)
+        handed.extend(grind_counters(gen, start, [o.field for t in templates
+                                                  for o in t.stego_outputs]))
         return templates
 
     monkeypatch.setattr(Generation, "fresh_wallet_address", fresh_recorded)
@@ -540,23 +546,37 @@ def test_session_file_with_retired_keys_loads(km, tmp_path):
 
 def test_session_file_with_burn_log_loads(km, tmp_path):
     # files written while sessions kept a burn log hold "burn_log" and a
-    # "debug_unmasked_tags" entry in every config; loading ignores both
+    # "debug_unmasked_tags" entry in every config; files written while they
+    # kept an embed log hold "embed_log" and a nonce guard entry per HIGH
+    # message. Loading ignores the logs and takes the highest guard entry
+    # as the nonce mark, and a save writes neither log and one entry.
     cfg = ChannelConfig(n=3, m=4, mode=Mode.PERMUTED, max_fields_per_tx=2)
     state = SessionState(km, cfg, seed=3)
     ledger = state.genesis_ledger()
     [txid] = state.send_message(ledger, b"burned bytes", Channel.HIGH)
+    [later] = state.send_message(ledger, b"later bytes", Channel.HIGH)
     path = tmp_path / "s.bin"
     state.save(path)
     raw = path.read_bytes()
     data = json.loads(raw[6:])
-    assert "burn_log" not in data
+    assert "burn_log" not in data and "embed_log" not in data
+    guard = data["generations"][0]["nonce_guard"]
+    assert list(guard) == ["2"]
+    data["generations"][0]["nonce_guard"] = {"1": "ab" * 32, **guard}
+    data["embed_log"] = [
+        {"txid": t.hex(), "generation": 0, "channel": "HIGH", "counter": c,
+         "entries": [[2, 2 * c]]}
+        for c, t in ((1, txid), (2, later))
+    ]
     data["burn_log"] = [[txid.hex(), vout, 1000] for vout in range(2)]
     data["cfg"] = cfg.to_dict()
     for cfg_dict in [data["cfg"]] + [c for _, c in data["generations"][0]["cfg_schedule"]]:
         cfg_dict["debug_unmasked_tags"] = False
     path.write_bytes(raw[:6] + json.dumps(data).encode())
     loaded = SessionState.load(path)
-    assert loaded.cfg == cfg and loaded.embed_log == state.embed_log
+    assert loaded.cfg == cfg
+    assert loaded.current.nonce_mark == state.current.nonce_mark
+    assert loaded.current.nonce_mark[0] == 2
     loaded.save(path)
     assert path.read_bytes() == raw
 
@@ -578,6 +598,30 @@ def test_session_file_cfg_key_is_ignored(km, tmp_path):
     assert loaded.cfg == ChannelConfig(n=4, m=5, mode=Mode.ORDERED)
     loaded.save(path)
     assert path.read_bytes() == raw
+
+
+def test_session_file_does_not_grow_with_traffic(km, tmp_path):
+    # Apart from the wallet, which keeps each stego transaction's change, a
+    # sender's file after 4N mixed MED and HIGH sends is the size it was
+    # after N, give or take the digits of its counters. The RNG state is a
+    # fixed 625 integers, whose digits vary with the draw.
+    state = SessionState(km, ChannelConfig(n=3, m=4, mode=Mode.PERMUTED), seed=5)
+    ledger = state.genesis_ledger()
+    rng = random.Random(6)
+    path = tmp_path / "s.bin"
+    sizes = []
+    for i in range(20):
+        state.send_message(ledger, rng.randbytes(4), Channel.MED)
+        state.send_message(ledger, rng.randbytes(20), Channel.HIGH)
+        ledger.mine_block()
+        if i + 1 in (5, 20):
+            state.save(path)
+            data = json.loads(path.read_bytes()[6:])
+            assert len(data["rng_state"][1]) == 625
+            sizes.append(len(json.dumps(
+                {key: value for key, value in data.items() if key not in ("wallet", "rng_state")})))
+    assert len(state.wallet) > 100
+    assert sizes[1] - sizes[0] <= 16
 
 
 def _seeded_scenario():
