@@ -1,15 +1,18 @@
 /* Compiled kernel: secp256k1 fixed-base derivation and digest scanning with
  * 4x64-bit field limbs, SHA-256 (SHA-NI when the CPU has it) and RIPEMD-160,
  * so the whole attempt loop runs in C without the GIL; the parser of a
- * block's transaction rows, which hashes each txid; and connect_record,
- * which checks a block record and applies its per-transaction rules to the
- * UTXO dict straight from its bytes. Every block, created, mined or loaded,
- * is applied by it, so no block needs its transactions built to connect.
+ * block's transaction rows, which hashes each txid; the UTXO table, which
+ * keeps every unspent output as a fixed-size entry of one array; and
+ * connect_record, which checks a block record and applies its
+ * per-transaction rules to that table straight from its bytes. Every block,
+ * created, mined or loaded, is applied by it, so no block needs its
+ * transactions built to connect, and no Python object exists per unspent
+ * output: the table builds an output's row only when it is read.
  *
- * The rows, the inputs and outputs tuples and the outpoint keys that the
- * parser and connect_record make hold only bytes and ints, so they can be in
- * no reference cycle: each is untracked from the cyclic GC as it is made,
- * which spares every later collection a walk over the whole chain.
+ * The rows and the inputs and outputs tuples that the parser and the table
+ * make hold only bytes and ints, so they can be in no reference cycle: each
+ * is untracked from the cyclic GC as it is made, which spares every later
+ * collection a walk over the parsed blocks.
  *
  * A grind scan derives counters in batches of 256 affine lanes: each comb
  * window's additions share one inversion (Montgomery's trick). A single
@@ -33,7 +36,7 @@
  *
  * Results are bit-identical to backend.PureBackend, the reference; the
  * parity tests enforce it on both paths. Python-visible: derive_digest,
- * grind_scan, parse_transactions, connect_record, and _microbench,
+ * grind_scan, parse_transactions, UtxoTable, connect_record, and _microbench,
  * _derived, _comb_path and _upper_state for measurements and tests.
  */
 
@@ -1883,23 +1886,181 @@ PyDoc_STRVAR(parse_transactions_doc,
 "untracked from the cyclic GC: they hold only bytes and ints.");
 
 /* ------------------------------------------------------------------------
- * connect_record: a block record's checks, and its per-transaction rules
- * over the UTXO dict, applied straight from the record's bytes */
+ * The UTXO table: every unspent output is one fixed-size entry of a dense
+ * array, so no Python object exists per output. An entry is the outpoint as
+ * an input row spells it (prev_txid, vout big-endian) and the output as an
+ * output row spells it (field, kind, amount big-endian), so connect_record
+ * copies both straight from the record, and get() builds the row only on
+ * read. A spent entry's place goes to the last entry, so the array stays
+ * dense and grows in place (realloc), touching only the memory it fills.
+ *
+ * An open-addressing index of (hash, place) slots finds an entry: probing is
+ * linear, a removal shifts the rest of its probe run back (no tombstones),
+ * and the index doubles when it would pass three quarters full, rebuilt from
+ * the hashes its slots keep. The outpoint is hashed with SipHash under a
+ * key that each table draws from os.urandom, as Bitcoin Core's
+ * SaltedOutpointHasher does, so no chain file can be crafted to make long
+ * probe runs. */
 
-static PyObject *MISSING; /* a private object(), which no UTXO value is */
+#define OUTPOINT 36 /* prev_txid 32B, vout u32 */
+
+typedef struct {
+    u8 outpoint[OUTPOINT]; /* prev_txid and vout, as an input row has them */
+    u8 output[OUTPUT_ROW]; /* field, kind and amount, as an output row has them */
+} utxo_entry;
+
+typedef struct {
+    u32 hash; /* the outpoint's salted hash, never 0; 0 marks a free slot */
+    u32 at;   /* the entry's place */
+} utxo_slot;
+
+typedef struct {
+    PyObject_HEAD
+    PyTypeObject *row;    /* the row type get builds */
+    utxo_entry *entries;  /* count entries, room for room */
+    utxo_slot *slots;     /* cap slots */
+    size_t count, room;   /* room is 0 or a power of two */
+    size_t cap;           /* 0 or a power of two, and count <= cap * 3 / 4 */
+    u64 k0, k1;           /* the SipHash key */
+} utxo_table;
+
+static PyTypeObject UtxoTableType;
+static PyObject *URANDOM; /* os.urandom, which keys each table */
 static const u8 NULL32[32]; /* the txid of the null outpoint a coinbase spends */
 
-/* The items of a UTXO value: a tuple of three whose first, the field it
- * pays, is bytes, as every row connect_record puts in is; TypeError for any
- * other object, which only code outside the kernel can have put there. */
-static PyObject **utxo_items(PyObject *prev)
+static inline u64 rotl64(u64 x, int n) { return (x << n) | (x >> (64 - n)); }
+
+#define SIPROUND                                                                           \
+    do {                                                                                   \
+        v0 += v1, v1 = rotl64(v1, 13), v1 ^= v0, v0 = rotl64(v0, 32);                     \
+        v2 += v3, v3 = rotl64(v3, 16), v3 ^= v2;                                           \
+        v0 += v3, v3 = rotl64(v3, 21), v3 ^= v0;                                           \
+        v2 += v1, v1 = rotl64(v1, 17), v1 ^= v2, v2 = rotl64(v2, 32);                      \
+    } while (0)
+
+/* SipHash-1-3 (the keyed hash of CPython's str and of Rust's HashMap) of
+ * the 36 outpoint bytes under the table's key, folded to 32 bits, 0 moved
+ * to 1 */
+static u32 outpoint_hash(const utxo_table *t, const u8 *op)
 {
-    if (PyTuple_Check(prev) && PyTuple_GET_SIZE(prev) == 3 &&
-        PyBytes_CheckExact(PyTuple_GET_ITEM(prev, 0)))
-        return ((PyTupleObject *)prev)->ob_item;
-    PyErr_Format(PyExc_TypeError, "a UTXO must be a row of three fields, bytes first, not %.100s",
-                 Py_TYPE(prev)->tp_name);
-    return NULL;
+    u64 v0 = 0x736f6d6570736575ULL ^ t->k0, v1 = 0x646f72616e646f6dULL ^ t->k1;
+    u64 v2 = 0x6c7967656e657261ULL ^ t->k0, v3 = 0x7465646279746573ULL ^ t->k1, m;
+    u32 tail, h;
+    int i;
+    for (i = 0; i < 5; i++) {
+        if (i < 4)
+            memcpy(&m, op + 8 * i, 8);
+        else {
+            memcpy(&tail, op + 32, 4);
+            m = (u64)OUTPOINT << 56 | tail;
+        }
+        v3 ^= m;
+        SIPROUND;
+        v0 ^= m;
+    }
+    v2 ^= 0xff;
+    for (i = 0; i < 3; i++)
+        SIPROUND;
+    h = (u32)(v0 ^ v1 ^ v2 ^ v3);
+    return h ? h : 1;
+}
+
+/* The slot of op, whose hash is h; -1 when op is absent */
+static Py_ssize_t table_find(const utxo_table *t, const u8 *op, u32 h)
+{
+    size_t mask = t->cap - 1, i;
+    if (t->cap == 0)
+        return -1;
+    for (i = h & mask; t->slots[i].hash != 0; i = (i + 1) & mask)
+        if (t->slots[i].hash == h &&
+            memcmp(t->entries[t->slots[i].at].outpoint, op, OUTPOINT) == 0)
+            return (Py_ssize_t)i;
+    return -1;
+}
+
+/* Make room for one more entry: the array doubles (16 entries at first), and
+ * the index doubles when it would pass three quarters full. MemoryError
+ * past 2^32 slots, the most a 32-bit hash can index. */
+static int table_reserve(utxo_table *t)
+{
+    size_t room = t->room ? 2 * t->room : 16, cap = t->cap ? 2 * t->cap : 16, mask, i, j;
+    utxo_entry *entries;
+    utxo_slot *slots = NULL;
+    if (t->count == t->room) {
+        if (room > PY_SSIZE_T_MAX / sizeof(utxo_entry) ||
+            (entries = PyMem_Realloc(t->entries, room * sizeof(utxo_entry))) == NULL) {
+            PyErr_NoMemory();
+            return 0;
+        }
+        t->entries = entries;
+        t->room = room;
+    }
+    if (4 * (t->count + 1) <= 3 * t->cap)
+        return 1;
+    if (cap <= (size_t)1 << 32)
+        slots = PyMem_Calloc(cap, sizeof(utxo_slot));
+    if (slots == NULL) {
+        PyErr_NoMemory();
+        return 0;
+    }
+    for (mask = cap - 1, i = 0; i < t->cap; i++) {
+        if (t->slots[i].hash == 0)
+            continue;
+        for (j = t->slots[i].hash & mask; slots[j].hash != 0; j = (j + 1) & mask)
+            ;
+        slots[j] = t->slots[i];
+    }
+    PyMem_Free(t->slots);
+    t->slots = slots;
+    t->cap = cap;
+    return 1;
+}
+
+/* Put the output row at `output` under op, replacing the output already
+ * there as a dict assignment would. */
+static int table_put(utxo_table *t, const u8 *op, const u8 *output)
+{
+    u32 h = outpoint_hash(t, op);
+    utxo_slot *s;
+    size_t mask, i;
+    if (!table_reserve(t))
+        return 0;
+    mask = t->cap - 1;
+    for (i = h & mask; (s = &t->slots[i])->hash != 0; i = (i + 1) & mask)
+        if (s->hash == h && memcmp(t->entries[s->at].outpoint, op, OUTPOINT) == 0) {
+            memcpy(t->entries[s->at].output, output, OUTPUT_ROW);
+            return 1;
+        }
+    s->hash = h;
+    s->at = (u32)t->count;
+    memcpy(t->entries[t->count].outpoint, op, OUTPOINT);
+    memcpy(t->entries[t->count].output, output, OUTPUT_ROW);
+    t->count++;
+    return 1;
+}
+
+/* Remove the entry of slot `hole`. Each later slot of its probe run whose
+ * home is not cyclically in (hole, its place] moves back into the hole,
+ * which moves on to the slot it left; then the last entry takes the freed
+ * place, and its slot follows it. */
+static void table_remove(utxo_table *t, size_t hole)
+{
+    size_t mask = t->cap - 1, at = t->slots[hole].at, last = t->count - 1, i;
+    u32 h;
+    for (i = (hole + 1) & mask; t->slots[i].hash != 0; i = (i + 1) & mask)
+        if (((i - t->slots[i].hash) & mask) >= ((i - hole) & mask)) {
+            t->slots[hole] = t->slots[i];
+            hole = i;
+        }
+    t->slots[hole].hash = 0;
+    if (at != last) {
+        h = outpoint_hash(t, t->entries[last].outpoint);
+        for (i = h & mask; t->slots[i].hash != h || t->slots[i].at != last; i = (i + 1) & mask)
+            ;
+        t->slots[i].at = (u32)at;
+        t->entries[at] = t->entries[last];
+    }
+    t->count--;
 }
 
 /* Raise ValueError(*why), why a tuple (a new reference, NULL when building
@@ -1920,65 +2081,23 @@ static int rule_broken(const char *reason, Py_ssize_t position, Py_ssize_t index
     return refuse(Py_BuildValue("(snn)", reason, position, index));
 }
 
-/* Remove key from dict: a new reference to its value, or NULL when it is
- * absent or the lookup raised (an error is set only then). */
-static PyObject *dict_pop(PyObject *dict, PyObject *key)
+/* Spend input `index` of transaction `position`, the input row at `row`:
+ * remove the output its outpoint names and add that output's amount to
+ * *total_in. The output must pay the input's address; it is removed before
+ * that check, so a refusal there leaves it spent. */
+static int spend(utxo_table *t, const u8 *row, Py_ssize_t position, Py_ssize_t index,
+                 u128 *total_in)
 {
-#if PY_VERSION_HEX >= 0x030D0000
-    PyObject *value = NULL;
-    PyDict_Pop(dict, key, &value);
-    return value;
-#else
-    PyObject *value = _PyDict_Pop(dict, key, MISSING);
-    if (value == MISSING) {
-        Py_DECREF(value);
-        return NULL;
-    }
-    return value;
-#endif
-}
-
-/* An untracked (txid, vout) key: bytes and an int can be in no reference
- * cycle. Steals both; NULL when either is NULL. */
-static PyObject *outpoint(PyObject *txid, PyObject *vout)
-{
-    PyObject *key = NULL;
-    if (txid != NULL && vout != NULL && (key = PyTuple_New(2)) != NULL) {
-        PyObject_GC_UnTrack(key);
-        PyTuple_SET_ITEM(key, 0, txid);
-        PyTuple_SET_ITEM(key, 1, vout);
-        return key;
-    }
-    Py_XDECREF(txid);
-    Py_XDECREF(vout);
-    return NULL;
-}
-
-/* Spend input `index` of transaction `position`: pop the outpoint key (stolen)
- * and add the amount that output held to *total_in. The output must pay
- * `address`, the input's 20 bytes. */
-static int spend(PyObject *utxos, PyObject *key, const u8 *address, Py_ssize_t position,
-                 Py_ssize_t index, u128 *total_in)
-{
-    PyObject **out, *prev;
-    u64 amount;
-    int ok = 0;
-    if (key == NULL)
-        return 0;
-    prev = dict_pop(utxos, key);
-    Py_DECREF(key);
-    if (prev == NULL)
-        return PyErr_Occurred() ? 0 : rule_broken("spent", position, index);
-    if ((out = utxo_items(prev)) != NULL && to_u64(out[1], &amount)) {
-        if (PyBytes_GET_SIZE(out[0]) != 20 || memcmp(PyBytes_AS_STRING(out[0]), address, 20) != 0)
-            rule_broken("address", position, index);
-        else {
-            *total_in += amount;
-            ok = 1;
-        }
-    }
-    Py_DECREF(prev);
-    return ok;
+    Py_ssize_t slot = table_find(t, row, outpoint_hash(t, row));
+    u8 output[OUTPUT_ROW];
+    if (slot < 0)
+        return rule_broken("spent", position, index);
+    memcpy(output, t->entries[t->slots[slot].at].output, OUTPUT_ROW);
+    table_remove(t, (size_t)slot);
+    if (memcmp(output, row + OUTPOINT, 20) != 0)
+        return rule_broken("address", position, index);
+    *total_in += load_be64(output + 21);
+    return 1;
 }
 
 /* Transaction `position` must pay out exactly what its inputs bring in:
@@ -1991,22 +2110,7 @@ static int balance(u128 total_in, u128 total_out, u64 fee, Py_ssize_t position, 
     return 1;
 }
 
-/* Insert output `vout` of txid, the row (stolen), under an untracked key. */
-static int add_output(PyObject *utxos, PyObject *txid, Py_ssize_t vout, PyObject *row)
-{
-    PyObject *key;
-    int ok;
-    if (row == NULL)
-        return 0;
-    Py_INCREF(txid);
-    key = outpoint(txid, PyLong_FromSsize_t(vout));
-    ok = key != NULL && PyDict_SetItem(utxos, key, row) == 0;
-    Py_XDECREF(key);
-    Py_DECREF(row);
-    return ok;
-}
-
-/* v as a Python int; fees pass 2^64 only on a chain that holds that much */
+/* v as a Python int; sums pass 2^64 only on a chain that holds that much */
 static PyObject *u128_to_long(u128 v)
 {
     PyObject *high, *low, *shift, *shifted = NULL, *result = NULL;
@@ -2025,7 +2129,7 @@ static PyObject *u128_to_long(u128 v)
     return result;
 }
 
-/* Check a block record before anything touches the UTXO dict: its framing
+/* Check a block record before anything touches the UTXO table: its framing
  * and every count, its stored hash, its place after `prev` at `height`, and
  * a coinbase first. Each refusal raises ValueError(reason, detail). */
 static int record_fits(const u8 *data, Py_ssize_t size, Py_ssize_t height, const u8 *prev)
@@ -2064,82 +2168,190 @@ static int record_fits(const u8 *data, Py_ssize_t size, Py_ssize_t height, const
 static PyObject *py_connect_record(PyObject *self, PyObject *args)
 {
     Py_buffer buf, prev;
-    PyObject *utxos, *txid = NULL, *coinbase = NULL, *result = NULL;
-    PyTypeObject *out_type;
+    utxo_table *table;
+    PyObject *result = NULL;
     Py_ssize_t height, count, pos = BLOCK_HEAD, start, position, n_in, n_out, i;
     u128 fees = 0, minted = 0, total_in, total_out;
     const u8 *data, *row;
-    u8 digest[32];
-    if (!PyArg_ParseTuple(args, "O!y*ny*O!:connect_record", &PyDict_Type, &utxos, &buf,
-                          &height, &prev, &PyType_Type, &out_type))
+    u8 op[OUTPOINT], coinbase[32];
+    if (!PyArg_ParseTuple(args, "O!y*ny*:connect_record", &UtxoTableType, &table, &buf,
+                          &height, &prev))
         return NULL;
     data = buf.buf;
     if (prev.len != 32) {
         PyErr_SetString(PyExc_ValueError, "prev_hash must be 32 bytes");
         goto done;
     }
-    if (!check_row_type(out_type, "output_type") || !record_fits(data, buf.len, height, prev.buf))
+    if (!record_fits(data, buf.len, height, prev.buf))
         goto done;
     count = load_be32(data + BLOCK_HEAD - 4);
     for (position = 0; position < count; position++) {
         start = pos;
         tx_frame(data, buf.len, &pos, &n_in, &n_out); /* record_fits checked it */
-        sha256d(data + start, (size_t)(pos - start), digest);
-        Py_XDECREF(txid);
-        if ((txid = PyBytes_FromStringAndSize((const char *)digest, 32)) == NULL)
-            goto done;
+        sha256d(data + start, (size_t)(pos - start), op); /* the txid of each output's outpoint */
         row = data + start + 4;
         total_in = total_out = 0;
         for (i = 0; position && i < n_in; i++, row += INPUT_ROW)
-            if (!spend(utxos, outpoint(PyBytes_FromStringAndSize((const char *)row, 32),
-                                       PyLong_FromUnsignedLong(load_be32(row + 32))),
-                       row + 36, position, i, &total_in))
+            if (!spend(table, row, position, i, &total_in))
                 goto done;
         row = data + start + 8 + n_in * INPUT_ROW;
         for (i = 0; i < n_out; i++)
             total_out += load_be64(row + i * OUTPUT_ROW + 21);
-        if (!position)
+        if (!position) {
             minted = total_out;
+            memcpy(coinbase, op, 32);
+        }
         else if (!balance(total_in, total_out, load_be64(data + pos - 8), position, &fees))
             goto done;
-        for (i = 0; i < n_out; i++, row += OUTPUT_ROW)
-            if (!add_output(utxos, txid, i, output_row(out_type, row)))
+        for (i = 0; i < n_out; i++, row += OUTPUT_ROW) {
+            op[32] = (u8)(i >> 24), op[33] = (u8)(i >> 16), op[34] = (u8)(i >> 8), op[35] = (u8)i;
+            if (!table_put(table, op, row))
                 goto done;
-        if (!position)
-            coinbase = Py_NewRef(txid);
+        }
     }
-    result = Py_BuildValue("(Ky#NNO)", (unsigned long long)load_be64(data + 40),
+    result = Py_BuildValue("(Ky#NNy#)", (unsigned long long)load_be64(data + 40),
                            (const char *)data + pos, (Py_ssize_t)32, u128_to_long(fees),
-                           u128_to_long(minted), coinbase);
+                           u128_to_long(minted), (const char *)coinbase, (Py_ssize_t)32);
 done:
-    Py_XDECREF(txid);
-    Py_XDECREF(coinbase);
     PyBuffer_Release(&buf);
     PyBuffer_Release(&prev);
     return result;
 }
 
 PyDoc_STRVAR(connect_record_doc,
-"connect_record(utxos, record, height, prev_hash, output_type)\n"
+"connect_record(table, record, height, prev_hash)\n"
 "    -> (timestamp, block_hash, fees, minted, coinbase_txid)\n\n"
-"Apply one block record to the utxos dict straight from its bytes.\n"
-"Before the utxos dict is touched, the record must frame (a header, every\n"
-"count within the bytes left, the 32-byte hash last), its stored hash must\n"
-"be sha256d of the bytes before it, its header must give height and\n"
-"prev_hash, and transaction 0 must be a coinbase: one input, which spends\n"
-"the null outpoint. Each transaction's txid is then hashed. Unless it is the\n"
-"coinbase, each input pops its (prev_txid, vout) outpoint, which must be\n"
-"present and pay the input's address, and the inputs must sum to the\n"
-"outputs plus the fee. Its outputs then go in as output_type rows under\n"
-"(txid, vout) keys, in order, so a later transaction may spend them; the\n"
-"rows and keys are untracked from the cyclic GC. minted is what the\n"
+"Apply one block record to a UtxoTable straight from its bytes. Before the\n"
+"table is touched, the record must frame (a header, every count within the\n"
+"bytes left, the 32-byte hash last), its stored hash must be sha256d of the\n"
+"bytes before it, its header must give height and prev_hash, and\n"
+"transaction 0 must be a coinbase: one input, which spends the null\n"
+"outpoint. Each transaction's txid is then hashed. Unless it is the\n"
+"coinbase, each input removes the output its (prev_txid, vout) outpoint\n"
+"names, which must be present and pay the input's address, and the inputs\n"
+"must sum to the outputs plus the fee. Its outputs then go in under (txid,\n"
+"vout), in order, so a later transaction may spend them. minted is what the\n"
 "coinbase pays, fees the sum of the other transactions' fees.\n\n"
 "A refusal raises ValueError(reason, ...): ('truncated', text), ('trailing',),\n"
 "('hash' | 'height' | 'chain' | 'coinbase', the record's height), or\n"
 "('spent' | 'address' | 'balance', position, index), index -1 for the\n"
-"balance, after which utxos keeps what was applied before it. A UTXO value\n"
-"that is not a row of three, bytes first, raises TypeError, and a spent\n"
-"amount outside 0..2^64-1 OverflowError.");
+"balance, after which the table keeps what was applied before it; an\n"
+"output whose address did not match is spent all the same.");
+
+/* The 36 outpoint bytes of key, a (txid, vout) tuple, in op; 0 when key is
+ * no outpoint a table can hold. */
+static int outpoint_of(PyObject *key, u8 *op)
+{
+    PyObject *txid, *vout;
+    unsigned long v;
+    if (!PyTuple_Check(key) || PyTuple_GET_SIZE(key) != 2)
+        return 0;
+    txid = PyTuple_GET_ITEM(key, 0);
+    vout = PyTuple_GET_ITEM(key, 1);
+    if (!PyBytes_Check(txid) || PyBytes_GET_SIZE(txid) != 32 || !PyLong_Check(vout))
+        return 0;
+    v = PyLong_AsUnsignedLong(vout);
+    if (PyErr_Occurred()) { /* negative, or past an unsigned long */
+        PyErr_Clear();
+        return 0;
+    }
+    if (v > 0xFFFFFFFFUL)
+        return 0;
+    memcpy(op, PyBytes_AS_STRING(txid), 32);
+    op[32] = (u8)(v >> 24), op[33] = (u8)(v >> 16), op[34] = (u8)(v >> 8), op[35] = (u8)v;
+    return 1;
+}
+
+static Py_ssize_t table_slot_of(utxo_table *t, PyObject *key)
+{
+    u8 op[OUTPOINT];
+    return outpoint_of(key, op) ? table_find(t, op, outpoint_hash(t, op)) : -1;
+}
+
+static PyObject *table_get(utxo_table *t, PyObject *key)
+{
+    Py_ssize_t slot = table_slot_of(t, key);
+    if (slot < 0)
+        Py_RETURN_NONE;
+    return output_row(t->row, t->entries[t->slots[slot].at].output);
+}
+
+static int table_contains(utxo_table *t, PyObject *key)
+{
+    return table_slot_of(t, key) >= 0;
+}
+
+static PyObject *table_total(utxo_table *t, PyObject *unused)
+{
+    u128 total = 0;
+    size_t i;
+    for (i = 0; i < t->count; i++)
+        total += load_be64(t->entries[i].output + 21);
+    return u128_to_long(total);
+}
+
+static PyObject *table_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"", NULL};
+    PyTypeObject *row;
+    PyObject *key;
+    utxo_table *t = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!:UtxoTable", kwlist, &PyType_Type, &row) ||
+        !check_row_type(row, "row_type") ||
+        (key = PyObject_CallFunction(URANDOM, "i", 16)) == NULL)
+        return NULL;
+    if (PyBytes_Check(key) && PyBytes_GET_SIZE(key) == 16 &&
+        (t = (utxo_table *)type->tp_alloc(type, 0)) != NULL) {
+        memcpy(&t->k0, PyBytes_AS_STRING(key), 8);
+        memcpy(&t->k1, PyBytes_AS_STRING(key) + 8, 8);
+        t->row = (PyTypeObject *)Py_NewRef(row);
+    }
+    else if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_RuntimeError, "os.urandom(16) gave no 16 bytes");
+    Py_DECREF(key);
+    return (PyObject *)t;
+}
+
+static void table_dealloc(utxo_table *t)
+{
+    PyMem_Free(t->entries);
+    PyMem_Free(t->slots);
+    Py_XDECREF(t->row);
+    Py_TYPE(t)->tp_free((PyObject *)t);
+}
+
+static PyMethodDef table_methods[] = {
+    {"get", (PyCFunction)table_get, METH_O,
+     "get(outpoint) -> row or None\n\nThe output (txid, vout) names, as a new row_type row."},
+    {"total", (PyCFunction)table_total, METH_NOARGS,
+     "total() -> int\n\nThe sum of every unspent amount."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PySequenceMethods table_as_sequence = {
+    .sq_contains = (objobjproc)table_contains,
+};
+
+PyDoc_STRVAR(utxo_table_doc,
+"UtxoTable(row_type)\n\n"
+"The unspent outputs, keyed by (txid, vout) outpoints and filled only by\n"
+"connect_record. get(outpoint) builds a row_type row (field, amount, kind)\n"
+"on read, `outpoint in table` tests membership, and total() sums every\n"
+"amount. A table keeps each output as a fixed-size entry of one array, not\n"
+"as Python objects, so freeing it frees two allocations: the entries and\n"
+"their index. It has no order and is not iterable.");
+
+static PyTypeObject UtxoTableType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "chainsteg._kernel.UtxoTable",
+    .tp_basicsize = sizeof(utxo_table),
+    .tp_dealloc = (destructor)table_dealloc,
+    .tp_as_sequence = &table_as_sequence,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = utxo_table_doc,
+    .tp_methods = table_methods,
+    .tp_new = table_new,
+};
 
 static double now_ns(void)
 {
@@ -2338,6 +2550,7 @@ static struct PyModuleDef kernel_module = {
 PyMODINIT_FUNC PyInit__kernel(void)
 {
     const char *failed = sha256_select();
+    PyObject *os, *module;
     if (failed != NULL)
         return PyErr_Format(PyExc_RuntimeError,
                             "chainsteg._kernel: %s SHA-256 failed its known-answer test", failed);
@@ -2345,8 +2558,7 @@ PyMODINIT_FUNC PyInit__kernel(void)
         (NAME_OUTPUTS = PyUnicode_InternFromString("outputs")) == NULL ||
         (NAME_FEE = PyUnicode_InternFromString("fee")) == NULL ||
         (NAME_TXID = PyUnicode_InternFromString("txid")) == NULL ||
-        (NO_ARGS = PyTuple_New(0)) == NULL ||
-        (MISSING = PyObject_CallNoArgs((PyObject *)&PyBaseObject_Type)) == NULL)
+        (NO_ARGS = PyTuple_New(0)) == NULL)
         return NULL;
     if (!fe_inv_passes_kat())
         return PyErr_Format(PyExc_RuntimeError,
@@ -2355,5 +2567,14 @@ PyMODINIT_FUNC PyInit__kernel(void)
     if ((failed = comb_select()) != NULL)
         return PyErr_Format(PyExc_RuntimeError,
                             "chainsteg._kernel: the %s failed its known-answer test", failed);
-    return PyModule_Create(&kernel_module);
+    if ((os = PyImport_ImportModule("os")) == NULL)
+        return NULL;
+    URANDOM = PyObject_GetAttrString(os, "urandom");
+    Py_DECREF(os);
+    if (URANDOM == NULL || PyType_Ready(&UtxoTableType) < 0 ||
+        (module = PyModule_Create(&kernel_module)) == NULL)
+        return NULL;
+    if (PyModule_AddObjectRef(module, "UtxoTable", (PyObject *)&UtxoTableType) < 0)
+        Py_CLEAR(module);
+    return module;
 }

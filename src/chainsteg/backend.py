@@ -1,45 +1,50 @@
 """Backend selection: compiled kernel when importable, pure Python otherwise.
 
-Both backends implement the same four calls used on hot paths:
-derive_digest and grind_scan for grinding, parse_transactions for reading
-transactions, and connect_record for applying blocks. The observable
+Both backends implement the same calls used on hot paths: derive_digest
+and grind_scan for grinding, parse_transactions for reading transactions,
+and utxo_table and connect_record for applying blocks. The observable
 contract is identical: grind_scan gives each target the smallest matching
 counter not taken by an earlier target, parse_transactions builds the same
-rows, fields and txids, and connect_record leaves the same UTXO dict, in
-the same order, and refuses the same block for the same reason, so results
+rows, fields and txids, and connect_record leaves the same unspent outputs
+in the table and refuses the same block for the same reason, so results
 never depend on which backend ran.
 
-connect_record(utxos, record, height, prev_hash, output_type) is the one
-apply contract: every block, whether the ledger created, mined or loaded
-it, is applied from its record bytes, and no transaction is built for it,
-only the output rows that go into utxos. Before utxos is touched it checks
-the record's framing and every count, its stored hash (sha256d of the bytes
-before it), that its header gives `height` and `prev_hash`, and that
-transaction 0 is a coinbase: one input, which spends the null outpoint. A
-refusal there raises ValueError("truncated", text), ValueError("trailing")
-or ValueError("hash" | "height" | "chain" | "coinbase", the record's
-height). It then applies the transactions in order. Each one after the
-coinbase pops the outpoint of every input, which must be present and pay
-the input's address, and must balance its inputs with its outputs plus its
-fee; each one's outputs then go in under (txid, vout) keys, so a later one
-may spend them. A broken rule raises ValueError(reason, position, index)
-with reason "spent", "address" or "balance" (index -1), with what came
-before it applied. It returns (timestamp, block_hash, fees, minted,
-coinbase_txid), fees being the non-coinbase fees and minted what the
-coinbase pays. The ledger turns a refusal into its CorruptChain text and
-checks the coinbase cap. The kernel walks the bytes once to check and once
-to apply; PureBackend parses the record with parse_transactions and
-applies the rows.
+utxo_table(row_type) makes an empty UTXO table. Only connect_record fills
+it; get(outpoint) returns the row_type row (field, amount, kind) that a
+(txid, vout) outpoint names, or None; `outpoint in table` tests for one;
+and total() sums every unspent amount. A table has no order and is not
+iterated. The kernel's table keeps each output as a fixed-size entry of one
+array and builds the row on read, so no Python object exists per unspent
+output; PureBackend's is a dict of rows behind the same calls.
 
-A chain holds thousands of UTXO rows and outpoint keys, all made by
-connect_record, and a loaded one tens of thousands of rows and tuples once
-its blocks are read. Each holds only bytes and ints, so none can be part of
-a reference cycle, and the kernel untracks each from the cyclic GC when it
-makes it. A collection untracks an exact tuple whose items are all
-untracked, which covers the keys, but never a tuple subclass such as the
-TxInput and TxOutput rows, and so never the tuples that hold those rows:
-without this, every full collection would walk them all. Only
-gc.is_tracked tells the difference.
+connect_record(table, record, height, prev_hash) is the one apply
+contract: every block, whether the ledger created, mined or loaded it, is
+applied from its record bytes, and no transaction is built for it. Before
+the table is touched it checks the record's framing and every count, its
+stored hash (sha256d of the bytes before it), that its header gives
+`height` and `prev_hash`, and that transaction 0 is a coinbase: one input,
+which spends the null outpoint. A refusal there raises
+ValueError("truncated", text), ValueError("trailing") or ValueError("hash" |
+"height" | "chain" | "coinbase", the record's height). It then applies the
+transactions in order. Each one after the coinbase removes the output that
+each of its inputs names, which must be present and pay the input's
+address, and must balance its inputs with its outputs plus its fee; each
+one's outputs then go in under (txid, vout), so a later one may spend them.
+A broken rule raises ValueError(reason, position, index) with reason
+"spent", "address" or "balance" (index -1), with what came before it
+applied; an output whose address did not match is spent all the same. It
+returns (timestamp, block_hash, fees, minted, coinbase_txid), fees being
+the non-coinbase fees and minted what the coinbase pays. The ledger turns a
+refusal into its CorruptChain text and checks the coinbase cap. The kernel
+walks the bytes once to check and once to apply; PureBackend parses the
+record with parse_transactions and applies the rows.
+
+A loaded block's transactions, parsed when first read, hold tens of
+thousands of rows of bytes and ints, which can be in no reference cycle:
+the kernel untracks each row, and the inputs and outputs tuples that hold
+them, from the cyclic GC as it makes them. A collection never untracks a
+tuple subclass such as TxInput and TxOutput, nor a tuple holding one, so
+without this every full collection would walk them all.
 
 The compiled grind_scan derives counters in batches of 256, so it may
 derive past the last hit. It keeps that last batch in memory, and the next
@@ -95,6 +100,21 @@ _NULL32 = bytes(32)
 
 class _Parsed:
     """A transaction the pure connect_record parses only to apply it."""
+
+
+class _UtxoDict(dict):
+    """PureBackend's UTXO table: a dict of (txid, vout) -> row_type rows,
+    read through the calls the kernel's UtxoTable answers: get, `in` and
+    total."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row_type):
+        super().__init__()
+        self.row = row_type
+
+    def total(self) -> int:
+        return sum(map(_amount, self.values()))
 
 
 def select_bits(digest: bytes, positions: tuple[int, ...]) -> int:
@@ -209,7 +229,9 @@ class PureBackend:
             txs.append(tx)
         return tuple(txs), offset
 
-    def connect_record(self, utxos, record, height, prev_hash, output_type):
+    utxo_table = _UtxoDict
+
+    def connect_record(self, utxos, record, height, prev_hash):
         """Apply one block record (the contract is in the module docstring):
         parse_transactions, the record checks, then the rows in order."""
         if len(record) < _BLOCK_HEAD.size:
@@ -217,7 +239,7 @@ class PureBackend:
         at_height, prev, timestamp, count = _BLOCK_HEAD.unpack_from(record)
         try:
             txs, end = self.parse_transactions(record, _BLOCK_HEAD.size, count,
-                                               _Parsed, tuple, output_type)
+                                               _Parsed, tuple, utxos.row)
         except ValueError as exc:
             raise ValueError("truncated", str(exc)) from None
         if end + 32 != len(record):
@@ -268,6 +290,7 @@ try:
             )
 
         parse_transactions = staticmethod(_kernel.parse_transactions)
+        utxo_table = _kernel.UtxoTable
         connect_record = staticmethod(_kernel.connect_record)
 
     _ext = ExtBackend()

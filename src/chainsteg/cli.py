@@ -227,6 +227,39 @@ def cmd_export(args) -> int:
     return 0
 
 
+class _Deferred(list):
+    """The add_argument and set_defaults calls of a subcommand parser that is
+    not made yet."""
+
+    def add_argument(self, *args, **kwargs):
+        self.append(("add_argument", args, kwargs))
+
+    def set_defaults(self, **kwargs):
+        self.append(("set_defaults", (), kwargs))
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subparsers that make a subcommand's parser only when it is dispatched
+    to, so a process pays for one of them. add_parser registers the name and
+    help line and returns a _Deferred, whose calls are replayed on the parser
+    made at dispatch; usage, help and error texts read as if every parser had
+    been made."""
+
+    def add_parser(self, name, *, help):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        deferred = self._name_parser_map[name] = _Deferred()
+        return deferred
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        deferred = self._name_parser_map.get(values[0])
+        if isinstance(deferred, _Deferred):
+            sub = self._parser_class(prog=f"{self._prog_prefix} {values[0]}")
+            for method, args, kwargs in deferred:
+                getattr(sub, method)(*args, **kwargs)
+            self._name_parser_map[values[0]] = sub
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainsteg",
@@ -236,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--session", help="session state file")
     parser.add_argument("--seed", type=int, help="deterministic seed")
     parser.add_argument("--config", help="channel config file (key = value lines)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(action=_Subcommands, dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate key material")
     p.add_argument("--out", required=True)

@@ -23,16 +23,18 @@ is checked against its stored hash as sha256d of the record bytes before
 the hash.
 
 Loading builds no transaction. Each record goes through
-`Ledger._connect`, as every created or mined block does: the active
-backend's `connect_record` (the C kernel when it is built, else the
-pure-Python loop) checks the framing and every count, the stored hash, the
-height and the hash chain, and then applies the block rules below straight
-from the bytes, so the UTXO dict gets only the outputs' rows. A loaded
-block keeps its record and parses its transactions from it
-(`parse_transactions`) only when they are first read: by `input_index` from
-a receiver's cursor on, by `export_text` or `stat_suite`, or to name the
-transaction that broke a rule. A truncated record, trailing bytes, a count
-that runs past the record and a failed hash check all raise CorruptChain.
+`Ledger._connect`, as every created or mined block does: the backend's
+`connect_record` (the C kernel when it is built, else the pure-Python loop)
+checks the framing and every count, the stored hash, the height and the
+hash chain, and then applies the block rules below straight from the bytes
+to the ledger's UTXO table. The kernel's table keeps each unspent output as
+a fixed-size entry, not as Python objects, and `Ledger.utxo` builds its row
+only when it is read. A loaded block keeps its record and parses its
+transactions from it (`parse_transactions`) only when they are first read:
+by `input_index` from a receiver's cursor on, by `export_text` or
+`stat_suite`, or to name the transaction that broke a rule. A truncated
+record, trailing bytes, a count that runs past the record and a failed hash
+check all raise CorruptChain.
 Mempool sidecar records are parsed at once, since each is submitted again.
 
 A sealed or loaded block keeps its wire bytes: `save` writes them, and
@@ -64,7 +66,6 @@ earlier in the same block.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import random
@@ -118,6 +119,22 @@ class TxOutput(NamedTuple):
     kind: int = KIND_P2PKH
 
 
+class _kept:
+    """A value computed on its first read and kept in the instance's
+    __dict__, where every later read finds it. functools.cached_property
+    takes a lock on each first read, and a __getattr__ on the class would
+    take every other attribute read off CPython's specialized fast path."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class StegoTransaction:
     inputs: tuple[TxInput, ...]
@@ -127,7 +144,7 @@ class StegoTransaction:
     def serialize(self) -> bytes:
         return self._wire
 
-    @functools.cached_property
+    @_kept
     def _wire(self) -> bytes:
         # made once: frozen fields cannot drift from them
         return b"".join([
@@ -138,7 +155,7 @@ class StegoTransaction:
             _U64.pack(self.fee),
         ])
 
-    @functools.cached_property
+    @_kept
     def txid(self) -> bytes:
         return sha256d(self._wire)
 
@@ -303,7 +320,9 @@ class Ledger:
         self._mempool_ids: set[bytes] = set()
         self._mempool_outputs: dict[tuple[bytes, int], TxOutput] = {}
         self._mempool_reserved: set[tuple[bytes, int]] = set()
-        self._utxos: dict[tuple[bytes, int], TxOutput] = {}
+        # the backend that applies this ledger's blocks to its UTXO table
+        self._backend = backend.get()
+        self._utxos = self._backend.utxo_table(TxOutput)
         self._pool: list[tuple[bytes, int]] = []  # decoy-economy outpoints
         self._issued = 0
         self._saved_to = None  # real path of the chain file the blocks went to
@@ -385,7 +404,7 @@ class Ledger:
         if not self._pool:
             return None
         outpoint = self._pool.pop(rng.randrange(len(self._pool)))
-        prev = self._utxos[outpoint]
+        prev = self._utxos.get(outpoint)
         n_out = _decoy_output_count(rng)
         fee = rng.randint(200, 2000)
         budget = prev.amount - fee
@@ -478,8 +497,8 @@ class Ledger:
         height = len(self.blocks)
         prev_hash = self.blocks[-1].block_hash if self.blocks else _NULL32
         try:
-            timestamp, block_hash, fees, minted, coinbase = backend.get().connect_record(
-                self._utxos, wire, height, prev_hash, TxOutput)
+            timestamp, block_hash, fees, minted, coinbase = self._backend.connect_record(
+                self._utxos, wire, height, prev_hash)
         except ValueError as exc:
             raise CorruptChain(_record_error(wire, height, *exc.args)) from None
         if height and minted > BLOCK_SUBSIDY + fees:
@@ -514,7 +533,7 @@ class Ledger:
         return self._issued
 
     def utxo_total(self) -> int:
-        return sum(o.amount for o in self._utxos.values())
+        return self._utxos.total()
 
     # -- persistence ---------------------------------------------------------
 

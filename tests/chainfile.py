@@ -21,11 +21,20 @@ def active_backend(name):
         backend.set_backend(previous)
 
 
+def created_outpoints(ledger) -> list[tuple[bytes, int]]:
+    """Every (txid, vout) outpoint the ledger's blocks created, in chain
+    order: what its UTXO table can hold."""
+    return [(tx.txid, vout) for block in ledger.blocks for tx in block.transactions
+            for vout in range(len(tx.outputs))]
+
+
 def chain_state(ledger):
-    """What a load must rebuild the same on every backend: the UTXO dict in
-    order, the supply, the decoy pool and the tip."""
-    return (list(ledger._utxos.items()), ledger.total_supply(), ledger._pool,
-            ledger.blocks[-1].block_hash)
+    """What a load must rebuild the same on every backend, none of it
+    depending on a table's order: the unspent output or None at each
+    outpoint the chain created, the UTXO total, the supply, the decoy pool
+    and the tip."""
+    return ([ledger.utxo(op) for op in created_outpoints(ledger)], ledger.utxo_total(),
+            ledger.total_supply(), ledger._pool, ledger.blocks[-1].block_hash)
 
 
 def records(raw: bytes) -> list[bytes]:

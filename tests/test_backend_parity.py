@@ -8,6 +8,7 @@ import subprocess
 import sys
 import sysconfig
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -544,7 +545,8 @@ _SANITIZED_TESTS = [
     "tests/test_parsers.py",
     "tests/test_backend_parity.py::test_parse_parity",
     "tests/test_backend_parity.py::test_connect_parity",
-    "tests/test_backend_parity.py::test_connect_type_checks_what_it_reads",
+    "tests/test_backend_parity.py::test_utxo_table_matches_a_dict_model",
+    "tests/test_backend_parity.py::test_a_load_keeps_little_memory_per_utxo",
     "tests/test_backend_parity.py::test_connect_parity_on_a_seeded_chain",
 ]
 
@@ -645,14 +647,17 @@ def test_parse_parity():
 
 
 def _connect_case(rng):
-    """A UTXO dict and a block's transactions over it, each rule kept or, now
-    and then, broken: an absent outpoint, another address, a balance one off.
-    Amounts and fees span the u64 range, so sums pass 2^64."""
-    utxos, known = {}, {}
-    for _ in range(rng.randint(1, 4)):
-        out = TxOutput(rng.randbytes(20), rng.choice([rng.randrange(1, 10**6), 2**64 - 1]))
-        outpoint = (rng.randbytes(32), rng.randrange(3))
-        utxos[outpoint] = known[outpoint] = out
+    """A funding coinbase and a block's transactions over its outputs, each
+    rule kept or, now and then, broken: an absent outpoint, another address,
+    a balance one off. Amounts and fees span the u64 range, so sums pass
+    2^64."""
+    funding = StegoTransaction(
+        inputs=(TxInput(bytes(32), 0, bytes(20)),),
+        outputs=tuple(TxOutput(rng.randbytes(20), rng.choice([rng.randrange(1, 10**6), 2**64 - 1]))
+                      for _ in range(rng.randint(1, 4))),
+        fee=0,
+    )
+    known = {(funding.txid, vout): out for vout, out in enumerate(funding.outputs)}
     txs = [chainfile.coinbase(1)]
     for _ in range(rng.randint(0, 5)):
         spends = rng.sample(list(known), min(len(known), rng.randint(0, 2)))
@@ -672,50 +677,100 @@ def _connect_case(rng):
         tx = StegoTransaction(tuple(inputs), tuple(outputs), fee)
         txs.append(tx)
         known.update({(tx.txid, vout): out for vout, out in enumerate(outputs)})
-    return utxos, txs
+    return funding, txs
+
+
+def _lookups(table, outpoints):
+    """What a UTXO table, or a dict model of one, answers for each of
+    `outpoints` to get and to `in`."""
+    return [table.get(op) for op in outpoints], [op in table for op in outpoints]
 
 
 @needs_ext
 def test_connect_parity():
     """On kept and broken rules, each case sealed as a block record at height
-    1, both backends leave the same UTXO dict, in the same order, and return
-    the same fees, minted amount, hash and coinbase txid or raise the same
-    ValueError."""
+    1 over a table that a funding record at height 0 seeded, both backends
+    return the same fees, minted amount, hash and coinbase txid or raise the
+    same ValueError, and leave the same unspent outputs, refused or not."""
     rng = random.Random(1919)
     pure, ext = backend.PureBackend(), backend.set_backend("ext")
-    prev_hash = b"\x09" * 32
     broken = 0
     for _ in range(400):
-        utxos, txs = _connect_case(rng)
-        record = Block.seal(1, prev_hash, 600, txs).serialize()
+        funding, txs = _connect_case(rng)
+        genesis = Block.seal(0, bytes(32), 0, (funding,))
+        record = Block.seal(1, genesis.block_hash, 600, txs).serialize()
+        created = [(tx.txid, vout) for tx in (funding, *txs) for vout in range(len(tx.outputs))]
         outcomes = []
         for be in (pure, ext):
-            after = dict(utxos)
+            table = be.utxo_table(TxOutput)
+            be.connect_record(table, genesis.serialize(), 0, bytes(32))
             try:
-                got = ("applied", be.connect_record(after, record, 1, prev_hash, TxOutput))
+                got = ("applied", be.connect_record(table, record, 1, genesis.block_hash))
             except ValueError as exc:
                 got = ("refused", exc.args)
-            outcomes.append((got, list(after.items())))
+            outcomes.append((got, _lookups(table, created), table.total()))
         assert outcomes[0] == outcomes[1]
         broken += outcomes[0][0][0] == "refused"
     assert 40 < broken < 360
 
 
-@needs_ext
-@pytest.mark.parametrize("utxo", [[b"\x02" * 20, 5000, 0], TxOutput("x" * 20, 5000)],
-                         ids=["utxo", "utxo field"])
-def test_connect_type_checks_what_it_reads(utxo):
-    """A UTXO value that connect_record spends and that is not a row of
-    three, bytes first, raises TypeError, not a crash."""
-    ext = backend.set_backend("ext")
-    outpoint, prev_hash = (b"\x01" * 32, 0), b"\x09" * 32
-    spend = chainfile.spend(outpoint, b"\x02" * 20, 4000)
-    record = Block.seal(1, prev_hash, 600, (chainfile.coinbase(1), spend)).serialize()
-    with pytest.raises(TypeError):
-        ext.connect_record({outpoint: utxo}, record, 1, prev_hash, TxOutput)
-    utxos = {outpoint: TxOutput(b"\x02" * 20, 5000)}
-    assert ext.connect_record(utxos, record, 1, prev_hash, TxOutput)[2] == 1000
-    assert [out.field for out in utxos.values()] == [b"\x05" * 20, b"\x02" * 20]
+def _table_block(rng, height, model):
+    """A block's transactions at `height` over the outpoints in `model`: a
+    coinbase of up to 8 outputs, then up to 4 transactions that each spend up
+    to 3 outputs, some made earlier in the block, into up to 4. A quarter of
+    the coinbase outputs pay 2^64 - 1."""
+    coinbase = StegoTransaction(
+        inputs=(TxInput(bytes(32), height, bytes(20)),),
+        outputs=tuple(TxOutput(rng.randbytes(20), rng.choice([2**64 - 1, 1000, 2000, 3000]),
+                               rng.randrange(256))
+                      for _ in range(rng.randint(1, 8))),
+        fee=0,
+    )
+    txs, unspent = [coinbase], dict(model)
+    unspent.update({(coinbase.txid, vout): out for vout, out in enumerate(coinbase.outputs)})
+    for _ in range(rng.randint(0, 4)):
+        spends = rng.sample(sorted(unspent), rng.randint(1, min(3, len(unspent))))
+        total = sum(unspent[op].amount for op in spends)
+        fee = rng.randrange(min(total, 10**4) + 1)
+        n_out = max(rng.randint(1, 4), -(-(total - fee) // (2**64 - 1)))
+        share, extra = divmod(total - fee, n_out)
+        outputs = tuple(TxOutput(rng.randbytes(20), share + (i < extra)) for i in range(n_out))
+        tx = StegoTransaction(tuple(TxInput(*op, unspent.pop(op).field) for op in spends),
+                              outputs, fee)
+        txs.append(tx)
+        unspent.update({(tx.txid, vout): out for vout, out in enumerate(outputs)})
+    return txs
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["pure", "ext"])
+def test_utxo_table_matches_a_dict_model(name, seed):
+    """Blocks of random inserts (outputs) and spends (inputs), applied through
+    connect_record, keep a table equal to a dict model across several
+    growths: after each block a sample of live, spent and never-made
+    outpoints, and at the end every outpoint made, answers get and `in` as
+    the model does, and total() matches the model's sum, which passes
+    2^64."""
+    if name not in backend.available():
+        pytest.skip("compiled kernel not built")
+    be, rng = backend.set_backend(name), random.Random(seed)
+    table, model, made = be.utxo_table(TxOutput), {}, []
+    prev_hash = bytes(32)
+    for height in range(150):
+        txs = _table_block(rng, height, model)
+        record = Block.seal(height, prev_hash, 600 * height, txs).serialize()
+        prev_hash = be.connect_record(table, record, height, prev_hash)[1]
+        for position, tx in enumerate(txs):
+            for inp in tx.inputs if position else ():
+                del model[inp.prev_txid, inp.vout]
+            made += [(tx.txid, vout) for vout in range(len(tx.outputs))]
+            model.update({(tx.txid, vout): out for vout, out in enumerate(tx.outputs)})
+        asked = rng.sample(made, min(len(made), 20)) + [(rng.randbytes(32), rng.randrange(2**32))]
+        assert _lookups(table, asked) == _lookups(model, asked)
+    assert _lookups(table, made) == _lookups(model, made)
+    assert table.total() == sum(out.amount for out in model.values())
+    # past three quarters of 512 slots: the kernel's table grew from 16 six times
+    assert len(model) > 384 and table.total() > 2**64
 
 
 def _seeded_chain(km, path):
@@ -739,8 +794,8 @@ def _seeded_chain(km, path):
 
 @needs_ext
 def test_connect_parity_on_a_seeded_chain(km, tmp_path):
-    """Mined and loaded on each backend, a seeded chain gives the same UTXO
-    dict in the same order, supply, decoy pool and tip."""
+    """Mined and loaded on each backend, a seeded chain gives the same
+    unspent outputs, UTXO total, supply, decoy pool and tip."""
     mined = {}
     for name in ("pure", "ext"):
         backend.set_backend(name)
@@ -752,29 +807,30 @@ def test_connect_parity_on_a_seeded_chain(km, tmp_path):
         backend.set_backend(name)
         loaded[name] = chainfile.chain_state(Ledger.load(tmp_path / "ext.bin"))
     assert loaded["pure"] == loaded["ext"]
-    utxos, supply, _, tip = loaded["ext"]
-    assert (utxos, supply, tip) == (mined["ext"][0], mined["ext"][1], mined["ext"][3])
-    assert len(utxos) > 1000 and len(mined["ext"][2]) > 30  # decoys spent the pool
+    utxos, total, supply, _, tip = loaded["ext"]
+    assert (utxos, total, supply, tip) == (*mined["ext"][:3], mined["ext"][4])
+    assert total == supply
+    assert sum(out is not None for out in utxos) > 1000 and len(mined["ext"][3]) > 30
 
 
 @needs_ext
-def test_loaded_rows_and_keys_are_untracked(km, tmp_path):
-    """The kernel untracks what holds only bytes and ints: after an ext load
-    the cyclic GC tracks no UTXO key or row that connect_record made, and no
-    row or inputs or outputs tuple of a block parsed on first read, and a
-    collection frees none of it."""
+def test_loaded_rows_are_untracked_and_the_utxo_set_is_one_object(km, tmp_path):
+    """After an ext load the UTXO set is one object, which refers to no
+    Python object, and the rows it builds on read are untracked; so are the
+    rows and the inputs and outputs tuples of a block parsed on first read,
+    and a collection frees none of it."""
     path = tmp_path / "chain.bin"
     backend.set_backend("ext")
     _seeded_chain(km, path)
     ledger = Ledger.load(path)
-    assert not any(map(gc.is_tracked, ledger._utxos))
-    assert not any(map(gc.is_tracked, ledger._utxos.values()))
+    assert not gc.is_tracked(ledger._utxos) and gc.get_referents(ledger._utxos) == []
+    unspent = [out for out in map(ledger.utxo, chainfile.created_outpoints(ledger)) if out]
+    assert len(unspent) > 1000 and not any(map(gc.is_tracked, unspent))
     txs = [tx for block in ledger.blocks for tx in block.transactions] + ledger.mempool
     assert ledger.mempool
     for tx in txs:
         assert not gc.is_tracked(tx.inputs) and not gc.is_tracked(tx.outputs)
         assert not any(map(gc.is_tracked, tx.inputs + tx.outputs))
-    assert not any(map(gc.is_tracked, ledger._utxos))
     tip = ledger.blocks[-1].block_hash
     gc.collect()
     assert [b.serialize() for b in ledger.blocks] == chainfile.records(path.read_bytes())
@@ -785,6 +841,32 @@ def test_loaded_rows_and_keys_are_untracked(km, tmp_path):
     assert again.blocks[-2].block_hash == tip
     assert again.blocks[-1].block_hash == ledger.blocks[-1].block_hash
     assert again.utxo_total() == again.total_supply()
+
+
+@needs_ext
+def test_a_load_keeps_little_memory_per_utxo(km, tmp_path):
+    """What Ledger.load of the seeded chain keeps, beyond its record bytes
+    and 1 kB per block, is under 200 bytes per unspent output, and it keeps
+    a few allocations per block, none per output. A dict with a key and a
+    row per output kept 254 bytes and 4.6 allocations per output here."""
+    path = tmp_path / "chain.bin"
+    backend.set_backend("ext")
+    _seeded_chain(km, path)
+    records = chainfile.records(path.read_bytes())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        ledger = Ledger.load(path)
+        kept = tracemalloc.take_snapshot().compare_to(before, "filename")
+    finally:
+        tracemalloc.stop()
+    kept_bytes = sum(stat.size_diff for stat in kept)
+    kept_blocks = sum(stat.count_diff for stat in kept)
+    n_utxos = sum(out is not None for out in map(ledger.utxo, chainfile.created_outpoints(ledger)))
+    assert n_utxos > 1000
+    assert kept_bytes - sum(map(len, records)) - 1024 * len(records) < 200 * n_utxos
+    assert kept_blocks < 16 * len(records)
 
 
 @needs_ext

@@ -437,3 +437,64 @@ def test_evaluation_output_is_pinned(km, tmp_path, capsys):
          "std_error": 2.753444377265921},
     ]
     assert report["ratios"] == [3.7333333333333334, 3.553571428571429]
+
+
+_USAGE = ("usage: chainsteg [-h] [--chain CHAIN] [--session SESSION] [--seed SEED]\n"
+          "                 [--config CONFIG]\n"
+          "                 {keygen,send,scan,extract,mine,capacity,bench,stats,export}\n"
+          "                 ...\n")
+_SEND_USAGE = ("usage: chainsteg send [-h] --channel {high,med} --in INFILE [--key KEY]\n"
+               "                      [--confirm-each] [--decoys DECOYS]\n")
+_HELP = (_USAGE + "\n"
+         "blockchain steganography over a simulated ledger\n"
+         "\n"
+         "positional arguments:\n"
+         "  {keygen,send,scan,extract,mine,capacity,bench,stats,export}\n"
+         "    keygen              generate key material\n"
+         "    send                embed and submit a message\n"
+         "    scan                detect and buffer incoming messages\n"
+         "    extract             write received messages to a file\n"
+         "    mine                assemble a block from the mempool\n"
+         "    capacity            capacity table over (n, m)\n"
+         "    bench               grinding effort benchmark\n"
+         "    stats               indistinguishability statistics\n"
+         "    export              human-readable chain dump\n"
+         "\n"
+         "options:\n"
+         "  -h, --help            show this help message and exit\n"
+         "  --chain CHAIN         chain file\n"
+         "  --session SESSION     session state file\n"
+         "  --seed SEED           deterministic seed\n"
+         "  --config CONFIG       channel config file (key = value lines)\n")
+_SEND_HELP = (_SEND_USAGE + "\n"
+              "options:\n"
+              "  -h, --help            show this help message and exit\n"
+              "  --channel {high,med}\n"
+              "  --in INFILE\n"
+              "  --key KEY             key file (for a fresh session)\n"
+              "  --confirm-each        mine a block after every stego transaction\n"
+              "  --decoys DECOYS       decoy rate when --confirm-each mines\n")
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ([], 2, "", _USAGE + "chainsteg: error: the following arguments are required: command\n"),
+    (["--help"], 0, _HELP, ""),
+    (["send", "--help"], 0, _SEND_HELP, ""),
+    (["frobnicate"], 2, "", _USAGE + "chainsteg: error: argument command: invalid choice: "
+     "'frobnicate' (choose from 'keygen', 'send', 'scan', 'extract', 'mine', 'capacity', "
+     "'bench', 'stats', 'export')\n"),
+    (["send", "--in", "msg.bin"], 2, "",
+     _SEND_USAGE + "chainsteg send: error: the following arguments are required: --channel\n"),
+    (["capacity", "--n", "5..3", "--m", "4"], 2, "",
+     "usage: chainsteg capacity [-h] --n N --m M\n"
+     "chainsteg capacity: error: argument --n: invalid int_range value: '5..3'\n"),
+], ids=["no subcommand", "help", "send help", "unknown subcommand", "missing channel",
+        "bad range"])
+def test_parser_messages_are_pinned(monkeypatch, capsys, argv, code, out, err):
+    """A subcommand's parser is made only when it is dispatched to, and the
+    help, usage and error texts and the exit codes read as they did when
+    every subcommand's parser was built up front (80 columns)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)

@@ -338,10 +338,10 @@ def load_on_each_backend(path) -> list[Ledger]:
 def record_refusal(impl, path):
     """The ValueError args with which `impl`'s connect_record refuses the
     first record of the chain file it refuses; None when it takes them all."""
-    utxos, prev_hash = {}, bytes(32)
+    utxos, prev_hash = impl.utxo_table(TxOutput), bytes(32)
     for height, record in enumerate(chainfile.records(path.read_bytes())):
         try:
-            _, prev_hash, *_ = impl.connect_record(utxos, record, height, prev_hash, TxOutput)
+            _, prev_hash, *_ = impl.connect_record(utxos, record, height, prev_hash)
         except ValueError as exc:
             return exc.args
     return None
