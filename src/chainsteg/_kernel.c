@@ -3,11 +3,14 @@
  * so the whole attempt loop runs in C without the GIL; the parser of a
  * block's transaction rows, which hashes each txid; the UTXO table, which
  * keeps every unspent output as a fixed-size entry of one array; and
- * connect_record, which checks a block record and applies its
- * per-transaction rules to that table straight from its bytes. Every block,
- * created, mined or loaded, is applied by it, so no block needs its
+ * connect_records, which walks a chain file's length-prefixed block records
+ * in one call, checks each and applies its per-transaction rules to that
+ * table straight from its bytes. Every block, created, mined (each a file of
+ * one record) or loaded, is applied by it, so no block needs its
  * transactions built to connect, and no Python object exists per unspent
- * output: the table builds an output's row only when it is read.
+ * output: the table builds an output's row only when it is read. It
+ * reserves the table once for every output of the file, so a load never
+ * regrows it. mult_g checks a private key on the comb.
  *
  * The rows and the inputs and outputs tuples that the parser and the table
  * make hold only bytes and ints, so they can be in no reference cycle: each
@@ -36,8 +39,9 @@
  *
  * Results are bit-identical to backend.PureBackend, the reference; the
  * parity tests enforce it on both paths. Python-visible: derive_digest,
- * grind_scan, parse_transactions, UtxoTable, connect_record, and _microbench,
- * _derived, _comb_path and _upper_state for measurements and tests.
+ * mult_g, grind_scan, parse_transactions, UtxoTable, connect_records, and
+ * _microbench, _derived, _comb_path and _upper_state for measurements and
+ * tests.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1512,6 +1516,45 @@ PyDoc_STRVAR(derive_digest_doc,
 "derive_digest(k, tag, counter, gy_x, gy_y) -> bytes | None\n\n"
 "hash160 of the derived public key, or None for a degenerate index.");
 
+/* The field element in limbs a as a Python int */
+static PyObject *fe_to_long(const u64 *a)
+{
+    u8 raw[32];
+    int j;
+    for (j = 0; j < 32; j++)
+        raw[j] = (u8)(a[3 - j / 8] >> (8 * (7 - j % 8)));
+    return PyObject_CallMethod((PyObject *)&PyLong_Type, "from_bytes", "y#s",
+                               (const char *)raw, (Py_ssize_t)32, "big");
+}
+
+static PyObject *py_mult_g(PyObject *self, PyObject *scalar)
+{
+    PyObject *raw = PyObject_CallMethod(scalar, "to_bytes", "is", 32, "big");
+    u64 s[4], prefix[1][4];
+    jpt r;
+    if (raw == NULL)
+        return NULL;
+    if (!PyBytes_Check(raw) || PyBytes_GET_SIZE(raw) != 32) {
+        Py_DECREF(raw);
+        PyErr_SetString(PyExc_TypeError, "the scalar must be an int");
+        return NULL;
+    }
+    be32_to_limbs((const u8 *)PyBytes_AS_STRING(raw), s);
+    Py_DECREF(raw);
+    scalar_mod_q(s);
+    mult_gen(&r, s);
+    if (jpt_is_infinity(&r))
+        Py_RETURN_NONE;
+    jpt_normalize(&r, NULL, 1, prefix);
+    return Py_BuildValue("(NN)", fe_to_long(r.X), fe_to_long(r.Y));
+}
+
+PyDoc_STRVAR(mult_g_doc,
+"mult_g(scalar) -> (x, y) | None\n\n"
+"scalar times the generator, for an int scalar in [0, 2^256) taken mod q, as\n"
+"an affine point of ints; None for the point at infinity. One comb\n"
+"multiplication and one inversion; it checks a private key.");
+
 /* Read a sequence of min_len..max_len ints, each in [lo, hi), into out;
  * returns the count, or -1 with ValueError or TypeError set. */
 static Py_ssize_t parse_ints(PyObject *obj, const char *what, Py_ssize_t min_len,
@@ -1889,18 +1932,21 @@ PyDoc_STRVAR(parse_transactions_doc,
  * The UTXO table: every unspent output is one fixed-size entry of a dense
  * array, so no Python object exists per output. An entry is the outpoint as
  * an input row spells it (prev_txid, vout big-endian) and the output as an
- * output row spells it (field, kind, amount big-endian), so connect_record
+ * output row spells it (field, kind, amount big-endian), so connect_records
  * copies both straight from the record, and get() builds the row only on
  * read. A spent entry's place goes to the last entry, so the array stays
  * dense and grows in place (realloc), touching only the memory it fills.
+ * connect_records reserves it once for every output of the records it is
+ * given, which bounds every count it reaches, so a load sizes it once from
+ * the file and never regrows it.
  *
  * An open-addressing index of (hash, place) slots finds an entry: probing is
  * linear, a removal shifts the rest of its probe run back (no tombstones),
- * and the index doubles when it would pass three quarters full, rebuilt from
- * the hashes its slots keep. The outpoint is hashed with SipHash under a
- * key that each table draws from os.urandom, as Bitcoin Core's
- * SaltedOutpointHasher does, so no chain file can be crafted to make long
- * probe runs. */
+ * and the index is rebuilt larger, from the hashes its slots keep, when a
+ * reservation would pass three quarters of it. The outpoint is hashed with
+ * SipHash under a key that each table draws from os.urandom, as Bitcoin
+ * Core's SaltedOutpointHasher does, so no chain file can be crafted to make
+ * long probe runs. */
 
 #define OUTPOINT 36 /* prev_txid 32B, vout u32 */
 
@@ -1919,7 +1965,7 @@ typedef struct {
     PyTypeObject *row;    /* the row type get builds */
     utxo_entry *entries;  /* count entries, room for room */
     utxo_slot *slots;     /* cap slots */
-    size_t count, room;   /* room is 0 or a power of two */
+    size_t count, room;   /* count <= room */
     size_t cap;           /* 0 or a power of two, and count <= cap * 3 / 4 */
     u64 k0, k1;           /* the SipHash key */
 } utxo_table;
@@ -1978,15 +2024,21 @@ static Py_ssize_t table_find(const utxo_table *t, const u8 *op, u32 h)
     return -1;
 }
 
-/* Make room for one more entry: the array doubles (16 entries at first), and
- * the index doubles when it would pass three quarters full. MemoryError
- * past 2^32 slots, the most a 32-bit hash can index. */
-static int table_reserve(utxo_table *t)
+/* Make room for `more` entries beyond the count: the array grows to at
+ * least double (16 entries at first) or to count + more if that is more, and
+ * the index to the least power of two that keeps count + more within three
+ * quarters of it, rebuilt once. So a load that reserves for every output of
+ * its file at the start grows neither again. MemoryError past 2^32 slots,
+ * the most a 32-bit hash can index. */
+static int table_reserve(utxo_table *t, size_t more)
 {
-    size_t room = t->room ? 2 * t->room : 16, cap = t->cap ? 2 * t->cap : 16, mask, i, j;
+    size_t need = t->count + more, room, cap, mask, i, j;
     utxo_entry *entries;
     utxo_slot *slots = NULL;
-    if (t->count == t->room) {
+    if (need > t->room) {
+        room = t->room ? 2 * t->room : 16;
+        if (room < need)
+            room = need;
         if (room > PY_SSIZE_T_MAX / sizeof(utxo_entry) ||
             (entries = PyMem_Realloc(t->entries, room * sizeof(utxo_entry))) == NULL) {
             PyErr_NoMemory();
@@ -1995,8 +2047,10 @@ static int table_reserve(utxo_table *t)
         t->entries = entries;
         t->room = room;
     }
-    if (4 * (t->count + 1) <= 3 * t->cap)
+    if (4 * need <= 3 * t->cap)
         return 1;
+    for (cap = t->cap ? 2 * t->cap : 16; 4 * need > 3 * cap && cap <= (size_t)1 << 32; cap *= 2)
+        ;
     if (cap <= (size_t)1 << 32)
         slots = PyMem_Calloc(cap, sizeof(utxo_slot));
     if (slots == NULL) {
@@ -2023,7 +2077,7 @@ static int table_put(utxo_table *t, const u8 *op, const u8 *output)
     u32 h = outpoint_hash(t, op);
     utxo_slot *s;
     size_t mask, i;
-    if (!table_reserve(t))
+    if (!table_reserve(t, 1))
         return 0;
     mask = t->cap - 1;
     for (i = h & mask; (s = &t->slots[i])->hash != 0; i = (i + 1) & mask)
@@ -2165,36 +2219,30 @@ static int record_fits(const u8 *data, Py_ssize_t size, Py_ssize_t height, const
     return 1;
 }
 
-static PyObject *py_connect_record(PyObject *self, PyObject *args)
+/* Apply the block record data[0:size], found at offset `start` of the
+ * caller's buffer, to the table: record_fits, then each transaction's spends,
+ * balance and outputs in order. Returns (timestamp, block_hash, fees, minted,
+ * coinbase_txid, start, end), or NULL with a refusal's ValueError set. */
+static PyObject *apply_record(utxo_table *table, const u8 *data, Py_ssize_t size,
+                              Py_ssize_t height, const u8 *prev, Py_ssize_t start)
 {
-    Py_buffer buf, prev;
-    utxo_table *table;
-    PyObject *result = NULL;
-    Py_ssize_t height, count, pos = BLOCK_HEAD, start, position, n_in, n_out, i;
+    Py_ssize_t count, pos = BLOCK_HEAD, from, position, n_in, n_out, i;
     u128 fees = 0, minted = 0, total_in, total_out;
-    const u8 *data, *row;
+    const u8 *row;
     u8 op[OUTPOINT], coinbase[32];
-    if (!PyArg_ParseTuple(args, "O!y*ny*:connect_record", &UtxoTableType, &table, &buf,
-                          &height, &prev))
+    if (!record_fits(data, size, height, prev))
         return NULL;
-    data = buf.buf;
-    if (prev.len != 32) {
-        PyErr_SetString(PyExc_ValueError, "prev_hash must be 32 bytes");
-        goto done;
-    }
-    if (!record_fits(data, buf.len, height, prev.buf))
-        goto done;
     count = load_be32(data + BLOCK_HEAD - 4);
     for (position = 0; position < count; position++) {
-        start = pos;
-        tx_frame(data, buf.len, &pos, &n_in, &n_out); /* record_fits checked it */
-        sha256d(data + start, (size_t)(pos - start), op); /* the txid of each output's outpoint */
-        row = data + start + 4;
+        from = pos;
+        tx_frame(data, size, &pos, &n_in, &n_out); /* record_fits checked it */
+        sha256d(data + from, (size_t)(pos - from), op); /* the txid of each output's outpoint */
+        row = data + from + 4;
         total_in = total_out = 0;
         for (i = 0; position && i < n_in; i++, row += INPUT_ROW)
             if (!spend(table, row, position, i, &total_in))
-                goto done;
-        row = data + start + 8 + n_in * INPUT_ROW;
+                return NULL;
+        row = data + from + 8 + n_in * INPUT_ROW;
         for (i = 0; i < n_out; i++)
             total_out += load_be64(row + i * OUTPUT_ROW + 21);
         if (!position) {
@@ -2202,41 +2250,134 @@ static PyObject *py_connect_record(PyObject *self, PyObject *args)
             memcpy(coinbase, op, 32);
         }
         else if (!balance(total_in, total_out, load_be64(data + pos - 8), position, &fees))
-            goto done;
+            return NULL;
         for (i = 0; i < n_out; i++, row += OUTPUT_ROW) {
             op[32] = (u8)(i >> 24), op[33] = (u8)(i >> 16), op[34] = (u8)(i >> 8), op[35] = (u8)i;
             if (!table_put(table, op, row))
-                goto done;
+                return NULL;
         }
     }
-    result = Py_BuildValue("(Ky#NNy#)", (unsigned long long)load_be64(data + 40),
-                           (const char *)data + pos, (Py_ssize_t)32, u128_to_long(fees),
-                           u128_to_long(minted), (const char *)coinbase, (Py_ssize_t)32);
+    return Py_BuildValue("(Ky#NNy#nn)", (unsigned long long)load_be64(data + 40),
+                         (const char *)data + pos, (Py_ssize_t)32, u128_to_long(fees),
+                         u128_to_long(minted), (const char *)coinbase, (Py_ssize_t)32,
+                         start, start + size);
+}
+
+/* The outputs of the records of data[0:size] that frame, up to the first
+ * that does not: no live count can pass the table's count plus this while
+ * they are applied, since a record that does not frame is refused before it
+ * touches the table. Raises nothing. */
+static size_t framed_outputs(const u8 *data, Py_ssize_t size)
+{
+    Py_ssize_t at = 0, length, pos, n_in, n_out;
+    u64 count, t;
+    size_t total = 0, outputs;
+    while (size - at >= 4 && (length = load_be32(data + at)) <= size - at - 4) {
+        const u8 *record = data + at + 4;
+        if (length < BLOCK_HEAD)
+            break;
+        count = load_be32(record + BLOCK_HEAD - 4);
+        if (count > (u64)((length - BLOCK_HEAD) / TX_MIN))
+            break;
+        for (pos = BLOCK_HEAD, outputs = 0, t = 0; t < count; t++) {
+            if (tx_frame(record, length, &pos, &n_in, &n_out) != NULL)
+                return total;
+            outputs += (size_t)n_out;
+        }
+        if (pos + 32 != length)
+            break;
+        total += outputs;
+        at += 4 + length;
+    }
+    return total;
+}
+
+static PyObject *py_connect_records(PyObject *self, PyObject *args)
+{
+    Py_buffer buf, prev;
+    utxo_table *table;
+    PyObject *blocks = NULL, *block, *refusal = NULL, *type, *value, *trace, *result = NULL;
+    Py_ssize_t height, at = 0, length;
+    const u8 *data, *tip;
+    int appended;
+    if (!PyArg_ParseTuple(args, "O!y*ny*:connect_records", &UtxoTableType, &table, &buf,
+                          &height, &prev))
+        return NULL;
+    data = buf.buf;
+    tip = prev.buf;
+    if (prev.len != 32) {
+        PyErr_SetString(PyExc_ValueError, "prev_hash must be 32 bytes");
+        goto done;
+    }
+    if (!table_reserve(table, framed_outputs(data, buf.len)) || (blocks = PyList_New(0)) == NULL)
+        goto done;
+    while (at < buf.len) {
+        if (buf.len - at < 4) {
+            refusal = Py_BuildValue("(s)", "length");
+            break;
+        }
+        length = load_be32(data + at);
+        if (length > buf.len - at - 4) {
+            refusal = Py_BuildValue("(s)", "extent");
+            break;
+        }
+        block = apply_record(table, data + at + 4, length, height + PyList_GET_SIZE(blocks),
+                             tip, at + 4);
+        if (block == NULL) {
+            /* a refusal ends the walk, and its args are returned */
+            if (!PyErr_ExceptionMatches(PyExc_ValueError))
+                goto done;
+            PyErr_Fetch(&type, &value, &trace);
+            PyErr_NormalizeException(&type, &value, &trace);
+            refusal = PyObject_GetAttrString(value, "args");
+            Py_XDECREF(type);
+            Py_XDECREF(value);
+            Py_XDECREF(trace);
+            break;
+        }
+        appended = PyList_Append(blocks, block);
+        Py_DECREF(block);
+        if (appended < 0)
+            goto done;
+        at += 4 + length;
+        tip = data + at - 32; /* the hash of the record just applied */
+    }
+    if (!PyErr_Occurred()) /* building or reading the refusal can fail */
+        result = Py_BuildValue("(OO)", blocks, refusal ? refusal : Py_None);
 done:
+    Py_XDECREF(blocks);
+    Py_XDECREF(refusal);
     PyBuffer_Release(&buf);
     PyBuffer_Release(&prev);
     return result;
 }
 
-PyDoc_STRVAR(connect_record_doc,
-"connect_record(table, record, height, prev_hash)\n"
-"    -> (timestamp, block_hash, fees, minted, coinbase_txid)\n\n"
-"Apply one block record to a UtxoTable straight from its bytes. Before the\n"
-"table is touched, the record must frame (a header, every count within the\n"
-"bytes left, the 32-byte hash last), its stored hash must be sha256d of the\n"
-"bytes before it, its header must give height and prev_hash, and\n"
-"transaction 0 must be a coinbase: one input, which spends the null\n"
-"outpoint. Each transaction's txid is then hashed. Unless it is the\n"
-"coinbase, each input removes the output its (prev_txid, vout) outpoint\n"
-"names, which must be present and pay the input's address, and the inputs\n"
-"must sum to the outputs plus the fee. Its outputs then go in under (txid,\n"
-"vout), in order, so a later transaction may spend them. minted is what the\n"
-"coinbase pays, fees the sum of the other transactions' fees.\n\n"
-"A refusal raises ValueError(reason, ...): ('truncated', text), ('trailing',),\n"
-"('hash' | 'height' | 'chain' | 'coinbase', the record's height), or\n"
-"('spent' | 'address' | 'balance', position, index), index -1 for the\n"
-"balance, after which the table keeps what was applied before it; an\n"
-"output whose address did not match is spent all the same.");
+PyDoc_STRVAR(connect_records_doc,
+"connect_records(table, data, height, prev_hash) -> (blocks, refusal)\n\n"
+"Apply each block record of data, a file of records each framed by its\n"
+"4-byte big-endian length, in file order to a UtxoTable straight from its\n"
+"bytes, the first at height after prev_hash. Before the table is touched it\n"
+"is reserved once for every output of the records that frame, so it does\n"
+"not regrow during the walk.\n\n"
+"Before a record touches the table, it must frame (a header, every count\n"
+"within the bytes left, the 32-byte hash last), its stored hash must be\n"
+"sha256d of the bytes before it, its header must give its height and the\n"
+"previous record's hash, and transaction 0 must be a coinbase: one input,\n"
+"which spends the null outpoint. Each transaction's txid is then hashed.\n"
+"Unless it is the coinbase, each input removes the output its (prev_txid,\n"
+"vout) outpoint names, which must be present and pay the input's address,\n"
+"and the inputs must sum to the outputs plus the fee. Its outputs then go in\n"
+"under (txid, vout), in order, so a later transaction may spend them.\n\n"
+"blocks holds (timestamp, block_hash, fees, minted, coinbase_txid, start,\n"
+"end) per record applied, data[start:end] being its bytes, minted what the\n"
+"coinbase pays and fees the sum of the other transactions' fees. The walk\n"
+"stops at the first record refused; refusal is then the reason, else None:\n"
+"('length',) for a length prefix cut short, ('extent',) for a record that\n"
+"runs past the data, ('truncated', text), ('trailing',), ('hash' |\n"
+"'height' | 'chain' | 'coinbase', the record's height), or ('spent' |\n"
+"'address' | 'balance', position, index), index -1 for the balance. The\n"
+"table keeps what was applied before a refusal; an output whose address did\n"
+"not match is spent all the same.");
 
 /* The 36 outpoint bytes of key, a (txid, vout) tuple, in op; 0 when key is
  * no outpoint a table can hold. */
@@ -2335,7 +2476,7 @@ static PySequenceMethods table_as_sequence = {
 PyDoc_STRVAR(utxo_table_doc,
 "UtxoTable(row_type)\n\n"
 "The unspent outputs, keyed by (txid, vout) outpoints and filled only by\n"
-"connect_record. get(outpoint) builds a row_type row (field, amount, kind)\n"
+"connect_records. get(outpoint) builds a row_type row (field, amount, kind)\n"
 "on read, `outpoint in table` tests membership, and total() sums every\n"
 "amount. A table keeps each output as a fixed-size entry of one array, not\n"
 "as Python objects, so freeing it frees two allocations: the entries and\n"
@@ -2527,10 +2668,11 @@ PyDoc_STRVAR(upper_state_doc,
 
 static PyMethodDef kernel_methods[] = {
     {"derive_digest", py_derive_digest, METH_VARARGS, derive_digest_doc},
+    {"mult_g", py_mult_g, METH_O, mult_g_doc},
     {"grind_scan", (PyCFunction)(void (*)(void))py_grind_scan, METH_VARARGS | METH_KEYWORDS,
      grind_scan_doc},
     {"parse_transactions", py_parse_transactions, METH_VARARGS, parse_transactions_doc},
-    {"connect_record", py_connect_record, METH_VARARGS, connect_record_doc},
+    {"connect_records", py_connect_records, METH_VARARGS, connect_records_doc},
     {"_microbench", py_microbench, METH_VARARGS, microbench_doc},
     {"_derived", py_derived, METH_NOARGS, derived_doc},
     {"_comb_path", py_comb_path, METH_VARARGS, comb_path_doc},

@@ -2,14 +2,15 @@
 
 Both backends implement the same calls used on hot paths: derive_digest
 and grind_scan for grinding, parse_transactions for reading transactions,
-and utxo_table and connect_record for applying blocks. The observable
-contract is identical: grind_scan gives each target the smallest matching
-counter not taken by an earlier target, parse_transactions builds the same
-rows, fields and txids, and connect_record leaves the same unspent outputs
-in the table and refuses the same block for the same reason, so results
-never depend on which backend ran.
+utxo_table and connect_records for applying blocks, and mult_g for
+checking a private key. The observable contract is identical: grind_scan
+gives each target the smallest matching counter not taken by an earlier
+target, parse_transactions builds the same rows, fields and txids, mult_g
+gives ec.mult_g's point, and connect_records leaves the same unspent
+outputs in the table and stops at the same record for the same reason, so
+results never depend on which backend ran.
 
-utxo_table(row_type) makes an empty UTXO table. Only connect_record fills
+utxo_table(row_type) makes an empty UTXO table. Only connect_records fills
 it; get(outpoint) returns the row_type row (field, amount, kind) that a
 (txid, vout) outpoint names, or None; `outpoint in table` tests for one;
 and total() sums every unspent amount. A table has no order and is not
@@ -17,27 +18,36 @@ iterated. The kernel's table keeps each output as a fixed-size entry of one
 array and builds the row on read, so no Python object exists per unspent
 output; PureBackend's is a dict of rows behind the same calls.
 
-connect_record(table, record, height, prev_hash) is the one apply
-contract: every block, whether the ledger created, mined or loaded it, is
-applied from its record bytes, and no transaction is built for it. Before
-the table is touched it checks the record's framing and every count, its
-stored hash (sha256d of the bytes before it), that its header gives
-`height` and `prev_hash`, and that transaction 0 is a coinbase: one input,
-which spends the null outpoint. A refusal there raises
-ValueError("truncated", text), ValueError("trailing") or ValueError("hash" |
-"height" | "chain" | "coinbase", the record's height). It then applies the
-transactions in order. Each one after the coinbase removes the output that
-each of its inputs names, which must be present and pay the input's
-address, and must balance its inputs with its outputs plus its fee; each
-one's outputs then go in under (txid, vout), so a later one may spend them.
-A broken rule raises ValueError(reason, position, index) with reason
-"spent", "address" or "balance" (index -1), with what came before it
-applied; an output whose address did not match is spent all the same. It
-returns (timestamp, block_hash, fees, minted, coinbase_txid), fees being
-the non-coinbase fees and minted what the coinbase pays. The ledger turns a
-refusal into its CorruptChain text and checks the coinbase cap. The kernel
-walks the bytes once to check and once to apply; PureBackend parses the
-record with parse_transactions and applies the rows.
+connect_records(table, data, height, prev_hash) is the one apply contract:
+every block, whether the ledger created, mined or loaded it, is applied
+from its record bytes, and no transaction is built for it. data is a
+chain file's records, each framed by its 4-byte big-endian length (a
+created or mined block is one such record), applied in file order, the
+first at `height` after `prev_hash`. It returns (blocks, refusal): one
+(timestamp, block_hash, fees, minted, coinbase_txid, start, end) per block
+applied, data[start:end] being its record, fees the non-coinbase fees and
+minted what the coinbase pays; and None, or the args of the refusal of the
+first record it does not apply, where it stops. A length prefix cut short
+is ("length",), a record that runs past the data ("extent",). Before a
+record touches the table it checks the record's framing and every count,
+its stored hash (sha256d of the bytes before it), that its header gives
+its height and the previous record's hash, and that transaction 0 is a
+coinbase: one input, which spends the null outpoint. A refusal there is
+("truncated", text), ("trailing",) or ("hash" | "height" | "chain" |
+"coinbase", the record's height). It then applies the transactions in
+order. Each one after the coinbase removes the output that each of its
+inputs names, which must be present and pay the input's address, and must
+balance its inputs with its outputs plus its fee; each one's outputs then
+go in under (txid, vout), so a later one may spend them. A broken rule is
+(reason, position, index) with reason "spent", "address" or "balance"
+(index -1), with what came before it applied; an output whose address did
+not match is spent all the same. The ledger checks each block's coinbase
+cap in order, then turns the refusal into its CorruptChain text, so the
+first fault in file order is the one reported. The kernel reserves the
+table once, for every output of the records that frame, so a load never
+regrows it, and walks each record once to check and once to apply;
+PureBackend parses each record with parse_transactions and applies the
+rows.
 
 A loaded block's transactions, parsed when first read, hold tens of
 thousands of rows of bytes and ints, which can be in no reference cycle:
@@ -99,7 +109,7 @@ _NULL32 = bytes(32)
 
 
 class _Parsed:
-    """A transaction the pure connect_record parses only to apply it."""
+    """A transaction the pure connect_records parses only to apply it."""
 
 
 class _UtxoDict(dict):
@@ -230,10 +240,32 @@ class PureBackend:
         return tuple(txs), offset
 
     utxo_table = _UtxoDict
+    mult_g = staticmethod(ec.mult_g)
 
-    def connect_record(self, utxos, record, height, prev_hash):
-        """Apply one block record (the contract is in the module docstring):
-        parse_transactions, the record checks, then the rows in order."""
+    def connect_records(self, utxos, data, height, prev_hash):
+        """Apply the framed block records of `data` in file order (the
+        contract is in the module docstring) through _connect_record; stop
+        at the first refusal and return it with what was applied."""
+        blocks, at, size = [], 0, len(data)
+        try:
+            while at < size:
+                if size - at < 4:
+                    raise ValueError("length")
+                (length,) = _U32.unpack_from(data, at)
+                start, at = at + 4, at + 4 + length
+                if at > size:
+                    raise ValueError("extent")
+                block = self._connect_record(utxos, data[start:at], height + len(blocks),
+                                             prev_hash)
+                blocks.append((*block, start, at))
+                prev_hash = block[1]
+        except ValueError as exc:
+            return blocks, exc.args
+        return blocks, None
+
+    def _connect_record(self, utxos, record, height, prev_hash):
+        """Apply one block record: parse_transactions, the record checks,
+        then the rows in order."""
         if len(record) < _BLOCK_HEAD.size:
             raise ValueError("truncated", "data ends inside the block header")
         at_height, prev, timestamp, count = _BLOCK_HEAD.unpack_from(record)
@@ -291,7 +323,10 @@ try:
 
         parse_transactions = staticmethod(_kernel.parse_transactions)
         utxo_table = _kernel.UtxoTable
-        connect_record = staticmethod(_kernel.connect_record)
+        connect_records = staticmethod(_kernel.connect_records)
+
+        def mult_g(self, scalar):
+            return _kernel.mult_g(scalar % ec.Q)
 
     _ext = ExtBackend()
 except ImportError:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from . import ec
+from . import backend, ec
 from .errors import DegenerateIndex, ValidationError
 from .files import write_atomic
 
@@ -60,7 +60,8 @@ class KeyMaterial:
     gy: tuple[int, int]
     y: int | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, derived: bool = False):
+        # derived: gy was just computed from y, so it matches y
         if len(self.k) != 32:
             raise ValidationError("k must be 32 bytes")
         if self.gy is None or not ec.is_on_curve(self.gy):
@@ -68,12 +69,15 @@ class KeyMaterial:
         if self.y is not None:
             if not 1 <= self.y < ec.Q:
                 raise ValidationError("y out of range [1, q-1]")
-            if ec.mult_g(self.y) != self.gy:
+            if not derived and backend.get().mult_g(self.y) != self.gy:
                 raise ValidationError("g^y does not match y")
 
     @classmethod
     def from_private(cls, k: bytes, y: int) -> "KeyMaterial":
-        return cls(k=k, gy=ec.mult_g(y), y=y)
+        km = object.__new__(cls)
+        vars(km).update(k=k, gy=backend.get().mult_g(y), y=y)
+        km.__post_init__(derived=True)
+        return km
 
     @classmethod
     def generate(cls, rng=None) -> "KeyMaterial":
@@ -92,8 +96,6 @@ class KeyMaterial:
 
 
 def derive_address(km: KeyMaterial, idx: DerivationIndex) -> Address:
-    from . import backend
-
     digest = backend.get().derive_digest(km.k, idx.domain, idx.counter, km.gy)
     if digest is None:
         raise DegenerateIndex(f"index {idx} derives the point at infinity")

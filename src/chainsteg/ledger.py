@@ -22,19 +22,22 @@ txid is sha256d of the transaction's own slice of the record, and a record
 is checked against its stored hash as sha256d of the record bytes before
 the hash.
 
-Loading builds no transaction. Each record goes through
-`Ledger._connect`, as every created or mined block does: the backend's
-`connect_record` (the C kernel when it is built, else the pure-Python loop)
-checks the framing and every count, the stored hash, the height and the
+Loading builds no transaction. The whole file goes through
+`Ledger._connect` in one call of the backend's `connect_records` (the C
+kernel when it is built, else the pure-Python loop), as every created or
+mined block does as a file of one record. It splits the records, checks
+each one's framing and every count, the stored hash, the height and the
 hash chain, and then applies the block rules below straight from the bytes
-to the ledger's UTXO table. The kernel's table keeps each unspent output as
-a fixed-size entry, not as Python objects, and `Ledger.utxo` builds its row
-only when it is read. A loaded block keeps its record and parses its
-transactions from it (`parse_transactions`) only when they are first read:
-by `input_index` from a receiver's cursor on, by `export_text` or
-`stat_suite`, or to name the transaction that broke a rule. A truncated
-record, trailing bytes, a count that runs past the record and a failed hash
-check all raise CorruptChain.
+to the ledger's UTXO table, reserved once for every output in the file.
+The kernel's table keeps each unspent output as a fixed-size entry, not as
+Python objects, and `Ledger.utxo` builds its row only when it is read. A
+loaded block keeps its record and parses its transactions from it
+(`parse_transactions`) only when they are first read: by `input_index` from
+a receiver's cursor on, by `export_text` or `stat_suite`, or to name the
+transaction that broke a rule. A truncated
+record, trailing bytes, a count that runs past the record, a cut length
+prefix, a record past the end of the file and a failed hash check all raise
+CorruptChain; of several faults, the first in file order.
 Mempool sidecar records are parsed at once, since each is submitted again.
 
 A sealed or loaded block keeps its wire bytes: `save` writes them, and
@@ -49,7 +52,7 @@ Block rules, checked on one path whether a block was created, mined or
 loaded (a block that breaks one raises CorruptChain, with the same text on
 each path). A block made in this process is sealed, so it has its record
 bytes too, and `Ledger._connect` applies every block from them through the
-backend's `connect_record`. That reports which rule a transaction broke,
+backend's `connect_records`. That reports which rule a transaction broke,
 and the ledger checks the coinbase cap from the fees and the amount the
 coinbase mints:
 - coinbase first: transaction 0 is the coinbase, whose one input spends the
@@ -95,9 +98,12 @@ _DECOY_OUT_SD = 1.2
 _DECOY_OUT_MIN = 1
 _DECOY_OUT_MAX = 30
 
-# The CorruptChain text of each way a block record can be refused before it
-# is applied; the details are those of the backend's connect_record refusal.
+# The CorruptChain text of each way a chain file's record can be refused
+# before it is applied; the details are those of the backend's
+# connect_records refusal.
 _FAULTS = {
+    "length": "truncated record length",
+    "extent": "record extends past end of file",
     "truncated": "truncated block record: {}",
     "trailing": "trailing bytes in block record",
     "hash": "block {} failed hash re-verification",
@@ -204,15 +210,15 @@ def _record(raw: bytes) -> bytes:
 
 
 def _records(data: bytes):
-    """Split a file of length-prefixed records."""
+    """Split a mempool sidecar of length-prefixed records."""
     offset = 0
     while offset < len(data):
         if offset + 4 > len(data):
-            raise CorruptChain("truncated record length")
+            raise CorruptChain(_FAULTS["length"])
         (length,) = _U32.unpack_from(data, offset)
         offset += 4
         if offset + length > len(data):
-            raise CorruptChain("record extends past end of file")
+            raise CorruptChain(_FAULTS["extent"])
         yield data[offset : offset + length]
         offset += length
 
@@ -252,7 +258,7 @@ class Block:
 
     @classmethod
     def _loaded(cls, wire, height, prev_hash, timestamp, block_hash) -> "Block":
-        """The block of a record that the backend's connect_record took."""
+        """The block of a record that the backend's connect_records took."""
         block = object.__new__(cls)
         vars(block).update(height=height, prev_hash=prev_hash, timestamp=timestamp,
                            block_hash=block_hash, _wire=wire)
@@ -269,13 +275,15 @@ class Block:
         return self.body_bytes() + self.block_hash
 
 
-def _record_error(wire: bytes, height: int, reason: str, *details) -> str:
-    """The CorruptChain text for the refusal of the block record `wire` at
-    `height`; a broken transaction rule parses the record to name it."""
+def _record_error(data: bytes, at: int, height: int, reason: str, *details) -> str:
+    """The CorruptChain text for the refusal of the record at offset `at` of
+    the framed records `data`, at `height`; a broken transaction rule parses
+    the record to name it."""
     if reason in _FAULTS:
         return _FAULTS[reason].format(*details)
     position, index = details
-    tx = _record_transactions(wire)[position]
+    (length,) = _U32.unpack_from(data, at)
+    tx = _record_transactions(data[at + 4 : at + 4 + length])[position]
     if reason == "balance":
         return (f"block {height} transaction {tx.txid.hex()[:16]} "
                 "does not balance its inputs with its outputs plus fee")
@@ -348,7 +356,7 @@ class Ledger:
             fee=0,
         )
         block = Block.seal(0, _NULL32, _GENESIS_TIME, (coinbase,))
-        ledger._pool.append((ledger._connect(block), 0))
+        ledger._pool.append((ledger._connect(block)[0], 0))
         return ledger
 
     # -- submission --------------------------------------------------------
@@ -452,7 +460,7 @@ class Ledger:
             _GENESIS_TIME + 600 * height,
             (coinbase, *txs),
         )
-        self._pool.append((self._connect(block), 0))
+        self._pool.append((self._connect(block)[0], 0))
         self._pool.extend(decoy_change)
         self.mempool.clear()
         self._mempool_ids.clear()
@@ -485,31 +493,36 @@ class Ledger:
                 raise Rejected("dependency cycle in mempool")
         return placed
 
-    def _connect(self, block: Block | bytes) -> bytes:
-        """Apply the next block, a sealed Block or a loaded record's bytes,
-        from its record through the backend's `connect_record`, check its
-        coinbase cap, count what it issues and append it; returns its
-        coinbase's txid. The backend applies it transaction by transaction,
+    def _connect(self, chain: Block | bytes) -> list[bytes]:
+        """Apply the next blocks, a sealed Block or the framed records of a
+        chain file, in one call to the backend's `connect_records`, a sealed
+        block as its one record; check each coinbase cap in order, count
+        what each block issues and append it; returns their coinbases'
+        txids. The backend applies each block transaction by transaction,
         spends before creations, so a transaction may spend an earlier one
-        of the same block. The block rules are in the module docstring."""
-        sealed = isinstance(block, Block)
-        wire = vars(block)["_wire"] if sealed else block
+        of the same block, and stops at the first record it refuses, whose
+        fault is raised after the caps of the blocks before it. The block
+        rules are in the module docstring."""
+        sealed = chain if isinstance(chain, Block) else None
+        data = _record(vars(sealed)["_wire"]) if sealed else chain
         height = len(self.blocks)
         prev_hash = self.blocks[-1].block_hash if self.blocks else _NULL32
-        try:
-            timestamp, block_hash, fees, minted, coinbase = self._backend.connect_record(
-                self._utxos, wire, height, prev_hash)
-        except ValueError as exc:
-            raise CorruptChain(_record_error(wire, height, *exc.args)) from None
-        if height and minted > BLOCK_SUBSIDY + fees:
-            raise CorruptChain(
-                f"block {height} coinbase pays {minted}, more than "
-                f"subsidy plus fees ({BLOCK_SUBSIDY + fees})"
-            )
-        self._issued += minted - fees
-        self.blocks.append(block if sealed else
-                           Block._loaded(wire, height, prev_hash, timestamp, block_hash))
-        return coinbase
+        connected, refusal = self._backend.connect_records(self._utxos, data, height, prev_hash)
+        coinbases, end = [], 0
+        for timestamp, block_hash, fees, minted, coinbase, start, end in connected:
+            if height and minted > BLOCK_SUBSIDY + fees:
+                raise CorruptChain(
+                    f"block {height} coinbase pays {minted}, more than "
+                    f"subsidy plus fees ({BLOCK_SUBSIDY + fees})"
+                )
+            self._issued += minted - fees
+            self.blocks.append(sealed or Block._loaded(data[start:end], height, prev_hash,
+                                                       timestamp, block_hash))
+            coinbases.append(coinbase)
+            height, prev_hash = height + 1, block_hash
+        if refusal is not None:
+            raise CorruptChain(_record_error(data, end, height, *refusal))
+        return coinbases
 
     # -- reading -----------------------------------------------------------
 
@@ -568,10 +581,12 @@ class Ledger:
 
     @classmethod
     def load(cls, path) -> "Ledger":
+        """The ledger of the chain file at `path`, whose records are applied
+        in one `_connect` call, with its mempool sidecar submitted again."""
         ledger = cls()
         with open(path, "rb") as fh:
             data = fh.read()
-        coinbases = [ledger._connect(record) for record in _records(data)]
+        coinbases = ledger._connect(data)
         if not ledger.blocks:
             raise CorruptChain("empty chain file")
         ledger._saved_to, ledger._persisted_blocks = os.path.realpath(path), len(ledger.blocks)

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import shutil
+import struct
 import subprocess
 import sys
 import sysconfig
@@ -16,6 +17,7 @@ import pytest
 import chainfile
 import oracles
 from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, backend, ec
+from chainsteg.errors import CorruptChain
 from chainsteg.hdw import DOMAIN_GRIND, KeyMaterial
 from chainsteg.ledger import Block, Ledger, StegoTransaction, TxInput, TxOutput
 from chainsteg.session import SessionState
@@ -548,11 +550,13 @@ _SANITIZED_TESTS = [
     "tests/test_backend_parity.py::test_utxo_table_matches_a_dict_model",
     "tests/test_backend_parity.py::test_a_load_keeps_little_memory_per_utxo",
     "tests/test_backend_parity.py::test_connect_parity_on_a_seeded_chain",
+    "tests/test_backend_parity.py::test_load_parity_on_a_fuzzed_chain_file",
+    "tests/test_backend_parity.py::test_mult_g_parity",
 ]
 
 
 def test_kernel_is_clean_under_sanitizers(tmp_path):
-    """The kernel's walks over untrusted bytes, the parser and connect_record,
+    """The kernel's walks over untrusted bytes, the parser and connect_records,
     pass their tests built with AddressSanitizer and UBSan, and neither
     sanitizer reports anything."""
     compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
@@ -689,9 +693,10 @@ def _lookups(table, outpoints):
 @needs_ext
 def test_connect_parity():
     """On kept and broken rules, each case sealed as a block record at height
-    1 over a table that a funding record at height 0 seeded, both backends
-    return the same fees, minted amount, hash and coinbase txid or raise the
-    same ValueError, and leave the same unspent outputs, refused or not."""
+    1 after a funding record at height 0, both framed in one file, both
+    backends apply the same blocks with the same fees, minted amount, hash,
+    coinbase txid and offsets and stop at the same refusal, and leave the
+    same unspent outputs, refused or not."""
     rng = random.Random(1919)
     pure, ext = backend.PureBackend(), backend.set_backend("ext")
     broken = 0
@@ -699,18 +704,17 @@ def test_connect_parity():
         funding, txs = _connect_case(rng)
         genesis = Block.seal(0, bytes(32), 0, (funding,))
         record = Block.seal(1, genesis.block_hash, 600, txs).serialize()
+        data = chainfile.framed([genesis.serialize(), record])
         created = [(tx.txid, vout) for tx in (funding, *txs) for vout in range(len(tx.outputs))]
         outcomes = []
         for be in (pure, ext):
             table = be.utxo_table(TxOutput)
-            be.connect_record(table, genesis.serialize(), 0, bytes(32))
-            try:
-                got = ("applied", be.connect_record(table, record, 1, genesis.block_hash))
-            except ValueError as exc:
-                got = ("refused", exc.args)
+            got = be.connect_records(table, data, 0, bytes(32))
             outcomes.append((got, _lookups(table, created), table.total()))
         assert outcomes[0] == outcomes[1]
-        broken += outcomes[0][0][0] == "refused"
+        blocks, refusal = outcomes[0][0]
+        assert len(blocks) == 2 - (refusal is not None)
+        broken += refusal is not None
     assert 40 < broken < 360
 
 
@@ -746,30 +750,35 @@ def _table_block(rng, height, model):
 @pytest.mark.parametrize("name", ["pure", "ext"])
 def test_utxo_table_matches_a_dict_model(name, seed):
     """Blocks of random inserts (outputs) and spends (inputs), applied through
-    connect_record, keep a table equal to a dict model across several
-    growths: after each block a sample of live, spent and never-made
-    outpoints, and at the end every outpoint made, answers get and `in` as
-    the model does, and total() matches the model's sum, which passes
-    2^64."""
+    connect_records one to eight records a call, keep a table equal to a
+    dict model across several growths: after each call a sample of live,
+    spent and never-made outpoints, and at the end every outpoint made,
+    answers get and `in` as the model does, and total() matches the
+    model's sum, which passes 2^64."""
     if name not in backend.available():
         pytest.skip("compiled kernel not built")
     be, rng = backend.set_backend(name), random.Random(seed)
     table, model, made = be.utxo_table(TxOutput), {}, []
-    prev_hash = bytes(32)
-    for height in range(150):
-        txs = _table_block(rng, height, model)
-        record = Block.seal(height, prev_hash, 600 * height, txs).serialize()
-        prev_hash = be.connect_record(table, record, height, prev_hash)[1]
-        for position, tx in enumerate(txs):
-            for inp in tx.inputs if position else ():
-                del model[inp.prev_txid, inp.vout]
-            made += [(tx.txid, vout) for vout in range(len(tx.outputs))]
-            model.update({(tx.txid, vout): out for vout, out in enumerate(tx.outputs)})
+    height, prev_hash = 0, bytes(32)
+    while height < 150:
+        records, first, tip = [], height, prev_hash
+        for _ in range(min(rng.randint(1, 8), 150 - height)):
+            txs = _table_block(rng, height, model)
+            records.append(Block.seal(height, prev_hash, 600 * height, txs).serialize())
+            height, prev_hash = height + 1, records[-1][-32:]
+            for position, tx in enumerate(txs):
+                for inp in tx.inputs if position else ():
+                    del model[inp.prev_txid, inp.vout]
+                made += [(tx.txid, vout) for vout in range(len(tx.outputs))]
+                model.update({(tx.txid, vout): out for vout, out in enumerate(tx.outputs)})
+        blocks, refusal = be.connect_records(table, chainfile.framed(records), first, tip)
+        assert refusal is None and [block[1] for block in blocks] == [r[-32:] for r in records]
         asked = rng.sample(made, min(len(made), 20)) + [(rng.randbytes(32), rng.randrange(2**32))]
         assert _lookups(table, asked) == _lookups(model, asked)
     assert _lookups(table, made) == _lookups(model, made)
     assert table.total() == sum(out.amount for out in model.values())
-    # past three quarters of 512 slots: the kernel's table grew from 16 six times
+    # past three quarters of 512 slots: the kernel's index, 16 slots at
+    # first, was rebuilt larger on the way
     assert len(model) > 384 and table.total() > 2**64
 
 
@@ -777,7 +786,7 @@ def _seeded_chain(km, path):
     """A seeded 30-block chain at decoy rate 20 that carries MED and HIGH
     sends, saved to `path` with one HIGH message left in its mempool; the
     ledger that mined it. Mining applies every block through the active
-    backend's connect_record."""
+    backend's connect_records."""
     cfg = ChannelConfig(n=3, m=4, mode=Mode.PERMUTED, max_fields_per_tx=2)
     sender = SessionState(km, cfg, seed=19)
     ledger = sender.genesis_ledger()
@@ -811,6 +820,78 @@ def test_connect_parity_on_a_seeded_chain(km, tmp_path):
     assert (utxos, total, supply, tip) == (*mined["ext"][:3], mined["ext"][4])
     assert total == supply
     assert sum(out is not None for out in utxos) > 1000 and len(mined["ext"][3]) > 30
+
+
+def _load_outcome(path):
+    """What Ledger.load(path) gives: the state of the chain it loads, or
+    its CorruptChain text."""
+    try:
+        return chainfile.chain_state(Ledger.load(path))
+    except CorruptChain as exc:
+        return str(exc)
+
+
+@needs_ext
+def test_load_parity_on_a_fuzzed_chain_file(tmp_path):
+    """Bytes flipped anywhere in a seeded chain file, length prefixes
+    included, now and then with the hit record resealed so its
+    transactions reach the block rules, and cuts at random offsets: both
+    backends load the same blocks to the same state or raise the same
+    text."""
+    path = tmp_path / "chain.bin"
+    ledger = Ledger.create(genesis_allocations=[(b"\xaa" * 20, 10**9)])
+    for seed in range(1, 7):
+        ledger.mine_block(NoiseProfile(rate=4.0), seed=seed)
+    ledger.save(path)
+    raw = path.read_bytes()
+    prefixes = [0]
+    for record in chainfile.records(raw)[:-1]:
+        prefixes.append(prefixes[-1] + 4 + len(record))
+    rng = random.Random(2525)
+    seen = set()
+    for _ in range(300):
+        records = chainfile.records(raw)
+        if rng.random() < 0.3:  # a flip between a record's header and hash, resealed
+            i = rng.randrange(len(records))
+            record = bytearray(records[i])
+            bit = rng.randrange(8 * 52, 8 * (len(record) - 32))
+            record[bit // 8] ^= 1 << (bit % 8)
+            records[i] = chainfile.reseal(bytes(record))
+        data = bytearray(chainfile.framed(records))
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            at = (rng.choice(prefixes) + rng.randrange(4) if rng.random() < 0.3
+                  else rng.randrange(len(data)))
+            data[at] ^= 1 << rng.randrange(8)
+        if rng.random() < 0.4:
+            cut = (rng.choice(prefixes) + rng.randrange(5) if rng.random() < 0.5
+                   else rng.randrange(len(data) + 1))
+            del data[cut:]
+        path.write_bytes(bytes(data))
+        outcomes = []
+        for name in ("pure", "ext"):
+            backend.set_backend(name)
+            outcomes.append(_load_outcome(path))
+        assert outcomes[0] == outcomes[1]
+        outcome = outcomes[0]
+        seen.add(outcome if isinstance(outcome, str) else
+                 "loaded all" if outcome[4] == ledger.blocks[-1].block_hash else "loaded a prefix")
+    texts = " | ".join(sorted(seen))
+    for want in ("truncated record length", "record extends past end of file",
+                 "empty chain file", "trailing bytes in block record", "truncated block record",
+                 "failed hash re-verification", "spends", "does not balance",
+                 "more than subsidy plus fees", "loaded all", "loaded a prefix"):
+        assert want in texts, texts
+
+
+@needs_ext
+def test_mult_g_parity():
+    """The kernel's mult_g gives ec.mult_g's point, None at infinity, for
+    scalars at the edges of [0, q] and past it, and at random."""
+    rng = random.Random(2626)
+    ext = backend.set_backend("ext")
+    scalars = [1, 2, ec.Q - 1, 0, ec.Q, ec.Q + 1, -1, 2**256 - 1, 2**256]
+    for y in scalars + [rng.randrange(1, ec.Q) for _ in range(60)]:
+        assert ext.mult_g(y) == ec.mult_g(y) == backend.PureBackend().mult_g(y), y
 
 
 @needs_ext

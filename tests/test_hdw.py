@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+import chainfile
 import oracles
-from chainsteg import ec
+from chainsteg import backend, ec
 from chainsteg.errors import DegenerateIndex, ValidationError
 from chainsteg.hdw import (
     DOMAIN_GRIND,
@@ -150,6 +151,26 @@ def test_key_material_validation():
         KeyMaterial(k=bytes(32), gy=ec.mult_g(3), y=4)
     with pytest.raises(ValidationError):
         KeyMaterial(k=bytes(32), gy=ec.mult_g(ec.Q - 1), y=0)
+
+
+@pytest.mark.parametrize("name", backend.available())
+@pytest.mark.parametrize("make,message", [
+    (lambda: KeyMaterial(k=bytes(31), gy=ec.G), "k must be 32 bytes"),
+    (lambda: KeyMaterial(k=bytes(32), gy=(1, 2)), "g^y is not a curve point"),
+    (lambda: KeyMaterial(k=bytes(32), gy=ec.mult_g(3), y=4), "g^y does not match y"),
+    (lambda: KeyMaterial(k=bytes(32), gy=ec.G, y=ec.Q), "y out of range [1, q-1]"),
+    (lambda: KeyMaterial.from_private(bytes(31), 5), "k must be 32 bytes"),
+    (lambda: KeyMaterial.from_private(bytes(32), 0), "g^y is not a curve point"),
+    (lambda: KeyMaterial.from_private(bytes(32), ec.Q), "g^y is not a curve point"),
+    (lambda: KeyMaterial.from_private(bytes(32), ec.Q + 1), "y out of range [1, q-1]"),
+])
+def test_key_material_texts_on_each_backend(name, make, message):
+    with chainfile.active_backend(name):
+        with pytest.raises(ValidationError) as exc:
+            make()
+        assert str(exc.value) == message
+        km = KeyMaterial.from_private(bytes(32), ec.Q - 1)
+        assert km.gy == ec.mult_g(ec.Q - 1) and km == KeyMaterial(km.k, km.gy, km.y)
 
 
 def test_key_file_roundtrip(tmp_path):

@@ -291,25 +291,26 @@ def test_transaction_is_serialized_once():
     assert vars(block)["_wire"] == block.body_bytes() + block.block_hash
 
 
-def test_every_block_connects_through_connect_record(tmp_path, monkeypatch):
-    """create, each mine_block and each block of a load apply their block
-    through the active backend's connect_record, one call per block."""
-    impl, heights = backend.get(), []
-    connect_record = impl.connect_record
+def test_every_block_connects_through_connect_records(tmp_path, monkeypatch):
+    """create and each mine_block apply their block through one call of the
+    active backend's connect_records, with the block as its one record; a
+    load applies the whole file in one call."""
+    impl, calls = backend.get(), []
+    connect_records = impl.connect_records
 
     def counted(*args):
-        heights.append(args[2])
-        return connect_record(*args)
+        calls.append((args[2], len(chainfile.records(args[1]))))
+        return connect_records(*args)
 
-    monkeypatch.setattr(impl, "connect_record", counted)
+    monkeypatch.setattr(impl, "connect_records", counted)
     ledger = fresh_ledger()
     for seed in range(3):
         ledger.mine_block(NoiseProfile(rate=4.0), seed=seed)
-    assert heights == [0, 1, 2, 3]
+    assert calls == [(0, 1), (1, 1), (2, 1), (3, 1)]
     ledger.save(tmp_path / "chain.bin")
     loaded = Ledger.load(tmp_path / "chain.bin")
     assert loaded.blocks[-1].block_hash == ledger.blocks[-1].block_hash
-    assert heights == [0, 1, 2, 3] * 2
+    assert calls[4:] == [(0, 4)]
 
 
 def test_scan_detects_tampering_after_load(stego_chain):
@@ -327,7 +328,7 @@ def test_scan_detects_tampering_after_load(stego_chain):
 
 def load_on_each_backend(path) -> list[Ledger]:
     """Ledger.load(path) with each backend present active in turn, so both
-    backends' `connect_record` apply the block rules."""
+    backends' `connect_records` apply the block rules."""
     loaded = []
     for name in backend.available():
         with chainfile.active_backend(name):
@@ -336,20 +337,16 @@ def load_on_each_backend(path) -> list[Ledger]:
 
 
 def record_refusal(impl, path):
-    """The ValueError args with which `impl`'s connect_record refuses the
-    first record of the chain file it refuses; None when it takes them all."""
-    utxos, prev_hash = impl.utxo_table(TxOutput), bytes(32)
-    for height, record in enumerate(chainfile.records(path.read_bytes())):
-        try:
-            _, prev_hash, *_ = impl.connect_record(utxos, record, height, prev_hash)
-        except ValueError as exc:
-            return exc.args
-    return None
+    """The refusal args with which `impl`'s connect_records stops on the
+    chain file, and the number of blocks it applied before it."""
+    blocks, refusal = impl.connect_records(impl.utxo_table(TxOutput), path.read_bytes(), 0,
+                                           bytes(32))
+    return len(blocks), refusal
 
 
 def load_error(path) -> str:
     """The CorruptChain text that Ledger.load(path) raises, the same on each
-    backend present, whose connect_record refuses the same record for the
+    backend present, whose connect_records stops at the same record for the
     same (reason, position, index)."""
     texts, refusals = set(), set()
     for name in backend.available():
@@ -486,6 +483,44 @@ def test_load_rejects_resealed_block_out_of_place(tmp_path, place, message):
     with open(path, "ab") as fh:
         fh.write(chainfile.framed([block.serialize()]))
     assert load_error(path) == message
+
+
+@pytest.mark.parametrize("case,message", [
+    ("cap then bad hash", f"block 2 coinbase pays {BLOCK_SUBSIDY + 1}, "
+                          f"more than subsidy plus fees ({BLOCK_SUBSIDY})"),
+    ("bad spend then short length", "block 2 spends unknown or spent output "
+                                    + "07" * 8 + ":0"),
+    ("short length", "truncated record length"),
+    ("past end", "record extends past end of file"),
+    ("empty", "empty chain file"),
+])
+def test_load_reports_the_first_fault_in_file_order(tmp_path, case, message):
+    """A file with several faults gives the text of the first one in file
+    order, the same on each backend, whichever way it was found."""
+    path = tmp_path / "chain.bin"
+    ledger, _ = chain_with_unspent_allocation(path)
+    tip = ledger.blocks[-1]
+    over = Block.seal(2, tip.block_hash, tip.timestamp + 600,
+                      [chainfile.coinbase(2, BLOCK_SUBSIDY + 1)])
+    bad_hash = Block.seal(3, over.block_hash, tip.timestamp + 1200, [chainfile.coinbase(3)])
+    bad_spend = Block.seal(2, tip.block_hash, tip.timestamp + 600,
+                           [chainfile.coinbase(2), chainfile.spend((b"\x07" * 32, 0))])
+    tail = {
+        "cap then bad hash": chainfile.framed([over.serialize(),
+                                               bad_hash.serialize()[:-1] + b"?"]),
+        "bad spend then short length": chainfile.framed([bad_spend.serialize()]) + b"\x00\x01",
+        "short length": b"\x00\x00\x01",
+        "past end": struct.pack(">I", 100) + bytes(99),
+        "empty": None,
+    }[case]
+    path.write_bytes(b"" if tail is None else path.read_bytes() + tail)
+    texts = set()
+    for name in backend.available():
+        with chainfile.active_backend(name):
+            with pytest.raises(CorruptChain) as exc:
+                Ledger.load(path)
+        texts.add(str(exc.value))
+    assert texts == {message}
 
 
 def test_load_keeps_in_block_chaining(tmp_path):
