@@ -15,6 +15,8 @@ import argparse
 import dataclasses
 import json
 import os
+import random
+import secrets
 import sys
 
 from . import backend, evaluate
@@ -95,7 +97,8 @@ def _load_session(args, create_ok: bool = False) -> SessionState:
         raise ValidationError("--key required to start a new session")
     km = read_key_file(args.key)
     cfg = load_config(args.config) if args.config else ChannelConfig()
-    return SessionState(km, cfg, seed=args.seed or 0)
+    seed = args.seed if args.seed is not None else secrets.randbits(256)
+    return SessionState(km, cfg, seed=seed)
 
 
 def _save_session(args, state: SessionState) -> None:
@@ -119,10 +122,7 @@ def _save_ledger(args, ledger: Ledger) -> None:
 
 
 def cmd_keygen(args) -> int:
-    import random
-
-    rng = random.Random(args.seed) if args.seed is not None else None
-    km = KeyMaterial.generate(rng)
+    km = KeyMaterial.generate(None if args.seed is None else random.Random(args.seed))
     write_key_file(args.out, km, include_private=True)
     if args.public_out:
         write_key_file(args.public_out, km.public_only(), include_private=False)

@@ -13,6 +13,7 @@ sequential signal scan.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -81,15 +82,8 @@ class KeyMaterial:
 
     @classmethod
     def generate(cls, rng=None) -> "KeyMaterial":
-        if rng is None:
-            import secrets
-
-            k = secrets.token_bytes(32)
-            y = 1 + secrets.randbelow(ec.Q - 1)
-        else:
-            k = rng.randbytes(32)
-            y = rng.randrange(1, ec.Q)
-        return cls.from_private(k, y)
+        rng = random.SystemRandom() if rng is None else rng  # os.urandom, as secrets
+        return cls.from_private(rng.randbytes(32), rng.randrange(1, ec.Q))
 
     def public_only(self) -> "KeyMaterial":
         return KeyMaterial(k=self.k, gy=self.gy)

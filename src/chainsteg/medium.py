@@ -95,12 +95,12 @@ class ChannelConfig:
         if (any(type(v) is not int for v in ints) or type(self.mode) is not Mode
                 or type(self.bit_selector) not in (tuple, type(None))):
             raise ValidationError(f"channel config field of the wrong type: {self!r}")
-        if self.max_fields_per_tx < 0 or (self.grind_cap is not None and self.grind_cap < 1):
-            raise ValidationError("max_fields_per_tx must be >= 0 and grind_cap >= 1")
         if not 2 <= self.n <= 20:
             raise ValidationError("n must be in [2, 20]")
         if not 0 <= self.m <= 24:
             raise ValidationError("m must be in [0, 24]")
+        if self.max_fields_per_tx < 0 or not 1 <= self.attempts_cap < 2**64:
+            raise ValidationError("max_fields_per_tx must be >= 0 and grind_cap in [1, 2^64)")
         if self.bit_selector is not None:
             sel = self.bit_selector
             if len(sel) != self.m or len(set(sel)) != self.m:
@@ -318,18 +318,20 @@ def split_payloads(k: bytes, cfg: ChannelConfig, counter: int, bits: list[int],
     """Cut `bits` into the payloads of the MED transactions at signal counters
     `counter`, `counter` + 1, ...: n*m bits each, plus in PERMUTED mode the
     tie-rank bits its whitened chunk values allow. The last payload is
-    padded with random bits from `rng`."""
+    padded with random bits from `rng`, one draw per padding run."""
     nm = cfg.n * cfg.m
     payloads, pos = [], 0
     while pos < len(bits):
         payload = bits[pos : pos + nm]
-        payload += [rng.getrandbits(1) for _ in range(nm - len(payload))]
+        pad = nm - len(payload)
+        payload += int_to_bits(rng.getrandbits(pad), pad)
         word = bits_to_int(payload) ^ _keystream(k, counter, nm)
         extra = _rank_bits(_tie_groups(_chunk_values(word, nm, cfg), cfg))
         if not nm + extra:
             raise ValidationError("configured capacity too small")
         rest = bits[pos + nm : pos + nm + extra]
-        payload += rest + [rng.getrandbits(1) for _ in range(extra - len(rest))]
+        pad = extra - len(rest)
+        payload += rest + int_to_bits(rng.getrandbits(pad), pad)
         payloads.append(payload)
         pos += len(payload)
         counter += 1

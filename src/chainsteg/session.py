@@ -23,10 +23,17 @@ parameters.
 Control frames are idempotent by their content, so the receiver keeps no
 record of the 12-bit msg_ids it has seen (they wrap), and a reused msg_id
 drops the older message's pending fragments (see high.Reassembler).
+
+Every random value a session puts on the chain (amounts, padding, rotated
+keys) is a KeyedStream draw, SHA-256(key || counter); the key hashes
+generation 0's k and y and the seed, so a known seed predicts nothing. A draw
+depends only on key and counter, so the file keeps just [seed, counter], not a
+generator's state, and a save and load between sends leave the chain unchanged.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import json
 import random
@@ -44,6 +51,26 @@ _MAGIC = b"CSSN"
 _FORMAT_VERSION = 1
 
 SCAN_WINDOW = 16  # signal counters per channel and generation a receive probes
+
+
+class KeyedStream(random.Random):
+    """random.Random over SHA-256(key || 8-byte counter), a counter per 256 bits."""
+
+    def __init__(self, key: bytes, counter: int = 0):
+        self.key, self.counter = key, counter
+
+    def __reduce__(self):  # a copy keeps this stream, not Mersenne Twister's
+        return type(self), (self.key, self.counter)
+
+    def random(self) -> float:
+        return self.getrandbits(53) * 2.0**-53
+
+    def getrandbits(self, k: int) -> int:
+        out = b""
+        while 8 * len(out) < k:
+            out += hashlib.sha256(self.key + self.counter.to_bytes(8, "big")).digest()
+            self.counter += 1
+        return int.from_bytes(out, "big") >> (8 * len(out) - k)
 
 
 @dataclass
@@ -114,7 +141,9 @@ class SessionState:
 
     def __init__(self, km: KeyMaterial, cfg: medium.ChannelConfig, seed: int = 0):
         self.cursor = 0
-        self.rng = random.Random(seed)
+        self.seed = seed
+        y = (km.y or 0).to_bytes(32, "big")  # 0 when not held: no private scalar is 0
+        self.rng = KeyedStream(hashlib.sha256(b"chainsteg rng%b%b%d" % (km.k, y, seed)).digest())
         self.next_msg_id = 0
         self.generations: list[Generation] = [
             Generation(km=km, med_cfg_schedule=[(1, cfg)])
@@ -298,7 +327,7 @@ class SessionState:
         """Generate fresh material, announce it over the high channel under
         the old key, then switch; old counters freeze."""
         new_km = KeyMaterial.generate(self.rng)
-        payload = new_km.k + new_km.y.to_bytes(32, "big")
+        payload = new_km.k + ec.compress(new_km.gy)  # the receiver gets no y
         self._send_high(ledger, payload, version=high.VERSION_ROTATE)
         self.current.med_unsent = []  # no later MED send under the old key
         self.generations.append(
@@ -350,10 +379,8 @@ class SessionState:
             return
         try:
             if version == high.VERSION_ROTATE:
-                if len(plaintext) != 64:
-                    raise ValueError("not 64 bytes")
-                k, y = plaintext[:32], int.from_bytes(plaintext[32:], "big")
-                new_km = KeyMaterial.from_private(k, y)
+                # k' || compressed g^y': decompress refuses any other length
+                new_km = KeyMaterial(k=plaintext[:32], gy=ec.decompress(plaintext[32:]))
             else:
                 frame = json.loads(plaintext.decode())
                 new_cfg = medium.ChannelConfig.from_dict(frame["cfg"])
@@ -481,7 +508,7 @@ class SessionState:
             )
         return {
             "cursor": self.cursor,
-            "rng_state": _rng_state_to_json(self.rng.getstate()),
+            "rng": [self.seed, self.rng.counter],
             "next_msg_id": self.next_msg_id,
             "generations": gens,
             "inbox": [[ch, data.hex()] for ch, data in self.inbox],
@@ -529,13 +556,15 @@ class SessionState:
             if not gen.med_cfg_schedule:
                 raise ValidationError("generation has an empty cfg_schedule")
             generations.append(gen)
-        # the generations replace the one the constructor makes; a file
-        # written before the top-level "cfg" and the embed log were dropped
-        # still holds them, unread
-        state = cls(generations[0].km, generations[0].med_cfg_schedule[0][1])
+        # the generations replace the one the constructor makes; an old file's
+        # "cfg", embed log and Mersenne Twister state are unread (stream at 0, 0)
+        seed, counter = data.get("rng", (0, 0))
+        if not (type(seed) is int and type(counter) is int and 0 <= counter < 2**63):
+            raise ValidationError(f"malformed rng entry: {data['rng']!r}")
+        state = cls(generations[0].km, generations[0].med_cfg_schedule[0][1], seed)
         state.generations = generations
         state.cursor = data["cursor"]
-        state.rng.setstate(_rng_state_from_json(data["rng_state"]))
+        state.rng.counter = counter
         state.next_msg_id = data["next_msg_id"]
         state.inbox = [(ch, bytes.fromhex(h)) for ch, h in data["inbox"]]
         state.quarantine = [tuple(q) for q in data["quarantine"]]
@@ -564,13 +593,3 @@ def _config_frame(from_med: int, cfg: medium.ChannelConfig) -> bytes:
     entries.insert(5, ("address_version", 0))
     entries += [("debug_unmasked_tags", False), ("high_kind", 0)]
     return json.dumps({"from_med": from_med, "cfg": dict(entries)}).encode()
-
-
-def _rng_state_to_json(state):
-    version, internal, gauss = state
-    return [version, list(internal), gauss]
-
-
-def _rng_state_from_json(data):
-    version, internal, gauss = data
-    return (version, tuple(internal), gauss)

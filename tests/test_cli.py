@@ -176,13 +176,14 @@ def run_send(capsys, tmp_path, paths):
     ("--config", lambda raw: b"n = five\n"),
     ("--config", lambda raw: b"mode = sideways\n"),
     ("--config", lambda raw: b"bit_selector = 1,x\n"),
+    ("--config", lambda raw: raw + b"grind_cap = 99999999999999999999\n"),
 ], ids=["key-bad-y", "key-not-utf8", "config-not-utf8", "config-n-five",
-        "config-mode-sideways", "config-selector-1-x"])
+        "config-mode-sideways", "config-selector-1-x", "config-grind-cap-over-u64"])
 def test_malformed_key_or_config_exits_2(tmp_path, capsys, flag, corrupt):
     paths = send_files(tmp_path, capsys)
     paths[flag].write_bytes(corrupt(paths[flag].read_bytes()))
     code, _, err = run_send(capsys, tmp_path, paths)
-    assert code == 2 and err.startswith("error:")
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--in", "--key", "--config"])
@@ -191,6 +192,24 @@ def test_missing_file_exits_2(tmp_path, capsys, flag):
     paths[flag] = tmp_path / "absent"
     code, _, err = run_send(capsys, tmp_path, paths)
     assert code == 2 and err.startswith("error:")
+
+
+def test_unseeded_cli_sessions_draw_other_amounts(tmp_path, capsys):
+    # without --seed each new session seeds itself: two keys, two sends
+    amounts = []
+    for run_dir in ("a", "b"):
+        d = tmp_path / run_dir
+        d.mkdir()
+        run(capsys, "keygen", "--out", str(d / "key.txt"))
+        (d / "msg.bin").write_bytes(b"the same message")
+        code, out, _ = run(capsys, "--chain", str(d / "c.bin"), "--session", str(d / "s.bin"),
+                           "send", "--channel", "high", "--in", str(d / "msg.bin"),
+                           "--key", str(d / "key.txt"))
+        assert code == 0
+        [txid] = out.split()
+        amounts.append([o.amount for tx in Ledger.load(d / "c.bin").mempool
+                        if tx.txid.hex() == txid for o in tx.outputs])
+    assert amounts[0] and amounts[0] != amounts[1]
 
 
 def test_missing_session_for_stats(tmp_path, capsys):
@@ -275,11 +294,13 @@ def test_config_file(tmp_path):
     cfg = load_config(path)
     assert cfg.n == 4 and cfg.m == 6 and cfg.mode is Mode.PERMUTED
     assert cfg.max_fields_per_tx == 8 and cfg.grind_cap is None
+    path.write_text(f"grind_cap = {2**64 - 1}\n")  # the kernel's u64 budget
+    assert load_config(path).grind_cap == 2**64 - 1
     bad = tmp_path / "bad.txt"
     # address_version, debug_unmasked_tags and high_kind were fields once;
     # they are unknown now
     for line in ("wibble = 3", "address_version = 0", "debug_unmasked_tags = false",
-                 "high_kind = 0", "n 3"):
+                 "high_kind = 0", "n 3", f"grind_cap = {2**64}"):
         bad.write_text(line + "\n")
         with pytest.raises(ValidationError):
             load_config(bad)
@@ -417,11 +438,11 @@ def test_evaluation_output_is_pinned(km, tmp_path, capsys):
     assert code == 0
     assert out == (
         "indistinguishability suite (A/B stego vs decoy)\n"
-        "med_ab_chi_p=0.3253\n"
-        "med_ab_monobit_p=0.1037\n"
-        "high_ab_chi_p=0.0776\n"
-        "high_ab_monobit_p=0.6877\n"
-        "chunk_uniform_test values=360 bins=16 p=0.9126 flagged=False\n"
+        "med_ab_chi_p=0.0897\n"
+        "med_ab_monobit_p=0.2784\n"
+        "high_ab_chi_p=0.1282\n"
+        "high_ab_monobit_p=0.7748\n"
+        "chunk_uniform_test values=360 bins=16 p=0.7819 flagged=False\n"
         "verdict=pass at alpha=0.01\n"
     )
     code, out, _ = run(capsys, "--seed", "3", "bench", "--m", "0,2,4", "--runs", "30", "--json")

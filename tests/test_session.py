@@ -1,17 +1,19 @@
+import copy
+import hashlib
 import json
 import os
 import random
 
 import pytest
 
-from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, backend, high, medium
+from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, backend, ec, high, medium
 from chainsteg.cli import main
 from chainsteg.errors import ValidationError
 from chainsteg.bitio import bytes_to_bits, int_to_bits
 from chainsteg.hdw import DOMAIN_GRIND, DerivationIndex, KeyMaterial, derive_address
 from chainsteg.ledger import StegoTransaction, TxInput, TxOutput
 from chainsteg.medium import split_payloads
-from chainsteg.session import SCAN_WINDOW, Generation, SessionState, _config_frame
+from chainsteg.session import SCAN_WINDOW, Generation, KeyedStream, SessionState, _config_frame
 from test_medium import grind_counters
 
 
@@ -140,6 +142,21 @@ def test_rotation_and_handover(km, ordered_cfg):
     assert receiver.current.km.k == new_km.k
 
 
+def test_rotation_hands_over_no_spending_key(km, ordered_cfg):
+    # the frame carries k' || compressed g^y'; the rotated key follows from
+    # neither the seed alone nor the key alone
+    rotated = []
+    for key, seed in ((km, 21), (km, 22), (KeyMaterial.generate(random.Random(7)), 21)):
+        sender, receiver, ledger = pair(key, ordered_cfg, tx_seed=seed)
+        new_km = sender.rotate_keys(ledger)
+        ledger.mine_block()
+        receiver.detect_and_receive(ledger)
+        assert receiver.generations[1].km == new_km.public_only()
+        assert receiver.generations[1].km.y is None and not receiver.quarantine
+        rotated.append((new_km.k, new_km.gy))
+    assert len(set(rotated)) == 3
+
+
 def test_rotation_replay_is_noop(km, ordered_cfg):
     sender, receiver, ledger = pair(km, ordered_cfg)
     new_km = sender.rotate_keys(ledger)
@@ -148,7 +165,7 @@ def test_rotation_replay_is_noop(km, ordered_cfg):
     assert len(receiver.generations) == 2
     # replay: same rotation frame re-sent under the old key with same msg_id
     old_gen = sender.generations[0]
-    payload = new_km.k + new_km.y.to_bytes(32, "big")
+    payload = new_km.k + ec.compress(new_km.gy)
     counter = old_gen.next_signal["HIGH"]
     fields = high.frame_message(old_gen.km, payload, 0, counter, sender.rng,
                                 high.VERSION_ROTATE)
@@ -159,7 +176,7 @@ def test_rotation_replay_is_noop(km, ordered_cfg):
     old_gen.next_signal["HIGH"] = counter + 1
     ledger.mine_block()
     got = receiver.detect_and_receive(ledger)
-    assert got == []
+    assert got == [] and not receiver.quarantine
     assert len(receiver.generations) == 2  # replay did not add a generation
 
 
@@ -229,13 +246,19 @@ def test_control_frames_survive_msg_id_wrap(km, ordered_cfg):
 
 def test_malformed_rotation_is_quarantined(km, ordered_cfg):
     sender, receiver, ledger = pair(km, ordered_cfg)
-    # a rotation frame whose key material fails validation: y = 0
-    [bad] = sender._send_high(ledger, km.k + bytes(32), version=high.VERSION_ROTATE)
+    # a rotation frame whose g^y' is off the curve (x = 5: 5^3 + 7 is no
+    # square mod p); the old 64-byte k' || y' frame is refused the same way
+    off_curve = b"\x02" + (5).to_bytes(32, "big")
+    with pytest.raises(ValueError):
+        ec.decompress(off_curve)
+    [bad, old] = [sender._send_high(ledger, payload, version=high.VERSION_ROTATE)[0]
+                  for payload in (km.k + off_curve, km.k + bytes(32))]
     sender.send_message(ledger, b"after the bad rotation", Channel.HIGH)
     ledger.mine_block()
     assert receiver.detect_and_receive(ledger) == [("HIGH", b"after the bad rotation")]
-    [(txid, reason)] = receiver.quarantine
-    assert txid == bad.hex() and reason.startswith("malformed rotation frame")
+    assert [txid for txid, _ in receiver.quarantine] == [bad.hex(), old.hex()]
+    assert all(reason.startswith("malformed rotation frame")
+               for _, reason in receiver.quarantine)
     assert len(receiver.generations) == 1
     assert receiver.detect_and_receive(ledger) == []
 
@@ -603,8 +626,7 @@ def test_session_file_cfg_key_is_ignored(km, tmp_path):
 def test_session_file_does_not_grow_with_traffic(km, tmp_path):
     # Apart from the wallet, which keeps each stego transaction's change, a
     # sender's file after 4N mixed MED and HIGH sends is the size it was
-    # after N, give or take the digits of its counters. The RNG state is a
-    # fixed 625 integers, whose digits vary with the draw.
+    # after N, give or take the digits of its counters.
     state = SessionState(km, ChannelConfig(n=3, m=4, mode=Mode.PERMUTED), seed=5)
     ledger = state.genesis_ledger()
     rng = random.Random(6)
@@ -617,11 +639,100 @@ def test_session_file_does_not_grow_with_traffic(km, tmp_path):
         if i + 1 in (5, 20):
             state.save(path)
             data = json.loads(path.read_bytes()[6:])
-            assert len(data["rng_state"][1]) == 625
             sizes.append(len(json.dumps(
-                {key: value for key, value in data.items() if key not in ("wallet", "rng_state")})))
+                {key: value for key, value in data.items() if key != "wallet"})))
     assert len(state.wallet) > 100
     assert sizes[1] - sizes[0] <= 16
+
+
+def test_keyed_stream_draws_are_sha256_of_key_and_counter():
+    # getrandbits(k) is the first k bits of SHA-256(key || counter), one
+    # counter per 256 bits, so [key, counter] alone resumes the stream
+    block = [hashlib.sha256(b"key" + i.to_bytes(8, "big")).digest() for i in range(3)]
+    stream = KeyedStream(b"key")
+    assert stream.getrandbits(12) == int.from_bytes(block[0], "big") >> 244
+    assert stream.getrandbits(300) == int.from_bytes(block[1] + block[2], "big") >> 212
+    assert stream.counter == 3 and stream.getrandbits(0) == 0 and stream.counter == 3
+    resumed, copied = KeyedStream(b"key", 3), copy.deepcopy(stream)
+    draws = [(s.randrange(10**9), s.randbytes(5), s.random()) for s in (stream, resumed, copied)]
+    assert draws[0] == draws[1] == draws[2] and 0 < draws[0][2] < 1
+
+
+def test_sessions_with_other_keys_draw_other_amounts(ordered_cfg):
+    # the draws are keyed: a shared seed, here the library default 0, gives
+    # an observer no list of amounts to look for
+    amounts = []
+    for _ in range(2):
+        state = SessionState(KeyMaterial.generate(), ordered_cfg)
+        ledger = state.genesis_ledger()
+        [txid] = state.send_message(ledger, bytes(64), Channel.HIGH)
+        amounts.append([o.amount for tx in ledger.mempool if tx.txid == txid
+                        for o in tx.outputs])
+    assert amounts[0] and amounts[0] != amounts[1]
+
+
+def test_session_file_with_mersenne_twister_state_loads(km, ordered_cfg, tmp_path):
+    # files written while the session kept random.Random's state hold it
+    # under "rng_state"; it is ignored, and the stream starts at (0, 0)
+    sender, receiver, ledger = pair(km, ordered_cfg)
+    path = tmp_path / "s.bin"
+    sender.save(path)
+    raw = path.read_bytes()
+    data = json.loads(raw[6:])
+    version, internal, gauss = random.Random(21).getstate()
+    del data["rng"]
+    data["rng_state"] = [version, list(internal), gauss]
+    path.write_bytes(raw[:6] + json.dumps(data).encode())
+    loaded = SessionState.load(path)
+    assert (loaded.seed, loaded.rng.counter) == (0, 0)
+    loaded.send_message(ledger, b"old file, new stream", Channel.MED)
+    loaded.send_message(ledger, b"and high", Channel.HIGH)
+    ledger.mine_block()
+    assert receiver.detect_and_receive(ledger) == [
+        ("HIGH", b"and high"), ("MED", b"old file, new stream")]
+    loaded.save(path)
+    assert json.loads(path.read_bytes()[6:])["rng"] == [0, loaded.rng.counter]
+
+
+@pytest.mark.parametrize("entry", [None, 0, [], {}, [0], [0, 1, 2], [1.5, 0], ["x", 0],
+                                   [True, 0], [0, True], [0, -1], [0, 2**63], [0, None]])
+def test_malformed_rng_entry_is_refused(km, ordered_cfg, tmp_path, entry):
+    # a bad entry fails the load, not the first draw of a later send
+    sender, _, _ = pair(km, ordered_cfg)
+    path = tmp_path / "s.bin"
+    sender.save(path)
+    raw = path.read_bytes()
+    data = json.loads(raw[6:])
+    data["rng"] = entry
+    path.write_bytes(raw[:6] + json.dumps(data).encode())
+    with pytest.raises(ValidationError):
+        SessionState.load(path)
+
+
+@pytest.mark.parametrize("sends", [1, 4])
+def test_sends_across_reloads_match_one_process(km, tmp_path, sends):
+    # north star 3: a draw depends only on the key and the counter, so a
+    # save and load between sends changes nothing on the chain
+    cfg = ChannelConfig(n=3, m=4, mode=Mode.PERMUTED, max_fields_per_tx=2)
+    msgs = random.Random(sends)
+    messages = [(msgs.randbytes(5), msgs.randbytes(30)) for _ in range(sends)]
+    tips, files = [], []
+    for reload in (False, True):
+        state = SessionState(km, cfg, seed=77)
+        ledger = state.genesis_ledger()
+        path = tmp_path / f"s{reload}.bin"
+        for i, (med, hi) in enumerate(messages):
+            for message, channel in ((med, Channel.MED), (hi, Channel.HIGH)):
+                if reload:
+                    state.save(path)
+                    state = SessionState.load(path)
+                state.send_message(ledger, message, channel)
+            ledger.mine_block(NoiseProfile(rate=2.0), seed=i)
+        state.save(path)
+        tips.append(ledger.blocks[-1].block_hash)
+        files.append(path.read_bytes())
+        assert json.loads(files[-1][6:])["rng"] == [77, state.rng.counter]
+    assert tips[0] == tips[1] and files[0] == files[1]
 
 
 def _seeded_scenario():
@@ -661,7 +772,7 @@ def test_seeded_scenario_is_pinned():
     ]
     assert [len(b.transactions) for b in ledger.blocks] == [1, 6, 11, 9, 38]
     assert ledger.blocks[-1].block_hash.hex() == (
-        "52239b1ed2cf8952a35914574999302658d840de6965bc57ad7572950e66fe88"
+        "0c690cd681c8df908504bc1cdcdd3c9b4b2427df0850b59045197d246907b002"
     )
 
 
