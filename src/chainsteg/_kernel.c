@@ -1,16 +1,31 @@
 /* Compiled kernel: secp256k1 fixed-base derivation and digest scanning with
- * 4x64-bit field limbs, SHA-256 (SHA-NI when the CPU has it) and RIPEMD-160,
- * so the whole attempt loop runs in C without the GIL; the parser of a
- * block's transaction rows, which hashes each txid; the UTXO table, which
- * keeps every unspent output as a fixed-size entry of one array; and
- * connect_records, which walks a chain file's length-prefixed block records
- * in one call, checks each and applies its per-transaction rules to that
- * table straight from its bytes. Every block, created, mined (each a file of
- * one record) or loaded, is applied by it, so no block needs its
- * transactions built to connect, and no Python object exists per unspent
- * output: the table builds an output's row only when it is read. It
- * reserves the table once for every output of the file, so a load never
- * regrows it. mult_g checks a private key on the comb.
+ * 4x64-bit field limbs, SHA-256 and RIPEMD-160, so the whole attempt loop
+ * runs in C without the GIL; the parser of a block's transaction rows,
+ * which hashes each txid; the UTXO table, which keeps every unspent output
+ * as a fixed-size entry of one array; and connect_records, which applies a
+ * chain file's length-prefixed block records in one call. Every block,
+ * created, mined (each a file of one record) or loaded, is applied by it,
+ * and it checks every block rule, the coinbase cap included. It frames the
+ * whole file in one walk, recording each record's and each transaction's
+ * extent and counting the outputs; reserves the table once for them, so a
+ * load never regrows it; hashes every record and transaction in one batch;
+ * then checks each record and applies its transactions to the table
+ * straight from its bytes. It returns one fixed-width row per block, so no
+ * Python object is made per block or per unspent output: the ledger makes a
+ * block when it is read, and the table builds an output's row only when it
+ * is read. mult_g checks a private key on the comb, and decompress reads a
+ * public one with a square root by an addition chain.
+ *
+ * SHA-256 has three paths, chosen once at module init, each after a
+ * known-answer test. The compression of one stream runs on SHA-NI when the
+ * CPU has it, ~45 ns per block, else in portable C. On a CPU with AVX-512 F
+ * a batch of independent messages, such as connect_records' records and
+ * transactions, is hashed in 16 lanes (Gueron and Krasnov's multi-buffer
+ * method), 19.5 ns per block and lane, when its blocks keep at least
+ * X16_MIN_LANES lanes busy: a load of the 181-block seed-5 reload chain
+ * (20,078 blocks, 16.0 lanes busy) hashes in ~0.39 ms against ~0.9 ms on
+ * SHA-NI, while a mined block's one record (2.5 busy) stays on SHA-NI
+ * (2-vCPU Xeon VM, gcc -O3).
  *
  * The rows and the inputs and outputs tuples that the parser and the table
  * make hold only bytes and ints, so they can be in no reference cycle: each
@@ -38,10 +53,10 @@
  * part of a derivation.
  *
  * Results are bit-identical to backend.PureBackend, the reference; the
- * parity tests enforce it on both paths. Python-visible: derive_digest,
- * mult_g, grind_scan, parse_transactions, UtxoTable, connect_records, and
- * _microbench, _derived, _comb_path and _upper_state for measurements and
- * tests.
+ * parity tests enforce it on every path. Python-visible: derive_digest,
+ * mult_g, decompress, grind_scan, parse_transactions, UtxoTable,
+ * connect_records, and _microbench, _derived, _comb_path, _hash_path and
+ * _upper_state for measurements and tests.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -721,26 +736,46 @@ static int cpu_has_sha_ni(void)
 
 static sha256_compress_fn *sha256_compress = sha256_compress_portable;
 
+/* The padded tail of a len-byte message: its last len % 64 bytes, the 0x80
+ * marker, zeros and its length in bits, as one or two blocks in tail[0:128].
+ * Returns how many blocks. */
+static int sha256_tail(const u8 *msg, size_t len, u8 *tail)
+{
+    size_t rest = len % 64;
+    int blocks = rest < 56 ? 1 : 2, i;
+    u64 bits = (u64)len << 3;
+    memset(tail, 0, (size_t)64 * blocks);
+    if (rest)
+        memcpy(tail, msg + (len - rest), rest);
+    tail[rest] = 0x80;
+    for (i = 0; i < 8; i++)
+        tail[64 * blocks - 1 - i] = (u8)(bits >> (8 * i));
+    return blocks;
+}
+
+/* The eight state words state[0], state[stride], ... big-endian into out */
+static void store_digest(const u32 *state, int stride, u8 *out)
+{
+    int i;
+    for (i = 0; i < 8; i++) {
+        u32 word = state[i * stride];
+        out[4 * i] = (u8)(word >> 24);
+        out[4 * i + 1] = (u8)(word >> 16);
+        out[4 * i + 2] = (u8)(word >> 8);
+        out[4 * i + 3] = (u8)word;
+    }
+}
+
+/* out may be msg: the message is read before the digest is written. */
 static void sha256_with(sha256_compress_fn *compress, const u8 *msg, size_t len, u8 *out)
 {
     u32 state[8];
-    u8 tail[128] = {0};
-    size_t full = len / 64, rest = len % 64, tail_len = rest < 56 ? 64 : 128;
-    u64 bits = (u64)len << 3;
-    int i;
+    u8 tail[128];
+    int blocks = sha256_tail(msg, len, tail);
     memcpy(state, SHA_H0, sizeof(state));
-    compress(state, msg, full);
-    memcpy(tail, msg + 64 * full, rest);
-    tail[rest] = 0x80;
-    for (i = 0; i < 8; i++)
-        tail[tail_len - 1 - i] = (u8)(bits >> (8 * i));
-    compress(state, tail, tail_len / 64);
-    for (i = 0; i < 8; i++) {
-        out[4 * i] = (u8)(state[i] >> 24);
-        out[4 * i + 1] = (u8)(state[i] >> 16);
-        out[4 * i + 2] = (u8)(state[i] >> 8);
-        out[4 * i + 3] = (u8)state[i];
-    }
+    compress(state, msg, len / 64);
+    compress(state, tail, blocks);
+    store_digest(state, 1, out);
 }
 
 static void sha256(const u8 *msg, size_t len, u8 *out)
@@ -753,6 +788,287 @@ static void sha256d(const u8 *msg, size_t len, u8 *out)
     u8 once[32];
     sha256(msg, len, once);
     sha256(once, 32, out);
+}
+
+/* A message of a batch: len bytes at at. */
+typedef struct {
+    const u8 *at;
+    size_t len;
+} hash_msg;
+
+/* The blocks SHA-256 compresses for a len-byte message, its tail's included */
+static inline size_t sha256_blocks(size_t len)
+{
+    return (len + 9 + 63) / 64;
+}
+
+#if defined(__x86_64__)
+/* ------------------------------------------------------------------------
+ * Multi-buffer SHA-256 in 16 lanes of AVX-512 F (Gueron and Krasnov,
+ * "Parallelizing message schedules to accelerate the computations of hash
+ * functions", J. Cryptographic Engineering 2012): lane l of each 512-bit
+ * vector holds word j of message l's state or schedule, so one pass of the
+ * 64 rounds compresses one block of each of 16 independent messages. Each
+ * round is the scalar one, with vprord for the rotations and one vpternlogd
+ * each for the three-way XORs, Ch and Maj. */
+
+#define X16 __attribute__((target("avx512f")))
+#define X16_LANES 16
+
+#define ADD32(a, b) _mm512_add_epi32((a), (b))
+#define ROR32(x, n) _mm512_ror_epi32((x), (n))
+#define XOR3(a, b, c) _mm512_ternarylogic_epi32((a), (b), (c), 0x96)
+#define SSIG0(x) XOR3(ROR32(x, 7), ROR32(x, 18), _mm512_srli_epi32((x), 3))
+#define SSIG1(x) XOR3(ROR32(x, 17), ROR32(x, 19), _mm512_srli_epi32((x), 10))
+
+/* Round i on w[i mod 16]; from round 16 on, that word is first extended
+ * from the ones the recurrence reads (i - 16, i - 15, i - 7 and i - 2). */
+#define X16_ROUND(a, b, c, d, e, f, g, h, i, extend) do { \
+        __m512i _t1, _t2; \
+        if (extend) \
+            w[(i) & 15] = ADD32(ADD32(w[(i) & 15], SSIG0(w[((i) + 1) & 15])), \
+                                ADD32(w[((i) + 9) & 15], SSIG1(w[((i) + 14) & 15]))); \
+        _t1 = ADD32(ADD32(h, XOR3(ROR32(e, 6), ROR32(e, 11), ROR32(e, 25))), \
+                    ADD32(_mm512_ternarylogic_epi32(e, f, g, 0xCA), \
+                          ADD32(w[(i) & 15], _mm512_set1_epi32((int)SHA_K[i])))); \
+        _t2 = ADD32(XOR3(ROR32(a, 2), ROR32(a, 13), ROR32(a, 22)), \
+                    _mm512_ternarylogic_epi32(a, b, c, 0xE8)); \
+        d = ADD32(d, _t1); \
+        h = ADD32(_t1, _t2); \
+    } while (0)
+
+#define X16_EIGHT(i, extend) do { \
+        X16_ROUND(a, b, c, d, e, f, g, h, (i), extend); \
+        X16_ROUND(h, a, b, c, d, e, f, g, (i) + 1, extend); \
+        X16_ROUND(g, h, a, b, c, d, e, f, (i) + 2, extend); \
+        X16_ROUND(f, g, h, a, b, c, d, e, (i) + 3, extend); \
+        X16_ROUND(e, f, g, h, a, b, c, d, (i) + 4, extend); \
+        X16_ROUND(d, e, f, g, h, a, b, c, (i) + 5, extend); \
+        X16_ROUND(c, d, e, f, g, h, a, b, (i) + 6, extend); \
+        X16_ROUND(b, c, d, e, f, g, h, a, (i) + 7, extend); \
+    } while (0)
+
+/* Each word byte-swapped. AVX-512 F has no byte shuffle, so bytes 0 and 2
+ * of the result come from a rotation left by 8, bytes 1 and 3 from one
+ * right. */
+X16 static inline __m512i bswap32x16(__m512i x)
+{
+    return _mm512_ternarylogic_epi32(_mm512_set1_epi32(0x00FF00FF), _mm512_rol_epi32(x, 8),
+                                     _mm512_ror_epi32(x, 8), 0xCA);
+}
+
+/* w[t] gets big-endian word t of each lane's block: a 16x16 transpose of
+ * the blocks' words. First a 4x4 transpose inside each 128-bit lane of each
+ * group of four rows, after which 128-bit lane k of r[4 g + i] holds word
+ * 4 k + i of rows 4 g .. 4 g + 3; then lane k of r[i], r[4 + i], r[8 + i]
+ * and r[12 + i] are gathered into w[4 k + i]. */
+X16 static void x16_load_words(__m512i *w, const u8 *const *blocks)
+{
+    __m512i r[16], t0, t1, t2, t3;
+    int i;
+    for (i = 0; i < 16; i++)
+        r[i] = _mm512_loadu_si512(blocks[i]);
+    for (i = 0; i < 16; i += 4) {
+        t0 = _mm512_unpacklo_epi32(r[i], r[i + 1]);
+        t1 = _mm512_unpacklo_epi32(r[i + 2], r[i + 3]);
+        t2 = _mm512_unpackhi_epi32(r[i], r[i + 1]);
+        t3 = _mm512_unpackhi_epi32(r[i + 2], r[i + 3]);
+        r[i] = _mm512_unpacklo_epi64(t0, t1);
+        r[i + 1] = _mm512_unpackhi_epi64(t0, t1);
+        r[i + 2] = _mm512_unpacklo_epi64(t2, t3);
+        r[i + 3] = _mm512_unpackhi_epi64(t2, t3);
+    }
+    for (i = 0; i < 4; i++) {
+        t0 = _mm512_shuffle_i32x4(r[i], r[4 + i], 0x44);
+        t1 = _mm512_shuffle_i32x4(r[i], r[4 + i], 0xEE);
+        t2 = _mm512_shuffle_i32x4(r[8 + i], r[12 + i], 0x44);
+        t3 = _mm512_shuffle_i32x4(r[8 + i], r[12 + i], 0xEE);
+        w[i] = bswap32x16(_mm512_shuffle_i32x4(t0, t2, 0x88));
+        w[4 + i] = bswap32x16(_mm512_shuffle_i32x4(t0, t2, 0xDD));
+        w[8 + i] = bswap32x16(_mm512_shuffle_i32x4(t1, t3, 0x88));
+        w[12 + i] = bswap32x16(_mm512_shuffle_i32x4(t1, t3, 0xDD));
+    }
+}
+
+/* Fold the 64-byte block at blocks[l] into lane l of state, for every lane;
+ * state[j][l] is word j of lane l's state. */
+X16 static void x16_compress(u32 (*state)[X16_LANES], const u8 *const *blocks)
+{
+    __m512i w[16], a, b, c, d, e, f, g, h;
+    x16_load_words(w, blocks);
+    a = _mm512_load_si512(state[0]); b = _mm512_load_si512(state[1]);
+    c = _mm512_load_si512(state[2]); d = _mm512_load_si512(state[3]);
+    e = _mm512_load_si512(state[4]); f = _mm512_load_si512(state[5]);
+    g = _mm512_load_si512(state[6]); h = _mm512_load_si512(state[7]);
+    X16_EIGHT(0, 0);
+    X16_EIGHT(8, 0);
+    X16_EIGHT(16, 1);
+    X16_EIGHT(24, 1);
+    X16_EIGHT(32, 1);
+    X16_EIGHT(40, 1);
+    X16_EIGHT(48, 1);
+    X16_EIGHT(56, 1);
+    _mm512_store_si512(state[0], ADD32(a, _mm512_load_si512(state[0])));
+    _mm512_store_si512(state[1], ADD32(b, _mm512_load_si512(state[1])));
+    _mm512_store_si512(state[2], ADD32(c, _mm512_load_si512(state[2])));
+    _mm512_store_si512(state[3], ADD32(d, _mm512_load_si512(state[3])));
+    _mm512_store_si512(state[4], ADD32(e, _mm512_load_si512(state[4])));
+    _mm512_store_si512(state[5], ADD32(f, _mm512_load_si512(state[5])));
+    _mm512_store_si512(state[6], ADD32(g, _mm512_load_si512(state[6])));
+    _mm512_store_si512(state[7], ADD32(h, _mm512_load_si512(state[7])));
+}
+
+/* What one lane is hashing: the block it reads next, how many blocks of
+ * the message's own bytes and how many in all are left, and the padded
+ * tail. */
+typedef struct {
+    const u8 *next;
+    size_t own, left;
+    size_t msg; /* the message, or SIZE_MAX when the lane is idle */
+    u8 tail[128];
+} x16_lane;
+
+/* Start lane l on the next message of order, if one is left; returns
+ * whether one was. */
+static int x16_start(x16_lane *lane, u32 (*state)[X16_LANES], int l, const hash_msg *msgs,
+                     const size_t *order, size_t n, size_t *taken)
+{
+    const hash_msg *m;
+    int j;
+    if (*taken == n) {
+        lane->msg = SIZE_MAX;
+        return 0;
+    }
+    lane->msg = order[(*taken)++];
+    m = &msgs[lane->msg];
+    lane->own = m->len / 64;
+    lane->left = lane->own + (size_t)sha256_tail(m->at, m->len, lane->tail);
+    lane->next = lane->own ? m->at : lane->tail;
+    for (j = 0; j < 8; j++)
+        state[j][l] = SHA_H0[j];
+    return 1;
+}
+
+/* SHA-256 of each of n messages into out, the messages taken in the order
+ * of their indices in order. Each lane is fed its message's next block, and
+ * a lane whose message ends takes the next one, so giving the longest first
+ * keeps the lanes full. An idle lane hashes a block of zeros, which is
+ * dropped. */
+X16 static void sha256_x16(const hash_msg *msgs, const size_t *order, size_t n, u8 (*out)[32])
+{
+    static const u8 idle[64];
+    u32 state[8][X16_LANES] __attribute__((aligned(64)));
+    x16_lane lanes[X16_LANES];
+    const u8 *blocks[X16_LANES];
+    size_t taken = 0, busy = 0;
+    int l;
+    for (l = 0; l < X16_LANES; l++)
+        busy += (size_t)x16_start(&lanes[l], state, l, msgs, order, n, &taken);
+    while (busy) {
+        for (l = 0; l < X16_LANES; l++)
+            blocks[l] = lanes[l].msg == SIZE_MAX ? idle : lanes[l].next;
+        x16_compress(state, blocks);
+        for (l = 0; l < X16_LANES; l++) {
+            x16_lane *lane = &lanes[l];
+            if (lane->msg == SIZE_MAX)
+                continue;
+            if (lane->own > 0 && --lane->own == 0)
+                lane->next = lane->tail;
+            else
+                lane->next += 64;
+            if (--lane->left > 0)
+                continue;
+            store_digest(&state[0][l], X16_LANES, out[lane->msg]);
+            busy -= (size_t)!x16_start(lane, state, l, msgs, order, n, &taken);
+        }
+    }
+    _mm256_zeroupper();
+}
+
+/* SHA-256 of each of n 32-byte digests, in place: the second hash of
+ * sha256d, one padded block per lane. */
+X16 static void sha256_x16_32(u8 (*digests)[32], size_t n)
+{
+    u8 padded[X16_LANES][64] __attribute__((aligned(64)));
+    u32 state[8][X16_LANES] __attribute__((aligned(64)));
+    const u8 *blocks[X16_LANES];
+    size_t base, count, l;
+    int j;
+    memset(padded, 0, sizeof(padded));
+    for (l = 0; l < X16_LANES; l++) {
+        padded[l][32] = 0x80;
+        padded[l][62] = 0x01; /* the length: 256 bits */
+        blocks[l] = padded[l];
+    }
+    for (base = 0; base < n; base += X16_LANES) {
+        count = n - base < X16_LANES ? n - base : X16_LANES;
+        for (l = 0; l < count; l++)
+            memcpy(padded[l], digests[base + l], 32);
+        for (j = 0; j < 8; j++)
+            for (l = 0; l < X16_LANES; l++)
+                state[j][l] = SHA_H0[j];
+        x16_compress(state, blocks);
+        for (l = 0; l < count; l++)
+            store_digest(&state[0][l], X16_LANES, digests[base + l]);
+    }
+    _mm256_zeroupper();
+}
+
+/* The bucket of a message of this many blocks in the longest-first order:
+ * 0 for 255 blocks or more, 255 for one. */
+static inline size_t x16_bucket(size_t blocks)
+{
+    return 255 - (blocks < 255 ? blocks : 255);
+}
+#endif /* __x86_64__ */
+
+/* A batch takes the 16 lanes when they stay at least this busy on average:
+ * one step of 16 blocks costs about as much as 7 blocks of one SHA-NI
+ * stream (19.5 ns per block and lane against ~45 ns). Measured on a 2-vCPU
+ * Xeon VM with connect_records on the first R records of a chain file, 16
+ * lanes forced against SHA-NI: 1.05x the time at R = 4 (an estimate of 6.0
+ * busy lanes), 0.94x at R = 5 (7.1), 0.55x at R = 16; a mined block's one
+ * record (2.5) hashes 2x faster on SHA-NI. */
+#define X16_MIN_LANES 7
+
+static int hash_x16; /* whether sha256d_batch may take the 16 lanes */
+
+/* sha256d of each of n messages into out[i]. The 16 lanes take a batch
+ * whose blocks keep at least X16_MIN_LANES of them busy: the first hashes
+ * need max(longest, total / 16) steps and the second ones n / 16, so a
+ * batch led by one long message (a mined block's record with its few
+ * transactions) stays on the one stream of sha256_compress. order is room
+ * for n indices, which the 16 lanes fill longest first. */
+static void sha256d_batch(const hash_msg *msgs, size_t n, u8 (*out)[32], size_t *order)
+{
+    size_t i;
+#if defined(__x86_64__)
+    size_t total = 0, longest = 0, steps, blocks, b, here;
+    for (i = 0; i < n; i++) {
+        blocks = sha256_blocks(msgs[i].len);
+        total += blocks;
+        longest = blocks > longest ? blocks : longest;
+    }
+    steps = (longest > (total + 15) / 16 ? longest : (total + 15) / 16) + (n + 15) / 16;
+    if (hash_x16 && total + n >= X16_MIN_LANES * steps) {
+        /* a counting sort: start[b] counts bucket b, then becomes its place */
+        size_t start[256] = {0};
+        for (i = 0; i < n; i++)
+            start[x16_bucket(sha256_blocks(msgs[i].len))]++;
+        for (b = 0, total = 0; b < 256; b++, total += here) {
+            here = start[b];
+            start[b] = total;
+        }
+        for (i = 0; i < n; i++)
+            order[start[x16_bucket(sha256_blocks(msgs[i].len))]++] = i;
+        sha256_x16(msgs, order, n, out);
+        sha256_x16_32(out, n);
+        return;
+    }
+#endif
+    (void)order;
+    for (i = 0; i < n; i++)
+        sha256d(msgs[i].at, msgs[i].len, out[i]);
 }
 
 /* FIPS 180-2 examples: one block, one block plus a length-only block (56
@@ -782,18 +1098,70 @@ static int sha256_passes_kat(sha256_compress_fn *compress)
     return 1;
 }
 
+#if defined(__x86_64__)
+#define X16_KAT_LEN 200 /* every length below it, so each padding boundary up to 3 blocks */
+
+/* The 16 lanes against the portable sha256d, on batches of 1, 15, 16, 17
+ * and X16_KAT_LEN messages given shortest first: message i of a batch of n
+ * is the first (61 i + n) mod X16_KAT_LEN bytes of a fixed pattern, and the
+ * batch of X16_KAT_LEN holds one message of each length 0 .. X16_KAT_LEN - 1. */
+static int x16_passes_kat(void)
+{
+    static const size_t sizes[5] = {1, 15, 16, 17, X16_KAT_LEN};
+    u8 pattern[X16_KAT_LEN], want[32], got[X16_KAT_LEN][32];
+    hash_msg msgs[X16_KAT_LEN];
+    size_t order[X16_KAT_LEN], n, i;
+    int s;
+    for (i = 0; i < X16_KAT_LEN; i++)
+        pattern[i] = (u8)(i * 167 + 13);
+    for (s = 0; s < 5; s++) {
+        n = sizes[s];
+        for (i = 0; i < n; i++) {
+            msgs[i].at = pattern;
+            msgs[i].len = n == X16_KAT_LEN ? i : (61 * i + n) % X16_KAT_LEN;
+            order[i] = i;
+        }
+        sha256_x16(msgs, order, n, got);
+        sha256_x16_32(got, n);
+        for (i = 0; i < n; i++) {
+            sha256_with(sha256_compress_portable, msgs[i].at, msgs[i].len, want);
+            sha256_with(sha256_compress_portable, want, 32, want);
+            if (memcmp(want, got[i], 32) != 0)
+                return 0;
+        }
+    }
+    return 1;
+}
+
+static int x16_ok; /* the CPU has AVX-512 F and the 16 lanes passed their test */
+#endif
+
+#if defined(__x86_64__) || defined(__i386__)
+static int sha_ni_ok; /* the CPU has SHA-NI and it passed its known-answer test */
+#endif
+
 /* Checks the portable compression, then switches to SHA-NI when the CPU has
- * it and it checks out too. Returns the name of a compression that failed,
+ * it and it checks out too, and lets batches take the 16 lanes when the CPU
+ * has AVX-512 F and they check out. Returns the name of a path that failed,
  * or NULL. */
 static const char *sha256_select(void)
 {
     if (!sha256_passes_kat(sha256_compress_portable))
-        return "portable";
+        return "portable SHA-256";
 #if defined(__x86_64__) || defined(__i386__)
     if (cpu_has_sha_ni()) {
         if (!sha256_passes_kat(sha256_compress_shani))
-            return "SHA-NI";
+            return "SHA-NI SHA-256";
         sha256_compress = sha256_compress_shani;
+        sha_ni_ok = 1;
+    }
+#endif
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) {
+        if (!x16_passes_kat())
+            return "16-lane AVX-512 SHA-256";
+        hash_x16 = x16_ok = 1;
     }
 #endif
     return NULL;
@@ -1555,6 +1923,96 @@ PyDoc_STRVAR(mult_g_doc,
 "an affine point of ints; None for the point at infinity. One comb\n"
 "multiplication and one inversion; it checks a private key.");
 
+/* r = a^(2^n) */
+static void fe_sqr_times(u64 *r, const u64 *a, int n)
+{
+    fe_sqr(r, a);
+    while (--n > 0)
+        fe_sqr(r, r);
+}
+
+/* A square root of a mod p, a^((p + 1) / 4), in r; returns whether r^2 = a,
+ * i.e. a square. (p + 1) / 4 is three runs of ones, of 223, 22 and 2 bits,
+ * so the addition chain of libsecp256k1's fe_sqrt builds each x_k =
+ * a^(2^k - 1) it needs from 1, 2, 3, 6, 9, 11, 22, 44, 88, 176, 220 and 223
+ * ones, in 253 squarings and 13 multiplications. */
+static int fe_sqrt(u64 *r, const u64 *a)
+{
+    u64 x2[4], x3[4], x6[4], x9[4], x11[4], x22[4], x44[4], x88[4], x176[4], x220[4], x223[4],
+        t[4];
+    fe_sqr(x2, a);
+    fe_mul(x2, x2, a);
+    fe_sqr(x3, x2);
+    fe_mul(x3, x3, a);
+    fe_sqr_times(x6, x3, 3);
+    fe_mul(x6, x6, x3);
+    fe_sqr_times(x9, x6, 3);
+    fe_mul(x9, x9, x3);
+    fe_sqr_times(x11, x9, 2);
+    fe_mul(x11, x11, x2);
+    fe_sqr_times(x22, x11, 11);
+    fe_mul(x22, x22, x11);
+    fe_sqr_times(x44, x22, 22);
+    fe_mul(x44, x44, x22);
+    fe_sqr_times(x88, x44, 44);
+    fe_mul(x88, x88, x44);
+    fe_sqr_times(x176, x88, 88);
+    fe_mul(x176, x176, x88);
+    fe_sqr_times(x220, x176, 44);
+    fe_mul(x220, x220, x44);
+    fe_sqr_times(x223, x220, 3);
+    fe_mul(x223, x223, x3);
+    fe_sqr_times(t, x223, 23);
+    fe_mul(t, t, x22);
+    fe_sqr_times(t, t, 6);
+    fe_mul(t, t, x2);
+    fe_sqr_times(r, t, 2);
+    fe_sqr(t, r);
+    return memcmp(t, a, sizeof(t)) == 0;
+}
+
+static PyObject *py_decompress(PyObject *self, PyObject *arg)
+{
+    static const u64 seven[4] = {7, 0, 0, 0}, zero[4] = {0, 0, 0, 0};
+    Py_buffer buf;
+    const u8 *raw;
+    u64 x[4], y[4], y2[4];
+    PyObject *result = NULL;
+    if (PyObject_GetBuffer(arg, &buf, PyBUF_SIMPLE) < 0)
+        return NULL;
+    raw = buf.buf;
+    if (buf.len != 33 || (raw[0] != 2 && raw[0] != 3)) {
+        PyErr_SetString(PyExc_ValueError, "bad compressed point encoding");
+        goto done;
+    }
+    be32_to_limbs(raw + 1, x);
+    /* at or above p exactly when fe_final's test would reduce it */
+    if (x[3] == ~0ULL && x[2] == ~0ULL && x[1] == ~0ULL && x[0] >= FE_P0) {
+        PyErr_SetString(PyExc_ValueError, "x coordinate out of range");
+        goto done;
+    }
+    fe_sqr(y2, x);
+    fe_mul(y2, y2, x);
+    fe_add(y2, y2, seven);
+    if (!fe_sqrt(y, y2)) {
+        PyErr_SetString(PyExc_ValueError, "point not on curve");
+        goto done;
+    }
+    if ((y[0] & 1) != (raw[0] & 1))
+        fe_sub(y, zero, y);
+    result = Py_BuildValue("(NN)", fe_to_long(x), fe_to_long(y));
+done:
+    PyBuffer_Release(&buf);
+    return result;
+}
+
+PyDoc_STRVAR(decompress_doc,
+"decompress(data) -> (x, y)\n\n"
+"The affine point of a 33-byte compressed encoding, as ec.decompress gives\n"
+"it: ValueError('bad compressed point encoding') for another length or a\n"
+"prefix byte other than 2 or 3, ('x coordinate out of range') for x >= p and\n"
+"('point not on curve') when x^3 + 7 has no square root.");
+
 /* Read a sequence of min_len..max_len ints, each in [lo, hi), into out;
  * returns the count, or -1 with ValueError or TypeError set. */
 static Py_ssize_t parse_ints(PyObject *obj, const char *what, Py_ssize_t min_len,
@@ -2183,125 +2641,191 @@ static PyObject *u128_to_long(u128 v)
     return result;
 }
 
-/* Check a block record before anything touches the UTXO table: its framing
- * and every count, its stored hash, its place after `prev` at `height`, and
- * a coinbase first. Each refusal raises ValueError(reason, detail). */
-static int record_fits(const u8 *data, Py_ssize_t size, Py_ssize_t height, const u8 *prev)
+/* A block record that frames: its bytes data[at : at + size], and the index
+ * of its message (its bytes before the hash) among the file's messages,
+ * after which come those of its count transactions. */
+typedef struct {
+    Py_ssize_t at, size, msg, count;
+} framed_record;
+
+/* What the one framing walk over a chain file finds: each record that
+ * frames, up to the first that does not, and every message to hash. */
+typedef struct {
+    framed_record *recs;
+    hash_msg *msgs;
+    Py_ssize_t n_recs, recs_room, n_msgs, msgs_room;
+    size_t outputs;    /* the outputs of those records */
+    PyObject *refusal; /* the args of the first record that does not frame, or NULL */
+} chain_frames;
+
+/* Room in *items, of *room items of size bytes, for need; MemoryError else. */
+static int reserve(void **items, Py_ssize_t *room, Py_ssize_t need, size_t size)
 {
-    Py_ssize_t pos = BLOCK_HEAD, n_in, n_out;
-    u64 count, at_height, t;
-    const char *bad = NULL;
-    u8 digest[32];
-    if (size < BLOCK_HEAD)
-        return refuse(Py_BuildValue("(ss)", "truncated", "data ends inside the block header"));
-    at_height = load_be64(data);
-    count = load_be32(data + BLOCK_HEAD - 4);
-    if (count > (u64)((size - BLOCK_HEAD) / TX_MIN))
-        return refuse(Py_BuildValue("(sN)", "truncated", PyUnicode_FromFormat(
-            "%llu transactions cannot fit in the data", (unsigned long long)count)));
-    for (t = 0; t < count && bad == NULL; t++)
-        bad = tx_frame(data, size, &pos, &n_in, &n_out);
-    if (bad != NULL)
-        return refuse(Py_BuildValue("(ss)", "truncated", bad));
-    if (pos + 32 != size)
-        return refuse(Py_BuildValue("(s)", "trailing"));
-    sha256d(data, (size_t)pos, digest);
-    if (memcmp(digest, data + pos, 32) != 0)
-        return refuse(Py_BuildValue("(sK)", "hash", (unsigned long long)at_height));
-    if (at_height != (u64)height)
-        return refuse(Py_BuildValue("(sK)", "height", (unsigned long long)at_height));
-    if (memcmp(data + 8, prev, 32) != 0)
-        return refuse(Py_BuildValue("(sK)", "chain", (unsigned long long)at_height));
-    /* transaction 0 has one input, which spends the null outpoint */
-    if (count == 0 || load_be32(data + BLOCK_HEAD) != 1 ||
-        memcmp(data + BLOCK_HEAD + 4, NULL32, 32) != 0)
-        return refuse(Py_BuildValue("(sK)", "coinbase", (unsigned long long)at_height));
+    Py_ssize_t more = *room ? 2 * *room : 64;
+    void *grown;
+    if (need <= *room)
+        return 1;
+    if (more < need)
+        more = need;
+    if ((size_t)more > PY_SSIZE_T_MAX / size || (grown = PyMem_Realloc(*items, more * size)) == NULL) {
+        PyErr_NoMemory();
+        return 0;
+    }
+    *items = grown;
+    *room = more;
     return 1;
 }
 
-/* Apply the block record data[0:size], found at offset `start` of the
- * caller's buffer, to the table: record_fits, then each transaction's spends,
- * balance and outputs in order. Returns (timestamp, block_hash, fees, minted,
- * coinbase_txid, start, end), or NULL with a refusal's ValueError set. */
-static PyObject *apply_record(utxo_table *table, const u8 *data, Py_ssize_t size,
-                              Py_ssize_t height, const u8 *prev, Py_ssize_t start)
+/* Walk the length-prefixed records of data[0:size] once: each one's
+ * length, header, every count within the bytes left (tx_frame), and its
+ * hash last. A record that frames adds its message and its transactions'
+ * to f->msgs, and its outputs to f->outputs; the walk stops at the first
+ * that does not, whose refusal goes in f->refusal. Returns 0 when an
+ * allocation failed. */
+static int frame_chain(const u8 *data, Py_ssize_t size, chain_frames *f)
 {
-    Py_ssize_t count, pos = BLOCK_HEAD, from, position, n_in, n_out, i;
-    u128 fees = 0, minted = 0, total_in, total_out;
-    const u8 *row;
-    u8 op[OUTPOINT], coinbase[32];
-    if (!record_fits(data, size, height, prev))
-        return NULL;
-    count = load_be32(data + BLOCK_HEAD - 4);
-    for (position = 0; position < count; position++) {
-        from = pos;
-        tx_frame(data, size, &pos, &n_in, &n_out); /* record_fits checked it */
-        sha256d(data + from, (size_t)(pos - from), op); /* the txid of each output's outpoint */
-        row = data + from + 4;
-        total_in = total_out = 0;
-        for (i = 0; position && i < n_in; i++, row += INPUT_ROW)
-            if (!spend(table, row, position, i, &total_in))
-                return NULL;
-        row = data + from + 8 + n_in * INPUT_ROW;
-        for (i = 0; i < n_out; i++)
-            total_out += load_be64(row + i * OUTPUT_ROW + 21);
-        if (!position) {
-            minted = total_out;
-            memcpy(coinbase, op, 32);
-        }
-        else if (!balance(total_in, total_out, load_be64(data + pos - 8), position, &fees))
-            return NULL;
-        for (i = 0; i < n_out; i++, row += OUTPUT_ROW) {
-            op[32] = (u8)(i >> 24), op[33] = (u8)(i >> 16), op[34] = (u8)(i >> 8), op[35] = (u8)i;
-            if (!table_put(table, op, row))
-                return NULL;
-        }
-    }
-    return Py_BuildValue("(Ky#NNy#nn)", (unsigned long long)load_be64(data + 40),
-                         (const char *)data + pos, (Py_ssize_t)32, u128_to_long(fees),
-                         u128_to_long(minted), (const char *)coinbase, (Py_ssize_t)32,
-                         start, start + size);
-}
-
-/* The outputs of the records of data[0:size] that frame, up to the first
- * that does not: no live count can pass the table's count plus this while
- * they are applied, since a record that does not frame is refused before it
- * touches the table. Raises nothing. */
-static size_t framed_outputs(const u8 *data, Py_ssize_t size)
-{
-    Py_ssize_t at = 0, length, pos, n_in, n_out;
-    u64 count, t;
-    size_t total = 0, outputs;
-    while (size - at >= 4 && (length = load_be32(data + at)) <= size - at - 4) {
-        const u8 *record = data + at + 4;
-        if (length < BLOCK_HEAD)
+    Py_ssize_t at = 0, length, pos, from, i, n_in, n_out;
+    const u8 *record;
+    const char *bad = NULL;
+    u64 count;
+    size_t outputs;
+    while (at < size) {
+        if (size - at < 4) {
+            f->refusal = Py_BuildValue("(s)", "length");
             break;
+        }
+        length = load_be32(data + at);
+        record = data + at + 4;
+        if (length > size - at - 4) {
+            f->refusal = Py_BuildValue("(s)", "extent");
+            break;
+        }
+        if (length < BLOCK_HEAD) {
+            f->refusal = Py_BuildValue("(ss)", "truncated", "data ends inside the block header");
+            break;
+        }
         count = load_be32(record + BLOCK_HEAD - 4);
-        if (count > (u64)((length - BLOCK_HEAD) / TX_MIN))
+        if (count > (u64)((length - BLOCK_HEAD) / TX_MIN)) {
+            f->refusal = Py_BuildValue("(sN)", "truncated", PyUnicode_FromFormat(
+                "%llu transactions cannot fit in the data", (unsigned long long)count));
             break;
-        for (pos = BLOCK_HEAD, outputs = 0, t = 0; t < count; t++) {
-            if (tx_frame(record, length, &pos, &n_in, &n_out) != NULL)
-                return total;
+        }
+        if (!reserve((void **)&f->msgs, &f->msgs_room, f->n_msgs + 1 + (Py_ssize_t)count,
+                     sizeof(hash_msg)) ||
+            !reserve((void **)&f->recs, &f->recs_room, f->n_recs + 1, sizeof(framed_record)))
+            return 0;
+        for (pos = BLOCK_HEAD, outputs = 0, i = 0; i < (Py_ssize_t)count; i++) {
+            from = pos;
+            if ((bad = tx_frame(record, length, &pos, &n_in, &n_out)) != NULL)
+                break;
+            f->msgs[f->n_msgs + 1 + i] = (hash_msg){record + from, (size_t)(pos - from)};
             outputs += (size_t)n_out;
         }
-        if (pos + 32 != length)
+        if (bad != NULL) {
+            f->refusal = Py_BuildValue("(ss)", "truncated", bad);
             break;
-        total += outputs;
+        }
+        if (pos + 32 != length) {
+            f->refusal = Py_BuildValue("(s)", "trailing");
+            break;
+        }
+        f->msgs[f->n_msgs] = (hash_msg){record, (size_t)pos};
+        f->recs[f->n_recs++] = (framed_record){at + 4, length, f->n_msgs, (Py_ssize_t)count};
+        f->n_msgs += 1 + (Py_ssize_t)count;
+        f->outputs += outputs;
         at += 4 + length;
     }
-    return total;
+    return f->refusal != NULL || !PyErr_Occurred();
+}
+
+/* A per-block row of connect_records: the timestamp (u64), the block hash,
+ * the coinbase txid and the record's extent in the file, start and end
+ * (u64 each), integers big-endian. New fields go at the end. */
+#define BLOCK_ROW 88
+
+static void store_be64(u8 *p, u64 v)
+{
+    int i;
+    for (i = 0; i < 8; i++)
+        p[i] = (u8)(v >> (56 - 8 * i));
+}
+
+/* Apply framed record r of data, at height after prev, whose messages'
+ * sha256d are digests[r->msg ...], to the table: its stored hash, height,
+ * place in the chain and coinbase, then each transaction's spends, balance
+ * and outputs in order, then the coinbase cap. Adds what the coinbase mints
+ * and the fees to *minted and *fees, and fills its row. Returns 0 with a
+ * refusal's ValueError set. */
+static int apply_record(utxo_table *table, const u8 *data, const framed_record *r,
+                        const hash_msg *msgs, const u8 (*digests)[32], Py_ssize_t height,
+                        const u8 *prev, u64 subsidy, u128 *minted, u128 *fees, u8 *row)
+{
+    const u8 *record = data + r->at, *tx, *io;
+    u64 at_height = load_be64(record);
+    u128 block_fees = 0, coinbase_pays = 0, total_in, total_out;
+    Py_ssize_t position, n_in, n_out, i;
+    u8 op[OUTPOINT];
+    if (memcmp(digests[r->msg], record + r->size - 32, 32) != 0)
+        return refuse(Py_BuildValue("(sK)", "hash", (unsigned long long)at_height));
+    if (at_height != (u64)height)
+        return refuse(Py_BuildValue("(sK)", "height", (unsigned long long)at_height));
+    if (memcmp(record + 8, prev, 32) != 0)
+        return refuse(Py_BuildValue("(sK)", "chain", (unsigned long long)at_height));
+    /* transaction 0 has one input, which spends the null outpoint */
+    if (r->count == 0 || load_be32(record + BLOCK_HEAD) != 1 ||
+        memcmp(record + BLOCK_HEAD + 4, NULL32, 32) != 0)
+        return refuse(Py_BuildValue("(sK)", "coinbase", (unsigned long long)at_height));
+    for (position = 0; position < r->count; position++) {
+        tx = msgs[r->msg + 1 + position].at;
+        n_in = load_be32(tx);
+        io = tx + 4;
+        total_in = total_out = 0;
+        for (i = 0; position && i < n_in; i++, io += INPUT_ROW)
+            if (!spend(table, io, position, i, &total_in))
+                return 0;
+        io = tx + 8 + n_in * INPUT_ROW; /* past the inputs and the output count */
+        n_out = load_be32(io - 4);
+        for (i = 0; i < n_out; i++)
+            total_out += load_be64(io + i * OUTPUT_ROW + 21);
+        if (!position)
+            coinbase_pays = total_out;
+        else if (!balance(total_in, total_out, load_be64(io + n_out * OUTPUT_ROW), position,
+                          &block_fees))
+            return 0;
+        memcpy(op, digests[r->msg + 1 + position], 32); /* the txid of each output's outpoint */
+        for (i = 0; i < n_out; i++, io += OUTPUT_ROW) {
+            op[32] = (u8)(i >> 24), op[33] = (u8)(i >> 16), op[34] = (u8)(i >> 8), op[35] = (u8)i;
+            if (!table_put(table, op, io))
+                return 0;
+        }
+    }
+    if (height > 0 && coinbase_pays > subsidy + block_fees)
+        return refuse(Py_BuildValue("(snNN)", "cap", height, u128_to_long(coinbase_pays),
+                                    u128_to_long(subsidy + block_fees)));
+    *minted += coinbase_pays;
+    *fees += block_fees;
+    memcpy(row, record + 40, 8);
+    memcpy(row + 8, record + r->size - 32, 32);
+    memcpy(row + 40, digests[r->msg + 1], 32);
+    store_be64(row + 72, (u64)r->at);
+    store_be64(row + 80, (u64)(r->at + r->size));
+    return 1;
 }
 
 static PyObject *py_connect_records(PyObject *self, PyObject *args)
 {
     Py_buffer buf, prev;
     utxo_table *table;
-    PyObject *blocks = NULL, *block, *refusal = NULL, *type, *value, *trace, *result = NULL;
-    Py_ssize_t height, at = 0, length;
+    unsigned long long subsidy;
+    Py_ssize_t height, r = 0;
+    chain_frames f = {0};
+    u8 (*digests)[32] = NULL, *rows = NULL;
+    size_t *order = NULL;
+    u128 minted = 0, fees = 0;
     const u8 *data, *tip;
-    int appended;
-    if (!PyArg_ParseTuple(args, "O!y*ny*:connect_records", &UtxoTableType, &table, &buf,
-                          &height, &prev))
+    PyObject *type, *value, *trace, *mint = NULL, *fee = NULL, *issued = NULL, *result = NULL;
+    if (!PyArg_ParseTuple(args, "O!y*ny*K:connect_records", &UtxoTableType, &table, &buf,
+                          &height, &prev, &subsidy))
         return NULL;
     data = buf.buf;
     tip = prev.buf;
@@ -2309,75 +2833,84 @@ static PyObject *py_connect_records(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "prev_hash must be 32 bytes");
         goto done;
     }
-    if (!table_reserve(table, framed_outputs(data, buf.len)) || (blocks = PyList_New(0)) == NULL)
+    if (!frame_chain(data, buf.len, &f) || !table_reserve(table, f.outputs))
         goto done;
-    while (at < buf.len) {
-        if (buf.len - at < 4) {
-            refusal = Py_BuildValue("(s)", "length");
-            break;
-        }
-        length = load_be32(data + at);
-        if (length > buf.len - at - 4) {
-            refusal = Py_BuildValue("(s)", "extent");
-            break;
-        }
-        block = apply_record(table, data + at + 4, length, height + PyList_GET_SIZE(blocks),
-                             tip, at + 4);
-        if (block == NULL) {
-            /* a refusal ends the walk, and its args are returned */
+    /* one more item each, so no size is 0 */
+    digests = PyMem_Malloc((size_t)(f.n_msgs + 1) * sizeof(*digests));
+    order = PyMem_Malloc((size_t)(f.n_msgs + 1) * sizeof(*order));
+    rows = PyMem_Malloc((size_t)(f.n_recs + 1) * BLOCK_ROW);
+    if (digests == NULL || order == NULL || rows == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    sha256d_batch(f.msgs, (size_t)f.n_msgs, digests, order);
+    for (; r < f.n_recs; r++) {
+        if (!apply_record(table, data, &f.recs[r], f.msgs, (const u8 (*)[32])digests, height + r,
+                          tip, subsidy, &minted, &fees, rows + r * BLOCK_ROW)) {
+            /* a refusal ends the walk; it is earlier than any framing fault */
             if (!PyErr_ExceptionMatches(PyExc_ValueError))
                 goto done;
             PyErr_Fetch(&type, &value, &trace);
             PyErr_NormalizeException(&type, &value, &trace);
-            refusal = PyObject_GetAttrString(value, "args");
+            Py_XSETREF(f.refusal, PyObject_GetAttrString(value, "args"));
             Py_XDECREF(type);
             Py_XDECREF(value);
             Py_XDECREF(trace);
             break;
         }
-        appended = PyList_Append(blocks, block);
-        Py_DECREF(block);
-        if (appended < 0)
-            goto done;
-        at += 4 + length;
-        tip = data + at - 32; /* the hash of the record just applied */
+        tip = data + f.recs[r].at + f.recs[r].size - 32; /* the hash of the record just applied */
     }
-    if (!PyErr_Occurred()) /* building or reading the refusal can fail */
-        result = Py_BuildValue("(OO)", blocks, refusal ? refusal : Py_None);
+    if (PyErr_Occurred()) /* building or reading a refusal can fail */
+        goto done;
+    if ((mint = u128_to_long(minted)) != NULL && (fee = u128_to_long(fees)) != NULL &&
+        (issued = PyNumber_Subtract(mint, fee)) != NULL)
+        result = Py_BuildValue("(y#OO)", (const char *)rows, r * BLOCK_ROW, issued,
+                               f.refusal ? f.refusal : Py_None);
 done:
-    Py_XDECREF(blocks);
-    Py_XDECREF(refusal);
+    Py_XDECREF(mint);
+    Py_XDECREF(fee);
+    Py_XDECREF(issued);
+    Py_XDECREF(f.refusal);
+    PyMem_Free(f.recs);
+    PyMem_Free(f.msgs);
+    PyMem_Free(digests);
+    PyMem_Free(order);
+    PyMem_Free(rows);
     PyBuffer_Release(&buf);
     PyBuffer_Release(&prev);
     return result;
 }
 
 PyDoc_STRVAR(connect_records_doc,
-"connect_records(table, data, height, prev_hash) -> (blocks, refusal)\n\n"
+"connect_records(table, data, height, prev_hash, subsidy) -> (rows, issued, refusal)\n\n"
 "Apply each block record of data, a file of records each framed by its\n"
 "4-byte big-endian length, in file order to a UtxoTable straight from its\n"
-"bytes, the first at height after prev_hash. Before the table is touched it\n"
-"is reserved once for every output of the records that frame, so it does\n"
-"not regrow during the walk.\n\n"
-"Before a record touches the table, it must frame (a header, every count\n"
-"within the bytes left, the 32-byte hash last), its stored hash must be\n"
-"sha256d of the bytes before it, its header must give its height and the\n"
-"previous record's hash, and transaction 0 must be a coinbase: one input,\n"
-"which spends the null outpoint. Each transaction's txid is then hashed.\n"
-"Unless it is the coinbase, each input removes the output its (prev_txid,\n"
-"vout) outpoint names, which must be present and pay the input's address,\n"
-"and the inputs must sum to the outputs plus the fee. Its outputs then go in\n"
-"under (txid, vout), in order, so a later transaction may spend them.\n\n"
-"blocks holds (timestamp, block_hash, fees, minted, coinbase_txid, start,\n"
-"end) per record applied, data[start:end] being its bytes, minted what the\n"
-"coinbase pays and fees the sum of the other transactions' fees. The walk\n"
-"stops at the first record refused; refusal is then the reason, else None:\n"
-"('length',) for a length prefix cut short, ('extent',) for a record that\n"
-"runs past the data, ('truncated', text), ('trailing',), ('hash' |\n"
-"'height' | 'chain' | 'coinbase', the record's height), or ('spent' |\n"
-"'address' | 'balance', position, index), index -1 for the balance. The\n"
-"table keeps what was applied before a refusal; an output whose address did\n"
-"not match is spent all the same.");
+"bytes, the first at height after prev_hash. One walk frames every record\n"
+"(a header, every count within the bytes left, the 32-byte hash last) up\n"
+"to the first that does not; the table is then reserved once for their\n"
+"outputs, and every record and transaction is hashed (sha256d) in one\n"
+"batch, in 16 AVX-512 lanes when the CPU has them and the batch fills them.\n\n"
+"Then, record by record: its stored hash must be sha256d of the bytes\n"
+"before it, its header must give its height and the previous record's\n"
+"hash, and transaction 0 must be a coinbase: one input, which spends the\n"
+"null outpoint. Unless it is the coinbase, each transaction's inputs remove\n"
+"the outputs their (prev_txid, vout) outpoints name, which must be present\n"
+"and pay the input's address, and must sum to its outputs plus its fee. Its\n"
+"outputs then go in under (txid, vout), in order, so a later transaction\n"
+"may spend them. Above height 0, the coinbase may pay at most subsidy plus\n"
+"the block's fees.\n\n"
+"rows holds one 88-byte row per record applied: timestamp u64, block hash,\n"
+"coinbase txid, and start and end u64 (data[start:end] is its record),\n"
+"integers big-endian. issued is what the coinbases minted less the fees,\n"
+"summed. The walk stops at the first record refused; refusal is then the\n"
+"reason, else None: ('length',) for a length prefix cut short, ('extent',)\n"
+"for a record that runs past the data, ('truncated', text), ('trailing',),\n"
+"('hash' | 'height' | 'chain' | 'coinbase', the record's height),\n"
+"('spent' | 'address' | 'balance', position, index), index -1 for the\n"
+"balance, or ('cap', height, minted, subsidy plus fees). Of several faults\n"
+"the first in file order is the one returned. The table keeps what was\n"
+"applied before a refusal, the refused block's transactions before the\n"
+"cap; an output whose address did not match is spent all the same.");
 
 /* The 36 outpoint bytes of key, a (txid, vout) tuple, in op; 0 when key is
  * no outpoint a table can hold. */
@@ -2516,6 +3049,30 @@ static double derive_lane_ns(comb_fn *comb, scan_work *work, long batches)
 }
 
 #if defined(__x86_64__)
+/* ns per block per lane of x16_compress, over 16 blocks in a dependent chain */
+X16 static double x16_block_ns(long iters)
+{
+    u8 blocks[X16_LANES][64];
+    u32 state[8][X16_LANES] __attribute__((aligned(64)));
+    const u8 *at[X16_LANES];
+    double t0;
+    long i;
+    int l;
+    memset(blocks, 0x42, sizeof(blocks));
+    memset(state, 0, sizeof(state));
+    for (l = 0; l < X16_LANES; l++)
+        at[l] = blocks[l];
+    t0 = now_ns();
+    for (i = 0; i < iters; i++) {
+        x16_compress(state, at);
+        blocks[i % X16_LANES][0] = (u8)state[0][i % X16_LANES];
+    }
+    t0 = (now_ns() - t0) / ((double)iters * X16_LANES);
+    sink = state[7][0];
+    _mm256_zeroupper();
+    return t0;
+}
+
 /* ns per fe8_mul (8 lanes) in a dependent chain */
 IFMA static double fe8_mul_ns(long iters)
 {
@@ -2546,7 +3103,7 @@ static PyObject *py_microbench(PyObject *self, PyObject *args)
     u8 msg[41], h[32];
     jpt pt;
     double t0, fe_mul_ns, jpt_add_ns, fe_inv_ns, sha256_ns, ripemd_ns, portable_ns,
-        ifma_ns = 0, fe_mul8_ns = 0;
+        ifma_ns = 0, fe_mul8_ns = 0, x16_ns = 0;
     long batches;
     scan_work *work;
     if (!PyArg_ParseTuple(args, "l:_microbench", &iters))
@@ -2590,22 +3147,26 @@ static PyObject *py_microbench(PyObject *self, PyObject *args)
         ifma_ns = derive_lane_ns(comb_ifma, work, batches);
         fe_mul8_ns = fe8_mul_ns(iters);
     }
+    if (x16_ok)
+        x16_ns = x16_block_ns(iters / 10);
 #endif
     Py_END_ALLOW_THREADS
     PyMem_RawFree(work);
-    return Py_BuildValue("{sdsdsdsdsdsdsdsd}", "fe_mul_ns", fe_mul_ns, "jpt_add_ns", jpt_add_ns,
-                         "fe_inv_ns", fe_inv_ns, "sha256_ns", sha256_ns,
-                         "ripemd_ns", ripemd_ns, "derive_portable_ns", portable_ns,
-                         "derive_ifma_ns", ifma_ns, "fe_mul8_ns", fe_mul8_ns);
+    return Py_BuildValue("{sdsdsdsdsdsdsdsdsd}", "fe_mul_ns", fe_mul_ns,
+                         "jpt_add_ns", jpt_add_ns, "fe_inv_ns", fe_inv_ns,
+                         "sha256_ns", sha256_ns, "ripemd_ns", ripemd_ns,
+                         "derive_portable_ns", portable_ns, "derive_ifma_ns", ifma_ns,
+                         "fe_mul8_ns", fe_mul8_ns, "sha256_x16_ns", x16_ns);
 }
 
 PyDoc_STRVAR(microbench_doc,
 "_microbench(iters) -> dict\n\n"
 "Per-operation timings in ns (fe_mul, jpt_add, fe_inv, sha256, ripemd) for\n"
 "the benchmark's layer rows; per derivation over 256-lane batches on each\n"
-"comb path (derive_portable_ns, derive_ifma_ns); and one 8-lane multiply of\n"
-"the IFMA path (fe_mul8_ns). The IFMA rows are 0 on a CPU without it. Not\n"
-"part of the API.");
+"comb path (derive_portable_ns, derive_ifma_ns); one 8-lane multiply of\n"
+"the IFMA path (fe_mul8_ns); and one 16-lane SHA-256 compression per block\n"
+"and lane (sha256_x16_ns). The IFMA rows are 0 on a CPU without it, and\n"
+"sha256_x16_ns on one without AVX-512 F. Not part of the API.");
 
 static PyObject *py_derived(PyObject *self, PyObject *args)
 {
@@ -2641,6 +3202,48 @@ PyDoc_STRVAR(comb_path_doc,
 "name, switches to that comb for later scans and returns the previous one;\n"
 "not part of the API.");
 
+static PyObject *py_hash_path(PyObject *self, PyObject *args)
+{
+    const char *name = NULL, *was = hash_x16 ? "x16" : "portable";
+#if defined(__x86_64__) || defined(__i386__)
+    if (!hash_x16 && sha256_compress == sha256_compress_shani)
+        was = "shani";
+#endif
+    if (!PyArg_ParseTuple(args, "|s:_hash_path", &name))
+        return NULL;
+    if (name == NULL)
+        return PyUnicode_FromString(was);
+    if (strcmp(name, "portable") == 0) {
+        hash_x16 = 0;
+        sha256_compress = sha256_compress_portable;
+    }
+#if defined(__x86_64__) || defined(__i386__)
+    else if (strcmp(name, "shani") == 0 && sha_ni_ok) {
+        hash_x16 = 0;
+        sha256_compress = sha256_compress_shani;
+    }
+#endif
+#if defined(__x86_64__)
+    else if (strcmp(name, "x16") == 0 && x16_ok) {
+        hash_x16 = 1;
+        sha256_compress = sha_ni_ok ? sha256_compress_shani : sha256_compress_portable;
+    }
+#endif
+    else if (strcmp(name, "x16") == 0 || strcmp(name, "shani") == 0)
+        return PyErr_Format(PyExc_ValueError, "this CPU has no %s path", name);
+    else
+        return PyErr_Format(PyExc_ValueError, "unknown hash path %s", name);
+    return PyUnicode_FromString(was);
+}
+
+PyDoc_STRVAR(hash_path_doc,
+"_hash_path([name]) -> str\n\n"
+"The SHA-256 path: 'x16' (connect_records hashes a batch that fills them in\n"
+"16 AVX-512 lanes, and all else on SHA-NI where the CPU has it), 'shani'\n"
+"(every hash on SHA-NI) or 'portable' (every hash in portable C). Import\n"
+"chooses the fastest the CPU has. With a name, switches to that path and\n"
+"returns the previous one; not part of the API.");
+
 static PyObject *py_upper_state(PyObject *self, PyObject *args)
 {
     u64 bits = 0;
@@ -2669,6 +3272,7 @@ PyDoc_STRVAR(upper_state_doc,
 static PyMethodDef kernel_methods[] = {
     {"derive_digest", py_derive_digest, METH_VARARGS, derive_digest_doc},
     {"mult_g", py_mult_g, METH_O, mult_g_doc},
+    {"decompress", py_decompress, METH_O, decompress_doc},
     {"grind_scan", (PyCFunction)(void (*)(void))py_grind_scan, METH_VARARGS | METH_KEYWORDS,
      grind_scan_doc},
     {"parse_transactions", py_parse_transactions, METH_VARARGS, parse_transactions_doc},
@@ -2676,6 +3280,7 @@ static PyMethodDef kernel_methods[] = {
     {"_microbench", py_microbench, METH_VARARGS, microbench_doc},
     {"_derived", py_derived, METH_NOARGS, derived_doc},
     {"_comb_path", py_comb_path, METH_VARARGS, comb_path_doc},
+    {"_hash_path", py_hash_path, METH_VARARGS, hash_path_doc},
     {"_upper_state", py_upper_state, METH_NOARGS, upper_state_doc},
     {NULL, NULL, 0, NULL},
 };
@@ -2695,7 +3300,7 @@ PyMODINIT_FUNC PyInit__kernel(void)
     PyObject *os, *module;
     if (failed != NULL)
         return PyErr_Format(PyExc_RuntimeError,
-                            "chainsteg._kernel: %s SHA-256 failed its known-answer test", failed);
+                            "chainsteg._kernel: the %s failed its known-answer test", failed);
     if ((NAME_INPUTS = PyUnicode_InternFromString("inputs")) == NULL ||
         (NAME_OUTPUTS = PyUnicode_InternFromString("outputs")) == NULL ||
         (NAME_FEE = PyUnicode_InternFromString("fee")) == NULL ||

@@ -2,13 +2,14 @@
 
 Both backends implement the same calls used on hot paths: derive_digest
 and grind_scan for grinding, parse_transactions for reading transactions,
-utxo_table and connect_records for applying blocks, and mult_g for
-checking a private key. The observable contract is identical: grind_scan
-gives each target the smallest matching counter not taken by an earlier
-target, parse_transactions builds the same rows, fields and txids, mult_g
-gives ec.mult_g's point, and connect_records leaves the same unspent
-outputs in the table and stops at the same record for the same reason, so
-results never depend on which backend ran.
+utxo_table and connect_records for applying blocks, mult_g for checking a
+private key and decompress for reading a public one. The observable
+contract is identical: grind_scan gives each target the smallest matching
+counter not taken by an earlier target, parse_transactions builds the same
+rows, fields and txids, mult_g and decompress give ec.mult_g's and
+ec.decompress's point or ValueError text, and connect_records leaves the
+same unspent outputs in the table and returns the same rows and refusal,
+so results never depend on which backend ran.
 
 utxo_table(row_type) makes an empty UTXO table. Only connect_records fills
 it; get(outpoint) returns the row_type row (field, amount, kind) that a
@@ -18,36 +19,42 @@ iterated. The kernel's table keeps each output as a fixed-size entry of one
 array and builds the row on read, so no Python object exists per unspent
 output; PureBackend's is a dict of rows behind the same calls.
 
-connect_records(table, data, height, prev_hash) is the one apply contract:
-every block, whether the ledger created, mined or loaded it, is applied
-from its record bytes, and no transaction is built for it. data is a
-chain file's records, each framed by its 4-byte big-endian length (a
-created or mined block is one such record), applied in file order, the
-first at `height` after `prev_hash`. It returns (blocks, refusal): one
-(timestamp, block_hash, fees, minted, coinbase_txid, start, end) per block
-applied, data[start:end] being its record, fees the non-coinbase fees and
-minted what the coinbase pays; and None, or the args of the refusal of the
-first record it does not apply, where it stops. A length prefix cut short
-is ("length",), a record that runs past the data ("extent",). Before a
-record touches the table it checks the record's framing and every count,
-its stored hash (sha256d of the bytes before it), that its header gives
-its height and the previous record's hash, and that transaction 0 is a
-coinbase: one input, which spends the null outpoint. A refusal there is
-("truncated", text), ("trailing",) or ("hash" | "height" | "chain" |
-"coinbase", the record's height). It then applies the transactions in
-order. Each one after the coinbase removes the output that each of its
-inputs names, which must be present and pay the input's address, and must
-balance its inputs with its outputs plus its fee; each one's outputs then
-go in under (txid, vout), so a later one may spend them. A broken rule is
-(reason, position, index) with reason "spent", "address" or "balance"
-(index -1), with what came before it applied; an output whose address did
-not match is spent all the same. The ledger checks each block's coinbase
-cap in order, then turns the refusal into its CorruptChain text, so the
-first fault in file order is the one reported. The kernel reserves the
-table once, for every output of the records that frame, so a load never
-regrows it, and walks each record once to check and once to apply;
-PureBackend parses each record with parse_transactions and applies the
-rows.
+connect_records(table, data, height, prev_hash, subsidy) is the one
+apply contract, and the one place the block rules are checked: every
+block, whether the ledger created, mined or loaded it, is applied from its
+record bytes, and no transaction is built for it. data is a chain file's
+records, each framed by its 4-byte big-endian length (a created or mined
+block is one such record), applied in file order, the first at `height`
+after `prev_hash`. It returns (rows, issued, refusal). rows holds one
+fixed-width _BLOCK_ROW per block applied: its timestamp, block hash and
+coinbase txid, and the start and end of its record in data. issued is what
+the applied blocks issue, their coinbases' pay less their fees, summed.
+refusal is None, or the args of the refusal of the first record it does
+not apply, where it stops. A length prefix cut short is ("length",), a
+record that runs past the data ("extent",). Before a record touches the
+table it checks the record's framing and every count, its stored hash
+(sha256d of the bytes before it), that its header gives its height and the
+previous record's hash, and that transaction 0 is a coinbase: one input,
+which spends the null outpoint. A refusal there is ("truncated", text),
+("trailing",) or ("hash" | "height" | "chain" | "coinbase", the record's
+height). It then applies the transactions in order. Each one after the
+coinbase removes the output that each of its inputs names, which must be
+present and pay the input's address, and must balance its inputs with its
+outputs plus its fee; each one's outputs then go in under (txid, vout), so
+a later one may spend them. A broken rule is (reason, position, index)
+with reason "spent", "address" or "balance" (index -1), with what came
+before it applied; an output whose address did not match is spent all the
+same. Last, above height 0 the coinbase may pay at most `subsidy` plus the
+block's fees, else ("cap", height, minted, subsidy + fees). Of several
+faults the first in file order is the one returned, and the ledger turns
+it into its CorruptChain text.
+
+The kernel frames every record of the file in one walk, reserves the table
+once for their outputs, so a load never regrows it, and hashes every record
+and transaction in one batch: in 16 AVX-512 lanes on a CPU that has them,
+when the batch keeps them busy (a load), and on the one SHA-NI or portable
+stream otherwise (a created or mined block). PureBackend parses each
+record with parse_transactions and applies the rows.
 
 A loaded block's transactions, parsed when first read, hold tens of
 thousands of rows of bytes and ints, which can be in no reference cycle:
@@ -72,11 +79,13 @@ none of them a second time.
 The compiled kernel picks its batch path once, at import: on a CPU with
 AVX-512 F and IFMA it adds 8 lanes at a time in 5x52-bit limbs, after
 known-answer tests against its portable 4x64 path, which every other CPU
-runs. A failed test raises RuntimeError on import. No option or setting
-chooses the path, and results are the same on both. A derivation in a
-256-lane batch takes 1.7 us of CPU time on the IFMA path and 6.2 us on the
-portable one, and a single derive_digest 12.5 us (2-vCPU Xeon VM;
-BENCH_18.json).
+runs. It picks its SHA-256 the same way: SHA-NI where the CPU has it, and
+16 AVX-512 F lanes for connect_records' batches where it has that, each
+after a known-answer test. A failed test raises RuntimeError on import. No
+option or setting chooses a path, and results are the same on all. A
+derivation in a 256-lane batch takes 1.7 us of CPU time on the IFMA path
+and 6.2 us on the portable one, and a single derive_digest 12.5 us (2-vCPU
+Xeon VM; BENCH_18.json).
 """
 
 from __future__ import annotations
@@ -103,6 +112,10 @@ _BLOCK_HEAD = struct.Struct(">Q32sQI")  # height, prev_hash, timestamp, tx_count
 _INPUT = struct.Struct(">32sI20s")  # prev_txid, vout, address
 _OUTPUT = struct.Struct(">20sBQ")  # field, kind, amount
 _TX_MIN = 16  # both counts and the fee
+# connect_records' row per block applied: timestamp, block_hash, coinbase
+# txid, and the start and end of its record in the file. New fields go at
+# the end.
+_BLOCK_ROW = struct.Struct(">Q32s32sQQ")
 _output_order = operator.itemgetter(0, 2, 1)  # wire (field, kind, amount) -> row
 _amount = operator.itemgetter(1)  # an output row's amount
 _NULL32 = bytes(32)
@@ -241,12 +254,14 @@ class PureBackend:
 
     utxo_table = _UtxoDict
     mult_g = staticmethod(ec.mult_g)
+    decompress = staticmethod(ec.decompress)
 
-    def connect_records(self, utxos, data, height, prev_hash):
+    def connect_records(self, utxos, data, height, prev_hash, subsidy):
         """Apply the framed block records of `data` in file order (the
         contract is in the module docstring) through _connect_record; stop
-        at the first refusal and return it with what was applied."""
-        blocks, at, size = [], 0, len(data)
+        at the first refusal and return it with the rows of what was
+        applied."""
+        rows, issued, at, size = [], 0, 0, len(data)
         try:
             while at < size:
                 if size - at < 4:
@@ -255,13 +270,17 @@ class PureBackend:
                 start, at = at + 4, at + 4 + length
                 if at > size:
                     raise ValueError("extent")
-                block = self._connect_record(utxos, data[start:at], height + len(blocks),
-                                             prev_hash)
-                blocks.append((*block, start, at))
-                prev_hash = block[1]
+                at_height = height + len(rows)
+                timestamp, block_hash, fees, minted, coinbase = self._connect_record(
+                    utxos, data[start:at], at_height, prev_hash)
+                if at_height and minted > subsidy + fees:
+                    raise ValueError("cap", at_height, minted, subsidy + fees)
+                issued += minted - fees
+                rows.append(_BLOCK_ROW.pack(timestamp, block_hash, coinbase, start, at))
+                prev_hash = block_hash
         except ValueError as exc:
-            return blocks, exc.args
-        return blocks, None
+            return b"".join(rows), issued, exc.args
+        return b"".join(rows), issued, None
 
     def _connect_record(self, utxos, record, height, prev_hash):
         """Apply one block record: parse_transactions, the record checks,
@@ -324,6 +343,7 @@ try:
         parse_transactions = staticmethod(_kernel.parse_transactions)
         utxo_table = _kernel.UtxoTable
         connect_records = staticmethod(_kernel.connect_records)
+        decompress = staticmethod(_kernel.decompress)
 
         def mult_g(self, scalar):
             return _kernel.mult_g(scalar % ec.Q)

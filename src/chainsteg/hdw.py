@@ -121,7 +121,7 @@ def read_key_file(path) -> KeyMaterial:
             name, _, value = line.partition(":")
             fields[name.strip()] = value.strip()
         k = bytes.fromhex(fields["k"])
-        gy = ec.decompress(bytes.fromhex(fields["gy"]))
+        gy = backend.get().decompress(bytes.fromhex(fields["gy"]))
         y = int.from_bytes(bytes.fromhex(fields["y"]), "big") if "y" in fields else None
     except (KeyError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise ValidationError(f"malformed key file: {exc}") from exc

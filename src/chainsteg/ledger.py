@@ -22,22 +22,31 @@ txid is sha256d of the transaction's own slice of the record, and a record
 is checked against its stored hash as sha256d of the record bytes before
 the hash.
 
-Loading builds no transaction. The whole file goes through
+Loading builds no transaction and no block. The whole file goes through
 `Ledger._connect` in one call of the backend's `connect_records` (the C
 kernel when it is built, else the pure-Python loop), as every created or
-mined block does as a file of one record. It splits the records, checks
-each one's framing and every count, the stored hash, the height and the
-hash chain, and then applies the block rules below straight from the bytes
-to the ledger's UTXO table, reserved once for every output in the file.
-The kernel's table keeps each unspent output as a fixed-size entry, not as
-Python objects, and `Ledger.utxo` builds its row only when it is read. A
-loaded block keeps its record and parses its transactions from it
-(`parse_transactions`) only when they are first read: by `input_index` from
-a receiver's cursor on, by `export_text` or `stat_suite`, or to name the
-transaction that broke a rule. A truncated
-record, trailing bytes, a count that runs past the record, a cut length
-prefix, a record past the end of the file and a failed hash check all raise
-CorruptChain; of several faults, the first in file order.
+mined block does as a file of one record. In one walk it frames the
+records, checking each one's framing and every count; it hashes every
+record and transaction (in 16 AVX-512 lanes in the kernel, where the CPU
+has them); then for each record it checks the stored hash, the height and
+the hash chain, applies the block rules below straight from the bytes to
+the ledger's UTXO table, reserved once for every output in the file, and
+checks the coinbase cap. It returns a fixed-width row per block (its
+timestamp, hash, coinbase txid and record extent) and what the blocks
+issue; the only Python pass over the rows rebuilds the decoy pool from the
+coinbase txids. The kernel's table keeps each unspent
+output as a fixed-size entry, not as Python objects, and `Ledger.utxo`
+builds its row only when it is read. The ledger keeps the file's bytes
+once, with the rows, and `Ledger.blocks` makes a loaded block's Block only
+when it is read: a mine reads the tip, a scan the blocks from its cursor
+on, and a save to another file writes the records without making any. A
+loaded block parses its transactions from its record
+(`parse_transactions`) only when they are first read: by `input_index`
+from a receiver's cursor on, by `export_text` or `stat_suite`, or to name
+the transaction that broke a rule. A truncated record, trailing bytes, a
+count that runs past the record, a cut length prefix, a record past the
+end of the file and a failed hash check all raise CorruptChain; of several
+faults, the first in file order.
 Mempool sidecar records are parsed at once, since each is submitted again.
 
 A sealed or loaded block keeps its wire bytes: `save` writes them, and
@@ -52,9 +61,9 @@ Block rules, checked on one path whether a block was created, mined or
 loaded (a block that breaks one raises CorruptChain, with the same text on
 each path). A block made in this process is sealed, so it has its record
 bytes too, and `Ledger._connect` applies every block from them through the
-backend's `connect_records`. That reports which rule a transaction broke,
-and the ledger checks the coinbase cap from the fees and the amount the
-coinbase mints:
+backend's `connect_records`, the one module that checks the rules. It
+reports which rule a transaction broke, or that a coinbase passed its cap,
+and the ledger turns that into its text:
 - coinbase first: transaction 0 is the coinbase, whose one input spends the
   null outpoint, and no other transaction spends a null outpoint;
 - spends known and unspent: every other input spends an output that exists
@@ -76,7 +85,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import backend
-from .backend import _BLOCK_HEAD, _INPUT, _OUTPUT, _U32, _U64
+from .backend import _BLOCK_HEAD, _BLOCK_ROW, _INPUT, _OUTPUT, _U32, _U64
 from .errors import CorruptChain, Rejected
 from .files import write_atomic
 from .hashes import sha256d
@@ -110,6 +119,7 @@ _FAULTS = {
     "height": "unexpected height {}",
     "chain": "block {} breaks the hash chain",
     "coinbase": "block {} does not start with a coinbase",
+    "cap": "block {} coinbase pays {}, more than subsidy plus fees ({})",
 }
 
 
@@ -275,6 +285,69 @@ class Block:
         return self.body_bytes() + self.block_hash
 
 
+class _Chain:
+    """`Ledger.blocks`: the chain's blocks, read as a list of Block. A load
+    keeps the chain file's bytes and the row connect_records returned for
+    each block, and makes a loaded block's Block from them only when it is
+    read: a mine reads the tip, a scan the blocks from its cursor on.
+    Blocks created or mined here are appended as they are. A block may be
+    assigned over, as a list item can."""
+
+    __slots__ = ("_blocks", "_data", "_rows", "_replaced")
+
+    def __init__(self):
+        self._blocks: list[Block | None] = []  # None: loaded, not read yet
+        self._data = b""  # the chain file the loaded blocks came from
+        self._rows = b""  # their connect_records rows
+        self._replaced = False  # whether a block was assigned over
+
+    def load(self, data: bytes, rows: bytes) -> None:
+        """Take the first blocks, those that connect_records applied from
+        the chain file `data` with these rows."""
+        self._data, self._rows = data, rows
+        self._blocks = [None] * (len(rows) // _BLOCK_ROW.size)
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._blocks)))]
+        return self._blocks[index] or self._read(index % len(self._blocks))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._blocks)))
+
+    def __setitem__(self, index: int, block: Block) -> None:
+        self._blocks[index] = block
+        self._replaced = True
+
+    def append(self, block: Block) -> None:
+        self._blocks.append(block)
+
+    def _read(self, height: int) -> Block:
+        timestamp, block_hash, _, start, end = _BLOCK_ROW.unpack_from(
+            self._rows, height * _BLOCK_ROW.size)
+        wire = self._data[start:end]
+        block = self._blocks[height] = Block._loaded(wire, height, wire[8:40], timestamp,
+                                                     block_hash)
+        return block
+
+    def records(self, start: int) -> bytes:
+        """The framed records of the blocks from `start` on, as a chain file
+        holds them. Loaded blocks, unless one was assigned over, are one
+        slice of the file they came from, so no Block is made for them."""
+        loaded = len(self._rows) // _BLOCK_ROW.size
+        parts = []
+        if start < loaded and not self._replaced:
+            first = _BLOCK_ROW.unpack_from(self._rows, start * _BLOCK_ROW.size)[3] - 4
+            end = _BLOCK_ROW.unpack_from(self._rows, len(self._rows) - _BLOCK_ROW.size)[4]
+            parts.append(self._data[first:end])
+            start = loaded
+        parts += [_record(vars(b).get("_wire") or b.serialize()) for b in self[start:]]
+        return b"".join(parts)
+
+
 def _record_error(data: bytes, at: int, height: int, reason: str, *details) -> str:
     """The CorruptChain text for the refusal of the record at offset `at` of
     the framed records `data`, at `height`; a broken transaction rule parses
@@ -323,7 +396,7 @@ class Ledger:
     """Single-writer chain state; reads of confirmed data are pure."""
 
     def __init__(self):
-        self.blocks: list[Block] = []
+        self.blocks = _Chain()
         self.mempool: list[StegoTransaction] = []
         self._mempool_ids: set[bytes] = set()
         self._mempool_outputs: dict[tuple[bytes, int], TxOutput] = {}
@@ -356,7 +429,7 @@ class Ledger:
             fee=0,
         )
         block = Block.seal(0, _NULL32, _GENESIS_TIME, (coinbase,))
-        ledger._pool.append((ledger._connect(block)[0], 0))
+        ledger._pool.append((_BLOCK_ROW.unpack(ledger._connect(block))[2], 0))
         return ledger
 
     # -- submission --------------------------------------------------------
@@ -460,7 +533,7 @@ class Ledger:
             _GENESIS_TIME + 600 * height,
             (coinbase, *txs),
         )
-        self._pool.append((self._connect(block)[0], 0))
+        self._pool.append((_BLOCK_ROW.unpack(self._connect(block))[2], 0))
         self._pool.extend(decoy_change)
         self.mempool.clear()
         self._mempool_ids.clear()
@@ -493,36 +566,32 @@ class Ledger:
                 raise Rejected("dependency cycle in mempool")
         return placed
 
-    def _connect(self, chain: Block | bytes) -> list[bytes]:
+    def _connect(self, chain: Block | bytes) -> bytes:
         """Apply the next blocks, a sealed Block or the framed records of a
-        chain file, in one call to the backend's `connect_records`, a sealed
-        block as its one record; check each coinbase cap in order, count
-        what each block issues and append it; returns their coinbases'
-        txids. The backend applies each block transaction by transaction,
-        spends before creations, so a transaction may spend an earlier one
-        of the same block, and stops at the first record it refuses, whose
-        fault is raised after the caps of the blocks before it. The block
-        rules are in the module docstring."""
+        chain file (a load, into an empty ledger), in one call to the
+        backend's `connect_records`, a sealed block as its one record;
+        count what they issue and append them. Returns their rows. The
+        backend applies each block transaction by transaction, spends
+        before creations, so a transaction may spend an earlier one of the
+        same block, checks each coinbase cap, and stops at the first record
+        it refuses, whose fault is raised here. The block rules are in the
+        module docstring."""
         sealed = chain if isinstance(chain, Block) else None
         data = _record(vars(sealed)["_wire"]) if sealed else chain
         height = len(self.blocks)
-        prev_hash = self.blocks[-1].block_hash if self.blocks else _NULL32
-        connected, refusal = self._backend.connect_records(self._utxos, data, height, prev_hash)
-        coinbases, end = [], 0
-        for timestamp, block_hash, fees, minted, coinbase, start, end in connected:
-            if height and minted > BLOCK_SUBSIDY + fees:
-                raise CorruptChain(
-                    f"block {height} coinbase pays {minted}, more than "
-                    f"subsidy plus fees ({BLOCK_SUBSIDY + fees})"
-                )
-            self._issued += minted - fees
-            self.blocks.append(sealed or Block._loaded(data[start:end], height, prev_hash,
-                                                       timestamp, block_hash))
-            coinbases.append(coinbase)
-            height, prev_hash = height + 1, block_hash
+        prev_hash = self.blocks[-1].block_hash if height else _NULL32
+        rows, issued, refusal = self._backend.connect_records(self._utxos, data, height,
+                                                              prev_hash, BLOCK_SUBSIDY)
+        self._issued += issued
+        if sealed is None:
+            self.blocks.load(data, rows)
+        elif rows:
+            self.blocks.append(sealed)
         if refusal is not None:
-            raise CorruptChain(_record_error(data, end, height, *refusal))
-        return coinbases
+            applied = len(rows) // _BLOCK_ROW.size
+            at = _BLOCK_ROW.unpack_from(rows, len(rows) - _BLOCK_ROW.size)[4] if rows else 0
+            raise CorruptChain(_record_error(data, at, height + applied, *refusal))
+        return rows
 
     # -- reading -----------------------------------------------------------
 
@@ -562,8 +631,7 @@ class Ledger:
         """
         target = os.path.realpath(path)
         append = target == self._saved_to
-        data = b"".join(_record(vars(b).get("_wire") or b.serialize())
-                        for b in self.blocks[self._persisted_blocks if append else 0 :])
+        data = self.blocks.records(self._persisted_blocks if append else 0)
         if append:
             with open(path, "ab") as fh:
                 fh.write(data)
@@ -586,12 +654,13 @@ class Ledger:
         ledger = cls()
         with open(path, "rb") as fh:
             data = fh.read()
-        coinbases = ledger._connect(data)
+        rows = ledger._connect(data)
         if not ledger.blocks:
             raise CorruptChain("empty chain file")
         ledger._saved_to, ledger._persisted_blocks = os.path.realpath(path), len(ledger.blocks)
         # Rebuild the decoy pool conservatively: coinbase outputs still unspent.
-        ledger._pool = [(txid, 0) for txid in coinbases if (txid, 0) in ledger._utxos]
+        ledger._pool = [(row[2], 0) for row in _BLOCK_ROW.iter_unpack(rows)
+                        if (row[2], 0) in ledger._utxos]
         try:
             with open(f"{path}.mempool", "rb") as fh:
                 raw = fh.read()

@@ -380,7 +380,8 @@ class SessionState:
         try:
             if version == high.VERSION_ROTATE:
                 # k' || compressed g^y': decompress refuses any other length
-                new_km = KeyMaterial(k=plaintext[:32], gy=ec.decompress(plaintext[32:]))
+                new_km = KeyMaterial(k=plaintext[:32],
+                                     gy=backend.get().decompress(plaintext[32:]))
             else:
                 frame = json.loads(plaintext.decode())
                 new_cfg = medium.ChannelConfig.from_dict(frame["cfg"])
@@ -523,9 +524,8 @@ class SessionState:
     def _from_dict(cls, data: dict) -> "SessionState":
         def km_from(d: dict) -> KeyMaterial:
             y = int.from_bytes(bytes.fromhex(d["y"]), "big") if d["y"] else None
-            return KeyMaterial(
-                k=bytes.fromhex(d["k"]), gy=ec.decompress(bytes.fromhex(d["gy"])), y=y
-            )
+            gy = backend.get().decompress(bytes.fromhex(d["gy"]))
+            return KeyMaterial(k=bytes.fromhex(d["k"]), gy=gy, y=y)
 
         generations = []
         for gd in data["generations"]:

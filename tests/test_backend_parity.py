@@ -19,7 +19,7 @@ import oracles
 from chainsteg import Channel, ChannelConfig, Mode, NoiseProfile, backend, ec
 from chainsteg.errors import CorruptChain
 from chainsteg.hdw import DOMAIN_GRIND, KeyMaterial
-from chainsteg.ledger import Block, Ledger, StegoTransaction, TxInput, TxOutput
+from chainsteg.ledger import BLOCK_SUBSIDY, Block, Ledger, StegoTransaction, TxInput, TxOutput
 from chainsteg.session import SessionState
 
 needs_ext = pytest.mark.skipif(
@@ -28,29 +28,32 @@ needs_ext = pytest.mark.skipif(
 kernel = getattr(backend, "_kernel", None)
 
 
-def _cpu_has_ifma():
-    """Whether the CPU flags the OS reports include avx512f and avx512ifma;
-    None where /proc/cpuinfo cannot be read."""
+def _cpu_flags():
+    """The CPU flags the OS reports; None where /proc/cpuinfo cannot be
+    read."""
     try:
         with open("/proc/cpuinfo") as f:
-            flags = next((set(line.split(":", 1)[1].split()) for line in f
-                          if line.startswith("flags")), set())
+            return next((set(line.split(":", 1)[1].split()) for line in f
+                         if line.startswith("flags")), set())
     except OSError:
         return None
-    return {"avx512f", "avx512ifma"} <= flags
 
 
-HAS_IFMA = _cpu_has_ifma()
+_FLAGS = _cpu_flags()
+HAS_IFMA = None if _FLAGS is None else {"avx512f", "avx512ifma"} <= _FLAGS
+HAS_AVX512F = None if _FLAGS is None else "avx512f" in _FLAGS
+HAS_SHA_NI = None if _FLAGS is None else "sha_ni" in _FLAGS
 
 
 @pytest.fixture(autouse=True)
 def restore_backend():
     prev = backend.get()
-    path = kernel._comb_path() if kernel is not None else None
+    paths = (kernel._comb_path(), kernel._hash_path()) if kernel is not None else None
     yield
     backend.set_backend(prev.name)
-    if path is not None:
-        kernel._comb_path(path)
+    if paths is not None:
+        kernel._comb_path(paths[0])
+        kernel._hash_path(paths[1])
 
 
 @needs_ext
@@ -510,6 +513,35 @@ def test_comb_path_follows_cpu():
             kernel._comb_path("ifma")
 
 
+HASH_PATHS = {"x16": HAS_AVX512F, "shani": HAS_SHA_NI, "portable": True}
+
+
+def _hash_path_or_skip(path):
+    """Switch the kernel to SHA-256 path `path`, or skip where the CPU lacks
+    it or its flags are unknown."""
+    if not HASH_PATHS[path]:
+        pytest.skip(f"the CPU lacks the {path} SHA-256 path, or its flags are unknown")
+    kernel._hash_path(path)
+
+
+@needs_ext
+@pytest.mark.skipif(_FLAGS is None, reason="CPU flags unknown")
+def test_hash_path_follows_cpu():
+    """Import chooses the 16 AVX-512 lanes exactly where the CPU has
+    avx512f, else SHA-NI where it has sha_ni; the hook switches paths and
+    refuses unknown or missing ones."""
+    chosen = next(path for path, present in HASH_PATHS.items() if present)
+    assert kernel._hash_path() == chosen
+    assert kernel._hash_path("portable") == chosen
+    assert kernel._hash_path() == "portable"
+    with pytest.raises(ValueError):
+        kernel._hash_path("gpu")
+    for path, present in HASH_PATHS.items():
+        if not present:
+            with pytest.raises(ValueError):
+                kernel._hash_path(path)
+
+
 @needs_ext
 @pytest.mark.skipif(not HAS_IFMA, reason="the CPU lacks avx512f or avx512ifma, or its flags are unknown")
 def test_ifma_path_leaves_upper_vector_state_clean():
@@ -552,6 +584,8 @@ _SANITIZED_TESTS = [
     "tests/test_backend_parity.py::test_connect_parity_on_a_seeded_chain",
     "tests/test_backend_parity.py::test_load_parity_on_a_fuzzed_chain_file",
     "tests/test_backend_parity.py::test_mult_g_parity",
+    "tests/test_backend_parity.py::test_connect_records_match_pure_on_each_hash_path",
+    "tests/test_backend_parity.py::test_decompress_parity",
 ]
 
 
@@ -601,13 +635,16 @@ def test_kernel_is_clean_under_sanitizers(tmp_path):
 
 @needs_ext
 def test_microbench_times_each_comb_path():
-    """Every row is timed; the IFMA rows read 0 where that path is missing."""
+    """Every row is timed; the IFMA rows read 0 where that path is missing,
+    and the 16-lane SHA-256 row where the CPU lacks AVX-512 F."""
     timings = kernel._microbench(100)
     ifma = ("derive_ifma_ns", "fe_mul8_ns")
     assert set(timings) == {"fe_mul_ns", "jpt_add_ns", "fe_inv_ns", "sha256_ns", "ripemd_ns",
-                            "derive_portable_ns", *ifma}
+                            "derive_portable_ns", *ifma, "sha256_x16_ns"}
     for key, ns in timings.items():
-        assert ns > 0 if key not in ifma or kernel._comb_path() == "ifma" else ns == 0
+        present = {"sha256_x16_ns": kernel._hash_path() == "x16",
+                   **dict.fromkeys(ifma, kernel._comb_path() == "ifma")}.get(key, True)
+        assert ns > 0 if present else ns == 0
 
 
 def _random_transaction(rng):
@@ -709,11 +746,11 @@ def test_connect_parity():
         outcomes = []
         for be in (pure, ext):
             table = be.utxo_table(TxOutput)
-            got = be.connect_records(table, data, 0, bytes(32))
+            got = be.connect_records(table, data, 0, bytes(32), BLOCK_SUBSIDY)
             outcomes.append((got, _lookups(table, created), table.total()))
         assert outcomes[0] == outcomes[1]
-        blocks, refusal = outcomes[0][0]
-        assert len(blocks) == 2 - (refusal is not None)
+        rows, _, refusal = outcomes[0][0]
+        assert len(rows) == backend._BLOCK_ROW.size * (2 - (refusal is not None))
         broken += refusal is not None
     assert 40 < broken < 360
 
@@ -722,12 +759,14 @@ def _table_block(rng, height, model):
     """A block's transactions at `height` over the outpoints in `model`: a
     coinbase of up to 8 outputs, then up to 4 transactions that each spend up
     to 3 outputs, some made earlier in the block, into up to 4. A quarter of
-    the coinbase outputs pay 2^64 - 1."""
+    the coinbases pay one output of 2^64 - 1, the 2^64 - 1 subsidy the model
+    test applies them with, so no coinbase passes its cap."""
+    amounts = ([2**64 - 1] if rng.random() < 0.25 else
+               [rng.choice([1000, 2000, 3000]) for _ in range(rng.randint(1, 8))])
     coinbase = StegoTransaction(
         inputs=(TxInput(bytes(32), height, bytes(20)),),
-        outputs=tuple(TxOutput(rng.randbytes(20), rng.choice([2**64 - 1, 1000, 2000, 3000]),
-                               rng.randrange(256))
-                      for _ in range(rng.randint(1, 8))),
+        outputs=tuple(TxOutput(rng.randbytes(20), amount, rng.randrange(256))
+                      for amount in amounts),
         fee=0,
     )
     txs, unspent = [coinbase], dict(model)
@@ -771,8 +810,10 @@ def test_utxo_table_matches_a_dict_model(name, seed):
                     del model[inp.prev_txid, inp.vout]
                 made += [(tx.txid, vout) for vout in range(len(tx.outputs))]
                 model.update({(tx.txid, vout): out for vout, out in enumerate(tx.outputs)})
-        blocks, refusal = be.connect_records(table, chainfile.framed(records), first, tip)
-        assert refusal is None and [block[1] for block in blocks] == [r[-32:] for r in records]
+        rows, _, refusal = be.connect_records(table, chainfile.framed(records), first, tip,
+                                              2**64 - 1)
+        assert refusal is None
+        assert [row[1] for row in backend._BLOCK_ROW.iter_unpack(rows)] == [r[-32:] for r in records]
         asked = rng.sample(made, min(len(made), 20)) + [(rng.randbytes(32), rng.randrange(2**32))]
         assert _lookups(table, asked) == _lookups(model, asked)
     assert _lookups(table, made) == _lookups(model, made)
@@ -832,12 +873,14 @@ def _load_outcome(path):
 
 
 @needs_ext
-def test_load_parity_on_a_fuzzed_chain_file(tmp_path):
+@pytest.mark.parametrize("hash_path", list(HASH_PATHS))
+def test_load_parity_on_a_fuzzed_chain_file(tmp_path, hash_path):
     """Bytes flipped anywhere in a seeded chain file, length prefixes
     included, now and then with the hit record resealed so its
     transactions reach the block rules, and cuts at random offsets: both
     backends load the same blocks to the same state or raise the same
-    text."""
+    text, on each of the kernel's SHA-256 paths."""
+    _hash_path_or_skip(hash_path)
     path = tmp_path / "chain.bin"
     ledger = Ledger.create(genesis_allocations=[(b"\xaa" * 20, 10**9)])
     for seed in range(1, 7):
@@ -881,6 +924,117 @@ def test_load_parity_on_a_fuzzed_chain_file(tmp_path):
                  "failed hash re-verification", "spends", "does not balance",
                  "more than subsidy plus fees", "loaded all", "loaded a prefix"):
         assert want in texts, texts
+
+
+# (inputs, outputs) of the first transaction shapes whose wire length, 16 +
+# 56 inputs + 29 outputs, falls on each side of SHA-256's padding
+# boundaries: 55 and 56 bytes into a block (whether the length fits in the
+# last block) and 63, 64 and 65 (a whole block), at one to eight blocks
+_PADDING_SHAPES = sorted({
+    min((n_in, n_out) for n_in in range(1, 4) for n_out in range(1, 41)
+        if (16 + 56 * n_in + 29 * n_out) % 64 == residue)
+    for residue in (54, 55, 56, 57, 63, 0, 1)
+})
+
+
+def _padding_chain(n_records):
+    """n_records framed block records from height 0 whose transactions take
+    each of _PADDING_SHAPES in turn: a genesis that pays 300 outputs, then
+    blocks of a coinbase and one to three spends of the oldest unspent
+    outputs; and every outpoint they make."""
+    rng = random.Random(2727)
+    genesis = StegoTransaction((TxInput(bytes(32), 0, bytes(20)),),
+                               tuple(TxOutput(rng.randbytes(20), 10**9) for _ in range(300)), 0)
+    unspent = [((genesis.txid, vout), out) for vout, out in enumerate(genesis.outputs)]
+    blocks, made, shape = [Block.seal(0, bytes(32), 0, (genesis,))], list(unspent), 0
+    for height in range(1, n_records):
+        txs = [chainfile.coinbase(height, BLOCK_SUBSIDY + 1000)]  # at most the cap
+        for _ in range(1 + height % 3):
+            n_in, n_out = _PADDING_SHAPES[shape % len(_PADDING_SHAPES)]
+            shape += 1
+            spent, unspent = unspent[:n_in], unspent[n_in:]
+            share = (sum(out.amount for _, out in spent) - 1000) // n_out
+            tx = StegoTransaction(tuple(TxInput(*op, out.field) for op, out in spent),
+                                  tuple(TxOutput(rng.randbytes(20), share) for _ in range(n_out)),
+                                  sum(out.amount for _, out in spent) - share * n_out)
+            txs.append(tx)
+            unspent += [((tx.txid, vout), out) for vout, out in enumerate(tx.outputs)]
+        made += [((tx.txid, vout), out) for tx in txs for vout, out in enumerate(tx.outputs)]
+        blocks.append(Block.seal(height, blocks[-1].block_hash, 600 * height, txs))
+    lengths = {len(tx.serialize()) % 64 for block in blocks for tx in block.transactions[1:]}
+    assert n_records < 8 or lengths >= {54, 55, 56, 57, 63, 0, 1}
+    return chainfile.framed([block.serialize() for block in blocks]), [op for op, _ in made]
+
+
+@pytest.fixture(scope="module")
+def seeded_chain_file(km, tmp_path_factory):
+    """The file of _seeded_chain, mined once for the module."""
+    path = tmp_path_factory.mktemp("seeded") / "chain.bin"
+    _seeded_chain(km, path)
+    return path
+
+
+@needs_ext
+@pytest.mark.parametrize("hash_path", list(HASH_PATHS))
+def test_connect_records_match_pure_on_each_hash_path(seeded_chain_file, hash_path):
+    """On each of the kernel's SHA-256 paths, connect_records returns the
+    pure backend's rows, issued total and refusal, and leaves the same
+    table: on the seeded chain, on files of 1, 15, 16, 17 and 40 records
+    whose transactions cross the padding boundaries, and on those files
+    with one stored hash broken; a load then leaves the upper vector state
+    clean."""
+    _hash_path_or_skip(hash_path)
+    full, outpoints = _padding_chain(40)
+    ends = [0]
+    for record in chainfile.records(full):
+        ends.append(ends[-1] + 4 + len(record))
+    seeded = seeded_chain_file.read_bytes()
+    cases = [(seeded, chainfile.created_outpoints(Ledger.load(seeded_chain_file)))]
+    for n_records in (1, 15, 16, 17, 40):
+        data = full[:ends[n_records]]
+        broken = bytearray(data)
+        broken[ends[n_records] - 1] ^= 1  # the last record's stored hash
+        cases += [(data, outpoints), (bytes(broken), outpoints)]
+    pure, ext = backend.PureBackend(), backend.set_backend("ext")
+    for data, made in cases:
+        outcomes = []
+        for be in (pure, ext):
+            table = be.utxo_table(TxOutput)
+            got = be.connect_records(table, data, 0, bytes(32), BLOCK_SUBSIDY)
+            outcomes.append((got, _lookups(table, made), table.total()))
+        assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][2] == ("hash", 39)
+    Ledger.load(seeded_chain_file)
+    assert kernel._upper_state() == 0
+
+
+@needs_ext
+def test_decompress_parity():
+    """The kernel's decompress gives ec.decompress's point, or its
+    ValueError text: for points of both y parities, x at and above p, an x
+    whose x^3 + 7 is no square, bad prefix bytes, and lengths 0, 32 and
+    34."""
+    rng = random.Random(2828)
+    ext = backend.set_backend("ext")
+    points = [ec.mult_g(rng.randrange(1, ec.Q)) for _ in range(40)]
+    assert {pt[1] & 1 for pt in points} == {0, 1}
+    cases = [ec.compress(pt) for pt in points]
+    cases += [bytes([prefix]) + x.to_bytes(32, "big")
+              for prefix in (2, 3) for x in (ec.P, ec.P + 1, 2**256 - 1, ec.P - 1, 0, 5)]
+    cases += [bytes([prefix]) + cases[0][1:] for prefix in (0, 1, 4, 6, 0xFF)]
+    cases += [b"", cases[0][1:], cases[0] + b"\x00"]
+    errors = set()
+    for data in cases:
+        outcomes = []
+        for decompress in (ec.decompress, ext.decompress, backend.PureBackend().decompress):
+            try:
+                outcomes.append(decompress(data))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1] == outcomes[2], data.hex()
+        errors.add(outcomes[0] if isinstance(outcomes[0], str) else "point")
+    assert errors == {"point", "bad compressed point encoding", "x coordinate out of range",
+                      "point not on curve"}
 
 
 @needs_ext
@@ -927,9 +1081,12 @@ def test_loaded_rows_are_untracked_and_the_utxo_set_is_one_object(km, tmp_path):
 @needs_ext
 def test_a_load_keeps_little_memory_per_utxo(km, tmp_path):
     """What Ledger.load of the seeded chain keeps, beyond its record bytes
-    and 1 kB per block, is under 200 bytes per unspent output, and it keeps
-    a few allocations per block, none per output. A dict with a key and a
-    row per output kept 254 bytes and 4.6 allocations per output here."""
+    and 128 bytes per block, is under 200 bytes per unspent output, and it
+    keeps fewer than 4 allocations per block, most of them the rows of the
+    mempool's transactions: none per block or output, since a block's Block
+    is made only when it is read (3.8 per block; 10.6 when each was made at
+    load). A dict with a key and a row per output kept 254 bytes and 4.6
+    allocations per output here."""
     path = tmp_path / "chain.bin"
     backend.set_backend("ext")
     _seeded_chain(km, path)
@@ -946,8 +1103,8 @@ def test_a_load_keeps_little_memory_per_utxo(km, tmp_path):
     kept_blocks = sum(stat.count_diff for stat in kept)
     n_utxos = sum(out is not None for out in map(ledger.utxo, chainfile.created_outpoints(ledger)))
     assert n_utxos > 1000
-    assert kept_bytes - sum(map(len, records)) - 1024 * len(records) < 200 * n_utxos
-    assert kept_blocks < 16 * len(records)
+    assert kept_bytes - sum(map(len, records)) - 128 * len(records) < 200 * n_utxos
+    assert kept_blocks < 4 * len(records)
 
 
 @needs_ext

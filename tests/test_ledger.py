@@ -313,6 +313,64 @@ def test_every_block_connects_through_connect_records(tmp_path, monkeypatch):
     assert calls[4:] == [(0, 4)]
 
 
+@pytest.fixture()
+def long_chain(tmp_path):
+    """A saved 12-block chain with decoys."""
+    ledger = fresh_ledger()
+    for seed in range(1, 12):
+        ledger.mine_block(NoiseProfile(rate=4.0), seed=seed)
+    path = tmp_path / "chain.bin"
+    ledger.save(path)
+    return path
+
+
+def count_made_blocks(monkeypatch) -> list[int]:
+    """The heights at which a loaded block's Block is made from here on."""
+    made, loaded = [], Block._loaded.__func__
+
+    def counted(cls, wire, height, *fields):
+        made.append(height)
+        return loaded(cls, wire, height, *fields)
+
+    monkeypatch.setattr(Block, "_loaded", classmethod(counted))
+    return made
+
+
+def test_a_load_builds_no_block_until_one_is_read(long_chain, monkeypatch):
+    """A load makes no Block; reading one makes it once, a mine reads only
+    the tip, and a scan only the blocks from its cursor on."""
+    made = count_made_blocks(monkeypatch)
+    for name in backend.available():
+        with chainfile.active_backend(name):
+            made.clear()
+            ledger = Ledger.load(long_chain)
+            assert len(ledger.blocks) == 12 and ledger.tip_height == 11 and made == []
+            assert ledger.blocks[3] is ledger.blocks[-9] and made == [3]
+            ledger.mine_block(NoiseProfile(rate=4.0), seed=12)
+            assert made == [3, 11]
+            ledger.input_index(9)
+            assert made == [3, 11, 9, 10]
+            assert [b.height for b in ledger.blocks] == list(range(13))
+            assert sorted(made) == list(range(12))
+
+
+def test_a_loaded_chain_saved_elsewhere_is_the_same_file(long_chain, tmp_path, monkeypatch):
+    """A loaded ledger saved to another file writes the bytes it loaded,
+    without making a Block, and with a block mined after the load appended."""
+    made = count_made_blocks(monkeypatch)
+    for name in backend.available():
+        with chainfile.active_backend(name):
+            ledger = Ledger.load(long_chain)
+            ledger.save(tmp_path / f"{name}.bin")
+            assert made == []
+            assert (tmp_path / f"{name}.bin").read_bytes() == long_chain.read_bytes()
+            block = ledger.mine_block(seed=12)
+            ledger.save(tmp_path / f"{name}-more.bin")
+            assert (tmp_path / f"{name}-more.bin").read_bytes() == (
+                long_chain.read_bytes() + chainfile.framed([block.serialize()]))
+            made.clear()
+
+
 def test_scan_detects_tampering_after_load(stego_chain):
     ledger = Ledger.load(stego_chain)
     good = ledger.blocks[1]
@@ -339,9 +397,9 @@ def load_on_each_backend(path) -> list[Ledger]:
 def record_refusal(impl, path):
     """The refusal args with which `impl`'s connect_records stops on the
     chain file, and the number of blocks it applied before it."""
-    blocks, refusal = impl.connect_records(impl.utxo_table(TxOutput), path.read_bytes(), 0,
-                                           bytes(32))
-    return len(blocks), refusal
+    rows, _, refusal = impl.connect_records(impl.utxo_table(TxOutput), path.read_bytes(), 0,
+                                            bytes(32), BLOCK_SUBSIDY)
+    return len(rows) // backend._BLOCK_ROW.size, refusal
 
 
 def load_error(path) -> str:
