@@ -1084,7 +1084,7 @@ def test_a_load_keeps_little_memory_per_utxo(km, tmp_path):
     and 128 bytes per block, is under 200 bytes per unspent output, and it
     keeps fewer than 4 allocations per block, most of them the rows of the
     mempool's transactions: none per block or output, since a block's Block
-    is made only when it is read (3.8 per block; 10.6 when each was made at
+    is made only when it is read (3.9 per block; 10.6 when each was made at
     load). A dict with a key and a row per output kept 254 bytes and 4.6
     allocations per output here."""
     path = tmp_path / "chain.bin"
